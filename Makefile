@@ -1,9 +1,11 @@
 # Build / test / bench entry points. Tier-1 verification is
-# `make check` (what CI runs); `make bench` regenerates BENCH_PR1.json.
+# `make check` (what CI runs); `make bench-engine` runs the engine
+# benchmark BENCHMARK.json declares (`make bench` is the superseded
+# BENCH_PR1.json script).
 
 GO ?= go
 
-.PHONY: all build test race streams htap crash dist fuzz-smoke vet fmt-check check bench bench-paper
+.PHONY: all build test race streams htap crash dist fuzz-smoke vet fmt-check check bench bench-paper bench-engine bench-test
 
 all: check
 
@@ -39,16 +41,18 @@ crash:
 # The distributed scatter/gather suites: golden answers at shard counts
 # {1,2,4} over the wire, fragment-vs-scan differential, injected network
 # faults (drop/truncate/duplicate/reset/delay), kill + restart of shard
-# OS processes mid-stream, typed ErrPartial on outage — under -race —
-# plus a network-fault fuzz smoke (CI's `dist` job).
+# OS processes mid-stream, typed ErrPartial on outage, the wire codec's
+# round-trip and scan-merge differentials — under -race — plus the
+# network-fault and wire-table fuzz smokes (CI's `dist` job).
 dist:
-	$(GO) test -race -run 'Dist|NetFault' ./...
+	$(GO) test -race -run 'Dist|NetFault|WireTable' ./...
 	$(GO) test -run xxx -fuzz FuzzNetFault -fuzztime 15s ./internal/dist/
+	$(GO) test -run xxx -fuzz FuzzWireTable -fuzztime 15s ./internal/dist/
 
 # Short fuzz runs over the join key-partitioning, sort/top-K, RCF4
 # dict-chunk and RLE/delta-chunk round-trips, chunk-cache key/eviction
-# paths, the delta-log replay parser, and the full crash-schedule →
-# recover cycle of the file-backed log.
+# paths, the delta-log replay parser, the full crash-schedule →
+# recover cycle of the file-backed log, and the dist table decoder.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzJoinKeys -fuzztime 15s ./internal/relal/
 	$(GO) test -run xxx -fuzz FuzzSortKeys -fuzztime 15s ./internal/relal/
@@ -57,6 +61,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzChunkCache -fuzztime 15s ./internal/rcfile/
 	$(GO) test -run xxx -fuzz FuzzDeltaReplay -fuzztime 15s ./internal/delta/
 	$(GO) test -run xxx -fuzz FuzzCrashRecovery -fuzztime 15s ./internal/delta/
+	$(GO) test -run xxx -fuzz FuzzWireTable -fuzztime 15s ./internal/dist/
 
 vet:
 	$(GO) vet ./...
@@ -71,6 +76,15 @@ check: fmt-check vet build test
 # baseline vs columnar). BENCHTIME=10x for steadier numbers.
 bench:
 	./scripts/bench.sh
+
+# The engine benchmark (bench/README.md): four workloads, end-to-end
+# and per-layer metrics, answers checked. `bench-test` is its own
+# module's short test suite.
+bench-engine:
+	bash bench/run.sh
+
+bench-test:
+	cd bench && $(GO) test -short ./...
 
 # The paper-artifact benches (Tables 2–5, Figures 1–6, ablations).
 bench-paper:

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -13,7 +12,6 @@ import (
 
 	"elephants/internal/fault"
 	"elephants/internal/metrics"
-	"elephants/internal/rcfile"
 	"elephants/internal/relal"
 	"elephants/internal/tpch"
 )
@@ -228,69 +226,47 @@ func (c *Coordinator) workers() int {
 
 // runFragment scatters a registered fragment and merges the partials.
 func (c *Coordinator) runFragment(frag tpch.Fragment) (*relal.Table, error) {
-	resps, err := c.scatter(Request{Op: OpFragment, FragID: frag.ID})
+	parts, _, err := c.scatter(Request{Op: OpFragment, FragID: frag.ID})
 	if err != nil {
 		c.counters.Add(cPartials, 1)
 		return nil, err
-	}
-	parts := make([]*relal.Table, len(resps))
-	for i, resp := range resps {
-		t, derr := decodeTable(resp, "partial")
-		if derr != nil {
-			c.counters.Add(cPartials, 1)
-			return nil, &PartialError{Shard: i, Err: derr}
-		}
-		parts[i] = t
 	}
 	e := &relal.Exec{Parallelism: c.workers()}
 	return frag.Merge(e, parts), nil
 }
 
-// decodeTable turns a wire response back into a table; the RCF5 decode
-// re-verifies every chunk checksum, so a frame that passed the CRC but
-// carries damaged columns still cannot reach a plan.
-func decodeTable(resp Response, name string) (*relal.Table, error) {
-	if resp.Rows == 0 || len(resp.Data) == 0 {
-		return relal.NewTable(name, resp.Schema), nil
-	}
-	src, err := rcfile.NewSourceFromBytes(resp.Data, resp.Schema, name)
-	if err != nil {
-		return nil, fmt.Errorf("decode shard %d response: %w", resp.Shard, err)
-	}
-	t, _, err := src.TryScan(nil, nil)
-	if err != nil {
-		return nil, fmt.Errorf("decode shard %d response: %w", resp.Shard, err)
-	}
-	return t, nil
-}
-
 // scatter fans req out to every shard concurrently and gathers the
-// responses in shard order; the first failed shard (lowest index) wins
-// the error slot.
-func (c *Coordinator) scatter(req Request) ([]Response, error) {
-	out := make([]Response, len(c.addrs))
+// decoded tables in shard order, with their scan accounting summed; the
+// first failed shard (lowest index) wins the error slot.
+func (c *Coordinator) scatter(req Request) ([]*relal.Table, relal.ScanStats, error) {
+	out := make([]*relal.Table, len(c.addrs))
+	stats := make([]relal.ScanStats, len(c.addrs))
 	errs := make([]error, len(c.addrs))
 	var wg sync.WaitGroup
 	for i := range c.addrs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out[i], errs[i] = c.call(i, req)
+			out[i], stats[i], errs[i] = c.call(i, req)
 		}(i)
 	}
 	wg.Wait()
+	var total relal.ScanStats
 	for i, err := range errs {
 		if err != nil {
-			return nil, &PartialError{Shard: i, Err: err}
+			return nil, total, &PartialError{Shard: i, Err: err}
 		}
+		total.Add(stats[i])
 	}
-	return out, nil
+	return out, total, nil
 }
 
 // call is one logical request: attempts with exponential backoff and
 // seeded jitter until success, exhausted budget, or a fail-fast open
-// breaker.
-func (c *Coordinator) call(i int, req Request) (Response, error) {
+// breaker. An attempt succeeds only once its response has decoded into
+// a well-formed table, so a shard that answers with malformed bytes is
+// retried like one that did not answer.
+func (c *Coordinator) call(i int, req Request) (*relal.Table, relal.ScanStats, error) {
 	c.counters.Add(cRequests, 1)
 	backoff := c.opts.BackoffBase
 	var lastErr error
@@ -307,20 +283,45 @@ func (c *Coordinator) call(i int, req Request) (Response, error) {
 			if lastErr == nil {
 				lastErr = errors.New("circuit open")
 			}
-			return Response{}, fmt.Errorf("dist: shard %d circuit open: %w", i, lastErr)
+			return nil, relal.ScanStats{}, fmt.Errorf("dist: shard %d circuit open: %w", i, lastErr)
 		}
 		resp, err := c.attempt(i, req)
-		if err == nil && resp.Err != "" {
-			err = errors.New(resp.Err)
+		var t *relal.Table
+		if err == nil {
+			t, err = c.tableOf(req, resp)
 		}
 		if err == nil {
 			c.noteSuccess(i)
-			return resp, nil
+			return t, resp.Stats, nil
 		}
 		lastErr = err
 		c.noteFailure(i)
 	}
-	return Response{}, fmt.Errorf("dist: shard %d: retry budget exhausted: %w", i, lastErr)
+	return nil, relal.ScanStats{}, fmt.Errorf("dist: shard %d: retry budget exhausted: %w", i, lastErr)
+}
+
+// tableOf turns a response to req into its table, or into the error
+// that fails the attempt: the shard's own, an encoding the decoder
+// rejects, or a scan answer the merge could not trust.
+func (c *Coordinator) tableOf(req Request, resp Response) (*relal.Table, error) {
+	if resp.Err != "" {
+		return nil, errors.New(resp.Err)
+	}
+	if req.Op != OpScan {
+		return decodeTable(resp, "partial")
+	}
+	want, err := scanSchema(c.db.Table(req.Table).Schema, req.Cols)
+	if err != nil {
+		return nil, err
+	}
+	t, err := decodeTable(resp, req.Table)
+	if err == nil {
+		err = checkScanPart(t, want)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // jitter returns a seeded random delay of up to half the backoff step.
@@ -425,25 +426,6 @@ func (c *Coordinator) recvFrame(conn net.Conn, shard int) ([]byte, error) {
 	return ReadFrame(conn)
 }
 
-// readRawFrame reads one frame's bytes (header, payload, CRC) without
-// validating the checksum — the injector's raw material for tearing.
-func readRawFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, fmt.Errorf("dist: frame length %d exceeds limit", n)
-	}
-	raw := make([]byte, 4+n+4)
-	copy(raw, hdr[:])
-	if _, err := io.ReadFull(r, raw[4:]); err != nil {
-		return nil, err
-	}
-	return raw, nil
-}
-
 func (c *Coordinator) breakerOpen(i int) bool {
 	b := c.breakers[i]
 	b.mu.Lock()
@@ -486,7 +468,10 @@ func (c *Coordinator) probeLoop() {
 			return
 		case <-ticker.C:
 			for i := range c.addrs {
-				if c.breakerOpen(i) && c.probe(i) == nil {
+				if !c.breakerOpen(i) {
+					continue
+				}
+				if _, err := c.Health(i); err == nil {
 					c.noteSuccess(i)
 				}
 			}
@@ -494,39 +479,10 @@ func (c *Coordinator) probeLoop() {
 	}
 }
 
-// probe is one injector-free health round trip: probes must not
-// consume fault-schedule frames, or background timing would change
-// which data-plane frames get faulted.
-func (c *Coordinator) probe(i int) error {
-	conn, err := net.DialTimeout("tcp", c.addrs[i], c.opts.AttemptTimeout)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(c.opts.AttemptTimeout))
-	payload, err := EncodeRequest(Request{Op: OpHealth})
-	if err != nil {
-		return err
-	}
-	if err := WriteFrame(conn, payload); err != nil {
-		return err
-	}
-	data, err := ReadFrame(conn)
-	if err != nil {
-		return err
-	}
-	resp, err := DecodeResponse(data)
-	if err != nil {
-		return err
-	}
-	if resp.Err != "" {
-		return errors.New(resp.Err)
-	}
-	return nil
-}
-
-// Health runs one health round trip against shard i (injector-free)
-// and returns its delta-log positions.
+// Health runs one health round trip against shard i and returns its
+// delta-log positions. It is also the breaker's probe, so it bypasses
+// the fault injector: probes must not consume fault-schedule frames, or
+// background timing would change which data-plane frames get faulted.
 func (c *Coordinator) Health(i int) (map[string]int64, error) {
 	conn, err := net.DialTimeout("tcp", c.addrs[i], c.opts.AttemptTimeout)
 	if err != nil {
@@ -556,14 +512,13 @@ func (c *Coordinator) Health(i int) (map[string]int64, error) {
 }
 
 // distSource is the relal.Source a partitioned table scans through on
-// the coordinator: scatter the (column, predicate) request, decode each
-// shard's surviving rows, and splice them back into global row order on
-// the hidden position column. Pruning stays conservative (a shard may
-// return rows its groups couldn't rule out) and plans re-apply their
-// exact filters, so the reassembled scan is answer-equivalent to the
-// local one. relal.Source has no error channel — a failed gather panics
-// a *PartialError that Coordinator.RunQuery recovers into a typed
-// error.
+// the coordinator: scatter the (column, predicate) request and merge
+// the shards' surviving rows back into global row order on the hidden
+// position column. Pruning stays conservative (a shard may return rows
+// its groups couldn't rule out) and plans re-apply their exact filters,
+// so the reassembled scan is answer-equivalent to the local one.
+// relal.Source has no error channel — a failed gather panics a
+// *PartialError that Coordinator.RunQuery recovers into a typed error.
 type distSource struct {
 	c      *Coordinator
 	table  string
@@ -579,47 +534,13 @@ func (d *distSource) ScanTable(cols []string, pred relal.ZonePredicate) (*relal.
 	if len(cols) > 0 {
 		reqCols = append(append(make([]string, 0, len(cols)+1), cols...), PosCol)
 	}
-	resps, err := d.c.scatter(Request{Op: OpScan, Table: d.table, Cols: reqCols, Pred: pred})
+	parts, stats, err := d.c.scatter(Request{Op: OpScan, Table: d.table, Cols: reqCols, Pred: pred})
 	if err != nil {
 		panic(err)
 	}
-	var stats relal.ScanStats
-	var schema relal.Schema
-	parts := make([]*relal.Table, 0, len(resps))
-	for i, resp := range resps {
-		addStats(&stats, resp.Stats)
-		if schema == nil {
-			schema = resp.Schema
-		}
-		t, derr := decodeTable(resp, d.table)
-		if derr != nil {
-			panic(&PartialError{Shard: i, Err: derr})
-		}
-		parts = append(parts, t)
+	out, err := mergeByPos(d.table, parts)
+	if err != nil {
+		panic(err)
 	}
-	e := &relal.Exec{Parallelism: 1}
-	merged := relal.Concat(d.table, schema, parts...)
-	ordered := e.Sort(merged, relal.OrderSpec{Col: PosCol})
-	keep := make([]string, 0, len(schema)-1)
-	for _, col := range schema {
-		if col.Name != PosCol {
-			keep = append(keep, col.Name)
-		}
-	}
-	out := e.Project(ordered, keep...).Compacted()
-	out.Name = d.table
 	return out, stats
-}
-
-// addStats accumulates per-shard scan accounting into the gather's
-// totals.
-func addStats(dst *relal.ScanStats, s relal.ScanStats) {
-	dst.BytesRead += s.BytesRead
-	dst.BytesSkipped += s.BytesSkipped
-	dst.BytesFromCache += s.BytesFromCache
-	dst.GroupsRead += s.GroupsRead
-	dst.GroupsSkipped += s.GroupsSkipped
-	dst.CacheHits += s.CacheHits
-	dst.CacheMisses += s.CacheMisses
-	dst.CorruptChunks += s.CorruptChunks
 }

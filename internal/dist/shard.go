@@ -88,6 +88,11 @@ func BuildShardDB(cfg ShardConfig) *tpch.DB {
 	return db
 }
 
+// shardCacheBytes bounds a shard's decoded-chunk cache. A partition's
+// decoded parts at the scale factors the localhost cluster runs are a
+// few megabytes, so this holds all of them; past it the LRU evicts.
+const shardCacheBytes = 64 << 20
+
 // defaultHold routes a few hundred trailing rows of each partition
 // through the delta log, clamped so small partitions stay legal.
 func defaultHold(db *tpch.DB) map[string]int {
@@ -133,7 +138,13 @@ func StartShard(cfg ShardConfig) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	hcfg := htap.Config{Window: -1, RCFile: true, GroupRows: cfg.GroupRows, Sync: pol}
+	// The parts are immutable once written, so every scan after the first
+	// serves their chunks decoded from the cache instead of inflating them
+	// again.
+	hcfg := htap.Config{
+		Window: -1, RCFile: true, GroupRows: cfg.GroupRows, Sync: pol,
+		Cache: rcfile.NewChunkCache(shardCacheBytes),
+	}
 	if cfg.DataDir != "" {
 		fs, err := fault.NewDirFS(cfg.DataDir)
 		if err != nil {
@@ -256,24 +267,22 @@ func (s *Shard) handleConn(conn net.Conn) {
 		if req.DeadlineMS > 0 {
 			conn.SetDeadline(time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond))
 		}
-		resp := s.handle(req)
-		out, err := EncodeResponse(resp)
-		if err != nil {
-			out, _ = EncodeResponse(Response{Shard: s.cfg.Index, Err: err.Error()})
-		}
-		if err := WriteFrame(conn, out); err != nil {
+		resp, t := s.handle(req)
+		if err := writeResponse(conn, resp, t); err != nil {
 			return
 		}
 	}
 }
 
-// handle dispatches one request. Shard-side panics (corrupt source,
-// schema misuse) become typed wire errors instead of killing the
-// process — a shard must degrade to "this request failed", not die.
-func (s *Shard) handle(req Request) (resp Response) {
+// handle dispatches one request; a table-bearing response comes back
+// with the table still to be encoded behind it. Shard-side panics
+// (corrupt source, schema misuse) become typed wire errors instead of
+// killing the process — a shard must degrade to "this request failed",
+// not die.
+func (s *Shard) handle(req Request) (resp Response, t *relal.Table) {
 	defer func() {
 		if r := recover(); r != nil {
-			resp = Response{Shard: s.cfg.Index, Err: fmt.Sprintf("shard %d: %v", s.cfg.Index, r)}
+			resp, t = Response{Shard: s.cfg.Index, Err: fmt.Sprintf("shard %d: %v", s.cfg.Index, r)}, nil
 		}
 	}()
 	switch req.Op {
@@ -286,20 +295,20 @@ func (s *Shard) handle(req Request) (resp Response) {
 		for name := range PartitionedTables {
 			next[name] = s.store.NextPos(name)
 		}
-		return Response{Shard: s.cfg.Index, NextPos: next}
+		return Response{Shard: s.cfg.Index, NextPos: next}, nil
 	}
-	return Response{Shard: s.cfg.Index, Err: fmt.Sprintf("unknown op %d", req.Op)}
+	return Response{Shard: s.cfg.Index, Err: fmt.Sprintf("unknown op %d", req.Op)}, nil
 }
 
-func (s *Shard) handleScan(req Request) Response {
+func (s *Shard) handleScan(req Request) (Response, *relal.Table) {
 	t, stats := s.db.Src(req.Table).ScanTable(req.Cols, req.Pred)
 	return s.tableResponse(t, stats)
 }
 
-func (s *Shard) handleFragment(req Request) Response {
+func (s *Shard) handleFragment(req Request) (Response, *relal.Table) {
 	frag, ok := tpch.Fragments[req.FragID]
 	if !ok {
-		return Response{Shard: s.cfg.Index, Err: fmt.Sprintf("unknown fragment %d", req.FragID)}
+		return Response{Shard: s.cfg.Index, Err: fmt.Sprintf("unknown fragment %d", req.FragID)}, nil
 	}
 	workers := s.cfg.Workers
 	if workers == 0 {
@@ -310,18 +319,14 @@ func (s *Shard) handleFragment(req Request) Response {
 	return s.tableResponse(part, relal.ScanStats{})
 }
 
-// tableResponse ships a result table as RCF5 bytes — the same encoder
-// the shard's own parts use, so the wire format inherits the per-chunk
-// checksums and the coordinator's decoder verifies them end to end.
-func (s *Shard) tableResponse(t *relal.Table, stats relal.ScanStats) Response {
+// tableResponse describes a result table and hands it on for encoding:
+// its vectors cross the wire in the shape the scan or plan produced
+// them (a view is made dense first). An empty table ships as schema
+// only.
+func (s *Shard) tableResponse(t *relal.Table, stats relal.ScanStats) (Response, *relal.Table) {
 	resp := Response{Shard: s.cfg.Index, Schema: t.Schema, Rows: t.NumRows(), Stats: stats}
 	if resp.Rows == 0 {
-		return resp
+		return resp, nil
 	}
-	data, err := rcfile.NewWriterOpts(s.cfg.GroupRows, rcfile.WriterOpts{}).Write(t)
-	if err != nil {
-		return Response{Shard: s.cfg.Index, Err: fmt.Sprintf("encode %s: %v", t.Name, err)}
-	}
-	resp.Data = data
-	return resp
+	return resp, t.Compacted()
 }

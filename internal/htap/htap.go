@@ -75,13 +75,13 @@ type Config struct {
 	// default; negative = flush immediately, for deterministic tests).
 	Window time.Duration
 	// RCFile encodes converted parts (and the held tables' base parts)
-	// as RCF4 files instead of in-memory sources.
+	// as RCF5 files instead of in-memory sources.
 	RCFile bool
-	// GroupRows is the RCF4 row-group size (0 = 4096). Used with RCFile.
+	// GroupRows is the RCF5 row-group size (0 = 4096). Used with RCFile.
 	GroupRows int
-	// WriterOpts carries the RCF4 encoding toggles. Used with RCFile.
+	// WriterOpts carries the RCF5 encoding toggles. Used with RCFile.
 	WriterOpts rcfile.WriterOpts
-	// Cache, when non-nil, serves decoded chunks of the RCF4 parts.
+	// Cache, when non-nil, serves decoded chunks of the RCF5 parts.
 	Cache *rcfile.ChunkCache
 	// ConvertRows is the tail size at which the background converter
 	// encodes a table's tail into a part (0 = 4096).

@@ -128,9 +128,10 @@ func concatRuns(typ Type, vecs []*Vector) *Vector {
 }
 
 // concatStrVecs concatenates Str vectors. All parts dict-encoded over
-// one dictionary: codes concatenate (run lists stay run lists). All
-// dict but dictionaries differ: the dictionaries merge into one sorted
-// union and each part's codes remap. Any raw part: the whole column
+// one dictionary — the same slice, or equal contents in separate slices
+// (sameDict) — codes concatenate (run lists stay run lists). All dict
+// but dictionaries differ: the dictionaries merge into one sorted union
+// and each part's codes remap. Any raw part: the whole column
 // degrades to raw strings — the same rule the RCF4 reader applies when
 // any chunk of a column was written plain.
 func concatStrVecs(vecs []*Vector) *Vector {

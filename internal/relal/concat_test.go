@@ -76,6 +76,34 @@ func TestConcatSameDict(t *testing.T) {
 	}
 }
 
+// TestConcatEqualDicts: parts whose dictionaries are equal but live in
+// separate slices (each decoded from its own file, or off the wire)
+// concatenate codes over the first part's dictionary — no union merge,
+// no remap.
+func TestConcatEqualDicts(t *testing.T) {
+	sch := Schema{{Name: "s", Type: Str}}
+	first := []string{"AIR", "RAIL", "SHIP"}
+	a := NewTable("t", sch, DictV([]uint32{0, 2}, first))
+	b := NewTable("t", sch, DictV([]uint32{1, 1, 0}, []string{"AIR", "RAIL", "SHIP"}))
+	v := Concat("t", sch, a, b).Cols[0]
+	if !v.IsDict() || &v.DictVals[0] != &first[0] {
+		t.Fatalf("equal-dict concat rebuilt the dictionary")
+	}
+	want := []string{"AIR", "SHIP", "RAIL", "RAIL", "AIR"}
+	if !reflect.DeepEqual(v.DecodeStrs(), want) {
+		t.Errorf("values = %v, want %v", v.DecodeStrs(), want)
+	}
+	ar := NewTable("t", sch, DictRunsV([]uint32{2}, []int32{2}, first))
+	br := NewTable("t", sch, DictRunsV([]uint32{0, 1}, []int32{1, 3}, []string{"AIR", "RAIL", "SHIP"}))
+	vr := Concat("t", sch, ar, br).Cols[0]
+	if !vr.IsRuns() || &vr.DictVals[0] != &first[0] {
+		t.Fatalf("equal-dict run concat expanded or rebuilt the dictionary")
+	}
+	if want := []string{"SHIP", "SHIP", "AIR", "RAIL", "RAIL"}; !reflect.DeepEqual(vr.DecodeStrs(), want) {
+		t.Errorf("run values = %v, want %v", vr.DecodeStrs(), want)
+	}
+}
+
 // TestConcatMergedDicts: parts with different dictionaries merge into a
 // sorted union with codes remapped — the converted-part next to
 // base-part case in the HTAP view.

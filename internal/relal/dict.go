@@ -19,6 +19,7 @@
 package relal
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -99,13 +100,20 @@ func (v *Vector) decodeToRaw() {
 	v.Dict, v.DictVals, v.RunEnds = nil, nil, nil
 }
 
-// sameDict reports whether two dict vectors share one dictionary (the
-// same backing array), which makes their codes directly comparable.
+// sameDict reports whether two dict vectors' codes are directly
+// comparable: they share one dictionary (the same backing array) or
+// carry equal ones. Dictionaries are sorted and duplicate-free, so equal
+// contents mean equal code assignments — which is what parts decoded
+// from separate files, or shipped over the wire, of one generated table
+// present: the same dictionary in different slices.
 func sameDict(a, b *Vector) bool {
 	if len(a.DictVals) != len(b.DictVals) {
 		return false
 	}
-	return len(a.DictVals) == 0 || &a.DictVals[0] == &b.DictVals[0]
+	if len(a.DictVals) == 0 || &a.DictVals[0] == &b.DictVals[0] {
+		return true
+	}
+	return slices.Equal(a.DictVals, b.DictVals)
 }
 
 // DictCodeWidth returns the packed on-disk bytes per code for a
