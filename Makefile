@@ -1,11 +1,10 @@
 # Build / test / bench entry points. Tier-1 verification is
 # `make check` (what CI runs); `make bench-engine` runs the engine
-# benchmark BENCHMARK.json declares (`make bench` is the superseded
-# BENCH_PR1.json script).
+# benchmark BENCHMARK.json declares.
 
 GO ?= go
 
-.PHONY: all build test race streams htap crash dist fuzz-smoke vet fmt-check check bench bench-paper bench-engine bench-test
+.PHONY: all build test race streams htap crash dist fuzz-smoke vet fmt-check check loc bench-paper bench-engine bench-test
 
 all: check
 
@@ -24,7 +23,7 @@ race:
 # chunk-encoding suites + the HTAP delta-pipeline and wal/delta-log
 # concurrency suites under the race detector (CI's `streams` job).
 streams:
-	$(GO) test -race -run 'Stream|JoinParallel|SortParallel|TopK|Dict|Cache|Sched|Epoch|Encoding|Htap|Delta|Wal' ./...
+	$(GO) test -race -run 'Stream|JoinParallel|SortParallel|TopK|Dict|Cache|Sched|Encoding|Htap|Delta|Wal' ./...
 
 # The combined HTAP harness: concurrent write + analytical streams with
 # quiesced answers pinned to the golden snapshot, under -race.
@@ -72,10 +71,9 @@ fmt-check:
 
 check: fmt-check vet build test
 
-# Per-query TPC-H executor benchmarks → BENCH_PR1.json (row-at-a-time
-# baseline vs columnar). BENCHTIME=10x for steadier numbers.
-bench:
-	./scripts/bench.sh
+# Non-test lines of Go: the count ROADMAP's "Halve the concepts" tracks.
+loc:
+	@find internal cmd examples -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 # The engine benchmark (bench/README.md): four workloads, end-to-end
 # and per-layer metrics, answers checked. `bench-test` is its own

@@ -1,7 +1,7 @@
 // Package elephants holds the benchmark harness that regenerates every
 // table and figure in the paper's evaluation, one testing.B benchmark
-// per artifact, plus ablation benches for the design choices DESIGN.md
-// calls out. Reported custom metrics are virtual-time measurements from
+// per artifact, plus ablation benches for the modeled engines' design
+// choices. Reported custom metrics are virtual-time measurements from
 // the simulation (the paper's columns); ns/op is host time and is not
 // meaningful for comparison with the paper.
 //
@@ -278,8 +278,7 @@ func BenchmarkQueryExecution(b *testing.B) {
 }
 
 // BenchmarkTPCHQuery measures each of the 22 queries individually on the
-// in-memory relal executor (host time and allocations). These are the
-// numbers tracked in BENCH_PR1.json across the row→columnar refactor.
+// in-memory relal executor (host time and allocations).
 func BenchmarkTPCHQuery(b *testing.B) {
 	db := tpch.Generate(tpch.GenConfig{SF: 0.005, Seed: 1, Random64: true})
 	for _, q := range tpch.Queries {

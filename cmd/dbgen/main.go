@@ -30,13 +30,9 @@ func main() {
 	seed := flag.Int64("seed", 1, "generator seed")
 	random64 := flag.Bool("random64", true, "use the RANDOM64 fix (false reproduces the 32-bit overflow bug)")
 	cluster := flag.String("cluster", "", "cluster the owning base table on this column (e.g. l_shipdate), so zone maps can prune range scans")
-	noDict := flag.Bool("no-dict", false, "disable dictionary encoding of low-cardinality string columns (emitted text is identical either way)")
-	noRLE := flag.Bool("no-rle", false, "disable run-length chunk encoding in the scan cost model (emitted text is identical either way)")
-	noDelta := flag.Bool("no-delta", false, "disable delta chunk encoding in the scan cost model (emitted text is identical either way)")
 	flag.Parse()
 
-	relal.ModelRLE, relal.ModelDelta = !*noRLE, !*noDelta
-	db := tpch.Generate(tpch.GenConfig{SF: *sf, Seed: *seed, Random64: *random64, NoDict: *noDict})
+	db := tpch.Generate(tpch.GenConfig{SF: *sf, Seed: *seed, Random64: *random64})
 	if *cluster != "" {
 		name, err := db.Cluster(*cluster)
 		if err != nil {

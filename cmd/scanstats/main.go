@@ -1,12 +1,11 @@
 // Command scanstats measures RCFile storage effectiveness: it
 // generates a functional TPC-H dataset, encodes every base table into
-// RCFile (RCF3: zone-map footer, multi-row-group, dictionary-encoded
-// string chunks), runs the requested queries through the pushdown-aware
-// scan pipeline, and emits the per-table bytes-read/bytes-skipped
-// accounting as JSON — plus, per base table, the per-string-column
-// dictionary cardinality and encoded-vs-raw byte ratio, so the
-// compression win is observable without a benchmark run.
-// scripts/bench.sh embeds the output in BENCH_PR2.json / BENCH_PR5.json.
+// RCFile (RCF5: zone-map footer, multi-row-group, adaptive per-chunk
+// encodings, per-chunk CRCs), runs the requested queries through the
+// pushdown-aware scan pipeline, and emits the per-table
+// bytes-read/bytes-skipped accounting as JSON — plus, per base table,
+// the per-string-column dictionary cardinality and encoded-vs-raw byte
+// ratio, so the compression win is observable without a benchmark run.
 //
 // With -enc it instead prints the per-chunk encoding census: for every
 // column of every base table, how many chunks landed on each encoding
@@ -17,9 +16,8 @@
 //
 // Usage:
 //
-//	scanstats [-sf 0.01] [-group-rows 2048] [-queries 1,6] [-no-dict] [-no-rle] [-no-delta]
-//	scanstats -table-bytes lineitem [-no-dict] [-cluster l_shipdate]   # just the RCFile size
-//	scanstats -enc [-cluster l_shipdate]                               # encoding histogram
+//	scanstats [-sf 0.01] [-group-rows 2048] [-queries 1,6] [-cache-mb M] [-cluster l_shipdate]
+//	scanstats -enc [-cluster l_shipdate]   # encoding histogram
 package main
 
 import (
@@ -81,7 +79,7 @@ type storageReport struct {
 type report struct {
 	SF        float64                           `json:"sf"`
 	GroupRows int                               `json:"group_rows"`
-	Dict      bool                              `json:"dict"`
+	Dict      bool                              `json:"dict"` // always true: the generator dictionary-encodes tpch.DefaultDictColumns
 	CacheMB   int                               `json:"cache_mb"`
 	Storage   storageReport                     `json:"storage"`
 	Tables    map[string]*tableReport           `json:"tables"`
@@ -93,18 +91,12 @@ func main() {
 	groupRows := flag.Int("group-rows", 2048, "RCFile row-group size in rows")
 	queries := flag.String("queries", "1,6", "query IDs, comma-separated")
 	seed := flag.Int64("seed", 1, "generator seed")
-	noDict := flag.Bool("no-dict", false, "disable dictionary encoding of low-cardinality string columns")
-	noRLE := flag.Bool("no-rle", false, "disable run-length chunk encoding (RCFile writer and scan model)")
-	noDelta := flag.Bool("no-delta", false, "disable delta chunk encoding (RCFile writer and scan model)")
 	cluster := flag.String("cluster", "", "cluster the owning base table on this column before encoding (e.g. l_shipdate)")
 	encMode := flag.Bool("enc", false, "print the per-column chunk-encoding histogram and exit")
 	cacheMB := flag.Int("cache-mb", 0, "attach a shared decompressed-chunk cache of this many MiB (0 = none)")
-	tableBytes := flag.String("table-bytes", "", "print only the named table's RCFile byte count and exit")
 	flag.Parse()
 
-	relal.ModelRLE, relal.ModelDelta = !*noRLE, !*noDelta
-	opts := rcfile.WriterOpts{NoRLE: *noRLE, NoDelta: *noDelta}
-	db := tpch.Generate(tpch.GenConfig{SF: *sf, Seed: *seed, Random64: true, NoDict: *noDict})
+	db := tpch.Generate(tpch.GenConfig{SF: *sf, Seed: *seed, Random64: true})
 	if *cluster != "" {
 		if _, err := db.Cluster(*cluster); err != nil {
 			fmt.Fprintln(os.Stderr, "scanstats:", err)
@@ -112,18 +104,8 @@ func main() {
 		}
 	}
 
-	if *tableBytes != "" {
-		src, err := rcfile.NewSourceOpts(db.Table(*tableBytes), *groupRows, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scanstats: encode", *tableBytes+":", err)
-			os.Exit(1)
-		}
-		fmt.Println(src.Bytes())
-		return
-	}
-
 	if *encMode {
-		if err := printEncReport(db, *groupRows, opts); err != nil {
+		if err := printEncReport(db, *groupRows); err != nil {
 			fmt.Fprintln(os.Stderr, "scanstats:", err)
 			os.Exit(1)
 		}
@@ -137,7 +119,7 @@ func main() {
 	}
 
 	rep := report{
-		SF: *sf, GroupRows: *groupRows, Dict: !*noDict, CacheMB: *cacheMB,
+		SF: *sf, GroupRows: *groupRows, Dict: true, CacheMB: *cacheMB,
 		Tables:  map[string]*tableReport{},
 		Queries: map[string]map[string]*tableStats{},
 	}
@@ -148,7 +130,7 @@ func main() {
 	seenFiles := map[uint64]bool{}
 	for _, name := range tpch.TableNames {
 		t := db.Table(name)
-		src, err := rcfile.NewSourceOpts(t, *groupRows, opts)
+		src, err := rcfile.NewSource(t, *groupRows)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "scanstats: encode", name+":", err)
 			os.Exit(1)
@@ -256,11 +238,11 @@ type encColumn struct {
 // printEncReport encodes every base table and emits the per-column
 // encoding histogram straight from the RCFile footers (no chunk is
 // decompressed, no query runs).
-func printEncReport(db *tpch.DB, groupRows int, opts rcfile.WriterOpts) error {
+func printEncReport(db *tpch.DB, groupRows int) error {
 	rep := map[string]map[string]*encColumn{}
 	for _, name := range tpch.TableNames {
 		t := db.Table(name)
-		src, err := rcfile.NewSourceOpts(t, groupRows, opts)
+		src, err := rcfile.NewSource(t, groupRows)
 		if err != nil {
 			return fmt.Errorf("encode %s: %w", name, err)
 		}

@@ -6,25 +6,28 @@
 //
 // With -streams N it instead runs the concurrent query-stream harness:
 // N goroutine streams replay the 22 queries over one shared immutable
-// DB and the aggregate throughput is reported (JSON with -stream-json,
-// which scripts/bench.sh embeds in BENCH_PR3.json).
+// DB and the aggregate throughput (executed queries per second) is
+// reported.
 //
 // With -htap it runs the combined HTAP harness: closed-loop write
 // clients replay held-back rows through the delta-log write path while
 // the analytical streams run, and the report covers write ops/sec,
-// analytical QPS, and freshness lag (JSON with -htap-json, which
-// scripts/bench.sh embeds in BENCH_PR8.json).
+// analytical QPS, and freshness lag.
 //
 // Usage:
 //
 //	tpchbench [-laptop-sf 0.002] [-sf 250,1000,4000,16000] [-queries 1,5,19] [-workers N]
-//	tpchbench -streams N [-stream-rounds R] [-stream-json] [-laptop-sf 0.01] [-workers N]
-//	          [-stream-rcfile] [-cache-mb M] [-no-result-cache] [-no-chunk-cache]
-//	tpchbench -htap [-writers N] [-target-ops R] [-hold-frac F] [-streams N]
-//	          [-stream-rounds R] [-stream-rcfile] [-htap-json]
-//	          [-durable DIR] [-sync-policy group|always|none] [-fault-seed S]
-//	tpchbench -dist N [-dist-fault-seed S] [-dist-procs] [-dist-recovery]
-//	          [-dist-json] [-stream-rounds R] [-queries 6,12] [-workers N]
+//	tpchbench -streams N [-stream-rounds R] [-laptop-sf 0.01] [-workers N]
+//	          [-stream-rcfile] [-cache-mb M]
+//	tpchbench -htap [-laptop-sf 0.01] [-writers N] [-target-ops R] [-hold-frac F]
+//	          [-streams N] [-stream-rounds R] [-stream-rcfile] [-cache-mb M]
+//	          [-convert-rows N] [-durable DIR] [-sync-policy group|always|none]
+//	          [-fault-seed S]
+//	tpchbench -dist N [-laptop-sf 0.005] [-dist-fault-seed S] [-dist-procs]
+//	          [-dist-recovery] [-stream-rounds R] [-queries 6,12] [-workers N]
+//
+// -laptop-sf 0 (the default) means the mode's own scale, shown in the
+// usage lines above; each mode prints the scale it ran at.
 //
 // With -dist N the 22 queries stream through a coordinator scattering
 // over N localhost shard servers (hash-partitioned orders+lineitem,
@@ -32,7 +35,7 @@
 // -dist-fault-seed injects seeded network faults (drops, truncations,
 // duplicates, resets, delays) that the retry/CRC machinery must absorb;
 // -dist-recovery kills and restarts a shard and times kill → first
-// exact answer (JSON with -dist-json, embedded in BENCH_PR10.json).
+// exact answer.
 //
 // With -durable the delta log (and, with -stream-rcfile, the converted
 // parts) live on disk under DIR; the run ends by closing the store and
@@ -50,7 +53,6 @@ import (
 
 	"elephants/internal/core"
 	"elephants/internal/dist"
-	"elephants/internal/tpch"
 )
 
 func main() {
@@ -59,24 +61,16 @@ func main() {
 	if dist.MaybeShardMain() {
 		return
 	}
-	laptopSF := flag.Float64("laptop-sf", 0.002, "functional dataset scale factor")
+	laptopSF := flag.Float64("laptop-sf", 0, "functional dataset scale factor (0 = the mode's default: 0.002 tables, 0.01 -streams/-htap, 0.005 -dist)")
 	sfList := flag.String("sf", "250,1000,4000,16000", "modeled scale factors (GB), comma-separated")
 	queries := flag.String("queries", "", "query IDs to run (default: all 22)")
 	seed := flag.Int64("seed", 1, "generator seed")
 	workers := flag.Int("workers", 0, "executor worker-pool size (0 = GOMAXPROCS, 1 = serial)")
 	streams := flag.Int("streams", 0, "run N concurrent query streams instead of the paper tables")
 	streamRounds := flag.Int("stream-rounds", 3, "rounds of the query list per stream")
-	streamJSON := flag.Bool("stream-json", false, "emit the stream result as JSON (for bench.sh)")
 	streamRCFile := flag.Bool("stream-rcfile", false, "back stream scans with RCFile-encoded tables (enables the chunk cache)")
 	cacheMB := flag.Int("cache-mb", 64, "shared decompressed-chunk cache capacity in MiB (with -stream-rcfile)")
-	noResultCache := flag.Bool("no-result-cache", false, "disable per-(query, epoch) result memoization across rounds")
-	noChunkCache := flag.Bool("no-chunk-cache", false, "disable the shared decompressed-chunk cache (with -stream-rcfile)")
-	noTopK := flag.Bool("no-topk", false, "disable the fused TopK operator (bounded queries run unfused Sort+Limit; answers identical)")
-	noDict := flag.Bool("no-dict", false, "disable dictionary encoding of low-cardinality string columns (answers identical; kernels compare strings instead of codes)")
-	noRLE := flag.Bool("no-rle", false, "disable run-length chunk encoding in RCFiles and the scan model (answers identical)")
-	noDelta := flag.Bool("no-delta", false, "disable delta/frame-of-reference chunk encoding in RCFiles and the scan model (answers identical)")
 	htapRun := flag.Bool("htap", false, "run the combined HTAP harness (write stream + analytical streams over one store)")
-	htapJSON := flag.Bool("htap-json", false, "emit the HTAP result as JSON (for bench.sh)")
 	writers := flag.Int("writers", 4, "closed-loop write clients (with -htap)")
 	targetOps := flag.Float64("target-ops", 0, "aggregate write throughput target in ops/sec, 0 = unthrottled (with -htap)")
 	holdFrac := flag.Float64("hold-frac", 0.02, "fraction of orders+lineitem rows held back and replayed as writes (with -htap)")
@@ -88,12 +82,7 @@ func main() {
 	distFaultSeed := flag.Int64("dist-fault-seed", 0, "non-zero arms a seeded network fault schedule on every coordinator frame (with -dist)")
 	distProcs := flag.Bool("dist-procs", false, "run shards as real OS processes re-executing this binary (with -dist)")
 	distRecovery := flag.Bool("dist-recovery", false, "kill + restart one shard after the QPS phase and time recovery (with -dist)")
-	distJSON := flag.Bool("dist-json", false, "emit the distributed result as JSON (for bench.sh)")
 	flag.Parse()
-
-	if *noTopK {
-		tpch.TopKFusion = false
-	}
 
 	var qids []int
 	var err error
@@ -105,50 +94,54 @@ func main() {
 		}
 	}
 
+	// sfOr resolves -laptop-sf: an explicit value wins, 0 takes the
+	// running mode's default.
+	sfOr := func(modeDefault float64) float64 {
+		if *laptopSF > 0 {
+			return *laptopSF
+		}
+		return modeDefault
+	}
+
 	if *distShards > 0 {
 		runDist(core.DistConfig{
-			LaptopSF: *laptopSF, Seed: *seed,
+			LaptopSF: sfOr(0.005), Seed: *seed,
 			Shards: *distShards, Rounds: *streamRounds,
 			Queries: qids, Workers: *workers,
 			FaultSeed: *distFaultSeed, Procs: *distProcs, Recovery: *distRecovery,
-		}, *distJSON)
+		})
 		return
 	}
 
 	if *htapRun {
 		runHTAP(core.HTAPConfig{
-			LaptopSF: *laptopSF, Seed: *seed, HoldFrac: *holdFrac,
+			LaptopSF: sfOr(0.01), Seed: *seed, HoldFrac: *holdFrac,
 			Writers: *writers, TargetOps: *targetOps,
 			Streams: *streams, Rounds: *streamRounds, Workers: *workers,
-			Queries: qids, NoDict: *noDict, NoRLE: *noRLE, NoDelta: *noDelta,
-			RCFile: *streamRCFile, CacheMB: *cacheMB,
-			NoResultCache: *noResultCache, NoChunkCache: *noChunkCache,
+			Queries: qids, RCFile: *streamRCFile, CacheMB: *cacheMB,
 			ConvertRows: *convertRows,
 			DurablePath: *durable, SyncPolicy: *syncPolicy, FaultSeed: *faultSeed,
-		}, *htapJSON)
+		})
 		return
 	}
 
 	if *streams > 0 {
 		runStreams(core.TPCHStreamConfig{
-			LaptopSF: *laptopSF, Seed: *seed,
+			LaptopSF: sfOr(0.01), Seed: *seed,
 			Streams: *streams, Rounds: *streamRounds, Workers: *workers,
-			Queries: qids, NoDict: *noDict, NoRLE: *noRLE, NoDelta: *noDelta,
-			RCFile: *streamRCFile, CacheMB: *cacheMB,
-			NoResultCache: *noResultCache, NoChunkCache: *noChunkCache,
-		}, *streamJSON)
+			Queries: qids, RCFile: *streamRCFile, CacheMB: *cacheMB,
+		})
 		return
 	}
 
-	cfg := core.TPCHConfig{LaptopSF: *laptopSF, Seed: *seed, Workers: *workers, Queries: qids,
-		NoDict: *noDict, NoRLE: *noRLE, NoDelta: *noDelta}
+	cfg := core.TPCHConfig{LaptopSF: sfOr(0.002), Seed: *seed, Workers: *workers, Queries: qids}
 	cfg.ScaleFactors, err = parseFloats(*sfList)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tpchbench:", err)
 		os.Exit(1)
 	}
 
-	fmt.Printf("TPC-H: Hive vs PDW on a simulated 16-node cluster (functional data at SF %g)\n\n", *laptopSF)
+	fmt.Printf("TPC-H: Hive vs PDW on a simulated 16-node cluster (functional data at SF %g)\n\n", cfg.LaptopSF)
 	res := core.RunTPCH(cfg)
 	res.WriteTable2(os.Stdout)
 	fmt.Println()
@@ -162,37 +155,20 @@ func main() {
 }
 
 // runDist executes the distributed scatter/gather harness and prints
-// either a human summary or the JSON blob bench.sh embeds.
-func runDist(cfg core.DistConfig, asJSON bool) {
-	if cfg.LaptopSF <= 0.002 {
-		cfg.LaptopSF = 0.005 // the golden scale the dist tests pin
-	}
+// its summary.
+func runDist(cfg core.DistConfig) {
 	res, err := core.RunDist(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tpchbench:", err)
 		os.Exit(1)
 	}
 	s := res.Stats
-	if asJSON {
-		fmt.Printf("{\"shards\": %d, \"procs\": %v, \"rounds\": %d, \"queries\": %d, \"elapsed_ms\": %.1f, \"qps\": %.2f",
-			res.Config.Shards, res.Config.Procs, res.Config.Rounds, res.Queries,
-			float64(res.Elapsed.Microseconds())/1000, res.QPS)
-		fmt.Printf(", \"fault_seed\": %d, \"requests\": %d, \"retries\": %d, \"failfast\": %d, \"breaker_trips\": %d, \"breaker_closes\": %d, \"partials\": %d, \"net_faults_injected\": %d",
-			res.Config.FaultSeed, s["dist_requests"], s["dist_retries"], s["dist_failfast"],
-			s["dist_breaker_trips"], s["dist_breaker_closes"], s["dist_partials"], s["net_faults_injected"])
-		if r := res.Recovery; r != nil {
-			fmt.Printf(", \"recovery\": {\"killed_shard\": %d, \"recovery_ms\": %.3f, \"retries\": %d}",
-				r.KilledShard, r.RecoveryMS, r.Retries)
-		}
-		fmt.Println("}")
-		return
-	}
 	mode := "in-process"
 	if res.Config.Procs {
 		mode = "OS-process"
 	}
-	fmt.Printf("Distributed: %d %s shard(s), %d round(s) of %d query ids\n",
-		res.Config.Shards, mode, res.Config.Rounds, res.Queries/res.Config.Rounds)
+	fmt.Printf("Distributed: %d %s shard(s), %d round(s) of %d query ids (functional data at SF %g)\n",
+		res.Config.Shards, mode, res.Config.Rounds, res.Queries/res.Config.Rounds, cfg.LaptopSF)
 	fmt.Printf("  %d exact answers in %v  =>  %.2f queries/sec\n", res.Queries, res.Elapsed, res.QPS)
 	fmt.Printf("  wire: %d requests, %d retries, %d fail-fast, breaker %d trip(s)/%d close(s), %d partials, %d net faults injected (seed %d)\n",
 		s["dist_requests"], s["dist_retries"], s["dist_failfast"],
@@ -204,14 +180,10 @@ func runDist(cfg core.DistConfig, asJSON bool) {
 	}
 }
 
-// runHTAP executes the combined HTAP harness and prints either a human
-// summary or the JSON blob bench.sh embeds.
-func runHTAP(cfg core.HTAPConfig, asJSON bool) {
+// runHTAP executes the combined HTAP harness and prints its summary.
+func runHTAP(cfg core.HTAPConfig) {
 	if cfg.Streams <= 0 {
 		cfg.Streams = 2
-	}
-	if cfg.LaptopSF <= 0.002 {
-		cfg.LaptopSF = 0.01
 	}
 	res, err := core.RunHTAP(cfg)
 	if err != nil {
@@ -219,31 +191,11 @@ func runHTAP(cfg core.HTAPConfig, asJSON bool) {
 		os.Exit(1)
 	}
 	w, a, f := res.Harness.Write, res.Harness.Analytic, res.Harness.Freshness
-	if asJSON {
-		fmt.Printf("{\"writers\": %d, \"held_rows\": %d, \"write_ops\": %d, \"write_errors\": %d, \"write_ops_per_sec\": %.1f, \"write_latency_ms\": {\"mean\": %.4f, \"stderr\": %.4f}",
-			cfg.Writers, res.Held, w.Ops, w.Errors, w.OpsPerSec, w.Latency.Mean, w.Latency.StdErr)
-		fmt.Printf(", \"streams\": %d, \"rounds\": %d, \"queries\": %d, \"qps\": %.2f, \"result_cache_hits\": %d",
-			a.Streams, a.Rounds, a.Queries, a.QPS, a.ResultCacheHits)
-		fmt.Printf(", \"freshness\": {\"max_lag_records\": %d, \"mean_lag_records\": %.1f, \"final_lag_records\": %d, \"samples\": %d, \"converts\": %d, \"converted_records\": %d, \"flushes\": %d}",
-			f.MaxLagRecords, f.MeanLagRecords, f.FinalLagRecords, f.Samples, f.Converts, f.ConvertedRecords, f.Flushes)
-		fmt.Printf(", \"final\": {\"committed\": %d, \"converted\": %d, \"lag\": %d}",
-			res.Final.CommittedRecords, res.Final.ConvertedRecords, res.Final.LagRecords)
-		fmt.Printf(", \"robustness\": {\"frames_replayed\": %d, \"truncated_bytes\": %d, \"converter_retries\": %d, \"converter_backoff_max_reached\": %d, \"corrupt_chunks\": %d, \"parts_quarantined\": %d, \"duplicate_records\": %d}",
-			res.Final.FramesReplayed, res.Final.TruncatedBytes, res.Final.ConverterRetries, res.Final.BackoffMaxReached,
-			res.Final.CorruptChunks, res.Final.PartsQuarantined, res.Final.DuplicateRecords)
-		if d := res.Durable; d != nil {
-			fmt.Printf(", \"durable\": {\"sync_policy\": %q, \"log_bytes\": %d, \"recovery_ms\": %.3f, \"frames_replayed\": %d, \"truncated_bytes\": %d, \"parts_recovered\": %d}",
-				d.SyncPolicy, d.LogBytes, d.RecoveryMS, d.FramesReplayed, d.TruncatedBytes, d.PartsRecovered)
-		}
-		fmt.Println("}")
-		return
-	}
-	fmt.Printf("HTAP: %d write client(s) replaying %d held row(s) against %d analytical stream(s) x %d round(s)\n",
-		cfg.Writers, res.Held, a.Streams, a.Rounds)
+	fmt.Printf("HTAP: %d write client(s) replaying %d held row(s) against %d analytical stream(s) x %d round(s) (functional data at SF %g)\n",
+		cfg.Writers, res.Held, a.Streams, a.Rounds, cfg.LaptopSF)
 	fmt.Printf("  writes:    %d ops (%d errors) in %v  =>  %.0f ops/sec, latency %.3f ms/op (±%.3f)\n",
 		w.Ops, w.Errors, w.Elapsed, w.OpsPerSec, w.Latency.Mean, w.Latency.StdErr)
-	fmt.Printf("  analytics: %d queries in %v  =>  %.2f queries/sec (%d result-cache hits)\n",
-		a.Queries, a.Elapsed, a.QPS, a.ResultCacheHits)
+	fmt.Printf("  analytics: %d queries in %v  =>  %.2f queries/sec\n", a.Queries, a.Elapsed, a.QPS)
 	fmt.Printf("  freshness: lag max %d / mean %.1f records over %d samples; %d background convert(s) covered %d records; %d group-commit flushes\n",
 		f.MaxLagRecords, f.MeanLagRecords, f.Samples, f.Converts, f.ConvertedRecords, f.Flushes)
 	fmt.Printf("  final:     %d committed, %d converted, lag %d (after quiesce + convert)\n",
@@ -260,46 +212,21 @@ func runHTAP(cfg core.HTAPConfig, asJSON bool) {
 	}
 }
 
-// runStreams executes the concurrent-stream harness and prints either a
-// human summary or the JSON blob bench.sh embeds.
-func runStreams(cfg core.TPCHStreamConfig, asJSON bool) {
+// runStreams executes the concurrent-stream harness and prints its
+// summary.
+func runStreams(cfg core.TPCHStreamConfig) {
 	res, err := core.RunTPCHStreams(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tpchbench:", err)
 		os.Exit(1)
 	}
-	if asJSON {
-		fmt.Printf("{\"streams\": %d, \"rounds\": %d, \"workers\": %d, \"pool_workers\": %d, \"queries\": %d, \"elapsed_ms\": %.1f, \"qps\": %.2f, \"topk_fusion\": %v",
-			res.Streams, res.Rounds, res.Workers, res.PoolWorkers, res.Queries,
-			float64(res.Elapsed.Microseconds())/1000, res.QPS, tpch.TopKFusion)
-		fmt.Printf(", \"result_cache_hits\": %d, \"chunk_cache\": {\"hits\": %d, \"misses\": %d, \"hit_ratio\": %.3f, \"bytes_from_cache\": %d}",
-			res.ResultCacheHits, res.Scanned.CacheHits, res.Scanned.CacheMisses,
-			res.Scanned.CacheHitRatio(), res.Scanned.BytesFromCache)
-		fmt.Print(", \"per_query_ms\": {")
-		for i, id := range res.QueryIDs() {
-			if i > 0 {
-				fmt.Print(", ")
-			}
-			fmt.Printf("\"Q%d\": %.2f", id, float64(res.PerQuery[id].Microseconds())/1000)
-		}
-		fmt.Print("}, \"per_query_sort_ms\": {")
-		for i, id := range res.QueryIDs() {
-			if i > 0 {
-				fmt.Print(", ")
-			}
-			fmt.Printf("\"Q%d\": %.2f", id, float64(res.PerQuerySort[id].Microseconds())/1000)
-		}
-		fmt.Println("}}")
-		return
-	}
-	fmt.Printf("Concurrent query streams: %d stream(s) x %d round(s), shared pool of %d worker(s), %d admitted per query\n",
-		res.Streams, res.Rounds, res.PoolWorkers, res.Workers)
-	fmt.Printf("  %d queries in %v  =>  %.2f queries/sec (topk fusion %v)\n",
-		res.Queries, res.Elapsed, res.QPS, tpch.TopKFusion)
+	fmt.Printf("Concurrent query streams: %d stream(s) x %d round(s), shared pool of %d worker(s), %d admitted per query (functional data at SF %g)\n",
+		res.Streams, res.Rounds, res.PoolWorkers, res.Workers, cfg.LaptopSF)
+	fmt.Printf("  %d queries in %v  =>  %.2f queries/sec\n", res.Queries, res.Elapsed, res.QPS)
 	fmt.Printf("  scan accounting: %d B read, %d B skipped (%.0f%% skipped)\n",
 		res.Scanned.BytesRead, res.Scanned.BytesSkipped, 100*res.Scanned.SkippedFrac())
-	fmt.Printf("  caches: %d result-cache hit(s); chunk cache %d hit / %d miss (%.0f%% hit ratio), %d B served from cache\n",
-		res.ResultCacheHits, res.Scanned.CacheHits, res.Scanned.CacheMisses,
+	fmt.Printf("  chunk cache: %d hit / %d miss (%.0f%% hit ratio), %d B served from cache\n",
+		res.Scanned.CacheHits, res.Scanned.CacheMisses,
 		100*res.Scanned.CacheHitRatio(), res.Scanned.BytesFromCache)
 	fmt.Println("  cumulative wall time per query (all streams), with sort-kernel share:")
 	for _, id := range res.QueryIDs() {

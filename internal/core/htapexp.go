@@ -30,18 +30,11 @@ type HTAPConfig struct {
 	// Streams/Rounds/Workers/Queries parameterize the analytical side.
 	Streams, Rounds, Workers int
 	Queries                  []int
-	NoResultCache            bool
-	// RCFile encodes base and converted parts as RCF4 files; GroupRows,
-	// CacheMB, and NoChunkCache mirror TPCHStreamConfig.
-	RCFile       bool
-	GroupRows    int
-	CacheMB      int
-	NoChunkCache bool
-	// NoDict / NoRLE / NoDelta are the dataset and chunk encoding
-	// toggles, as everywhere else.
-	NoDict  bool
-	NoRLE   bool
-	NoDelta bool
+	// RCFile encodes base and converted parts as RCF5 files; GroupRows
+	// and CacheMB mirror TPCHStreamConfig.
+	RCFile    bool
+	GroupRows int
+	CacheMB   int
 	// Window is the delta log's group-commit window (0 = delta default).
 	Window time.Duration
 	// ConvertRows / ConvertEvery parameterize the background converter.
@@ -99,11 +92,10 @@ func RunHTAP(cfg HTAPConfig) (HTAPResult, error) {
 	if cfg.Writers <= 0 {
 		cfg.Writers = 4
 	}
-	defer applyEncodingModel(cfg.NoRLE, cfg.NoDelta)()
-	db := tpch.Generate(tpch.GenConfig{SF: cfg.LaptopSF, Seed: cfg.Seed, Random64: true, NoDict: cfg.NoDict})
+	db := tpch.Generate(tpch.GenConfig{SF: cfg.LaptopSF, Seed: cfg.Seed, Random64: true})
 
 	var cache *rcfile.ChunkCache
-	if cfg.RCFile && !cfg.NoChunkCache {
+	if cfg.RCFile {
 		cacheMB := cfg.CacheMB
 		if cacheMB <= 0 {
 			cacheMB = 64
@@ -150,7 +142,6 @@ func RunHTAP(cfg HTAPConfig) (HTAPResult, error) {
 		Window:       cfg.Window,
 		RCFile:       cfg.RCFile,
 		GroupRows:    groupRows,
-		WriterOpts:   rcfile.WriterOpts{NoRLE: cfg.NoRLE, NoDelta: cfg.NoDelta},
 		Cache:        cache,
 		ConvertRows:  cfg.ConvertRows,
 		ConvertEvery: cfg.ConvertEvery,
@@ -167,8 +158,7 @@ func RunHTAP(cfg HTAPConfig) (HTAPResult, error) {
 			if _, held := hold[name]; held {
 				continue
 			}
-			src, err := rcfile.NewSourceOpts(db.Table(name), groupRows,
-				rcfile.WriterOpts{NoRLE: cfg.NoRLE, NoDelta: cfg.NoDelta})
+			src, err := rcfile.NewSource(db.Table(name), groupRows)
 			if err != nil {
 				return HTAPResult{}, fmt.Errorf("encode %s: %w", name, err)
 			}
@@ -179,13 +169,12 @@ func RunHTAP(cfg HTAPConfig) (HTAPResult, error) {
 
 	store.StartConverter()
 	res, err := htap.Run(store, db, htap.HarnessConfig{
-		Writers:       cfg.Writers,
-		TargetOps:     cfg.TargetOps,
-		Streams:       cfg.Streams,
-		Rounds:        cfg.Rounds,
-		Workers:       cfg.Workers,
-		Queries:       cfg.Queries,
-		NoResultCache: cfg.NoResultCache,
+		Writers:   cfg.Writers,
+		TargetOps: cfg.TargetOps,
+		Streams:   cfg.Streams,
+		Rounds:    cfg.Rounds,
+		Workers:   cfg.Workers,
+		Queries:   cfg.Queries,
 	})
 	store.StopConverter()
 	if err != nil {

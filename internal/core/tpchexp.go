@@ -15,7 +15,6 @@ import (
 	"elephants/internal/metrics"
 	"elephants/internal/pdw"
 	"elephants/internal/rcfile"
-	"elephants/internal/relal"
 	"elephants/internal/sim"
 	"elephants/internal/tpch"
 )
@@ -36,17 +35,6 @@ type TPCHConfig struct {
 	// (0 = GOMAXPROCS, 1 = serial). Results are identical at every
 	// setting; only host-time execution speed changes.
 	Workers int
-	// NoDict disables dictionary encoding of low-cardinality string
-	// columns in the generated dataset (tpchbench -no-dict). Answers
-	// are identical either way; host time and modeled byte widths
-	// change.
-	NoDict bool
-	// NoRLE / NoDelta disable the run-length and delta chunk encodings
-	// in the scan cost model (and any RCFile written while they are
-	// set), pinning those columns at plain/gdict widths. Answers are
-	// identical either way.
-	NoRLE   bool
-	NoDelta bool
 }
 
 func (c TPCHConfig) withDefaults() TPCHConfig {
@@ -79,12 +67,6 @@ type TPCHStreamConfig struct {
 	Workers int
 	// Queries restricts the replayed query IDs (nil = all 22).
 	Queries []int
-	// NoDict disables dictionary encoding in the generated dataset.
-	NoDict bool
-	// NoRLE / NoDelta disable the run-length and delta chunk encodings
-	// in the written RCFiles and the scan cost model.
-	NoRLE   bool
-	NoDelta bool
 	// RCFile swaps every base-table source for an RCFile encoding, so
 	// streams scan through real compressed storage (and the chunk cache
 	// has something to serve).
@@ -95,21 +77,6 @@ type TPCHStreamConfig struct {
 	// CacheMB bounds the shared decompressed-chunk cache in MiB
 	// (0 = 64). Only used with RCFile.
 	CacheMB int
-	// NoChunkCache runs RCFile scans without the shared chunk cache:
-	// every scan re-inflates its chunks.
-	NoChunkCache bool
-	// NoResultCache disables per-(query, epoch) result memoization in
-	// the stream harness.
-	NoResultCache bool
-}
-
-// applyEncodingModel points the relal scan cost model at the same
-// encoding toggles the RCFile writer gets, so modeled chunk widths and
-// written chunk layouts stay in lockstep. Returns a restore func.
-func applyEncodingModel(noRLE, noDelta bool) func() {
-	oldRLE, oldDelta := relal.ModelRLE, relal.ModelDelta
-	relal.ModelRLE, relal.ModelDelta = !noRLE, !noDelta
-	return func() { relal.ModelRLE, relal.ModelDelta = oldRLE, oldDelta }
 }
 
 // RunTPCHStreams generates the shared DB and runs the stream harness.
@@ -117,24 +84,19 @@ func RunTPCHStreams(cfg TPCHStreamConfig) (tpch.StreamResult, error) {
 	if cfg.LaptopSF <= 0 {
 		cfg.LaptopSF = 0.01
 	}
-	defer applyEncodingModel(cfg.NoRLE, cfg.NoDelta)()
-	db := tpch.Generate(tpch.GenConfig{SF: cfg.LaptopSF, Seed: cfg.Seed, Random64: true, NoDict: cfg.NoDict})
+	db := tpch.Generate(tpch.GenConfig{SF: cfg.LaptopSF, Seed: cfg.Seed, Random64: true})
 	if cfg.RCFile {
 		groupRows := cfg.GroupRows
 		if groupRows <= 0 {
 			groupRows = 4096
 		}
-		var cache *rcfile.ChunkCache
-		if !cfg.NoChunkCache {
-			cacheMB := cfg.CacheMB
-			if cacheMB <= 0 {
-				cacheMB = 64
-			}
-			cache = rcfile.NewChunkCache(int64(cacheMB) << 20)
+		cacheMB := cfg.CacheMB
+		if cacheMB <= 0 {
+			cacheMB = 64
 		}
+		cache := rcfile.NewChunkCache(int64(cacheMB) << 20)
 		for _, name := range tpch.TableNames {
-			src, err := rcfile.NewSourceOpts(db.Table(name), groupRows,
-				rcfile.WriterOpts{NoRLE: cfg.NoRLE, NoDelta: cfg.NoDelta})
+			src, err := rcfile.NewSource(db.Table(name), groupRows)
 			if err != nil {
 				return tpch.StreamResult{}, fmt.Errorf("encode %s: %w", name, err)
 			}
@@ -143,12 +105,11 @@ func RunTPCHStreams(cfg TPCHStreamConfig) (tpch.StreamResult, error) {
 		}
 	}
 	return tpch.RunStreams(db, tpch.StreamConfig{
-		Streams:       cfg.Streams,
-		Rounds:        cfg.Rounds,
-		Workers:       cfg.Workers,
-		Queries:       cfg.Queries,
-		Warmup:        true,
-		NoResultCache: cfg.NoResultCache,
+		Streams: cfg.Streams,
+		Rounds:  cfg.Rounds,
+		Workers: cfg.Workers,
+		Queries: cfg.Queries,
+		Warmup:  true,
 	}), nil
 }
 
@@ -180,8 +141,7 @@ func RunTPCH(cfg TPCHConfig) TPCHResult {
 		tpch.DefaultWorkers = cfg.Workers
 		defer func() { tpch.DefaultWorkers = old }()
 	}
-	defer applyEncodingModel(cfg.NoRLE, cfg.NoDelta)()
-	db := tpch.Generate(tpch.GenConfig{SF: cfg.LaptopSF, Seed: cfg.Seed, Random64: true, NoDict: cfg.NoDict})
+	db := tpch.Generate(tpch.GenConfig{SF: cfg.LaptopSF, Seed: cfg.Seed, Random64: true})
 	res := TPCHResult{Config: cfg}
 	for _, sf := range cfg.ScaleFactors {
 		res.Hive = append(res.Hive, runHivePoint(db, sf, cfg))

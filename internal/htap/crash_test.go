@@ -331,7 +331,7 @@ func TestHtapConverterRetriesTransientFaults(t *testing.T) {
 
 // BenchmarkRecovery measures Open's replay-into-views cost against log
 // size, reporting the durable log's byte size alongside ns/op — the
-// recovery-time-vs-log-size curve bench.sh records.
+// recovery-time-vs-log-size curve.
 func BenchmarkRecovery(b *testing.B) {
 	for _, frames := range []int{1024, 4096, 16384} {
 		b.Run("frames="+strconv.Itoa(frames), func(b *testing.B) {

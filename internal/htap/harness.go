@@ -20,11 +20,10 @@ type HarnessConfig struct {
 	Writers int
 	// TargetOps throttles aggregate write throughput (0 = unthrottled).
 	TargetOps float64
-	// Streams/Rounds/Workers/Queries/NoResultCache parameterize the
-	// analytical side exactly as tpch.StreamConfig does.
+	// Streams/Rounds/Workers/Queries parameterize the analytical side
+	// exactly as tpch.StreamConfig does.
 	Streams, Rounds, Workers int
 	Queries                  []int
-	NoResultCache            bool
 	// SampleEvery is the freshness sampling interval (0 = 1ms).
 	SampleEvery time.Duration
 }
@@ -120,11 +119,10 @@ func Run(store *Store, db *tpch.DB, cfg HarnessConfig) (HarnessResult, error) {
 	}()
 
 	analytic := tpch.RunStreams(db, tpch.StreamConfig{
-		Streams:       cfg.Streams,
-		Rounds:        cfg.Rounds,
-		Workers:       cfg.Workers,
-		Queries:       cfg.Queries,
-		NoResultCache: cfg.NoResultCache,
+		Streams: cfg.Streams,
+		Rounds:  cfg.Rounds,
+		Workers: cfg.Workers,
+		Queries: cfg.Queries,
 	})
 	write := <-writeDone
 

@@ -8,14 +8,6 @@
 // Polynesia-style columnar replica fed by live write traffic.
 //
 //	writers ──AppendBSON──▶ delta.Log ──commit──▶ tail view ──converter──▶ RCF4 part
-//	                                       │                        │
-//	                                       └── DB.BumpEpoch ◀───────┘
-//	                                             (invalidates result memo + stale scans)
-//
-// Every commit flush and every converted batch bumps the PR 6 DB epoch,
-// so the stream harness's per-(query, epoch) result memo and the chunk
-// cache never serve stale answers; once writes quiesce and the tail
-// converts, memoization resumes at full effect.
 //
 // Commit order interleaves writers and tables arbitrarily, but each
 // record carries its per-table position: the apply side holds
@@ -79,8 +71,6 @@ type Config struct {
 	RCFile bool
 	// GroupRows is the RCF5 row-group size (0 = 4096). Used with RCFile.
 	GroupRows int
-	// WriterOpts carries the RCF5 encoding toggles. Used with RCFile.
-	WriterOpts rcfile.WriterOpts
 	// Cache, when non-nil, serves decoded chunks of the RCF5 parts.
 	Cache *rcfile.ChunkCache
 	// ConvertRows is the tail size at which the background converter
@@ -181,7 +171,6 @@ func (st *tableState) tailOf() []delta.Record {
 // Store is the HTAP store over a tpch.DB: held tables answer scans
 // through base + delta views and accept writes through the delta log.
 type Store struct {
-	db  *tpch.DB
 	cfg Config
 	log *delta.Log
 	fs  fault.FS // nil for the in-memory store
@@ -218,7 +207,7 @@ func New(db *tpch.DB, hold map[string]int, cfg Config) (*Store, error) {
 // replayed records until the converter rebuilds it.
 func Open(db *tpch.DB, hold map[string]int, cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
-	s := &Store{db: db, cfg: cfg, fs: cfg.FS, tables: make(map[string]*tableState), counters: metrics.NewCounterSet()}
+	s := &Store{cfg: cfg, fs: cfg.FS, tables: make(map[string]*tableState), counters: metrics.NewCounterSet()}
 
 	names := make([]string, 0, len(hold))
 	for _, name := range tpch.TableNames {
@@ -283,14 +272,10 @@ func (s *Store) recover() error {
 	s.counters.Add(cFramesReplayed, int64(len(recovered)))
 	s.counters.Add(cTruncatedBytes, truncated)
 	// Replay through the same apply path commits use — same reorder
-	// buffer, same dedup, same publish — without the epoch churn.
+	// buffer, same dedup, same publish.
 	s.applyBatch(recovered)
 
-	if err := s.recoverParts(); err != nil {
-		return err
-	}
-	s.db.BumpEpoch()
-	return nil
+	return s.recoverParts()
 }
 
 // recoverParts re-adopts persisted part files. Per table, candidate
@@ -395,7 +380,7 @@ func (s *Store) buildSource(t *relal.Table) (relal.Source, *rcfile.Source, error
 	if !s.cfg.RCFile {
 		return relal.NewTableSource(t), nil, nil
 	}
-	src, err := rcfile.NewSourceOpts(t, s.cfg.GroupRows, s.cfg.WriterOpts)
+	src, err := rcfile.NewSource(t, s.cfg.GroupRows)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -464,25 +449,21 @@ func (s *Store) HeldRecords() []delta.Record { return s.held }
 func (s *Store) Log() *delta.Log { return s.log }
 
 // onCommit is the delta log's commit hook: it files each committed
-// record into its table's reorder buffer, publishes the contiguous
-// prefix to a fresh tail view, and bumps the DB epoch so memoized
-// results die. Runs with the log mutex held — batches apply in commit
-// order, exactly once.
+// record into its table's reorder buffer and publishes the contiguous
+// prefix to a fresh tail view. Runs with the log mutex held — batches
+// apply in commit order, exactly once.
 func (s *Store) onCommit(batch []delta.Record, from, to int64) {
-	if s.applyBatch(batch) {
-		s.db.BumpEpoch()
-	}
+	s.applyBatch(batch)
 }
 
 // applyBatch runs committed (or recovered) records through the reorder
-// buffers and publishes contiguous prefixes; reports whether any view
-// changed. Every record is disposed exactly once toward the applied
-// counter — published, dropped as an already-published duplicate, or
-// displaced from pending by a re-delivery of the same position — so
-// `applied == committed` still balances after a recovery followed by a
-// driver re-appending from NextPos.
-func (s *Store) applyBatch(batch []delta.Record) bool {
-	touched := false
+// buffers and publishes contiguous prefixes. Every record is disposed
+// exactly once toward the applied counter — published, dropped as an
+// already-published duplicate, or displaced from pending by a
+// re-delivery of the same position — so `applied == committed` still
+// balances after a recovery followed by a driver re-appending from
+// NextPos.
+func (s *Store) applyBatch(batch []delta.Record) {
 	for i := 0; i < len(batch); {
 		name := batch[i].Table
 		j := i + 1
@@ -519,7 +500,6 @@ func (s *Store) applyBatch(batch []delta.Record) bool {
 		if published > 0 {
 			old := st.view.Load()
 			st.view.Store(&tableView{parts: old.parts, tail: st.tailOf()})
-			touched = true
 		}
 		s.applied.Add(published + dups)
 		if dups > 0 {
@@ -528,7 +508,6 @@ func (s *Store) applyBatch(batch []delta.Record) bool {
 		st.mu.Unlock()
 		i = j
 	}
-	return touched
 }
 
 // NextPos returns the table's next unpublished per-table position — the
@@ -753,8 +732,7 @@ func (s *Store) ConvertAll() error {
 // re-checks that the range is still the one snapshotted — a quarantine
 // racing in between rolls the watermark back, in which case the built
 // part is discarded and the next pass re-converts. The new view's tail
-// drops the converted range; the epoch bump invalidates memoized
-// answers computed over the tail snapshot.
+// drops the converted range.
 func (s *Store) convertTable(st *tableState, minRows int) error {
 	st.mu.Lock()
 	start := st.converted
@@ -797,7 +775,6 @@ func (s *Store) convertTable(st *tableState, minRows int) error {
 	st.mu.Unlock()
 	s.converted.Add(int64(len(recs)))
 	s.converts.Add(1)
-	s.db.BumpEpoch()
 	return nil
 }
 
@@ -839,7 +816,6 @@ func (s *Store) quarantine(st *tableState, bad *part) {
 	st.mu.Unlock()
 	s.converted.Add(-droppedRows)
 	s.counters.Add(cPartsQuarantined, int64(len(dropped)))
-	s.db.BumpEpoch()
 }
 
 // Close stops the converter and closes the delta log (quiesce, final

@@ -254,39 +254,6 @@ func TestHtapReorderBuffer(t *testing.T) {
 	}
 }
 
-// TestHtapEpochBumps pins the invalidation contract: every publishing
-// commit and every conversion bumps the DB epoch, so memoized answers
-// die with their snapshot.
-func TestHtapEpochBumps(t *testing.T) {
-	db := goldenDB()
-	store, err := New(db, map[string]int{"orders": 10}, Config{Window: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	held := store.HeldRecords()
-	e0 := db.Epoch()
-	if _, err := store.AppendRecord(held[0]); err != nil {
-		t.Fatal(err)
-	}
-	e1 := db.Epoch()
-	if e1 <= e0 {
-		t.Errorf("epoch %d after publishing commit, want > %d", e1, e0)
-	}
-	// A parked (non-publishing) commit must not bump.
-	if _, err := store.AppendRecord(held[5]); err != nil {
-		t.Fatal(err)
-	}
-	if e := db.Epoch(); e != e1 {
-		t.Errorf("epoch %d after parked commit, want %d", e, e1)
-	}
-	if err := store.ConvertAll(); err != nil {
-		t.Fatal(err)
-	}
-	if e := db.Epoch(); e <= e1 {
-		t.Errorf("epoch %d after conversion, want > %d", e, e1)
-	}
-}
-
 // TestHtapRejectsBadWrites pins write-path validation.
 func TestHtapRejectsBadWrites(t *testing.T) {
 	db := goldenDB()

@@ -1,5 +1,4 @@
-// Decompressed-chunk cache: the second tier of the serving stack's
-// caching layer (the first is tpch.RunStreams' result memoization). An
+// Decompressed-chunk cache: the serving stack's caching layer. An
 // RCFile is immutable once written, so the decoded form of any column
 // chunk — identified by (file, row group, column) — can be shared by
 // every query and every stream that scans it. The cache holds those

@@ -1,6 +1,7 @@
 package rcfile
 
 import (
+	"fmt"
 	"testing"
 
 	"elephants/internal/relal"
@@ -51,18 +52,39 @@ func runnyTable(rows int) *relal.Table {
 	}, relal.IntsV(keys), relal.FloatsV(vals), relal.EncodeDict(strs))
 }
 
+// plainTable has runnyTable's shape but nothing to encode: full-range
+// ints, distinct floats and raw distinct strings, so the writer stores
+// every chunk plain.
+func plainTable(rows int) *relal.Table {
+	return relal.NewTable("t", relal.Schema{
+		{Name: "k", Type: relal.Int},
+		{Name: "v", Type: relal.Float},
+		{Name: "s", Type: relal.Str},
+	},
+		// Any two keys span more than 32 bits: delta cannot pack them.
+		relal.IntsV(fill(rows, func(i int) int64 { return int64(i) << 40 })),
+		relal.FloatsV(fill(rows, func(i int) float64 { return float64(i) + 0.5 })),
+		relal.StrsV(fill(rows, func(i int) string { return fmt.Sprintf("s%06d", i) })))
+}
+
 // TestChunkCacheChargesEncodedFootprint: cache weight accounting
 // follows the decoded representation, and run-list chunks keep their
-// run form — so at the same capacity, the same runny data written with
-// run encodings enabled keeps every chunk resident while the
-// plain-written file is forced to evict. Cache capacity buys coverage
-// in proportion to how well the data encodes.
+// run form — so at the same capacity, a runny table keeps every chunk
+// resident while a same-sized table the writer stores plain is forced
+// to evict. Cache capacity buys coverage in proportion to how well the
+// data encodes.
 func TestChunkCacheChargesEncodedFootprint(t *testing.T) {
-	tab := runnyTable(8192)
-	resident := func(opts WriterOpts, capacity int64) (chunks int, used int64, misses int64) {
-		src, err := NewSourceOpts(tab, 512, opts)
+	// plainPerCol is the fixture's premise: how many of each column's 16
+	// chunks the writer stored plain.
+	resident := func(tab *relal.Table, plainPerCol int, capacity int64) (chunks int, used int64, misses int64) {
+		src, err := NewSource(tab, 512)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for c, st := range src.EncodingStats() {
+			if got := st.Chunks[encPlain]; got != plainPerCol {
+				t.Fatalf("column %d: %d chunks stored plain, fixture wants %d", c, got, plainPerCol)
+			}
 		}
 		cache := NewChunkCache(capacity)
 		src.SetCache(cache)
@@ -72,23 +94,23 @@ func TestChunkCacheChargesEncodedFootprint(t *testing.T) {
 		return cache.Len(), cache.UsedBytes(), m
 	}
 	const capacity = 16 << 10
-	encChunks, encUsed, encMisses := resident(WriterOpts{}, capacity)
-	plainChunks, plainUsed, plainMisses := resident(WriterOpts{NoRLE: true, NoDelta: true}, capacity)
+	encChunks, encUsed, encMisses := resident(runnyTable(8192), 0, capacity)
+	plainChunks, plainUsed, plainMisses := resident(plainTable(8192), 16, capacity)
 	if encChunks <= plainChunks {
 		t.Errorf("resident chunks: enc %d, want > plain %d", encChunks, plainChunks)
 	}
 	// 8192 rows / 512-row groups × 3 columns = 48 chunks; run-encoded
 	// they all fit in 16 KiB, so the second scan is eviction-free.
 	if encChunks != 48 {
-		t.Errorf("enc-on resident chunks = %d, want all 48", encChunks)
+		t.Errorf("runny resident chunks = %d, want all 48", encChunks)
 	}
 	if encMisses != 48 {
-		t.Errorf("enc-on misses = %d, want 48 (first scan only)", encMisses)
+		t.Errorf("runny misses = %d, want 48 (first scan only)", encMisses)
 	}
 	if plainMisses <= encMisses {
 		t.Errorf("plain misses = %d, want > %d (capacity evictions)", plainMisses, encMisses)
 	}
-	t.Logf("capacity %d B: enc-on %d chunks / %d B resident, plain %d chunks / %d B",
+	t.Logf("capacity %d B: runny %d chunks / %d B resident, plain %d chunks / %d B",
 		int64(capacity), encChunks, encUsed, plainChunks, plainUsed)
 }
 

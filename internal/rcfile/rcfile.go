@@ -82,29 +82,17 @@ const (
 // EncNames names the chunk encodings, indexed by enc byte (tooling).
 var EncNames = [numEncs]string{"plain", "gdict", "gdict+rle", "rle", "delta"}
 
-// WriterOpts disables individual encodings (the -no-rle / -no-delta
-// escape hatches). Plain and gdict are always available.
-type WriterOpts struct {
-	NoRLE   bool // never emit enc 2 or enc 3 chunks
-	NoDelta bool // never emit enc 4 chunks
-}
-
 // Writer serializes a table into RCFile bytes.
 type Writer struct {
 	groupRows int
-	opts      WriterOpts
 }
 
-// NewWriter returns a writer with the given row-group size (0 = default)
-// and every encoding enabled.
-func NewWriter(groupRows int) *Writer { return NewWriterOpts(groupRows, WriterOpts{}) }
-
-// NewWriterOpts returns a writer with explicit encoding toggles.
-func NewWriterOpts(groupRows int, opts WriterOpts) *Writer {
+// NewWriter returns a writer with the given row-group size (0 = default).
+func NewWriter(groupRows int) *Writer {
 	if groupRows <= 0 {
 		groupRows = DefaultRowGroupRows
 	}
-	return &Writer{groupRows: groupRows, opts: opts}
+	return &Writer{groupRows: groupRows}
 }
 
 // file layout (version 5):
@@ -211,7 +199,7 @@ func (w *Writer) Write(t *relal.Table) ([]byte, error) {
 		binary.Write(&footer, binary.LittleEndian, uint32(hi-lo))
 		for c := range d.Schema {
 			v := cols[c]
-			enc, chunk, err := w.encodeChunk(v, lo, hi)
+			enc, chunk, err := encodeChunk(v, lo, hi)
 			if err != nil {
 				return nil, err
 			}
@@ -232,7 +220,7 @@ func (w *Writer) Write(t *relal.Table) ([]byte, error) {
 // order, and strict-less-than ties relal's scan model charges, so the
 // bytes the cost models replay are the bytes the writer lays down. Only
 // the winner is compressed.
-func (w *Writer) encodeChunk(v *relal.Vector, lo, hi int) (byte, []byte, error) {
+func encodeChunk(v *relal.Vector, lo, hi int) (byte, []byte, error) {
 	rows := hi - lo
 	enc := encPlain
 	fn := func(wr io.Writer) error { return writePlainChunk(wr, v, lo, hi) }
@@ -243,12 +231,10 @@ func (w *Writer) encodeChunk(v *relal.Vector, lo, hi int) (byte, []byte, error) 
 		best := relal.GDictChunkBytes(rows, width)
 		enc = encGDict
 		fn = func(wr io.Writer) error { return writeGDictChunk(wr, v.Dict[lo:hi], cmin, width) }
-		if !w.opts.NoRLE {
-			runs := countRuns(v.Dict[lo:hi])
-			if rle := relal.GDictRLEChunkBytes(runs, width); rle < best {
-				best, enc = rle, encGDictRLE
-				fn = func(wr io.Writer) error { return writeGDictRLEChunk(wr, v.Dict[lo:hi], cmin, width) }
-			}
+		runs := countRuns(v.Dict[lo:hi])
+		if rle := relal.GDictRLEChunkBytes(runs, width); rle < best {
+			best, enc = rle, encGDictRLE
+			fn = func(wr io.Writer) error { return writeGDictRLEChunk(wr, v.Dict[lo:hi], cmin, width) }
 		}
 		var plain int64
 		for _, c := range v.Dict[lo:hi] {
@@ -260,27 +246,21 @@ func (w *Writer) encodeChunk(v *relal.Vector, lo, hi int) (byte, []byte, error) 
 		}
 	case v.Kind == relal.Int:
 		best := 8 * int64(rows)
-		if !w.opts.NoDelta {
-			imin, imax := minMaxInts(v.Ints[lo:hi])
-			if width := relal.FORWidth(uint64(imax) - uint64(imin)); width < 8 {
-				if fb := relal.DeltaChunkBytes(rows, width); fb < best {
-					best, enc = fb, encDelta
-					fn = func(wr io.Writer) error { return writeDeltaChunk(wr, v.Ints[lo:hi], imin, width) }
-				}
+		imin, imax := minMaxInts(v.Ints[lo:hi])
+		if width := relal.FORWidth(uint64(imax) - uint64(imin)); width < 8 {
+			if fb := relal.DeltaChunkBytes(rows, width); fb < best {
+				best, enc = fb, encDelta
+				fn = func(wr io.Writer) error { return writeDeltaChunk(wr, v.Ints[lo:hi], imin, width) }
 			}
 		}
-		if !w.opts.NoRLE {
-			if rle := relal.RLEChunkBytes(countRuns(v.Ints[lo:hi])); rle < best {
-				enc = encRLE
-				fn = func(wr io.Writer) error { return writeRLEChunk(wr, v, lo, hi) }
-			}
+		if rle := relal.RLEChunkBytes(countRuns(v.Ints[lo:hi])); rle < best {
+			enc = encRLE
+			fn = func(wr io.Writer) error { return writeRLEChunk(wr, v, lo, hi) }
 		}
 	case v.Kind == relal.Float:
-		if !w.opts.NoRLE {
-			if rle := relal.RLEChunkBytes(countRuns(v.Floats[lo:hi])); rle < 8*int64(rows) {
-				enc = encRLE
-				fn = func(wr io.Writer) error { return writeRLEChunk(wr, v, lo, hi) }
-			}
+		if rle := relal.RLEChunkBytes(countRuns(v.Floats[lo:hi])); rle < 8*int64(rows) {
+			enc = encRLE
+			fn = func(wr io.Writer) error { return writeRLEChunk(wr, v, lo, hi) }
 		}
 	}
 	chunk, err := gzipChunk(fn)
@@ -1346,12 +1326,7 @@ type Source struct {
 
 // NewSource encodes t with the given row-group size (0 = default).
 func NewSource(t *relal.Table, groupRows int) (*Source, error) {
-	return NewSourceOpts(t, groupRows, WriterOpts{})
-}
-
-// NewSourceOpts encodes t with explicit encoding toggles.
-func NewSourceOpts(t *relal.Table, groupRows int, opts WriterOpts) (*Source, error) {
-	data, err := NewWriterOpts(groupRows, opts).Write(t)
+	data, err := NewWriter(groupRows).Write(t)
 	if err != nil {
 		return nil, err
 	}

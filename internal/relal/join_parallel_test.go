@@ -262,9 +262,8 @@ func TestJoinPartitioning(t *testing.T) {
 	}
 }
 
-// BenchmarkJoinParallel is the probe-heavy join bench BENCH_PR3.json
-// tracks: a large probe side against a mid-size build table, workers=1
-// vs GOMAXPROCS.
+// BenchmarkJoinParallel is the probe-heavy join bench: a large probe
+// side against a mid-size build table, workers=1 vs GOMAXPROCS.
 func BenchmarkJoinParallel(b *testing.B) {
 	c := joinCase{lRows: 48 * MorselRows / 8, rRows: 4 * MorselRows / 8, card: 20000, kind: Int}
 	left, right := c.tables(17)

@@ -125,7 +125,7 @@ func TestParallelExtendMatchesSerial(t *testing.T) {
 	tb := bigTable(2*MorselRows+55, 5, 5)
 	v := tb.FloatCol("v")
 	fn := func(i int) float64 { return v.Get(i) * 1.0625 }
-	want := render(ExtendFloat(tb, "x", fn))
+	want := render((&Exec{Parallelism: 1}).ExtendFloat(tb, "x", fn))
 	for _, workers := range []int{2, 6} {
 		e := &Exec{Parallelism: workers}
 		if got := render(e.ExtendFloat(tb, "x", fn)); got != want {
@@ -134,10 +134,9 @@ func TestParallelExtendMatchesSerial(t *testing.T) {
 	}
 }
 
-// BenchmarkMorselPipeline is the multi-row-group Filter/Aggregate bench
-// BENCH_PR2.json tracks: a selective filter feeding a grouped
-// aggregation over a table spanning many morsels, at pool size 1 vs
-// GOMAXPROCS.
+// BenchmarkMorselPipeline is the multi-row-group Filter/Aggregate
+// bench: a selective filter feeding a grouped aggregation over a table
+// spanning many morsels, at pool size 1 vs GOMAXPROCS.
 func BenchmarkMorselPipeline(b *testing.B) {
 	tb := bigTable(64*MorselRows, 16, 7)
 	v := tb.FloatCol("v")

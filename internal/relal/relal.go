@@ -1451,24 +1451,8 @@ func extendSlice[T any](n, workers int, fn func(i int) T) []T {
 
 // ExtendInt appends a computed Int column to t (no step logged;
 // expression evaluation is costed with the surrounding operator). fn
-// receives logical row indices of t; views are compacted so the output
-// is dense.
-func ExtendInt(t *Table, name string, fn func(i int) int64) *Table {
-	return extendWith(t, name, IntsV(extendSlice(t.NumRows(), 1, fn)))
-}
-
-// ExtendFloat appends a computed Float column to t.
-func ExtendFloat(t *Table, name string, fn func(i int) float64) *Table {
-	return extendWith(t, name, FloatsV(extendSlice(t.NumRows(), 1, fn)))
-}
-
-// ExtendStr appends a computed Str column to t.
-func ExtendStr(t *Table, name string, fn func(i int) string) *Table {
-	return extendWith(t, name, StrsV(extendSlice(t.NumRows(), 1, fn)))
-}
-
-// ExtendInt is the morsel-parallel projection kernel for computed Int
-// columns: fn runs across the Exec's worker pool.
+// receives logical row indices of t and runs across the Exec's worker
+// pool; views are compacted so the output is dense.
 func (e *Exec) ExtendInt(t *Table, name string, fn func(i int) int64) *Table {
 	return extendWith(t, name, IntsV(extendSlice(t.NumRows(), e.workers(), fn)))
 }

@@ -275,7 +275,7 @@ func TestLimitAfterSortSharesVectors(t *testing.T) {
 func TestExtend(t *testing.T) {
 	tb := numbers(3)
 	v := tb.FloatCol("v")
-	out := ExtendFloat(tb, "double", func(i int) float64 { return v.Get(i) * 2 })
+	out := (&Exec{}).ExtendFloat(tb, "double", func(i int) float64 { return v.Get(i) * 2 })
 	if len(out.Schema) != 4 {
 		t.Fatal("extend did not add a column")
 	}
@@ -290,7 +290,7 @@ func TestExtendOnViewCompacts(t *testing.T) {
 	k := tb.IntCol("k")
 	f := e.Filter(tb, func(i int) bool { return k.Get(i)%2 == 0 })
 	fk := f.IntCol("k")
-	out := ExtendInt(f, "kk", func(i int) int64 { return fk.Get(i) * 10 })
+	out := e.ExtendInt(f, "kk", func(i int) int64 { return fk.Get(i) * 10 })
 	if out.NumRows() != 5 {
 		t.Fatalf("rows = %d, want 5", out.NumRows())
 	}
@@ -378,7 +378,7 @@ func TestAppendRowToSourceDoesNotCorruptViews(t *testing.T) {
 	// derived table's columns desynchronize.
 	tb := numbers(2)
 	v := tb.FloatCol("v")
-	ext := ExtendFloat(tb, "v2", func(i int) float64 { return v.Get(i) })
+	ext := (&Exec{}).ExtendFloat(tb, "v2", func(i int) float64 { return v.Get(i) })
 	AppendRow(tb, Row{int64(9), 18.0, "g0"})
 	if tb.NumRows() != 3 {
 		t.Errorf("source rows = %d, want 3", tb.NumRows())

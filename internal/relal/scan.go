@@ -386,16 +386,6 @@ type tableScanInfo struct {
 	bytes     [][]int64   // per group, per column: encoded chunk bytes
 }
 
-// ModelRLE/ModelDelta gate whether the in-memory scan model charges
-// the RLE and delta/frame-of-reference chunk encodings when they beat
-// plain — mirroring the RCF4 writer's adaptive choice. The -no-rle /
-// -no-delta escape hatches in the CLI tools clear them at process
-// start (they are plain package variables, not synchronized).
-var (
-	ModelRLE   = true
-	ModelDelta = true
-)
-
 // encodedCellBytes returns the chunk encoding width of one cell: 8 for
 // numerics, 4-byte length prefix plus the bytes for strings (the rcfile
 // chunk layout).
@@ -527,10 +517,8 @@ func computeScanInfo(t *Table, groupRows int) *tableScanInfo {
 				// share of the file-global dictionary.
 				w := FORWidth(uint64(zs[c].CodeMax - zs[c].CodeMin))
 				best := GDictChunkBytes(rows, w)
-				if ModelRLE {
-					if rle := GDictRLEChunkBytes(runCountIn(v, lo, hi), w); rle < best {
-						best = rle
-					}
+				if rle := GDictRLEChunkBytes(runCountIn(v, lo, hi), w); rle < best {
+					best = rle
 				}
 				var plain int64
 				codes := v.Flat().Dict
@@ -549,17 +537,15 @@ func computeScanInfo(t *Table, groupRows int) *tableScanInfo {
 				bs[c] = b
 			default:
 				best := 8 * int64(rows)
-				if v.Kind == Int && ModelDelta {
+				if v.Kind == Int {
 					if w := FORWidth(uint64(zs[c].IntMax) - uint64(zs[c].IntMin)); w < 8 {
 						if fb := DeltaChunkBytes(rows, w); fb < best {
 							best = fb
 						}
 					}
 				}
-				if ModelRLE {
-					if rle := RLEChunkBytes(runCountIn(v, lo, hi)); rle < best {
-						best = rle
-					}
+				if rle := RLEChunkBytes(runCountIn(v, lo, hi)); rle < best {
+					best = rle
 				}
 				bs[c] = best
 			}

@@ -57,10 +57,6 @@ func TestZonePredicateUnknownColumnCannotPrune(t *testing.T) {
 }
 
 func TestTableSourceStats(t *testing.T) {
-	// Pin the plain cost model: these expectations are the unencoded
-	// widths (sequential keys would otherwise model as delta chunks).
-	defer func(r, d bool) { ModelRLE, ModelDelta = r, d }(ModelRLE, ModelDelta)
-	ModelRLE, ModelDelta = false, false
 	n := 3 * DefaultScanGroupRows / 2 // two virtual groups
 	keys := make([]int64, n)
 	tags := make([]string, n)
@@ -79,7 +75,15 @@ func TestTableSourceStats(t *testing.T) {
 	if out != tb {
 		t.Fatal("in-memory source must return the table itself")
 	}
-	wantTotal := int64(n)*8 + int64(n)*7
+	// Sequential keys model as one delta chunk per group, packed at the
+	// width of the group's span; raw strings stay length-prefixed.
+	g0, g1 := DefaultScanGroupRows, n-DefaultScanGroupRows
+	keyBytes := DeltaChunkBytes(g0, FORWidth(uint64(g0-1))) + DeltaChunkBytes(g1, FORWidth(uint64(g1-1)))
+	strBytes := int64(n) * 7
+	if keyBytes >= int64(n)*8 {
+		t.Fatalf("delta model %d B does not beat plain %d B", keyBytes, int64(n)*8)
+	}
+	wantTotal := keyBytes + strBytes
 	if stats.BytesRead != wantTotal || stats.BytesSkipped != 0 {
 		t.Errorf("full scan stats = %+v, want read=%d", stats, wantTotal)
 	}
@@ -89,7 +93,7 @@ func TestTableSourceStats(t *testing.T) {
 
 	// Column subset: the string column's bytes are skipped.
 	_, stats = src.ScanTable([]string{"k"}, nil)
-	if stats.BytesRead != int64(n)*8 || stats.BytesSkipped != int64(n)*7 {
+	if stats.BytesRead != keyBytes || stats.BytesSkipped != strBytes {
 		t.Errorf("subset stats = %+v", stats)
 	}
 
@@ -112,8 +116,6 @@ func TestTableSourceStats(t *testing.T) {
 }
 
 func TestScanSourceLogsStats(t *testing.T) {
-	defer func(r, d bool) { ModelRLE, ModelDelta = r, d }(ModelRLE, ModelDelta)
-	ModelRLE, ModelDelta = false, false
 	tb := NewTable("base", Schema{{Name: "k", Type: Int}},
 		IntsV([]int64{1, 2, 3}))
 	e := &Exec{}
@@ -128,8 +130,9 @@ func TestScanSourceLogsStats(t *testing.T) {
 	if st.Kind != StepScan || st.LeftBase != "base" {
 		t.Errorf("step = %+v", st)
 	}
-	if st.ScanBytesRead != 24 || st.ScanBytesSkipped != 0 {
-		t.Errorf("scan bytes = %d/%d, want 24/0", st.ScanBytesRead, st.ScanBytesSkipped)
+	// Three keys spanning 2 model as a one-byte-wide delta chunk.
+	if want := DeltaChunkBytes(3, FORWidth(2)); st.ScanBytesRead != want || st.ScanBytesSkipped != 0 {
+		t.Errorf("scan bytes = %d/%d, want %d/0", st.ScanBytesRead, st.ScanBytesSkipped, want)
 	}
 }
 

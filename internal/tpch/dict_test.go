@@ -8,32 +8,34 @@ import (
 	"elephants/internal/relal"
 )
 
-// TestDictColumnsAreEncoded: the generator dictionary-encodes the
-// default low-cardinality columns, and -no-dict (GenConfig.NoDict)
-// leaves them raw.
+// TestDictColumnsAreEncoded: a nil GenConfig.DictColumns dictionary-
+// encodes exactly DefaultDictColumns, and an empty non-nil one — the
+// raw-strings spelling — leaves every Str column raw.
 func TestDictColumnsAreEncoded(t *testing.T) {
 	db := Generate(GenConfig{SF: 0.002, Seed: 1, Random64: true})
-	for _, tc := range []struct{ tbl, col string }{
-		{"lineitem", "l_returnflag"},
-		{"lineitem", "l_shipdate"},
-		{"orders", "o_orderpriority"},
-		{"customer", "c_mktsegment"},
-		{"part", "p_brand"},
-	} {
-		tab := db.Table(tc.tbl)
-		if !tab.Cols[tab.Schema.Col(tc.col)].IsDict() {
-			t.Errorf("%s.%s not dictionary-encoded", tc.tbl, tc.col)
+	isDefault := make(map[string]bool, len(DefaultDictColumns))
+	for _, c := range DefaultDictColumns {
+		isDefault[c] = true
+	}
+	raw := Generate(GenConfig{SF: 0.002, Seed: 1, Random64: true, DictColumns: []string{}})
+	strCols := 0
+	for _, name := range TableNames {
+		tab, rawTab := db.Table(name), raw.Table(name)
+		for ci, c := range tab.Schema {
+			if c.Type != relal.Str {
+				continue
+			}
+			strCols++
+			if got := tab.Cols[ci].IsDict(); got != isDefault[c.Name] {
+				t.Errorf("nil DictColumns: %s.%s dict = %v, want %v", name, c.Name, got, isDefault[c.Name])
+			}
+			if rawTab.Cols[ci].IsDict() {
+				t.Errorf("empty DictColumns: %s.%s is dictionary-encoded, want raw", name, c.Name)
+			}
 		}
 	}
-	// High-cardinality columns stay raw.
-	li := db.Lineitem
-	if li.Cols[li.Schema.Col("l_comment")].IsDict() {
-		t.Error("l_comment should stay raw")
-	}
-	off := Generate(GenConfig{SF: 0.002, Seed: 1, Random64: true, NoDict: true})
-	ol := off.Lineitem
-	if ol.Cols[ol.Schema.Col("l_returnflag")].IsDict() {
-		t.Error("NoDict generation must leave columns raw")
+	if strCols == 0 {
+		t.Fatal("no Str columns checked")
 	}
 }
 
@@ -45,7 +47,7 @@ func TestDictOffMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Skip("golden file missing")
 	}
-	db := Generate(GenConfig{SF: goldenSF, Seed: 1, Random64: true, NoDict: true})
+	db := Generate(GenConfig{SF: goldenSF, Seed: 1, Random64: true, DictColumns: []string{}})
 	diffGolden(t, goldenSnapshotOf(db), string(want))
 }
 
@@ -75,7 +77,7 @@ func TestDictGoldenOverRCFileParallel(t *testing.T) {
 // the dict file must be strictly smaller.
 func TestDictShrinksRCFileLineitem(t *testing.T) {
 	on := Generate(GenConfig{SF: 0.005, Seed: 1, Random64: true})
-	off := Generate(GenConfig{SF: 0.005, Seed: 1, Random64: true, NoDict: true})
+	off := Generate(GenConfig{SF: 0.005, Seed: 1, Random64: true, DictColumns: []string{}})
 	onBytes := encodeBytes(t, on.Lineitem)
 	offBytes := encodeBytes(t, off.Lineitem)
 	if onBytes >= offBytes {
@@ -98,13 +100,13 @@ func encodeBytes(t *testing.T, tab *relal.Table) int {
 // accounting, so Q1's modeled lineitem bytes must drop under dict
 // encoding the same way the file does.
 func TestDictShrinksScanAccounting(t *testing.T) {
-	run := func(noDict bool) int64 {
-		db := Generate(GenConfig{SF: 0.005, Seed: 1, Random64: true, NoDict: noDict})
+	run := func(dictCols []string) int64 {
+		db := Generate(GenConfig{SF: 0.005, Seed: 1, Random64: true, DictColumns: dictCols})
 		_, log := RunQuery(1, db)
 		read, skipped := lineitemScanStats(log)
 		return read + skipped
 	}
-	on, off := run(false), run(true)
+	on, off := run(nil), run([]string{})
 	if on >= off {
 		t.Errorf("dict scan accounting %d B, want < raw %d B", on, off)
 	}

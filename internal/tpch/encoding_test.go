@@ -7,83 +7,61 @@ import (
 	"elephants/internal/rcfile"
 )
 
-// attachRCFileOpts mirrors attachRCFile with explicit chunk-encoding
-// toggles on the RCF4 writer.
-func attachRCFileOpts(t testing.TB, db *DB, groupRows int, opts rcfile.WriterOpts) {
-	t.Helper()
-	for _, name := range TableNames {
-		src, err := rcfile.NewSourceOpts(db.Table(name), groupRows, opts)
-		if err != nil {
-			t.Fatalf("encode %s: %v", name, err)
-		}
-		db.SetSource(name, src)
-	}
-}
-
-// TestEncodingGoldenOverRCFileParallel is the acceptance matrix for the
-// chunk-encoding pipeline: all 22 query answers, scanned through RCF4
-// files written with every encoding enabled and with RLE+delta forced
-// off, must reproduce the committed golden snapshot byte-for-byte at
-// several worker counts. The enabled run decodes real run-list vectors
-// into the run-aware kernels; the disabled run pins the plain/gdict
-// fallback to the same bytes.
+// TestEncodingGoldenOverRCFileParallel is the acceptance test for the
+// chunk-encoding pipeline: all 22 query answers, scanned through RCF5
+// files (real run-list vectors decoded into the run-aware kernels),
+// must reproduce the committed golden snapshot byte-for-byte at several
+// worker counts.
 func TestEncodingGoldenOverRCFileParallel(t *testing.T) {
 	want, err := os.ReadFile("testdata/tpch_golden.txt")
 	if err != nil {
 		t.Skip("golden file missing")
 	}
-	for _, tc := range []struct {
-		name string
-		opts rcfile.WriterOpts
-	}{
-		{"enc-on", rcfile.WriterOpts{}},
-		{"enc-off", rcfile.WriterOpts{NoRLE: true, NoDelta: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			db := Generate(GenConfig{SF: goldenSF, Seed: 1, Random64: true})
-			attachRCFileOpts(t, db, 1024, tc.opts)
-			old := DefaultWorkers
-			defer func() { DefaultWorkers = old }()
-			for _, workers := range []int{1, 3} {
-				DefaultWorkers = workers
-				diffGolden(t, goldenSnapshotOf(db), string(want))
-			}
-		})
-	}
+	t.Run("enc-on", func(t *testing.T) {
+		db := rcfileDB(t, goldenSF, 1024)
+		old := DefaultWorkers
+		defer func() { DefaultWorkers = old }()
+		for _, workers := range []int{1, 3} {
+			DefaultWorkers = workers
+			diffGolden(t, goldenSnapshotOf(db), string(want))
+		}
+	})
 }
 
 // TestEncodingClusteredAnswersAgree runs the matrix where RLE actually
 // fires: lineitem clustered on l_shipdate, where the cluster column's
 // chunks all win gdict+rle and the int keys go delta. Clustering
 // reorders base rows, so the committed golden no longer applies —
-// instead the encodings-off snapshot is the reference, and the
-// encodings-on snapshot must match it bit-for-bit at every worker
-// count, proving the run-aware kernels invisible on the data shape
-// they were built for.
+// instead the in-memory clustered DB at workers = 1 is the reference
+// (the oracle bench/check.go uses), and the RCFile-backed snapshot must
+// match it bit-for-bit at every worker count, proving the decoders and
+// the run-aware kernels invisible on the data shape they were built
+// for.
 func TestEncodingClusteredAnswersAgree(t *testing.T) {
-	snap := func(opts rcfile.WriterOpts, workers int) string {
+	snap := func(rcf bool, workers int) string {
 		db := Generate(GenConfig{SF: goldenSF, Seed: 1, Random64: true, ClusterBy: "l_shipdate"})
-		attachRCFileOpts(t, db, 1024, opts)
+		if rcf {
+			attachRCFile(t, db, 1024)
+		}
 		old := DefaultWorkers
 		DefaultWorkers = workers
 		defer func() { DefaultWorkers = old }()
 		return goldenSnapshotOf(db)
 	}
-	want := snap(rcfile.WriterOpts{NoRLE: true, NoDelta: true}, 1)
+	want := snap(false, 1)
 	for _, workers := range []int{1, 3} {
-		diffGolden(t, snap(rcfile.WriterOpts{}, workers), want)
+		diffGolden(t, snap(true, workers), want)
 	}
 }
 
 // TestEncodingClusteredChunksUseRuns pins the writer's adaptive choice
 // on clustered data: the cluster column must come out gdict+rle in
-// every chunk, the sorted int keys delta, and turning the encodings off
-// must leave only plain/gdict — otherwise the run-aware kernels are
-// silently never exercised.
+// every chunk and the sorted int keys delta — otherwise the run-aware
+// kernels are silently never exercised.
 func TestEncodingClusteredChunksUseRuns(t *testing.T) {
 	db := Generate(GenConfig{SF: 0.005, Seed: 1, Random64: true, ClusterBy: "l_shipdate"})
 	li := db.Lineitem
-	src, err := rcfile.NewSourceOpts(li, 2048, rcfile.WriterOpts{})
+	src, err := rcfile.NewSource(li, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,24 +83,5 @@ func TestEncodingClusteredChunksUseRuns(t *testing.T) {
 		if count(col, "delta") == 0 {
 			t.Errorf("sorted int key %s has no delta chunks", col)
 		}
-	}
-
-	off, err := rcfile.NewSourceOpts(li, 2048, rcfile.WriterOpts{NoRLE: true, NoDelta: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ci, st := range off.EncodingStats() {
-		for e, n := range st.Chunks {
-			if n > 0 && rcfile.EncNames[e] != "plain" && rcfile.EncNames[e] != "gdict" {
-				t.Errorf("encodings off: column %s still has %d %s chunks",
-					li.Schema[ci].Name, n, rcfile.EncNames[e])
-			}
-		}
-	}
-	if onB, offB := src.Bytes(), off.Bytes(); onB >= offB {
-		t.Errorf("clustered RCF4 with encodings %d B, want < without %d B", onB, offB)
-	} else {
-		t.Logf("clustered lineitem: enc-off %d B, enc-on %d B (%.1f%%)",
-			offB, onB, 100*float64(onB)/float64(offB))
 	}
 }

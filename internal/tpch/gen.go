@@ -17,7 +17,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"elephants/internal/relal"
 )
@@ -170,22 +169,7 @@ type DB struct {
 	// unset entries default to in-memory TableSources over the tables
 	// above. SetSource swaps in other backends (e.g. rcfile.Source).
 	srcs map[string]relal.Source
-	// epoch counts source-visible mutations (SetSource, Cluster,
-	// BumpEpoch). Result memoization keys on it: answers computed at
-	// epoch E are served only while the DB is still at E, so swapping a
-	// source or rewriting a table invalidates every memoized result
-	// without any cache walk.
-	epoch atomic.Uint64
 }
-
-// Epoch returns the DB's current source epoch. Monotonic; safe from any
-// goroutine.
-func (db *DB) Epoch() uint64 { return db.epoch.Load() }
-
-// BumpEpoch advances the source epoch by hand — the hook for callers
-// that mutate data the DB cannot see (e.g. a future write path appending
-// deltas behind a Source), so memoized results stop being served.
-func (db *DB) BumpEpoch() { db.epoch.Add(1) }
 
 // Src returns the scan source serving the named base table. Safe for
 // concurrent use.
@@ -213,7 +197,6 @@ func (db *DB) SetSource(name string, s relal.Source) {
 		db.srcs = make(map[string]relal.Source)
 	}
 	db.srcs[name] = s
-	db.epoch.Add(1)
 }
 
 // Table returns the named base table.
@@ -265,11 +248,9 @@ type GenConfig struct {
 	// 16 TB scale factor and fixed with RANDOM64.
 	Random64 bool
 	// DictColumns names the Str columns to dictionary-encode after
-	// generation (nil = DefaultDictColumns). NoDict disables the
-	// encoding entirely — the `-no-dict` escape hatch in dbgen and
-	// tpchbench — leaving every Str column as raw []string.
+	// generation: nil = DefaultDictColumns, empty non-nil = none, which
+	// leaves every Str column as raw []string.
 	DictColumns []string
-	NoDict      bool
 	// ClusterBy names a column to cluster on (e.g. "l_shipdate"): the
 	// base table owning it is rewritten in stable col-sorted order after
 	// generation, before any RCFile encoding. Zone maps only prune when
@@ -295,13 +276,11 @@ func Generate(cfg GenConfig) *DB {
 	db.Part = genPart(cfg, rng)
 	db.PartSupp = genPartSupp(cfg, rng)
 	db.Orders, db.Lineitem = genOrdersLineitem(cfg, rng)
-	if !cfg.NoDict {
-		cols := cfg.DictColumns
-		if cols == nil {
-			cols = DefaultDictColumns
-		}
-		db.encodeDictColumns(cols)
+	cols := cfg.DictColumns
+	if cols == nil {
+		cols = DefaultDictColumns
 	}
+	db.encodeDictColumns(cols)
 	if cfg.ClusterBy != "" {
 		if _, err := db.Cluster(cfg.ClusterBy); err != nil {
 			panic("tpch: " + err.Error())
@@ -355,7 +334,6 @@ func (db *DB) Cluster(col string) (string, error) {
 		db.srcMu.Lock()
 		delete(db.srcs, name)
 		db.srcMu.Unlock()
-		db.epoch.Add(1)
 		return name, nil
 	}
 	return "", fmt.Errorf("no base table has column %q", col)

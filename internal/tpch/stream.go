@@ -36,16 +36,9 @@ type StreamConfig struct {
 	// (source registry, zone-map caches, width caches) is in place
 	// before the clock starts.
 	Warmup bool
-	// NoResultCache disables result memoization: every round of every
-	// stream re-executes its queries even when the DB epoch is
-	// unchanged. The cache is on by default because the workload is
-	// read-only between explicit mutations (SetSource/Cluster bump the
-	// epoch and naturally invalidate).
-	NoResultCache bool
 	// Check, when non-nil, is called with every answer produced by every
-	// stream — including memoized ones; a non-nil error is collected
-	// into the result. Callers use it to pin stream answers against the
-	// golden snapshot.
+	// stream; a non-nil error is collected into the result. Callers use
+	// it to pin stream answers against the golden snapshot.
 	Check func(stream, round, id int, out *relal.Table) error
 }
 
@@ -60,8 +53,7 @@ type StreamResult struct {
 	// PoolWorkers is the size of the process-wide morsel worker pool all
 	// streams drew from (relal.PoolSize()).
 	PoolWorkers int
-	// Queries is the total number of queries answered across streams,
-	// memoized answers included.
+	// Queries is the total number of queries executed across streams.
 	Queries int
 	// Elapsed is the wall time of the timed phase.
 	Elapsed time.Duration
@@ -75,12 +67,8 @@ type StreamResult struct {
 	// can report every query's sort share of wall time.
 	PerQuerySort map[int]time.Duration
 	// Scanned is the byte accounting summed over every scan step of
-	// every stream (per-Exec step logs merged after the run). Memoized
-	// answers execute no scans and so add nothing here.
+	// every stream (per-Exec step logs merged after the run).
 	Scanned relal.ScanStats
-	// ResultCacheHits counts queries answered from the per-(query, DB
-	// epoch) result memo instead of being executed.
-	ResultCacheHits int
 	// Errors collects Check failures (nil when every answer passed).
 	Errors []error
 }
@@ -107,16 +95,7 @@ type streamTally struct {
 	perQuerySort map[int]time.Duration
 	scanned      relal.ScanStats
 	queries      int
-	memoHits     int
 	errs         []error
-}
-
-// resultKey addresses one memoized answer: the query and the DB epoch
-// it was computed at. An epoch bump (SetSource, Cluster, BumpEpoch)
-// changes every key, so stale answers are simply never looked up again.
-type resultKey struct {
-	id    int
-	epoch uint64
 }
 
 // RunStreams replays the configured queries as cfg.Streams concurrent
@@ -132,14 +111,6 @@ func RunStreams(db *DB, cfg StreamConfig) StreamResult {
 		}
 	}
 
-	// memo holds answers computed during the timed phase, keyed by
-	// (query, epoch). Scoped to the run: the warmup round deliberately
-	// does not populate it, so the first timed execution of each query
-	// still scans (and is what the throughput numbers without repeated
-	// rounds measure). Answer tables are immutable once built, so a
-	// cached *relal.Table is shared by reference.
-	var memo sync.Map
-
 	tallies := make([]streamTally, cfg.Streams)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -154,34 +125,20 @@ func RunStreams(db *DB, cfg StreamConfig) StreamResult {
 			for round := 0; round < cfg.Rounds; round++ {
 				for _, id := range cfg.Queries {
 					qStart := time.Now()
-					var out *relal.Table
-					key := resultKey{id: id, epoch: db.Epoch()}
-					if !cfg.NoResultCache {
-						if v, ok := memo.Load(key); ok {
-							out = v.(*relal.Table)
-							tally.memoHits++
-						}
-					}
-					if out == nil {
-						var log relal.StepLog
-						out, log = RunQueryWorkers(id, db, cfg.Workers)
-						tally.perQuerySort[id] += time.Duration(log.SortNanos)
-						for _, step := range log.Steps {
-							if step.Kind == relal.StepScan {
-								tally.scanned.Add(relal.ScanStats{
-									BytesRead:      step.ScanBytesRead,
-									BytesSkipped:   step.ScanBytesSkipped,
-									BytesFromCache: step.ScanBytesFromCache,
-									GroupsRead:     step.ScanGroupsRead,
-									GroupsSkipped:  step.ScanGroupsSkipped,
-									CacheHits:      step.ScanCacheHits,
-									CacheMisses:    step.ScanCacheMisses,
-									CorruptChunks:  step.ScanCorruptChunks,
-								})
-							}
-						}
-						if !cfg.NoResultCache {
-							memo.Store(key, out)
+					out, log := RunQueryWorkers(id, db, cfg.Workers)
+					tally.perQuerySort[id] += time.Duration(log.SortNanos)
+					for _, step := range log.Steps {
+						if step.Kind == relal.StepScan {
+							tally.scanned.Add(relal.ScanStats{
+								BytesRead:      step.ScanBytesRead,
+								BytesSkipped:   step.ScanBytesSkipped,
+								BytesFromCache: step.ScanBytesFromCache,
+								GroupsRead:     step.ScanGroupsRead,
+								GroupsSkipped:  step.ScanGroupsSkipped,
+								CacheHits:      step.ScanCacheHits,
+								CacheMisses:    step.ScanCacheMisses,
+								CorruptChunks:  step.ScanCorruptChunks,
+							})
 						}
 					}
 					tally.perQuery[id] += time.Since(qStart)
@@ -214,7 +171,6 @@ func RunStreams(db *DB, cfg StreamConfig) StreamResult {
 	}
 	for _, tally := range tallies {
 		res.Queries += tally.queries
-		res.ResultCacheHits += tally.memoHits
 		for id, d := range tally.perQuery {
 			res.PerQuery[id] += d
 		}
