@@ -1,10 +1,11 @@
 # Build / test / bench entry points. Tier-1 verification is
 # `make check` (what CI runs); `make bench-engine` runs the engine
-# benchmark BENCHMARK.json declares.
+# benchmark BENCHMARK.json declares and `make bench-cover` reports which
+# engine code that benchmark executes.
 
 GO ?= go
 
-.PHONY: all build test race streams htap crash dist fuzz-smoke vet fmt-check check loc bench-paper bench-engine bench-test
+.PHONY: all build test race streams htap crash dist fuzz-smoke vet fmt-check check loc bench-paper bench-engine bench-test bench-cover
 
 all: check
 
@@ -19,11 +20,12 @@ race:
 	$(GO) test -race ./...
 
 # Concurrent-stream golden tests (including the cache golden matrix and
-# shared-scheduler suites) + differential parallel-join/sort/dict and
-# chunk-encoding suites + the HTAP delta-pipeline and wal/delta-log
-# concurrency suites under the race detector (CI's `streams` job).
+# shared-scheduler suites) + differential parallel-join/sort/dict,
+# predicate-factory and chunk-encoding suites + the HTAP delta-pipeline
+# and wal/delta-log concurrency suites under the race detector (CI's
+# `streams` job).
 streams:
-	$(GO) test -race -run 'Stream|JoinParallel|SortParallel|TopK|Dict|Cache|Sched|Encoding|Htap|Delta|Wal' ./...
+	$(GO) test -race -run 'Stream|JoinParallel|SortParallel|TopK|Dict|Pred|Cache|Sched|Encoding|Htap|Delta|Wal' ./...
 
 # The combined HTAP harness: concurrent write + analytical streams with
 # quiesced answers pinned to the golden snapshot, under -race.
@@ -83,6 +85,38 @@ bench-engine:
 
 bench-test:
 	cd bench && $(GO) test -short ./...
+
+# "Did we verify or guess the traffic?": builds the unmodified benchmark
+# with coverage counters in every elephants package (with
+# -coverpkg=elephants/internal/... alone, main is not instrumented and
+# the run writes no counter files), runs the four workloads briefly with
+# --check under bench/run.sh's toolchain environment, merges the
+# counters, drops the bench/ lines (the root module cannot resolve
+# them), and prints per-file statement coverage of the engine packages
+# and every function in them that no workload executed. Fails unless all
+# four runs end "correct":true. Everything lands in .bench_build/.
+COVER_PKGS = internal/(relal|rcfile|tpch|htap|delta|dist|fault)/
+bench-cover:
+	@set -eu; build="$$PWD/.bench_build"; cover="$$build/cover"; \
+	rm -rf "$$cover"; mkdir -p "$$build/tmp"; \
+	export GOCACHE="$$build/gocache" GOTMPDIR="$$build/tmp" GOPATH="$$build/gopath" \
+		GOMODCACHE="$$build/gopath/pkg/mod" GOFLAGS=-buildvcs=false GOPROXY=off GOTOOLCHAIN=local; \
+	$(GO) -C bench build -cover -coverpkg=elephants/... -o ../.bench_build/enginebench.cover .; \
+	dirs=""; \
+	for w in mem-stream rcfile-cold htap-mixed dist-scatter; do \
+		mkdir -p "$$cover/$$w"; dirs="$$dirs,$$cover/$$w"; \
+		GOCOVERDIR="$$cover/$$w" "$$build/enginebench.cover" --workload $$w --seconds 5 --trace 0 --check \
+			2>"$$cover/$$w.log" | tail -n 1 >"$$cover/$$w.json"; \
+		echo "$$w: $$(grep -oE '"(correct|attempted|failed)":[a-z0-9]+' "$$cover/$$w.json" | tr '\n' ' ')"; \
+		grep -q '"correct":true' "$$cover/$$w.json"; \
+	done; \
+	$(GO) tool covdata textfmt -i="$${dirs#,}" -o "$$cover/all.txt"; \
+	grep -v '^elephants/bench/' "$$cover/all.txt" >"$$cover/engine.txt"; \
+	echo; echo "statements covered, per file:"; \
+	awk -F'[: ]' 'NR > 1 && $$1 ~ "$(COVER_PKGS)" { n[$$1] += $$(NF-1); if ($$NF > 0) c[$$1] += $$(NF-1) } \
+		END { for (f in n) printf "  %-48s %5.1f%%  %4d/%d\n", f, 100*c[f]/n[f], c[f], n[f] }' "$$cover/engine.txt" | sort; \
+	echo; echo "functions no workload executed:"; \
+	$(GO) tool cover -func="$$cover/engine.txt" | awk '$$1 ~ "$(COVER_PKGS)" && $$NF == "0.0%" { print "  " $$1, $$2 }'
 
 # The paper-artifact benches (Tables 2–5, Figures 1–6, ablations).
 bench-paper:

@@ -1,7 +1,7 @@
 // Command scanstats measures RCFile storage effectiveness: it
 // generates a functional TPC-H dataset, encodes every base table into
-// RCFile (RCF5: zone-map footer, multi-row-group, adaptive per-chunk
-// encodings, per-chunk CRCs), runs the requested queries through the
+// RCFile (RCF6: zone-map footer, multi-row-group, adaptive per-chunk
+// encodings, per-chunk and footer CRCs), runs the requested queries through the
 // pushdown-aware scan pipeline, and emits the per-table
 // bytes-read/bytes-skipped accounting as JSON — plus, per base table,
 // the per-string-column dictionary cardinality and encoded-vs-raw byte

@@ -75,7 +75,7 @@ func main() {
 	targetOps := flag.Float64("target-ops", 0, "aggregate write throughput target in ops/sec, 0 = unthrottled (with -htap)")
 	holdFrac := flag.Float64("hold-frac", 0.02, "fraction of orders+lineitem rows held back and replayed as writes (with -htap)")
 	convertRows := flag.Int("convert-rows", 256, "delta-tail size at which the background converter encodes a columnar part (with -htap)")
-	durable := flag.String("durable", "", "directory for the durable delta log and RCF5 parts; the run ends with a close + timed recovery (with -htap)")
+	durable := flag.String("durable", "", "directory for the durable delta log and RCF6 parts; the run ends with a close + timed recovery (with -htap)")
 	syncPolicy := flag.String("sync-policy", "group", "durable log fsync policy: group, always, or none (with -htap -durable)")
 	faultSeed := flag.Int64("fault-seed", 0, "non-zero wraps the durable FS in a seeded fault injector (transient part-write failures; with -htap)")
 	distShards := flag.Int("dist", 0, "run the distributed scatter/gather harness over N shard servers")

@@ -30,7 +30,7 @@ type HTAPConfig struct {
 	// Streams/Rounds/Workers/Queries parameterize the analytical side.
 	Streams, Rounds, Workers int
 	Queries                  []int
-	// RCFile encodes base and converted parts as RCF5 files; GroupRows
+	// RCFile encodes base and converted parts as RCF6 files; GroupRows
 	// and CacheMB mirror TPCHStreamConfig.
 	RCFile    bool
 	GroupRows int
@@ -41,7 +41,7 @@ type HTAPConfig struct {
 	ConvertRows  int
 	ConvertEvery time.Duration
 	// DurablePath, when set, backs the store with an on-disk delta log
-	// (and, with RCFile, persisted RCF5 parts) in that directory; after
+	// (and, with RCFile, persisted RCF6 parts) in that directory; after
 	// the run the store is closed and reopened to measure recovery.
 	// With FaultSeed but no path, an in-memory crash FS is used instead.
 	DurablePath string

@@ -37,13 +37,7 @@ func checkScanPart(t *relal.Table, want relal.Schema) error {
 	if !slices.Equal(t.Schema, want) {
 		return fmt.Errorf("dist: scan answered with columns %v, want %v", t.Schema.Names(), want.Names())
 	}
-	pos := t.Cols[len(want)-1]
-	// A strictly ascending column has no run longer than one row; saying
-	// so before Flat keeps a forged run list from being expanded.
-	if pos.IsRuns() && pos.NumRuns() != pos.Len() {
-		return errors.New("dist: scan positions repeat")
-	}
-	xs := pos.Flat().Ints
+	xs := t.Cols[len(want)-1].Ints
 	for i := 1; i < len(xs); i++ {
 		if xs[i-1] >= xs[i] {
 			return fmt.Errorf("dist: scan positions not ascending at row %d", i)
@@ -101,11 +95,11 @@ func mergeOrder(pos [][]int64) (segs []seg, dup int) {
 }
 
 // mergeCells lays out, in segment order, the cells that cells extracts
-// from each part's (flattened) vector.
+// from each part's vector.
 func mergeCells[T any](vecs []*relal.Vector, cells func(*relal.Vector) []T, segs []seg, total int) []T {
 	parts := make([][]T, len(vecs))
 	for i, v := range vecs {
-		parts[i] = cells(v.Flat())
+		parts[i] = cells(v)
 	}
 	out := make([]T, 0, total)
 	cur := make([]int32, len(parts))
@@ -162,7 +156,7 @@ func mergeByPos(name string, parts []*relal.Table) (*relal.Table, error) {
 	}
 	pos := make([][]int64, len(live))
 	for i, shard := range live {
-		pos[i] = parts[shard].Cols[len(schema)].Flat().Ints
+		pos[i] = parts[shard].Cols[len(schema)].Ints
 	}
 	segs, dup := mergeOrder(pos)
 	if dup >= 0 {

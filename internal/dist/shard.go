@@ -45,7 +45,7 @@ type ShardConfig struct {
 	// Port pins the listen port (0 = ephemeral). A restarting shard is
 	// given its old port so retrying coordinators reconnect unchanged.
 	Port int
-	// DataDir, when set, holds the shard's durable delta log and RCF5
+	// DataDir, when set, holds the shard's durable delta log and RCF6
 	// part files; a restart replays them via htap.Open. Empty runs the
 	// store in memory (tests that only need the wire path).
 	DataDir string
@@ -56,7 +56,7 @@ type ShardConfig struct {
 	// Sync is the delta-log fsync policy ("" = always: each acked row
 	// is durable, so a kill at any instant loses nothing acked).
 	Sync string
-	// GroupRows is the RCF5 row-group size (0 = htap default).
+	// GroupRows is the RCF6 row-group size (0 = htap default).
 	GroupRows int
 	// Workers sizes fragment execution (0 = tpch.DefaultWorkers).
 	Workers int

@@ -1,13 +1,13 @@
 // Package dist is the coordinator/shard execution layer: the paper's
 // 16-node PDW and sharded-Mongo clusters shrunk to localhost processes.
 // lineitem and orders are hash-partitioned by orderkey into per-process
-// RCF5 shards (internal/shard routing, one internal/htap store each);
+// RCF6 shards (internal/shard routing, one internal/htap store each);
 // the coordinator scatters scans and query fragments over TCP and
 // merges the partials deterministically, so all 22 golden answers stay
 // byte-identical at any shard count.
 //
 // Storage format and message format are separate decisions, as they are
-// in the paper's PDW: a shard keeps its partition as compressed RCF5
+// in the paper's PDW: a shard keeps its partition as compressed RCF6
 // parts, but what crosses the wire is the result's column vectors laid
 // out flat (see the table encoding below) — no compression and no
 // per-chunk encoding choice on the data path; the frame checksum covers
@@ -282,20 +282,19 @@ func DecodeResponse(data []byte) (Response, error) {
 }
 
 // Table wire encoding. A table crosses the wire as its column vectors,
-// in schema order, in whatever shape the shard's scan produced them —
-// flat, dictionary-encoded, run-encoded — so nothing is re-encoded on
-// the way out and dictionary columns stay code-comparable on the way
-// in. All integers little-endian:
+// in schema order, in whichever shape the shard's scan produced them —
+// flat or dictionary-encoded — so nothing is re-encoded on the way out
+// and dictionary columns stay code-comparable on the way in. All
+// integers little-endian:
 //
 //	table   u32 columns | column...
-//	column  u8 tag (low two bits the relal.Type, wireDict, wireRuns)
+//	column  u8 tag (low two bits the relal.Type, wireDict)
 //	        [wireDict: strings — the sorted dictionary, once]
-//	        values — one entry per row, or per run under wireRuns:
+//	        values — one entry per row:
 //	          Int    u32 n | n × i64
 //	          Float  u32 n | n × IEEE-754 bits
 //	          dict   u32 n | n × u32 code
 //	          Str    strings
-//	        [wireRuns: n × u32 exclusive run end]
 //	strings u32 n | n × u32 byte length | the bytes, concatenated
 //
 // The row count and column types travel in Response.Rows and
@@ -303,7 +302,6 @@ func DecodeResponse(data []byte) (Response, error) {
 const (
 	wireKind = 0x03
 	wireDict = 0x04
-	wireRuns = 0x08
 )
 
 // tableWireSize returns the exact encoded size of t (dense).
@@ -324,7 +322,6 @@ func tableWireSize(t *relal.Table) int {
 		default:
 			size += stringsWireSize(v.Strs)
 		}
-		size += 4 * len(v.RunEnds)
 	}
 	return size
 }
@@ -344,9 +341,6 @@ func appendColumn(dst []byte, v *relal.Vector) []byte {
 	if v.IsDict() {
 		tag |= wireDict
 	}
-	if v.IsRuns() {
-		tag |= wireRuns
-	}
 	dst = append(dst, tag)
 	if v.IsDict() {
 		dst = appendStrings(dst, v.DictVals)
@@ -357,12 +351,11 @@ func appendColumn(dst []byte, v *relal.Vector) []byte {
 	case v.Kind == relal.Float:
 		dst = appendFloats(dst, v.Floats)
 	case v.IsDict():
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v.Dict)))
-		dst = appendU32s(dst, v.Dict)
+		dst = appendCodes(dst, v.Dict)
 	default:
 		dst = appendStrings(dst, v.Strs)
 	}
-	return appendU32s(dst, v.RunEnds)
+	return dst
 }
 
 // extend lengthens dst by n bytes and returns it with the offset the
@@ -390,12 +383,11 @@ func appendFloats(dst []byte, xs []float64) []byte {
 	return dst
 }
 
-// appendU32s appends codes or run ends, without a count: the count of
-// either is the column's entry count, already written.
-func appendU32s[T uint32 | int32](dst []byte, xs []T) []byte {
+func appendCodes(dst []byte, xs []uint32) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(xs)))
 	dst, off := extend(dst, 4*len(xs))
 	for i, x := range xs {
-		binary.LittleEndian.PutUint32(dst[off+4*i:], uint32(x))
+		binary.LittleEndian.PutUint32(dst[off+4*i:], x)
 	}
 	return dst
 }
@@ -475,21 +467,20 @@ func (r *wireReader) strings() ([]string, error) {
 
 // column reads one column of the given type and logical row count,
 // holding it to the vector invariants the engine relies on: dictionary
-// sorted and duplicate-free, codes inside it, run ends strictly
-// increasing up to rows, and one entry per row otherwise.
+// sorted and duplicate-free, codes inside it, and one entry per row.
 func (r *wireReader) column(kind relal.Type, rows int) (*relal.Vector, error) {
 	tagByte, err := r.take(1)
 	if err != nil {
 		return nil, err
 	}
 	tag := tagByte[0]
-	isDict, isRuns := tag&wireDict != 0, tag&wireRuns != 0
+	isDict := tag&wireDict != 0
 	switch {
 	case kind < relal.Int || kind > relal.Str:
 		return nil, fmt.Errorf("dist: schema names column type %d", kind)
-	case tag&^(wireKind|wireDict|wireRuns) != 0, relal.Type(tag&wireKind) != kind:
+	case tag&^(wireKind|wireDict) != 0, relal.Type(tag&wireKind) != kind:
 		return nil, fmt.Errorf("dist: column tag %#x does not encode a type-%d column", tag, kind)
-	case isDict && kind != relal.Str, isRuns && kind == relal.Str && !isDict:
+	case isDict && kind != relal.Str:
 		return nil, fmt.Errorf("dist: column tag %#x is not a vector shape", tag)
 	}
 	v := &relal.Vector{Kind: kind}
@@ -540,26 +531,8 @@ func (r *wireReader) column(kind relal.Type, rows int) (*relal.Vector, error) {
 		}
 		n = len(v.Strs)
 	}
-	if !isRuns {
-		if n != rows {
-			return nil, fmt.Errorf("dist: column has %d cells, want %d", n, rows)
-		}
-		return v, nil
-	}
-	if body, err = r.take(4 * uint64(n)); err != nil {
-		return nil, err
-	}
-	v.RunEnds = make([]int32, n)
-	prev := int32(0)
-	for i := range v.RunEnds {
-		e := int32(binary.LittleEndian.Uint32(body[4*i:]))
-		if e <= prev {
-			return nil, errors.New("dist: run ends not strictly increasing")
-		}
-		v.RunEnds[i], prev = e, e
-	}
-	if int(prev) != rows {
-		return nil, fmt.Errorf("dist: runs cover %d rows, want %d", prev, rows)
+	if n != rows {
+		return nil, fmt.Errorf("dist: column has %d cells, want %d", n, rows)
 	}
 	return v, nil
 }

@@ -172,11 +172,6 @@ func wireShapes() map[string]*relal.Table {
 			relal.FloatsV([]float64{1, 2, 3}),
 			relal.DictV([]uint32{3, 0, 1}, dict),
 		),
-		"runs": relal.NewTable("runs", schema,
-			relal.IntRunsV([]int64{math.MinInt64, 7}, []int32{2, 5}),
-			relal.FloatRunsV([]float64{math.NaN(), negZero, 0}, []int32{1, 4, 5}),
-			relal.DictRunsV([]uint32{2, 0, 2}, []int32{3, 4, 5}, dict),
-		),
 		"empty-dict-values": relal.NewTable("d0", schema[2:], relal.DictV([]uint32{0, 0}, []string{""})),
 		"empty":             relal.NewTable("empty", schema),
 		// A view: the selection vector reorders and drops rows, and the
@@ -206,8 +201,8 @@ func TestDistWireTableRoundTrip(t *testing.T) {
 				return
 			}
 			for i, v := range tbl.Compacted().Cols {
-				if g := got.Cols[i]; g.IsDict() != v.IsDict() || g.IsRuns() != v.IsRuns() {
-					t.Fatalf("column %d changed shape: dict %v→%v, runs %v→%v", i, v.IsDict(), g.IsDict(), v.IsRuns(), g.IsRuns())
+				if g := got.Cols[i]; g.IsDict() != v.IsDict() {
+					t.Fatalf("column %d changed shape: dict %v→%v", i, v.IsDict(), g.IsDict())
 				}
 			}
 		})
@@ -224,6 +219,11 @@ func tableData(cols ...*relal.Vector) []byte {
 	return data
 }
 
+// retiredRunColumn is a two-row Int column as the codec shipped run
+// lists before they left the engine: tag bit 0x08, one value, one
+// exclusive run end. The bit is unassigned now and must be refused.
+var retiredRunColumn = []byte{1, 0, 0, 0, 0x08, 1, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0}
+
 // TestDistWireTableRejects: each invariant the decoder owes the engine,
 // violated one at a time, is an error and never a table.
 func TestDistWireTableRejects(t *testing.T) {
@@ -234,17 +234,13 @@ func TestDistWireTableRejects(t *testing.T) {
 		"code out of range":      {Schema: strCol, Rows: 2, Data: tableData(relal.DictV([]uint32{0, 2}, []string{"a", "b"}))},
 		"dictionary unsorted":    {Schema: strCol, Rows: 1, Data: tableData(relal.DictV([]uint32{0}, []string{"b", "a"}))},
 		"dictionary duplicates":  {Schema: strCol, Rows: 1, Data: tableData(relal.DictV([]uint32{0}, []string{"a", "a"}))},
-		"run ends not ascending": {Schema: intCol, Rows: 2, Data: tableData(&relal.Vector{Kind: relal.Int, Ints: []int64{1, 2}, RunEnds: []int32{2, 2}})},
-		"run ends start at zero": {Schema: intCol, Rows: 2, Data: tableData(&relal.Vector{Kind: relal.Int, Ints: []int64{1, 2}, RunEnds: []int32{0, 2}})},
-		"runs short of rows":     {Schema: intCol, Rows: 3, Data: tableData(relal.IntRunsV([]int64{1}, []int32{2}))},
-		"runs past rows":         {Schema: intCol, Rows: 1, Data: tableData(relal.IntRunsV([]int64{1}, []int32{2}))},
 		"fewer cells than rows":  {Schema: intCol, Rows: 3, Data: good},
 		"more cells than rows":   {Schema: intCol, Rows: 1, Data: good},
 		"kind differs":           {Schema: relal.Schema{{Name: "k", Type: relal.Float}}, Rows: 2, Data: good},
 		"unknown kind in schema": {Schema: relal.Schema{{Name: "k", Type: 3}}, Rows: 2, Data: append([]byte{1, 0, 0, 0, 3}, good[5:]...)},
 		"unknown tag bits":       {Schema: intCol, Rows: 2, Data: append([]byte{1, 0, 0, 0, 0x10}, good[5:]...)},
 		"dict tag on ints":       {Schema: intCol, Rows: 2, Data: append([]byte{1, 0, 0, 0, wireDict}, good[5:]...)},
-		"raw string runs":        {Schema: strCol, Rows: 2, Data: tableData(&relal.Vector{Kind: relal.Str, Strs: []string{"a"}, RunEnds: []int32{2}})},
+		"retired run tag bit":    {Schema: intCol, Rows: 2, Data: retiredRunColumn},
 		"column count differs":   {Schema: append(intCol, intCol...), Rows: 2, Data: good},
 		"trailing bytes":         {Schema: intCol, Rows: 2, Data: append(slices.Clone(good), 0)},
 		"count past the input":   {Schema: intCol, Rows: 1 << 20, Data: append([]byte{1, 0, 0, 0, 0}, 0, 0, 0x10, 0)},
@@ -274,20 +270,6 @@ func checkVector(t *testing.T, v *relal.Vector, kind relal.Type, rows int) {
 	if v.Kind != kind || v.Len() != rows {
 		t.Fatalf("vector of type %d with %d rows, want type %d with %d", v.Kind, v.Len(), kind, rows)
 	}
-	entries := rows
-	if v.IsRuns() {
-		entries = v.NumRuns()
-		prev := int32(0)
-		for _, e := range v.RunEnds {
-			if e <= prev {
-				t.Fatalf("run ends %v not strictly increasing", v.RunEnds)
-			}
-			prev = e
-		}
-		if kind == relal.Str && !v.IsDict() {
-			t.Fatal("run-encoded raw strings")
-		}
-	}
 	cells := map[relal.Type]int{relal.Int: len(v.Ints), relal.Float: len(v.Floats), relal.Str: len(v.Strs)}
 	if v.IsDict() {
 		cells[relal.Str] = len(v.Dict)
@@ -300,8 +282,8 @@ func checkVector(t *testing.T, v *relal.Vector, kind relal.Type, rows int) {
 			}
 		}
 	}
-	if cells[kind] != entries {
-		t.Fatalf("%d cells for %d entries", cells[kind], entries)
+	if cells[kind] != rows {
+		t.Fatalf("%d cells for %d rows", cells[kind], rows)
 	}
 }
 
@@ -322,6 +304,7 @@ func FuzzWireTable(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}, []byte{0}, 1<<32-1)
 	f.Add([]byte{1, 0, 0, 0, 2, 0xff, 0xff, 0xff, 0x7f, 1, 0, 0, 0}, []byte{2}, 1<<31-1)
 	f.Add([]byte{}, []byte{}, -1)
+	f.Add(retiredRunColumn, []byte{byte(relal.Int)}, 2)
 	f.Fuzz(func(t *testing.T, data, kinds []byte, rows int) {
 		if len(kinds) > 16 {
 			kinds = kinds[:16]

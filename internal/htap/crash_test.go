@@ -15,7 +15,7 @@ import (
 // durableConfig is the crash tests' store shape: immediate flush
 // windows (every fault point is deterministic), small row groups and
 // convert batches so the converter really runs during a short write
-// burst, and RCF5 parts on the given FS.
+// burst, and RCF6 parts on the given FS.
 func durableConfig(fs fault.FS, pol delta.SyncPolicy) Config {
 	return Config{
 		Window:       -1,
@@ -240,7 +240,7 @@ func TestHtapRecoverHalfWrittenPart(t *testing.T) {
 	store.Close()
 }
 
-// TestHtapCorruptPartQuarantine flips one bit inside a persisted RCF5
+// TestHtapCorruptPartQuarantine flips one bit inside a persisted RCF6
 // part's chunk region: reopen adopts the part (the footer is intact),
 // the first scan that touches the chunk gets ErrCorrupt from the CRC,
 // the part is quarantined mid-scan, and the same scan's retry serves
@@ -288,6 +288,49 @@ func TestHtapCorruptPartQuarantine(t *testing.T) {
 	diffSnapshot(t, snapshotAnswers(db), want)
 
 	// The converter re-encodes the dropped range; answers hold.
+	if err := store.ConvertAll(); err != nil {
+		t.Fatal(err)
+	}
+	if lag := store.StatsNow().LagRecords; lag != 0 {
+		t.Errorf("lag = %d after re-conversion", lag)
+	}
+	diffSnapshot(t, snapshotAnswers(db), want)
+	store.Close()
+}
+
+// TestHtapCorruptFooterQuarantine flips one bit in a persisted part's
+// footer — a zone map bound, which no chunk CRC covers: the trailer CRC
+// makes the part fail to parse, so reopen quarantines it instead of
+// adopting a footer that would prune the wrong row groups, the replayed
+// log serves its rows, and the answers are golden before and after the
+// converter rebuilds the part.
+func TestHtapCorruptFooterQuarantine(t *testing.T) {
+	want := readGolden(t)
+	memfs := fault.NewMemFS()
+	cleanDurableRun(t, memfs, want)
+	name := partName("lineitem", 0, testHold()["lineitem"])
+	data, err := memfs.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), data...)
+	bad[len(bad)-20] ^= 0x04 // in the last group's zone maps, ahead of the 8-byte trailer
+	if err := fault.WriteFile(memfs, name, bad); err != nil {
+		t.Fatal(err)
+	}
+
+	db := goldenDB()
+	store, err := Open(db, testHold(), durableConfig(memfs, delta.SyncGroup))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats := store.StatsNow(); stats.PartsQuarantined < 1 {
+		t.Errorf("part with a damaged footer not quarantined: %+v", stats)
+	}
+	if err := store.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	diffSnapshot(t, snapshotAnswers(db), want)
 	if err := store.ConvertAll(); err != nil {
 		t.Fatal(err)
 	}

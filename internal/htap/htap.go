@@ -2,12 +2,12 @@
 // halves of the paper: docstore-shaped OLTP writes append typed records
 // to a group-committed delta log (internal/delta), a background
 // converter drains committed deltas in batches and encodes them into
-// column-group parts via the existing RCF4 writer, and the relal engine
+// column-group parts via the existing RCF writer, and the relal engine
 // answers analytical queries over base + converted parts + the
 // unconverted delta tail with per-scan snapshot semantics — the
 // Polynesia-style columnar replica fed by live write traffic.
 //
-//	writers ──AppendBSON──▶ delta.Log ──commit──▶ tail view ──converter──▶ RCF4 part
+//	writers ──AppendBSON──▶ delta.Log ──commit──▶ tail view ──converter──▶ RCF part
 //
 // Commit order interleaves writers and tables arbitrarily, but each
 // record carries its per-table position: the apply side holds
@@ -18,7 +18,7 @@
 //
 // With a Config.FS the store is durable and crash-recoverable: the
 // delta log appends through the fault layer (fsync policy per
-// Config.Sync), converted parts persist as RCF5 files, and Open replays
+// Config.Sync), converted parts persist as RCF6 files, and Open replays
 // the surviving log bytes through the same reorder buffer to rebuild
 // tail views, reconciling the contiguous verified prefix of part files
 // against the replayed records. Records the log recovered but the
@@ -67,11 +67,11 @@ type Config struct {
 	// default; negative = flush immediately, for deterministic tests).
 	Window time.Duration
 	// RCFile encodes converted parts (and the held tables' base parts)
-	// as RCF5 files instead of in-memory sources.
+	// as RCF6 files instead of in-memory sources.
 	RCFile bool
-	// GroupRows is the RCF5 row-group size (0 = 4096). Used with RCFile.
+	// GroupRows is the RCF6 row-group size (0 = 4096). Used with RCFile.
 	GroupRows int
-	// Cache, when non-nil, serves decoded chunks of the RCF5 parts.
+	// Cache, when non-nil, serves decoded chunks of the RCF6 parts.
 	Cache *rcfile.ChunkCache
 	// ConvertRows is the tail size at which the background converter
 	// encodes a table's tail into a part (0 = 4096).
@@ -110,7 +110,7 @@ func (c Config) withDefaults() Config {
 // from the records themselves.
 type part struct {
 	src   relal.Source
-	rcf   *rcfile.Source // non-nil when src is an RCF5 source
+	rcf   *rcfile.Source // non-nil when src is an RCF6 source
 	file  string         // persisted part file name ("" if memory-only)
 	start int            // first record index covered (converted parts)
 	rows  int
@@ -374,7 +374,7 @@ func parsePartName(name string) (table string, start, rows int, ok bool) {
 }
 
 // buildSource wraps t as a scan source per the store's storage mode.
-// The second return is the RCF5 view of the same source (nil in the
+// The second return is the RCF6 view of the same source (nil in the
 // in-memory mode).
 func (s *Store) buildSource(t *relal.Table) (relal.Source, *rcfile.Source, error) {
 	if !s.cfg.RCFile {
@@ -394,8 +394,7 @@ func recordsOf(t *relal.Table, lo, hi int) []delta.Record {
 	recs := make([]delta.Record, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		cells := make([]delta.Value, len(t.Schema))
-		for ci, col := range t.Cols {
-			v := col.Flat()
+		for ci, v := range t.Cols {
 			switch t.Schema[ci].Type {
 			case relal.Int:
 				cells[ci] = delta.IntVal(v.Ints[i])

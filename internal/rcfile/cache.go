@@ -33,8 +33,8 @@ type chunkKey struct {
 // chunkData is the decoded form of one column chunk. The fields
 // matching the column type are populated; run-length chunks keep their
 // run list (ends set, one value per run) and Str chunks keep the
-// strPart representation — global codes or raw strings — all the way
-// into the assembled vector.
+// strPart representation — global codes or raw strings — until a scan
+// assembles the column (assembleCol), which expands the runs.
 type chunkData struct {
 	ints   []int64
 	floats []float64

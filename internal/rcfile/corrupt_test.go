@@ -1,7 +1,10 @@
 package rcfile
 
 import (
+	"encoding/binary"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"elephants/internal/relal"
@@ -55,14 +58,87 @@ func TestCorruptDictDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The dictionary blob sits at the head of the footer; flip a byte in
-	// its gzip stream (skip flag byte, compLen, and crc).
-	footerLen := int(uint32(data[len(data)-4]) | uint32(data[len(data)-3])<<8 | uint32(data[len(data)-2])<<16 | uint32(data[len(data)-1])<<24)
-	footerStart := len(data) - 4 - footerLen
+	// its gzip stream (skip flag byte, compLen, and crc) and re-stamp the
+	// trailer CRC, so it is the blob's own checksum that has to notice.
+	footerStart := len(data) - 8 - int(binary.LittleEndian.Uint32(data[len(data)-8:]))
 	bad := append([]byte(nil), data...)
 	bad[footerStart+9+4] ^= 0x01
-	if _, err := NewSourceFromBytes(bad, src.Schema, "t"); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("dict corruption error = %v, want ErrCorrupt", err)
+	binary.LittleEndian.PutUint32(bad[len(bad)-4:], footerCRC(bad[4:12], bad[footerStart:len(bad)-4]))
+	_, err = NewSourceFromBytes(bad, src.Schema, "t")
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "dictionary blob") {
+		t.Fatalf("dict corruption error = %v, want ErrCorrupt naming the dictionary blob", err)
 	}
+}
+
+// TestCorruptFooterDetected flips, one at a time, every bit no chunk or
+// dictionary CRC covers — the header, the footer's group rows, chunk
+// lengths, encodings, stored CRCs and zone maps, and the trailer — and
+// runs a zone-pruned scan over each damaged file. Every flip must be an
+// error before a row is served: ErrCorrupt from the trailer CRC, or the
+// parse error a damaged magic or footer length earns. Without that CRC
+// a flipped group count or zone map bound answers with rows missing.
+func TestCorruptFooterDetected(t *testing.T) {
+	schema := relal.Schema{{Name: "k", Type: relal.Int}}
+	tab := relal.NewTable("t", schema, relal.IntsV(fill(400, func(i int) int64 { return int64(i) })))
+	data, err := NewWriter(100).Write(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// answer is what a query for 250 <= k <= 260 returns from file: the
+	// zone-pruned scan, then the row filter.
+	answer := func(file []byte) ([]int64, error) {
+		src, err := NewSourceFromBytes(file, schema, "t")
+		if err != nil {
+			return nil, err
+		}
+		got, _, err := src.TryScan(nil, relal.ZonePredicate{relal.IntBetween("k", 250, 260)})
+		if err != nil {
+			return nil, err
+		}
+		var keys []int64
+		for _, k := range got.Cols[0].Ints {
+			if k >= 250 && k <= 260 {
+				keys = append(keys, k)
+			}
+		}
+		return keys, nil
+	}
+	want, err := answer(data)
+	if err != nil || len(want) != 11 {
+		t.Fatalf("undamaged file answers %v, %v", want, err)
+	}
+	footerStart := len(data) - 8 - int(binary.LittleEndian.Uint32(data[len(data)-8:]))
+	footerLenAt := len(data) - 8
+	flips, wrong := 0, 0
+	for off := 0; off < len(data); off++ {
+		if off == 12 {
+			off = footerStart // skip the chunk region: TestCorruptChunkDetected
+		}
+		for bit := 0; bit < 8; bit++ {
+			bad := append([]byte(nil), data...)
+			bad[off] ^= 1 << bit
+			flips++
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("byte %d bit %d: panic: %v", off, bit, r)
+					}
+				}()
+				got, err := answer(bad)
+				parseOnly := off < 4 || (off >= footerLenAt && off < footerLenAt+4)
+				switch {
+				case err == nil && !slices.Equal(got, want):
+					wrong++
+					t.Errorf("byte %d bit %d: wrong rows %v, no error", off, bit, got)
+				case err == nil:
+					t.Errorf("byte %d bit %d: flip went unnoticed", off, bit)
+				case !errors.Is(err, ErrCorrupt) && !parseOnly:
+					t.Errorf("byte %d bit %d: error %v is not ErrCorrupt", off, bit, err)
+				}
+			}()
+		}
+	}
+	t.Logf("%d single-bit flips over %d header, footer and trailer bytes: %d wrong answers", flips, flips/8, wrong)
 }
 
 // TestTryScanCleanMatchesScan pins that the error path is a pure

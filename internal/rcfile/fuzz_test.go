@@ -107,13 +107,12 @@ func FuzzDictRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzRLEDelta fuzzes the RCF5 run-length and delta chunk paths: the
+// FuzzRLEDelta fuzzes the RCF6 run-length and delta chunk paths: the
 // fuzzer picks the row-group size, run lengths, and dictionary
 // cardinality, and the data becomes a sorted int key (delta/RLE bait),
 // a runny float column, and a runny dict string column. The file must
 // decode to the generated rows exactly, and a pruned read must keep
-// every matching row, no matter whether the decoded vectors came back
-// flat or as run lists.
+// every matching row, whichever encodings the chunks were stored in.
 func FuzzRLEDelta(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 3, 2, 1})

@@ -32,10 +32,11 @@
 // candidate and keeps the smallest (ties go to plain — same bytes,
 // simpler decode). On data clustered by a sort column the dominant
 // chunks collapse to runs; on sequential keys delta packs 8-byte
-// integers into 1–4. The decoder hands run-encoded chunks to the engine
-// as relal run vectors — Filter and Aggregate consume them run-at-a-time
-// without ever materializing per-row slices — and global-code chunks
-// reassemble against the file dictionary with no per-group union merge.
+// integers into 1–4. Run-length encoding is a storage encoding only: a
+// decoded RLE chunk stays a run list in the chunk cache (charged that
+// footprint) and expands where a column is assembled from its chunks,
+// so the engine sees one entry per row; global-code chunks reassemble
+// against the file dictionary with no per-group union merge.
 // The modeled chunk sizes in relal's scan accounting (RLEChunkBytes,
 // DeltaChunkBytes, GDictChunkBytes, GDictRLEChunkBytes) are these
 // encodings' exact pre-compression payload formulas.
@@ -43,7 +44,10 @@
 // Version 5 adds a CRC32 per chunk (and per dictionary blob) to the
 // footer, verified before decompression. Corruption surfaces as a typed
 // ErrCorrupt from TryScan, so a durable store can detect a damaged part
-// and rebuild it instead of serving wrong rows.
+// and rebuild it instead of serving wrong rows. Version 6 closes the
+// gap that left: one more CRC32, in the trailer, covers the header
+// counts and the whole footer (group rows, chunk lengths, encodings,
+// stored CRCs, zone maps), so a flipped bit there is ErrCorrupt too.
 //
 // Since relal tables are themselves columnar, encoding and decoding
 // move cells straight between the typed column vectors and the on-disk
@@ -95,9 +99,9 @@ func NewWriter(groupRows int) *Writer {
 	return &Writer{groupRows: groupRows}
 }
 
-// file layout (version 5):
+// file layout (version 6):
 //
-//	magic "RCF5"
+//	magic "RCF6"
 //	uint32 numColumns
 //	uint32 numGroups
 //	per group: the compressed column chunks, concatenated (chunk
@@ -116,11 +120,14 @@ func NewWriter(groupRows int) *Writer {
 //	      uint8  enc
 //	      uint32 crc (CRC32 of the compressed chunk bytes)
 //	      zone map (typed min/max; enc 1/2 prepend min/max global codes)
-//	uint32 footerLen (bytes, immediately before this trailer field)
+//	trailer:
+//	  uint32 footerLen (bytes of footer, ending where the trailer starts)
+//	  uint32 crc (CRC32 of numColumns, numGroups, footer and footerLen)
 //
-// Version 5 over 4: every chunk and dictionary blob carries a CRC32 of
-// its compressed bytes, verified before decompression — a flipped bit
-// anywhere in a chunk surfaces as ErrCorrupt instead of garbage rows,
+// Every chunk and dictionary blob carries a CRC32 of its compressed
+// bytes, verified before decompression, and the trailer CRC is verified
+// before any footer field is used — a flipped bit anywhere in the file
+// surfaces as ErrCorrupt (or a parse error) instead of garbage rows,
 // which the htap view layer uses to quarantine and re-convert a part
 // rather than serve a wrong answer.
 //
@@ -137,21 +144,17 @@ func NewWriter(groupRows int) *Writer {
 // width ∈ {0, 1, 2, 4} (relal.FORWidth); width 0 means every row equals
 // the base. Every chunk is gzip-compressed.
 
-var magic = []byte("RCF5")
+var magic = []byte("RCF6")
 
-// ErrCorrupt is the typed corruption error: a chunk or dictionary blob
-// whose stored CRC32 does not match its bytes. Callers that can degrade
-// (the htap view layer) test with errors.Is and rebuild the part; the
-// panic-on-error Scan path still panics, wrapping this.
+// ErrCorrupt is the typed corruption error: a chunk, dictionary blob or
+// footer whose stored CRC32 does not match its bytes. Callers that can
+// degrade (the htap view layer) test with errors.Is and rebuild the
+// part; the panic-on-error Scan path still panics, wrapping this.
 var ErrCorrupt = errors.New("rcfile: corrupt chunk")
 
 // Write encodes t.
 func (w *Writer) Write(t *relal.Table) ([]byte, error) {
 	d := t.Compacted() // dense vectors; no-op unless t is a view
-	cols := make([]*relal.Vector, len(d.Cols))
-	for i, v := range d.Cols {
-		cols[i] = v.Flat()
-	}
 	var out bytes.Buffer
 	out.Write(magic)
 	binary.Write(&out, binary.LittleEndian, uint32(len(d.Schema)))
@@ -159,7 +162,7 @@ func (w *Writer) Write(t *relal.Table) ([]byte, error) {
 	numGroups := (n + w.groupRows - 1) / w.groupRows
 	binary.Write(&out, binary.LittleEndian, uint32(numGroups))
 	var footer bytes.Buffer
-	for _, v := range cols {
+	for _, v := range d.Cols {
 		if !v.IsDict() {
 			footer.WriteByte(0)
 			continue
@@ -198,7 +201,7 @@ func (w *Writer) Write(t *relal.Table) ([]byte, error) {
 		}
 		binary.Write(&footer, binary.LittleEndian, uint32(hi-lo))
 		for c := range d.Schema {
-			v := cols[c]
+			v := d.Cols[c]
 			enc, chunk, err := encodeChunk(v, lo, hi)
 			if err != nil {
 				return nil, err
@@ -212,6 +215,8 @@ func (w *Writer) Write(t *relal.Table) ([]byte, error) {
 	}
 	out.Write(footer.Bytes())
 	binary.Write(&out, binary.LittleEndian, uint32(footer.Len()))
+	b := out.Bytes()
+	binary.Write(&out, binary.LittleEndian, footerCRC(b[4:12], b[len(b)-footer.Len()-4:]))
 	return out.Bytes(), nil
 }
 
@@ -519,22 +524,33 @@ func validEnc(enc byte, kind relal.Type, hasDict bool) bool {
 	return false
 }
 
-// parse validates the header against the schema and decodes the footer.
+// footerCRC is the trailer checksum: the header's column and group
+// counts, then the footer with its length field.
+func footerCRC(counts, footer []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(counts), crc32.IEEETable, footer)
+}
+
+// parse validates the header against the schema, verifies the trailer
+// CRC and decodes the footer.
 func parse(data []byte, schema relal.Schema) (*parsed, error) {
-	if len(data) < len(magic)+12 || !bytes.Equal(data[:4], magic) {
+	if len(data) < len(magic)+16 || !bytes.Equal(data[:4], magic) {
 		return nil, fmt.Errorf("rcfile: bad magic")
+	}
+	footerLen := binary.LittleEndian.Uint32(data[len(data)-8:])
+	footerStart := len(data) - 8 - int(footerLen)
+	if footerStart < 12 {
+		return nil, fmt.Errorf("rcfile: truncated footer")
+	}
+	want := binary.LittleEndian.Uint32(data[len(data)-4:])
+	if got := footerCRC(data[4:12], data[footerStart:len(data)-4]); got != want {
+		return nil, fmt.Errorf("%w: footer (crc %08x, want %08x)", ErrCorrupt, got, want)
 	}
 	numCols := binary.LittleEndian.Uint32(data[4:])
 	numGroups := binary.LittleEndian.Uint32(data[8:])
 	if int(numCols) != len(schema) {
 		return nil, fmt.Errorf("rcfile: file has %d columns, schema has %d", numCols, len(schema))
 	}
-	footerLen := binary.LittleEndian.Uint32(data[len(data)-4:])
-	footerStart := len(data) - 4 - int(footerLen)
-	if footerStart < 12 {
-		return nil, fmt.Errorf("rcfile: truncated footer")
-	}
-	f := data[footerStart : len(data)-4]
+	f := data[footerStart : len(data)-8]
 	pos := 0
 	need := func(n int) error {
 		if pos+n > len(f) {
@@ -740,10 +756,9 @@ type strPart struct {
 // whose zone maps cannot satisfy pred. Only surviving groups'
 // requested chunks are decompressed; everything else is skipped with
 // pointer arithmetic and accounted in the stats as compressed bytes.
-// Columns whose surviving chunks are all run-length encoded come back
-// as relal run vectors — the engine's run-aware kernels consume them
-// without expansion — and global-code chunks reassemble against the
-// file dictionary with no merging.
+// Run-length chunks expand to one entry per row as the column is
+// assembled; global-code chunks reassemble against the file dictionary
+// with no merging.
 func ReadCols(data []byte, schema relal.Schema, name string, cols []string, pred relal.ZonePredicate) (*relal.Table, relal.ScanStats, error) {
 	p, err := parse(data, schema)
 	if err != nil {
@@ -793,8 +808,7 @@ func readColsCached(data []byte, p *parsed, schema relal.Schema, name string, co
 
 	t := relal.NewTable(name, outSchema)
 	// Every column accumulates its surviving groups' decoded chunks and
-	// assembles once at the end, so a column whose chunks are all runs
-	// becomes a single run vector.
+	// assembles once at the end.
 	parts := make([][]chunkData, len(colIdx))
 	for g, gr := range p.groups {
 		keep := pred.MayMatch(func(col string) (relal.ZoneMap, bool) {
@@ -1072,10 +1086,8 @@ func (d chunkData) rowsOf(kind relal.Type) int {
 }
 
 // assembleCol merges one column's decoded chunks, in group order, into
-// a single vector. All-run chunks concatenate into one run vector with
-// shifted ends (adjacent groups ending and starting on the same value
-// keep their two runs — ends stay strictly increasing); a mix of run
-// and flat chunks expands to a flat vector; global-code chunks become a
+// a single vector with one entry per row: run-length chunks expand
+// here (the cache keeps them as run lists); global-code chunks become a
 // dict vector over the file dictionary.
 func assembleCol(kind relal.Type, parts []chunkData, dict []string) *relal.Vector {
 	if kind == relal.Str {
@@ -1085,39 +1097,9 @@ func assembleCol(kind relal.Type, parts []chunkData, dict []string) *relal.Vecto
 		}
 		return assembleStrCol(sps, dict)
 	}
-	total, runsTotal := 0, 0
-	allRuns := true
+	total := 0
 	for _, p := range parts {
 		total += p.rowsOf(kind)
-		if p.ends == nil {
-			allRuns = false
-		} else {
-			runsTotal += len(p.ends)
-		}
-	}
-	if allRuns {
-		ends := make([]int32, 0, runsTotal)
-		base := int32(0)
-		if kind == relal.Int {
-			vals := make([]int64, 0, runsTotal)
-			for _, p := range parts {
-				vals = append(vals, p.ints...)
-				for _, e := range p.ends {
-					ends = append(ends, base+e)
-				}
-				base = ends[len(ends)-1]
-			}
-			return relal.IntRunsV(vals, ends)
-		}
-		vals := make([]float64, 0, runsTotal)
-		for _, p := range parts {
-			vals = append(vals, p.floats...)
-			for _, e := range p.ends {
-				ends = append(ends, base+e)
-			}
-			base = ends[len(ends)-1]
-		}
-		return relal.FloatRunsV(vals, ends)
 	}
 	if kind == relal.Int {
 		out := make([]int64, 0, total)
@@ -1153,12 +1135,11 @@ func assembleCol(kind relal.Type, parts []chunkData, dict []string) *relal.Vecto
 
 // assembleStrCol merges a Str column's decoded chunks. All code-based
 // chunks share the file-global dictionary, so codes concatenate with no
-// union merge: all-RLE chunks become a dict run vector, mixed RLE/flat
-// expand to flat codes, and any raw chunk degrades the whole column to
-// raw strings in group order.
+// union merge: RLE chunks expand to one code per row, and any raw chunk
+// degrades the whole column to raw strings in group order.
 func assembleStrCol(parts []strPart, dict []string) *relal.Vector {
-	anyRaw, allRLE := false, true
-	total, runsTotal := 0, 0
+	anyRaw := false
+	total := 0
 	for _, p := range parts {
 		if p.raw != nil {
 			anyRaw = true
@@ -1166,10 +1147,8 @@ func assembleStrCol(parts []strPart, dict []string) *relal.Vector {
 			continue
 		}
 		if p.ends == nil {
-			allRLE = false
 			total += len(p.codes)
 		} else {
-			runsTotal += len(p.ends)
 			total += int(p.ends[len(p.ends)-1])
 		}
 	}
@@ -1193,19 +1172,6 @@ func assembleStrCol(parts []strPart, dict []string) *relal.Vector {
 			}
 		}
 		return relal.StrsV(out)
-	}
-	if allRLE && runsTotal > 0 {
-		codes := make([]uint32, 0, runsTotal)
-		ends := make([]int32, 0, runsTotal)
-		base := int32(0)
-		for _, p := range parts {
-			codes = append(codes, p.codes...)
-			for _, e := range p.ends {
-				ends = append(ends, base+e)
-			}
-			base = ends[len(ends)-1]
-		}
-		return relal.DictRunsV(codes, ends, dict)
 	}
 	codes := make([]uint32, 0, total)
 	for _, p := range parts {

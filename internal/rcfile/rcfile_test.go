@@ -205,6 +205,92 @@ func TestRoundTripEveryEncoding(t *testing.T) {
 	tablesEqual(t, got, tab)
 }
 
+// TestRunChunksThroughCache reads columns whose chunks are all rle, all
+// gdict+rle, and a mix of run and flat encodings twice through one
+// chunk cache — a miss per chunk, then a hit per chunk — with a column
+// subset and a zone predicate that prunes a middle row group. The cache
+// keeps run lists; what a scan returns is one entry per row either way.
+func TestRunChunksThroughCache(t *testing.T) {
+	const rows, groupRows = 512, 128
+	runny := func(i int) bool { return i/groupRows%2 == 0 } // groups 0 and 2
+	tab := relal.NewTable("e", relal.Schema{
+		{Name: "z", Type: relal.Int},
+		{Name: "rle", Type: relal.Int},
+		{Name: "rle_f", Type: relal.Float},
+		{Name: "gdict_rle", Type: relal.Str},
+		{Name: "mix_int", Type: relal.Int},
+		{Name: "mix_str", Type: relal.Str},
+	},
+		// Group 1 holds 50s, the others 5..7: IntBetween(z, 0, 10) prunes it.
+		relal.IntsV(fill(rows, func(i int) int64 {
+			if i/groupRows == 1 {
+				return 50
+			}
+			return 5 + int64(i%3)
+		})),
+		relal.IntsV(fill(rows, func(i int) int64 { return int64(i / 64) })),
+		relal.FloatsV(fill(rows, func(i int) float64 { return float64(i/64) * 0.25 })),
+		relal.EncodeDict(fill(rows, func(i int) string { return fmt.Sprintf("v%d", i/64%5) })),
+		relal.IntsV(fill(rows, func(i int) int64 {
+			if runny(i) {
+				return int64(i / 64)
+			}
+			return 1000 + int64(i)
+		})),
+		relal.EncodeDict(fill(rows, func(i int) string {
+			if runny(i) {
+				return fmt.Sprintf("v%d", i/64%5)
+			}
+			return fmt.Sprintf("v%d", i%5)
+		})))
+	src, err := NewSource(tab, groupRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	census := src.EncodingStats()
+	for c, want := range map[int][numEncs]int{
+		1: {encRLE: 4},
+		2: {encRLE: 4},
+		3: {encGDictRLE: 4},
+		4: {encRLE: 2, encDelta: 2},
+		5: {encGDictRLE: 2, encGDict: 2},
+	} {
+		if census[c].Chunks != want {
+			t.Fatalf("%s: chunk census %v, fixture wants %v", tab.Schema[c].Name, census[c].Chunks, want)
+		}
+	}
+	cache := NewChunkCache(1 << 20)
+	src.SetCache(cache)
+	cols := []string{"gdict_rle", "mix_int", "rle", "mix_str", "rle_f"}
+	pred := relal.ZonePredicate{relal.IntBetween("z", 0, 10)}
+	e := &relal.Exec{}
+	want := e.Project(e.Filter(tab, func(i int) bool { return i/groupRows != 1 }), cols...)
+	const chunks = 5 * 3 // requested columns × surviving groups
+
+	var used int64
+	for pass, wantHits := range []int{0, chunks} {
+		got, stats, err := src.TryScan(cols, pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.GroupsSkipped != 1 || stats.CacheHits != wantHits || stats.CacheMisses != chunks-wantHits {
+			t.Fatalf("pass %d: %d groups skipped, %d hits, %d misses; want 1, %d, %d",
+				pass, stats.GroupsSkipped, stats.CacheHits, stats.CacheMisses, wantHits, chunks-wantHits)
+		}
+		sameRows(t, got, want)
+		for c, v := range got.Cols {
+			if cells := len(v.Ints) + len(v.Floats) + len(v.Dict); cells != want.NumRows() {
+				t.Fatalf("pass %d: column %s holds %d entries for %d rows", pass, cols[c], cells, want.NumRows())
+			}
+		}
+		if pass == 0 {
+			used = cache.UsedBytes()
+		} else if cache.UsedBytes() != used || cache.Len() != chunks {
+			t.Fatalf("cache went from %d B to %d B (%d chunks) on an all-hit read", used, cache.UsedBytes(), cache.Len())
+		}
+	}
+}
+
 func TestTypeMismatchRejectedAtConstruction(t *testing.T) {
 	// With typed columnar tables a mistyped cell can no longer reach the
 	// writer: AppendRow panics at construction time instead of Write

@@ -5,9 +5,7 @@ package relal
 // combined code is a perfect hash: per-group state lives in a flat
 // slot array indexed by Σ code_j·mult_j instead of a map keyed by the
 // stringified group key. On Q1 (4 groups over a 3×2 code space) this
-// removes the per-row key build and map probe entirely. When the input
-// is dense and the single group column is run-encoded, rows are
-// consumed as (group, run) batches: one slot probe per run.
+// removes the per-row key build and map probe entirely.
 //
 // Both kernels emit groups in first-seen order and feed each group its
 // rows in global row order, so their output is bit-identical to the
@@ -19,9 +17,9 @@ package relal
 const maxDenseGroupSpan = 4096
 
 // denseGroupInfo reports whether the dense-array path applies to the
-// given group columns: all dict-encoded (flat or run-encoded) with a
-// combined code space of at most maxDenseGroupSpan slots. mults are
-// the mixed-radix multipliers mapping a code tuple to its slot.
+// given group columns: all dict-encoded with a combined code space of
+// at most maxDenseGroupSpan slots. mults are the mixed-radix multipliers
+// mapping a code tuple to its slot.
 func denseGroupInfo(t *Table, gidx []int) (gcols []*Vector, mults []int, span int, ok bool) {
 	if len(gidx) == 0 {
 		return nil, nil, 0, false
@@ -49,32 +47,11 @@ func denseGroupInfo(t *Table, gidx []int) (gcols []*Vector, mults []int, span in
 
 // aggregateDenseSerial is the serial dense-array kernel.
 func aggregateDenseSerial(t *Table, gcols []*Vector, mults []int, span int, aidx []int, newAccum func(p int32) *accum) []*accum {
-	ft := flattenedFor(t, aidx)
 	slots := make([]*accum, span)
 	var order []*accum
-	// Run batch: dense input, one run-encoded group column — the slot
-	// is probed once per run and the run's rows accumulate in row
-	// order, exactly as the per-row loop would.
-	if t.sel == nil && len(gcols) == 1 && gcols[0].RunEnds != nil {
-		g := gcols[0]
-		pos := int32(0)
-		for k, end := range g.RunEnds {
-			acc := slots[g.Dict[k]]
-			if acc == nil {
-				acc = newAccum(pos)
-				slots[g.Dict[k]] = acc
-				order = append(order, acc)
-			}
-			for p := pos; p < end; p++ {
-				acc.observe(ft, aidx, p)
-			}
-			pos = end
-		}
-		return order
-	}
 	codes := make([][]uint32, len(gcols))
 	for j, g := range gcols {
-		codes[j] = g.Flat().Dict
+		codes[j] = g.Dict
 	}
 	n := t.NumRows()
 	for i := 0; i < n; i++ {
@@ -89,7 +66,7 @@ func aggregateDenseSerial(t *Table, gcols []*Vector, mults []int, span int, aidx
 			slots[slot] = acc
 			order = append(order, acc)
 		}
-		acc.observe(ft, aidx, p)
+		acc.observe(t, aidx, p)
 	}
 	return order
 }
@@ -99,10 +76,9 @@ func aggregateDenseSerial(t *Table, gcols []*Vector, mults []int, span int, aidx
 // remap, grouped accumulation in global row order) with flat slot
 // arrays standing in for the local and global hash maps.
 func aggregateDenseMorsels(t *Table, gcols []*Vector, mults []int, span int, aidx []int, newAccum func(p int32) *accum, workers int) []*accum {
-	ft := flattenedFor(t, aidx)
 	codes := make([][]uint32, len(gcols))
 	for j, g := range gcols {
-		codes[j] = g.Flat().Dict
+		codes[j] = g.Dict
 	}
 	n := t.NumRows()
 	morsels := (n + MorselRows - 1) / MorselRows
@@ -181,7 +157,7 @@ func aggregateDenseMorsels(t *Table, gcols []*Vector, mults []int, span int, aid
 		for g := lo; g < hi; g++ {
 			acc := order[g]
 			for _, p := range grouped[starts[g]:starts[g+1]] {
-				acc.observe(ft, aidx, p)
+				acc.observe(t, aidx, p)
 			}
 		}
 	})

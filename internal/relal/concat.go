@@ -2,11 +2,11 @@
 // over a base part, zero or more converted delta parts, and the
 // unconverted delta tail, stitched back together in row order. The
 // stitching preserves encodings where the parts agree — same-dictionary
-// codes concatenate without decoding, run lists concatenate with
-// shifted ends — merges dictionaries when parts disagree (an RCF4 part
-// carries its own file-global dictionary), and degrades a column to raw
-// strings only when some part is raw, mirroring the per-column rules
-// the RCF4 reader applies across row groups.
+// codes concatenate without decoding — merges dictionaries when parts
+// disagree (an RCF part carries its own file-global dictionary), and
+// degrades a column to raw strings only when some part is raw,
+// mirroring the per-column rules the RCF reader applies across row
+// groups.
 package relal
 
 import "sort"
@@ -66,9 +66,6 @@ func concatVecs(typ Type, vecs []*Vector) *Vector {
 	if typ == Str {
 		return concatStrVecs(vecs)
 	}
-	if allRuns(vecs) {
-		return concatRuns(typ, vecs)
-	}
 	total := 0
 	for _, v := range vecs {
 		total += v.Len()
@@ -76,64 +73,24 @@ func concatVecs(typ Type, vecs []*Vector) *Vector {
 	if typ == Int {
 		out := make([]int64, 0, total)
 		for _, v := range vecs {
-			out = append(out, v.Flat().Ints...)
+			out = append(out, v.Ints...)
 		}
 		return IntsV(out)
 	}
 	out := make([]float64, 0, total)
 	for _, v := range vecs {
-		out = append(out, v.Flat().Floats...)
+		out = append(out, v.Floats...)
 	}
 	return FloatsV(out)
 }
 
-func allRuns(vecs []*Vector) bool {
-	for _, v := range vecs {
-		if v.RunEnds == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// concatRuns concatenates run-encoded vectors: run values concatenate
-// and each part's ends shift by the rows before it. Adjacent equal
-// values across a part boundary stay separate runs — harmless, the run
-// contract only requires strictly increasing ends.
-func concatRuns(typ Type, vecs []*Vector) *Vector {
-	totalRuns := 0
-	for _, v := range vecs {
-		totalRuns += v.NumRuns()
-	}
-	ends := make([]int32, 0, totalRuns)
-	base := int32(0)
-	for _, v := range vecs {
-		for _, e := range v.RunEnds {
-			ends = append(ends, base+e)
-		}
-		base += int32(v.Len())
-	}
-	if typ == Int {
-		xs := make([]int64, 0, totalRuns)
-		for _, v := range vecs {
-			xs = append(xs, v.Ints...)
-		}
-		return IntRunsV(xs, ends)
-	}
-	xs := make([]float64, 0, totalRuns)
-	for _, v := range vecs {
-		xs = append(xs, v.Floats...)
-	}
-	return FloatRunsV(xs, ends)
-}
-
 // concatStrVecs concatenates Str vectors. All parts dict-encoded over
 // one dictionary — the same slice, or equal contents in separate slices
-// (sameDict) — codes concatenate (run lists stay run lists). All dict
-// but dictionaries differ: the dictionaries merge into one sorted union
-// and each part's codes remap. Any raw part: the whole column
-// degrades to raw strings — the same rule the RCF4 reader applies when
-// any chunk of a column was written plain.
+// (sameDict) — codes concatenate. All dict but dictionaries differ: the
+// dictionaries merge into one sorted union and each part's codes remap.
+// Any raw part: the whole column degrades to raw strings — the same
+// rule the RCF reader applies when any chunk of a column was written
+// plain.
 func concatStrVecs(vecs []*Vector) *Vector {
 	allDict, oneDict := true, true
 	for _, v := range vecs {
@@ -156,23 +113,6 @@ func concatStrVecs(vecs []*Vector) *Vector {
 		}
 		return StrsV(out)
 	}
-	if oneDict && allRuns(vecs) {
-		totalRuns := 0
-		for _, v := range vecs {
-			totalRuns += v.NumRuns()
-		}
-		codes := make([]uint32, 0, totalRuns)
-		ends := make([]int32, 0, totalRuns)
-		base := int32(0)
-		for _, v := range vecs {
-			codes = append(codes, v.Dict...)
-			for _, e := range v.RunEnds {
-				ends = append(ends, base+e)
-			}
-			base += int32(v.Len())
-		}
-		return DictRunsV(codes, ends, vecs[0].DictVals)
-	}
 	total := 0
 	for _, v := range vecs {
 		total += v.Len()
@@ -180,7 +120,7 @@ func concatStrVecs(vecs []*Vector) *Vector {
 	if oneDict {
 		codes := make([]uint32, 0, total)
 		for _, v := range vecs {
-			codes = append(codes, v.Flat().Dict...)
+			codes = append(codes, v.Dict...)
 		}
 		return DictV(codes, vecs[0].DictVals)
 	}
@@ -189,7 +129,7 @@ func concatStrVecs(vecs []*Vector) *Vector {
 	codes := make([]uint32, 0, total)
 	for pi, v := range vecs {
 		remap := remaps[pi]
-		for _, c := range v.Flat().Dict {
+		for _, c := range v.Dict {
 			codes = append(codes, remap[c])
 		}
 	}
@@ -237,7 +177,6 @@ func Head(t *Table, n int) *Table {
 	}
 	cols := make([]*Vector, len(t.Cols))
 	for i, v := range t.Cols {
-		v = v.Flat()
 		switch {
 		case v.Kind == Int:
 			cols[i] = IntsV(v.Ints[:n])

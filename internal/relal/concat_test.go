@@ -93,15 +93,6 @@ func TestConcatEqualDicts(t *testing.T) {
 	if !reflect.DeepEqual(v.DecodeStrs(), want) {
 		t.Errorf("values = %v, want %v", v.DecodeStrs(), want)
 	}
-	ar := NewTable("t", sch, DictRunsV([]uint32{2}, []int32{2}, first))
-	br := NewTable("t", sch, DictRunsV([]uint32{0, 1}, []int32{1, 3}, []string{"AIR", "RAIL", "SHIP"}))
-	vr := Concat("t", sch, ar, br).Cols[0]
-	if !vr.IsRuns() || &vr.DictVals[0] != &first[0] {
-		t.Fatalf("equal-dict run concat expanded or rebuilt the dictionary")
-	}
-	if want := []string{"SHIP", "SHIP", "AIR", "RAIL", "RAIL"}; !reflect.DeepEqual(vr.DecodeStrs(), want) {
-		t.Errorf("run values = %v, want %v", vr.DecodeStrs(), want)
-	}
 }
 
 // TestConcatMergedDicts: parts with different dictionaries merge into a
@@ -140,35 +131,6 @@ func TestConcatRawDegrade(t *testing.T) {
 	want := []string{"SHIP", "AIR", "TRUCK"}
 	if !reflect.DeepEqual(v.DecodeStrs(), want) {
 		t.Errorf("values = %v, want %v", v.DecodeStrs(), want)
-	}
-}
-
-// TestConcatRuns: all-runs parts concatenate run lists with shifted
-// ends instead of expanding.
-func TestConcatRuns(t *testing.T) {
-	sch := Schema{{Name: "k", Type: Int}}
-	a := NewTable("t", sch, IntRunsV([]int64{5, 6}, []int32{2, 3}))
-	b := NewTable("t", sch, IntRunsV([]int64{6}, []int32{2}))
-	got := Concat("t", sch, a, b)
-	v := got.Cols[0]
-	if !v.IsRuns() {
-		t.Fatalf("runs concat expanded to flat")
-	}
-	if v.NumRuns() != 3 {
-		t.Errorf("NumRuns = %d, want 3", v.NumRuns())
-	}
-	want := []int64{5, 5, 6, 6, 6}
-	if !reflect.DeepEqual(v.Flat().Ints, want) {
-		t.Errorf("values = %v, want %v", v.Flat().Ints, want)
-	}
-	// Mixed runs + flat falls back to flat with the same values.
-	c := NewTable("t", sch, IntsV([]int64{9}))
-	mixed := Concat("t", sch, a, c)
-	if mixed.Cols[0].IsRuns() {
-		t.Errorf("mixed runs+flat concat should be flat")
-	}
-	if wantM := []int64{5, 5, 6, 9}; !reflect.DeepEqual(mixed.Cols[0].Ints, wantM) {
-		t.Errorf("mixed values = %v, want %v", mixed.Cols[0].Ints, wantM)
 	}
 }
 

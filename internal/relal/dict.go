@@ -62,12 +62,8 @@ func EncodeDict(xs []string) *Vector {
 	return DictV(codes, vals)
 }
 
-// StrAt returns the string at physical index p, decoding a dict vector
-// (run vectors expand lazily).
+// StrAt returns the string at physical index p, decoding a dict vector.
 func (v *Vector) StrAt(p int32) string {
-	if v.RunEnds != nil {
-		v = v.Flat()
-	}
 	if v.DictVals != nil {
 		return v.DictVals[v.Dict[p]]
 	}
@@ -77,9 +73,6 @@ func (v *Vector) StrAt(p int32) string {
 // DecodeStrs materializes the vector's strings (the output-boundary
 // decode). For a raw vector this is the backing slice itself, no copy.
 func (v *Vector) DecodeStrs() []string {
-	if v.RunEnds != nil {
-		v = v.Flat()
-	}
 	if !v.IsDict() {
 		return v.Strs
 	}
@@ -93,11 +86,11 @@ func (v *Vector) DecodeStrs() []string {
 // decodeToRaw converts a dict vector to plain strings in place. Callers
 // must own the vector (AppendRow privatizes first).
 func (v *Vector) decodeToRaw() {
-	if !v.IsDict() && v.RunEnds == nil {
+	if !v.IsDict() {
 		return
 	}
 	v.Strs = v.DecodeStrs()
-	v.Dict, v.DictVals, v.RunEnds = nil, nil, nil
+	v.Dict, v.DictVals = nil, nil
 }
 
 // sameDict reports whether two dict vectors' codes are directly
@@ -116,10 +109,10 @@ func sameDict(a, b *Vector) bool {
 	return slices.Equal(a.DictVals, b.DictVals)
 }
 
-// DictCodeWidth returns the packed on-disk bytes per code for a
-// dictionary of n values: 1, 2, or 4. This is the width RCF3 chunks
-// store and the width the scan byte accounting charges, so the cost
-// models see the same encoded bytes the storage writes.
+// DictCodeWidth returns the bytes per code of a dictionary of n values
+// packed at its full width: 1, 2, or 4 — what AvgRowBytes charges a
+// dict column per row and what DictEncodedBytes models. (RCF gdict
+// chunks pack narrower, by the group's code span: FORWidth.)
 func DictCodeWidth(n int) int {
 	switch {
 	case n <= 1<<8:
@@ -130,11 +123,12 @@ func DictCodeWidth(n int) int {
 	return 4
 }
 
-// DictEncodedBytes is the modeled RCF3 chunk size of rows cells drawn
-// from the given dictionary: the dictionary itself (u32 count, then
-// length-prefixed values, one code-width byte) plus the packed codes.
-// The scan byte accounting and cmd/scanstats both use it, so the
-// modeled ratio and the charged bytes come from one formula.
+// DictEncodedBytes is the modeled size of a dict-encoded column of
+// rows cells: the dictionary as an RCF footer stores it (u32 count,
+// length-prefixed values, plus one code-width byte) and the codes at
+// DictCodeWidth. With rows = 0 it is the file-global dictionary alone,
+// which the scan byte accounting spreads over the row groups;
+// cmd/scanstats reports it per column as the dictionary-encoding ratio.
 func DictEncodedBytes(vals []string, rows int) int64 {
 	b := int64(4 + 1) // dict count + code width byte
 	for _, s := range vals {
@@ -158,33 +152,15 @@ func upperBound(vals []string, s string) uint32 {
 // The StrVec predicate factories below compile a string predicate into
 // a Pred (pred.go). On a dict-backed accessor the string comparison
 // happens once, against the dictionary, and the per-row closure
-// compares uint32 codes; on a run-encoded column the Pred additionally
-// carries the run structure so Exec.Where decides whole runs at a
-// time; on a raw accessor the closure compares strings — the row set
-// is identical in every case, so queries use the factories
+// compares uint32 codes; on a raw accessor the closure compares strings
+// — the row set is identical either way, so queries use the factories
 // unconditionally.
-
-// isDictBacked reports whether the accessor can compare codes (flat
-// dict or run-encoded dict column).
-func (v StrVec) isDictBacked() bool { return v.dict != nil || v.runs != nil }
 
 // codePred builds a code-interval predicate [lo, hi) over a
 // dict-backed accessor.
 func (v StrVec) codePred(lo, hi uint32) Pred {
 	if lo >= hi {
 		return Pred{at: func(int) bool { return false }}
-	}
-	if v.runs != nil {
-		rv, sel := v.runs, v.sel
-		if sel == nil {
-			codes := rv.Dict
-			return Pred{
-				at:      func(i int) bool { c := rv.Flat().Dict[i]; return c >= lo && c < hi },
-				runEnds: rv.RunEnds,
-				runAt:   func(k int) bool { c := codes[k]; return c >= lo && c < hi },
-			}
-		}
-		return Pred{at: func(i int) bool { c := rv.Flat().Dict[sel[i]]; return c >= lo && c < hi }}
 	}
 	dict, sel := v.dict, v.sel
 	if sel == nil {
@@ -196,18 +172,6 @@ func (v StrVec) codePred(lo, hi uint32) Pred {
 // codeTest builds a Pred from an arbitrary per-code test (the In
 // bitmap) over a dict-backed accessor.
 func (v StrVec) codeTest(test func(c uint32) bool) Pred {
-	if v.runs != nil {
-		rv, sel := v.runs, v.sel
-		if sel == nil {
-			codes := rv.Dict
-			return Pred{
-				at:      func(i int) bool { return test(rv.Flat().Dict[i]) },
-				runEnds: rv.RunEnds,
-				runAt:   func(k int) bool { return test(codes[k]) },
-			}
-		}
-		return Pred{at: func(i int) bool { return test(rv.Flat().Dict[sel[i]]) }}
-	}
 	dict, sel := v.dict, v.sel
 	if sel == nil {
 		return Pred{at: func(i int) bool { return test(dict[i]) }}
@@ -227,7 +191,7 @@ func (v StrVec) rawPred(ok func(s string) bool) Pred {
 // Eq returns a predicate for Get(i) == val. Dict-backed: one code probe
 // per row.
 func (v StrVec) Eq(val string) Pred {
-	if v.isDictBacked() {
+	if v.dict != nil {
 		c := lowerBound(v.vals, val)
 		if int(c) >= len(v.vals) || v.vals[c] != val {
 			return Pred{at: func(int) bool { return false }}
@@ -239,7 +203,7 @@ func (v StrVec) Eq(val string) Pred {
 
 // Ne returns a predicate for Get(i) != val.
 func (v StrVec) Ne(val string) Pred {
-	if v.isDictBacked() {
+	if v.dict != nil {
 		c := lowerBound(v.vals, val)
 		if int(c) >= len(v.vals) || v.vals[c] != val {
 			return Pred{at: func(int) bool { return true }}
@@ -251,7 +215,7 @@ func (v StrVec) Ne(val string) Pred {
 
 // Lt returns a predicate for Get(i) < val (code threshold on dict).
 func (v StrVec) Lt(val string) Pred {
-	if v.isDictBacked() {
+	if v.dict != nil {
 		return v.codePred(0, lowerBound(v.vals, val))
 	}
 	return v.rawPred(func(s string) bool { return s < val })
@@ -259,7 +223,7 @@ func (v StrVec) Lt(val string) Pred {
 
 // Le returns a predicate for Get(i) <= val.
 func (v StrVec) Le(val string) Pred {
-	if v.isDictBacked() {
+	if v.dict != nil {
 		return v.codePred(0, upperBound(v.vals, val))
 	}
 	return v.rawPred(func(s string) bool { return s <= val })
@@ -267,7 +231,7 @@ func (v StrVec) Le(val string) Pred {
 
 // Ge returns a predicate for Get(i) >= val.
 func (v StrVec) Ge(val string) Pred {
-	if v.isDictBacked() {
+	if v.dict != nil {
 		return v.codePred(lowerBound(v.vals, val), uint32(len(v.vals)))
 	}
 	return v.rawPred(func(s string) bool { return s >= val })
@@ -275,7 +239,7 @@ func (v StrVec) Ge(val string) Pred {
 
 // Gt returns a predicate for Get(i) > val.
 func (v StrVec) Gt(val string) Pred {
-	if v.isDictBacked() {
+	if v.dict != nil {
 		return v.codePred(upperBound(v.vals, val), uint32(len(v.vals)))
 	}
 	return v.rawPred(func(s string) bool { return s > val })
@@ -284,7 +248,7 @@ func (v StrVec) Gt(val string) Pred {
 // Range returns a predicate for lo <= Get(i) < hi — the half-open
 // interval every TPC-H date-window filter uses.
 func (v StrVec) Range(lo, hi string) Pred {
-	if v.isDictBacked() {
+	if v.dict != nil {
 		return v.codePred(lowerBound(v.vals, lo), lowerBound(v.vals, hi))
 	}
 	return v.rawPred(func(s string) bool { return s >= lo && s < hi })
@@ -292,16 +256,16 @@ func (v StrVec) Range(lo, hi string) Pred {
 
 // Between returns a predicate for lo <= Get(i) <= hi (both inclusive).
 func (v StrVec) Between(lo, hi string) Pred {
-	if v.isDictBacked() {
+	if v.dict != nil {
 		return v.codePred(lowerBound(v.vals, lo), upperBound(v.vals, hi))
 	}
 	return v.rawPred(func(s string) bool { return s >= lo && s <= hi })
 }
 
 // In returns a predicate for Get(i) ∈ set. Dict-backed: a bitmap over
-// the dictionary, one indexed load per row (or per run).
+// the dictionary, one indexed load per row.
 func (v StrVec) In(set ...string) Pred {
-	if v.isDictBacked() {
+	if v.dict != nil {
 		member := make([]bool, len(v.vals))
 		any := false
 		for _, val := range set {
@@ -327,7 +291,7 @@ func (v StrVec) In(set ...string) Pred {
 // In a sorted dictionary the values sharing a prefix are contiguous, so
 // the dict-backed predicate is a code range.
 func (v StrVec) HasPrefix(prefix string) Pred {
-	if v.isDictBacked() {
+	if v.dict != nil {
 		lo := lowerBound(v.vals, prefix)
 		hi := lo
 		for int(hi) < len(v.vals) && strings.HasPrefix(v.vals[hi], prefix) {

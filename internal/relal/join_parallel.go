@@ -200,9 +200,7 @@ func matchIndicesWorkers(left, right *Table, li, ri, workers int) (lIdx, rIdx []
 		panic("relal: join key type mismatch: " +
 			left.Schema[li].Name + " vs " + right.Schema[ri].Name)
 	}
-	// The probe addresses keys by arbitrary physical index, so
-	// run-encoded key columns expand lazily (memoized) up front.
-	lc, rc := left.Cols[li].Flat(), right.Cols[ri].Flat()
+	lc, rc := left.Cols[li], right.Cols[ri]
 	switch left.Schema[li].Type {
 	case Int:
 		return matchTypedWorkers(left, right, lc.Ints, rc.Ints, hashIntKey, workers)
@@ -284,7 +282,7 @@ func keyMembershipWorkers(left, right *Table, li, ri, workers int) []bool {
 		panic("relal: join key type mismatch: " +
 			left.Schema[li].Name + " vs " + right.Schema[ri].Name)
 	}
-	lc, rc := left.Cols[li].Flat(), right.Cols[ri].Flat()
+	lc, rc := left.Cols[li], right.Cols[ri]
 	switch left.Schema[li].Type {
 	case Int:
 		return memberTypedWorkers(left, right, lc.Ints, rc.Ints, hashIntKey, workers)
@@ -314,7 +312,6 @@ func gatherSliceWorkers[T any](xs []T, idx []int32, workers int) []T {
 // output columns; every output slot is written by exactly one morsel, so
 // the dense vector is identical at any worker count.
 func (v *Vector) gatherWorkers(idx []int32, workers int) *Vector {
-	v = v.Flat()
 	if workers <= 1 || len(idx) <= joinMorselRows {
 		return v.gather(idx)
 	}

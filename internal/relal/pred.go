@@ -1,25 +1,15 @@
 package relal
 
 // Compiled column predicates. The typed accessor factories (StrVec.Eq,
-// IntVec.Between, …) return a Pred: a per-row closure plus, when the
-// source column is run-length encoded and densely addressed, the
-// column's run structure and a per-run test. Exec.Where zips the run
-// structures of its conjuncts: each run-aware predicate is evaluated
-// once per run, and segments where every conjunct holds append whole
-// index ranges to the selection vector — the filter cost scales with
-// the run count, not the row count. Exec.Filter keeps accepting plain
-// closures; Pred.At adapts a Pred wherever a per-row function is
-// composed by hand.
+// IntVec.Between, …) return a Pred: a per-row closure compiled against
+// the accessor once (a string comparison becomes a code comparison on a
+// dict column). Exec.Where filters by a conjunction of them; Exec.Filter
+// keeps accepting plain closures; Pred.At adapts a Pred wherever a
+// per-row function is composed by hand.
 
 // Pred is a compiled predicate over one table's rows.
 type Pred struct {
 	at func(i int) bool
-	// runEnds/runAt carry the source column's run structure when the
-	// predicate can be decided once per run: runAt(k) is the verdict
-	// for every row in run k. Only set when the accessor was built
-	// from a dense (unselected) table.
-	runEnds []int32
-	runAt   func(k int) bool
 }
 
 // PredFn wraps a hand-written per-row closure as a Pred.
@@ -29,34 +19,19 @@ func PredFn(fn func(i int) bool) Pred { return Pred{at: fn} }
 // composing Preds inside hand-written closures.
 func (p Pred) At(i int) bool { return p.at(i) }
 
-// Not negates p, preserving its run structure.
+// Not negates p.
 func Not(p Pred) Pred {
-	out := Pred{at: func(i int) bool { return !p.at(i) }}
-	if p.runEnds != nil {
-		out.runEnds = p.runEnds
-		inner := p.runAt
-		out.runAt = func(k int) bool { return !inner(k) }
-	}
-	return out
+	return Pred{at: func(i int) bool { return !p.at(i) }}
 }
 
 // Where returns the rows of t satisfying every pred, as a zero-copy
-// view — Filter's conjunction form. Predicates carrying run structure
-// matching t's dense layout are evaluated once per run; the remaining
-// predicates run per row, but only inside segments the run tests
-// accepted. The selection vector is byte-identical to evaluating the
-// conjunction row by row, at every worker count.
+// view — Filter's conjunction form.
 func (e *Exec) Where(t *Table, preds ...Pred) *Table {
-	sel := whereSel(t, preds, e.workers())
-	out := view(t, t.Name+"_f", sel)
-	e.Log.Add(Step{
-		Kind: StepFilter, Table: t.Name,
-		LeftRows: t.NumRows(), LeftWidth: t.AvgRowBytes(),
-		OutRows: out.NumRows(), OutWidth: out.AvgRowBytes(),
-		LeftBase: BaseOf(t),
-	})
-	SetBase(out, BaseOf(t))
-	return out
+	fns := make([]func(i int) bool, len(preds))
+	for j, p := range preds {
+		fns[j] = p.at
+	}
+	return e.Filter(t, andPreds(fns))
 }
 
 func andPreds(ps []func(i int) bool) func(i int) bool {
@@ -76,136 +51,10 @@ func andPreds(ps []func(i int) bool) func(i int) bool {
 	}
 }
 
-func runsLen(ends []int32) int {
-	if len(ends) == 0 {
-		return 0
-	}
-	return int(ends[len(ends)-1])
-}
-
-// whereSel splits the conjuncts into run-aware and per-row predicates
-// and walks the run segmentation. A run predicate only applies when t
-// is dense and the pred's run structure spans exactly t's rows;
-// everything else degrades to the per-row filter kernel.
-func whereSel(t *Table, preds []Pred, workers int) []int32 {
-	n := t.NumRows()
-	var runPs []Pred
-	var rowPs []func(i int) bool
-	for _, p := range preds {
-		if t.sel == nil && p.runEnds != nil && runsLen(p.runEnds) == n {
-			runPs = append(runPs, p)
-		} else {
-			rowPs = append(rowPs, p.at)
-		}
-	}
-	if len(runPs) == 0 {
-		return filterSel(t, andPreds(rowPs), workers)
-	}
-	if workers <= 1 || n <= MorselRows {
-		return whereRange(0, n, runPs, rowPs)
-	}
-	morsels := (n + MorselRows - 1) / MorselRows
-	parts := make([][]int32, morsels)
-	parallelMorsels(n, workers, func(m, lo, hi int) {
-		parts[m] = whereRange(lo, hi, runPs, rowPs)
-	})
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	sel := make([]int32, 0, total)
-	for _, p := range parts {
-		sel = append(sel, p...)
-	}
-	return sel
-}
-
-// searchRun returns the index of the run containing row pos.
-func searchRun(ends []int32, pos int) int {
-	lo, hi := 0, len(ends)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(ends[mid]) <= pos {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// whereRange evaluates the conjunction over dense rows [lo, hi): the
-// cursors over each run predicate's run list advance to the next
-// segment boundary (the nearest run end), each run predicate decides
-// its current run once, and within accepted segments the per-row
-// predicates (if any) filter individual rows — or the whole index
-// range appends at once.
-func whereRange(lo, hi int, runPs []Pred, rowPs []func(i int) bool) []int32 {
-	ks := make([]int, len(runPs))
-	for j, p := range runPs {
-		ks[j] = searchRun(p.runEnds, lo)
-	}
-	// Non-nil even when nothing matches: a nil selection means "all
-	// rows" to view().
-	sel := []int32{}
-	pos := lo
-	for pos < hi {
-		end := hi
-		ok := true
-		for j, p := range runPs {
-			for int(p.runEnds[ks[j]]) <= pos {
-				ks[j]++
-			}
-			if e := int(p.runEnds[ks[j]]); e < end {
-				end = e
-			}
-			if ok && !p.runAt(ks[j]) {
-				ok = false
-			}
-		}
-		if ok {
-			if len(rowPs) == 0 {
-				for i := pos; i < end; i++ {
-					sel = append(sel, int32(i))
-				}
-			} else {
-				for i := pos; i < end; i++ {
-					match := true
-					for _, f := range rowPs {
-						if !f(i) {
-							match = false
-							break
-						}
-					}
-					if match {
-						sel = append(sel, int32(i))
-					}
-				}
-			}
-		}
-		pos = end
-	}
-	return sel
-}
-
 // The IntVec/FloatVec factories below mirror the StrVec ones in
-// dict.go: they compile a value predicate against the accessor once,
-// attaching the run structure when the column is run-encoded so Where
-// can decide whole runs at a time.
+// dict.go: they compile a value predicate against the accessor once.
 
 func (v IntVec) pred(test func(x int64) bool) Pred {
-	if v.runs != nil {
-		rv, sel := v.runs, v.sel
-		if sel == nil {
-			vals := rv.Ints
-			return Pred{
-				at:      func(i int) bool { return test(rv.Flat().Ints[i]) },
-				runEnds: rv.RunEnds,
-				runAt:   func(k int) bool { return test(vals[k]) },
-			}
-		}
-		return Pred{at: func(i int) bool { return test(rv.Flat().Ints[sel[i]]) }}
-	}
 	data, sel := v.data, v.sel
 	if sel == nil {
 		return Pred{at: func(i int) bool { return test(data[i]) }}
@@ -237,18 +86,6 @@ func (v IntVec) Between(lo, hi int64) Pred {
 }
 
 func (v FloatVec) pred(test func(x float64) bool) Pred {
-	if v.runs != nil {
-		rv, sel := v.runs, v.sel
-		if sel == nil {
-			vals := rv.Floats
-			return Pred{
-				at:      func(i int) bool { return test(rv.Flat().Floats[i]) },
-				runEnds: rv.RunEnds,
-				runAt:   func(k int) bool { return test(vals[k]) },
-			}
-		}
-		return Pred{at: func(i int) bool { return test(rv.Flat().Floats[sel[i]]) }}
-	}
 	data, sel := v.data, v.sel
 	if sel == nil {
 		return Pred{at: func(i int) bool { return test(data[i]) }}

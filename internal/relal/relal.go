@@ -75,13 +75,8 @@ func (s Schema) Names() []string {
 // Dict holds per-cell uint32 codes into DictVals, a shared sorted
 // dictionary, so code order equals value order and kernels can compare
 // codes instead of strings. DictVals non-nil marks the dict variant.
-//
-// A vector may additionally be run-length encoded (runs.go): RunEnds
-// non-nil marks the run variant, where the typed slice (Ints, Floats,
-// or Dict) holds ONE entry per run and RunEnds[k] is the exclusive end
-// row of run k. Run vectors come out of the RCF4 decoder without
-// expansion; run-aware kernels (Where, Aggregate) consume the runs
-// directly and everything else expands lazily through Flat.
+// Every slice holds one entry per row: run-length encoding is a storage
+// encoding (rcfile), expanded where a column is assembled from chunks.
 type Vector struct {
 	Kind   Type
 	Ints   []int64
@@ -90,16 +85,6 @@ type Vector struct {
 
 	Dict     []uint32
 	DictVals []string
-
-	// RunEnds, when non-nil, marks the run-length-encoded variant: the
-	// typed slice holds one value per run and RunEnds[k] is the
-	// exclusive end row index of run k (RunEnds is strictly increasing;
-	// the last entry is the vector's length).
-	RunEnds []int32
-	// flat memoizes the expanded form of a run vector. Vectors are
-	// immutable once built, so racing expansions compute identical
-	// contents and the pointer publication is safe.
-	flat atomic.Pointer[Vector]
 }
 
 // NewVector returns an empty vector of the given type with capacity for
@@ -126,14 +111,8 @@ func FloatsV(xs []float64) *Vector { return &Vector{Kind: Float, Floats: xs} }
 // StrsV wraps a string slice as a column vector (no copy).
 func StrsV(xs []string) *Vector { return &Vector{Kind: Str, Strs: xs} }
 
-// Len returns the number of cells (logical rows for a run vector).
+// Len returns the number of cells.
 func (v *Vector) Len() int {
-	if v.RunEnds != nil {
-		if len(v.RunEnds) == 0 {
-			return 0
-		}
-		return int(v.RunEnds[len(v.RunEnds)-1])
-	}
 	switch v.Kind {
 	case Int:
 		return len(v.Ints)
@@ -150,7 +129,6 @@ func (v *Vector) Len() int {
 // are dict-encoded over the same dictionary the code moves without
 // decoding; otherwise dict cells decode on the way in.
 func (v *Vector) appendFrom(src *Vector, p int32) {
-	src = src.Flat()
 	switch v.Kind {
 	case Int:
 		v.Ints = append(v.Ints, src.Ints[p])
@@ -182,7 +160,6 @@ func gatherSlice[T any](xs []T, idx []int32) []T {
 // indices, in order. Dict vectors gather their codes and keep sharing
 // the dictionary — strings only materialize at output boundaries.
 func (v *Vector) gather(idx []int32) *Vector {
-	v = v.Flat()
 	out := &Vector{Kind: v.Kind}
 	switch v.Kind {
 	case Int:
@@ -335,24 +312,11 @@ func (t *Table) AvgRowBytes() int {
 	for ci, c := range t.Schema {
 		col := t.Cols[ci]
 		if c.Type != Str {
-			// A run-encoded numeric column is charged its run-list
-			// footprint (value + run end per run) — the width the
-			// cost models and cache accounting should see — when the
-			// table addresses it densely.
-			if t.sel == nil && col.RunEnds != nil {
-				total += (8 + 4) * len(col.RunEnds)
-			} else {
-				total += 8 * n
-			}
+			total += 8 * n
 			continue
 		}
 		if col.DictVals != nil {
-			w := DictCodeWidth(len(col.DictVals))
-			if t.sel == nil && col.RunEnds != nil {
-				total += (w + 4) * len(col.RunEnds)
-			} else {
-				total += w * n
-			}
+			total += DictCodeWidth(len(col.DictVals)) * n
 			for _, s := range col.DictVals {
 				total += len(s) + 1
 			}
@@ -388,14 +352,10 @@ func rowBytesFromSchema(s Schema) int {
 }
 
 // IntVec is a read accessor for an Int column, selection-aware: Get
-// takes logical row indices. For a run-encoded column, runs is set and
-// data stays nil until the first per-row Get forces the memoized flat
-// expansion — building a predicate from the accessor (pred.go) never
-// expands.
+// takes logical row indices.
 type IntVec struct {
 	data []int64
 	sel  []int32
-	runs *Vector
 }
 
 // Get returns the cell at logical row i.
@@ -403,10 +363,7 @@ func (v IntVec) Get(i int) int64 {
 	if v.sel != nil {
 		i = int(v.sel[i])
 	}
-	if v.data != nil {
-		return v.data[i]
-	}
-	return v.runs.Flat().Ints[i]
+	return v.data[i]
 }
 
 // Len returns the logical row count.
@@ -414,17 +371,13 @@ func (v IntVec) Len() int {
 	if v.sel != nil {
 		return len(v.sel)
 	}
-	if v.data != nil {
-		return len(v.data)
-	}
-	return v.runs.Len()
+	return len(v.data)
 }
 
 // FloatVec is a read accessor for a Float column.
 type FloatVec struct {
 	data []float64
 	sel  []int32
-	runs *Vector
 }
 
 // Get returns the cell at logical row i.
@@ -432,10 +385,7 @@ func (v FloatVec) Get(i int) float64 {
 	if v.sel != nil {
 		i = int(v.sel[i])
 	}
-	if v.data != nil {
-		return v.data[i]
-	}
-	return v.runs.Flat().Floats[i]
+	return v.data[i]
 }
 
 // Len returns the logical row count.
@@ -443,32 +393,24 @@ func (v FloatVec) Len() int {
 	if v.sel != nil {
 		return len(v.sel)
 	}
-	if v.data != nil {
-		return len(v.data)
-	}
-	return v.runs.Len()
+	return len(v.data)
 }
 
 // StrVec is a read accessor for a Str column. For a dict-encoded
 // column, dict/vals are set instead of data and Get decodes through the
 // dictionary; the predicate factories in pred.go compare codes and skip
-// the decode entirely. For a run-encoded dict column, runs is set and
-// dict stays nil until a per-row Get forces expansion.
+// the decode entirely.
 type StrVec struct {
 	data []string
 	dict []uint32
 	vals []string
 	sel  []int32
-	runs *Vector
 }
 
 // Get returns the cell at logical row i.
 func (v StrVec) Get(i int) string {
 	if v.sel != nil {
 		i = int(v.sel[i])
-	}
-	if v.runs != nil {
-		return v.vals[v.runs.Flat().Dict[i]]
 	}
 	if v.dict != nil {
 		return v.vals[v.dict[i]]
@@ -480,9 +422,6 @@ func (v StrVec) Get(i int) string {
 func (v StrVec) Len() int {
 	if v.sel != nil {
 		return len(v.sel)
-	}
-	if v.runs != nil {
-		return v.runs.Len()
 	}
 	if v.dict != nil {
 		return len(v.dict)
@@ -498,11 +437,7 @@ func (t *Table) IntCol(name string) IntVec {
 	if t.Schema[c].Type != Int {
 		panic(fmt.Sprintf("relal: column %q is not Int", name))
 	}
-	col := t.Cols[c]
-	if col.RunEnds != nil {
-		return IntVec{sel: t.sel, runs: col}
-	}
-	return IntVec{data: col.Ints, sel: t.sel}
+	return IntVec{data: t.Cols[c].Ints, sel: t.sel}
 }
 
 // FloatCol returns a typed accessor for the named Float column.
@@ -511,11 +446,7 @@ func (t *Table) FloatCol(name string) FloatVec {
 	if t.Schema[c].Type != Float {
 		panic(fmt.Sprintf("relal: column %q is not Float", name))
 	}
-	col := t.Cols[c]
-	if col.RunEnds != nil {
-		return FloatVec{sel: t.sel, runs: col}
-	}
-	return FloatVec{data: col.Floats, sel: t.sel}
+	return FloatVec{data: t.Cols[c].Floats, sel: t.sel}
 }
 
 // StrCol returns a typed accessor for the named Str column.
@@ -525,9 +456,6 @@ func (t *Table) StrCol(name string) StrVec {
 		panic(fmt.Sprintf("relal: column %q is not Str", name))
 	}
 	col := t.Cols[c]
-	if col.RunEnds != nil {
-		return StrVec{vals: col.DictVals, sel: t.sel, runs: col}
-	}
 	if col.DictVals != nil {
 		return StrVec{dict: col.Dict, vals: col.DictVals, sel: t.sel}
 	}
@@ -544,14 +472,10 @@ type Row []interface{}
 func RowsOf(t *Table) []Row {
 	n := t.NumRows()
 	rows := make([]Row, n)
-	cols := make([]*Vector, len(t.Cols))
-	for c, v := range t.Cols {
-		cols[c] = v.Flat()
-	}
 	for i := 0; i < n; i++ {
 		p := t.phys(i)
 		r := make(Row, len(t.Cols))
-		for c, v := range cols {
+		for c, v := range t.Cols {
 			switch v.Kind {
 			case Int:
 				r[c] = v.Ints[p]
@@ -1028,15 +952,10 @@ func (e *Exec) Aggregate(t *Table, groupBy []string, aggs []AggSpec) *Table {
 		} else {
 			order = aggregateDenseMorsels(t, gcols, mults, span, aidx, newAccum, w)
 		}
+	} else if serial {
+		order = aggregateSerial(t, gidx, aidx, newAccum)
 	} else {
-		// The hash kernels index column slices by physical row, so
-		// run-encoded inputs expand (memoized) first.
-		ft := flattenedFor(t, gidx, aidx)
-		if serial {
-			order = aggregateSerial(ft, gidx, aidx, newAccum)
-		} else {
-			order = aggregateMorsels(ft, gidx, aidx, newAccum, w)
-		}
+		order = aggregateMorsels(t, gidx, aidx, newAccum, w)
 	}
 	sch := make(Schema, 0, len(groupBy)+len(aggs))
 	for _, g := range groupBy {
@@ -1314,10 +1233,7 @@ func sortCmps(t *Table, keys []OrderSpec) []func(a, b int32) int {
 	cmps := make([]func(a, b int32) int, len(keys))
 	for k, spec := range keys {
 		ci := t.Schema.Col(spec.Col)
-		// Sort compares by arbitrary physical index, so run-encoded key
-		// columns expand lazily (memoized) rather than teaching the
-		// merge tree about runs.
-		col := t.Cols[ci].Flat()
+		col := t.Cols[ci]
 		neg := 1
 		if spec.Desc {
 			neg = -1

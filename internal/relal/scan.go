@@ -30,13 +30,8 @@ type ZoneMap struct {
 
 // ZoneOf computes the zone map of v's cells in physical positions
 // [lo, hi). It panics if the range is empty (a row group always holds at
-// least one row). Run-encoded vectors are summarized from their run
-// lists without expansion: every run overlapping the range contributes
-// its value.
+// least one row).
 func ZoneOf(v *Vector, lo, hi int) ZoneMap {
-	if v.RunEnds != nil {
-		return zoneOfRuns(v, lo, hi)
-	}
 	z := ZoneMap{Kind: v.Kind}
 	switch v.Kind {
 	case Int:
@@ -84,49 +79,6 @@ func ZoneOf(v *Vector, lo, hi int) ZoneMap {
 				z.StrMax = s
 			}
 		}
-	}
-	return z
-}
-
-// zoneOfRuns summarizes rows [lo, hi) of a run-encoded vector from the
-// run list: runs k0..k1 are exactly the runs overlapping the range.
-func zoneOfRuns(v *Vector, lo, hi int) ZoneMap {
-	z := ZoneMap{Kind: v.Kind}
-	k0 := searchRun(v.RunEnds, lo)
-	k1 := searchRun(v.RunEnds, hi-1)
-	switch v.Kind {
-	case Int:
-		z.IntMin, z.IntMax = v.Ints[k0], v.Ints[k0]
-		for _, x := range v.Ints[k0+1 : k1+1] {
-			if x < z.IntMin {
-				z.IntMin = x
-			}
-			if x > z.IntMax {
-				z.IntMax = x
-			}
-		}
-	case Float:
-		z.FloatMin, z.FloatMax = v.Floats[k0], v.Floats[k0]
-		for _, f := range v.Floats[k0+1 : k1+1] {
-			if f < z.FloatMin {
-				z.FloatMin = f
-			}
-			if f > z.FloatMax {
-				z.FloatMax = f
-			}
-		}
-	default:
-		z.CodeMin, z.CodeMax = v.Dict[k0], v.Dict[k0]
-		for _, c := range v.Dict[k0+1 : k1+1] {
-			if c < z.CodeMin {
-				z.CodeMin = c
-			}
-			if c > z.CodeMax {
-				z.CodeMax = c
-			}
-		}
-		z.StrMin, z.StrMax = v.DictVals[z.CodeMin], v.DictVals[z.CodeMax]
-		z.HasCodes = true
 	}
 	return z
 }
@@ -437,9 +389,6 @@ func GDictRLEChunkBytes(runs, width int) int64 { return 9 + int64(runs)*int64(wi
 // runCountIn returns the number of value runs within rows [lo, hi) of
 // a dense vector.
 func runCountIn(v *Vector, lo, hi int) int {
-	if v.RunEnds != nil {
-		return searchRun(v.RunEnds, hi-1) - searchRun(v.RunEnds, lo) + 1
-	}
 	runs := 1
 	switch {
 	case v.Kind == Int:
@@ -521,8 +470,7 @@ func computeScanInfo(t *Table, groupRows int) *tableScanInfo {
 					best = rle
 				}
 				var plain int64
-				codes := v.Flat().Dict
-				for _, code := range codes[lo:hi] {
+				for _, code := range v.Dict[lo:hi] {
 					plain += 4 + int64(len(v.DictVals[code]))
 				}
 				if plain < best {

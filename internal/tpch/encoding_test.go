@@ -8,9 +8,9 @@ import (
 )
 
 // TestEncodingGoldenOverRCFileParallel is the acceptance test for the
-// chunk-encoding pipeline: all 22 query answers, scanned through RCF5
-// files (real run-list vectors decoded into the run-aware kernels),
-// must reproduce the committed golden snapshot byte-for-byte at several
+// chunk-encoding pipeline: all 22 query answers, scanned through RCF6
+// files (every encoding the adaptive writer picks, decoded and
+// assembled), must reproduce the committed golden snapshot byte-for-byte at several
 // worker counts.
 func TestEncodingGoldenOverRCFileParallel(t *testing.T) {
 	want, err := os.ReadFile("testdata/tpch_golden.txt")
@@ -34,9 +34,9 @@ func TestEncodingGoldenOverRCFileParallel(t *testing.T) {
 // reorders base rows, so the committed golden no longer applies —
 // instead the in-memory clustered DB at workers = 1 is the reference
 // (the oracle bench/check.go uses), and the RCFile-backed snapshot must
-// match it bit-for-bit at every worker count, proving the decoders and
-// the run-aware kernels invisible on the data shape they were built
-// for.
+// match it bit-for-bit at every worker count, proving the run-length
+// decoders and their expansion invisible on the data shape they were
+// built for.
 func TestEncodingClusteredAnswersAgree(t *testing.T) {
 	snap := func(rcf bool, workers int) string {
 		db := Generate(GenConfig{SF: goldenSF, Seed: 1, Random64: true, ClusterBy: "l_shipdate"})
@@ -56,8 +56,8 @@ func TestEncodingClusteredAnswersAgree(t *testing.T) {
 
 // TestEncodingClusteredChunksUseRuns pins the writer's adaptive choice
 // on clustered data: the cluster column must come out gdict+rle in
-// every chunk and the sorted int keys delta — otherwise the run-aware
-// kernels are silently never exercised.
+// every chunk and the sorted int keys delta — otherwise the run-length
+// chunk paths are silently never exercised.
 func TestEncodingClusteredChunksUseRuns(t *testing.T) {
 	db := Generate(GenConfig{SF: 0.005, Seed: 1, Random64: true, ClusterBy: "l_shipdate"})
 	li := db.Lineitem
