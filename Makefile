@@ -21,11 +21,11 @@ race:
 
 # Concurrent-stream golden tests (including the cache golden matrix and
 # shared-scheduler suites) + differential parallel-join/sort/dict,
-# predicate-factory and chunk-encoding suites + the HTAP delta-pipeline
-# and wal/delta-log concurrency suites under the race detector (CI's
-# `streams` job).
+# group-by (against the naive oracle), predicate-factory and
+# chunk-encoding suites + the HTAP delta-pipeline and wal/delta-log
+# concurrency suites under the race detector (CI's `streams` job).
 streams:
-	$(GO) test -race -run 'Stream|JoinParallel|SortParallel|TopK|Dict|Pred|Cache|Sched|Encoding|Htap|Delta|Wal' ./...
+	$(GO) test -race -run 'Stream|JoinParallel|SortParallel|Aggregate|TopK|Dict|Pred|Cache|Sched|Encoding|Htap|Delta|Wal' ./...
 
 # The combined HTAP harness: concurrent write + analytical streams with
 # quiesced answers pinned to the golden snapshot, under -race.
@@ -50,13 +50,15 @@ dist:
 	$(GO) test -run xxx -fuzz FuzzNetFault -fuzztime 15s ./internal/dist/
 	$(GO) test -run xxx -fuzz FuzzWireTable -fuzztime 15s ./internal/dist/
 
-# Short fuzz runs over the join key-partitioning, sort/top-K, RCF4
-# dict-chunk and RLE/delta-chunk round-trips, chunk-cache key/eviction
-# paths, the delta-log replay parser, the full crash-schedule →
-# recover cycle of the file-backed log, and the dist table decoder.
+# Short fuzz runs over the join key-partitioning, sort/top-K, group-by
+# key encodings and morsel merge, RCF4 dict-chunk and RLE/delta-chunk
+# round-trips, chunk-cache key/eviction paths, the delta-log replay
+# parser, the full crash-schedule → recover cycle of the file-backed
+# log, and the dist table decoder.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzJoinKeys -fuzztime 15s ./internal/relal/
 	$(GO) test -run xxx -fuzz FuzzSortKeys -fuzztime 15s ./internal/relal/
+	$(GO) test -run xxx -fuzz FuzzGroupKeys -fuzztime 15s ./internal/relal/
 	$(GO) test -run xxx -fuzz FuzzDictRoundTrip -fuzztime 15s ./internal/rcfile/
 	$(GO) test -run xxx -fuzz FuzzRLEDelta -fuzztime 15s ./internal/rcfile/
 	$(GO) test -run xxx -fuzz FuzzChunkCache -fuzztime 15s ./internal/rcfile/
@@ -90,11 +92,13 @@ bench-test:
 # with coverage counters in every elephants package (with
 # -coverpkg=elephants/internal/... alone, main is not instrumented and
 # the run writes no counter files), runs the four workloads briefly with
-# --check under bench/run.sh's toolchain environment, merges the
-# counters, drops the bench/ lines (the root module cannot resolve
-# them), and prints per-file statement coverage of the engine packages
-# and every function in them that no workload executed. Fails unless all
-# four runs end "correct":true. Everything lands in .bench_build/.
+# --check under bench/run.sh's toolchain environment — each twice,
+# untraced and traced, so callees only the traced probes reach do not
+# read as dead — merges the counters, drops the bench/ lines (the root
+# module cannot resolve them), and prints per-file statement coverage of
+# the engine packages and every function in them that no workload
+# executed. Fails unless all eight runs end "correct":true. Everything
+# lands in .bench_build/.
 COVER_PKGS = internal/(relal|rcfile|tpch|htap|delta|dist|fault)/
 bench-cover:
 	@set -eu; build="$$PWD/.bench_build"; cover="$$build/cover"; \
@@ -103,13 +107,13 @@ bench-cover:
 		GOMODCACHE="$$build/gopath/pkg/mod" GOFLAGS=-buildvcs=false GOPROXY=off GOTOOLCHAIN=local; \
 	$(GO) -C bench build -cover -coverpkg=elephants/... -o ../.bench_build/enginebench.cover .; \
 	dirs=""; \
-	for w in mem-stream rcfile-cold htap-mixed dist-scatter; do \
-		mkdir -p "$$cover/$$w"; dirs="$$dirs,$$cover/$$w"; \
-		GOCOVERDIR="$$cover/$$w" "$$build/enginebench.cover" --workload $$w --seconds 5 --trace 0 --check \
-			2>"$$cover/$$w.log" | tail -n 1 >"$$cover/$$w.json"; \
-		echo "$$w: $$(grep -oE '"(correct|attempted|failed)":[a-z0-9]+' "$$cover/$$w.json" | tr '\n' ' ')"; \
-		grep -q '"correct":true' "$$cover/$$w.json"; \
-	done; \
+	for w in mem-stream rcfile-cold htap-mixed dist-scatter; do for tr in 0 1; do \
+		run="$$cover/$$w-trace$$tr"; mkdir -p "$$run"; dirs="$$dirs,$$run"; \
+		GOCOVERDIR="$$run" "$$build/enginebench.cover" --workload $$w --seconds 5 --trace $$tr --check \
+			2>"$$run.log" | tail -n 1 >"$$run.json"; \
+		echo "$$w --trace $$tr: $$(grep -oE '"(correct|attempted|failed)":[a-z0-9]+' "$$run.json" | tr '\n' ' ')"; \
+		grep -q '"correct":true' "$$run.json"; \
+	done; done; \
 	$(GO) tool covdata textfmt -i="$${dirs#,}" -o "$$cover/all.txt"; \
 	grep -v '^elephants/bench/' "$$cover/all.txt" >"$$cover/engine.txt"; \
 	echo; echo "statements covered, per file:"; \

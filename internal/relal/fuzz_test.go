@@ -141,3 +141,61 @@ func FuzzSortKeys(f *testing.F) {
 		}
 	})
 }
+
+// FuzzGroupKeys fuzzes the group-by key encodings and the multi-morsel
+// merge: arbitrary bytes become base rows over four key columns (Int
+// with both extremes, Float with NaN payloads and signed zero, raw Str
+// with NUL bytes, dict Str), byte 0 picks which of them group, and the
+// base rows are tiled past two morsels — later base rows entering later,
+// so some groups are first seen in a later morsel. Aggregate at workers
+// {1, 3} must equal the naive oracle (agg_test.go), and so each other.
+func FuzzGroupKeys(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x0f, 0, 0, 0, 0, 1, 1, 1, 1})
+	f.Add([]byte{0x04, 9, 9, 3, 9, 9, 9, 4, 9})
+	f.Add([]byte("\x0bduplicate keys duplicate keys duplicate keys"))
+	ints := []int64{0, math.MinInt64, math.MaxInt64, -1, 1, 1 << 40}
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), otherNaN, math.Inf(-1), 2.5}
+	strs := []string{"", "\x00", "a", "a\x00", "\x00b", "ab", "b"}
+	names := []string{"ki", "kf", "ks", "kd"}
+	sch := Schema{{Name: "ki", Type: Int}, {Name: "kf", Type: Float},
+		{Name: "ks", Type: Str}, {Name: "kd", Type: Str}, {Name: "v", Type: Float}}
+	aggs := []AggSpec{{Fn: "count", Col: "*", As: "n"}, {Fn: "sum", Col: "v", As: "sv"}, {Fn: "min", Col: "ks", As: "ms"}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var keys []string
+		if len(data) > 0 {
+			for j, name := range names {
+				if data[0]>>j&1 == 1 {
+					keys = append(keys, name)
+				}
+			}
+			data = data[1:]
+		}
+		base := len(data)/4 + 1 // base row b reads bytes 4b…4b+3, zero-padded
+		cell := func(b, c int) int {
+			if 4*b+c < len(data) {
+				return int(data[4*b+c])
+			}
+			return 0
+		}
+		n := 2*MorselRows + 77
+		ki, kf, v := make([]int64, n), make([]float64, n), make([]float64, n)
+		ks, kd := make([]string, n), make([]string, n)
+		for i := 0; i < n; i++ {
+			b := i % (1 + i*base/n)
+			ki[i] = ints[cell(b, 0)%len(ints)]
+			kf[i] = floats[cell(b, 1)%len(floats)]
+			ks[i] = strs[cell(b, 2)%len(strs)]
+			kd[i] = strs[cell(b, 3)%len(strs)]
+			v[i] = float64(i%97)/8 - 3
+		}
+		tb := NewTable("g", sch, IntsV(ki), FloatsV(kf), StrsV(ks), EncodeDict(kd), FloatsV(v))
+		want := oracleAggregate(sch, RowsOf(tb), keys, aggs)
+		for _, workers := range []int{1, 3} {
+			got := (&Exec{Parallelism: workers}).Aggregate(tb, keys, aggs)
+			if err := sameRows(RowsOf(got), want); err != nil {
+				t.Fatalf("keys=%v workers=%d: %v", keys, workers, err)
+			}
+		}
+	})
+}

@@ -1,9 +1,10 @@
 // Morsel-driven parallelism: kernels split their input into fixed-size
 // morsels of logical rows and dispatch them to the shared scheduler's
 // worker pool (sched.go). Every kernel merges per-morsel results in
-// morsel order and accumulates per-group state in global row order, so
-// the output — including floating-point aggregate bits — is identical
-// for any worker count and any morsel size. That invariant is what lets
+// morsel order, and an aggregate folds its column in one pass over the
+// rows in global row order (agg.go), so the output — including
+// floating-point aggregate bits — is identical for any worker count and
+// any morsel size. That invariant is what lets
 // the TPC-H golden snapshot stay byte-for-byte stable while
 // Exec.Parallelism varies.
 package relal
@@ -15,7 +16,9 @@ const MorselRows = 8192
 
 // workers resolves the Exec.Parallelism knob into the query's admission
 // cap on the shared scheduler: 0 (the zero value) caps at the pool size,
-// 1 forces the serial kernels, n > 1 admits up to n concurrent morsels.
+// 1 keeps the query on the calling goroutine (join and sort take their
+// retained serial references, aggregation the one-morsel case of its
+// only kernel), n > 1 admits up to n concurrent morsels.
 func (e *Exec) workers() int {
 	if e == nil || e.Parallelism <= 0 {
 		return PoolSize()

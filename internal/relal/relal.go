@@ -24,7 +24,6 @@ import (
 	"cmp"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,27 +122,6 @@ func (v *Vector) Len() int {
 		return len(v.Dict)
 	}
 	return len(v.Strs)
-}
-
-// appendFrom appends src's cell at physical index p. When both vectors
-// are dict-encoded over the same dictionary the code moves without
-// decoding; otherwise dict cells decode on the way in.
-func (v *Vector) appendFrom(src *Vector, p int32) {
-	switch v.Kind {
-	case Int:
-		v.Ints = append(v.Ints, src.Ints[p])
-	case Float:
-		v.Floats = append(v.Floats, src.Floats[p])
-	default:
-		if v.DictVals != nil {
-			if src.DictVals != nil && sameDict(v, src) {
-				v.Dict = append(v.Dict, src.Dict[p])
-				return
-			}
-			panic("relal: appendFrom into a dict vector with a foreign dictionary")
-		}
-		v.Strs = append(v.Strs, src.StrAt(p))
-	}
 }
 
 // gatherSlice returns xs's cells at the given physical indices, in
@@ -871,345 +849,6 @@ func (e *Exec) AntiJoin(left, right *Table, leftKey, rightKey string) *Table {
 	return e.semiAnti(left, right, leftKey, rightKey, "_anti", false)
 }
 
-// AggSpec is one aggregate: Fn over the expression column Col (or "*"
-// for COUNT(*)), output-named As.
-type AggSpec struct {
-	Fn  string // "sum", "avg", "count", "min", "max"
-	Col string
-	As  string
-}
-
-// accum is the typed per-group aggregation state.
-type accum struct {
-	firstRow int32 // physical index of the group's first row
-	sums     []float64
-	mins     []float64
-	maxs     []float64
-	strMins  []string
-	strMaxs  []string
-	count    int64
-}
-
-// Aggregate groups t by the named columns and computes aggs, logging
-// the step. Group columns precede aggregates in the output schema.
-// Accumulation is typed (float64 state for numeric columns, strings for
-// min/max over Str) and groups are emitted in first-seen order.
-func (e *Exec) Aggregate(t *Table, groupBy []string, aggs []AggSpec) *Table {
-	gidx := make([]int, len(groupBy))
-	for i, g := range groupBy {
-		gidx[i] = t.Schema.Col(g)
-	}
-	aidx := make([]int, len(aggs))
-	for i, a := range aggs {
-		if a.Col == "*" {
-			aidx[i] = -1
-		} else {
-			aidx[i] = t.Schema.Col(a.Col)
-		}
-	}
-	// needNum/needStr size the per-group state: count-only aggregations
-	// (the common case for the dedup/per-key sub-aggregates) allocate no
-	// accumulator slices at all.
-	needNum, needStr := false, false
-	for _, ci := range aidx {
-		if ci < 0 {
-			continue
-		}
-		if t.Schema[ci].Type == Str {
-			needStr = true
-		} else {
-			needNum = true
-		}
-	}
-	newAccum := func(p int32) *accum {
-		acc := &accum{firstRow: p}
-		if needNum {
-			state := make([]float64, 3*len(aggs))
-			acc.sums = state[:len(aggs)]
-			acc.mins = state[len(aggs) : 2*len(aggs)]
-			acc.maxs = state[2*len(aggs):]
-			for k := range acc.mins {
-				acc.mins[k] = 1e308
-				acc.maxs[k] = -1e308
-			}
-		}
-		if needStr {
-			state := make([]string, 2*len(aggs))
-			acc.strMins = state[:len(aggs)]
-			acc.strMaxs = state[len(aggs):]
-		}
-		return acc
-	}
-	var order []*accum
-	w := e.workers()
-	serial := w <= 1 || t.NumRows() <= MorselRows
-	if gcols, mults, span, ok := denseGroupInfo(t, gidx); ok {
-		// Every group column is dict-encoded and the combined code
-		// space is small (Q1: 4 groups over a 6-value space):
-		// accumulate into a flat slot array instead of a hash map.
-		if serial {
-			order = aggregateDenseSerial(t, gcols, mults, span, aidx, newAccum)
-		} else {
-			order = aggregateDenseMorsels(t, gcols, mults, span, aidx, newAccum, w)
-		}
-	} else if serial {
-		order = aggregateSerial(t, gidx, aidx, newAccum)
-	} else {
-		order = aggregateMorsels(t, gidx, aidx, newAccum, w)
-	}
-	sch := make(Schema, 0, len(groupBy)+len(aggs))
-	for _, g := range groupBy {
-		sch = append(sch, t.Schema[t.Schema.Col(g)])
-	}
-	strAgg := make([]bool, len(aggs))
-	for i, a := range aggs {
-		typ := Float
-		if a.Fn == "count" {
-			typ = Int
-		}
-		if a.Fn == "min" || a.Fn == "max" {
-			if a.Col != "*" && t.Schema[t.Schema.Col(a.Col)].Type == Str {
-				typ = Str
-				strAgg[i] = true
-			}
-		}
-		sch = append(sch, Column{Name: a.As, Type: typ})
-	}
-	out := NewTable(t.Name+"_agg", sch)
-	// Dict-encoded group columns stay dict-encoded on the way out: the
-	// output vector shares the input's dictionary and appendFrom moves
-	// codes, so a downstream Sort on the group keys still compares ints.
-	for k, gi := range gidx {
-		if in := t.Cols[gi]; in.DictVals != nil {
-			out.Cols[k] = DictV(make([]uint32, 0, len(order)), in.DictVals)
-		}
-	}
-	for _, acc := range order {
-		for k, gi := range gidx {
-			out.Cols[k].appendFrom(t.Cols[gi], acc.firstRow)
-		}
-		for i, a := range aggs {
-			col := out.Cols[len(gidx)+i]
-			switch a.Fn {
-			case "sum":
-				col.Floats = append(col.Floats, acc.sums[i])
-			case "avg":
-				col.Floats = append(col.Floats, acc.sums[i]/float64(acc.count))
-			case "count":
-				col.Ints = append(col.Ints, acc.count)
-			case "min":
-				if strAgg[i] {
-					col.Strs = append(col.Strs, acc.strMins[i])
-				} else {
-					col.Floats = append(col.Floats, acc.mins[i])
-				}
-			case "max":
-				if strAgg[i] {
-					col.Strs = append(col.Strs, acc.strMaxs[i])
-				} else {
-					col.Floats = append(col.Floats, acc.maxs[i])
-				}
-			default:
-				panic("relal: unknown aggregate " + a.Fn)
-			}
-		}
-	}
-	e.Log.Add(Step{
-		Kind: StepAgg, Table: t.Name,
-		LeftRows: t.NumRows(), LeftWidth: t.AvgRowBytes(),
-		OutRows: out.NumRows(), OutWidth: out.AvgRowBytes(),
-		LeftBase: BaseOf(t),
-	})
-	return out
-}
-
-// appendGroupKey appends the group-key encoding of physical row p onto
-// key. A dict-encoded group column contributes its uint32 code instead
-// of the string bytes: the code↔value bijection makes the grouping (and
-// the first-seen order) identical, but the key build touches no string
-// — on Q1's (l_returnflag, l_linestatus) the composite key is two small
-// ints.
-func appendGroupKey(key []byte, t *Table, gidx []int, p int32) []byte {
-	for _, gi := range gidx {
-		col := t.Cols[gi]
-		switch col.Kind {
-		case Int:
-			key = strconv.AppendInt(key, col.Ints[p], 10)
-		case Float:
-			key = strconv.AppendFloat(key, col.Floats[p], 'g', -1, 64)
-		default:
-			if col.DictVals != nil {
-				key = strconv.AppendUint(key, uint64(col.Dict[p]), 10)
-			} else {
-				key = append(key, col.Strs[p]...)
-			}
-		}
-		key = append(key, 0)
-	}
-	return key
-}
-
-// observe folds physical row p into the accumulator. Callers must feed
-// each group its rows in global row order: that keeps float sums
-// bit-identical across serial and morsel execution.
-func (acc *accum) observe(t *Table, aidx []int, p int32) {
-	acc.count++
-	for ai, ci := range aidx {
-		if ci < 0 {
-			continue
-		}
-		col := t.Cols[ci]
-		switch col.Kind {
-		case Int:
-			f := float64(col.Ints[p])
-			acc.sums[ai] += f
-			if f < acc.mins[ai] {
-				acc.mins[ai] = f
-			}
-			if f > acc.maxs[ai] {
-				acc.maxs[ai] = f
-			}
-		case Float:
-			f := col.Floats[p]
-			acc.sums[ai] += f
-			if f < acc.mins[ai] {
-				acc.mins[ai] = f
-			}
-			if f > acc.maxs[ai] {
-				acc.maxs[ai] = f
-			}
-		default:
-			s := col.StrAt(p)
-			// count was already incremented for this row, so
-			// count==1 marks the group's first accumulation (the
-			// zero value "" is a legitimate minimum, not a
-			// sentinel).
-			if acc.count == 1 || s < acc.strMins[ai] {
-				acc.strMins[ai] = s
-			}
-			if s > acc.strMaxs[ai] {
-				acc.strMaxs[ai] = s
-			}
-		}
-	}
-}
-
-// aggregateSerial is the single-pass group-by kernel: one hash probe and
-// one accumulation per row, groups in first-seen order.
-func aggregateSerial(t *Table, gidx, aidx []int, newAccum func(p int32) *accum) []*accum {
-	n := t.NumRows()
-	groups := make(map[string]*accum)
-	var order []*accum
-	key := make([]byte, 0, 64)
-	for i := 0; i < n; i++ {
-		p := t.phys(i)
-		key = appendGroupKey(key[:0], t, gidx, p)
-		acc, ok := groups[string(key)]
-		if !ok {
-			acc = newAccum(p)
-			groups[string(key)] = acc
-			order = append(order, acc)
-		}
-		acc.observe(t, aidx, p)
-	}
-	return order
-}
-
-// aggregateMorsels is the parallel group-by kernel. Its output is
-// bit-identical to aggregateSerial for any worker count:
-//
-//  1. each morsel builds a local group table and per-row local ids
-//     (parallel);
-//  2. local tables merge in morsel order, which reproduces the global
-//     first-seen group order (all rows of morsel m precede morsel m+1's);
-//  3. per-row ids remap to global ids (parallel) and a stable counting
-//     sort buckets the physical rows by group, preserving row order;
-//  4. each group accumulates its rows in global row order — the same
-//     float addition order as the serial pass — parallelized across
-//     groups.
-func aggregateMorsels(t *Table, gidx, aidx []int, newAccum func(p int32) *accum, workers int) []*accum {
-	n := t.NumRows()
-	morsels := (n + MorselRows - 1) / MorselRows
-	type local struct {
-		keys   []string // local gid → group key
-		first  []int32  // local gid → physical row of first occurrence
-		rowGid []int32  // morsel row → local gid
-	}
-	locals := make([]local, morsels)
-	parallelMorsels(n, workers, func(m, lo, hi int) {
-		groups := make(map[string]int32)
-		l := local{rowGid: make([]int32, hi-lo)}
-		key := make([]byte, 0, 64)
-		for i := lo; i < hi; i++ {
-			p := t.phys(i)
-			key = appendGroupKey(key[:0], t, gidx, p)
-			gid, ok := groups[string(key)]
-			if !ok {
-				gid = int32(len(l.keys))
-				groups[string(key)] = gid
-				l.keys = append(l.keys, string(key))
-				l.first = append(l.first, p)
-			}
-			l.rowGid[i-lo] = gid
-		}
-		locals[m] = l
-	})
-
-	global := make(map[string]int32)
-	var order []*accum
-	remaps := make([][]int32, morsels)
-	for m := range locals {
-		l := &locals[m]
-		remap := make([]int32, len(l.keys))
-		for lid, k := range l.keys {
-			gid, ok := global[k]
-			if !ok {
-				gid = int32(len(order))
-				global[k] = gid
-				order = append(order, newAccum(l.first[lid]))
-			}
-			remap[lid] = gid
-		}
-		remaps[m] = remap
-	}
-
-	rowGid := make([]int32, n)
-	parallelMorsels(n, workers, func(m, lo, hi int) {
-		remap := remaps[m]
-		lg := locals[m].rowGid
-		for i := lo; i < hi; i++ {
-			rowGid[i] = remap[lg[i-lo]]
-		}
-	})
-
-	counts := make([]int32, len(order))
-	for _, g := range rowGid {
-		counts[g]++
-	}
-	starts := make([]int32, len(order)+1)
-	for g, c := range counts {
-		starts[g+1] = starts[g] + c
-	}
-	grouped := make([]int32, n)
-	cursor := make([]int32, len(order))
-	copy(cursor, starts[:len(order)])
-	for i := 0; i < n; i++ {
-		g := rowGid[i]
-		grouped[cursor[g]] = t.phys(i)
-		cursor[g]++
-	}
-
-	parallelRanges(len(order), workers, func(lo, hi int) {
-		for g := lo; g < hi; g++ {
-			acc := order[g]
-			for _, p := range grouped[starts[g]:starts[g+1]] {
-				acc.observe(t, aidx, p)
-			}
-		}
-	})
-	return order
-}
-
 // OrderSpec is one sort key.
 type OrderSpec struct {
 	Col  string
@@ -1327,24 +966,6 @@ func (e *Exec) Limit(t *Table, n int) *Table {
 	SetBase(out, BaseOf(t))
 	return out
 }
-
-// F converts an int64/float64 cell to float64 (arithmetic helper for
-// code working over RowsOf output).
-func F(v interface{}) float64 {
-	switch x := v.(type) {
-	case int64:
-		return float64(x)
-	case float64:
-		return x
-	}
-	panic(fmt.Sprintf("relal: not numeric: %T", v))
-}
-
-// I returns the cell as int64.
-func I(v interface{}) int64 { return v.(int64) }
-
-// S returns the cell as string.
-func S(v interface{}) string { return v.(string) }
 
 // extendSlice fills a length-n slice with fn(i), splitting the rows into
 // morsels when workers > 1 (each index writes its own slot, so the

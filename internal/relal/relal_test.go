@@ -181,10 +181,10 @@ func TestAggregateSumCountAvg(t *testing.T) {
 	}
 	// Group g0 holds k=0,3,6 → v=0,6,12.
 	for _, r := range RowsOf(out) {
-		if S(r[0]) != "g0" {
+		if r[0].(string) != "g0" {
 			continue
 		}
-		if F(r[1]) != 18 || I(r[2]) != 3 || F(r[3]) != 6 || F(r[4]) != 0 || F(r[5]) != 12 {
+		if r[1].(float64) != 18 || r[2].(int64) != 3 || r[3].(float64) != 6 || r[4].(float64) != 0 || r[5].(float64) != 12 {
 			t.Errorf("g0 aggregates = %v", r)
 		}
 	}
