@@ -20,12 +20,14 @@ race:
 	$(GO) test -race ./...
 
 # Concurrent-stream golden tests (including the cache golden matrix and
-# shared-scheduler suites) + differential parallel-join/sort/dict,
-# group-by (against the naive oracle), predicate-factory and
-# chunk-encoding suites + the HTAP delta-pipeline and wal/delta-log
-# concurrency suites under the race detector (CI's `streams` job).
+# shared-scheduler suites) + every join, sort/top-K and group-by suite
+# (each kernel against its naive oracle at every worker count, the key
+# table's structure, the Int-key rule) + dict, predicate-factory and
+# chunk-encoding differentials + the HTAP delta-pipeline and
+# wal/delta-log concurrency suites under the race detector (CI's
+# `streams` job).
 streams:
-	$(GO) test -race -run 'Stream|JoinParallel|SortParallel|Aggregate|TopK|Dict|Pred|Cache|Sched|Encoding|Htap|Delta|Wal' ./...
+	$(GO) test -race -run 'Stream|Join|Sort|Aggregate|TopK|Dict|Pred|Cache|Sched|Encoding|Htap|Delta|Wal' ./...
 
 # The combined HTAP harness: concurrent write + analytical streams with
 # quiesced answers pinned to the golden snapshot, under -race.

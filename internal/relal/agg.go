@@ -348,7 +348,7 @@ func (e *Exec) Aggregate(t *Table, groupBy []string, aggs []AggSpec) *Table {
 	}
 	cols := make([]*Vector, len(sch))
 	for k, gi := range gidx {
-		cols[k] = t.Cols[gi].gather(first)
+		cols[k] = t.Cols[gi].gather(first, w)
 	}
 	parallelRanges(len(aggs), w, func(lo, hi int) {
 		for i := lo; i < hi; i++ {

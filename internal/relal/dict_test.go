@@ -102,44 +102,12 @@ func TestDictDifferential(t *testing.T) {
 				t.Fatalf("%s: TopK drifts", name)
 			}
 
-			// Joins on the Str key: raw⋈raw is the reference; dict⋈dict
-			// with separate dictionaries exercises the decode path, and
-			// dict⋈dict over one shared dictionary the code fast path.
-			want := render(e.Join(raw, rawR, "s", "s"))
-			if got := render(e.Join(dict, dictR, "s", "s")); got != want {
-				t.Fatalf("%s: Join(dict,dict') drifts", name)
-			}
-			if render(e.SemiJoin(raw, rawR, "s", "s")) != render(e.SemiJoin(dict, dictR, "s", "s")) {
-				t.Fatalf("%s: SemiJoin drifts", name)
-			}
-			if render(e.AntiJoin(raw, rawR, "s", "s")) != render(e.AntiJoin(dict, dictR, "s", "s")) {
-				t.Fatalf("%s: AntiJoin drifts", name)
+			// Join on the Int key: the gather moves codes on the dict
+			// side, strings on the raw side.
+			if render(e.Join(raw, rawR, "x", "x")) != render(e.Join(dict, dictR, "x", "x")) {
+				t.Fatalf("%s: Join drifts", name)
 			}
 		}
-	}
-}
-
-// TestDictSharedDictionaryJoinMatchesDecoded pins the code fast path:
-// joining two views over one dict vector must equal the decoded-string
-// join exactly.
-func TestDictSharedDictionaryJoinMatchesDecoded(t *testing.T) {
-	_, dict := dictPair(300, 9)
-	raw, _ := dictPair(300, 9)
-	e := &Exec{Parallelism: 3}
-	sv := dict.StrCol("s")
-	left := e.Where(dict, sv.Lt("R"))
-	right := e.Where(dict, sv.Ge("AB"))
-	rv := raw.StrCol("s")
-	wantL := e.Filter(raw, func(i int) bool { return rv.Get(i) < "R" })
-	wantR := e.Filter(raw, func(i int) bool { return rv.Get(i) >= "AB" })
-	if render(e.Join(left, right, "s", "s")) != render(e.Join(wantL, wantR, "s", "s")) {
-		t.Fatal("shared-dictionary join drifts from decoded join")
-	}
-	if render(e.SemiJoin(left, right, "s", "s")) != render(e.SemiJoin(wantL, wantR, "s", "s")) {
-		t.Fatal("shared-dictionary semi join drifts from decoded join")
-	}
-	if render(e.AntiJoin(left, right, "s", "s")) != render(e.AntiJoin(wantL, wantR, "s", "s")) {
-		t.Fatal("shared-dictionary anti join drifts from decoded join")
 	}
 }
 

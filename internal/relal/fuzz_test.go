@@ -8,10 +8,10 @@ import (
 
 // FuzzJoinKeys fuzzes the join key-partitioning path: arbitrary bytes
 // become build/probe key columns (with heavy duplication forced by a
-// fuzz-chosen modulus), and the morsel-parallel Join/SemiJoin/AntiJoin
-// must reproduce the serial reference byte-for-byte. The morsel size is
-// shrunk so even tiny fuzz inputs cross the partitioned-build and
-// probe-merge paths.
+// fuzz-chosen modulus), and Join/SemiJoin/AntiJoin must equal the naive
+// oracle (join_test.go) at every worker count. The morsel size is shrunk
+// so even tiny fuzz inputs cross the partitioned build and the
+// multi-morsel probe.
 func FuzzJoinKeys(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1})
@@ -52,32 +52,21 @@ func FuzzJoinKeys(f *testing.F) {
 		left := NewTable("l", Schema{{Name: "lk", Type: Int}}, IntsV(lKeys))
 		right := NewTable("r", Schema{{Name: "rk", Type: Int}}, IntsV(rKeys))
 
-		serial := &Exec{Parallelism: 1}
-		wantJoin := render(serial.Join(left, right, "lk", "rk"))
-		wantSemi := render(serial.SemiJoin(left, right, "lk", "rk"))
-		wantAnti := render(serial.AntiJoin(left, right, "lk", "rk"))
-		for _, workers := range []int{2, 3, 7} {
-			e := &Exec{Parallelism: workers}
-			if got := render(e.Join(left, right, "lk", "rk")); got != wantJoin {
-				t.Fatalf("workers=%d Join drifts on fuzz input", workers)
-			}
-			if got := render(e.SemiJoin(left, right, "lk", "rk")); got != wantSemi {
-				t.Fatalf("workers=%d SemiJoin drifts on fuzz input", workers)
-			}
-			if got := render(e.AntiJoin(left, right, "lk", "rk")); got != wantAnti {
-				t.Fatalf("workers=%d AntiJoin drifts on fuzz input", workers)
+		join, semi, anti := oracleJoin(RowsOf(left), RowsOf(right), 0, 0)
+		for _, workers := range diffWorkers() {
+			if err := checkJoins(workers, left, right, "lk", "rk", join, semi, anti); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})
 }
 
-// FuzzSortKeys fuzzes the morsel-parallel sort and fused top-K:
-// arbitrary bytes become a two-key column pair (an int key folded to a
-// fuzz-chosen modulus for heavy duplication, plus a derived float key
-// planting NaN and signed zero), and Sort/TopK must reproduce the serial
-// stable sort (and Limit-after-Sort) byte-for-byte at several worker
-// counts. The morsel size is shrunk so tiny inputs still cross the
-// local-sort/merge-tree and per-morsel-heap paths.
+// FuzzSortKeys fuzzes the sort and the fused top-K: arbitrary bytes
+// become a two-key column pair (an int key folded to a fuzz-chosen
+// modulus for heavy duplication, plus a derived float key planting NaN
+// and signed zero), and Sort must equal the naive oracle (sort_test.go),
+// TopK its first k rows, at every worker count. The morsel size is
+// shrunk so tiny inputs still merge several per-morsel heaps.
 func FuzzSortKeys(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 9, 0, 0, 0, 0, 0, 0, 0, 1})
@@ -127,16 +116,14 @@ func FuzzSortKeys(f *testing.F) {
 		}, IntsV(ints), FloatsV(floats), IntsV(pos))
 		keys := []OrderSpec{{Col: "kf"}, {Col: "ki", Desc: true}}
 
-		serial := &Exec{Parallelism: 1}
-		wantSort := render(serial.Sort(in, keys...))
-		wantTop := render(serial.Limit(serial.Sort(in, keys...), k))
-		for _, workers := range []int{2, 3, 7} {
+		want := oracleSort(in.Schema, RowsOf(in), keys)
+		for _, workers := range diffWorkers() {
 			e := &Exec{Parallelism: workers}
-			if got := render(e.Sort(in, keys...)); got != wantSort {
-				t.Fatalf("workers=%d Sort drifts on fuzz input", workers)
+			if err := sameRows(RowsOf(e.Sort(in, keys...)), want); err != nil {
+				t.Fatalf("workers=%d Sort: %v", workers, err)
 			}
-			if got := render(e.TopK(in, k, keys...)); got != wantTop {
-				t.Fatalf("workers=%d TopK(k=%d) drifts on fuzz input", workers, k)
+			if err := sameRows(RowsOf(e.TopK(in, k, keys...)), want[:min(k, words)]); err != nil {
+				t.Fatalf("workers=%d TopK(k=%d): %v", workers, k, err)
 			}
 		}
 	})

@@ -16,9 +16,9 @@ const MorselRows = 8192
 
 // workers resolves the Exec.Parallelism knob into the query's admission
 // cap on the shared scheduler: 0 (the zero value) caps at the pool size,
-// 1 keeps the query on the calling goroutine (join and sort take their
-// retained serial references, aggregation the one-morsel case of its
-// only kernel), n > 1 admits up to n concurrent morsels.
+// 1 keeps the query on the calling goroutine (the dispatchers below run
+// every morsel inline — each kernel's only code path), n > 1 admits up
+// to n concurrent morsels.
 func (e *Exec) workers() int {
 	if e == nil || e.Parallelism <= 0 {
 		return PoolSize()
@@ -37,8 +37,8 @@ func parallelMorsels(n, workers int, fn func(m, lo, hi int)) {
 }
 
 // parallelMorselsSize is parallelMorsels with an explicit morsel size —
-// the join kernels use their own (test-shrinkable) size so the
-// multi-morsel merge is exercisable on small tables. workers is the
+// the join and top-K kernels use their own (test-shrinkable) sizes so
+// the multi-morsel concatenation is exercisable on small tables. workers is the
 // job's admission cap on the shared pool, not a goroutine count.
 func parallelMorselsSize(n, size, workers int, fn func(m, lo, hi int)) {
 	morsels := (n + size - 1) / size
@@ -91,4 +91,22 @@ func parallelRanges(n, workers int, fn func(lo, hi int)) {
 			fn(lo, hi)
 		}
 	})
+}
+
+// concatIdx concatenates per-morsel index buffers in morsel order; one
+// morsel's buffer is returned as is. The result is never nil: as a
+// selection vector, nil would mean "every row".
+func concatIdx(parts [][]int32) []int32 {
+	if len(parts) == 1 && parts[0] != nil {
+		return parts[0]
+	}
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	out := make([]int32, 0, total)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
 }

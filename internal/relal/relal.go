@@ -7,9 +7,10 @@
 // holds one typed vector per column ([]int64, []float64, or []string)
 // plus an optional selection vector. Filters, semi/anti joins, sorts,
 // and limits produce zero-copy views (shared column vectors + a
-// selection/permutation of physical row indices); joins and
-// aggregations materialize new dense vectors via typed gathers. No cell
-// is ever boxed into an interface{} on the hot path.
+// selection/permutation of physical row indices); a join materializes
+// new dense vectors with the typed gather (join.go), an aggregation
+// gathers its group columns and folds the rest (agg.go). No cell is ever
+// boxed into an interface{} on the hot path.
 //
 // Each TPC-H query is written once as a small program over these
 // operators. Executing it yields (a) the correct answer (validated
@@ -21,12 +22,9 @@
 package relal
 
 import (
-	"cmp"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Type is a column type.
@@ -122,37 +120,6 @@ func (v *Vector) Len() int {
 		return len(v.Dict)
 	}
 	return len(v.Strs)
-}
-
-// gatherSlice returns xs's cells at the given physical indices, in
-// order.
-func gatherSlice[T any](xs []T, idx []int32) []T {
-	out := make([]T, len(idx))
-	for k, p := range idx {
-		out[k] = xs[p]
-	}
-	return out
-}
-
-// gather returns a dense vector holding v's cells at the given physical
-// indices, in order. Dict vectors gather their codes and keep sharing
-// the dictionary — strings only materialize at output boundaries.
-func (v *Vector) gather(idx []int32) *Vector {
-	out := &Vector{Kind: v.Kind}
-	switch v.Kind {
-	case Int:
-		out.Ints = gatherSlice(v.Ints, idx)
-	case Float:
-		out.Floats = gatherSlice(v.Floats, idx)
-	default:
-		if v.DictVals != nil {
-			out.Dict = gatherSlice(v.Dict, idx)
-			out.DictVals = v.DictVals
-		} else {
-			out.Strs = gatherSlice(v.Strs, idx)
-		}
-	}
-	return out
 }
 
 // Table is a schema plus column vectors. Base names the base table
@@ -266,7 +233,7 @@ func (t *Table) Compacted() *Table {
 	}
 	cols := make([]*Vector, len(t.Cols))
 	for i, v := range t.Cols {
-		cols[i] = v.gather(t.sel)
+		cols[i] = v.gather(t.sel, 1)
 	}
 	return &Table{Name: t.Name, Schema: t.Schema, Cols: cols, Base: t.Base}
 }
@@ -484,7 +451,7 @@ func AppendRow(t *Table, r Row) {
 		}
 		cols := make([]*Vector, len(t.Cols))
 		for i, v := range t.Cols {
-			cols[i] = v.gather(sel)
+			cols[i] = v.gather(sel, 1)
 		}
 		t.Cols, t.sel = cols, nil
 		t.shared.Store(false)
@@ -627,24 +594,12 @@ func SetBase(t *Table, base string) { t.Base = base }
 // BaseOf returns the base-table annotation for t ("" if none).
 func BaseOf(t *Table) string { return t.Base }
 
-// Scan logs a base-table scan and returns the table itself.
-func (e *Exec) Scan(t *Table) *Table {
-	e.Log.Add(Step{
-		Kind: StepScan, Table: t.Name,
-		LeftRows: t.NumRows(), LeftWidth: t.AvgRowBytes(),
-		OutRows: t.NumRows(), OutWidth: t.AvgRowBytes(),
-		LeftBase: t.Name,
-	})
-	SetBase(t, t.Name)
-	return t
-}
-
 // Filter returns the rows of t satisfying pred as a zero-copy view:
 // pred is evaluated per logical row index into a new selection vector;
 // no cells move. The result keeps t's base annotation (filtering
 // preserves partitioning).
 func (e *Exec) Filter(t *Table, pred func(i int) bool) *Table {
-	sel := filterSel(t, pred, e.workers())
+	sel := selectRows(t, MorselRows, e.workers(), pred)
 	out := view(t, t.Name+"_f", sel)
 	e.Log.Add(Step{
 		Kind: StepFilter, Table: t.Name,
@@ -654,60 +609,6 @@ func (e *Exec) Filter(t *Table, pred func(i int) bool) *Table {
 	})
 	SetBase(out, BaseOf(t))
 	return out
-}
-
-// filterSel evaluates pred over t's logical rows and returns the
-// matching physical indices in row order. With more than one worker the
-// rows are split into morsels, each producing its own match buffer, and
-// the buffers are concatenated in morsel order — the selection vector is
-// identical to the serial one.
-func filterSel(t *Table, pred func(i int) bool, workers int) []int32 {
-	n := t.NumRows()
-	if workers <= 1 || n <= MorselRows {
-		sel := []int32{}
-		if t.sel != nil {
-			for i, p := range t.sel {
-				if pred(i) {
-					sel = append(sel, p)
-				}
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				if pred(i) {
-					sel = append(sel, int32(i))
-				}
-			}
-		}
-		return sel
-	}
-	morsels := (n + MorselRows - 1) / MorselRows
-	parts := make([][]int32, morsels)
-	parallelMorsels(n, workers, func(m, lo, hi int) {
-		var buf []int32
-		if t.sel != nil {
-			for i := lo; i < hi; i++ {
-				if pred(i) {
-					buf = append(buf, t.sel[i])
-				}
-			}
-		} else {
-			for i := lo; i < hi; i++ {
-				if pred(i) {
-					buf = append(buf, int32(i))
-				}
-			}
-		}
-		parts[m] = buf
-	})
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	sel := make([]int32, 0, total)
-	for _, p := range parts {
-		sel = append(sel, p...)
-	}
-	return sel
 }
 
 // Project returns a table with the named columns only, preserving the
@@ -735,206 +636,6 @@ func keyAt[K comparable](data []K, sel []int32, i int) K {
 		i = int(sel[i])
 	}
 	return data[i]
-}
-
-// matchTyped is the serial hash-join build/probe kernel for one key
-// type: it builds a hash table on the right key column and returns
-// parallel slices of matching physical row indices (left-major,
-// preserving left row order and right insertion order within a key). It
-// is retained verbatim as the reference the morsel-parallel kernels in
-// join_parallel.go are differentially tested against.
-func matchTyped[K comparable](left, right *Table, lKeys, rKeys []K) (lIdx, rIdx []int32) {
-	ln, rn := left.NumRows(), right.NumRows()
-	ht := make(map[K][]int32, rn)
-	for j := 0; j < rn; j++ {
-		k := keyAt(rKeys, right.sel, j)
-		ht[k] = append(ht[k], right.phys(j))
-	}
-	for i := 0; i < ln; i++ {
-		if b := ht[keyAt(lKeys, left.sel, i)]; len(b) > 0 {
-			p := left.phys(i)
-			for _, rp := range b {
-				lIdx = append(lIdx, p)
-				rIdx = append(rIdx, rp)
-			}
-		}
-	}
-	return lIdx, rIdx
-}
-
-// Join hash-joins left and right on leftKey = rightKey (inner join),
-// producing the concatenated schema with right's key column retained
-// (callers project as needed). The output is materialized with typed
-// per-column gathers — no boxing. Build, probe, and gather all run on
-// the Exec's morsel worker pool (join_parallel.go); the output is
-// byte-identical at every pool size.
-func (e *Exec) Join(left, right *Table, leftKey, rightKey string) *Table {
-	li := left.Schema.Col(leftKey)
-	ri := right.Schema.Col(rightKey)
-	w := e.workers()
-	lIdx, rIdx := matchIndicesWorkers(left, right, li, ri, w)
-	sch := make(Schema, 0, len(left.Schema)+len(right.Schema))
-	sch = append(sch, left.Schema...)
-	sch = append(sch, right.Schema...)
-	cols := make([]*Vector, 0, len(sch))
-	for _, v := range left.Cols {
-		cols = append(cols, v.gatherWorkers(lIdx, w))
-	}
-	for _, v := range right.Cols {
-		cols = append(cols, v.gatherWorkers(rIdx, w))
-	}
-	out := &Table{Name: left.Name + "⋈" + right.Name, Schema: sch, Cols: cols}
-	e.Log.Add(Step{
-		Kind: StepJoin, Table: out.Name,
-		LeftRows: left.NumRows(), LeftWidth: left.AvgRowBytes(),
-		RightRows: right.NumRows(), RightWidth: right.AvgRowBytes(),
-		OutRows: out.NumRows(), OutWidth: out.AvgRowBytes(),
-		JoinKey:  leftKey,
-		LeftBase: BaseOf(left), RightBase: BaseOf(right),
-	})
-	return out
-}
-
-// memberTyped is the serial semi/anti-join kernel for one key type: per
-// logical left row, whether its key appears in the right key column.
-// Like matchTyped, it is the retained serial reference for the parallel
-// kernels.
-func memberTyped[K comparable](left, right *Table, lKeys, rKeys []K) []bool {
-	ln, rn := left.NumRows(), right.NumRows()
-	set := make(map[K]struct{}, rn)
-	for j := 0; j < rn; j++ {
-		set[keyAt(rKeys, right.sel, j)] = struct{}{}
-	}
-	hit := make([]bool, ln)
-	for i := 0; i < ln; i++ {
-		_, hit[i] = set[keyAt(lKeys, left.sel, i)]
-	}
-	return hit
-}
-
-// semiAnti implements SemiJoin (keep=true) and AntiJoin (keep=false) as
-// zero-copy views over left. The membership probe runs on the Exec's
-// worker pool.
-func (e *Exec) semiAnti(left, right *Table, leftKey, rightKey, suffix string, keep bool) *Table {
-	li := left.Schema.Col(leftKey)
-	ri := right.Schema.Col(rightKey)
-	hit := keyMembershipWorkers(left, right, li, ri, e.workers())
-	sel := make([]int32, 0, len(hit))
-	for i, h := range hit {
-		if h == keep {
-			sel = append(sel, left.phys(i))
-		}
-	}
-	out := view(left, left.Name+suffix, sel)
-	e.Log.Add(Step{
-		Kind: StepJoin, Table: out.Name,
-		LeftRows: left.NumRows(), LeftWidth: left.AvgRowBytes(),
-		RightRows: right.NumRows(), RightWidth: right.AvgRowBytes(),
-		OutRows: out.NumRows(), OutWidth: out.AvgRowBytes(),
-		JoinKey:  leftKey,
-		LeftBase: BaseOf(left), RightBase: BaseOf(right),
-	})
-	SetBase(out, BaseOf(left))
-	return out
-}
-
-// SemiJoin returns left rows whose key appears in right (IN subquery).
-func (e *Exec) SemiJoin(left, right *Table, leftKey, rightKey string) *Table {
-	return e.semiAnti(left, right, leftKey, rightKey, "_semi", true)
-}
-
-// AntiJoin returns left rows whose key does not appear in right (NOT IN
-// / NOT EXISTS).
-func (e *Exec) AntiJoin(left, right *Table, leftKey, rightKey string) *Table {
-	return e.semiAnti(left, right, leftKey, rightKey, "_anti", false)
-}
-
-// OrderSpec is one sort key.
-type OrderSpec struct {
-	Col  string
-	Desc bool
-}
-
-// cmpFn returns a physical-index comparator over one typed key column;
-// neg is -1 for descending keys. cmp.Compare gives a total order even
-// for float NaN (NaN sorts before every number and ties with itself) —
-// a non-transitive comparator would let two correct stable sorts
-// produce different permutations, which the parallel/serial
-// differential contract forbids.
-func cmpFn[K cmp.Ordered](xs []K, neg int) func(a, b int32) int {
-	return func(a, b int32) int {
-		return neg * cmp.Compare(xs[a], xs[b])
-	}
-}
-
-// sortCmps builds the per-key physical-index comparators for t.
-func sortCmps(t *Table, keys []OrderSpec) []func(a, b int32) int {
-	cmps := make([]func(a, b int32) int, len(keys))
-	for k, spec := range keys {
-		ci := t.Schema.Col(spec.Col)
-		col := t.Cols[ci]
-		neg := 1
-		if spec.Desc {
-			neg = -1
-		}
-		switch col.Kind {
-		case Int:
-			cmps[k] = cmpFn(col.Ints, neg)
-		case Float:
-			cmps[k] = cmpFn(col.Floats, neg)
-		default:
-			if col.DictVals != nil {
-				// The dictionary is sorted, so code order is value
-				// order: the string sort runs as a uint32 sort.
-				cmps[k] = cmpFn(col.Dict, neg)
-			} else {
-				cmps[k] = cmpFn(col.Strs, neg)
-			}
-		}
-	}
-	return cmps
-}
-
-// sortIndexSerial is the serial sort kernel: a single stable sort of the
-// physical-index vector. It is retained verbatim as the differential
-// reference the morsel-parallel kernel in sort_parallel.go is tested
-// against (stability fully determines the permutation, so the parallel
-// merge must reproduce it byte-for-byte).
-func sortIndexSerial(t *Table, cmps []func(a, b int32) int) []int32 {
-	n := t.NumRows()
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = t.phys(i)
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		for _, c := range cmps {
-			if r := c(idx[a], idx[b]); r != 0 {
-				return r < 0
-			}
-		}
-		return false
-	})
-	return idx
-}
-
-// Sort orders t by the given keys, logging the step. The sort permutes
-// an index slice over the shared column vectors — no row is copied. The
-// permutation is produced by the morsel-parallel merge sort on the
-// Exec's worker pool (sort_parallel.go) and is byte-identical to the
-// serial stable sort at every pool size.
-func (e *Exec) Sort(t *Table, keys ...OrderSpec) *Table {
-	start := time.Now()
-	idx := sortIndexWorkers(t, sortCmps(t, keys), e.workers())
-	e.Log.SortNanos += time.Since(start).Nanoseconds()
-	out := view(t, t.Name+"_s", idx)
-	e.Log.Add(Step{
-		Kind: StepSort, Table: t.Name,
-		LeftRows: t.NumRows(), LeftWidth: t.AvgRowBytes(),
-		OutRows: out.NumRows(), OutWidth: out.AvgRowBytes(),
-		LeftBase: BaseOf(t),
-	})
-	SetBase(out, BaseOf(t))
-	return out
 }
 
 // Limit truncates t to n rows as a zero-copy view (the selection vector
@@ -967,17 +668,11 @@ func (e *Exec) Limit(t *Table, n int) *Table {
 	return out
 }
 
-// extendSlice fills a length-n slice with fn(i), splitting the rows into
-// morsels when workers > 1 (each index writes its own slot, so the
-// result is identical at any parallelism).
+// extendSlice fills a length-n slice with fn(i), morsel by morsel (each
+// index writes its own slot, so the result is identical at any
+// parallelism).
 func extendSlice[T any](n, workers int, fn func(i int) T) []T {
 	xs := make([]T, n)
-	if workers <= 1 || n <= MorselRows {
-		for i := 0; i < n; i++ {
-			xs[i] = fn(i)
-		}
-		return xs
-	}
 	parallelMorsels(n, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			xs[i] = fn(i)

@@ -34,7 +34,8 @@ func TestSchemaCol(t *testing.T) {
 
 func TestFilterKeepsBase(t *testing.T) {
 	e := &Exec{}
-	tb := e.Scan(numbers(10))
+	tb := numbers(10)
+	SetBase(tb, "nums")
 	k := tb.IntCol("k")
 	f := e.Filter(tb, func(i int) bool { return k.Get(i) >= 5 })
 	if f.NumRows() != 5 {

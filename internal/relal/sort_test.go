@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
 
-// shrinkSortMorsels drops the sort morsel size so the local-sort +
-// merge-tree pipeline and the per-morsel top-K heaps all engage on
-// test-sized tables; restored on cleanup.
+// shrinkSortMorsels drops the top-K morsel size so the per-morsel heaps
+// and their concatenation engage on test-sized tables; restored on
+// cleanup.
 func shrinkSortMorsels(t testing.TB, rows int) {
 	t.Helper()
 	old := sortMorselRows
@@ -103,12 +105,65 @@ func sortView(t *Table) *Table {
 	return (&Exec{Parallelism: 1}).Filter(t, func(i int) bool { return pos.Get(i)%2 == 0 })
 }
 
-// TestSortParallelDifferential locks the morsel-parallel Sort and the
-// fused TopK to the retained serial kernel: for randomized multi-key
-// tables — duplicate keys, NULL-ish sentinels, view inputs, empty
-// tables — the output permutation must be byte-identical at every
-// worker count, and TopK must equal Limit-after-Sort for k at and
-// around every boundary.
+// oracleSort is the naive reference for Sort: an insertion sort over
+// boxed rows that moves a row ahead of its predecessor only when it is
+// strictly less, so ties keep input order. The comparator is written
+// here: Int by value, Float with NaN before every number and tied with
+// itself (-0 ties with 0), Str by bytes, Desc reversing one key. It
+// shares no code with the kernel in sort.go.
+func oracleSort(sch Schema, rows []Row, keys []OrderSpec) []Row {
+	cell := func(a, b interface{}) int {
+		switch x := a.(type) {
+		case int64:
+			switch y := b.(int64); {
+			case x < y:
+				return -1
+			case x > y:
+				return 1
+			}
+			return 0
+		case float64:
+			switch y := b.(float64); {
+			case math.IsNaN(x) && math.IsNaN(y):
+				return 0
+			case math.IsNaN(x) || x < y:
+				return -1
+			case math.IsNaN(y) || x > y:
+				return 1
+			}
+			return 0
+		}
+		return strings.Compare(a.(string), b.(string))
+	}
+	less := func(a, b Row) bool {
+		for _, k := range keys {
+			c := sch.Col(k.Col)
+			r := cell(a[c], b[c])
+			if k.Desc {
+				r = -r
+			}
+			if r != 0 {
+				return r < 0
+			}
+		}
+		return false
+	}
+	out := append([]Row{}, rows...)
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && less(out[j], out[j-1]); j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	return out
+}
+
+// TestSortParallelDifferential holds Sort and the fused TopK to the
+// naive oracle at every worker count, one included: for randomized
+// multi-key tables — duplicate keys, NULL-ish sentinels, view inputs,
+// empty tables — Sort must emit the oracle's rows in the oracle's order
+// (the pos column makes the permutation visible), and TopK its first k
+// for k at and around every boundary, with the morsel size shrunk so
+// every TopK merges several heaps.
 func TestSortParallelDifferential(t *testing.T) {
 	shrinkSortMorsels(t, 16)
 	cases := []sortCase{
@@ -132,22 +187,16 @@ func TestSortParallelDifferential(t *testing.T) {
 				in = sortView(in)
 			}
 			keys := c.keys()
-			serial := &Exec{Parallelism: 1}
-			wantSort := render(serial.Sort(in, keys...))
+			want := oracleSort(in.Schema, RowsOf(in), keys)
 			n := in.NumRows()
-			ks := []int{0, 1, n / 3, n, n + 10}
-			wantTop := make([]string, len(ks))
-			for j, k := range ks {
-				wantTop[j] = render(serial.Limit(serial.Sort(in, keys...), k))
-			}
 			for _, workers := range diffWorkers() {
 				e := &Exec{Parallelism: workers}
-				if got := render(e.Sort(in, keys...)); got != wantSort {
-					t.Fatalf("workers=%d Sort drifts from serial reference", workers)
+				if err := sameRows(RowsOf(e.Sort(in, keys...)), want); err != nil {
+					t.Fatalf("workers=%d Sort: %v", workers, err)
 				}
-				for j, k := range ks {
-					if got := render(e.TopK(in, k, keys...)); got != wantTop[j] {
-						t.Fatalf("workers=%d TopK(k=%d) drifts from serial Sort+Limit", workers, k)
+				for _, k := range []int{0, 1, n / 3, n, n + 10} {
+					if err := sameRows(RowsOf(e.TopK(in, k, keys...)), want[:min(k, n)]); err != nil {
+						t.Fatalf("workers=%d TopK(k=%d): %v", workers, k, err)
 					}
 				}
 			}
@@ -156,8 +205,10 @@ func TestSortParallelDifferential(t *testing.T) {
 }
 
 // TestSortParallelLargeMorsels runs one config at the production morsel
-// size with an input big enough to cross it, so the default-size merge
-// tree is exercised too (the differential suite shrinks the size).
+// size with an input big enough to cross it, so TopK's per-morsel heaps
+// are exercised at the default size too (the differential suite shrinks
+// the size). Limit-after-Sort is the reference: the input is too big for
+// the insertion-sort oracle.
 func TestSortParallelLargeMorsels(t *testing.T) {
 	c := sortCase{rows: 3*MorselRows + 500, card: 1000, kinds: []Type{Int, Float}}
 	in := c.table(7)
@@ -173,6 +224,28 @@ func TestSortParallelLargeMorsels(t *testing.T) {
 		if got := render(e.TopK(in, 100, keys...)); got != wantTop {
 			t.Fatalf("workers=%d large TopK drifts", workers)
 		}
+	}
+}
+
+// TestTopKLargeKAllocation: a morsel's heap holds at most the morsel's
+// own rows, so TopK with k just under n allocates a few index vectors —
+// the heaps, their concatenation, the output — not one k-slot heap per
+// morsel (16 heaps of n-1 slots here, about 18 × 4n bytes).
+func TestTopKLargeKAllocation(t *testing.T) {
+	n := 16 * MorselRows
+	c := sortCase{rows: n, card: 1000, kinds: []Type{Int}}
+	in := c.table(41)
+	keys := c.keys()
+	e := &Exec{Parallelism: 2}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out := e.TopK(in, n-1, keys...)
+	runtime.ReadMemStats(&after)
+	if out.NumRows() != n-1 {
+		t.Fatalf("TopK kept %d rows, want %d", out.NumRows(), n-1)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(6*4*n); got > limit {
+		t.Errorf("TopK(k=n-1) over %d rows allocated %d bytes, want at most %d (6 index vectors)", n, got, limit)
 	}
 }
 
@@ -259,25 +332,6 @@ func TestLimitSharedTableRace(t *testing.T) {
 	if in.NumRows() != 2000 {
 		t.Fatalf("shared table mutated: %d rows", in.NumRows())
 	}
-}
-
-// BenchmarkSortParallel is the relal-level sort bench: a multi-morsel
-// two-key sort, workers=1 vs GOMAXPROCS.
-func BenchmarkSortParallel(b *testing.B) {
-	c := sortCase{rows: 24 * MorselRows / 4, card: 10000, kinds: []Type{Int, Float}}
-	in := c.table(31)
-	keys := c.keys()
-	run := func(b *testing.B, workers int) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e := &Exec{Parallelism: workers}
-			if out := e.Sort(in, keys...); out.NumRows() != in.NumRows() {
-				b.Fatal("sort dropped rows")
-			}
-		}
-	}
-	b.Run("workers=1", func(b *testing.B) { run(b, 1) })
-	b.Run("workers=max", func(b *testing.B) { run(b, 0) })
 }
 
 // BenchmarkTopKVsSortLimit quantifies the fusion win: bounded-heap
