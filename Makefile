@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race streams htap crash dist fuzz-smoke vet fmt-check check loc bench-paper bench-engine bench-test bench-cover
+.PHONY: all build test race streams htap crash dist fuzz-smoke vet fmt-check seam check loc bench-paper bench-engine bench-test bench-cover
 
 all: check
 
@@ -53,7 +53,7 @@ dist:
 	$(GO) test -run xxx -fuzz FuzzWireTable -fuzztime 15s ./internal/dist/
 
 # Short fuzz runs over the join key-partitioning, sort/top-K, group-by
-# key encodings and morsel merge, RCF4 dict-chunk and RLE/delta-chunk
+# key encodings and morsel merge, RCF6 dict-chunk and RLE/delta-chunk
 # round-trips, chunk-cache key/eviction paths, the delta-log replay
 # parser, the full crash-schedule → recover cycle of the file-backed
 # log, and the dist table decoder.
@@ -75,7 +75,16 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-check: fmt-check vet build test
+# The sim/real seam: the paper-side front doors (core, tpchbench,
+# ycsbbench) model Hive, PDW, Mongo and SQL Server on the simulator and
+# must not link the engine's storage, durability, fault or distribution
+# layers — engine numbers come from bench/, not from a driver in core.
+seam:
+	@out=$$($(GO) list -deps ./internal/core ./cmd/tpchbench ./cmd/ycsbbench | \
+		grep -E '^elephants/internal/(rcfile|delta|fault|htap|dist)$$' || true); \
+	if [ -n "$$out" ]; then echo "sim side links the engine:"; echo "$$out"; exit 1; fi
+
+check: fmt-check vet seam build test
 
 # Non-test lines of Go: the count ROADMAP's "Halve the concepts" tracks.
 loc:

@@ -17,7 +17,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 
 	"elephants/internal/relal"
 	"elephants/internal/tpch"
@@ -31,6 +33,10 @@ func main() {
 	random64 := flag.Bool("random64", true, "use the RANDOM64 fix (false reproduces the 32-bit overflow bug)")
 	cluster := flag.String("cluster", "", "cluster the owning base table on this column (e.g. l_shipdate), so zone maps can prune range scans")
 	flag.Parse()
+	if err := checkTable(*table); err != nil {
+		fmt.Fprintln(os.Stderr, "dbgen:", err)
+		os.Exit(1)
+	}
 
 	db := tpch.Generate(tpch.GenConfig{SF: *sf, Seed: *seed, Random64: *random64})
 	if *cluster != "" {
@@ -69,6 +75,15 @@ func main() {
 		f.Close()
 		fmt.Fprintf(os.Stderr, "wrote %s (%d rows)\n", path, db.Table(name).NumRows())
 	}
+}
+
+// checkTable rejects a -table value that names no base table ("" means
+// all of them), before any data is generated.
+func checkTable(name string) error {
+	if name == "" || slices.Contains(tpch.TableNames, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown table %q (valid: %s)", name, strings.Join(tpch.TableNames, ", "))
 }
 
 // cellWriter formats one column's cells straight from its typed vector

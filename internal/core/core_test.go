@@ -2,12 +2,17 @@ package core
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
 	"elephants/internal/sqleng"
 	"elephants/internal/ycsb"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/paper_tables_golden.txt from the current models")
 
 // smallTPCH runs a reduced TPC-H comparison (two SFs, subset of
 // queries) to keep the test fast.
@@ -190,5 +195,50 @@ func TestWriteCurveOutput(t *testing.T) {
 	WriteCurve(&buf, "Figure 2. Workload C", curves, []ycsb.OpKind{ycsb.OpRead})
 	if !strings.Contains(buf.String(), "SQL-CS") {
 		t.Error("curve output missing system name")
+	}
+}
+
+// TestPaperTablesGolden pins what `tpchbench -laptop-sf 0.002 -sf
+// 250,1000` prints, byte for byte: the Hive and PDW models replay the
+// functional executor's StepLog (rows and widths), so any drift in a
+// plan's logged steps moves these tables. Worker count must not.
+func TestPaperTablesGolden(t *testing.T) {
+	const path = "testdata/paper_tables_golden.txt"
+	for _, workers := range []int{1, 0} {
+		res := RunTPCH(TPCHConfig{LaptopSF: 0.002, ScaleFactors: []float64{250, 1000}, Seed: 1, Workers: workers})
+		var buf bytes.Buffer
+		fmt.Fprintf(&buf, "TPC-H: Hive vs PDW on a simulated 16-node cluster (functional data at SF %g)\n\n", res.Config.LaptopSF)
+		res.WriteTable2(&buf)
+		fmt.Fprintln(&buf)
+		res.WriteTable3(&buf)
+		fmt.Fprintln(&buf)
+		res.WriteTable4(&buf)
+		fmt.Fprintln(&buf)
+		res.WriteTable5(&buf)
+		fmt.Fprintln(&buf)
+		res.WriteFigure1(&buf)
+		if *updateGolden {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("rewrote %s (%d bytes)", path, buf.Len())
+			return
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file (run with -update to create): %v", err)
+		}
+		got, wl := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(got) && i < len(wl); i++ {
+			if got[i] != wl[i] {
+				t.Fatalf("workers=%d: paper tables drift at line %d:\n got: %s\nwant: %s", workers, i+1, got[i], wl[i])
+			}
+		}
+		if len(got) != len(wl) {
+			t.Fatalf("workers=%d: paper tables drift: got %d lines, want %d", workers, len(got), len(wl))
+		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"elephants/internal/hive"
 	"elephants/internal/metrics"
 	"elephants/internal/pdw"
-	"elephants/internal/rcfile"
 	"elephants/internal/sim"
 	"elephants/internal/tpch"
 )
@@ -50,67 +49,6 @@ func (c TPCHConfig) withDefaults() TPCHConfig {
 		}
 	}
 	return c
-}
-
-// TPCHStreamConfig scopes a concurrent query-stream throughput run: N
-// goroutine streams replay the 22 queries over one shared immutable DB
-// (the functional executor, host time — no cluster simulation).
-type TPCHStreamConfig struct {
-	// LaptopSF is the functional dataset scale (defaults 0.01).
-	LaptopSF float64
-	Seed     int64
-	// Streams is the number of concurrent query streams (0 = 1).
-	Streams int
-	// Rounds is how many times each stream replays the list (0 = 1).
-	Rounds int
-	// Workers sizes each query's morsel pool (0 = GOMAXPROCS).
-	Workers int
-	// Queries restricts the replayed query IDs (nil = all 22).
-	Queries []int
-	// RCFile swaps every base-table source for an RCFile encoding, so
-	// streams scan through real compressed storage (and the chunk cache
-	// has something to serve).
-	RCFile bool
-	// GroupRows is the RCFile row-group size (0 = 4096). Only used with
-	// RCFile.
-	GroupRows int
-	// CacheMB bounds the shared decompressed-chunk cache in MiB
-	// (0 = 64). Only used with RCFile.
-	CacheMB int
-}
-
-// RunTPCHStreams generates the shared DB and runs the stream harness.
-func RunTPCHStreams(cfg TPCHStreamConfig) (tpch.StreamResult, error) {
-	if cfg.LaptopSF <= 0 {
-		cfg.LaptopSF = 0.01
-	}
-	db := tpch.Generate(tpch.GenConfig{SF: cfg.LaptopSF, Seed: cfg.Seed, Random64: true})
-	if cfg.RCFile {
-		groupRows := cfg.GroupRows
-		if groupRows <= 0 {
-			groupRows = 4096
-		}
-		cacheMB := cfg.CacheMB
-		if cacheMB <= 0 {
-			cacheMB = 64
-		}
-		cache := rcfile.NewChunkCache(int64(cacheMB) << 20)
-		for _, name := range tpch.TableNames {
-			src, err := rcfile.NewSource(db.Table(name), groupRows)
-			if err != nil {
-				return tpch.StreamResult{}, fmt.Errorf("encode %s: %w", name, err)
-			}
-			src.SetCache(cache)
-			db.SetSource(name, src)
-		}
-	}
-	return tpch.RunStreams(db, tpch.StreamConfig{
-		Streams: cfg.Streams,
-		Rounds:  cfg.Rounds,
-		Workers: cfg.Workers,
-		Queries: cfg.Queries,
-		Warmup:  true,
-	}), nil
 }
 
 // TPCHPoint holds one system's measurements at one scale factor.

@@ -28,18 +28,18 @@
 //	enc 3 rle        run-length encoded values (Int/Float)
 //	enc 4 delta      frame-of-reference packed values (Int)
 //
-// The writer is adaptive per chunk: it compresses every applicable
-// candidate and keeps the smallest (ties go to plain — same bytes,
-// simpler decode). On data clustered by a sort column the dominant
-// chunks collapse to runs; on sequential keys delta packs 8-byte
-// integers into 1–4. Run-length encoding is a storage encoding only: a
-// decoded RLE chunk stays a run list in the chunk cache (charged that
-// footprint) and expands where a column is assembled from its chunks,
-// so the engine sees one entry per row; global-code chunks reassemble
-// against the file dictionary with no per-group union merge.
-// The modeled chunk sizes in relal's scan accounting (RLEChunkBytes,
-// DeltaChunkBytes, GDictChunkBytes, GDictRLEChunkBytes) are these
-// encodings' exact pre-compression payload formulas.
+// The writer is adaptive per chunk: relal.PlanChunk models every
+// applicable candidate's payload size and the writer lays down and
+// compresses the smallest (ties go to plain — same bytes, simpler
+// decode). On data clustered by a sort column the dominant chunks
+// collapse to runs; on sequential keys delta packs 8-byte integers into
+// 1–4. Run-length encoding is a storage encoding only: a decoded RLE
+// chunk stays a run list in the chunk cache (charged that footprint) and
+// expands where a column is assembled from its chunks, so the engine
+// sees one entry per row; global-code chunks reassemble against the file
+// dictionary with no per-group union merge. The in-memory scan model
+// charges the same plan's bytes, which are these encodings' exact
+// pre-compression payload lengths (TestChunkPlanMatchesFile).
 //
 // Version 5 adds a CRC32 per chunk (and per dictionary blob) to the
 // footer, verified before decompression. Corruption surfaces as a typed
@@ -202,15 +202,16 @@ func (w *Writer) Write(t *relal.Table) ([]byte, error) {
 		binary.Write(&footer, binary.LittleEndian, uint32(hi-lo))
 		for c := range d.Schema {
 			v := d.Cols[c]
-			enc, chunk, err := encodeChunk(v, lo, hi)
+			plan := relal.PlanChunk(v, lo, hi)
+			chunk, err := encodeChunk(v, lo, hi, plan)
 			if err != nil {
 				return nil, err
 			}
 			out.Write(chunk)
 			binary.Write(&footer, binary.LittleEndian, uint32(len(chunk)))
-			footer.WriteByte(enc)
+			footer.WriteByte(plan.Enc)
 			binary.Write(&footer, binary.LittleEndian, crc32.ChecksumIEEE(chunk))
-			writeZone(&footer, relal.ZoneOf(v, lo, hi), enc)
+			writeZone(&footer, plan.Zone, plan.Enc)
 		}
 	}
 	out.Write(footer.Bytes())
@@ -220,105 +221,24 @@ func (w *Writer) Write(t *relal.Table) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// encodeChunk picks the chunk encoding for rows [lo, hi) of v by the
-// modeled (pre-gzip) payload sizes — the same formulas, candidate
-// order, and strict-less-than ties relal's scan model charges, so the
-// bytes the cost models replay are the bytes the writer lays down. Only
-// the winner is compressed.
-func encodeChunk(v *relal.Vector, lo, hi int) (byte, []byte, error) {
-	rows := hi - lo
-	enc := encPlain
-	fn := func(wr io.Writer) error { return writePlainChunk(wr, v, lo, hi) }
-	switch {
-	case v.IsDict():
-		cmin, cmax := minMaxCodes(v.Dict[lo:hi])
-		width := relal.FORWidth(uint64(cmax - cmin))
-		best := relal.GDictChunkBytes(rows, width)
-		enc = encGDict
-		fn = func(wr io.Writer) error { return writeGDictChunk(wr, v.Dict[lo:hi], cmin, width) }
-		runs := countRuns(v.Dict[lo:hi])
-		if rle := relal.GDictRLEChunkBytes(runs, width); rle < best {
-			best, enc = rle, encGDictRLE
-			fn = func(wr io.Writer) error { return writeGDictRLEChunk(wr, v.Dict[lo:hi], cmin, width) }
+// encodeChunk lays rows [lo, hi) of v down in the encoding
+// relal.PlanChunk chose for them and compresses the payload; the plan's
+// zone map, width and run count are the base, cell width and run header
+// the layouts store.
+func encodeChunk(v *relal.Vector, lo, hi int, plan relal.ChunkPlan) ([]byte, error) {
+	return gzipChunk(func(w io.Writer) error {
+		switch plan.Enc {
+		case encGDict:
+			return writeGDictChunk(w, v.Dict[lo:hi], plan.Zone.CodeMin, plan.Width)
+		case encGDictRLE:
+			return writeGDictRLEChunk(w, v.Dict[lo:hi], plan.Zone.CodeMin, plan.Width, plan.Runs)
+		case encRLE:
+			return writeRLEChunk(w, v, lo, hi, plan.Runs)
+		case encDelta:
+			return writeDeltaChunk(w, v.Ints[lo:hi], plan.Zone.IntMin, plan.Width)
 		}
-		var plain int64
-		for _, c := range v.Dict[lo:hi] {
-			plain += 4 + int64(len(v.DictVals[c]))
-		}
-		if plain < best {
-			enc = encPlain
-			fn = func(wr io.Writer) error { return writePlainChunk(wr, v, lo, hi) }
-		}
-	case v.Kind == relal.Int:
-		best := 8 * int64(rows)
-		imin, imax := minMaxInts(v.Ints[lo:hi])
-		if width := relal.FORWidth(uint64(imax) - uint64(imin)); width < 8 {
-			if fb := relal.DeltaChunkBytes(rows, width); fb < best {
-				best, enc = fb, encDelta
-				fn = func(wr io.Writer) error { return writeDeltaChunk(wr, v.Ints[lo:hi], imin, width) }
-			}
-		}
-		if rle := relal.RLEChunkBytes(countRuns(v.Ints[lo:hi])); rle < best {
-			enc = encRLE
-			fn = func(wr io.Writer) error { return writeRLEChunk(wr, v, lo, hi) }
-		}
-	case v.Kind == relal.Float:
-		if rle := relal.RLEChunkBytes(countRuns(v.Floats[lo:hi])); rle < 8*int64(rows) {
-			enc = encRLE
-			fn = func(wr io.Writer) error { return writeRLEChunk(wr, v, lo, hi) }
-		}
-	}
-	chunk, err := gzipChunk(fn)
-	if err != nil {
-		return 0, nil, err
-	}
-	return enc, chunk, nil
-}
-
-func minMaxCodes(codes []uint32) (uint32, uint32) {
-	if len(codes) == 0 {
-		return 0, 0
-	}
-	mn, mx := codes[0], codes[0]
-	for _, c := range codes[1:] {
-		if c < mn {
-			mn = c
-		}
-		if c > mx {
-			mx = c
-		}
-	}
-	return mn, mx
-}
-
-func minMaxInts(xs []int64) (int64, int64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	mn, mx := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < mn {
-			mn = x
-		}
-		if x > mx {
-			mx = x
-		}
-	}
-	return mn, mx
-}
-
-// countRuns counts maximal runs of equal adjacent values.
-func countRuns[T comparable](xs []T) int {
-	if len(xs) == 0 {
-		return 0
-	}
-	runs := 1
-	for i := 1; i < len(xs); i++ {
-		if xs[i] != xs[i-1] {
-			runs++
-		}
-	}
-	return runs
+		return writePlainChunk(w, v, lo, hi)
+	})
 }
 
 // writeZone appends one zone map in its typed encoding. Global-code
@@ -409,8 +329,7 @@ func writeGDictChunk(w io.Writer, codes []uint32, base uint32, width int) error 
 }
 
 // writeGDictRLEChunk writes global codes as (code − base, runLen) runs.
-func writeGDictRLEChunk(w io.Writer, codes []uint32, base uint32, width int) error {
-	runs := countRuns(codes)
+func writeGDictRLEChunk(w io.Writer, codes []uint32, base uint32, width, runs int) error {
 	var hdr [9]byte
 	hdr[0] = byte(width)
 	binary.LittleEndian.PutUint32(hdr[1:], base)
@@ -437,22 +356,13 @@ func writeGDictRLEChunk(w io.Writer, codes []uint32, base uint32, width int) err
 }
 
 // writeRLEChunk writes a numeric column's rows [lo, hi) as
-// (value, runLen) runs.
-func writeRLEChunk(w io.Writer, v *relal.Vector, lo, hi int) error {
+// (value, runLen) runs, floats compared by bit pattern.
+func writeRLEChunk(w io.Writer, v *relal.Vector, lo, hi, runs int) error {
 	bits := func(i int) uint64 {
 		if v.Kind == relal.Int {
 			return uint64(v.Ints[i])
 		}
 		return math.Float64bits(v.Floats[i])
-	}
-	runs := 0
-	if hi > lo {
-		runs = 1
-		for i := lo + 1; i < hi; i++ {
-			if bits(i) != bits(i-1) {
-				runs++
-			}
-		}
 	}
 	var buf [12]byte
 	binary.LittleEndian.PutUint32(buf[:4], uint32(runs))

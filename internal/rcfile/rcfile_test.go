@@ -2,6 +2,7 @@ package rcfile
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -178,6 +179,9 @@ func TestRoundTripEveryEncoding(t *testing.T) {
 		{"gdict_rle", relal.Str, relal.EncodeDict(fill(rows, func(i int) string { return fmt.Sprintf("v%d", i/64%5) })), encGDictRLE},
 		{"rle_int", relal.Int, relal.IntsV(fill(rows, func(i int) int64 { return int64(i / 64) })), encRLE},
 		{"rle_float", relal.Float, relal.FloatsV(fill(rows, func(i int) float64 { return float64(i/64) * 0.25 })), encRLE},
+		// +0 and -0 in runs of 64: equal as values, two runs per group
+		// as the bit patterns the layout stores and the plan counts.
+		{"rle_float_signed_zero", relal.Float, relal.FloatsV(fill(rows, func(i int) float64 { return math.Copysign(0, float64(1-i/64%2*2)) })), encRLE},
 		// Distinct and dense: a one-byte frame of reference, no runs.
 		{"delta", relal.Int, relal.IntsV(fill(rows, func(i int) int64 { return 1000 + int64(i) })), encDelta},
 	}
@@ -505,5 +509,42 @@ func TestSourceScanMatchesRead(t *testing.T) {
 	}
 	if stats.GroupsSkipped != 3 {
 		t.Errorf("skipped %d groups, want 3", stats.GroupsSkipped)
+	}
+}
+
+// TestChunkPlanMatchesFile holds the writer and the size model to one
+// decision: for every chunk of every TPC-H table, the footer's enc byte
+// is relal.PlanChunk's, and the plan's modeled bytes are exactly the
+// length of the payload the writer laid down (before gzip).
+func TestChunkPlanMatchesFile(t *testing.T) {
+	db := tpch.Generate(tpch.GenConfig{SF: 0.002, Seed: 1, Random64: true})
+	for _, name := range tpch.TableNames {
+		tab := db.Table(name).Compacted()
+		for _, groupRows := range []int{256, 4096} {
+			data, err := NewWriter(groupRows).Write(tab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := parse(data, tab.Schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g, gr := range p.groups {
+				lo, off := g*groupRows, gr.offset
+				for c, v := range tab.Cols {
+					plan := relal.PlanChunk(v, lo, lo+gr.rows)
+					raw, err := inflateChunk(data, off, gr.compLens[c])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if gr.encs[c] != plan.Enc || int64(len(raw)) != plan.Bytes {
+						t.Errorf("%s.%s group %d (%d rows/group): file enc %s payload %d B, plan enc %s %d B",
+							name, tab.Schema[c].Name, g, groupRows,
+							EncNames[gr.encs[c]], len(raw), EncNames[plan.Enc], plan.Bytes)
+					}
+					off += int64(gr.compLens[c])
+				}
+			}
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package relal
 
 // Compiled column predicates. The typed accessor factories (StrVec.Eq,
-// IntVec.Between, …) return a Pred: a per-row closure compiled against
+// FloatVec.Between, …) return a Pred: a per-row closure compiled against
 // the accessor once (a string comparison becomes a code comparison on a
 // dict column). Exec.Where filters by a conjunction of them; Exec.Filter
 // keeps accepting plain closures; Pred.At adapts a Pred wherever a
@@ -53,36 +53,15 @@ func andPreds(ps []func(i int) bool) func(i int) bool {
 
 // The IntVec/FloatVec factories below mirror the StrVec ones in
 // dict.go: they compile a value predicate against the accessor once.
-
-func (v IntVec) pred(test func(x int64) bool) Pred {
-	data, sel := v.data, v.sel
-	if sel == nil {
-		return Pred{at: func(i int) bool { return test(data[i]) }}
-	}
-	return Pred{at: func(i int) bool { return test(data[sel[i]]) }}
-}
+// There is one per comparison some TPC-H plan makes.
 
 // Eq returns a predicate for Get(i) == x.
-func (v IntVec) Eq(x int64) Pred { return v.pred(func(y int64) bool { return y == x }) }
-
-// Ne returns a predicate for Get(i) != x.
-func (v IntVec) Ne(x int64) Pred { return v.pred(func(y int64) bool { return y != x }) }
-
-// Lt returns a predicate for Get(i) < x.
-func (v IntVec) Lt(x int64) Pred { return v.pred(func(y int64) bool { return y < x }) }
-
-// Le returns a predicate for Get(i) <= x.
-func (v IntVec) Le(x int64) Pred { return v.pred(func(y int64) bool { return y <= x }) }
-
-// Gt returns a predicate for Get(i) > x.
-func (v IntVec) Gt(x int64) Pred { return v.pred(func(y int64) bool { return y > x }) }
-
-// Ge returns a predicate for Get(i) >= x.
-func (v IntVec) Ge(x int64) Pred { return v.pred(func(y int64) bool { return y >= x }) }
-
-// Between returns a predicate for lo <= Get(i) <= hi (both inclusive).
-func (v IntVec) Between(lo, hi int64) Pred {
-	return v.pred(func(y int64) bool { return y >= lo && y <= hi })
+func (v IntVec) Eq(x int64) Pred {
+	data, sel := v.data, v.sel
+	if sel == nil {
+		return Pred{at: func(i int) bool { return data[i] == x }}
+	}
+	return Pred{at: func(i int) bool { return data[sel[i]] == x }}
 }
 
 func (v FloatVec) pred(test func(x float64) bool) Pred {
@@ -93,14 +72,8 @@ func (v FloatVec) pred(test func(x float64) bool) Pred {
 	return Pred{at: func(i int) bool { return test(data[sel[i]]) }}
 }
 
-// Eq returns a predicate for Get(i) == x.
-func (v FloatVec) Eq(x float64) Pred { return v.pred(func(y float64) bool { return y == x }) }
-
 // Lt returns a predicate for Get(i) < x.
 func (v FloatVec) Lt(x float64) Pred { return v.pred(func(y float64) bool { return y < x }) }
-
-// Le returns a predicate for Get(i) <= x.
-func (v FloatVec) Le(x float64) Pred { return v.pred(func(y float64) bool { return y <= x }) }
 
 // Gt returns a predicate for Get(i) > x.
 func (v FloatVec) Gt(x float64) Pred { return v.pred(func(y float64) bool { return y > x }) }

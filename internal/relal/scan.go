@@ -11,7 +11,10 @@
 // produces exactly the rows a full scan would.
 package relal
 
-import "sync/atomic"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // ZoneMap is the min/max summary of one column chunk (one column within
 // one row group). Exactly the pair matching Kind is meaningful. For a
@@ -338,20 +341,9 @@ type tableScanInfo struct {
 	bytes     [][]int64   // per group, per column: encoded chunk bytes
 }
 
-// encodedCellBytes returns the chunk encoding width of one cell: 8 for
-// numerics, 4-byte length prefix plus the bytes for strings (the rcfile
-// chunk layout).
-func encodedCellBytes(v *Vector, p int32) int64 {
-	if v.Kind == Str {
-		return 4 + int64(len(v.Strs[p]))
-	}
-	return 8
-}
-
 // FORWidth returns the packed frame-of-reference byte width for a
 // value span: 0 (constant), 1, 2, or 4; 8 means "doesn't pay, store
-// plain". Shared by the RCF4 writer and the in-memory scan model so
-// both charge identical bytes.
+// plain".
 func FORWidth(span uint64) int {
 	switch {
 	case span == 0:
@@ -366,8 +358,8 @@ func FORWidth(span uint64) int {
 	return 8
 }
 
-// Modeled RCF4 chunk payload sizes (pre-gzip), one formula shared with
-// the writer's layouts: see internal/rcfile. All include the chunk's
+// Modeled RCF chunk payload sizes (pre-gzip), the exact lengths of the
+// layouts internal/rcfile writes. All include the chunk's
 // self-describing header bytes.
 
 // RLEChunkBytes is the numeric RLE payload: run count + (8-byte value,
@@ -386,34 +378,101 @@ func GDictChunkBytes(rows, width int) int64 { return 5 + int64(rows)*int64(width
 // + code base + run count + (packed code, 4-byte length) per run.
 func GDictRLEChunkBytes(runs, width int) int64 { return 9 + int64(runs)*int64(width+4) }
 
-// runCountIn returns the number of value runs within rows [lo, hi) of
-// a dense vector.
-func runCountIn(v *Vector, lo, hi int) int {
-	runs := 1
+// Chunk encodings, numbered as the RCFile footer's enc byte.
+const (
+	encPlain    = byte(0) // length-prefixed strings / fixed 8-byte numerics
+	encGDict    = byte(1) // FOR-packed global codes (dict Str)
+	encGDictRLE = byte(2) // run-length encoded global codes (dict Str)
+	encRLE      = byte(3) // run-length encoded values (Int/Float)
+	encDelta    = byte(4) // FOR-packed values (Int)
+)
+
+// ChunkPlan is the storage decision for one column chunk: which RCF
+// encoding lays rows [lo, hi) of a vector down smallest, and the numbers
+// that decided it, which are also what the chosen layout and the footer
+// store.
+type ChunkPlan struct {
+	// Enc is the RCFile enc byte: 0 plain, 1 gdict, 2 gdict+rle, 3 rle,
+	// 4 delta.
+	Enc byte
+	// Bytes is Enc's modeled payload size before gzip.
+	Bytes int64
+	// Width is the packed cell width of gdict, gdict+rle and delta
+	// payloads: the FORWidth of the chunk's code or value span.
+	Width int
+	// Runs counts maximal runs of equal adjacent cells — Int values,
+	// Float bit patterns, dict codes; raw Str chunks are never run
+	// encoded and report 0.
+	Runs int
+	// Zone is the chunk's min/max; Zone.CodeMin / Zone.IntMin is the
+	// frame-of-reference base of gdict / delta payloads.
+	Zone ZoneMap
+}
+
+// PlanChunk decides the encoding of rows [lo, hi) of the dense vector v
+// by modeled payload size; ties go to the earlier candidate (strict
+// less-than), plain before all — same bytes, simpler decode. It is the
+// one chooser: the rcfile writer lays down what it returns and the
+// in-memory scan model charges its Bytes, so the bytes the cost models
+// replay are the bytes a file would hold. The range must not be empty.
+func PlanChunk(v *Vector, lo, hi int) ChunkPlan {
+	rows := hi - lo
+	p := ChunkPlan{Zone: ZoneOf(v, lo, hi)}
 	switch {
-	case v.Kind == Int:
-		for p := lo + 1; p < hi; p++ {
-			if v.Ints[p] != v.Ints[p-1] {
-				runs++
+	case v.IsDict():
+		codes := v.Dict[lo:hi]
+		p.Width = FORWidth(uint64(p.Zone.CodeMax - p.Zone.CodeMin))
+		p.Runs = countRuns(codes)
+		p.Enc, p.Bytes = encGDict, GDictChunkBytes(rows, p.Width)
+		if rle := GDictRLEChunkBytes(p.Runs, p.Width); rle < p.Bytes {
+			p.Enc, p.Bytes = encGDictRLE, rle
+		}
+		// Near-unique groups: the strings themselves are smaller.
+		var plain int64
+		for _, c := range codes {
+			plain += 4 + int64(len(v.DictVals[c]))
+		}
+		if plain < p.Bytes {
+			p.Enc, p.Bytes = encPlain, plain
+		}
+	case v.Kind == Str:
+		for _, s := range v.Strs[lo:hi] {
+			p.Bytes += 4 + int64(len(s))
+		}
+	default: // Int or Float: plain is 8 bytes a row
+		p.Bytes = 8 * int64(rows)
+		if v.Kind == Int {
+			if w := FORWidth(uint64(p.Zone.IntMax) - uint64(p.Zone.IntMin)); w < 8 {
+				p.Width = w
+				if fb := DeltaChunkBytes(rows, w); fb < p.Bytes {
+					p.Enc, p.Bytes = encDelta, fb
+				}
+			}
+			p.Runs = countRuns(v.Ints[lo:hi])
+		} else {
+			// By bit pattern, as the rle layout stores them: -0 must
+			// not join a run of +0, and equal NaNs may.
+			p.Runs = 1
+			for i := lo + 1; i < hi; i++ {
+				if math.Float64bits(v.Floats[i]) != math.Float64bits(v.Floats[i-1]) {
+					p.Runs++
+				}
 			}
 		}
-	case v.Kind == Float:
-		for p := lo + 1; p < hi; p++ {
-			if v.Floats[p] != v.Floats[p-1] {
-				runs++
-			}
+		if rle := RLEChunkBytes(p.Runs); rle < p.Bytes {
+			p.Enc, p.Bytes = encRLE, rle
 		}
-	case v.DictVals != nil:
-		for p := lo + 1; p < hi; p++ {
-			if v.Dict[p] != v.Dict[p-1] {
-				runs++
-			}
-		}
-	default:
-		for p := lo + 1; p < hi; p++ {
-			if v.Strs[p] != v.Strs[p-1] {
-				runs++
-			}
+	}
+	return p
+}
+
+// countRuns counts maximal runs of equal adjacent values in a non-empty
+// slice.
+func countRuns[T comparable](xs []T) int {
+	runs := 1
+	for i := 1; i < len(xs); i++ {
+		if xs[i] != xs[i-1] {
+			runs++
 		}
 	}
 	return runs
@@ -438,8 +497,8 @@ func computeScanInfo(t *Table, groupRows int) *tableScanInfo {
 	info := &tableScanInfo{groupRows: groupRows}
 	numGroups := (n + groupRows - 1) / groupRows
 	// Per dict column, the file-global dictionary's bytes amortize
-	// evenly across the groups (RCF4 stores one dictionary per column
-	// in the footer).
+	// evenly across the groups (an RCFile stores one dictionary per
+	// column in the footer).
 	dictShare := make([]int64, len(d.Cols))
 	for c, v := range d.Cols {
 		if v.DictVals != nil && numGroups > 0 {
@@ -455,48 +514,10 @@ func computeScanInfo(t *Table, groupRows int) *tableScanInfo {
 		zs := make([]ZoneMap, len(d.Cols))
 		bs := make([]int64, len(d.Cols))
 		for c, v := range d.Cols {
-			zs[c] = ZoneOf(v, lo, hi)
-			switch {
-			case v.DictVals != nil:
-				// Model the adaptive RCF4 chunk: packed global codes
-				// (frame-of-reference width from the group's code
-				// span), run-length codes when the group is clustered,
-				// or plain strings for near-unique groups — matching
-				// the writer's per-chunk choice — plus this group's
-				// share of the file-global dictionary.
-				w := FORWidth(uint64(zs[c].CodeMax - zs[c].CodeMin))
-				best := GDictChunkBytes(rows, w)
-				if rle := GDictRLEChunkBytes(runCountIn(v, lo, hi), w); rle < best {
-					best = rle
-				}
-				var plain int64
-				for _, code := range v.Dict[lo:hi] {
-					plain += 4 + int64(len(v.DictVals[code]))
-				}
-				if plain < best {
-					best = plain
-				}
-				bs[c] = best + dictShare[c]
-			case v.Kind == Str:
-				var b int64
-				for p := lo; p < hi; p++ {
-					b += encodedCellBytes(v, int32(p))
-				}
-				bs[c] = b
-			default:
-				best := 8 * int64(rows)
-				if v.Kind == Int {
-					if w := FORWidth(uint64(zs[c].IntMax) - uint64(zs[c].IntMin)); w < 8 {
-						if fb := DeltaChunkBytes(rows, w); fb < best {
-							best = fb
-						}
-					}
-				}
-				if rle := RLEChunkBytes(runCountIn(v, lo, hi)); rle < best {
-					best = rle
-				}
-				bs[c] = best
-			}
+			p := PlanChunk(v, lo, hi)
+			// A dict column's chunk also carries this group's share
+			// of the file-global dictionary.
+			zs[c], bs[c] = p.Zone, p.Bytes+dictShare[c]
 		}
 		info.rows = append(info.rows, rows)
 		info.zones = append(info.zones, zs)

@@ -167,11 +167,9 @@ func q2(e *relal.Exec, db *DB) *relal.Table {
 	pt := scan(e, db, "part",
 		[]string{"p_partkey", "p_mfgr", "p_type", "p_size"},
 		relal.IntEq("p_size", 15))
-	psize := pt.IntCol("p_size")
 	ptype := pt.StrCol("p_type")
-	part := e.Filter(pt, func(i int) bool {
-		return psize.Get(i) == 15 && strings.HasSuffix(ptype.Get(i), "BRASS")
-	})
+	part := e.Where(pt, pt.IntCol("p_size").Eq(15),
+		relal.PredFn(func(i int) bool { return strings.HasSuffix(ptype.Get(i), "BRASS") }))
 	rt := scan(e, db, "region", []string{"r_regionkey", "r_name"},
 		relal.StrEq("r_name", "EUROPE"))
 	region := e.Where(rt, rt.StrCol("r_name").Eq("EUROPE"))
@@ -478,8 +476,7 @@ func q11(e *relal.Exec, db *DB) *relal.Table {
 	byPart := e.Aggregate(ps, []string{"ps_partkey"}, []relal.AggSpec{
 		{Fn: "sum", Col: "value", As: "value"},
 	})
-	val := byPart.FloatCol("value")
-	f := e.Filter(byPart, func(i int) bool { return val.Get(i) > threshold })
+	f := e.Where(byPart, byPart.FloatCol("value").Gt(threshold))
 	return e.Sort(f, relal.OrderSpec{Col: "value", Desc: true})
 }
 
@@ -623,8 +620,7 @@ func q15(e *relal.Exec, db *DB) *relal.Table {
 	if maxRev.NumRows() > 0 {
 		mx = maxRev.FloatCol("max_rev").Get(0)
 	}
-	tr := revenue.FloatCol("total_revenue")
-	top := e.Filter(revenue, func(i int) bool { return tr.Get(i) >= mx-1e-6 })
+	top := e.Where(revenue, revenue.FloatCol("total_revenue").Ge(mx-1e-6))
 	st := e.Join(top, scan(e, db, "supplier",
 		[]string{"s_suppkey", "s_name", "s_address", "s_phone"}), "l_suppkey", "s_suppkey")
 	proj := e.Project(st, "s_suppkey", "s_name", "s_address", "s_phone", "total_revenue")
@@ -706,8 +702,7 @@ func q18(e *relal.Exec, db *DB) *relal.Table {
 	perOrder := e.Aggregate(li, []string{"l_orderkey"}, []relal.AggSpec{
 		{Fn: "sum", Col: "l_quantity", As: "sum_qty"},
 	})
-	sq := perOrder.FloatCol("sum_qty")
-	big := e.Filter(perOrder, func(i int) bool { return sq.Get(i) > 300 })
+	big := e.Where(perOrder, perOrder.FloatCol("sum_qty").Gt(300))
 	bo := e.Join(big, scan(e, db, "orders",
 		[]string{"o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"}), "l_orderkey", "o_orderkey")
 	boc := e.Join(bo, scan(e, db, "customer", []string{"c_custkey", "c_name"}), "o_custkey", "c_custkey")
@@ -859,7 +854,7 @@ func q22(e *relal.Exec, db *DB) *relal.Table {
 	cust := e.Filter(ct, func(i int) bool { return codes[cphone.Get(i)[:2]] })
 	// Sub-query 2: average positive balance among them.
 	cbal := cust.FloatCol("c_acctbal")
-	pos := e.Filter(cust, func(i int) bool { return cbal.Get(i) > 0 })
+	pos := e.Where(cust, cbal.Gt(0))
 	avg := e.Aggregate(pos, nil, []relal.AggSpec{{Fn: "avg", Col: "c_acctbal", As: "avg_bal"}})
 	avgBal := 0.0
 	if avg.NumRows() > 0 {
@@ -870,7 +865,7 @@ func q22(e *relal.Exec, db *DB) *relal.Table {
 		{Fn: "count", Col: "*", As: "n"},
 	})
 	// Sub-query 4: join it all.
-	rich := e.Filter(cust, func(i int) bool { return cbal.Get(i) > avgBal })
+	rich := e.Where(cust, cbal.Gt(avgBal))
 	noOrders := e.AntiJoin(rich, ordCust, "c_custkey", "o_custkey")
 	nphone := noOrders.StrCol("c_phone")
 	noOrders = e.ExtendStr(noOrders, "cntrycode", func(i int) string {

@@ -10,7 +10,6 @@ package tpch
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -62,10 +61,6 @@ type StreamResult struct {
 	// PerQuery accumulates wall time per query ID, summed across
 	// streams and rounds.
 	PerQuery map[int]time.Duration
-	// PerQuerySort accumulates time spent inside the Sort/TopK kernels
-	// per query ID (from each Exec's StepLog.SortNanos), so harnesses
-	// can report every query's sort share of wall time.
-	PerQuerySort map[int]time.Duration
 	// Scanned is the byte accounting summed over every scan step of
 	// every stream (per-Exec step logs merged after the run).
 	Scanned relal.ScanStats
@@ -91,11 +86,10 @@ func (c StreamConfig) withDefaults() StreamConfig {
 // streamTally is one stream's private measurement state, merged under a
 // lock only after the stream finishes.
 type streamTally struct {
-	perQuery     map[int]time.Duration
-	perQuerySort map[int]time.Duration
-	scanned      relal.ScanStats
-	queries      int
-	errs         []error
+	perQuery map[int]time.Duration
+	scanned  relal.ScanStats
+	queries  int
+	errs     []error
 }
 
 // RunStreams replays the configured queries as cfg.Streams concurrent
@@ -118,15 +112,11 @@ func RunStreams(db *DB, cfg StreamConfig) StreamResult {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			tally := streamTally{
-				perQuery:     make(map[int]time.Duration),
-				perQuerySort: make(map[int]time.Duration),
-			}
+			tally := streamTally{perQuery: make(map[int]time.Duration)}
 			for round := 0; round < cfg.Rounds; round++ {
 				for _, id := range cfg.Queries {
 					qStart := time.Now()
 					out, log := RunQueryWorkers(id, db, cfg.Workers)
-					tally.perQuerySort[id] += time.Duration(log.SortNanos)
 					for _, step := range log.Steps {
 						if step.Kind == relal.StepScan {
 							tally.scanned.Add(relal.ScanStats{
@@ -165,17 +155,13 @@ func RunStreams(db *DB, cfg StreamConfig) StreamResult {
 	res := StreamResult{
 		Streams: cfg.Streams, Rounds: cfg.Rounds,
 		Workers: workers, PoolWorkers: pool,
-		Elapsed:      elapsed,
-		PerQuery:     make(map[int]time.Duration),
-		PerQuerySort: make(map[int]time.Duration),
+		Elapsed:  elapsed,
+		PerQuery: make(map[int]time.Duration),
 	}
 	for _, tally := range tallies {
 		res.Queries += tally.queries
 		for id, d := range tally.perQuery {
 			res.PerQuery[id] += d
-		}
-		for id, d := range tally.perQuerySort {
-			res.PerQuerySort[id] += d
 		}
 		res.Scanned.Add(tally.scanned)
 		res.Errors = append(res.Errors, tally.errs...)
@@ -184,14 +170,4 @@ func RunStreams(db *DB, cfg StreamConfig) StreamResult {
 		res.QPS = float64(res.Queries) / elapsed.Seconds()
 	}
 	return res
-}
-
-// QueryIDs returns the per-query keys of the result in ascending order.
-func (r StreamResult) QueryIDs() []int {
-	ids := make([]int, 0, len(r.PerQuery))
-	for id := range r.PerQuery {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }

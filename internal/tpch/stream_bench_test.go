@@ -28,8 +28,9 @@ func BenchmarkTPCHJoinQuery(b *testing.B) {
 }
 
 // BenchmarkStreams measures aggregate stream throughput on the shared
-// DB at 1 stream vs GOMAXPROCS streams (cmd/tpchbench -streams is the
-// script-facing version of the same measurement).
+// DB at 1 stream vs GOMAXPROCS streams (the engine benchmark's
+// mem-stream workload is the script-facing version of the same
+// measurement).
 func BenchmarkStreams(b *testing.B) {
 	db := Generate(GenConfig{SF: 0.005, Seed: 1, Random64: true})
 	RunStreams(db, StreamConfig{Warmup: true}) // prime caches once

@@ -125,8 +125,8 @@ func TestStreamRoundsAndWarmup(t *testing.T) {
 			t.Errorf("Q%d accumulated no wall time", id)
 		}
 	}
-	if got := res.QueryIDs(); len(got) != len(qids) {
-		t.Fatalf("QueryIDs = %v, want ids %v", got, qids)
+	if len(res.PerQuery) != len(qids) {
+		t.Fatalf("PerQuery = %v, want ids %v", res.PerQuery, qids)
 	}
 }
 
