@@ -29,8 +29,12 @@ race:
 streams:
 	$(GO) test -race -run 'Stream|Join|Sort|Aggregate|TopK|Dict|Pred|Cache|Sched|Encoding|Htap|Delta|Wal' ./...
 
-# The combined HTAP harness: concurrent write + analytical streams with
-# quiesced answers pinned to the golden snapshot, under -race.
+# The HTAP suites under -race: the golden matrix (held rows replayed
+# through the delta log, quiesced answers pinned to the golden snapshot
+# over both storage modes, tail and converted) and the concurrent test —
+# BSON writers from a test-local loop beside tpch.RunStreams, the
+# background converter and a StatsNow poller — then quiesce, convert and
+# pin the same snapshot.
 htap:
 	$(GO) test -race -run 'Htap' ./internal/htap/ -v
 
@@ -56,7 +60,8 @@ dist:
 # key encodings and morsel merge, RCF6 dict-chunk and RLE/delta-chunk
 # round-trips, chunk-cache key/eviction paths, the delta-log replay
 # parser, the full crash-schedule → recover cycle of the file-backed
-# log, and the dist table decoder.
+# log, the dist table decoder, and the BSON decoder of the HTAP write
+# path (accepts exactly what Marshal produces).
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzJoinKeys -fuzztime 15s ./internal/relal/
 	$(GO) test -run xxx -fuzz FuzzSortKeys -fuzztime 15s ./internal/relal/
@@ -67,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDeltaReplay -fuzztime 15s ./internal/delta/
 	$(GO) test -run xxx -fuzz FuzzCrashRecovery -fuzztime 15s ./internal/delta/
 	$(GO) test -run xxx -fuzz FuzzWireTable -fuzztime 15s ./internal/dist/
+	$(GO) test -run xxx -fuzz FuzzBSONUnmarshal -fuzztime 15s ./internal/docstore/
 
 vet:
 	$(GO) vet ./...
@@ -75,14 +81,22 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The sim/real seam: the paper-side front doors (core, tpchbench,
-# ycsbbench) model Hive, PDW, Mongo and SQL Server on the simulator and
-# must not link the engine's storage, durability, fault or distribution
-# layers — engine numbers come from bench/, not from a driver in core.
+# The sim/real seam, both ways. The paper-side front doors (core,
+# tpchbench, ycsbbench) model Hive, PDW, Mongo and SQL Server on the
+# simulator and must not link the engine's storage, durability, fault or
+# distribution layers — engine numbers come from bench/, not from a
+# driver in core. And the engine (its packages, its CLIs and the
+# benchmark binary) must link none of the simulator's packages.
+SIM_PKGS = sim|cluster|metrics|wal|sqleng|shard|ycsb|mapreduce|hive|pdw|core
+ENGINE_PKGS = ./internal/relal ./internal/rcfile ./internal/storage ./internal/tpch ./internal/delta \
+	./internal/fault ./internal/docstore ./internal/htap ./internal/dist ./cmd/dbgen ./cmd/scanstats
 seam:
 	@out=$$($(GO) list -deps ./internal/core ./cmd/tpchbench ./cmd/ycsbbench | \
 		grep -E '^elephants/internal/(rcfile|delta|fault|htap|dist)$$' || true); \
 	if [ -n "$$out" ]; then echo "sim side links the engine:"; echo "$$out"; exit 1; fi
+	@out=$$({ $(GO) list -deps $(ENGINE_PKGS); $(GO) -C bench list -deps .; } | \
+		grep -E '^elephants/internal/($(SIM_PKGS))$$' | sort -u || true); \
+	if [ -n "$$out" ]; then echo "engine side links the simulator:"; echo "$$out"; exit 1; fi
 
 check: fmt-check vet seam build test
 

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -19,11 +20,23 @@ import (
 )
 
 func main() {
-	workloads := flag.String("workloads", "CBADE", "workload letters to run")
-	systems := flag.String("systems", strings.Join(core.Systems, ","), "systems to run")
-	quick := flag.Bool("quick", false, "smaller sweep for a fast demo")
-	records := flag.Int("records-per-node", 0, "records per server node (0 = default)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err == flag.ErrHelp {
+		os.Exit(0)
+	} else if err != nil {
+		fmt.Fprintln(os.Stderr, "ycsbbench:", err)
+		os.Exit(2)
+	}
+}
+
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("ycsbbench", flag.ContinueOnError)
+	workloads := fs.String("workloads", "CBADE", "workload letters to run")
+	systems := fs.String("systems", strings.Join(core.Systems, ","), "systems to run")
+	quick := fs.Bool("quick", false, "smaller sweep for a fast demo")
+	records := fs.Int("records-per-node", 0, "records per server node (0 = default)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	sc := core.DefaultYCSBScale()
 	if *records > 0 {
@@ -35,7 +48,7 @@ func main() {
 		sysList = append(sysList, strings.TrimSpace(s))
 	}
 
-	fmt.Printf("YCSB: %d server nodes, %d records/node, %d clients (virtual time)\n\n",
+	fmt.Fprintf(w, "YCSB: %d server nodes, %d records/node, %d clients (virtual time)\n\n",
 		sc.ServerNodes, sc.RecordsPerNode, sc.Clients)
 
 	figures := []struct {
@@ -54,21 +67,24 @@ func main() {
 		if !strings.Contains(*workloads, fig.letter) {
 			continue
 		}
-		w, _ := ycsb.ByName(fig.letter)
+		wl, _ := ycsb.ByName(fig.letter)
 		tg := fig.targets
 		if *quick {
 			tg = tg[:2]
 		}
 		curves := make(map[string][]core.CurvePoint)
 		for _, system := range sysList {
-			curves[system] = core.RunCurve(system, w, tg, sc)
+			curves[system] = core.RunCurve(system, wl, tg, sc)
 		}
-		core.WriteCurve(os.Stdout, fig.title, curves, fig.kinds)
-		fmt.Println()
+		core.WriteCurve(w, fig.title, curves, fig.kinds)
+		fmt.Fprintln(w)
 	}
 
-	fmt.Println("Load times (§3.4.2, virtual time):")
-	for system, d := range core.RunLoadTimes(sc) {
-		fmt.Printf("  %-10s %v\n", system, d)
+	// RunLoadTimes returns a map; print it in paper order, not map order.
+	fmt.Fprintln(w, "Load times (§3.4.2, virtual time):")
+	loads := core.RunLoadTimes(sc)
+	for _, system := range core.Systems {
+		fmt.Fprintf(w, "  %-10s %v\n", system, loads[system])
 	}
+	return nil
 }

@@ -1,7 +1,7 @@
 // Quickstart: build one SQL-Server-like engine and one mongod on a
 // simulated node each, load a few thousand records, and compare
 // point-read and update latencies cold vs warm — the smallest possible
-// tour of the public pieces (sim, cluster, sqleng, docstore).
+// tour of the public pieces (sim, cluster, sqleng, docstore, shard).
 package main
 
 import (
@@ -10,6 +10,7 @@ import (
 
 	"elephants/internal/cluster"
 	"elephants/internal/docstore"
+	"elephants/internal/shard"
 	"elephants/internal/sim"
 	"elephants/internal/sqleng"
 )
@@ -22,7 +23,7 @@ func main() {
 	// will be ~2.5× larger, like the paper's setup) ...
 	eng := sqleng.New(s, cl.Nodes[0], sqleng.Config{BufferPoolPages: 120})
 	// ... and a mongod with the equivalent resident-set budget.
-	mon := docstore.NewMongod(s, cl.Nodes[1], docstore.Config{ResidentExtents: 30})
+	mon := shard.NewMongod(s, cl.Nodes[1], shard.MongodConfig{ResidentExtents: 30})
 
 	const records = 2000
 	rec := make([]byte, 1000)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"elephants/internal/cluster"
-	"elephants/internal/docstore"
 	"elephants/internal/shard"
 	"elephants/internal/sim"
 	"elephants/internal/ycsb"
@@ -20,9 +19,9 @@ func main() {
 	cl := cluster.New(s, cluster.Config{Nodes: 5})
 	servers, clients, config := cl.Nodes[:2], cl.Nodes[2:4], cl.Nodes[4]
 
-	var mongods []*docstore.Mongod
+	var mongods []*shard.Mongod
 	for i := 0; i < 4; i++ {
-		mongods = append(mongods, docstore.NewMongod(s, servers[i%2], docstore.Config{}))
+		mongods = append(mongods, shard.NewMongod(s, servers[i%2], shard.MongodConfig{}))
 	}
 	mas := shard.NewMongoAS(s, mongods, []*cluster.Node{servers[0], servers[1]}, clients, config,
 		shard.MongoASConfig{SplitThreshold: 100, BalanceEvery: sim.Second, BalanceSlack: 1})

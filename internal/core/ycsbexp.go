@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"elephants/internal/cluster"
-	"elephants/internal/docstore"
 	"elephants/internal/shard"
 	"elephants/internal/sim"
 	"elephants/internal/sqleng"
@@ -150,15 +149,15 @@ func buildDeployment(system string, sc YCSBScale, crashLimit int, isolation sqle
 	return d
 }
 
-func buildMongods(s *sim.Sim, servers []*cluster.Node, sc YCSBScale, memBytes int64) []*docstore.Mongod {
-	var mongods []*docstore.Mongod
+func buildMongods(s *sim.Sim, servers []*cluster.Node, sc YCSBScale, memBytes int64) []*shard.Mongod {
+	var mongods []*shard.Mongod
 	perMongodMem := memBytes / int64(sc.MongodsPerNode)
-	extents := int(perMongodMem / docstore.ExtentSize)
+	extents := int(perMongodMem / shard.ExtentSize)
 	if extents < 1 {
 		extents = 1 // never fall through to "whole node memory"
 	}
 	for i := 0; i < sc.ServerNodes*sc.MongodsPerNode; i++ {
-		mongods = append(mongods, docstore.NewMongod(s, servers[i%len(servers)], docstore.Config{
+		mongods = append(mongods, shard.NewMongod(s, servers[i%len(servers)], shard.MongodConfig{
 			ResidentExtents: extents,
 			FlushEvery:      20 * sim.Second,
 		}))

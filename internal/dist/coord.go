@@ -8,10 +8,10 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"elephants/internal/fault"
-	"elephants/internal/metrics"
 	"elephants/internal/relal"
 	"elephants/internal/tpch"
 )
@@ -39,7 +39,7 @@ func (e *PartialError) Unwrap() error { return e.Err }
 // Is makes errors.Is(err, ErrPartial) hold for every PartialError.
 func (e *PartialError) Is(target error) bool { return target == ErrPartial }
 
-// Coordinator counter names (metrics.CounterSet keys).
+// Coordinator counter names: the keys Stats reports them under.
 const (
 	cRequests      = "dist_requests"
 	cRetries       = "dist_retries"
@@ -126,8 +126,10 @@ type Coordinator struct {
 	addrs    []string
 	opts     Options
 	inj      *fault.NetInjector
-	counters *metrics.CounterSet
 	breakers []*breakerState
+
+	// Robustness counters, reported by Stats under the c* keys.
+	requests, retries, failFast, breakerTrips, breakerCloses, partials atomic.Int64
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -156,7 +158,6 @@ func NewCoordinatorDB(db *tpch.DB, addrs []string, opts Options) *Coordinator {
 		addrs:    addrs,
 		opts:     opts,
 		inj:      fault.NewNetInjector(opts.Net),
-		counters: metrics.NewCounterSet(),
 		breakers: make([]*breakerState, len(addrs)),
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 		stop:     make(chan struct{}),
@@ -187,7 +188,14 @@ func (c *Coordinator) DB() *tpch.DB { return c.db }
 // Stats snapshots the robustness counters, including injected network
 // faults when an injector is armed.
 func (c *Coordinator) Stats() map[string]int64 {
-	out := c.counters.Snapshot()
+	out := map[string]int64{
+		cRequests:      c.requests.Load(),
+		cRetries:       c.retries.Load(),
+		cFailFast:      c.failFast.Load(),
+		cBreakerTrips:  c.breakerTrips.Load(),
+		cBreakerCloses: c.breakerCloses.Load(),
+		cPartials:      c.partials.Load(),
+	}
 	if c.inj != nil {
 		out["net_faults_injected"] = int64(c.inj.Count())
 	}
@@ -206,7 +214,7 @@ func (c *Coordinator) RunQuery(id int) (t *relal.Table, err error) {
 			if !ok {
 				panic(r)
 			}
-			c.counters.Add(cPartials, 1)
+			c.partials.Add(1)
 			t, err = nil, pe
 		}
 	}()
@@ -228,7 +236,7 @@ func (c *Coordinator) workers() int {
 func (c *Coordinator) runFragment(frag tpch.Fragment) (*relal.Table, error) {
 	parts, _, err := c.scatter(Request{Op: OpFragment, FragID: frag.ID})
 	if err != nil {
-		c.counters.Add(cPartials, 1)
+		c.partials.Add(1)
 		return nil, err
 	}
 	e := &relal.Exec{Parallelism: c.workers()}
@@ -267,19 +275,19 @@ func (c *Coordinator) scatter(req Request) ([]*relal.Table, relal.ScanStats, err
 // a well-formed table, so a shard that answers with malformed bytes is
 // retried like one that did not answer.
 func (c *Coordinator) call(i int, req Request) (*relal.Table, relal.ScanStats, error) {
-	c.counters.Add(cRequests, 1)
+	c.requests.Add(1)
 	backoff := c.opts.BackoffBase
 	var lastErr error
 	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			c.counters.Add(cRetries, 1)
+			c.retries.Add(1)
 			time.Sleep(backoff + c.jitter(backoff))
 			if backoff *= 2; backoff > c.opts.BackoffCap {
 				backoff = c.opts.BackoffCap
 			}
 		}
 		if c.opts.FailFast && c.breakerOpen(i) {
-			c.counters.Add(cFailFast, 1)
+			c.failFast.Add(1)
 			if lastErr == nil {
 				lastErr = errors.New("circuit open")
 			}
@@ -440,7 +448,7 @@ func (c *Coordinator) noteFailure(i int) {
 	b.fails++
 	if b.fails >= c.opts.BreakerAfter && !b.open {
 		b.open = true
-		c.counters.Add(cBreakerTrips, 1)
+		c.breakerTrips.Add(1)
 	}
 }
 
@@ -451,7 +459,7 @@ func (c *Coordinator) noteSuccess(i int) {
 	b.fails = 0
 	if b.open {
 		b.open = false
-		c.counters.Add(cBreakerCloses, 1)
+		c.breakerCloses.Add(1)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -87,6 +88,39 @@ func coordAnswers(t *testing.T, c *Coordinator) string {
 		b.WriteString(tpch.FormatAnswer(q.ID, out))
 	}
 	return b.String()
+}
+
+// TestDistShardPlacement pins the orderkey router: the shard index of
+// the first 64 generated orderkeys and of the int64 extremes at 2 and 4
+// shards (and at 3, whose modulus reads every bit of the hash), as the
+// shard package's int router placed them before dist got its own. A
+// change here moves rows between shards, which moves
+// dist-scatter's per-shard data and breaks agreement between processes
+// built from different commits.
+func TestDistShardPlacement(t *testing.T) {
+	for _, tc := range []struct {
+		shards   int
+		first64  string // shardOf(tpch.OrderKey(i)) for i in [0, 64)
+		min, max int
+	}{
+		{2, "0101010101010101010101010101010101010101010101010101010101010101", 1, 1},
+		{3, "0020221221121101221021011101102011021100002102221021002002102212", 2, 0},
+		{4, "0321032103210321032103210321032103210321032103210321032103210321", 1, 1},
+	} {
+		var got strings.Builder
+		for i := int64(0); i < 64; i++ {
+			fmt.Fprint(&got, shardOf(tpch.OrderKey(i), tc.shards))
+		}
+		if got.String() != tc.first64 {
+			t.Errorf("shards=%d: placement %s, want %s", tc.shards, got.String(), tc.first64)
+		}
+		if got := shardOf(math.MinInt64, tc.shards); got != tc.min {
+			t.Errorf("shards=%d: MinInt64 on shard %d, want %d", tc.shards, got, tc.min)
+		}
+		if got := shardOf(math.MaxInt64, tc.shards); got != tc.max {
+			t.Errorf("shards=%d: MaxInt64 on shard %d, want %d", tc.shards, got, tc.max)
+		}
+	}
 }
 
 // TestDistGoldenShards is the tentpole's exactness proof: all 22

@@ -11,7 +11,6 @@ import (
 	"elephants/internal/htap"
 	"elephants/internal/rcfile"
 	"elephants/internal/relal"
-	"elephants/internal/shard"
 	"elephants/internal/tpch"
 )
 
@@ -62,20 +61,31 @@ type ShardConfig struct {
 	Workers int
 }
 
+// shardOf is the orderkey router: FNV-1a over the key's 8 little-endian
+// bytes, modulo the shard count (at least 1). It is a pure function of
+// the key, so every process computes the same placement.
+func shardOf(key int64, shards int) int {
+	h := uint64(14695981039346656037) // FNV-1a 64-bit offset basis
+	for i := 0; i < 8; i++ {
+		h ^= uint64(byte(key >> (8 * i)))
+		h *= 1099511628211 // FNV-1a 64-bit prime
+	}
+	return int(h % uint64(max(shards, 1)))
+}
+
 // BuildShardDB generates the full dataset and replaces the partitioned
 // tables with this shard's hash partition, each row tagged with its
 // global position. Every process computes identical placement, so the
 // shards form an exact disjoint cover of the original rows.
 func BuildShardDB(cfg ShardConfig) *tpch.DB {
 	db := tpch.Generate(tpch.GenConfig{SF: cfg.SF, Seed: cfg.Seed, Random64: cfg.Random64})
-	router := shard.NewHashShards(cfg.Shards)
 	e := &relal.Exec{Parallelism: 1}
 	for name, keyCol := range PartitionedTables {
 		full := db.Table(name)
 		withPos := e.ExtendInt(full, PosCol, func(i int) int64 { return int64(i) })
 		key := withPos.IntCol(keyCol)
 		part := e.Filter(withPos, func(i int) bool {
-			return router.ShardForInt(key.Get(i)) == cfg.Index
+			return shardOf(key.Get(i), cfg.Shards) == cfg.Index
 		}).Compacted()
 		part.Name = name
 		switch name {

@@ -1,9 +1,8 @@
-// Package docstore implements the MongoDB-1.8-like document store used
-// on the YCSB side of the paper: BSON-serialized documents in 32 KB
-// extents, a B+tree _id index, a per-process global write lock (one
-// writer blocks all other operations), memory-mapped-style residency
-// with a periodic background flush, and no durability by default (the
-// paper ran MongoDB without journaling).
+// Package docstore is the BSON document codec: ordered documents and
+// the subset of the BSON wire format they marshal to. The simulated
+// mongod (internal/shard) stores documents in this form, and the HTAP
+// write path (internal/htap) accepts writes in it. It imports no repo
+// package, so both halves can use it.
 package docstore
 
 import (
@@ -114,7 +113,10 @@ func appendCString(b []byte, s string) []byte {
 	return append(b, 0)
 }
 
-// Unmarshal decodes a BSON document produced by Marshal.
+// Unmarshal decodes a BSON document produced by Marshal. It accepts
+// exactly the byte strings Marshal can produce: every element must end
+// before the document's terminating 0x00, every string must end in NUL,
+// and binary elements must carry the generic subtype 0.
 func Unmarshal(data []byte) (*Doc, error) {
 	if len(data) < 5 {
 		return nil, fmt.Errorf("docstore: bson too short (%d bytes)", len(data))
@@ -123,15 +125,16 @@ func Unmarshal(data []byte) (*Doc, error) {
 	if total != len(data) {
 		return nil, fmt.Errorf("docstore: bson length %d != buffer %d", total, len(data))
 	}
-	if data[len(data)-1] != 0 {
+	end := len(data) - 1 // the terminator; elements live in data[4:end]
+	if data[end] != 0 {
 		return nil, fmt.Errorf("docstore: bson missing terminator")
 	}
 	d := &Doc{}
 	pos := 4
-	for pos < len(data)-1 {
+	for pos < end {
 		tag := data[pos]
 		pos++
-		key, n, err := readCString(data[pos:])
+		key, n, err := readCString(data[pos:end])
 		if err != nil {
 			return nil, err
 		}
@@ -139,35 +142,41 @@ func Unmarshal(data []byte) (*Doc, error) {
 		var val Value
 		switch tag {
 		case tagString:
-			if pos+4 > len(data) {
+			if pos+4 > end {
 				return nil, fmt.Errorf("docstore: truncated string element")
 			}
 			slen := int(binary.LittleEndian.Uint32(data[pos : pos+4]))
 			pos += 4
-			if slen < 1 || pos+slen > len(data) {
+			if slen < 1 || pos+slen > end {
 				return nil, fmt.Errorf("docstore: bad string length %d", slen)
+			}
+			if data[pos+slen-1] != 0 {
+				return nil, fmt.Errorf("docstore: string element not NUL-terminated")
 			}
 			val = string(data[pos : pos+slen-1])
 			pos += slen
 		case tagInt64:
-			if pos+8 > len(data) {
+			if pos+8 > end {
 				return nil, fmt.Errorf("docstore: truncated int64 element")
 			}
 			val = int64(binary.LittleEndian.Uint64(data[pos : pos+8]))
 			pos += 8
 		case tagDouble:
-			if pos+8 > len(data) {
+			if pos+8 > end {
 				return nil, fmt.Errorf("docstore: truncated double element")
 			}
 			val = math.Float64frombits(binary.LittleEndian.Uint64(data[pos : pos+8]))
 			pos += 8
 		case tagBinary:
-			if pos+5 > len(data) {
+			if pos+5 > end {
 				return nil, fmt.Errorf("docstore: truncated binary element")
 			}
 			blen := int(binary.LittleEndian.Uint32(data[pos : pos+4]))
+			if sub := data[pos+4]; sub != 0 {
+				return nil, fmt.Errorf("docstore: unsupported binary subtype 0x%02x", sub)
+			}
 			pos += 5 // length + subtype
-			if blen < 0 || pos+blen > len(data) {
+			if blen < 0 || pos+blen > end {
 				return nil, fmt.Errorf("docstore: bad binary length %d", blen)
 			}
 			cp := make([]byte, blen)
@@ -175,11 +184,11 @@ func Unmarshal(data []byte) (*Doc, error) {
 			val = cp
 			pos += blen
 		case tagDoc:
-			if pos+4 > len(data) {
+			if pos+4 > end {
 				return nil, fmt.Errorf("docstore: truncated subdocument")
 			}
 			dlen := int(binary.LittleEndian.Uint32(data[pos : pos+4]))
-			if dlen < 5 || pos+dlen > len(data) {
+			if dlen < 5 || pos+dlen > end {
 				return nil, fmt.Errorf("docstore: bad subdocument length %d", dlen)
 			}
 			sub, err := Unmarshal(data[pos : pos+dlen])

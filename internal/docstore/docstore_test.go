@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
-
-	"elephants/internal/cluster"
-	"elephants/internal/sim"
 )
 
 func TestBSONRoundTripBasic(t *testing.T) {
@@ -77,6 +74,43 @@ func TestBSONErrors(t *testing.T) {
 	}
 }
 
+// TestBSONRejectsMalformed: documents Marshal cannot produce are
+// errors, not silently altered values. The string "abcd" with no NUL
+// used to decode as "abc", and a string whose NUL doubled as the
+// document terminator used to decode as if the document were complete.
+func TestBSONRejectsMalformed(t *testing.T) {
+	binary := Marshal(NewDoc(Field{"b", []byte{7}}))
+	binary[11] = 0x80 // subtype byte: user-defined, not generic
+	for name, data := range map[string][]byte{
+		"string without NUL":        {0x10, 0, 0, 0, 0x02, 'k', 0, 4, 0, 0, 0, 'a', 'b', 'c', 'd', 0},
+		"string through terminator": {0x0f, 0, 0, 0, 0x02, 'k', 0, 4, 0, 0, 0, 'a', 'b', 'c', 0},
+		"binary subtype 0x80":       binary,
+	} {
+		if d, err := Unmarshal(data); err == nil {
+			t.Errorf("%s: decoded to %v, want an error", name, d.Fields)
+		}
+	}
+}
+
+// FuzzBSONUnmarshal: Unmarshal never panics, and it accepts exactly the
+// image of Marshal — every input it decodes re-marshals to itself.
+func FuzzBSONUnmarshal(f *testing.F) {
+	f.Add(Marshal(NewDoc()))
+	f.Add(Marshal(NewDoc(Field{"_id", "user42"}, Field{"age", int64(7)}, Field{"score", 3.5})))
+	f.Add(Marshal(NewDoc(Field{"blob", []byte{1, 2, 3}}, Field{"inner", NewDoc(Field{"x", ""})})))
+	f.Add([]byte{0x10, 0, 0, 0, 0x02, 'k', 0, 4, 0, 0, 0, 'a', 'b', 'c', 'd', 0})
+	f.Add([]byte{0x0f, 0, 0, 0, 0x02, 'k', 0, 4, 0, 0, 0, 'a', 'b', 'c', 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		if got := Marshal(d); !bytes.Equal(got, data) {
+			t.Fatalf("accepted % x, which re-marshals to % x", data, got)
+		}
+	})
+}
+
 func TestBSONStringRoundTripProperty(t *testing.T) {
 	f := func(key0 string, vals []string) bool {
 		d := &Doc{}
@@ -110,223 +144,5 @@ func TestDocSetReplaces(t *testing.T) {
 	}
 	if v, _ := d.Get("a"); v.(string) != "2" {
 		t.Errorf("a = %v", v)
-	}
-}
-
-func newTestMongod(cfg Config) (*sim.Sim, *Mongod) {
-	s := sim.New()
-	cl := cluster.New(s, cluster.Config{Nodes: 1})
-	return s, NewMongod(s, cl.Nodes[0], cfg)
-}
-
-func ycsbDoc(id string) *Doc {
-	d := NewDoc(Field{"_id", id})
-	for i := 0; i < 10; i++ {
-		d.Set(fmt.Sprintf("field%d", i), string(make([]byte, 100)))
-	}
-	return d
-}
-
-func TestMongodInsertFind(t *testing.T) {
-	s, m := newTestMongod(Config{})
-	var got *Doc
-	var err error
-	s.Spawn("c", func(p *sim.Proc) {
-		if err = m.Insert(p, ycsbDoc("user1")); err != nil {
-			return
-		}
-		got, err = m.FindByID(p, "user1")
-	})
-	s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := got.Get("_id"); v.(string) != "user1" {
-		t.Errorf("_id = %v", v)
-	}
-}
-
-func TestMongodDuplicateInsert(t *testing.T) {
-	s, m := newTestMongod(Config{})
-	var err error
-	s.Spawn("c", func(p *sim.Proc) {
-		m.Insert(p, ycsbDoc("u"))
-		err = m.Insert(p, ycsbDoc("u"))
-	})
-	s.Run()
-	if err == nil {
-		t.Error("duplicate insert should fail")
-	}
-}
-
-func TestMongodMissingID(t *testing.T) {
-	s, m := newTestMongod(Config{})
-	var err error
-	s.Spawn("c", func(p *sim.Proc) {
-		err = m.Insert(p, NewDoc(Field{"x", "y"}))
-	})
-	s.Run()
-	if err == nil {
-		t.Error("insert without _id should fail")
-	}
-}
-
-func TestMongodUpdateField(t *testing.T) {
-	s, m := newTestMongod(Config{})
-	var got *Doc
-	s.Spawn("c", func(p *sim.Proc) {
-		m.Insert(p, ycsbDoc("u"))
-		m.UpdateByID(p, "u", "field3", "updated")
-		got, _ = m.FindByID(p, "u")
-	})
-	s.Run()
-	if v, _ := got.Get("field3"); v.(string) != "updated" {
-		t.Errorf("field3 = %q", v)
-	}
-}
-
-func TestMongodUpdateMissing(t *testing.T) {
-	s, m := newTestMongod(Config{})
-	var err error
-	s.Spawn("c", func(p *sim.Proc) {
-		err = m.UpdateByID(p, "ghost", "f", "v")
-	})
-	s.Run()
-	if err == nil {
-		t.Error("update of missing doc should fail")
-	}
-}
-
-func TestMongodScanOrdered(t *testing.T) {
-	s, m := newTestMongod(Config{})
-	for i := 0; i < 30; i++ {
-		m.Load(ycsbDoc(fmt.Sprintf("user%03d", i)))
-	}
-	var docs []*Doc
-	s.Spawn("c", func(p *sim.Proc) {
-		docs, _ = m.ScanRange(p, "user010", 5)
-	})
-	s.Run()
-	if len(docs) != 5 {
-		t.Fatalf("scan returned %d docs, want 5", len(docs))
-	}
-	if v, _ := docs[0].Get("_id"); v.(string) != "user010" {
-		t.Errorf("first _id = %v", v)
-	}
-}
-
-func TestGlobalWriteLockBlocksReaders(t *testing.T) {
-	s, m := newTestMongod(Config{})
-	m.Load(ycsbDoc("a"))
-	m.Load(ycsbDoc("b"))
-	// Warm residency so only the lock matters.
-	var readLatency sim.Duration
-	s.Spawn("warm", func(p *sim.Proc) {
-		m.FindByID(p, "a")
-		m.FindByID(p, "b")
-	})
-	s.Spawn("writer", func(p *sim.Proc) {
-		p.Sleep(sim.Second)
-		m.globalLock.AcquireWrite(p)
-		p.Sleep(200 * sim.Millisecond)
-		m.globalLock.ReleaseWrite()
-	})
-	s.Spawn("reader", func(p *sim.Proc) {
-		p.Sleep(sim.Second + sim.Millisecond)
-		t0 := p.Now()
-		m.FindByID(p, "b") // different document — still blocked (global lock)
-		readLatency = sim.Duration(p.Now() - t0)
-	})
-	s.Run()
-	if readLatency < 190*sim.Millisecond {
-		t.Errorf("reader latency %v, want >= ~199ms: global write lock must block unrelated reads", readLatency)
-	}
-}
-
-func TestWriteBusyAccounting(t *testing.T) {
-	s, m := newTestMongod(Config{})
-	m.Load(ycsbDoc("u"))
-	s.Spawn("c", func(p *sim.Proc) {
-		m.UpdateByID(p, "u", "field1", "v")
-	})
-	s.Run()
-	if m.GlobalLock().WriteBusy() <= 0 {
-		t.Error("global lock write busy time should be positive after an update")
-	}
-}
-
-func TestJournalAddsCommitLatency(t *testing.T) {
-	s, m := newTestMongod(Config{Journal: true})
-	m.Load(ycsbDoc("u"))
-	var lat sim.Duration
-	s.Spawn("c", func(p *sim.Proc) {
-		// Warm up residency first.
-		m.FindByID(p, "u")
-		t0 := p.Now()
-		m.UpdateByID(p, "u", "field1", "v")
-		lat = sim.Duration(p.Now() - t0)
-	})
-	s.Run()
-	if lat < JournalFlushInterval {
-		t.Errorf("journaled update latency %v, want >= %v", lat, JournalFlushInterval)
-	}
-}
-
-func TestNoJournalIsFaster(t *testing.T) {
-	s, m := newTestMongod(Config{})
-	m.Load(ycsbDoc("u"))
-	var lat sim.Duration
-	s.Spawn("c", func(p *sim.Proc) {
-		m.FindByID(p, "u")
-		t0 := p.Now()
-		m.UpdateByID(p, "u", "field1", "v")
-		lat = sim.Duration(p.Now() - t0)
-	})
-	s.Run()
-	if lat >= JournalFlushInterval {
-		t.Errorf("unjournaled update latency %v, want < %v", lat, JournalFlushInterval)
-	}
-}
-
-func TestBackgroundFlusherClearsDirty(t *testing.T) {
-	s, m := newTestMongod(Config{FlushEvery: sim.Second})
-	m.Load(ycsbDoc("u"))
-	m.StartBackground()
-	s.Spawn("c", func(p *sim.Proc) {
-		m.UpdateByID(p, "u", "field1", "v")
-		p.Sleep(1500 * sim.Millisecond)
-		m.StopBackground()
-	})
-	s.Run()
-	if len(m.dirty) != 0 {
-		t.Errorf("dirty extents after flush = %d, want 0", len(m.dirty))
-	}
-}
-
-func TestColdReadFaults32KB(t *testing.T) {
-	s, m := newTestMongod(Config{ResidentExtents: 1})
-	for i := 0; i < 200; i++ {
-		m.Load(ycsbDoc(fmt.Sprintf("user%04d", i)))
-	}
-	var lat sim.Duration
-	s.Spawn("c", func(p *sim.Proc) {
-		t0 := p.Now()
-		m.FindByID(p, "user0150")
-		lat = sim.Duration(p.Now() - t0)
-	})
-	s.Run()
-	if lat < 6*sim.Millisecond {
-		t.Errorf("cold read latency %v, want >= seek time", lat)
-	}
-}
-
-func TestExtentPacking(t *testing.T) {
-	_, m := newTestMongod(Config{})
-	// ~1 KB docs: ~30 per 32 KB extent.
-	for i := 0; i < 100; i++ {
-		m.Load(ycsbDoc(fmt.Sprintf("user%04d", i)))
-	}
-	if m.numExtents < 2 || m.numExtents > 5 {
-		t.Errorf("100×1KB docs used %d extents, want 3±2", m.numExtents)
 	}
 }

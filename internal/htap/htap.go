@@ -43,22 +43,9 @@ import (
 	"elephants/internal/delta"
 	"elephants/internal/docstore"
 	"elephants/internal/fault"
-	"elephants/internal/metrics"
 	"elephants/internal/rcfile"
 	"elephants/internal/relal"
 	"elephants/internal/tpch"
-)
-
-// Counter names in Stats.Counters / the store's metrics.CounterSet.
-const (
-	cFramesReplayed    = "frames_replayed"
-	cTruncatedBytes    = "truncated_bytes"
-	cConverterRetries  = "converter_retries"
-	cBackoffMaxReached = "converter_backoff_max_reached"
-	cCorruptChunks     = "corrupt_chunks"
-	cPartsQuarantined  = "parts_quarantined"
-	cPartsRecovered    = "parts_recovered"
-	cDuplicateRecords  = "duplicate_records"
 )
 
 // Config parameterizes the store.
@@ -182,7 +169,12 @@ type Store struct {
 	converted atomic.Int64 // records encoded into parts
 	converts  atomic.Int64 // conversion batches
 
-	counters *metrics.CounterSet // robustness accounting (recovery, retries, corruption)
+	// Robustness accounting (recovery, retries, corruption); StatsNow
+	// reports each under the Stats field of the same name.
+	framesReplayed, truncatedBytes      atomic.Int64
+	converterRetries, backoffMaxReached atomic.Int64
+	corruptChunks, partsQuarantined     atomic.Int64
+	partsRecovered, duplicateRecords    atomic.Int64
 
 	convStop chan struct{}
 	convDone chan struct{}
@@ -207,7 +199,7 @@ func New(db *tpch.DB, hold map[string]int, cfg Config) (*Store, error) {
 // replayed records until the converter rebuilds it.
 func Open(db *tpch.DB, hold map[string]int, cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
-	s := &Store{cfg: cfg, fs: cfg.FS, tables: make(map[string]*tableState), counters: metrics.NewCounterSet()}
+	s := &Store{cfg: cfg, fs: cfg.FS, tables: make(map[string]*tableState)}
 
 	names := make([]string, 0, len(hold))
 	for _, name := range tpch.TableNames {
@@ -269,8 +261,8 @@ func (s *Store) recover() error {
 		return fmt.Errorf("htap: recover delta log: %w", err)
 	}
 	s.log = log
-	s.counters.Add(cFramesReplayed, int64(len(recovered)))
-	s.counters.Add(cTruncatedBytes, truncated)
+	s.framesReplayed.Add(int64(len(recovered)))
+	s.truncatedBytes.Add(truncated)
 	// Replay through the same apply path commits use — same reorder
 	// buffer, same dedup, same publish.
 	s.applyBatch(recovered)
@@ -317,14 +309,14 @@ func (s *Store) recoverParts() error {
 		for _, c := range cands {
 			if broken || c.start != covered || c.start+c.rows > len(st.recs) {
 				s.fs.Remove(c.file)
-				s.counters.Add(cPartsQuarantined, 1)
+				s.partsQuarantined.Add(1)
 				broken = true // contiguity is gone; later parts can't install
 				continue
 			}
 			data, err := s.fs.ReadFile(c.file)
 			if err != nil {
 				s.fs.Remove(c.file)
-				s.counters.Add(cPartsQuarantined, 1)
+				s.partsQuarantined.Add(1)
 				broken = true
 				continue
 			}
@@ -332,14 +324,14 @@ func (s *Store) recoverParts() error {
 			if err != nil {
 				// Torn or corrupt footer — the log covers these rows.
 				s.fs.Remove(c.file)
-				s.counters.Add(cPartsQuarantined, 1)
+				s.partsQuarantined.Add(1)
 				broken = true
 				continue
 			}
 			src.SetCache(s.cfg.Cache)
 			parts = append(parts, &part{src: src, rcf: src, file: c.file, start: c.start, rows: c.rows})
 			covered = c.start + c.rows
-			s.counters.Add(cPartsRecovered, 1)
+			s.partsRecovered.Add(1)
 			s.converted.Add(int64(c.rows))
 			s.converts.Add(1)
 		}
@@ -502,7 +494,7 @@ func (s *Store) applyBatch(batch []delta.Record) {
 		}
 		s.applied.Add(published + dups)
 		if dups > 0 {
-			s.counters.Add(cDuplicateRecords, dups)
+			s.duplicateRecords.Add(dups)
 		}
 		st.mu.Unlock()
 		i = j
@@ -662,7 +654,7 @@ func (s *Store) StartConverter() {
 						continue
 					}
 					if err := s.convertTable(st, s.cfg.ConvertRows); err != nil {
-						s.counters.Add(cConverterRetries, 1)
+						s.converterRetries.Add(1)
 						b := backoff[name]
 						if b == 0 {
 							b = s.cfg.ConvertEvery
@@ -675,7 +667,7 @@ func (s *Store) StartConverter() {
 							// tell "retried a few times" from "stuck for a while".
 							if !saturated[name] {
 								saturated[name] = true
-								s.counters.Add(cBackoffMaxReached, 1)
+								s.backoffMaxReached.Add(1)
 							}
 						}
 						backoff[name] = b
@@ -716,7 +708,7 @@ func (s *Store) ConvertAll() error {
 			if err = s.convertTable(st, 1); err == nil {
 				break
 			}
-			s.counters.Add(cConverterRetries, 1)
+			s.converterRetries.Add(1)
 		}
 		if err != nil {
 			return err
@@ -814,7 +806,7 @@ func (s *Store) quarantine(st *tableState, bad *part) {
 	}
 	st.mu.Unlock()
 	s.converted.Add(-droppedRows)
-	s.counters.Add(cPartsQuarantined, int64(len(dropped)))
+	s.partsQuarantined.Add(int64(len(dropped)))
 }
 
 // Close stops the converter and closes the delta log (quiesce, final
@@ -898,13 +890,13 @@ func (s *Store) StatsNow() Stats {
 		Converts:          s.converts.Load(),
 		Flushes:           flushes,
 		LagRecords:        committed - converted,
-		FramesReplayed:    s.counters.Get(cFramesReplayed),
-		TruncatedBytes:    s.counters.Get(cTruncatedBytes),
-		ConverterRetries:  s.counters.Get(cConverterRetries),
-		BackoffMaxReached: s.counters.Get(cBackoffMaxReached),
-		CorruptChunks:     s.counters.Get(cCorruptChunks),
-		PartsQuarantined:  s.counters.Get(cPartsQuarantined),
-		PartsRecovered:    s.counters.Get(cPartsRecovered),
-		DuplicateRecords:  s.counters.Get(cDuplicateRecords),
+		FramesReplayed:    s.framesReplayed.Load(),
+		TruncatedBytes:    s.truncatedBytes.Load(),
+		ConverterRetries:  s.converterRetries.Load(),
+		BackoffMaxReached: s.backoffMaxReached.Load(),
+		CorruptChunks:     s.corruptChunks.Load(),
+		PartsQuarantined:  s.partsQuarantined.Load(),
+		PartsRecovered:    s.partsRecovered.Load(),
+		DuplicateRecords:  s.duplicateRecords.Load(),
 	}
 }

@@ -48,7 +48,7 @@ func (h *htapSource) ScanTable(cols []string, pred relal.ZonePredicate) (*relal.
 			return t, stats
 		}
 		degraded.Add(stats)
-		h.store.counters.Add(cCorruptChunks, int64(stats.CorruptChunks))
+		h.store.corruptChunks.Add(int64(stats.CorruptChunks))
 		h.store.quarantine(h.st, bad)
 	}
 }

@@ -1,5 +1,6 @@
-// Package metrics provides the measurement primitives used by both
-// benchmark harnesses: latency histograms, windowed throughput series,
+// Package metrics provides the measurement primitives of the simulated
+// paper runs (the engine's counters are typed fields of the stores that
+// own them): latency histograms, windowed throughput series,
 // and summary statistics (mean, percentiles, standard error) matching
 // what the paper reports for YCSB (average latency over the last ten
 // minutes, measured in ten-second windows, with standard error across
@@ -10,8 +11,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"elephants/internal/sim"
 )
@@ -212,53 +211,4 @@ func GeometricMean(xs []float64) float64 {
 		logSum += math.Log(x)
 	}
 	return math.Exp(logSum / float64(len(xs)))
-}
-
-// CounterSet is a named bag of atomic counters — the robustness
-// accounting surface (frames replayed, converter retries, corrupt
-// chunks quarantined) that stores expose through their stats and the
-// bench harnesses print. Counters spring into existence on first Add;
-// all methods are safe from any goroutine.
-type CounterSet struct {
-	mu sync.Mutex
-	m  map[string]*atomic.Int64
-}
-
-// NewCounterSet returns an empty counter set.
-func NewCounterSet() *CounterSet { return &CounterSet{m: make(map[string]*atomic.Int64)} }
-
-func (c *CounterSet) counter(name string) *atomic.Int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v := c.m[name]
-	if v == nil {
-		v = new(atomic.Int64)
-		c.m[name] = v
-	}
-	return v
-}
-
-// Add adds delta to the named counter.
-func (c *CounterSet) Add(name string, delta int64) { c.counter(name).Add(delta) }
-
-// Get returns the named counter's value (0 if never touched).
-func (c *CounterSet) Get(name string) int64 {
-	c.mu.Lock()
-	v := c.m[name]
-	c.mu.Unlock()
-	if v == nil {
-		return 0
-	}
-	return v.Load()
-}
-
-// Snapshot returns a point-in-time copy of every counter.
-func (c *CounterSet) Snapshot() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.m))
-	for name, v := range c.m {
-		out[name] = v.Load()
-	}
-	return out
 }

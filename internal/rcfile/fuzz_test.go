@@ -2,6 +2,7 @@ package rcfile
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"elephants/internal/relal"
@@ -180,7 +181,7 @@ func FuzzRLEDelta(f *testing.F) {
 
 		// A pruned projection keeps every matching row (pruning is
 		// conservative; count the survivors against the source array).
-		pred := relal.ZonePredicate{relal.IntAtLeast("k", probe)}
+		pred := relal.ZonePredicate{relal.IntBetween("k", probe, math.MaxInt64)}
 		tb, _, err := ReadCols(data, sch, "f", []string{"k"}, pred)
 		if err != nil {
 			t.Fatal(err)

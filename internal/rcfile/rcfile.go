@@ -1121,23 +1121,6 @@ type ColEncStats struct {
 	CompBytes [numEncs]int64
 }
 
-// EncodingStats reads the footer's per-chunk encoding census, one entry
-// per column (cmd/scanstats' histogram; no chunk is decompressed).
-func EncodingStats(data []byte, schema relal.Schema) ([]ColEncStats, error) {
-	p, err := parse(data, schema)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ColEncStats, len(schema))
-	for _, gr := range p.groups {
-		for c := range schema {
-			out[c].Chunks[gr.encs[c]]++
-			out[c].CompBytes[gr.encs[c]] += int64(gr.compLens[c])
-		}
-	}
-	return out, nil
-}
-
 // readPlainChunk decodes one plain column chunk of the given row count,
 // appending onto the typed vector.
 func readPlainChunk(raw []byte, v *relal.Vector, rows int) error {
@@ -1251,7 +1234,7 @@ func (s *Source) Bytes() int { return len(s.data) }
 func (s *Source) Data() []byte { return s.data }
 
 // EncodingStats returns the per-column encoding census of the encoded
-// file (footer only, no decompression).
+// file (cmd/scanstats' histogram; footer only, no decompression).
 func (s *Source) EncodingStats() []ColEncStats {
 	out := make([]ColEncStats, len(s.schema))
 	for _, gr := range s.parsed.groups {

@@ -390,7 +390,7 @@ func TestAllGroupsPruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, stats, err := ReadCols(data, src.Schema, "t", []string{"k", "v"},
-		relal.ZonePredicate{relal.IntAtLeast("k", 10_000)})
+		relal.ZonePredicate{relal.IntBetween("k", 10_000, math.MaxInt64)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +503,7 @@ func TestSourceScanMatchesRead(t *testing.T) {
 	if s.SrcName() != "t" || len(s.SrcSchema()) != 3 {
 		t.Errorf("source identity wrong: %s %v", s.SrcName(), s.SrcSchema().Names())
 	}
-	got, stats := s.ScanTable([]string{"k"}, relal.ZonePredicate{relal.IntAtMost("k", 99)})
+	got, stats := s.ScanTable([]string{"k"}, relal.ZonePredicate{relal.IntBetween("k", math.MinInt64, 99)})
 	if got.NumRows() != 128 { // two 64-row groups survive (0..63, 64..127)
 		t.Errorf("rows = %d, want 128", got.NumRows())
 	}

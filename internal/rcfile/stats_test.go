@@ -2,6 +2,7 @@ package rcfile
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestSourceStatsConcurrent(t *testing.T) {
 
 	// One scan's stats: column subset plus a zone predicate that prunes
 	// some groups, so every counter field is non-zero.
-	pred := relal.ZonePredicate{relal.IntAtMost("k", int64(rows/2))}
+	pred := relal.ZonePredicate{relal.IntBetween("k", math.MinInt64, int64(rows/2))}
 	_, once := src.ScanTable([]string{"k"}, pred)
 	if once.BytesRead == 0 || once.BytesSkipped == 0 || once.GroupsSkipped == 0 {
 		t.Fatalf("degenerate per-scan stats: %+v", once)
@@ -77,7 +78,7 @@ func TestTableSourceStatsConcurrent(t *testing.T) {
 	}
 	tb := relal.NewTable("t", relal.Schema{{Name: "k", Type: relal.Int}}, relal.IntsV(keys))
 	src := &relal.TableSource{T: tb, GroupRows: 512}
-	pred := relal.ZonePredicate{relal.IntAtMost("k", int64(rows/3))}
+	pred := relal.ZonePredicate{relal.IntBetween("k", math.MinInt64, int64(rows/3))}
 	_, once := src.ScanTable([]string{"k"}, pred)
 	base := src.TotalStats()
 

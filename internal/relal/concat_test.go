@@ -39,16 +39,18 @@ func TestConcatBasic(t *testing.T) {
 	}
 }
 
-// TestConcatEmptyParts: empty parts vanish; a single surviving part is
-// returned as-is (no copying).
+// TestConcatEmptyParts: empty parts vanish; a single surviving part's
+// vectors are reused as-is (no copying).
 func TestConcatEmptyParts(t *testing.T) {
 	sch := concatSchema()
 	empty := NewTable("t", sch, IntsV(nil), FloatsV(nil), StrsV(nil))
 	a := NewTable("t", sch,
 		IntsV([]int64{7}), FloatsV([]float64{7}), StrsV([]string{"q"}))
 	got := Concat("t", sch, empty, a, empty)
-	if got != a {
-		t.Errorf("single non-empty part should be returned unchanged")
+	for ci := range sch {
+		if got.Cols[ci] != a.Cols[ci] {
+			t.Errorf("column %d of the single non-empty part was copied", ci)
+		}
 	}
 	if allEmpty := Concat("t", sch, empty, empty); allEmpty.NumRows() != 0 {
 		t.Errorf("all-empty concat has %d rows", allEmpty.NumRows())
@@ -95,21 +97,18 @@ func TestConcatEqualDicts(t *testing.T) {
 	}
 }
 
-// TestConcatMergedDicts: parts with different dictionaries merge into a
-// sorted union with codes remapped — the converted-part next to
-// base-part case in the HTAP view.
+// TestConcatMergedDicts: parts with different dictionaries (which no
+// caller produces: HTAP parts and tails re-encode against the base
+// table's dictionary or go raw, dist shards ship the generated one)
+// decode to raw strings with identical values.
 func TestConcatMergedDicts(t *testing.T) {
 	sch := Schema{{Name: "s", Type: Str}}
 	a := NewTable("t", sch, DictV([]uint32{0, 1}, []string{"AIR", "SHIP"}))
 	b := NewTable("t", sch, DictV([]uint32{1, 0}, []string{"MAIL", "RAIL"}))
 	got := Concat("t", sch, a, b)
 	v := got.Cols[0]
-	if !v.IsDict() {
-		t.Fatalf("merged concat lost dictionary encoding")
-	}
-	wantDict := []string{"AIR", "MAIL", "RAIL", "SHIP"}
-	if !reflect.DeepEqual(v.DictVals, wantDict) {
-		t.Errorf("dict = %v, want %v", v.DictVals, wantDict)
+	if v.IsDict() {
+		t.Errorf("differing dictionaries should decode the concat to raw strings")
 	}
 	want := []string{"AIR", "SHIP", "RAIL", "MAIL"}
 	if !reflect.DeepEqual(v.DecodeStrs(), want) {

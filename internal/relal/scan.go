@@ -118,27 +118,12 @@ func IntBetween(col string, lo, hi int64) ZoneCond {
 	return ZoneCond{Col: col, Kind: Int, HasLo: true, HasHi: true, IntLo: lo, IntHi: hi}
 }
 
-// IntAtLeast matches col >= lo.
-func IntAtLeast(col string, lo int64) ZoneCond {
-	return ZoneCond{Col: col, Kind: Int, HasLo: true, IntLo: lo}
-}
-
-// IntAtMost matches col <= hi.
-func IntAtMost(col string, hi int64) ZoneCond {
-	return ZoneCond{Col: col, Kind: Int, HasHi: true, IntHi: hi}
-}
-
 // IntEq matches col == v.
 func IntEq(col string, v int64) ZoneCond { return IntBetween(col, v, v) }
 
 // FloatBetween matches lo <= col <= hi.
 func FloatBetween(col string, lo, hi float64) ZoneCond {
 	return ZoneCond{Col: col, Kind: Float, HasLo: true, HasHi: true, FloLo: lo, FloHi: hi}
-}
-
-// FloatAtLeast matches col >= lo.
-func FloatAtLeast(col string, lo float64) ZoneCond {
-	return ZoneCond{Col: col, Kind: Float, HasLo: true, FloLo: lo}
 }
 
 // FloatAtMost matches col <= hi.

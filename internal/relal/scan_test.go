@@ -1,6 +1,9 @@
 package relal
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestZoneCondMayMatch(t *testing.T) {
 	iz := ZoneMap{Kind: Int, IntMin: 10, IntMax: 20}
@@ -14,15 +17,15 @@ func TestZoneCondMayMatch(t *testing.T) {
 		{IntBetween("x", 15, 30), iz, true},
 		{IntBetween("x", 21, 30), iz, false},
 		{IntBetween("x", 0, 9), iz, false},
-		{IntAtLeast("x", 20), iz, true},
-		{IntAtLeast("x", 21), iz, false},
-		{IntAtMost("x", 10), iz, true},
-		{IntAtMost("x", 9), iz, false},
+		{IntBetween("x", 20, math.MaxInt64), iz, true},
+		{IntBetween("x", 21, math.MaxInt64), iz, false},
+		{IntBetween("x", math.MinInt64, 10), iz, true},
+		{IntBetween("x", math.MinInt64, 9), iz, false},
 		{IntEq("x", 10), iz, true},
 		{FloatBetween("x", 2.5, 9), fz, true},
 		{FloatBetween("x", 2.6, 9), fz, false},
 		{FloatAtMost("x", -1.6), fz, false},
-		{FloatAtLeast("x", -1.5), fz, true},
+		{FloatBetween("x", -1.5, math.Inf(1)), fz, true},
 		{StrBetween("x", "1994-02-01", "1994-03-01"), sz, true},
 		{StrBetween("x", "1994-07-01", "1995-01-01"), sz, false},
 		{StrAtMost("x", "1994-01-02"), sz, false},
@@ -100,7 +103,7 @@ func TestTableSourceStats(t *testing.T) {
 	// Predicate outside the key range: both groups prune, all bytes
 	// skipped, but the returned table stays whole (in-memory scans
 	// never drop rows — only the model changes).
-	out, stats = src.ScanTable([]string{"k"}, ZonePredicate{IntAtLeast("k", int64(n)*10)})
+	out, stats = src.ScanTable([]string{"k"}, ZonePredicate{IntBetween("k", int64(n)*10, math.MaxInt64)})
 	if stats.GroupsSkipped != 2 || stats.BytesRead != 0 || stats.BytesSkipped != wantTotal {
 		t.Errorf("pruned stats = %+v", stats)
 	}
@@ -109,7 +112,7 @@ func TestTableSourceStats(t *testing.T) {
 	}
 
 	// Predicate covering only the first group.
-	_, stats = src.ScanTable([]string{"k"}, ZonePredicate{IntAtMost("k", 5)})
+	_, stats = src.ScanTable([]string{"k"}, ZonePredicate{IntBetween("k", math.MinInt64, 5)})
 	if stats.GroupsRead != 1 || stats.GroupsSkipped != 1 {
 		t.Errorf("partial prune stats = %+v", stats)
 	}

@@ -12,12 +12,12 @@
 //     hashes the key to pick the home shard directly. Point operations
 //     skip the router hop, but range scans must fan out to every shard.
 //
-// It also provides the three client-visible store front-ends the YCSB
-// harness drives: MongoAS, MongoCS, and SQLCS.
+// It also provides the simulated mongod process (Mongod) both Mongo
+// configurations shard over, and the three client-visible store
+// front-ends the YCSB harness drives: MongoAS, MongoCS, and SQLCS.
 package shard
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -172,19 +172,6 @@ func NewHashShards(n int) *HashShards {
 func (h *HashShards) ShardFor(key string) int {
 	f := fnv.New64a()
 	f.Write([]byte(key))
-	return int(f.Sum64() % uint64(h.n))
-}
-
-// ShardForInt returns the home shard for an integer key — the orderkey
-// routing the distributed executor partitions lineitem and orders with.
-// The key hashes in its 8-byte little-endian form through the same
-// FNV-1a as the string router, with no per-call allocation, so routing
-// a whole column is cheap and every process computes the same placement.
-func (h *HashShards) ShardForInt(key int64) int {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(key))
-	f := fnv.New64a()
-	f.Write(b[:])
 	return int(f.Sum64() % uint64(h.n))
 }
 

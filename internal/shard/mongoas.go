@@ -15,7 +15,7 @@ import (
 // balancer.
 type MongoAS struct {
 	s       *sim.Sim
-	mongods []*docstore.Mongod
+	mongods []*Mongod
 	mongos  []*cluster.Node // node hosting mongos i (client i's router)
 	clients []*cluster.Node
 	config  *cluster.Node
@@ -47,7 +47,7 @@ type MongoASConfig struct {
 
 // NewMongoAS assembles the deployment. mongos[i] serves clients on
 // clients[i] and runs on mongosNodes[i].
-func NewMongoAS(s *sim.Sim, mongods []*docstore.Mongod, mongosNodes, clients []*cluster.Node, config *cluster.Node, cfg MongoASConfig) *MongoAS {
+func NewMongoAS(s *sim.Sim, mongods []*Mongod, mongosNodes, clients []*cluster.Node, config *cluster.Node, cfg MongoASConfig) *MongoAS {
 	if cfg.SplitThreshold <= 0 {
 		cfg.SplitThreshold = 2048
 	}
@@ -82,7 +82,7 @@ func (m *MongoAS) Name() string { return "Mongo-AS" }
 func (m *MongoAS) Chunks() *ChunkMap { return m.chunks }
 
 // Mongods exposes the shard processes.
-func (m *MongoAS) Mongods() []*docstore.Mongod { return m.mongods }
+func (m *MongoAS) Mongods() []*Mongod { return m.mongods }
 
 // Crashed reports whether the deployment has crashed.
 func (m *MongoAS) Crashed() bool { return m.crashed }
@@ -128,7 +128,7 @@ func (m *MongoAS) mongosNode(client int) *cluster.Node {
 
 // route charges the client→mongos hop and router CPU, then returns the
 // chunk index and mongod for key.
-func (m *MongoAS) route(p *sim.Proc, client int, key string, reqBytes int64) (int, *docstore.Mongod) {
+func (m *MongoAS) route(p *sim.Proc, client int, key string, reqBytes int64) (int, *Mongod) {
 	cn := m.clientNode(client)
 	mn := m.mongosNode(client)
 	cn.Send(p, mn, reqBytes)
@@ -138,7 +138,7 @@ func (m *MongoAS) route(p *sim.Proc, client int, key string, reqBytes int64) (in
 }
 
 // reply charges the mongod→mongos→client reply path.
-func (m *MongoAS) reply(p *sim.Proc, client int, md *docstore.Mongod, bytes int64) {
+func (m *MongoAS) reply(p *sim.Proc, client int, md *Mongod, bytes int64) {
 	mn := m.mongosNode(client)
 	md.Node().Send(p, mn, bytes)
 	mn.Send(p, m.clientNode(client), bytes)
@@ -204,7 +204,7 @@ func (m *MongoAS) Insert(p *sim.Proc, client int, key string, fields []string) e
 
 // maybeSplit splits chunk ci if it exceeds the threshold, asking the
 // owning mongod for a median key and updating the config server.
-func (m *MongoAS) maybeSplit(p *sim.Proc, ci int, md *docstore.Mongod) {
+func (m *MongoAS) maybeSplit(p *sim.Proc, ci int, md *Mongod) {
 	ch := m.chunks.Chunk(ci)
 	if ch.Count <= m.SplitThreshold {
 		return

@@ -1,9 +1,10 @@
-package docstore
+package shard
 
 import (
 	"fmt"
 
 	"elephants/internal/cluster"
+	"elephants/internal/docstore"
 	"elephants/internal/sim"
 	"elephants/internal/storage"
 )
@@ -14,8 +15,8 @@ import (
 // random-I/O bandwidth on Workload C.
 const ExtentSize = 32 * 1024
 
-// Config parameterizes a mongod process.
-type Config struct {
+// MongodConfig parameterizes a mongod process.
+type MongodConfig struct {
 	// ResidentExtents caps the number of data extents the OS page cache
 	// keeps for this process. Scale with the dataset to preserve the
 	// paper's 2.5× dataset-to-memory ratio.
@@ -43,7 +44,7 @@ const JournalFlushInterval = 100 * sim.Millisecond
 type Mongod struct {
 	s    *sim.Sim
 	node *cluster.Node
-	cfg  Config
+	cfg  MongodConfig
 
 	// globalLock is the per-process global lock: any number of readers,
 	// but a writer blocks everything (MongoDB 1.8 semantics).
@@ -70,7 +71,7 @@ type docSlot struct {
 }
 
 // NewMongod returns a mongod bound to node.
-func NewMongod(s *sim.Sim, node *cluster.Node, cfg Config) *Mongod {
+func NewMongod(s *sim.Sim, node *cluster.Node, cfg MongodConfig) *Mongod {
 	if cfg.ResidentExtents <= 0 {
 		cfg.ResidentExtents = int(node.Memory() / ExtentSize)
 	}
@@ -175,7 +176,7 @@ func (m *Mongod) journalCommit(p *sim.Proc) {
 }
 
 // Insert adds a document. The _id field must be a string.
-func (m *Mongod) Insert(p *sim.Proc, doc *Doc) error {
+func (m *Mongod) Insert(p *sim.Proc, doc *docstore.Doc) error {
 	id, err := docID(doc)
 	if err != nil {
 		return err
@@ -184,9 +185,9 @@ func (m *Mongod) Insert(p *sim.Proc, doc *Doc) error {
 	m.globalLock.AcquireWrite(p)
 	defer m.globalLock.ReleaseWrite()
 	if _, exists := m.docs[id]; exists {
-		return fmt.Errorf("docstore: duplicate _id %q", id)
+		return fmt.Errorf("shard: duplicate _id %q", id)
 	}
-	data := Marshal(doc)
+	data := docstore.Marshal(doc)
 	fresh := false
 	if m.extentUsed+int64(len(data)) > ExtentSize {
 		m.numExtents++
@@ -213,15 +214,15 @@ func (m *Mongod) Insert(p *sim.Proc, doc *Doc) error {
 }
 
 // Load adds a document without locking or timing (bulk load setup).
-func (m *Mongod) Load(doc *Doc) error {
+func (m *Mongod) Load(doc *docstore.Doc) error {
 	id, err := docID(doc)
 	if err != nil {
 		return err
 	}
 	if _, exists := m.docs[id]; exists {
-		return fmt.Errorf("docstore: duplicate _id %q", id)
+		return fmt.Errorf("shard: duplicate _id %q", id)
 	}
-	data := Marshal(doc)
+	data := docstore.Marshal(doc)
 	if m.extentUsed+int64(len(data)) > ExtentSize {
 		m.numExtents++
 		m.extentUsed = 0
@@ -234,38 +235,38 @@ func (m *Mongod) Load(doc *Doc) error {
 }
 
 // FindByID returns the document with the given _id.
-func (m *Mongod) FindByID(p *sim.Proc, id string) (*Doc, error) {
+func (m *Mongod) FindByID(p *sim.Proc, id string) (*docstore.Doc, error) {
 	m.node.Compute(p, m.cfg.CPUPerOp)
 	m.globalLock.AcquireRead(p)
 	defer m.globalLock.ReleaseRead()
 	slot, ok := m.docs[id]
 	if !ok {
-		return nil, fmt.Errorf("docstore: no document %q", id)
+		return nil, fmt.Errorf("shard: no document %q", id)
 	}
 	m.reads++
 	_, _, path := m.index.Get(id)
 	m.touchIndex(p, path)
 	m.touchExtent(p, slot.extent, false)
-	return Unmarshal(slot.data)
+	return docstore.Unmarshal(slot.data)
 }
 
 // UpdateByID replaces one field of the document with the given _id,
 // holding the global write lock for the duration (MongoDB 1.8).
-func (m *Mongod) UpdateByID(p *sim.Proc, id, field string, val Value) error {
+func (m *Mongod) UpdateByID(p *sim.Proc, id, field string, val docstore.Value) error {
 	m.node.Compute(p, m.cfg.CPUPerOp)
 	m.globalLock.AcquireWrite(p)
 	defer m.globalLock.ReleaseWrite()
 	slot, ok := m.docs[id]
 	if !ok {
-		return fmt.Errorf("docstore: no document %q", id)
+		return fmt.Errorf("shard: no document %q", id)
 	}
 	m.writes++
-	doc, err := Unmarshal(slot.data)
+	doc, err := docstore.Unmarshal(slot.data)
 	if err != nil {
 		return err
 	}
 	doc.Set(field, val)
-	slot.data = Marshal(doc)
+	slot.data = docstore.Marshal(doc)
 	_, _, path := m.index.Get(id)
 	m.touchIndex(p, path)
 	m.touchExtent(p, slot.extent, true)
@@ -274,14 +275,14 @@ func (m *Mongod) UpdateByID(p *sim.Proc, id, field string, val Value) error {
 }
 
 // ScanRange returns up to limit documents with _id >= start in order.
-func (m *Mongod) ScanRange(p *sim.Proc, start string, limit int) ([]*Doc, error) {
+func (m *Mongod) ScanRange(p *sim.Proc, start string, limit int) ([]*docstore.Doc, error) {
 	m.node.Compute(p, m.cfg.CPUPerOp)
 	m.globalLock.AcquireRead(p)
 	defer m.globalLock.ReleaseRead()
 	m.scans++
 	entries, path := m.index.Scan(start, limit)
 	m.touchIndex(p, path)
-	out := make([]*Doc, 0, len(entries))
+	out := make([]*docstore.Doc, 0, len(entries))
 	lastExtent := -1
 	for _, ent := range entries {
 		ext := int(ent.Val)
@@ -289,7 +290,7 @@ func (m *Mongod) ScanRange(p *sim.Proc, start string, limit int) ([]*Doc, error)
 			m.touchExtent(p, ext, false)
 			lastExtent = ext
 		}
-		doc, err := Unmarshal(m.docs[ent.Key].data)
+		doc, err := docstore.Unmarshal(m.docs[ent.Key].data)
 		if err != nil {
 			return nil, err
 		}
@@ -314,7 +315,7 @@ func (m *Mongod) KeyAt(start string, offset int) (string, bool) {
 // ExportRange removes and returns every document with start <= _id < end
 // (end == "" means unbounded). Used for chunk migration; the caller
 // charges the network transfer.
-func (m *Mongod) ExportRange(start, end string) []*Doc {
+func (m *Mongod) ExportRange(start, end string) []*docstore.Doc {
 	var ids []string
 	m.index.Ascend(func(k string, _ int64) bool {
 		if k >= start && (end == "" || k < end) {
@@ -322,9 +323,9 @@ func (m *Mongod) ExportRange(start, end string) []*Doc {
 		}
 		return end == "" || k < end
 	})
-	out := make([]*Doc, 0, len(ids))
+	out := make([]*docstore.Doc, 0, len(ids))
 	for _, id := range ids {
-		doc, err := Unmarshal(m.docs[id].data)
+		doc, err := docstore.Unmarshal(m.docs[id].data)
 		if err != nil {
 			continue
 		}
@@ -338,7 +339,7 @@ func (m *Mongod) ExportRange(start, end string) []*Doc {
 
 // ImportDocs bulk-adds migrated documents (functional move; the caller
 // charges transfer and write cost).
-func (m *Mongod) ImportDocs(docs []*Doc) {
+func (m *Mongod) ImportDocs(docs []*docstore.Doc) {
 	for _, d := range docs {
 		m.Load(d)
 	}
@@ -359,14 +360,14 @@ func (m *Mongod) Stats() (reads, writes, inserts, scans int64) {
 }
 
 // docID extracts the string _id field.
-func docID(d *Doc) (string, error) {
+func docID(d *docstore.Doc) (string, error) {
 	v, ok := d.Get("_id")
 	if !ok {
-		return "", fmt.Errorf("docstore: document missing _id")
+		return "", fmt.Errorf("shard: document missing _id")
 	}
 	id, ok := v.(string)
 	if !ok {
-		return "", fmt.Errorf("docstore: _id must be a string, got %T", v)
+		return "", fmt.Errorf("shard: _id must be a string, got %T", v)
 	}
 	return id, nil
 }

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"elephants/internal/cluster"
-	"elephants/internal/docstore"
 	"elephants/internal/sim"
 	"elephants/internal/sqleng"
 )
@@ -161,10 +160,10 @@ func newDeployment(asCfg MongoASConfig) *testDeployment {
 		sqleng.New(s, servers[0], sqleng.Config{}),
 		sqleng.New(s, servers[1], sqleng.Config{}),
 	}
-	var csMongods, asMongods []*docstore.Mongod
+	var csMongods, asMongods []*Mongod
 	for i := 0; i < 4; i++ {
-		csMongods = append(csMongods, docstore.NewMongod(s, servers[i%2], docstore.Config{}))
-		asMongods = append(asMongods, docstore.NewMongod(s, servers[i%2], docstore.Config{}))
+		csMongods = append(csMongods, NewMongod(s, servers[i%2], MongodConfig{}))
+		asMongods = append(asMongods, NewMongod(s, servers[i%2], MongodConfig{}))
 	}
 	return &testDeployment{
 		s:      s,

@@ -181,13 +181,13 @@ func (s *SQLCS) LoadTimed(p *sim.Proc, client int, key string, fields []string) 
 // MongoCS is client-side-sharded MongoDB: clients hash keys straight to
 // mongod processes; no mongos, config server, or balancer.
 type MongoCS struct {
-	mongods []*docstore.Mongod
+	mongods []*Mongod
 	clients []*cluster.Node
 	hash    *HashShards
 }
 
 // NewMongoCS builds the Mongo-CS front-end.
-func NewMongoCS(mongods []*docstore.Mongod, clients []*cluster.Node) *MongoCS {
+func NewMongoCS(mongods []*Mongod, clients []*cluster.Node) *MongoCS {
 	return &MongoCS{mongods: mongods, clients: clients, hash: NewHashShards(len(mongods))}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"elephants/internal/cluster"
-	"elephants/internal/docstore"
 	"elephants/internal/shard"
 	"elephants/internal/sim"
 	"elephants/internal/sqleng"
@@ -307,9 +306,9 @@ func TestRunLoadTakesTime(t *testing.T) {
 func TestMongoStoresRunnable(t *testing.T) {
 	s := sim.New()
 	cl := cluster.New(s, cluster.Config{Nodes: 3})
-	var mongods []*docstore.Mongod
+	var mongods []*shard.Mongod
 	for i := 0; i < 4; i++ {
-		mongods = append(mongods, docstore.NewMongod(s, cl.Nodes[i%2], docstore.Config{}))
+		mongods = append(mongods, shard.NewMongod(s, cl.Nodes[i%2], shard.MongodConfig{}))
 	}
 	st := shard.NewMongoCS(mongods, cl.Nodes[2:3])
 	rng := rand.New(rand.NewSource(1))
