@@ -57,7 +57,7 @@ dist:
 	$(GO) test -run xxx -fuzz FuzzWireTable -fuzztime 15s ./internal/dist/
 
 # Short fuzz runs over the join key-partitioning, sort/top-K, group-by
-# key encodings and morsel merge, RCF6 dict-chunk and RLE/delta-chunk
+# key encodings and morsel merge, RCF6 dict-chunk and gdict+rle/delta-chunk
 # round-trips, chunk-cache key/eviction paths, the delta-log replay
 # parser, the full crash-schedule → recover cycle of the file-backed
 # log, the dist table decoder, and the BSON decoder of the HTAP write
@@ -67,7 +67,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSortKeys -fuzztime 15s ./internal/relal/
 	$(GO) test -run xxx -fuzz FuzzGroupKeys -fuzztime 15s ./internal/relal/
 	$(GO) test -run xxx -fuzz FuzzDictRoundTrip -fuzztime 15s ./internal/rcfile/
-	$(GO) test -run xxx -fuzz FuzzRLEDelta -fuzztime 15s ./internal/rcfile/
+	$(GO) test -run xxx -fuzz FuzzRunsDelta -fuzztime 15s ./internal/rcfile/
 	$(GO) test -run xxx -fuzz FuzzChunkCache -fuzztime 15s ./internal/rcfile/
 	$(GO) test -run xxx -fuzz FuzzDeltaReplay -fuzztime 15s ./internal/delta/
 	$(GO) test -run xxx -fuzz FuzzCrashRecovery -fuzztime 15s ./internal/delta/
@@ -98,7 +98,7 @@ seam:
 		grep -E '^elephants/internal/($(SIM_PKGS))$$' | sort -u || true); \
 	if [ -n "$$out" ]; then echo "engine side links the simulator:"; echo "$$out"; exit 1; fi
 
-check: fmt-check vet seam build test
+check: fmt-check vet seam build test bench-test
 
 # Non-test lines of Go: the count ROADMAP's "Halve the concepts" tracks.
 loc:

@@ -225,7 +225,7 @@ func BenchmarkAblationRCFileVsText(b *testing.B) {
 		s := sim.New()
 		cl := cluster.New(s, cluster.Default16())
 		cfg := hive.DefaultConfig()
-		cfg.CompressionRatio = ratio
+		cfg.RCFileRatio = ratio
 		cfg.MR.MapMBps = mapMBps
 		w := hive.New(s, cl, db, 1000, cfg)
 		var total sim.Duration

@@ -7,7 +7,6 @@
 //
 //	dbgen -sf 0.01 -table lineitem            # one table to stdout
 //	dbgen -sf 0.01 -o /tmp/tpch               # all tables to a directory
-//	dbgen -sf 0.01 -cluster l_shipdate -o d   # lineitem in shipdate order
 package main
 
 import (
@@ -31,7 +30,6 @@ func main() {
 	outDir := flag.String("o", "", "output directory for .tbl files")
 	seed := flag.Int64("seed", 1, "generator seed")
 	random64 := flag.Bool("random64", true, "use the RANDOM64 fix (false reproduces the 32-bit overflow bug)")
-	cluster := flag.String("cluster", "", "cluster the owning base table on this column (e.g. l_shipdate), so zone maps can prune range scans")
 	flag.Parse()
 	if err := checkTable(*table); err != nil {
 		fmt.Fprintln(os.Stderr, "dbgen:", err)
@@ -39,14 +37,6 @@ func main() {
 	}
 
 	db := tpch.Generate(tpch.GenConfig{SF: *sf, Seed: *seed, Random64: *random64})
-	if *cluster != "" {
-		name, err := db.Cluster(*cluster)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dbgen:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "clustered %s on %s\n", name, *cluster)
-	}
 
 	if *table != "" {
 		if err := writeTable(os.Stdout, db.Table(*table)); err != nil {

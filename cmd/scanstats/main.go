@@ -9,15 +9,14 @@
 //
 // With -enc it instead prints the per-chunk encoding census: for every
 // column of every base table, how many chunks landed on each encoding
-// (plain, gdict, gdict+rle, rle, delta) and each encoding's share of
-// the column's compressed bytes — the writer's adaptive per-chunk
-// choice made observable. -cluster re-sorts a base table first, which
-// is what turns sorted-column chunks into runs.
+// (plain, gdict, gdict+rle, delta) and each encoding's share of the
+// column's compressed bytes — the writer's adaptive per-chunk choice
+// made observable.
 //
 // Usage:
 //
-//	scanstats [-sf 0.01] [-group-rows 2048] [-queries 1,6] [-cache-mb M] [-cluster l_shipdate]
-//	scanstats -enc [-cluster l_shipdate]   # encoding histogram
+//	scanstats [-sf 0.01] [-group-rows 2048] [-queries 1,6] [-cache-mb M]
+//	scanstats -enc   # encoding histogram
 package main
 
 import (
@@ -91,18 +90,11 @@ func main() {
 	groupRows := flag.Int("group-rows", 2048, "RCFile row-group size in rows")
 	queries := flag.String("queries", "1,6", "query IDs, comma-separated")
 	seed := flag.Int64("seed", 1, "generator seed")
-	cluster := flag.String("cluster", "", "cluster the owning base table on this column before encoding (e.g. l_shipdate)")
 	encMode := flag.Bool("enc", false, "print the per-column chunk-encoding histogram and exit")
 	cacheMB := flag.Int("cache-mb", 0, "attach a shared decompressed-chunk cache of this many MiB (0 = none)")
 	flag.Parse()
 
 	db := tpch.Generate(tpch.GenConfig{SF: *sf, Seed: *seed, Random64: true})
-	if *cluster != "" {
-		if _, err := db.Cluster(*cluster); err != nil {
-			fmt.Fprintln(os.Stderr, "scanstats:", err)
-			os.Exit(1)
-		}
-	}
 
 	if *encMode {
 		if err := printEncReport(db, *groupRows); err != nil {

@@ -9,7 +9,6 @@ import (
 	"elephants/internal/shard"
 	"elephants/internal/sim"
 	"elephants/internal/sqleng"
-	"elephants/internal/storage"
 	"elephants/internal/ycsb"
 )
 
@@ -88,7 +87,7 @@ func buildDeployment(system string, sc YCSBScale, crashLimit int, isolation sqle
 		var engines []*sqleng.Engine
 		for _, n := range servers {
 			engines = append(engines, sqleng.New(s, n, sqleng.Config{
-				BufferPoolPages: int(memBytes / storage.PageSize),
+				BufferPoolPages: int(memBytes / sqleng.PageSize),
 				Isolation:       isolation,
 				CheckpointEvery: 20 * sim.Second,
 			}))

@@ -139,18 +139,11 @@ type Coordinator struct {
 	stopOnce sync.Once
 }
 
-// NewCoordinator builds the coordinator's replicated DB (same
-// generator parameters as the shards) and wires the partitioned tables
-// to scattered scans against addrs (one per shard, in shard order).
-func NewCoordinator(gen tpch.GenConfig, addrs []string, opts Options) *Coordinator {
-	return NewCoordinatorDB(tpch.Generate(gen), addrs, opts)
-}
-
-// NewCoordinatorDB is NewCoordinator over a pre-built DB — callers that
-// stand up many coordinators against the same dataset (fuzzing, bench
-// sweeps) skip regenerating it. The DB's partitioned-table sources are
-// re-pointed at this coordinator, so only the newest coordinator built
-// on a given DB may run queries.
+// NewCoordinatorDB wires db's partitioned tables to scattered scans
+// against addrs (one per shard, in shard order); db is the
+// coordinator's replicated copy, generated with the shards' parameters.
+// The DB's partitioned-table sources are re-pointed at this coordinator,
+// so only the newest coordinator built on a given DB may run queries.
 func NewCoordinatorDB(db *tpch.DB, addrs []string, opts Options) *Coordinator {
 	opts = opts.withDefaults()
 	c := &Coordinator{
@@ -180,10 +173,6 @@ func (c *Coordinator) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.probeWG.Wait()
 }
-
-// DB exposes the coordinator's local database (replicated small tables
-// plus dist-backed partitioned ones).
-func (c *Coordinator) DB() *tpch.DB { return c.db }
 
 // Stats snapshots the robustness counters, including injected network
 // faults when an injector is armed.

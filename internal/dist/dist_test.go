@@ -131,7 +131,7 @@ func TestDistGoldenShards(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			addrs := startLocalShards(t, n)
-			c := NewCoordinator(goldenGen(), addrs, Options{})
+			c := NewCoordinatorDB(tpch.Generate(goldenGen()), addrs, Options{})
 			defer c.Close()
 			diffSnapshot(t, coordAnswers(t, c), want)
 			if got := c.Stats()[cRequests]; got == 0 {
@@ -148,7 +148,7 @@ func TestDistFragmentsMatchScatterScan(t *testing.T) {
 	want := readGolden(t)
 	addrs := startLocalShards(t, 2)
 	for _, noFrag := range []bool{false, true} {
-		c := NewCoordinator(goldenGen(), addrs, Options{NoFragments: noFrag})
+		c := NewCoordinatorDB(tpch.Generate(goldenGen()), addrs, Options{NoFragments: noFrag})
 		for id := range tpch.Fragments {
 			out, err := c.RunQuery(id)
 			if err != nil {
@@ -180,7 +180,7 @@ func attemptTimeout(d time.Duration) time.Duration {
 func TestDistGoldenUnderNetFaults(t *testing.T) {
 	want := readGolden(t)
 	addrs := startLocalShards(t, 2)
-	c := NewCoordinator(goldenGen(), addrs, Options{
+	c := NewCoordinatorDB(tpch.Generate(goldenGen()), addrs, Options{
 		AttemptTimeout: attemptTimeout(300 * time.Millisecond),
 		MaxAttempts:    14,
 		BackoffBase:    2 * time.Millisecond,
@@ -226,7 +226,7 @@ func TestDistDeadShardFailFast(t *testing.T) {
 		shards[i] = s
 		addrs[i] = s.Addr()
 	}
-	c := NewCoordinator(gen, addrs, Options{
+	c := NewCoordinatorDB(tpch.Generate(gen), addrs, Options{
 		AttemptTimeout: attemptTimeout(200 * time.Millisecond),
 		MaxAttempts:    3,
 		BackoffBase:    2 * time.Millisecond,
@@ -313,7 +313,7 @@ func TestDistRetryToSuccess(t *testing.T) {
 		shards[i] = s
 		addrs[i] = s.Addr()
 	}
-	c := NewCoordinator(gen, addrs, Options{
+	c := NewCoordinatorDB(tpch.Generate(gen), addrs, Options{
 		AttemptTimeout: attemptTimeout(200 * time.Millisecond),
 		MaxAttempts:    150,
 		BackoffBase:    5 * time.Millisecond,
@@ -384,7 +384,7 @@ func TestDistWireFrames(t *testing.T) {
 // positions recovery completeness is asserted with.
 func TestDistHealthPositions(t *testing.T) {
 	addrs := startLocalShards(t, 1)
-	c := NewCoordinator(goldenGen(), addrs, Options{ProbeEvery: -1})
+	c := NewCoordinatorDB(tpch.Generate(goldenGen()), addrs, Options{ProbeEvery: -1})
 	defer c.Close()
 	pos, err := c.Health(0)
 	if err != nil {

@@ -21,11 +21,12 @@ func TestDistScanMergeDifferential(t *testing.T) {
 	e := &relal.Exec{Parallelism: 1}
 	for _, n := range []int{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			c := NewCoordinator(goldenGen(), startLocalShards(t, n), Options{ProbeEvery: -1})
+			db := tpch.Generate(goldenGen())
+			c := NewCoordinatorDB(db, startLocalShards(t, n), Options{ProbeEvery: -1})
 			defer c.Close()
 			for _, name := range []string{"lineitem", "orders"} {
-				mem := c.DB().Table(name)
-				dist := c.DB().Src(name)
+				mem := db.Table(name)
+				dist := db.Src(name)
 				key := PartitionedTables[name]
 				subset := []string{mem.Schema[len(mem.Schema)-1].Name, key, mem.Schema[4].Name}
 				// The in-memory source prunes row groups but hands back every

@@ -223,9 +223,6 @@ func (s *Shard) Addr() string { return s.ln.Addr().String() }
 // Port returns the shard's listen port.
 func (s *Shard) Port() int { return s.ln.Addr().(*net.TCPAddr).Port }
 
-// Store exposes the shard's htap store (stats, positions).
-func (s *Shard) Store() *htap.Store { return s.store }
-
 // Close stops serving and closes the store.
 func (s *Shard) Close() error {
 	s.mu.Lock()

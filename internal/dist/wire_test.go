@@ -130,21 +130,21 @@ func sameCells(t testing.TB, got, want *relal.Table) {
 		switch c.Type {
 		case relal.Int:
 			g, w := got.IntCol(c.Name), want.IntCol(c.Name)
-			for i := 0; i < w.Len(); i++ {
+			for i := 0; i < want.NumRows(); i++ {
 				if g.Get(i) != w.Get(i) {
 					t.Fatalf("%s[%d] = %d, want %d", c.Name, i, g.Get(i), w.Get(i))
 				}
 			}
 		case relal.Float:
 			g, w := got.FloatCol(c.Name), want.FloatCol(c.Name)
-			for i := 0; i < w.Len(); i++ {
+			for i := 0; i < want.NumRows(); i++ {
 				if math.Float64bits(g.Get(i)) != math.Float64bits(w.Get(i)) {
 					t.Fatalf("%s[%d] = %v, want %v", c.Name, i, g.Get(i), w.Get(i))
 				}
 			}
 		default:
 			g, w := got.StrCol(c.Name), want.StrCol(c.Name)
-			for i := 0; i < w.Len(); i++ {
+			for i := 0; i < want.NumRows(); i++ {
 				if g.Get(i) != w.Get(i) {
 					t.Fatalf("%s[%d] = %q, want %q", c.Name, i, g.Get(i), w.Get(i))
 				}

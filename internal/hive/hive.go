@@ -74,9 +74,9 @@ func (l Layout) NonEmptyFiles(table string) int {
 // Config tunes the Hive engine.
 type Config struct {
 	MR mapreduce.Config
-	// CompressionRatio is compressed/uncompressed for RCFile+GZIP base
+	// RCFileRatio is compressed/uncompressed bytes for RCFile+GZIP base
 	// tables (measured ~0.115 on TPC-H text).
-	CompressionRatio float64
+	RCFileRatio float64
 	// IntermediateRatio is the LZO-style compression on intermediate
 	// map output.
 	IntermediateRatio float64
@@ -100,7 +100,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		MR:                mapreduce.DefaultConfig(),
-		CompressionRatio:  0.115,
+		RCFileRatio:       0.115,
 		IntermediateRatio: 0.5,
 		MapJoinBuildLimit: 700 << 20,
 		MapJoinFailTime:   400 * sim.Second,
@@ -138,7 +138,7 @@ type Warehouse struct {
 // New builds a warehouse modeling scale factor sf over db's functional
 // data.
 func New(s *sim.Sim, cl *cluster.Cluster, db *tpch.DB, sf float64, cfg Config) *Warehouse {
-	if cfg.CompressionRatio <= 0 {
+	if cfg.RCFileRatio <= 0 {
 		cfg = DefaultConfig()
 	}
 	return &Warehouse{
@@ -154,7 +154,7 @@ func New(s *sim.Sim, cl *cluster.Cluster, db *tpch.DB, sf float64, cfg Config) *
 // tableCompressedBytes returns the table's on-disk RCFile size at the
 // target SF.
 func (w *Warehouse) tableCompressedBytes(table string) int64 {
-	return int64(float64(tpch.TextBytes(table, w.SF)) * w.cfg.CompressionRatio)
+	return int64(float64(tpch.TextBytes(table, w.SF)) * w.cfg.RCFileRatio)
 }
 
 // pruneMap records, per base table, the fraction of scan bytes the
@@ -566,8 +566,8 @@ func (w *Warehouse) LoadTime(p *sim.Proc) sim.Duration {
 			Name:         "load-" + t,
 			MapTasks:     tasks,
 			Reducers:     128,
-			ShuffleBytes: int64(float64(text) * w.cfg.CompressionRatio),
-			OutputBytes:  int64(float64(text) * w.cfg.CompressionRatio),
+			ShuffleBytes: int64(float64(text) * w.cfg.RCFileRatio),
+			OutputBytes:  int64(float64(text) * w.cfg.RCFileRatio),
 		}
 		w.jt.Run(p, job)
 	}

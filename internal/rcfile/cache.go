@@ -31,26 +31,24 @@ type chunkKey struct {
 }
 
 // chunkData is the decoded form of one column chunk. The fields
-// matching the column type are populated; run-length chunks keep their
-// run list (ends set, one value per run) and Str chunks keep the
-// strPart representation — global codes or raw strings — until a scan
+// matching the column type are populated, one entry per row, except
+// that Str chunks keep the strPart representation — global codes, as a
+// run list for a gdict+rle chunk, or raw strings — until a scan
 // assembles the column (assembleCol), which expands the runs.
 type chunkData struct {
 	ints   []int64
 	floats []float64
-	ends   []int32 // run ends for a numeric RLE chunk; nil = flat
 	str    strPart
 }
 
 // sizeBytes estimates the decoded chunk's resident size for the LRU
-// bound: slice payloads plus a string-header charge. Run-length chunks
-// hold one entry per run, so their charge is the encoded footprint —
-// a clustered column's chunks cost the cache almost nothing, and more
-// of them stay resident at the same capacity.
+// bound: slice payloads plus a string-header charge. A gdict+rle chunk
+// holds one entry per run, so its charge is the encoded footprint — a
+// column sorted by its codes costs the cache almost nothing, and more
+// of its chunks stay resident at the same capacity.
 func (d chunkData) sizeBytes() int64 {
 	b := int64(64) // struct + bookkeeping overhead
 	b += 8 * int64(len(d.ints)+len(d.floats))
-	b += 4 * int64(len(d.ends))
 	b += 4 * int64(len(d.str.codes))
 	b += 4 * int64(len(d.str.ends))
 	for _, s := range d.str.raw {
@@ -92,27 +90,11 @@ func (c *ChunkCache) Stats() (hits, misses int64) {
 	return c.lru.Stats()
 }
 
-// HitRatio returns hits/(hits+misses), or 0 before any lookup.
-func (c *ChunkCache) HitRatio() float64 {
-	hits, misses := c.Stats()
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
-}
-
 // UsedBytes returns the resident decoded bytes.
 func (c *ChunkCache) UsedBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.UsedBytes()
-}
-
-// Capacity returns the configured byte bound.
-func (c *ChunkCache) Capacity() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Capacity()
 }
 
 // Len returns the number of resident chunks.

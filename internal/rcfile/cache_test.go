@@ -34,36 +34,17 @@ func sameRows(t *testing.T, a, b *relal.Table) {
 	}
 }
 
-// runnyTable builds rows with long runs in every column: RLE bait for
-// the int and float columns and gdict+rle for the dict string column.
+// runnyTable is one dict string column in runs of 256 rows, so the
+// writer stores every chunk gdict+rle.
 func runnyTable(rows int) *relal.Table {
-	keys := make([]int64, rows)
-	vals := make([]float64, rows)
-	strs := make([]string, rows)
-	for i := 0; i < rows; i++ {
-		keys[i] = int64(i / 256)
-		vals[i] = float64(i / 512)
-		strs[i] = []string{"aa", "bb", "cc"}[(i/256)%3]
-	}
-	return relal.NewTable("t", relal.Schema{
-		{Name: "k", Type: relal.Int},
-		{Name: "v", Type: relal.Float},
-		{Name: "s", Type: relal.Str},
-	}, relal.IntsV(keys), relal.FloatsV(vals), relal.EncodeDict(strs))
+	return relal.NewTable("t", relal.Schema{{Name: "s", Type: relal.Str}},
+		relal.EncodeDict(fill(rows, func(i int) string { return []string{"aa", "bb", "cc"}[(i/256)%3] })))
 }
 
-// plainTable has runnyTable's shape but nothing to encode: full-range
-// ints, distinct floats and raw distinct strings, so the writer stores
-// every chunk plain.
+// plainTable has runnyTable's shape but nothing to encode: raw distinct
+// strings, so the writer stores every chunk plain.
 func plainTable(rows int) *relal.Table {
-	return relal.NewTable("t", relal.Schema{
-		{Name: "k", Type: relal.Int},
-		{Name: "v", Type: relal.Float},
-		{Name: "s", Type: relal.Str},
-	},
-		// Any two keys span more than 32 bits: delta cannot pack them.
-		relal.IntsV(fill(rows, func(i int) int64 { return int64(i) << 40 })),
-		relal.FloatsV(fill(rows, func(i int) float64 { return float64(i) + 0.5 })),
+	return relal.NewTable("t", relal.Schema{{Name: "s", Type: relal.Str}},
 		relal.StrsV(fill(rows, func(i int) string { return fmt.Sprintf("s%06d", i) })))
 }
 
@@ -99,13 +80,13 @@ func TestChunkCacheChargesEncodedFootprint(t *testing.T) {
 	if encChunks <= plainChunks {
 		t.Errorf("resident chunks: enc %d, want > plain %d", encChunks, plainChunks)
 	}
-	// 8192 rows / 512-row groups × 3 columns = 48 chunks; run-encoded
-	// they all fit in 16 KiB, so the second scan is eviction-free.
-	if encChunks != 48 {
-		t.Errorf("runny resident chunks = %d, want all 48", encChunks)
+	// 8192 rows / 512-row groups = 16 chunks; run-encoded they all fit
+	// in 16 KiB, so the second scan is eviction-free.
+	if encChunks != 16 {
+		t.Errorf("runny resident chunks = %d, want all 16", encChunks)
 	}
-	if encMisses != 48 {
-		t.Errorf("runny misses = %d, want 48 (first scan only)", encMisses)
+	if encMisses != 16 {
+		t.Errorf("runny misses = %d, want 16 (first scan only)", encMisses)
 	}
 	if plainMisses <= encMisses {
 		t.Errorf("plain misses = %d, want > %d (capacity evictions)", plainMisses, encMisses)
@@ -145,7 +126,7 @@ func TestChunkCacheTinyCapacityStaysCorrect(t *testing.T) {
 	// served from cache, scans stay correct, and the bound holds.
 	cache := NewChunkCache(1)
 	src := cachedSource(t, 500, 64, cache)
-	plain, err := Read(src.data, src.schema, "t")
+	plain, _, err := ReadCols(src.data, src.schema, "t", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +137,8 @@ func TestChunkCacheTinyCapacityStaysCorrect(t *testing.T) {
 		}
 		sameRows(t, plain, got)
 	}
-	if cache.UsedBytes() > cache.Capacity() {
-		t.Fatalf("UsedBytes %d exceeds capacity %d", cache.UsedBytes(), cache.Capacity())
+	if cache.UsedBytes() > 1 {
+		t.Fatalf("UsedBytes %d exceeds the 1-byte capacity", cache.UsedBytes())
 	}
 }
 

@@ -3,6 +3,8 @@ package rcfile
 import (
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -39,9 +41,6 @@ func TestCorruptChunkDetected(t *testing.T) {
 		if stats.CorruptChunks != 1 {
 			t.Fatalf("group %d: CorruptChunks = %d, want 1", g, stats.CorruptChunks)
 		}
-		if srcBad.TotalStats().CorruptChunks != 1 {
-			t.Fatalf("group %d: counter did not accumulate corruption", g)
-		}
 	}
 }
 
@@ -60,13 +59,79 @@ func TestCorruptDictDetected(t *testing.T) {
 	// The dictionary blob sits at the head of the footer; flip a byte in
 	// its gzip stream (skip flag byte, compLen, and crc) and re-stamp the
 	// trailer CRC, so it is the blob's own checksum that has to notice.
-	footerStart := len(data) - 8 - int(binary.LittleEndian.Uint32(data[len(data)-8:]))
 	bad := append([]byte(nil), data...)
-	bad[footerStart+9+4] ^= 0x01
-	binary.LittleEndian.PutUint32(bad[len(bad)-4:], footerCRC(bad[4:12], bad[footerStart:len(bad)-4]))
+	bad[footerStart(bad)+9+4] ^= 0x01
+	restampFooter(bad)
 	_, err = NewSourceFromBytes(bad, src.Schema, "t")
 	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "dictionary blob") {
 		t.Fatalf("dict corruption error = %v, want ErrCorrupt naming the dictionary blob", err)
+	}
+}
+
+// footerStart returns the offset of a file's footer, from the trailer.
+func footerStart(data []byte) int {
+	return len(data) - 8 - int(binary.LittleEndian.Uint32(data[len(data)-8:]))
+}
+
+// restampFooter rewrites the trailer CRC over the header counts and the
+// footer, so an edit to either reaches the checks behind it.
+func restampFooter(data []byte) {
+	binary.LittleEndian.PutUint32(data[len(data)-4:], footerCRC(data[4:12], data[footerStart(data):len(data)-4]))
+}
+
+// TestCorruptEmptyGroupRejected: a file whose checksums all hold but
+// whose footer gives a row group 0 rows — here with a gdict+rle chunk of
+// 0 runs, which every run decoder accepts for 0 rows — must fail to
+// parse. The writer never writes an empty group, and assembling one
+// indexed the last run end of an empty run list.
+func TestCorruptEmptyGroupRejected(t *testing.T) {
+	vals := make([]string, 400)
+	for i := range vals {
+		vals[i] = []string{"AIR", "SHIP"}[i/200]
+	}
+	schema := relal.Schema{{Name: "m", Type: relal.Str}}
+	data, err := NewWriter(400).Write(relal.NewTable("t", schema, relal.EncodeDict(vals)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The footer holds the dictionary entry (flag, compLen, crc, blob),
+	// then the one group: rows, then the chunk's compLen, enc and crc.
+	fs := footerStart(data)
+	gpos := fs + 9 + int(binary.LittleEndian.Uint32(data[fs+1:]))
+	if data[gpos+8] != encGDictRLE {
+		t.Fatalf("fixture chunk is %s, want gdict+rle", EncNames[data[gpos+8]])
+	}
+	chunk, err := gzipChunk(func(w io.Writer) error { return writeGDictRLEChunk(w, nil, 0, 0, 0) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	footer := append([]byte(nil), data[fs:len(data)-4]...)
+	g := gpos - fs
+	binary.LittleEndian.PutUint32(footer[g:], 0)
+	binary.LittleEndian.PutUint32(footer[g+4:], uint32(len(chunk)))
+	binary.LittleEndian.PutUint32(footer[g+9:], crc32.ChecksumIEEE(chunk))
+	bad := append(append(append(append([]byte(nil), data[:12]...), chunk...), footer...), 0, 0, 0, 0)
+	restampFooter(bad)
+	if _, _, err := ReadCols(bad, schema, "t", nil, nil); err == nil || !strings.Contains(err.Error(), "no rows") {
+		t.Fatalf("empty-group file read: error %v, want a group with no rows rejected", err)
+	}
+}
+
+// TestCorruptRetiredEncoding: enc byte 3 (numeric runs) is retired; a
+// footer naming it fails to parse even when its CRC is re-stamped.
+func TestCorruptRetiredEncoding(t *testing.T) {
+	schema := relal.Schema{{Name: "x", Type: relal.Float}}
+	data, err := NewWriter(0).Write(relal.NewTable("t", schema, relal.FloatsV([]float64{1, 1, 1, 2})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Footer: the column's no-dictionary flag, the group's rows, then the
+	// chunk's compLen and enc.
+	bad := append([]byte(nil), data...)
+	bad[footerStart(bad)+1+4+4] = 3
+	restampFooter(bad)
+	if _, err := parse(bad, schema); err == nil || !strings.Contains(err.Error(), "bad chunk encoding") {
+		t.Fatalf("parse of an enc-3 chunk: error %v, want bad chunk encoding", err)
 	}
 }
 
@@ -107,12 +172,11 @@ func TestCorruptFooterDetected(t *testing.T) {
 	if err != nil || len(want) != 11 {
 		t.Fatalf("undamaged file answers %v, %v", want, err)
 	}
-	footerStart := len(data) - 8 - int(binary.LittleEndian.Uint32(data[len(data)-8:]))
 	footerLenAt := len(data) - 8
 	flips, wrong := 0, 0
 	for off := 0; off < len(data); off++ {
 		if off == 12 {
-			off = footerStart // skip the chunk region: TestCorruptChunkDetected
+			off = footerStart(data) // skip the chunk region: TestCorruptChunkDetected
 		}
 		for bit := 0; bit < 8; bit++ {
 			bad := append([]byte(nil), data...)

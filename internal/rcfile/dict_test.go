@@ -58,7 +58,7 @@ func TestDictChunkRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(data, dict.Schema, "d")
+	got, _, err := ReadCols(data, dict.Schema, "d", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestDictChunkSingleGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(data, dict.Schema, "d")
+	got, _, err := ReadCols(data, dict.Schema, "d", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,12 +124,12 @@ func TestDictZoneMapsPruneAndCarryCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zones, err := ZoneMaps(data, dict.Schema)
+	p, err := parse(data, dict.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for g, zs := range zones {
-		z := zs[1]
+	for g, gr := range p.groups {
+		z := gr.zones[1]
 		if !z.HasCodes {
 			t.Fatalf("group %d: dict zone missing codes", g)
 		}
@@ -203,7 +203,7 @@ func TestMixedDictAndRawColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(data, sch, "m")
+	got, _, err := ReadCols(data, sch, "m", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,11 +59,11 @@ func FuzzDictRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		want, err := Read(rawData, sch, "f")
+		want, _, err := ReadCols(rawData, sch, "f", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Read(dictData, sch, "f")
+		got, _, err := ReadCols(dictData, sch, "f", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,13 +108,14 @@ func FuzzDictRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzRLEDelta fuzzes the RCF6 run-length and delta chunk paths: the
+// FuzzRunsDelta fuzzes the RCF6 gdict+rle and delta chunk paths: the
 // fuzzer picks the row-group size, run lengths, and dictionary
-// cardinality, and the data becomes a sorted int key (delta/RLE bait),
-// a runny float column, and a runny dict string column. The file must
-// decode to the generated rows exactly, and a pruned read must keep
-// every matching row, whichever encodings the chunks were stored in.
-func FuzzRLEDelta(f *testing.F) {
+// cardinality, and the data becomes a sorted int key (delta bait), a
+// runny float column (stored plain: runs encode only dictionary codes),
+// and a runny dict string column (gdict+rle bait). The file must decode
+// to the generated rows exactly, and a pruned read must keep every
+// matching row, whichever encodings the chunks were stored in.
+func FuzzRunsDelta(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 3, 2, 1})
 	f.Add([]byte{7, 1, 1, 9, 0, 0, 0, 0, 0, 0})
@@ -146,7 +147,7 @@ func FuzzRLEDelta(f *testing.F) {
 		strs := make([]string, rows)
 		key := int64(0)
 		for i, b := range data {
-			key += int64(b % 4) // sorted, small spans: delta/RLE bait
+			key += int64(b % 4) // sorted, small spans: delta bait
 			ints[i] = key
 			run := i / runLen
 			floats[i] = float64(run%3) * 0.5
@@ -164,7 +165,7 @@ func FuzzRLEDelta(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Read(data, sch, "f")
+		got, _, err := ReadCols(data, sch, "f", nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,26 +20,30 @@
 // Version 3 added dictionary-encoded string chunks with group-local
 // dictionaries. Version 4 replaces those with one file-global
 // dictionary per Str column (stored once in the footer) and adds the
-// lightweight encodings a clustered columnar layout earns:
+// lightweight encodings a columnar layout earns:
 //
 //	enc 0 plain      length-prefixed strings / fixed 8-byte numerics
 //	enc 1 gdict      frame-of-reference packed global codes (Str)
 //	enc 2 gdict+rle  run-length encoded global codes (Str)
-//	enc 3 rle        run-length encoded values (Int/Float)
 //	enc 4 delta      frame-of-reference packed values (Int)
+//
+// Enc byte 3 (numeric runs) is retired: no TPC-H chunk ever chose it,
+// so runs encode only dictionary codes, and a footer that names it
+// fails to parse.
 //
 // The writer is adaptive per chunk: relal.PlanChunk models every
 // applicable candidate's payload size and the writer lays down and
 // compresses the smallest (ties go to plain — same bytes, simpler
-// decode). On data clustered by a sort column the dominant chunks
+// decode). On a column sorted by its dictionary codes the chunks
 // collapse to runs; on sequential keys delta packs 8-byte integers into
-// 1–4. Run-length encoding is a storage encoding only: a decoded RLE
-// chunk stays a run list in the chunk cache (charged that footprint) and
-// expands where a column is assembled from its chunks, so the engine
-// sees one entry per row; global-code chunks reassemble against the file
-// dictionary with no per-group union merge. The in-memory scan model
-// charges the same plan's bytes, which are these encodings' exact
-// pre-compression payload lengths (TestChunkPlanMatchesFile).
+// 1–4. Run-length encoding is a storage encoding only: a decoded
+// gdict+rle chunk stays a run list in the chunk cache (charged that
+// footprint) and expands where a column is assembled from its chunks,
+// so the engine sees one entry per row; global-code chunks reassemble
+// against the file dictionary with no per-group union merge. The
+// in-memory scan model charges the same plan's bytes, which are these
+// encodings' exact pre-compression payload lengths
+// (TestChunkPlanMatchesFile).
 //
 // Version 5 adds a CRC32 per chunk (and per dictionary blob) to the
 // footer, verified before decompression. Corruption surfaces as a typed
@@ -73,18 +77,18 @@ import (
 // with the on-disk layout.
 const DefaultRowGroupRows = relal.DefaultScanGroupRows
 
-// Chunk encodings (the footer's per-chunk enc byte).
+// Chunk encodings (the footer's per-chunk enc byte; 3 is retired).
 const (
 	encPlain    = byte(0) // length-prefixed strings / fixed 8-byte numerics
 	encGDict    = byte(1) // FOR-packed global codes (Str)
 	encGDictRLE = byte(2) // run-length encoded global codes (Str)
-	encRLE      = byte(3) // run-length encoded values (Int/Float)
 	encDelta    = byte(4) // FOR-packed values (Int)
 	numEncs     = 5
 )
 
-// EncNames names the chunk encodings, indexed by enc byte (tooling).
-var EncNames = [numEncs]string{"plain", "gdict", "gdict+rle", "rle", "delta"}
+// EncNames names the chunk encodings, indexed by enc byte (tooling); the
+// retired byte 3 has no name.
+var EncNames = [numEncs]string{"plain", "gdict", "gdict+rle", "", "delta"}
 
 // Writer serializes a table into RCFile bytes.
 type Writer struct {
@@ -114,7 +118,7 @@ func NewWriter(groupRows int) *Writer {
 //	    blob holding uint32 count and count length-prefixed values
 //	    (sorted)
 //	  per group:
-//	    uint32 rows
+//	    uint32 rows (at least 1)
 //	    per column:
 //	      uint32 compLen
 //	      uint8  enc
@@ -137,7 +141,6 @@ func NewWriter(groupRows int) *Writer {
 //	gdict      u8 width, u32 codeBase, rows × width (code − codeBase)
 //	gdict+rle  u8 width, u32 codeBase, u32 runs,
 //	           runs × (width bytes code − codeBase, u32 runLen)
-//	rle        u32 runs, runs × (8-byte value, u32 runLen)
 //	delta      u8 width, 8-byte base (chunk min), rows × width
 //	           (value − base, little-endian)
 //
@@ -232,8 +235,6 @@ func encodeChunk(v *relal.Vector, lo, hi int, plan relal.ChunkPlan) ([]byte, err
 			return writeGDictChunk(w, v.Dict[lo:hi], plan.Zone.CodeMin, plan.Width)
 		case encGDictRLE:
 			return writeGDictRLEChunk(w, v.Dict[lo:hi], plan.Zone.CodeMin, plan.Width, plan.Runs)
-		case encRLE:
-			return writeRLEChunk(w, v, lo, hi, plan.Runs)
 		case encDelta:
 			return writeDeltaChunk(w, v.Ints[lo:hi], plan.Zone.IntMin, plan.Width)
 		}
@@ -355,35 +356,6 @@ func writeGDictRLEChunk(w io.Writer, codes []uint32, base uint32, width, runs in
 	return nil
 }
 
-// writeRLEChunk writes a numeric column's rows [lo, hi) as
-// (value, runLen) runs, floats compared by bit pattern.
-func writeRLEChunk(w io.Writer, v *relal.Vector, lo, hi, runs int) error {
-	bits := func(i int) uint64 {
-		if v.Kind == relal.Int {
-			return uint64(v.Ints[i])
-		}
-		return math.Float64bits(v.Floats[i])
-	}
-	var buf [12]byte
-	binary.LittleEndian.PutUint32(buf[:4], uint32(runs))
-	if _, err := w.Write(buf[:4]); err != nil {
-		return err
-	}
-	for i := lo; i < hi; {
-		j := i + 1
-		for j < hi && bits(j) == bits(i) {
-			j++
-		}
-		binary.LittleEndian.PutUint64(buf[:8], bits(i))
-		binary.LittleEndian.PutUint32(buf[8:], uint32(j-i))
-		if _, err := w.Write(buf[:]); err != nil {
-			return err
-		}
-		i = j
-	}
-	return nil
-}
-
 // writeDeltaChunk packs ints frame-of-reference: the chunk minimum is
 // the 8-byte base, every row stores value − base in width bytes.
 func writeDeltaChunk(w io.Writer, xs []int64, base int64, width int) error {
@@ -426,8 +398,6 @@ func validEnc(enc byte, kind relal.Type, hasDict bool) bool {
 		return true
 	case encGDict, encGDictRLE:
 		return kind == relal.Str && hasDict
-	case encRLE:
-		return kind == relal.Int || kind == relal.Float
 	case encDelta:
 		return kind == relal.Int
 	}
@@ -553,6 +523,11 @@ func parse(data []byte, schema relal.Schema) (*parsed, error) {
 			zones:    make([]relal.ZoneMap, numCols),
 		}
 		pos += 4
+		if gr.rows == 0 {
+			// The writer never writes an empty group, and every chunk
+			// decoder assumes at least one row.
+			return nil, fmt.Errorf("rcfile: group %d has no rows", g)
+		}
 		for c := uint32(0); c < numCols; c++ {
 			if err := need(9); err != nil {
 				return nil, err
@@ -646,13 +621,6 @@ func inflateChunk(data []byte, chunkOff int64, compLen uint32) ([]byte, error) {
 	return io.ReadAll(gz)
 }
 
-// Read decodes an RCFile produced by Write, given the schema: every
-// column of every row group (the pre-pushdown Hive behaviour).
-func Read(data []byte, schema relal.Schema, name string) (*relal.Table, error) {
-	t, _, err := ReadCols(data, schema, name, nil, nil)
-	return t, err
-}
-
 // strPart is one row group's decoded slice of a Str column: global
 // codes (flat, or run-encoded when ends is set) or raw strings.
 type strPart struct {
@@ -666,7 +634,7 @@ type strPart struct {
 // whose zone maps cannot satisfy pred. Only surviving groups'
 // requested chunks are decompressed; everything else is skipped with
 // pointer arithmetic and accounted in the stats as compressed bytes.
-// Run-length chunks expand to one entry per row as the column is
+// Run-length code chunks expand to one code per row as the column is
 // assembled; global-code chunks reassemble against the file dictionary
 // with no merging.
 func ReadCols(data []byte, schema relal.Schema, name string, cols []string, pred relal.ZonePredicate) (*relal.Table, relal.ScanStats, error) {
@@ -794,8 +762,8 @@ func readColsCached(data []byte, p *parsed, schema relal.Schema, name string, co
 
 // decodeChunk inflates one chunk payload into its standalone decoded
 // form — fresh slices, not appends onto a caller vector — so the result
-// is safe to share through the chunk cache. Run-length chunks stay run
-// lists; global-code chunks stay codes (the dictionary lives in the
+// is safe to share through the chunk cache. Run-length code chunks stay
+// run lists; global-code chunks stay codes (the dictionary lives in the
 // parsed footer, not the cache entry).
 func decodeChunk(raw []byte, kind relal.Type, enc byte, rows int, dict []string) (chunkData, error) {
 	switch enc {
@@ -824,8 +792,6 @@ func decodeChunk(raw []byte, kind relal.Type, enc byte, rows int, dict []string)
 			return chunkData{}, err
 		}
 		return chunkData{str: strPart{codes: codes, ends: ends}}, nil
-	case encRLE:
-		return readRLEChunk(raw, kind, rows)
 	case encDelta:
 		ints, err := readDeltaChunk(raw, rows)
 		if err != nil {
@@ -912,47 +878,6 @@ func readGDictRLEChunk(raw []byte, rows, dictLen int) ([]uint32, []int32, error)
 	return codes, ends, nil
 }
 
-// readRLEChunk decodes a numeric run-length chunk into a run list.
-func readRLEChunk(raw []byte, kind relal.Type, rows int) (chunkData, error) {
-	if len(raw) < 4 {
-		return chunkData{}, fmt.Errorf("rcfile: truncated rle chunk")
-	}
-	runs := int(binary.LittleEndian.Uint32(raw[:4]))
-	if runs < 0 || runs > rows {
-		return chunkData{}, fmt.Errorf("rcfile: implausible run count %d for %d rows", runs, rows)
-	}
-	if len(raw) < 4+12*runs {
-		return chunkData{}, fmt.Errorf("rcfile: truncated runs")
-	}
-	cd := chunkData{ends: make([]int32, runs)}
-	if kind == relal.Int {
-		cd.ints = make([]int64, runs)
-	} else {
-		cd.floats = make([]float64, runs)
-	}
-	pos := 4
-	total := 0
-	for k := 0; k < runs; k++ {
-		bits := binary.LittleEndian.Uint64(raw[pos:])
-		rl := int(binary.LittleEndian.Uint32(raw[pos+8:]))
-		pos += 12
-		if rl <= 0 || total+rl > rows {
-			return chunkData{}, fmt.Errorf("rcfile: bad run length %d", rl)
-		}
-		if kind == relal.Int {
-			cd.ints[k] = int64(bits)
-		} else {
-			cd.floats[k] = math.Float64frombits(bits)
-		}
-		total += rl
-		cd.ends[k] = int32(total)
-	}
-	if total != rows {
-		return chunkData{}, fmt.Errorf("rcfile: runs cover %d of %d rows", total, rows)
-	}
-	return cd, nil
-}
-
 // readDeltaChunk decodes FOR-packed ints.
 func readDeltaChunk(raw []byte, rows int) ([]int64, error) {
 	if len(raw) < 9 {
@@ -975,30 +900,9 @@ func readDeltaChunk(raw []byte, rows int) ([]int64, error) {
 	return out, nil
 }
 
-// rowsOf returns the row count a decoded chunk covers.
-func (d chunkData) rowsOf(kind relal.Type) int {
-	if kind == relal.Str {
-		if d.str.raw != nil {
-			return len(d.str.raw)
-		}
-		if d.str.ends != nil {
-			return int(d.str.ends[len(d.str.ends)-1])
-		}
-		return len(d.str.codes)
-	}
-	if d.ends != nil {
-		if len(d.ends) == 0 {
-			return 0
-		}
-		return int(d.ends[len(d.ends)-1])
-	}
-	return len(d.ints) + len(d.floats)
-}
-
 // assembleCol merges one column's decoded chunks, in group order, into
-// a single vector with one entry per row: run-length chunks expand
-// here (the cache keeps them as run lists); global-code chunks become a
-// dict vector over the file dictionary.
+// a single vector with one entry per row: numeric chunks concatenate;
+// Str chunks go through assembleStrCol.
 func assembleCol(kind relal.Type, parts []chunkData, dict []string) *relal.Vector {
 	if kind == relal.Str {
 		sps := make([]strPart, len(parts))
@@ -1009,43 +913,25 @@ func assembleCol(kind relal.Type, parts []chunkData, dict []string) *relal.Vecto
 	}
 	total := 0
 	for _, p := range parts {
-		total += p.rowsOf(kind)
+		total += len(p.ints) + len(p.floats)
 	}
 	if kind == relal.Int {
 		out := make([]int64, 0, total)
 		for _, p := range parts {
-			if p.ends == nil {
-				out = append(out, p.ints...)
-				continue
-			}
-			prev := int32(0)
-			for k, e := range p.ends {
-				for ; prev < e; prev++ {
-					out = append(out, p.ints[k])
-				}
-			}
+			out = append(out, p.ints...)
 		}
 		return relal.IntsV(out)
 	}
 	out := make([]float64, 0, total)
 	for _, p := range parts {
-		if p.ends == nil {
-			out = append(out, p.floats...)
-			continue
-		}
-		prev := int32(0)
-		for k, e := range p.ends {
-			for ; prev < e; prev++ {
-				out = append(out, p.floats[k])
-			}
-		}
+		out = append(out, p.floats...)
 	}
 	return relal.FloatsV(out)
 }
 
 // assembleStrCol merges a Str column's decoded chunks. All code-based
 // chunks share the file-global dictionary, so codes concatenate with no
-// union merge: RLE chunks expand to one code per row, and any raw chunk
+// union merge: gdict+rle chunks expand to one code per row, and any raw chunk
 // degrades the whole column to raw strings in group order.
 func assembleStrCol(parts []strPart, dict []string) *relal.Vector {
 	anyRaw := false
@@ -1097,20 +983,6 @@ func assembleStrCol(parts []strPart, dict []string) *relal.Vector {
 		}
 	}
 	return relal.DictV(codes, dict)
-}
-
-// ZoneMaps returns the footer's zone maps, per group per column (test
-// and tooling introspection).
-func ZoneMaps(data []byte, schema relal.Schema) ([][]relal.ZoneMap, error) {
-	p, err := parse(data, schema)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]relal.ZoneMap, len(p.groups))
-	for g, gr := range p.groups {
-		out[g] = gr.zones
-	}
-	return out, nil
 }
 
 // ColEncStats is one column's per-encoding chunk census: how many
@@ -1168,19 +1040,18 @@ func readPlainChunk(raw []byte, v *relal.Vector, rows int) error {
 // is a programming bug, not an I/O condition.
 //
 // A Source is safe for concurrent scans: the encoded bytes and the
-// parsed footer (decoded once, at construction) are read-only, and the
-// cumulative byte accounting goes through an atomic counter, so query
-// streams can share one Source per table. Attaching a shared ChunkCache
-// (SetCache, before serving scans) makes repeated reads of hot chunks
-// skip the gzip inflation entirely.
+// parsed footer (decoded once, at construction) are read-only, so query
+// streams can share one Source per table; each scan's accounting goes
+// into its own ScanStats and from there into the caller's step log.
+// Attaching a shared ChunkCache (SetCache, before serving scans) makes
+// repeated reads of hot chunks skip the gzip inflation entirely.
 type Source struct {
-	name    string
-	schema  relal.Schema
-	data    []byte
-	parsed  *parsed
-	id      uint64 // content hash of data; the chunk cache's file key
-	cache   *ChunkCache
-	counter relal.ScanCounter
+	name   string
+	schema relal.Schema
+	data   []byte
+	parsed *parsed
+	id     uint64 // content hash of data; the chunk cache's file key
+	cache  *ChunkCache
 }
 
 // NewSource encodes t with the given row-group size (0 = default).
@@ -1265,34 +1136,8 @@ func (s *Source) ScanTable(cols []string, pred relal.ZonePredicate) (*relal.Tabl
 // degrade and rebuild instead of crashing or returning wrong rows.
 func (s *Source) TryScan(cols []string, pred relal.ZonePredicate) (*relal.Table, relal.ScanStats, error) {
 	t, stats, err := readColsCached(s.data, s.parsed, s.schema, s.name, cols, pred, s.cache, s.id)
-	s.counter.Observe(stats)
 	if err != nil {
 		return nil, stats, err
 	}
 	return t, stats, nil
-}
-
-// TotalStats returns the byte accounting accumulated over every scan
-// this source has served, from any goroutine. Two streams hammering one
-// Source sum exactly: the accumulation is atomic, not a plain struct
-// add.
-func (s *Source) TotalStats() relal.ScanStats { return s.counter.Total() }
-
-// CompressionRatio encodes t and returns compressed/uncompressed size.
-// TPC-H text compresses heavily under columnar gzip; the Hive cost model
-// multiplies text sizes by this ratio to get on-disk bucket sizes.
-func CompressionRatio(t *relal.Table) (float64, error) {
-	if t.NumRows() == 0 {
-		return 1, nil
-	}
-	w := NewWriter(0)
-	data, err := w.Write(t)
-	if err != nil {
-		return 0, err
-	}
-	raw := t.AvgRowBytes() * t.NumRows()
-	if raw == 0 {
-		return 1, nil
-	}
-	return float64(len(data)) / float64(raw), nil
 }

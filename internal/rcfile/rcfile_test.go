@@ -2,6 +2,7 @@ package rcfile
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -32,7 +33,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(data, src.Schema, "t")
+	got, _, err := ReadCols(data, src.Schema, "t", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestRoundTripOfView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(data, f.Schema, "t")
+	got, _, err := ReadCols(data, f.Schema, "t", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestEmptyTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(data, src.Schema, "t")
+	got, _, err := ReadCols(data, src.Schema, "t", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,25 +92,26 @@ func TestEmptyTable(t *testing.T) {
 }
 
 func TestBadInputs(t *testing.T) {
-	if _, err := Read([]byte("nope"), nil, "t"); err == nil {
+	if _, _, err := ReadCols([]byte("nope"), nil, "t", nil, nil); err == nil {
 		t.Error("bad magic should fail")
 	}
 	src := sampleTable(10)
 	data, _ := NewWriter(0).Write(src)
-	if _, err := Read(data, src.Schema[:2], "t"); err == nil {
+	if _, _, err := ReadCols(data, src.Schema[:2], "t", nil, nil); err == nil {
 		t.Error("schema mismatch should fail")
 	}
-	if _, err := Read(data[:len(data)-5], src.Schema, "t"); err == nil {
+	if _, _, err := ReadCols(data[:len(data)-5], src.Schema, "t", nil, nil); err == nil {
 		t.Error("truncated file should fail")
 	}
 }
 
 func TestCompressionOnTPCH(t *testing.T) {
-	db := tpch.Generate(tpch.GenConfig{SF: 0.002, Seed: 1, Random64: true})
-	ratio, err := CompressionRatio(db.Lineitem)
+	li := tpch.Generate(tpch.GenConfig{SF: 0.002, Seed: 1, Random64: true}).Lineitem
+	data, err := NewWriter(0).Write(li)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ratio := float64(len(data)) / float64(li.AvgRowBytes()*li.NumRows())
 	// Columnar gzip on TPC-H achieves heavy compression; the Hive cost
 	// model assumes ~0.115. Accept a broad band, but it must compress.
 	if ratio >= 0.7 {
@@ -129,7 +131,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Read(data, src.Schema, "p")
+		got, _, err := ReadCols(data, src.Schema, "p", nil, nil)
 		if err != nil || got.NumRows() != len(vals) {
 			return false
 		}
@@ -156,11 +158,12 @@ func fill[T any](n int, f func(i int) T) []T {
 }
 
 // TestRoundTripEveryEncoding makes the writer choose every chunk
-// encoding — plain for each of the three types, gdict, gdict+rle,
-// numeric rle and delta — proves from the footer census that it did,
-// and then round-trips the cells, so every chunk decoder provably runs.
-// The TPC-H golden suites never produce a numeric rle or a plain Int
-// chunk.
+// encoding — plain for each of the three types, gdict, gdict+rle and
+// delta — proves from the footer census that it did, and then
+// round-trips the cells, so every chunk decoder provably runs. Numeric
+// runs are not run-encoded: an Int column of long runs packs as delta, a
+// Float one stays plain. The TPC-H golden suites never produce a plain
+// Int chunk.
 func TestRoundTripEveryEncoding(t *testing.T) {
 	const rows, groupRows = 512, 128
 	cols := []struct {
@@ -177,11 +180,8 @@ func TestRoundTripEveryEncoding(t *testing.T) {
 		{"gdict", relal.Str, relal.EncodeDict(fill(rows, func(i int) string { return fmt.Sprintf("v%d", i%5) })), encGDict},
 		// The same five values in runs of 64.
 		{"gdict_rle", relal.Str, relal.EncodeDict(fill(rows, func(i int) string { return fmt.Sprintf("v%d", i/64%5) })), encGDictRLE},
-		{"rle_int", relal.Int, relal.IntsV(fill(rows, func(i int) int64 { return int64(i / 64) })), encRLE},
-		{"rle_float", relal.Float, relal.FloatsV(fill(rows, func(i int) float64 { return float64(i/64) * 0.25 })), encRLE},
-		// +0 and -0 in runs of 64: equal as values, two runs per group
-		// as the bit patterns the layout stores and the plan counts.
-		{"rle_float_signed_zero", relal.Float, relal.FloatsV(fill(rows, func(i int) float64 { return math.Copysign(0, float64(1-i/64%2*2)) })), encRLE},
+		{"runs_int", relal.Int, relal.IntsV(fill(rows, func(i int) int64 { return int64(i / 64) })), encDelta},
+		{"runs_float", relal.Float, relal.FloatsV(fill(rows, func(i int) float64 { return float64(i/64) * 0.25 })), encPlain},
 		// Distinct and dense: a one-byte frame of reference, no runs.
 		{"delta", relal.Int, relal.IntsV(fill(rows, func(i int) int64 { return 1000 + int64(i) })), encDelta},
 	}
@@ -209,20 +209,19 @@ func TestRoundTripEveryEncoding(t *testing.T) {
 	tablesEqual(t, got, tab)
 }
 
-// TestRunChunksThroughCache reads columns whose chunks are all rle, all
-// gdict+rle, and a mix of run and flat encodings twice through one
-// chunk cache — a miss per chunk, then a hit per chunk — with a column
-// subset and a zone predicate that prunes a middle row group. The cache
-// keeps run lists; what a scan returns is one entry per row either way.
+// TestRunChunksThroughCache reads a column whose chunks are all
+// gdict+rle, one that mixes run and flat code chunks, and a flat numeric
+// column twice through one chunk cache — a miss per chunk, then a hit
+// per chunk — with a column subset and a zone predicate that prunes a
+// middle row group. The cache keeps run lists; what a scan returns is
+// one entry per row either way.
 func TestRunChunksThroughCache(t *testing.T) {
 	const rows, groupRows = 512, 128
 	runny := func(i int) bool { return i/groupRows%2 == 0 } // groups 0 and 2
 	tab := relal.NewTable("e", relal.Schema{
 		{Name: "z", Type: relal.Int},
-		{Name: "rle", Type: relal.Int},
-		{Name: "rle_f", Type: relal.Float},
+		{Name: "k", Type: relal.Int},
 		{Name: "gdict_rle", Type: relal.Str},
-		{Name: "mix_int", Type: relal.Int},
 		{Name: "mix_str", Type: relal.Str},
 	},
 		// Group 1 holds 50s, the others 5..7: IntBetween(z, 0, 10) prunes it.
@@ -232,15 +231,8 @@ func TestRunChunksThroughCache(t *testing.T) {
 			}
 			return 5 + int64(i%3)
 		})),
-		relal.IntsV(fill(rows, func(i int) int64 { return int64(i / 64) })),
-		relal.FloatsV(fill(rows, func(i int) float64 { return float64(i/64) * 0.25 })),
+		relal.IntsV(fill(rows, func(i int) int64 { return 1000 + int64(i) })),
 		relal.EncodeDict(fill(rows, func(i int) string { return fmt.Sprintf("v%d", i/64%5) })),
-		relal.IntsV(fill(rows, func(i int) int64 {
-			if runny(i) {
-				return int64(i / 64)
-			}
-			return 1000 + int64(i)
-		})),
 		relal.EncodeDict(fill(rows, func(i int) string {
 			if runny(i) {
 				return fmt.Sprintf("v%d", i/64%5)
@@ -253,11 +245,9 @@ func TestRunChunksThroughCache(t *testing.T) {
 	}
 	census := src.EncodingStats()
 	for c, want := range map[int][numEncs]int{
-		1: {encRLE: 4},
-		2: {encRLE: 4},
-		3: {encGDictRLE: 4},
-		4: {encRLE: 2, encDelta: 2},
-		5: {encGDictRLE: 2, encGDict: 2},
+		1: {encDelta: 4},
+		2: {encGDictRLE: 4},
+		3: {encGDictRLE: 2, encGDict: 2},
 	} {
 		if census[c].Chunks != want {
 			t.Fatalf("%s: chunk census %v, fixture wants %v", tab.Schema[c].Name, census[c].Chunks, want)
@@ -265,11 +255,11 @@ func TestRunChunksThroughCache(t *testing.T) {
 	}
 	cache := NewChunkCache(1 << 20)
 	src.SetCache(cache)
-	cols := []string{"gdict_rle", "mix_int", "rle", "mix_str", "rle_f"}
+	cols := []string{"gdict_rle", "k", "mix_str"}
 	pred := relal.ZonePredicate{relal.IntBetween("z", 0, 10)}
 	e := &relal.Exec{}
 	want := e.Project(e.Filter(tab, func(i int) bool { return i/groupRows != 1 }), cols...)
-	const chunks = 5 * 3 // requested columns × surviving groups
+	const chunks = 3 * 3 // requested columns × surviving groups
 
 	var used int64
 	for pass, wantHits := range []int{0, chunks} {
@@ -293,19 +283,6 @@ func TestRunChunksThroughCache(t *testing.T) {
 			t.Fatalf("cache went from %d B to %d B (%d chunks) on an all-hit read", used, cache.UsedBytes(), cache.Len())
 		}
 	}
-}
-
-func TestTypeMismatchRejectedAtConstruction(t *testing.T) {
-	// With typed columnar tables a mistyped cell can no longer reach the
-	// writer: AppendRow panics at construction time instead of Write
-	// returning an error later.
-	tb := relal.NewTable("b", relal.Schema{{Name: "x", Type: relal.Int}})
-	defer func() {
-		if recover() == nil {
-			t.Error("mistyped AppendRow should panic")
-		}
-	}()
-	relal.AppendRow(tb, relal.Row{"not an int"})
 }
 
 func TestReadColsSubsetRoundTrip(t *testing.T) {
@@ -403,8 +380,8 @@ func TestAllGroupsPruned(t *testing.T) {
 	if stats.GroupsSkipped == 0 || stats.BytesSkipped == 0 {
 		t.Error("skipped accounting must cover the whole file")
 	}
-	// The empty result still supports typed access.
-	if got.IntCol("k").Len() != 0 {
+	got.IntCol("k") // the empty result still supports typed access
+	if got.Cols[0].Len() != 0 {
 		t.Error("empty pruned table must have empty typed columns")
 	}
 }
@@ -415,16 +392,16 @@ func TestSingleRowGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zones, err := ZoneMaps(data, src.Schema)
+	p, err := parse(data, src.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(zones) != 7 {
-		t.Fatalf("groups = %d, want 7", len(zones))
+	if len(p.groups) != 7 {
+		t.Fatalf("groups = %d, want 7", len(p.groups))
 	}
-	for g, zs := range zones {
-		if zs[0].IntMin != int64(g) || zs[0].IntMax != int64(g) {
-			t.Errorf("group %d k zone = [%d, %d]", g, zs[0].IntMin, zs[0].IntMax)
+	for g, gr := range p.groups {
+		if z := gr.zones[0]; z.IntMin != int64(g) || z.IntMax != int64(g) {
+			t.Errorf("group %d k zone = [%d, %d]", g, z.IntMin, z.IntMax)
 		}
 	}
 	got, stats, err := ReadCols(data, src.Schema, "t", nil,
@@ -466,12 +443,12 @@ func TestStrZoneEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zones, err := ZoneMaps(data, tb.Schema)
+	p, err := parse(data, tb.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if zones[0][0].StrMin != "" || zones[0][0].StrMax != "applesauce" {
-		t.Errorf("zone = [%q, %q]", zones[0][0].StrMin, zones[0][0].StrMax)
+	if z := p.groups[0].zones[0]; z.StrMin != "" || z.StrMax != "applesauce" {
+		t.Errorf("zone = [%q, %q]", z.StrMin, z.StrMax)
 	}
 	for _, tc := range []struct {
 		pred relal.ZoneCond
@@ -509,6 +486,35 @@ func TestSourceScanMatchesRead(t *testing.T) {
 	}
 	if stats.GroupsSkipped != 3 {
 		t.Errorf("skipped %d groups, want 3", stats.GroupsSkipped)
+	}
+}
+
+// TestWriterBytesGolden pins the writer's output for every TPC-H table
+// (SF 0.002, seed 1, 4096-row groups) to an FNV-64a hash of the file
+// bytes: a change to chunk planning, a chunk layout, the footer or the
+// trailer that alters any file the engine writes for TPC-H fails here.
+func TestWriterBytesGolden(t *testing.T) {
+	want := map[string]uint64{
+		"region":   0xfbe63bbaa7b24281,
+		"nation":   0xc84793ee0c6e4578,
+		"supplier": 0xf13ceab8d8f3376b,
+		"customer": 0xa27ab2c56a353cb1,
+		"part":     0xef9d9c48f14c9602,
+		"partsupp": 0xc739014c153e5033,
+		"orders":   0x5fac29f3434fc47d,
+		"lineitem": 0x2de3db7e3ca733a3,
+	}
+	db := tpch.Generate(tpch.GenConfig{SF: 0.002, Seed: 1, Random64: true})
+	for _, name := range tpch.TableNames {
+		data, err := NewWriter(4096).Write(db.Table(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(data)
+		if got := h.Sum64(); got != want[name] {
+			t.Errorf("%s: %d B hash to %#016x, want %#016x", name, len(data), got, want[name])
+		}
 	}
 }
 

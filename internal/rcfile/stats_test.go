@@ -3,18 +3,37 @@ package rcfile
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"elephants/internal/relal"
 )
 
-// TestSourceStatsConcurrent is the regression test for the shared-Source
-// accounting: many goroutines (two query streams' worth and more)
-// scanning one rcfile.Source must accumulate lifetime stats that equal
-// exactly scans × per-scan stats. Before the ScanCounter the totals
-// would have needed a plain struct add, which loses updates under
-// concurrency; run with -race to keep it honest.
+// scanConcurrently runs goroutines × scansPer scans of src at once and
+// returns every result, so the caller can compare them on the test
+// goroutine.
+func scanConcurrently(src relal.Source, goroutines, scansPer int, cols []string, pred relal.ZonePredicate) ([]*relal.Table, []relal.ScanStats) {
+	tables := make([]*relal.Table, goroutines*scansPer)
+	stats := make([]relal.ScanStats, goroutines*scansPer)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g * scansPer; i < (g+1)*scansPer; i++ {
+				tables[i], stats[i] = src.ScanTable(cols, pred)
+			}
+		}(g)
+	}
+	wg.Wait()
+	return tables, stats
+}
+
+// TestSourceStatsConcurrent: many goroutines (two query streams' worth
+// and more) scanning one rcfile.Source must each get the rows and the
+// ScanStats a lone scan gets — the per-scan accounting the step log
+// records is private to each scan. Run with -race to keep it honest.
 func TestSourceStatsConcurrent(t *testing.T) {
 	rows := 4 * relal.DefaultScanGroupRows / 16 // 4 groups at groupRows below
 	groupRows := rows / 4
@@ -36,40 +55,21 @@ func TestSourceStatsConcurrent(t *testing.T) {
 	// One scan's stats: column subset plus a zone predicate that prunes
 	// some groups, so every counter field is non-zero.
 	pred := relal.ZonePredicate{relal.IntBetween("k", math.MinInt64, int64(rows/2))}
-	_, once := src.ScanTable([]string{"k"}, pred)
+	want, once := src.ScanTable([]string{"k"}, pred)
 	if once.BytesRead == 0 || once.BytesSkipped == 0 || once.GroupsSkipped == 0 {
 		t.Fatalf("degenerate per-scan stats: %+v", once)
 	}
-	base := src.TotalStats() // the probe scan above is already counted
-
-	const goroutines = 8
-	const scansPer = 50
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < scansPer; i++ {
-				if _, s := src.ScanTable([]string{"k"}, pred); s != once {
-					panic("per-scan stats drifted")
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	got := src.TotalStats()
-	want := base
-	for i := 0; i < goroutines*scansPer; i++ {
-		want.Add(once)
-	}
-	if got != want {
-		t.Fatalf("concurrent accumulation lost updates:\n got %+v\nwant %+v", got, want)
+	tables, stats := scanConcurrently(src, 8, 50, []string{"k"}, pred)
+	for i := range tables {
+		if stats[i] != once || !slices.Equal(tables[i].Cols[0].Ints, want.Cols[0].Ints) {
+			t.Fatalf("concurrent scan %d drifted: stats %+v, want %+v", i, stats[i], once)
+		}
 	}
 }
 
-// TestTableSourceStatsConcurrent covers the in-memory TableSource's
-// counter the same way (both backends serve concurrent streams).
+// TestTableSourceStatsConcurrent covers the in-memory TableSource the
+// same way (both backends serve concurrent streams): every scan returns
+// the source's own table and the same modeled stats.
 func TestTableSourceStatsConcurrent(t *testing.T) {
 	rows := 6 * 512
 	keys := make([]int64, rows)
@@ -80,28 +80,13 @@ func TestTableSourceStatsConcurrent(t *testing.T) {
 	src := &relal.TableSource{T: tb, GroupRows: 512}
 	pred := relal.ZonePredicate{relal.IntBetween("k", math.MinInt64, int64(rows/3))}
 	_, once := src.ScanTable([]string{"k"}, pred)
-	base := src.TotalStats()
-
-	const goroutines = 8
-	const scansPer = 50
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < scansPer; i++ {
-				src.ScanTable([]string{"k"}, pred)
-			}
-		}()
+	if once.GroupsSkipped == 0 {
+		t.Fatalf("degenerate per-scan stats: %+v", once)
 	}
-	wg.Wait()
-
-	got := src.TotalStats()
-	want := base
-	for i := 0; i < goroutines*scansPer; i++ {
-		want.Add(once)
-	}
-	if got != want {
-		t.Fatalf("concurrent accumulation lost updates:\n got %+v\nwant %+v", got, want)
+	tables, stats := scanConcurrently(src, 8, 50, []string{"k"}, pred)
+	for i := range tables {
+		if stats[i] != once || tables[i] != tb {
+			t.Fatalf("concurrent scan %d drifted: stats %+v, want %+v", i, stats[i], once)
+		}
 	}
 }

@@ -15,7 +15,8 @@ import (
 )
 
 // AggSpec is one aggregate: Fn over the expression column Col (or "*"
-// for COUNT(*)), output-named As.
+// for COUNT(*)), output-named As. Every Fn but count needs an Int or
+// Float column.
 type AggSpec struct {
 	Fn  string // "sum", "avg", "count", "min", "max"
 	Col string
@@ -261,32 +262,12 @@ func foldNum[T int64 | float64](fn string, xs []T, sel, gid []int32, groups int)
 	return acc
 }
 
-// foldStr folds a Str column into each group's min or max. Every group
-// is seeded from its own first row, so "" is a legitimate minimum, not a
-// sentinel.
-func foldStr(fn string, col *Vector, t *Table, gid, first []int32) []string {
-	acc := make([]string, len(first))
-	for g, p := range first {
-		acc[g] = col.StrAt(p)
-	}
-	for i, g := range gid {
-		s := col.StrAt(t.phys(i))
-		if fn == "min" && s < acc[g] || fn == "max" && s > acc[g] {
-			acc[g] = s
-		}
-	}
-	return acc
-}
-
 // fold computes one aggregate's output column (Aggregate has checked fn
 // against the input's type). counts is the shared per-group row count;
 // every count column gets its own copy.
 func fold(fn string, in *Vector, t *Table, gid, first []int32, counts []int64) *Vector {
-	switch {
-	case fn == "count":
+	if fn == "count" {
 		return IntsV(slices.Clone(counts))
-	case in.Kind == Str:
-		return StrsV(foldStr(fn, in, t, gid, first))
 	}
 	var acc []float64
 	if in.Kind == Int {
@@ -327,10 +308,8 @@ func (e *Exec) Aggregate(t *Table, groupBy []string, aggs []AggSpec) *Table {
 		case "count":
 			typ = Int
 		case "sum", "avg", "min", "max":
-			if in := ins[i]; in == nil || in.Kind == Str && (a.Fn == "sum" || a.Fn == "avg") {
+			if in := ins[i]; in == nil || in.Kind == Str {
 				panic("relal: no " + a.Fn + " over column " + a.Col)
-			} else if in.Kind == Str {
-				typ = Str
 			}
 		default:
 			panic("relal: unknown aggregate " + a.Fn)

@@ -83,16 +83,6 @@ func (v *Vector) DecodeStrs() []string {
 	return out
 }
 
-// decodeToRaw converts a dict vector to plain strings in place. Callers
-// must own the vector (AppendRow privatizes first).
-func (v *Vector) decodeToRaw() {
-	if !v.IsDict() {
-		return
-	}
-	v.Strs = v.DecodeStrs()
-	v.Dict, v.DictVals = nil, nil
-}
-
 // sameDict reports whether two dict vectors' codes are directly
 // comparable: they share one dictionary (the same backing array) or
 // carry equal ones. Dictionaries are sorted and duplicate-free, so equal
@@ -227,14 +217,6 @@ func (v StrVec) Le(val string) Pred {
 		return v.codePred(0, upperBound(v.vals, val))
 	}
 	return v.rawPred(func(s string) bool { return s <= val })
-}
-
-// Ge returns a predicate for Get(i) >= val.
-func (v StrVec) Ge(val string) Pred {
-	if v.dict != nil {
-		return v.codePred(lowerBound(v.vals, val), uint32(len(v.vals)))
-	}
-	return v.rawPred(func(s string) bool { return s >= val })
 }
 
 // Gt returns a predicate for Get(i) > val.

@@ -147,7 +147,7 @@ func FuzzGroupKeys(f *testing.F) {
 	names := []string{"ki", "kf", "ks", "kd"}
 	sch := Schema{{Name: "ki", Type: Int}, {Name: "kf", Type: Float},
 		{Name: "ks", Type: Str}, {Name: "kd", Type: Str}, {Name: "v", Type: Float}}
-	aggs := []AggSpec{{Fn: "count", Col: "*", As: "n"}, {Fn: "sum", Col: "v", As: "sv"}, {Fn: "min", Col: "ks", As: "ms"}}
+	aggs := []AggSpec{{Fn: "count", Col: "*", As: "n"}, {Fn: "sum", Col: "v", As: "sv"}, {Fn: "min", Col: "v", As: "mv"}}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var keys []string
 		if len(data) > 0 {

@@ -72,7 +72,7 @@ func TestParallelAggregateMatchesSerial(t *testing.T) {
 		{Fn: "sum", Col: "v", As: "sum_v"},
 		{Fn: "avg", Col: "v", As: "avg_v"},
 		{Fn: "min", Col: "v", As: "min_v"},
-		{Fn: "max", Col: "s", As: "max_s"},
+		{Fn: "max", Col: "v", As: "max_v"},
 		{Fn: "count", Col: "*", As: "n"},
 	}
 	for _, rows := range []int{0, 5, MorselRows + 1, 4*MorselRows + 77} {

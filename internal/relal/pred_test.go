@@ -57,7 +57,6 @@ func TestPredFactories(t *testing.T) {
 				{"Str.Lt", s.Lt("N"), func(i int) bool { return s.Get(i) < "N" }},
 				{"Str.Le", s.Le("N"), func(i int) bool { return s.Get(i) <= "N" }},
 				{"Str.Gt", s.Gt("AB"), func(i int) bool { return s.Get(i) > "AB" }},
-				{"Str.Ge", s.Ge("AB"), func(i int) bool { return s.Get(i) >= "AB" }},
 				{"Str.Range", s.Range("AB", "REG"), func(i int) bool { return s.Get(i) >= "AB" && s.Get(i) < "REG" }},
 				{"Str.Between", s.Between("AB", "REG"), func(i int) bool { return s.Get(i) >= "AB" && s.Get(i) <= "REG" }},
 				{"Str.In", s.In("R", "mail", "zzz"), func(i int) bool { return s.Get(i) == "R" || s.Get(i) == "mail" }},

@@ -131,11 +131,12 @@ func (v *Vector) Len() int {
 // column. Filters, sorts, and limits return such views instead of
 // copying; Compacted materializes a view into dense vectors.
 //
-// A table whose vectors are fully built (every base table, every
-// operator output) is immutable except for two caches — the shared
-// aliasing flag and the memoized AvgRowBytes — which are atomic so
-// concurrent query streams can execute over one shared table without
-// synchronization.
+// A table is immutable once an operator or a Source returns it: no
+// operation writes a built table's vectors, so views, projections and
+// extensions alias them freely, and concurrent query streams execute
+// over one shared table without synchronization. The one cache, the
+// memoized AvgRowBytes, is atomic. Updates reach the analytical copy
+// through the delta log, never in place.
 type Table struct {
 	Name   string
 	Schema Schema
@@ -143,7 +144,6 @@ type Table struct {
 	Base   string
 
 	sel      []int32
-	shared   atomic.Bool  // Cols aliased by another table (zero-copy views)
 	avgBytes atomic.Int64 // cached exact AvgRowBytes; 0 = not yet computed
 
 	// scanOnce/scanCached memoize the per-row-group zone maps and
@@ -157,8 +157,7 @@ type Table struct {
 // per the schema; otherwise cols must match the schema's types and all
 // have equal lengths. Supplied vectors are adopted, not copied, and may
 // be aliased by another table (e.g. a renamed-column alias of a base
-// table), so the result is marked shared: AppendRow privatizes the
-// vectors before mutating them.
+// table).
 func NewTable(name string, schema Schema, cols ...*Vector) *Table {
 	t := &Table{Name: name, Schema: schema}
 	if len(cols) == 0 {
@@ -168,7 +167,6 @@ func NewTable(name string, schema Schema, cols ...*Vector) *Table {
 		}
 		return t
 	}
-	t.shared.Store(true)
 	if len(cols) != len(schema) {
 		panic(fmt.Sprintf("relal: %d vectors for %d columns", len(cols), len(schema)))
 	}
@@ -185,25 +183,9 @@ func NewTable(name string, schema Schema, cols ...*Vector) *Table {
 	return t
 }
 
-// view wraps t's columns under a new selection vector. Both the view
-// and the source are marked shared: their vectors are now aliased, so a
-// later AppendRow to either must privatize first. The source flag is
-// only written when not already set, so viewing an immutable shared
-// table (a base table under concurrent query streams) never mutates it.
+// view wraps t's columns under a new selection vector.
 func view(t *Table, name string, sel []int32) *Table {
-	markShared(t)
-	out := &Table{Name: name, Schema: t.Schema, Cols: t.Cols, sel: sel}
-	out.shared.Store(true)
-	return out
-}
-
-// markShared flags t's vectors as aliased. The load-before-store keeps
-// the flag write off already-shared tables: base tables are born shared,
-// so concurrent streams only ever read it.
-func markShared(t *Table) {
-	if !t.shared.Load() {
-		t.shared.Store(true)
-	}
+	return &Table{Name: name, Schema: t.Schema, Cols: t.Cols, sel: sel}
 }
 
 // phys maps a logical row index to its physical position.
@@ -311,14 +293,6 @@ func (v IntVec) Get(i int) int64 {
 	return v.data[i]
 }
 
-// Len returns the logical row count.
-func (v IntVec) Len() int {
-	if v.sel != nil {
-		return len(v.sel)
-	}
-	return len(v.data)
-}
-
 // FloatVec is a read accessor for a Float column.
 type FloatVec struct {
 	data []float64
@@ -331,14 +305,6 @@ func (v FloatVec) Get(i int) float64 {
 		i = int(v.sel[i])
 	}
 	return v.data[i]
-}
-
-// Len returns the logical row count.
-func (v FloatVec) Len() int {
-	if v.sel != nil {
-		return len(v.sel)
-	}
-	return len(v.data)
 }
 
 // StrVec is a read accessor for a Str column. For a dict-encoded
@@ -361,17 +327,6 @@ func (v StrVec) Get(i int) string {
 		return v.vals[v.dict[i]]
 	}
 	return v.data[i]
-}
-
-// Len returns the logical row count.
-func (v StrVec) Len() int {
-	if v.sel != nil {
-		return len(v.sel)
-	}
-	if v.dict != nil {
-		return len(v.dict)
-	}
-	return len(v.data)
 }
 
 // IntCol returns a typed accessor for the named Int column (panics on
@@ -408,12 +363,12 @@ func (t *Table) StrCol(name string) StrVec {
 }
 
 // Row is one boxed tuple; elements are int64, float64, or string per
-// the schema. It survives only as the compatibility interchange format
-// (RowsOf/AppendRow) — the execution core never materializes rows.
+// the schema. It is only an output format (RowsOf) — the execution core
+// never materializes rows.
 type Row []interface{}
 
-// RowsOf materializes t as boxed rows (compatibility shim for tests and
-// row-oriented consumers such as the text dumper).
+// RowsOf materializes t as boxed rows (for tests and row-oriented
+// consumers such as the answer formatter).
 func RowsOf(t *Table) []Row {
 	n := t.NumRows()
 	rows := make([]Row, n)
@@ -433,60 +388,6 @@ func RowsOf(t *Table) []Row {
 		rows[i] = r
 	}
 	return rows
-}
-
-// AppendRow appends one boxed row to t (compatibility shim). Cell types
-// must match the schema exactly (int64/float64/string) or it panics. If
-// t is a view, or its vectors are aliased by a zero-copy sibling
-// (Project/Limit output), t is compacted onto private vectors first so
-// the append can never desynchronize another table.
-func AppendRow(t *Table, r Row) {
-	if t.sel != nil || t.shared.Load() {
-		sel := t.sel
-		if sel == nil {
-			sel = make([]int32, t.NumRows())
-			for i := range sel {
-				sel[i] = int32(i)
-			}
-		}
-		cols := make([]*Vector, len(t.Cols))
-		for i, v := range t.Cols {
-			cols[i] = v.gather(sel, 1)
-		}
-		t.Cols, t.sel = cols, nil
-		t.shared.Store(false)
-	}
-	if len(r) != len(t.Cols) {
-		panic(fmt.Sprintf("relal: row has %d cells, schema has %d", len(r), len(t.Cols)))
-	}
-	for c, cell := range r {
-		col := t.Cols[c]
-		switch col.Kind {
-		case Int:
-			x, ok := cell.(int64)
-			if !ok {
-				panic(fmt.Sprintf("relal: column %q expects int64, got %T", t.Schema[c].Name, cell))
-			}
-			col.Ints = append(col.Ints, x)
-		case Float:
-			x, ok := cell.(float64)
-			if !ok {
-				panic(fmt.Sprintf("relal: column %q expects float64, got %T", t.Schema[c].Name, cell))
-			}
-			col.Floats = append(col.Floats, x)
-		default:
-			x, ok := cell.(string)
-			if !ok {
-				panic(fmt.Sprintf("relal: column %q expects string, got %T", t.Schema[c].Name, cell))
-			}
-			// An arbitrary appended string may not be in the dictionary;
-			// fall back to the raw representation (the vector is private
-			// here — views and aliased tables were compacted above).
-			col.decodeToRaw()
-			col.Strs = append(col.Strs, x)
-		}
-	}
-	t.avgBytes.Store(0)
 }
 
 // StepKind classifies a logged execution step.
@@ -623,9 +524,7 @@ func (e *Exec) Project(t *Table, cols ...string) *Table {
 		sch[i] = t.Schema[j]
 		vecs[i] = t.Cols[j]
 	}
-	markShared(t)
 	out := &Table{Name: t.Name + "_p", Schema: sch, Cols: vecs, sel: t.sel}
-	out.shared.Store(true)
 	SetBase(out, BaseOf(t))
 	return out
 }
@@ -644,9 +543,7 @@ func keyAt[K comparable](data []K, sel []int32, i int) K {
 // step is logged with the truncated view's own width; both cost models
 // fold limits into the surrounding job, so replayed costs are unchanged.
 func (e *Exec) Limit(t *Table, n int) *Table {
-	markShared(t)
 	out := &Table{Name: t.Name, Schema: t.Schema, Cols: t.Cols, sel: t.sel}
-	out.shared.Store(true)
 	if t.NumRows() > n {
 		if t.sel != nil {
 			out.sel = t.sel[:n]
@@ -703,10 +600,6 @@ func (e *Exec) ExtendStr(t *Table, name string, fn func(i int) string) *Table {
 
 func extendWith(t *Table, name string, col *Vector) *Table {
 	d := t.Compacted()
-	if d == t {
-		// Dense input: the output aliases t's vectors directly.
-		markShared(t)
-	}
 	cols := make([]*Vector, 0, len(d.Cols)+1)
 	cols = append(cols, d.Cols...)
 	cols = append(cols, col)
@@ -715,7 +608,6 @@ func extendWith(t *Table, name string, col *Vector) *Table {
 	sch = append(sch, Column{Name: name, Type: col.Kind})
 	// The first len(d.Cols) vectors alias the (compacted) input.
 	out := &Table{Name: t.Name, Schema: sch, Cols: cols}
-	out.shared.Store(true)
 	SetBase(out, BaseOf(t))
 	return out
 }

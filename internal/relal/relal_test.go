@@ -8,15 +8,20 @@ import (
 )
 
 func numbers(n int) *Table {
-	t := NewTable("nums", Schema{
+	ks, vs, gs := make([]int64, n), make([]float64, n), make([]string, n)
+	for i := range ks {
+		ks[i], vs[i], gs[i] = int64(i), float64(i)*2, fmt.Sprintf("g%d", i%3)
+	}
+	return NewTable("nums", Schema{
 		{Name: "k", Type: Int},
 		{Name: "v", Type: Float},
 		{Name: "grp", Type: Str},
-	})
-	for i := 0; i < n; i++ {
-		AppendRow(t, Row{int64(i), float64(i) * 2, fmt.Sprintf("g%d", i%3)})
-	}
-	return t
+	}, IntsV(ks), FloatsV(vs), StrsV(gs))
+}
+
+// intTable is a one-Int-column table holding xs.
+func intTable(name, col string, xs ...int64) *Table {
+	return NewTable(name, Schema{{Name: col, Type: Int}}, IntsV(xs))
 }
 
 func TestSchemaCol(t *testing.T) {
@@ -59,14 +64,10 @@ func TestProject(t *testing.T) {
 
 func TestJoinInner(t *testing.T) {
 	e := &Exec{}
-	left := NewTable("l", Schema{{Name: "id", Type: Int}, {Name: "x", Type: Str}})
-	right := NewTable("r", Schema{{Name: "rid", Type: Int}, {Name: "y", Type: Str}})
-	for i := 0; i < 4; i++ {
-		AppendRow(left, Row{int64(i), fmt.Sprintf("x%d", i)})
-	}
-	AppendRow(right, Row{int64(1), "a"})
-	AppendRow(right, Row{int64(1), "b"})
-	AppendRow(right, Row{int64(3), "c"})
+	left := NewTable("l", Schema{{Name: "id", Type: Int}, {Name: "x", Type: Str}},
+		IntsV([]int64{0, 1, 2, 3}), StrsV([]string{"x0", "x1", "x2", "x3"}))
+	right := NewTable("r", Schema{{Name: "rid", Type: Int}, {Name: "y", Type: Str}},
+		IntsV([]int64{1, 1, 3}), StrsV([]string{"a", "b", "c"}))
 	out := e.Join(left, right, "id", "rid")
 	if out.NumRows() != 3 {
 		t.Fatalf("join rows = %d, want 3 (1×2 + 3×1)", out.NumRows())
@@ -84,10 +85,7 @@ func TestJoinInner(t *testing.T) {
 func TestSemiAntiJoinPartition(t *testing.T) {
 	e := &Exec{}
 	left := numbers(10)
-	right := NewTable("r", Schema{{Name: "id", Type: Int}})
-	for i := 0; i < 10; i += 2 {
-		AppendRow(right, Row{int64(i)})
-	}
+	right := intTable("r", "id", 0, 2, 4, 6, 8)
 	semi := e.SemiJoin(left, right, "k", "id")
 	anti := e.AntiJoin(left, right, "k", "id")
 	if semi.NumRows()+anti.NumRows() != left.NumRows() {
@@ -102,14 +100,8 @@ func TestSemiAntiJoinDuplicateKeys(t *testing.T) {
 	// Duplicate keys on both sides: semi/anti are per-left-row set
 	// membership, never multiplied by right-side duplicates.
 	e := &Exec{}
-	left := NewTable("l", Schema{{Name: "id", Type: Int}})
-	for _, k := range []int64{1, 1, 2, 3, 3, 3} {
-		AppendRow(left, Row{k})
-	}
-	right := NewTable("r", Schema{{Name: "id", Type: Int}})
-	for _, k := range []int64{1, 1, 1, 3} {
-		AppendRow(right, Row{k})
-	}
+	left := intTable("l", "id", 1, 1, 2, 3, 3, 3)
+	right := intTable("r", "id", 1, 1, 1, 3)
 	semi := e.SemiJoin(left, right, "id", "id")
 	anti := e.AntiJoin(left, right, "id", "id")
 	if semi.NumRows() != 5 {
@@ -199,17 +191,21 @@ func TestAggregateGlobal(t *testing.T) {
 	}
 }
 
+// TestAggregateMinMaxString: min and max, like sum and avg, need a
+// numeric column; over a Str column Aggregate panics (a schema error in
+// the hand-written plan), raw or dict-encoded.
 func TestAggregateMinMaxString(t *testing.T) {
-	e := &Exec{}
-	out := e.Aggregate(numbers(5), nil, []AggSpec{
-		{Fn: "min", Col: "grp", As: "m"},
-		{Fn: "max", Col: "grp", As: "x"},
-	})
-	if out.StrCol("m").Get(0) != "g0" {
-		t.Errorf("min string = %v", out.StrCol("m").Get(0))
-	}
-	if out.StrCol("x").Get(0) != "g2" {
-		t.Errorf("max string = %v", out.StrCol("x").Get(0))
+	for _, tb := range []*Table{numbers(5), NewTable("d", Schema{{Name: "grp", Type: Str}}, EncodeDict([]string{"b", "a"}))} {
+		for _, fn := range []string{"min", "max"} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s over a Str column must panic", fn)
+					}
+				}()
+				(&Exec{}).Aggregate(tb, nil, []AggSpec{{Fn: fn, Col: "grp", As: "m"}})
+			}()
+		}
 	}
 }
 
@@ -317,9 +313,8 @@ func TestAvgRowBytes(t *testing.T) {
 
 func TestAvgRowBytesExactOnView(t *testing.T) {
 	// Width is computed over the selected rows only, exactly.
-	t1 := NewTable("t", Schema{{Name: "s", Type: Str}})
-	AppendRow(t1, Row{"a"})         // 2 bytes encoded
-	AppendRow(t1, Row{"abcdefghi"}) // 10 bytes encoded
+	// "a" is 2 bytes encoded, "abcdefghi" 10.
+	t1 := NewTable("t", Schema{{Name: "s", Type: Str}}, StrsV([]string{"a", "abcdefghi"}))
 	e := &Exec{}
 	sv := t1.StrCol("s")
 	long := e.Filter(t1, func(i int) bool { return len(sv.Get(i)) > 1 })
@@ -329,116 +324,6 @@ func TestAvgRowBytesExactOnView(t *testing.T) {
 	if got := t1.AvgRowBytes(); got != 6 {
 		t.Errorf("dense width = %d, want 6 ((2+10)/2)", got)
 	}
-}
-
-func TestRowsOfAppendRowRoundTrip(t *testing.T) {
-	src := numbers(7)
-	dst := NewTable("copy", src.Schema)
-	for _, r := range RowsOf(src) {
-		AppendRow(dst, r)
-	}
-	got, want := RowsOf(dst), RowsOf(src)
-	if len(got) != len(want) {
-		t.Fatalf("rows = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		for c := range want[i] {
-			if got[i][c] != want[i][c] {
-				t.Fatalf("cell (%d,%d) = %v, want %v", i, c, got[i][c], want[i][c])
-			}
-		}
-	}
-}
-
-func TestAppendRowToSharedViewDoesNotCorruptSource(t *testing.T) {
-	// Project/Limit outputs alias the source's vectors; AppendRow must
-	// privatize them so the source table never desynchronizes.
-	e := &Exec{}
-	tb := numbers(4)
-	p := e.Project(tb, "k")
-	AppendRow(p, Row{int64(99)})
-	if p.NumRows() != 5 || p.IntCol("k").Get(4) != 99 {
-		t.Errorf("projection after append = %v", RowsOf(p))
-	}
-	if tb.NumRows() != 4 || tb.Cols[0].Len() != 4 {
-		t.Errorf("source table corrupted: %d rows, col len %d", tb.NumRows(), tb.Cols[0].Len())
-	}
-	lim := e.Limit(tb, 10) // identity limit still shares vectors
-	AppendRow(lim, Row{int64(7), 14.0, "g1"})
-	if tb.NumRows() != 4 {
-		t.Errorf("source table corrupted via limit view: %d rows", tb.NumRows())
-	}
-	if lim.NumRows() != 5 {
-		t.Errorf("limit view rows = %d, want 5", lim.NumRows())
-	}
-}
-
-func TestAppendRowToSourceDoesNotCorruptViews(t *testing.T) {
-	// The aliasing goes both ways: appending to the *source* after a
-	// view/extension was derived from it must privatize too, or the
-	// derived table's columns desynchronize.
-	tb := numbers(2)
-	v := tb.FloatCol("v")
-	ext := (&Exec{}).ExtendFloat(tb, "v2", func(i int) float64 { return v.Get(i) })
-	AppendRow(tb, Row{int64(9), 18.0, "g0"})
-	if tb.NumRows() != 3 {
-		t.Errorf("source rows = %d, want 3", tb.NumRows())
-	}
-	if ext.NumRows() != 2 {
-		t.Errorf("extended rows = %d, want 2", ext.NumRows())
-	}
-	for _, r := range RowsOf(ext) { // must not panic on ragged columns
-		if len(r) != 4 {
-			t.Fatalf("ragged extended row %v", r)
-		}
-	}
-}
-
-func TestAppendRowToAdoptedVectorsDoesNotCorruptAlias(t *testing.T) {
-	// NewTable adopts supplied vectors, which may alias another table's
-	// columns (the q7/q8 renamed-nation pattern); appends to either
-	// table must privatize first.
-	base := NewTable("base", Schema{
-		{Name: "k", Type: Int},
-		{Name: "s", Type: Str},
-	}, IntsV([]int64{1, 2}), StrsV([]string{"a", "b"}))
-	alias := NewTable("alias", Schema{
-		{Name: "k2", Type: Int},
-		{Name: "s2", Type: Str},
-	}, base.Cols[0], base.Cols[1])
-	AppendRow(alias, Row{int64(3), "c"})
-	if base.NumRows() != 2 || base.Cols[0].Len() != 2 {
-		t.Errorf("base corrupted: %d rows, col len %d", base.NumRows(), base.Cols[0].Len())
-	}
-	if alias.NumRows() != 3 {
-		t.Errorf("alias rows = %d, want 3", alias.NumRows())
-	}
-	AppendRow(base, Row{int64(4), "d"})
-	if alias.NumRows() != 3 || alias.Cols[0].Len() != 3 {
-		t.Errorf("alias corrupted by append to base: %d rows", alias.Cols[0].Len())
-	}
-}
-
-func TestAggregateMinEmptyString(t *testing.T) {
-	// "" is a legitimate minimum, not an uninitialized sentinel.
-	e := &Exec{}
-	tb := NewTable("t", Schema{{Name: "s", Type: Str}})
-	AppendRow(tb, Row{""})
-	AppendRow(tb, Row{"b"})
-	out := e.Aggregate(tb, nil, []AggSpec{{Fn: "min", Col: "s", As: "m"}})
-	if got := out.StrCol("m").Get(0); got != "" {
-		t.Errorf("min = %q, want empty string", got)
-	}
-}
-
-func TestAppendRowTypeMismatchPanics(t *testing.T) {
-	tb := NewTable("t", Schema{{Name: "x", Type: Int}})
-	defer func() {
-		if recover() == nil {
-			t.Error("AppendRow with a mistyped cell must panic")
-		}
-	}()
-	AppendRow(tb, Row{"not an int"})
 }
 
 func TestJoinKeyTypeMismatchPanics(t *testing.T) {
@@ -497,14 +382,14 @@ func TestCompacted(t *testing.T) {
 func TestJoinMatchesNestedLoopProperty(t *testing.T) {
 	f := func(lk, rk []uint8) bool {
 		e := &Exec{}
-		left := NewTable("l", Schema{{Name: "a", Type: Int}})
-		right := NewTable("r", Schema{{Name: "b", Type: Int}})
-		for _, k := range lk {
-			AppendRow(left, Row{int64(k % 8)})
+		mod8 := func(ks []uint8) []int64 {
+			out := make([]int64, len(ks))
+			for i, k := range ks {
+				out[i] = int64(k % 8)
+			}
+			return out
 		}
-		for _, k := range rk {
-			AppendRow(right, Row{int64(k % 8)})
-		}
+		left, right := intTable("l", "a", mod8(lk)...), intTable("r", "b", mod8(rk)...)
 		got := e.Join(left, right, "a", "b").NumRows()
 		want := 0
 		for _, l := range left.Cols[0].Ints {
@@ -524,10 +409,11 @@ func TestJoinMatchesNestedLoopProperty(t *testing.T) {
 func TestAggregatePreservesTotalCountProperty(t *testing.T) {
 	f := func(vals []uint8) bool {
 		e := &Exec{}
-		tb := NewTable("t", Schema{{Name: "g", Type: Int}})
-		for _, v := range vals {
-			AppendRow(tb, Row{int64(v % 5)})
+		gs := make([]int64, len(vals))
+		for i, v := range vals {
+			gs[i] = int64(v % 5)
 		}
+		tb := intTable("t", "g", gs...)
 		out := e.Aggregate(tb, []string{"g"}, []AggSpec{{Fn: "count", Col: "*", As: "n"}})
 		var total int64
 		ns := out.IntCol("n")

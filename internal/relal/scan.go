@@ -11,11 +11,6 @@
 // produces exactly the rows a full scan would.
 package relal
 
-import (
-	"math"
-	"sync/atomic"
-)
-
 // ZoneMap is the min/max summary of one column chunk (one column within
 // one row group). Exactly the pair matching Kind is meaningful. For a
 // dictionary-encoded Str chunk, CodeMin/CodeMax additionally carry the
@@ -198,27 +193,7 @@ type ScanStats struct {
 	CorruptChunks int
 }
 
-// SkippedFrac returns the fraction of total bytes the scan skipped.
-func (s ScanStats) SkippedFrac() float64 {
-	tot := s.BytesRead + s.BytesSkipped
-	if tot == 0 {
-		return 0
-	}
-	return float64(s.BytesSkipped) / float64(tot)
-}
-
-// CacheHitRatio returns CacheHits/(CacheHits+CacheMisses), or 0 before
-// any cached lookup (including the no-cache configuration).
-func (s ScanStats) CacheHitRatio() float64 {
-	tot := s.CacheHits + s.CacheMisses
-	if tot == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(tot)
-}
-
-// Add accumulates other into s. Plain field addition — for accumulation
-// across goroutines (streams sharing one Source) use ScanCounter.
+// Add accumulates other into s.
 func (s *ScanStats) Add(other ScanStats) {
 	s.BytesRead += other.BytesRead
 	s.BytesSkipped += other.BytesSkipped
@@ -228,46 +203,6 @@ func (s *ScanStats) Add(other ScanStats) {
 	s.CacheHits += other.CacheHits
 	s.CacheMisses += other.CacheMisses
 	s.CorruptChunks += other.CorruptChunks
-}
-
-// ScanCounter accumulates ScanStats atomically. Sources embed one so
-// their lifetime byte accounting stays exact when many query streams
-// scan through the same Source concurrently; per-query accounting still
-// comes from the Step log, which is private to each Exec.
-type ScanCounter struct {
-	bytesRead, bytesSkipped   atomic.Int64
-	bytesFromCache            atomic.Int64
-	groupsRead, groupsSkipped atomic.Int64
-	cacheHits, cacheMisses    atomic.Int64
-	corruptChunks             atomic.Int64
-}
-
-// Observe folds one scan's stats into the counter.
-func (c *ScanCounter) Observe(s ScanStats) {
-	c.bytesRead.Add(s.BytesRead)
-	c.bytesSkipped.Add(s.BytesSkipped)
-	c.bytesFromCache.Add(s.BytesFromCache)
-	c.groupsRead.Add(int64(s.GroupsRead))
-	c.groupsSkipped.Add(int64(s.GroupsSkipped))
-	c.cacheHits.Add(int64(s.CacheHits))
-	c.cacheMisses.Add(int64(s.CacheMisses))
-	c.corruptChunks.Add(int64(s.CorruptChunks))
-}
-
-// Total returns the accumulated stats. Each field is read atomically; a
-// snapshot taken while scans are in flight is a consistent set of sums
-// as of some interleaving, which is all a throughput report needs.
-func (c *ScanCounter) Total() ScanStats {
-	return ScanStats{
-		BytesRead:      c.bytesRead.Load(),
-		BytesSkipped:   c.bytesSkipped.Load(),
-		BytesFromCache: c.bytesFromCache.Load(),
-		GroupsRead:     int(c.groupsRead.Load()),
-		GroupsSkipped:  int(c.groupsSkipped.Load()),
-		CacheHits:      int(c.cacheHits.Load()),
-		CacheMisses:    int(c.cacheMisses.Load()),
-		CorruptChunks:  int(c.corruptChunks.Load()),
-	}
 }
 
 // SkippedScanFracs returns, per base table, the fraction of scan bytes
@@ -347,10 +282,6 @@ func FORWidth(span uint64) int {
 // layouts internal/rcfile writes. All include the chunk's
 // self-describing header bytes.
 
-// RLEChunkBytes is the numeric RLE payload: run count + (8-byte value,
-// 4-byte length) per run.
-func RLEChunkBytes(runs int) int64 { return 4 + int64(runs)*12 }
-
 // DeltaChunkBytes is the int frame-of-reference payload: width byte +
 // 8-byte base + packed deltas.
 func DeltaChunkBytes(rows, width int) int64 { return 9 + int64(rows)*int64(width) }
@@ -363,12 +294,12 @@ func GDictChunkBytes(rows, width int) int64 { return 5 + int64(rows)*int64(width
 // + code base + run count + (packed code, 4-byte length) per run.
 func GDictRLEChunkBytes(runs, width int) int64 { return 9 + int64(runs)*int64(width+4) }
 
-// Chunk encodings, numbered as the RCFile footer's enc byte.
+// Chunk encodings, numbered as the RCFile footer's enc byte. Runs encode
+// only dictionary codes; enc byte 3 is retired and no file holds it.
 const (
 	encPlain    = byte(0) // length-prefixed strings / fixed 8-byte numerics
 	encGDict    = byte(1) // FOR-packed global codes (dict Str)
 	encGDictRLE = byte(2) // run-length encoded global codes (dict Str)
-	encRLE      = byte(3) // run-length encoded values (Int/Float)
 	encDelta    = byte(4) // FOR-packed values (Int)
 )
 
@@ -377,7 +308,7 @@ const (
 // that decided it, which are also what the chosen layout and the footer
 // store.
 type ChunkPlan struct {
-	// Enc is the RCFile enc byte: 0 plain, 1 gdict, 2 gdict+rle, 3 rle,
+	// Enc is the RCFile enc byte: 0 plain, 1 gdict, 2 gdict+rle,
 	// 4 delta.
 	Enc byte
 	// Bytes is Enc's modeled payload size before gzip.
@@ -385,9 +316,8 @@ type ChunkPlan struct {
 	// Width is the packed cell width of gdict, gdict+rle and delta
 	// payloads: the FORWidth of the chunk's code or value span.
 	Width int
-	// Runs counts maximal runs of equal adjacent cells — Int values,
-	// Float bit patterns, dict codes; raw Str chunks are never run
-	// encoded and report 0.
+	// Runs counts maximal runs of equal adjacent dict codes; every other
+	// chunk reports 0.
 	Runs int
 	// Zone is the chunk's min/max; Zone.CodeMin / Zone.IntMin is the
 	// frame-of-reference base of gdict / delta payloads.
@@ -433,30 +363,17 @@ func PlanChunk(v *Vector, lo, hi int) ChunkPlan {
 					p.Enc, p.Bytes = encDelta, fb
 				}
 			}
-			p.Runs = countRuns(v.Ints[lo:hi])
-		} else {
-			// By bit pattern, as the rle layout stores them: -0 must
-			// not join a run of +0, and equal NaNs may.
-			p.Runs = 1
-			for i := lo + 1; i < hi; i++ {
-				if math.Float64bits(v.Floats[i]) != math.Float64bits(v.Floats[i-1]) {
-					p.Runs++
-				}
-			}
-		}
-		if rle := RLEChunkBytes(p.Runs); rle < p.Bytes {
-			p.Enc, p.Bytes = encRLE, rle
 		}
 	}
 	return p
 }
 
-// countRuns counts maximal runs of equal adjacent values in a non-empty
+// countRuns counts maximal runs of equal adjacent codes in a non-empty
 // slice.
-func countRuns[T comparable](xs []T) int {
+func countRuns(codes []uint32) int {
 	runs := 1
-	for i := 1; i < len(xs); i++ {
-		if xs[i] != xs[i-1] {
+	for i := 1; i < len(codes); i++ {
+		if codes[i] != codes[i-1] {
 			runs++
 		}
 	}
@@ -521,13 +438,7 @@ type TableSource struct {
 	T *Table
 	// GroupRows is the virtual row-group size (0 = default).
 	GroupRows int
-
-	counter ScanCounter
 }
-
-// TotalStats returns the stats accumulated across every scan served by
-// this source, from any goroutine.
-func (s *TableSource) TotalStats() ScanStats { return s.counter.Total() }
 
 // NewTableSource wraps t with the default virtual row-group size.
 func NewTableSource(t *Table) *TableSource { return &TableSource{T: t} }
@@ -578,7 +489,6 @@ func (s *TableSource) ScanTable(cols []string, pred ZonePredicate) (*Table, Scan
 			}
 		}
 	}
-	s.counter.Observe(stats)
 	return s.T, stats
 }
 
@@ -597,15 +507,8 @@ func (e *Exec) ScanSource(src Source, cols []string, pred ZonePredicate) *Table 
 	name := src.SrcName()
 	width := t.AvgRowBytes()
 	if t.Base != name {
-		// The wrapper aliases the source table's vectors, so the source
-		// must carry the shared flag too or a later AppendRow to it
-		// would mutate the aliased vectors in place. markShared is
-		// write-free on already-shared tables (every base table), so
-		// concurrent streams only ever read the flag here.
-		markShared(t)
 		w := &Table{Name: t.Name, Schema: t.Schema, Cols: t.Cols, sel: t.sel, Base: name}
 		w.avgBytes.Store(int64(width))
-		w.shared.Store(true)
 		t = w
 	}
 	e.Log.Add(Step{

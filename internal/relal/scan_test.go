@@ -138,12 +138,3 @@ func TestScanSourceLogsStats(t *testing.T) {
 		t.Errorf("scan bytes = %d/%d, want %d/0", st.ScanBytesRead, st.ScanBytesSkipped, want)
 	}
 }
-
-func TestScanStatsSkippedFrac(t *testing.T) {
-	if f := (ScanStats{}).SkippedFrac(); f != 0 {
-		t.Errorf("empty stats frac = %v", f)
-	}
-	if f := (ScanStats{BytesRead: 25, BytesSkipped: 75}).SkippedFrac(); f != 0.75 {
-		t.Errorf("frac = %v, want 0.75", f)
-	}
-}

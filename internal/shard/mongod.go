@@ -6,7 +6,7 @@ import (
 	"elephants/internal/cluster"
 	"elephants/internal/docstore"
 	"elephants/internal/sim"
-	"elephants/internal/storage"
+	"elephants/internal/sqleng"
 )
 
 // ExtentSize is the effective unit MongoDB's memory-mapped storage
@@ -52,11 +52,11 @@ type Mongod struct {
 
 	docs       map[string]*docSlot
 	extentOf   map[string]int // _id -> extent number
-	index      *storage.BTree // _id index
+	index      *sqleng.BTree  // _id index
 	extentUsed int64          // bytes used in the current extent
 	numExtents int
-	resident   *storage.BufferPool // extent residency (32 KB units)
-	idxPages   *storage.BufferPool // index page residency (8 KB units)
+	resident   *sqleng.BufferPool // extent residency (32 KB units)
+	idxPages   *sqleng.BufferPool // index page residency (8 KB units)
 
 	journalEnd sim.Time
 	dirty      map[int]bool // dirty extents awaiting background flush
@@ -85,9 +85,9 @@ func NewMongod(s *sim.Sim, node *cluster.Node, cfg MongodConfig) *Mongod {
 		globalLock: s.NewRWLock("mongod.global"),
 		docs:       make(map[string]*docSlot),
 		extentOf:   make(map[string]int),
-		index:      storage.NewBTree(storage.DefaultBTreeOrder, nil),
-		resident:   storage.NewBufferPool(cfg.ResidentExtents),
-		idxPages:   storage.NewBufferPool(cfg.ResidentExtents), // index is small; rarely evicts
+		index:      sqleng.NewBTree(sqleng.DefaultBTreeOrder, nil),
+		resident:   sqleng.NewBufferPool(cfg.ResidentExtents),
+		idxPages:   sqleng.NewBufferPool(cfg.ResidentExtents), // index is small; rarely evicts
 		dirty:      make(map[int]bool),
 	}
 	return m
@@ -141,27 +141,27 @@ func (m *Mongod) flush(p *sim.Proc) {
 // touchExtent charges residency for extent access; cold extents fault in
 // a full 32 KB unit.
 func (m *Mongod) touchExtent(p *sim.Proc, extent int, dirty bool) {
-	hit, _, _ := m.resident.Touch(storage.PageID(extent))
+	hit, _, _ := m.resident.Touch(sqleng.PageID(extent))
 	if !hit {
 		m.node.Disk(uint64(extent)).ReadRand(p, ExtentSize)
 	}
 	if dirty {
-		m.resident.MarkDirty(storage.PageID(extent))
+		m.resident.MarkDirty(sqleng.PageID(extent))
 		m.dirty[extent] = true
 	}
 }
 
 // touchIndex charges index page accesses (8 KB units).
-func (m *Mongod) touchIndex(p *sim.Proc, path []storage.PageID) {
+func (m *Mongod) touchIndex(p *sim.Proc, path []sqleng.PageID) {
 	for _, pg := range path {
 		hit, _, _ := m.idxPages.Touch(pg)
 		if !hit {
-			m.node.Disk(pageSeed(pg)).ReadRand(p, storage.PageSize)
+			m.node.Disk(pageSeed(pg)).ReadRand(p, sqleng.PageSize)
 		}
 	}
 }
 
-func pageSeed(pg storage.PageID) uint64 { return uint64(pg) * 2654435761 }
+func pageSeed(pg sqleng.PageID) uint64 { return uint64(pg) * 2654435761 }
 
 // journalCommit models the 100 ms-window journal group flush.
 func (m *Mongod) journalCommit(p *sim.Proc) {
@@ -203,8 +203,8 @@ func (m *Mongod) Insert(p *sim.Proc, doc *docstore.Doc) error {
 	if fresh {
 		// A newly allocated extent is written, not faulted in: mark it
 		// resident and dirty without a disk read.
-		m.resident.Touch(storage.PageID(m.numExtents))
-		m.resident.MarkDirty(storage.PageID(m.numExtents))
+		m.resident.Touch(sqleng.PageID(m.numExtents))
+		m.resident.MarkDirty(sqleng.PageID(m.numExtents))
 		m.dirty[m.numExtents] = true
 	} else {
 		m.touchExtent(p, m.numExtents, true)

@@ -1,13 +1,15 @@
-package storage
+package sqleng
+
+import "elephants/internal/storage"
 
 // BufferPool models page residency with LRU replacement. It does not hold
 // page bytes (the functional layer does); it answers "was this page in
 // memory?" so the engine can charge simulated I/O for misses, and tracks
 // dirty pages so checkpoints can charge write I/O. The eviction core is
-// the shared ByteLRU (lru.go), instantiated with unit weights so the
+// the shared storage.ByteLRU, instantiated with unit weights so the
 // capacity counts pages.
 type BufferPool struct {
-	lru     *ByteLRU[PageID, struct{}]
+	lru     *storage.ByteLRU[PageID, struct{}]
 	dirty   map[PageID]bool
 	victim  PageID // last eviction observed by the onEvict hook
 	evicted bool
@@ -19,7 +21,7 @@ func NewBufferPool(capacity int) *BufferPool {
 		capacity = 1
 	}
 	b := &BufferPool{dirty: make(map[PageID]bool)}
-	b.lru = NewByteLRU[PageID, struct{}](int64(capacity), func(id PageID, _ struct{}) {
+	b.lru = storage.NewByteLRU[PageID, struct{}](int64(capacity), func(id PageID, _ struct{}) {
 		b.victim, b.evicted = id, true
 	})
 	return b

@@ -17,7 +17,6 @@ import (
 
 	"elephants/internal/cluster"
 	"elephants/internal/sim"
-	"elephants/internal/storage"
 	"elephants/internal/wal"
 )
 
@@ -76,14 +75,14 @@ type Engine struct {
 	node *cluster.Node
 	cfg  Config
 
-	bp    *storage.BufferPool
-	heap  *storage.HeapFile
-	index *storage.BTree
+	bp    *BufferPool
+	heap  *HeapFile
+	index *BTree
 	locks map[string]*sim.RWLock
 	log   *wal.Log
 	ckpt  *wal.Checkpointer
 
-	nextPage storage.PageID
+	nextPage PageID
 
 	reads, updates, inserts, scans int64
 }
@@ -92,7 +91,7 @@ type Engine struct {
 // checkpointer once the simulation has processes running.
 func New(s *sim.Sim, node *cluster.Node, cfg Config) *Engine {
 	if cfg.BufferPoolPages <= 0 {
-		cfg.BufferPoolPages = int(node.Memory() * 3 / 4 / storage.PageSize)
+		cfg.BufferPoolPages = int(node.Memory() * 3 / 4 / PageSize)
 	}
 	if cfg.CPUPerOp <= 0 {
 		cfg.CPUPerOp = DefaultCPUPerOp
@@ -104,11 +103,11 @@ func New(s *sim.Sim, node *cluster.Node, cfg Config) *Engine {
 		s:     s,
 		node:  node,
 		cfg:   cfg,
-		bp:    storage.NewBufferPool(cfg.BufferPoolPages),
+		bp:    NewBufferPool(cfg.BufferPoolPages),
 		locks: make(map[string]*sim.RWLock),
 	}
-	e.heap = storage.NewHeapFile(e.allocPage)
-	e.index = storage.NewBTree(storage.DefaultBTreeOrder, e.allocPage)
+	e.heap = NewHeapFile(e.allocPage)
+	e.index = NewBTree(DefaultBTreeOrder, e.allocPage)
 	logDisk := cfg.LogDisk
 	if logDisk == nil {
 		logDisk = node.Disks[len(node.Disks)-1]
@@ -120,7 +119,7 @@ func New(s *sim.Sim, node *cluster.Node, cfg Config) *Engine {
 	return e
 }
 
-func (e *Engine) allocPage() storage.PageID {
+func (e *Engine) allocPage() PageID {
 	e.nextPage++
 	return e.nextPage
 }
@@ -129,7 +128,7 @@ func (e *Engine) allocPage() storage.PageID {
 func (e *Engine) Node() *cluster.Node { return e.node }
 
 // BufferPool exposes the residency model (for tests and reporting).
-func (e *Engine) BufferPool() *storage.BufferPool { return e.bp }
+func (e *Engine) BufferPool() *BufferPool { return e.bp }
 
 // StartBackground launches the checkpointer, if configured.
 func (e *Engine) StartBackground() {
@@ -158,20 +157,20 @@ func (e *Engine) rowLock(key string) *sim.RWLock {
 // touchPage charges one page access: buffer-pool hit is free, a miss
 // reads 8 KB from the disk the page stripes to, and evicting a dirty
 // page writes it back first.
-func (e *Engine) touchPage(p *sim.Proc, id storage.PageID, dirty bool) {
+func (e *Engine) touchPage(p *sim.Proc, id PageID, dirty bool) {
 	hit, evicted, evictedDirty := e.bp.Touch(id)
 	if !hit {
 		if evictedDirty {
-			e.node.Disk(pageHash(evicted)).WriteRand(p, storage.PageSize)
+			e.node.Disk(pageHash(evicted)).WriteRand(p, PageSize)
 		}
-		e.node.Disk(pageHash(id)).ReadRand(p, storage.PageSize)
+		e.node.Disk(pageHash(id)).ReadRand(p, PageSize)
 	}
 	if dirty {
 		e.bp.MarkDirty(id)
 	}
 }
 
-func pageHash(id storage.PageID) uint64 {
+func pageHash(id PageID) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	for i := 0; i < 8; i++ {
@@ -199,13 +198,13 @@ func (e *Engine) ReadRecord(p *sim.Proc, key string) ([]byte, error) {
 }
 
 // lookup walks the index for key, charging the page path.
-func (e *Engine) lookup(p *sim.Proc, key string, dirtyLeaf bool) (storage.RID, bool) {
+func (e *Engine) lookup(p *sim.Proc, key string, dirtyLeaf bool) (RID, bool) {
 	val, ok, path := e.index.Get(key)
 	for i, pg := range path {
 		e.touchPage(p, pg, dirtyLeaf && i == len(path)-1)
 	}
 	if !ok {
-		return storage.RID{}, false
+		return RID{}, false
 	}
 	return decodeRID(val), true
 }
@@ -267,7 +266,7 @@ func (e *Engine) ScanRecords(p *sim.Proc, start string, limit int) ([][]byte, er
 		e.touchPage(p, pg, false)
 	}
 	out := make([][]byte, 0, len(entries))
-	var lastPage storage.PageID = -1
+	var lastPage PageID = -1
 	for _, ent := range entries {
 		rid := decodeRID(ent.Val)
 		if rid.Page != lastPage {
@@ -306,7 +305,7 @@ func (e *Engine) checkpoint(p *sim.Proc) int {
 				if remaining < chunk {
 					chunk = remaining
 				}
-				d.WriteRand(wp, int64(chunk)*storage.PageSize)
+				d.WriteRand(wp, int64(chunk)*PageSize)
 				remaining -= chunk
 			}
 		})
@@ -323,10 +322,10 @@ func (e *Engine) Stats() (reads, updates, inserts, scans int64) {
 // Len reports the number of records stored.
 func (e *Engine) Len() int { return e.heap.Len() }
 
-func encodeRID(r storage.RID) int64 {
+func encodeRID(r RID) int64 {
 	return int64(r.Page)<<16 | int64(r.Slot&0xffff)
 }
 
-func decodeRID(v int64) storage.RID {
-	return storage.RID{Page: storage.PageID(v >> 16), Slot: int(v & 0xffff)}
+func decodeRID(v int64) RID {
+	return RID{Page: PageID(v >> 16), Slot: int(v & 0xffff)}
 }

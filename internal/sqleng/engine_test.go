@@ -7,7 +7,6 @@ import (
 
 	"elephants/internal/cluster"
 	"elephants/internal/sim"
-	"elephants/internal/storage"
 )
 
 func newTestEngine(t *testing.T, cfg Config) (*sim.Sim, *Engine) {
@@ -216,7 +215,7 @@ func TestStatsCount(t *testing.T) {
 
 func TestRIDRoundTrip(t *testing.T) {
 	f := func(page uint32, slot uint8) bool {
-		rid := storage.RID{Page: storage.PageID(page), Slot: int(slot)}
+		rid := RID{Page: PageID(page), Slot: int(slot)}
 		return decodeRID(encodeRID(rid)) == rid
 	}
 	if err := quick.Check(f, nil); err != nil {

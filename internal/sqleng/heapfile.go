@@ -1,4 +1,4 @@
-package storage
+package sqleng
 
 import "fmt"
 
@@ -76,7 +76,7 @@ func (h *HeapFile) pageByID(id PageID) (*heapPage, error) {
 			hi = mid
 		}
 	}
-	return nil, fmt.Errorf("storage: no heap page %d", id)
+	return nil, fmt.Errorf("sqleng: no heap page %d", id)
 }
 
 // Read returns the record at rid.
@@ -86,7 +86,7 @@ func (h *HeapFile) Read(rid RID) ([]byte, error) {
 		return nil, err
 	}
 	if rid.Slot < 0 || rid.Slot >= len(p.slots) || p.slots[rid.Slot] == nil {
-		return nil, fmt.Errorf("storage: no record at %v", rid)
+		return nil, fmt.Errorf("sqleng: no record at %v", rid)
 	}
 	return p.slots[rid.Slot], nil
 }
@@ -100,7 +100,7 @@ func (h *HeapFile) Update(rid RID, rec []byte) error {
 		return err
 	}
 	if rid.Slot < 0 || rid.Slot >= len(p.slots) || p.slots[rid.Slot] == nil {
-		return fmt.Errorf("storage: no record at %v", rid)
+		return fmt.Errorf("sqleng: no record at %v", rid)
 	}
 	p.used += len(rec) - len(p.slots[rid.Slot])
 	cp := make([]byte, len(rec))
@@ -116,7 +116,7 @@ func (h *HeapFile) Delete(rid RID) error {
 		return err
 	}
 	if rid.Slot < 0 || rid.Slot >= len(p.slots) || p.slots[rid.Slot] == nil {
-		return fmt.Errorf("storage: no record at %v", rid)
+		return fmt.Errorf("sqleng: no record at %v", rid)
 	}
 	p.used -= len(p.slots[rid.Slot]) + h.slotOvh
 	p.slots[rid.Slot] = nil

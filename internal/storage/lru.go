@@ -1,9 +1,10 @@
-// ByteLRU is the eviction core factored out of BufferPool so other
-// layers can reuse it: a size-bounded least-recently-used map whose
-// entries carry explicit byte weights. BufferPool instantiates it with
-// unit weights (capacity counted in pages); rcfile's decompressed-chunk
-// cache instantiates it with decoded chunk sizes (capacity counted in
-// bytes).
+// Package storage holds ByteLRU, the one eviction core the engine and
+// the simulator share: a size-bounded least-recently-used map whose
+// entries carry explicit byte weights. sqleng.BufferPool instantiates
+// it with unit weights (capacity counted in pages); rcfile's
+// decompressed-chunk cache instantiates it with decoded chunk sizes
+// (capacity counted in bytes). The page structures live in sqleng, so
+// an engine package that links storage links no B-tree.
 //
 // ByteLRU is not safe for concurrent use; callers that share one across
 // goroutines wrap it in their own mutex (BufferPool is single-goroutine

@@ -28,18 +28,17 @@ func TestEncodingGoldenOverRCFileParallel(t *testing.T) {
 	})
 }
 
-// TestEncodingClusteredAnswersAgree runs the matrix where RLE actually
-// fires: lineitem clustered on l_shipdate, where the cluster column's
-// chunks all win gdict+rle and the int keys go delta. Clustering
-// reorders base rows, so the committed golden no longer applies —
-// instead the in-memory clustered DB at workers = 1 is the reference
-// (the oracle bench/check.go uses), and the RCFile-backed snapshot must
-// match it bit-for-bit at every worker count, proving the run-length
-// decoders and their expansion invisible on the data shape they were
-// built for.
+// TestEncodingClusteredAnswersAgree runs the matrix where runs actually
+// fire: lineitem sorted on l_shipdate, where the sort column's chunks
+// all win gdict+rle and the int keys go delta. Sorting reorders base
+// rows, so the committed golden no longer applies — instead the
+// in-memory sorted DB at workers = 1 is the reference (the oracle
+// bench/check.go uses), and the RCFile-backed snapshot must match it
+// bit-for-bit at every worker count, proving the run-length decoder and
+// its expansion invisible on the data shape it was built for.
 func TestEncodingClusteredAnswersAgree(t *testing.T) {
 	snap := func(rcf bool, workers int) string {
-		db := Generate(GenConfig{SF: goldenSF, Seed: 1, Random64: true, ClusterBy: "l_shipdate"})
+		db := shipdateSorted(goldenSF)
 		if rcf {
 			attachRCFile(t, db, 1024)
 		}
@@ -55,12 +54,11 @@ func TestEncodingClusteredAnswersAgree(t *testing.T) {
 }
 
 // TestEncodingClusteredChunksUseRuns pins the writer's adaptive choice
-// on clustered data: the cluster column must come out gdict+rle in
-// every chunk and the sorted int keys delta — otherwise the run-length
-// chunk paths are silently never exercised.
+// on sorted data: the sort column must come out gdict+rle in every
+// chunk and the int keys delta — otherwise the run-length chunk path is
+// silently never exercised.
 func TestEncodingClusteredChunksUseRuns(t *testing.T) {
-	db := Generate(GenConfig{SF: 0.005, Seed: 1, Random64: true, ClusterBy: "l_shipdate"})
-	li := db.Lineitem
+	li := shipdateSorted(0.005).Lineitem
 	src, err := rcfile.NewSource(li, 2048)
 	if err != nil {
 		t.Fatal(err)

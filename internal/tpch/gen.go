@@ -251,14 +251,6 @@ type GenConfig struct {
 	// generation: nil = DefaultDictColumns, empty non-nil = none, which
 	// leaves every Str column as raw []string.
 	DictColumns []string
-	// ClusterBy names a column to cluster on (e.g. "l_shipdate"): the
-	// base table owning it is rewritten in stable col-sorted order after
-	// generation, before any RCFile encoding. Zone maps only prune when
-	// data is clustered on the predicate column, so this is the layout
-	// knob that makes range pushdown bite (a shipdate-sorted lineitem
-	// skips ~97% of bytes for Q6's one-year range). Empty = the spec's
-	// generation order.
-	ClusterBy string
 }
 
 // Generate builds a TPC-H database at the given scale factor. Laptop
@@ -281,11 +273,6 @@ func Generate(cfg GenConfig) *DB {
 		cols = DefaultDictColumns
 	}
 	db.encodeDictColumns(cols)
-	if cfg.ClusterBy != "" {
-		if _, err := db.Cluster(cfg.ClusterBy); err != nil {
-			panic("tpch: " + err.Error())
-		}
-	}
 	return db
 }
 
@@ -306,60 +293,6 @@ func (db *DB) encodeDictColumns(cols []string) {
 				t.Cols[ci] = relal.EncodeDict(t.Cols[ci].Strs)
 			}
 		}
-	}
-}
-
-// Cluster rewrites the base table owning col in stable col-sorted order
-// (dense vectors, same name and schema) and drops any registered scan
-// source for it so the next scan serves the clustered layout. It
-// returns the rewritten table's name. The sort is the relal stable sort,
-// so the layout is deterministic for a given seed.
-func (db *DB) Cluster(col string) (string, error) {
-	for _, name := range TableNames {
-		t := db.Table(name)
-		owns := false
-		for _, c := range t.Schema {
-			if c.Name == col {
-				owns = true
-				break
-			}
-		}
-		if !owns {
-			continue
-		}
-		e := &relal.Exec{}
-		sorted := e.Sort(t, relal.OrderSpec{Col: col}).Compacted()
-		sorted.Name = name
-		db.setTable(name, sorted)
-		db.srcMu.Lock()
-		delete(db.srcs, name)
-		db.srcMu.Unlock()
-		return name, nil
-	}
-	return "", fmt.Errorf("no base table has column %q", col)
-}
-
-// setTable replaces the named base table.
-func (db *DB) setTable(name string, t *relal.Table) {
-	switch name {
-	case "region":
-		db.Region = t
-	case "nation":
-		db.Nation = t
-	case "supplier":
-		db.Supplier = t
-	case "customer":
-		db.Customer = t
-	case "part":
-		db.Part = t
-	case "partsupp":
-		db.PartSupp = t
-	case "orders":
-		db.Orders = t
-	case "lineitem":
-		db.Lineitem = t
-	default:
-		panic("tpch: unknown table " + name)
 	}
 }
 

@@ -61,6 +61,16 @@ func TestRCFileParallelMatchesGolden(t *testing.T) {
 	diffGolden(t, goldenSnapshotOf(db), string(want))
 }
 
+// shipdateSorted generates the seed-1 DB at sf with lineitem rewritten
+// in stable l_shipdate order: the layout under which zone maps prune
+// date ranges and the date column's chunks collapse to gdict+rle runs.
+func shipdateSorted(sf float64) *DB {
+	db := Generate(GenConfig{SF: sf, Seed: 1, Random64: true})
+	db.Lineitem = (&relal.Exec{}).Sort(db.Lineitem, relal.OrderSpec{Col: "l_shipdate"}).Compacted()
+	db.Lineitem.Name = "lineitem"
+	return db
+}
+
 // lineitemScanStats sums the scan-step byte accounting for lineitem in
 // one query's log.
 func lineitemScanStats(log relal.StepLog) (read, skipped int64) {
@@ -125,11 +135,7 @@ func TestInMemoryScanStatsModelPushdown(t *testing.T) {
 // lineitem, so build a shipdate-sorted copy and check groups really
 // drop.
 func TestZonePruningFiresOnSortedData(t *testing.T) {
-	db := Generate(GenConfig{SF: 0.005, Seed: 1, Random64: true})
-	e := &relal.Exec{}
-	sorted := e.Sort(db.Lineitem, relal.OrderSpec{Col: "l_shipdate"}).Compacted()
-	sorted.Name = "lineitem"
-	src, err := rcfile.NewSource(sorted, 2048)
+	src, err := rcfile.NewSource(shipdateSorted(0.005).Lineitem, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,13 +148,13 @@ func TestZonePruningFiresOnSortedData(t *testing.T) {
 		t.Error("pruning dropped every group; the 1994 slice must survive")
 	}
 	t.Logf("sorted lineitem: %d groups read, %d pruned, %.1f%% bytes skipped",
-		stats.GroupsRead, stats.GroupsSkipped, 100*stats.SkippedFrac())
+		stats.GroupsRead, stats.GroupsSkipped, 100*float64(stats.BytesSkipped)/float64(stats.BytesRead+stats.BytesSkipped))
 }
 
 // TestClusteredLineitemBoostsQ6ZoneSkip extends the sorted-data zone
-// pruning proof to the generator's clustering knob: with lineitem
-// generated in l_shipdate order (GenConfig.ClusterBy / dbgen -cluster),
-// Q6's one-year range predicate prunes most row groups, so the
+// pruning proof to a whole query: with lineitem rewritten in l_shipdate
+// order (shipdateSorted), Q6's one-year range predicate prunes most row
+// groups, so the
 // RCFile-backed scan decompresses a small fraction of the file where
 // the unclustered layout reads ~a quarter of it — and the answer stays
 // the same rows.
@@ -167,7 +173,7 @@ func TestClusteredLineitemBoostsQ6ZoneSkip(t *testing.T) {
 	plain := rcfileDB(t, 0.005, 2048)
 	pfrac, prev := readFrac(plain)
 
-	clustered := Generate(GenConfig{SF: 0.005, Seed: 1, Random64: true, ClusterBy: "l_shipdate"})
+	clustered := shipdateSorted(0.005)
 	attachRCFile(t, clustered, 2048)
 	cfrac, crev := readFrac(clustered)
 
