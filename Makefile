@@ -57,8 +57,9 @@ dist:
 	$(GO) test -run xxx -fuzz FuzzWireTable -fuzztime 15s ./internal/dist/
 
 # Short fuzz runs over the join key-partitioning, sort/top-K, group-by
-# key encodings and morsel merge, RCF6 dict-chunk and gdict+rle/delta-chunk
-# round-trips, chunk-cache key/eviction paths, the delta-log replay
+# key encodings and morsel merge, RCF7 dict-chunk and gdict+rle/delta-chunk
+# round-trips, every chunk decoder behind re-stamped CRCs (stored and
+# deflated), chunk-cache key/eviction paths, the delta-log replay
 # parser, the full crash-schedule → recover cycle of the file-backed
 # log, the dist table decoder, and the BSON decoder of the HTAP write
 # path (accepts exactly what Marshal produces).
@@ -68,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzGroupKeys -fuzztime 15s ./internal/relal/
 	$(GO) test -run xxx -fuzz FuzzDictRoundTrip -fuzztime 15s ./internal/rcfile/
 	$(GO) test -run xxx -fuzz FuzzRunsDelta -fuzztime 15s ./internal/rcfile/
+	$(GO) test -run xxx -fuzz FuzzChunkDecode -fuzztime 15s ./internal/rcfile/
 	$(GO) test -run xxx -fuzz FuzzChunkCache -fuzztime 15s ./internal/rcfile/
 	$(GO) test -run xxx -fuzz FuzzDeltaReplay -fuzztime 15s ./internal/delta/
 	$(GO) test -run xxx -fuzz FuzzCrashRecovery -fuzztime 15s ./internal/delta/

@@ -1,7 +1,8 @@
 // Command scanstats measures RCFile storage effectiveness: it
 // generates a functional TPC-H dataset, encodes every base table into
-// RCFile (RCF6: zone-map footer, multi-row-group, adaptive per-chunk
-// encodings, per-chunk and footer CRCs), runs the requested queries through the
+// RCFile (RCF7: zone-map footer, multi-row-group, adaptive per-chunk
+// encodings, gzip only where it halves a chunk, per-chunk and footer
+// CRCs), runs the requested queries through the
 // pushdown-aware scan pipeline, and emits the per-table
 // bytes-read/bytes-skipped accounting as JSON — plus, per base table,
 // the per-string-column dictionary cardinality and encoded-vs-raw byte
@@ -9,9 +10,10 @@
 //
 // With -enc it instead prints the per-chunk encoding census: for every
 // column of every base table, how many chunks landed on each encoding
-// (plain, gdict, gdict+rle, delta) and each encoding's share of the
-// column's compressed bytes — the writer's adaptive per-chunk choice
-// made observable.
+// (plain, gdict, gdict+rle, delta, decimal), how many of those the
+// writer kept deflated (gzip more than halved them), and each
+// encoding's share of the column's stored bytes — the writer's adaptive
+// per-chunk choices made observable.
 //
 // Usage:
 //
@@ -218,11 +220,13 @@ func tableSummary(t *relal.Table, fileBytes int) *tableReport {
 	return tr
 }
 
-// encColumn is one column's chunk-encoding census: chunk counts and
-// compressed-byte shares keyed by encoding name, zero encodings omitted.
+// encColumn is one column's chunk-encoding census: chunk counts, how
+// many of them are stored deflated, and stored-byte shares keyed by
+// encoding name, zero encodings omitted.
 type encColumn struct {
 	Type      string             `json:"type"`
 	Chunks    map[string]int     `json:"chunks"`
+	Deflated  map[string]int     `json:"deflated"`
 	CompBytes map[string]int64   `json:"comp_bytes"`
 	ByteShare map[string]float64 `json:"byte_share"`
 }
@@ -243,6 +247,7 @@ func printEncReport(db *tpch.DB, groupRows int) error {
 			ec := &encColumn{
 				Type:      typeName(t.Schema[ci].Type),
 				Chunks:    map[string]int{},
+				Deflated:  map[string]int{},
 				CompBytes: map[string]int64{},
 				ByteShare: map[string]float64{},
 			}
@@ -255,6 +260,7 @@ func printEncReport(db *tpch.DB, groupRows int) error {
 					continue
 				}
 				ec.Chunks[rcfile.EncNames[e]] = n
+				ec.Deflated[rcfile.EncNames[e]] = st.Deflated[e]
 				ec.CompBytes[rcfile.EncNames[e]] = st.CompBytes[e]
 				if total > 0 {
 					ec.ByteShare[rcfile.EncNames[e]] = float64(st.CompBytes[e]) / float64(total)

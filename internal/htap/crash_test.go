@@ -15,7 +15,7 @@ import (
 // durableConfig is the crash tests' store shape: immediate flush
 // windows (every fault point is deterministic), small row groups and
 // convert batches so the converter really runs during a short write
-// burst, and RCF6 parts on the given FS.
+// burst, and RCF7 parts on the given FS.
 func durableConfig(fs fault.FS, pol delta.SyncPolicy) Config {
 	return Config{
 		Window:       -1,
@@ -182,12 +182,12 @@ func TestHtapReopenEmptyLog(t *testing.T) {
 	})
 }
 
-// cleanDurableRun builds a fully-written, converted, closed store on
-// memfs and returns the golden snapshot it pinned.
-func cleanDurableRun(t *testing.T, memfs *fault.MemFS, want string) {
+// cleanDurableRun builds a fully-written, converted, closed store on fs
+// and pins its answers to the golden snapshot.
+func cleanDurableRun(t *testing.T, fs fault.FS, want string) {
 	t.Helper()
 	db := goldenDB()
-	store, err := Open(db, testHold(), durableConfig(memfs, delta.SyncGroup))
+	store, err := Open(db, testHold(), durableConfig(fs, delta.SyncGroup))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestHtapRecoverHalfWrittenPart(t *testing.T) {
 	store.Close()
 }
 
-// TestHtapCorruptPartQuarantine flips one bit inside a persisted RCF6
+// TestHtapCorruptPartQuarantine flips one bit inside a persisted RCF7
 // part's chunk region: reopen adopts the part (the footer is intact),
 // the first scan that touches the chunk gets ErrCorrupt from the CRC,
 // the part is quarantined mid-scan, and the same scan's retry serves
@@ -296,6 +296,58 @@ func TestHtapCorruptPartQuarantine(t *testing.T) {
 	}
 	diffSnapshot(t, snapshotAnswers(db), want)
 	store.Close()
+}
+
+// TestHtapRecoverRCF6Part is the format upgrade: a store reopened over
+// a directory whose part an RCF6 writer left behind. The part carries the
+// retired magic, which is the first thing a parse checks, so Open
+// quarantines it (and only it), the replayed log serves its rows, and
+// the converter rebuilds it as RCF7 — golden answers throughout.
+func TestHtapRecoverRCF6Part(t *testing.T) {
+	want := readGolden(t)
+	dir, err := fault.NewDirFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanDurableRun(t, dir, want)
+	name := partName("lineitem", 0, testHold()["lineitem"])
+	data, err := dir.ReadFile(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fault.WriteFile(dir, name, append([]byte("RCF6"), data[4:]...)); err != nil {
+		t.Fatal(err)
+	}
+
+	db := goldenDB()
+	store, err := Open(db, testHold(), durableConfig(dir, delta.SyncGroup))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := store.StatsNow().PartsQuarantined; got != 1 {
+		t.Errorf("quarantined %d parts, want the RCF6 one", got)
+	}
+	if _, err := dir.ReadFile(name); err == nil {
+		t.Errorf("quarantined part %s is still on disk", name)
+	}
+	if err := store.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	diffSnapshot(t, snapshotAnswers(db), want)
+	if err := store.ConvertAll(); err != nil {
+		t.Fatal(err)
+	}
+	if lag := store.StatsNow().LagRecords; lag != 0 {
+		t.Errorf("lag = %d after re-conversion", lag)
+	}
+	rebuilt, err := dir.ReadFile(name)
+	if err != nil || string(rebuilt[:4]) != "RCF7" {
+		t.Errorf("part %s not rebuilt as RCF7 (%v)", name, err)
+	}
+	diffSnapshot(t, snapshotAnswers(db), want)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestHtapCorruptFooterQuarantine flips one bit in a persisted part's

@@ -18,7 +18,7 @@
 //
 // With a Config.FS the store is durable and crash-recoverable: the
 // delta log appends through the fault layer (fsync policy per
-// Config.Sync), converted parts persist as RCF6 files, and Open replays
+// Config.Sync), converted parts persist as RCF7 files, and Open replays
 // the surviving log bytes through the same reorder buffer to rebuild
 // tail views, reconciling the contiguous verified prefix of part files
 // against the replayed records. Records the log recovered but the
@@ -54,11 +54,11 @@ type Config struct {
 	// default; negative = flush immediately, for deterministic tests).
 	Window time.Duration
 	// RCFile encodes converted parts (and the held tables' base parts)
-	// as RCF6 files instead of in-memory sources.
+	// as RCF7 files instead of in-memory sources.
 	RCFile bool
-	// GroupRows is the RCF6 row-group size (0 = 4096). Used with RCFile.
+	// GroupRows is the RCF7 row-group size (0 = 4096). Used with RCFile.
 	GroupRows int
-	// Cache, when non-nil, serves decoded chunks of the RCF6 parts.
+	// Cache, when non-nil, serves decoded chunks of the RCF7 parts.
 	Cache *rcfile.ChunkCache
 	// ConvertRows is the tail size at which the background converter
 	// encodes a table's tail into a part (0 = 4096).
@@ -97,7 +97,7 @@ func (c Config) withDefaults() Config {
 // from the records themselves.
 type part struct {
 	src   relal.Source
-	rcf   *rcfile.Source // non-nil when src is an RCF6 source
+	rcf   *rcfile.Source // non-nil when src is an RCF7 source
 	file  string         // persisted part file name ("" if memory-only)
 	start int            // first record index covered (converted parts)
 	rows  int
@@ -366,7 +366,7 @@ func parsePartName(name string) (table string, start, rows int, ok bool) {
 }
 
 // buildSource wraps t as a scan source per the store's storage mode.
-// The second return is the RCF6 view of the same source (nil in the
+// The second return is the RCF7 view of the same source (nil in the
 // in-memory mode).
 func (s *Store) buildSource(t *relal.Table) (relal.Source, *rcfile.Source, error) {
 	if !s.cfg.RCFile {

@@ -2,9 +2,9 @@ package rcfile
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
-	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -79,6 +79,25 @@ func restampFooter(data []byte) {
 	binary.LittleEndian.PutUint32(data[len(data)-4:], footerCRC(data[4:12], data[footerStart(data):len(data)-4]))
 }
 
+// withChunk returns a copy of a one-column, one-group file whose chunk
+// is replaced by stored, under footer enc byte enc, with the chunk and
+// trailer CRCs re-stamped: whatever reads it gets past every checksum.
+func withChunk(data, stored []byte, enc byte) []byte {
+	fs := footerStart(data)
+	g := 1 // the column's dictionary flag, then the blob it flags
+	if data[fs] == 1 {
+		g += 8 + int(binary.LittleEndian.Uint32(data[fs+1:]))
+	}
+	// The group: rows, then the chunk's compLen, enc and crc.
+	footer := append([]byte(nil), data[fs:len(data)-4]...)
+	binary.LittleEndian.PutUint32(footer[g+4:], uint32(len(stored)))
+	footer[g+8] = enc
+	binary.LittleEndian.PutUint32(footer[g+9:], crc32.ChecksumIEEE(stored))
+	out := append(append(append(append([]byte(nil), data[:12]...), stored...), footer...), 0, 0, 0, 0)
+	restampFooter(out)
+	return out
+}
+
 // TestCorruptEmptyGroupRejected: a file whose checksums all hold but
 // whose footer gives a row group 0 rows — here with a gdict+rle chunk of
 // 0 runs, which every run decoder accepts for 0 rows — must fail to
@@ -94,26 +113,44 @@ func TestCorruptEmptyGroupRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if p, err := parse(data, schema); err != nil || p.groups[0].encs[0] != encGDictRLE {
+		t.Fatalf("fixture chunk is not gdict+rle (%v)", err)
+	}
+	bad := withChunk(data, appendGDictRLE(nil, nil, 0, 0, 0), encGDictRLE)
 	// The footer holds the dictionary entry (flag, compLen, crc, blob),
-	// then the one group: rows, then the chunk's compLen, enc and crc.
-	fs := footerStart(data)
-	gpos := fs + 9 + int(binary.LittleEndian.Uint32(data[fs+1:]))
-	if data[gpos+8] != encGDictRLE {
-		t.Fatalf("fixture chunk is %s, want gdict+rle", EncNames[data[gpos+8]])
-	}
-	chunk, err := gzipChunk(func(w io.Writer) error { return writeGDictRLEChunk(w, nil, 0, 0, 0) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	footer := append([]byte(nil), data[fs:len(data)-4]...)
-	g := gpos - fs
-	binary.LittleEndian.PutUint32(footer[g:], 0)
-	binary.LittleEndian.PutUint32(footer[g+4:], uint32(len(chunk)))
-	binary.LittleEndian.PutUint32(footer[g+9:], crc32.ChecksumIEEE(chunk))
-	bad := append(append(append(append([]byte(nil), data[:12]...), chunk...), footer...), 0, 0, 0, 0)
+	// then the one group's rows.
+	fs := footerStart(bad)
+	binary.LittleEndian.PutUint32(bad[fs+9+int(binary.LittleEndian.Uint32(bad[fs+1:])):], 0)
 	restampFooter(bad)
 	if _, _, err := ReadCols(bad, schema, "t", nil, nil); err == nil || !strings.Contains(err.Error(), "no rows") {
 		t.Fatalf("empty-group file read: error %v, want a group with no rows rejected", err)
+	}
+}
+
+// TestCorruptRetiredMagic: a file the version 6 writer produced (every
+// chunk gzip'd, no 0x80 flag in its enc bytes) fails to parse on its
+// magic, before any of its checksums are consulted — so the htap store
+// quarantines an RCF6 part and rebuilds it from the delta log instead of
+// decoding gzip streams as stored payloads.
+func TestCorruptRetiredMagic(t *testing.T) {
+	// k Int {1, 2, 3}, v Float {0.5, 1.25, 2}, s Str {AIR, SHIP, AIR}
+	// (dictionary-encoded), one row group.
+	rcf6, err := hex.DecodeString("" +
+		"5243463603000000010000001f8b08000000000000ff6264648002462640000000ffffad05ebd60c0000001f8b" +
+		"08000000000000ff62008307f610fa0b94667000040000ffffd31ee28b180000001f8b08000000000000ff6264" +
+		"0001460640000000ffffb6ee93b0080000000000012b000000429c5a8c1f8b08000000000000ff626260606066" +
+		"606070f40c6261606008f6f00c00040000ffff24f1a7ff13000000030000001f0000000452846030010000000000" +
+		"000003000000000000002300000000484d6439000000000000e03f00000000000000401e000000017c1d651b0000" +
+		"0000010000000300000041495204000000534849508c000000957a4faa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := relal.Schema{{Name: "k", Type: relal.Int}, {Name: "v", Type: relal.Float}, {Name: "s", Type: relal.Str}}
+	if _, err := parse(rcf6, schema); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("parse of an RCF6 file: error %v, want bad magic", err)
+	}
+	if _, err := NewSourceFromBytes(rcf6, schema, "t"); err == nil {
+		t.Fatal("an RCF6 file opened as a source")
 	}
 }
 

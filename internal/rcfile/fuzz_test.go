@@ -1,8 +1,11 @@
 package rcfile
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"elephants/internal/relal"
@@ -108,7 +111,7 @@ func FuzzDictRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzRunsDelta fuzzes the RCF6 gdict+rle and delta chunk paths: the
+// FuzzRunsDelta fuzzes the gdict+rle and delta chunk paths: the
 // fuzzer picks the row-group size, run lengths, and dictionary
 // cardinality, and the data becomes a sorted int key (delta bait), a
 // runny float column (stored plain: runs encode only dictionary codes),
@@ -200,6 +203,116 @@ func FuzzRunsDelta(f *testing.F) {
 		}
 		if kept != want {
 			t.Fatalf("pruned read kept %d rows with k >= %d, want %d", kept, probe, want)
+		}
+	})
+}
+
+// allocatedBy reports the bytes fn allocated.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// decodeFixture is a one-column, one-group file and the payload of its
+// one chunk, which the writer laid down in enc.
+type decodeFixture struct {
+	schema  relal.Schema
+	rows    int
+	data    []byte
+	enc     byte
+	payload []byte
+}
+
+// decodeFixtures writes one fixture per chunk encoding: plain for each
+// of the three types, gdict, gdict+rle, delta and decimal.
+func decodeFixtures(tb testing.TB) []decodeFixture {
+	const rows = 64
+	vecs := []*relal.Vector{
+		relal.IntsV(fill(rows, func(i int) int64 { return int64(i) << 40 })),
+		relal.FloatsV(fill(rows, func(i int) float64 { return float64(i) + math.Pi })),
+		relal.StrsV(fill(rows, func(i int) string { return fmt.Sprintf("s%d", i) })),
+		relal.EncodeDict(fill(rows, func(i int) string { return fmt.Sprintf("v%d", i%5) })),
+		relal.EncodeDict(fill(rows, func(i int) string { return fmt.Sprintf("v%d", i/16) })),
+		relal.IntsV(fill(rows, func(i int) int64 { return 1000 + int64(i) })),
+		relal.FloatsV(fill(rows, func(i int) float64 { return float64(i) / 100 })),
+	}
+	var out []decodeFixture
+	for _, v := range vecs {
+		schema := relal.Schema{{Name: "x", Type: v.Kind}}
+		data, err := NewWriter(rows).Write(relal.NewTable("f", schema, v))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		p, err := parse(data, schema)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		gr := p.groups[0]
+		payload := data[gr.offset : gr.offset+int64(gr.compLens[0])]
+		if gr.deflated[0] {
+			buf, err := inflate(payload)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			payload = *buf
+		}
+		out = append(out, decodeFixture{schema: schema, rows: rows, data: data, enc: gr.encs[0], payload: bytes.Clone(payload)})
+	}
+	return out
+}
+
+// FuzzChunkDecode fuzzes the chunk decoders behind the CRCs: the fuzzer
+// picks an encoding's fixture, a payload and whether the chunk is stored
+// or deflated (optionally with a forged gzip ISIZE trailer), and the
+// harness splices that chunk into the fixture's file and re-stamps the
+// chunk and trailer CRCs, so every byte reaches a decoder. A read must
+// not panic, must return exactly the group's rows when it accepts, and
+// must allocate no more than the FuzzWireTable bound — plus, for a
+// deflated chunk, the buffer its ISIZE sizes, which may not follow a
+// lying trailer past 1032× the stream.
+func FuzzChunkDecode(f *testing.F) {
+	fixtures := decodeFixtures(f)
+	for i, fx := range fixtures {
+		f.Add(uint8(i), false, fx.payload, uint32(0))
+		f.Add(uint8(i), true, fx.payload, uint32(0))
+	}
+	f.Add(uint8(0), true, fixtures[0].payload, uint32(math.MaxUint32))
+	f.Add(uint8(2), true, fixtures[2].payload, uint32(3))
+	f.Fuzz(func(t *testing.T, which uint8, deflated bool, payload []byte, isize uint32) {
+		if len(payload) > 2<<10 {
+			return // past the fixtures' sizes; keeps a forged ISIZE's buffer near 2 MiB
+		}
+		fx := fixtures[int(which)%len(fixtures)]
+		stored, enc, inflated := payload, fx.enc, 0
+		if deflated {
+			gz, err := deflate(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if isize != 0 {
+				binary.LittleEndian.PutUint32(gz[len(gz)-4:], isize)
+			}
+			stored, enc = gz, fx.enc|encDeflated
+			inflated = min(int(binary.LittleEndian.Uint32(gz[len(gz)-4:])), maxInflateRatio*len(gz))
+		}
+		file := withChunk(fx.data, stored, enc)
+		var got *relal.Table
+		var err error
+		alloc := allocatedBy(func() { got, _, err = ReadCols(file, fx.schema, "f", nil, nil) })
+		// The inflate buffer counts twice: once as itself, once for the
+		// string cells a plain Str chunk copies out of it.
+		if limit := uint64(16*len(file) + 64<<10 + 2*inflated); alloc > limit {
+			t.Fatalf("reading a %d-byte file (%d inflated) allocated %d (limit %d)", len(file), inflated, alloc, limit)
+		}
+		if err != nil {
+			return
+		}
+		v := got.Cols[0]
+		if cells := len(v.Ints) + len(v.Floats) + len(v.Strs) + len(v.Dict); got.NumRows() != fx.rows || cells != fx.rows {
+			t.Fatalf("accepted chunk decoded to %d rows, %d cells; the group holds %d", got.NumRows(), cells, fx.rows)
 		}
 	})
 }

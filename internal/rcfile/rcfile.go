@@ -1,7 +1,7 @@
 // Package rcfile implements the RCFile columnar storage format the
-// paper's Hive tables used: rows are grouped into row groups, each row
-// group stores its columns contiguously, and every column chunk is
-// compressed (GZIP in the paper's configuration).
+// paper's Hive tables used: rows are grouped into row groups, and each
+// row group stores its columns contiguously, one chunk per column (the
+// paper's configuration gzips every chunk).
 //
 // The format is functional — tables really round-trip through it — and
 // it reports measured compression ratios, which the Hive cost model uses
@@ -26,24 +26,24 @@
 //	enc 1 gdict      frame-of-reference packed global codes (Str)
 //	enc 2 gdict+rle  run-length encoded global codes (Str)
 //	enc 4 delta      frame-of-reference packed values (Int)
+//	enc 5 decimal    frame-of-reference packed units of 10^-e (Float)
 //
 // Enc byte 3 (numeric runs) is retired: no TPC-H chunk ever chose it,
 // so runs encode only dictionary codes, and a footer that names it
 // fails to parse.
 //
 // The writer is adaptive per chunk: relal.PlanChunk models every
-// applicable candidate's payload size and the writer lays down and
-// compresses the smallest (ties go to plain — same bytes, simpler
-// decode). On a column sorted by its dictionary codes the chunks
-// collapse to runs; on sequential keys delta packs 8-byte integers into
-// 1–4. Run-length encoding is a storage encoding only: a decoded
-// gdict+rle chunk stays a run list in the chunk cache (charged that
-// footprint) and expands where a column is assembled from its chunks,
-// so the engine sees one entry per row; global-code chunks reassemble
-// against the file dictionary with no per-group union merge. The
-// in-memory scan model charges the same plan's bytes, which are these
-// encodings' exact pre-compression payload lengths
-// (TestChunkPlanMatchesFile).
+// applicable candidate's payload size and the writer lays down the
+// smallest (ties go to plain — same bytes, simpler decode). On a column
+// sorted by its dictionary codes the chunks collapse to runs; on
+// sequential keys delta packs 8-byte integers into 1–4. Run-length
+// encoding is a storage encoding only: a decoded gdict+rle chunk stays a
+// run list in the chunk cache (charged that footprint) and expands where
+// a column is assembled from its chunks, so the engine sees one entry
+// per row; global-code chunks reassemble against the file dictionary
+// with no per-group union merge. The in-memory scan model charges the
+// same plan's bytes, which are these encodings' exact pre-compression
+// payload lengths (TestChunkPlanMatchesFile).
 //
 // Version 5 adds a CRC32 per chunk (and per dictionary blob) to the
 // footer, verified before decompression. Corruption surfaces as a typed
@@ -52,6 +52,16 @@
 // gap that left: one more CRC32, in the trailer, covers the header
 // counts and the whole footer (group rows, chunk lengths, encodings,
 // stored CRCs, zone maps), so a flipped bit there is ErrCorrupt too.
+//
+// Version 7 gzips a chunk only where it pays: the writer deflates every
+// payload but keeps the gzip stream only when it is less than half the
+// payload, and flags that chunk in its footer enc byte; every other
+// chunk is stored as its payload and a read decodes it straight from the
+// file bytes, with no gzip stage at all. Float chunks whose values are
+// all whole numbers of 10^-e units (prices, discounts, quantities) gain
+// the decimal encoding, which packs those units like delta packs ints.
+// A version 6 file fails to parse (bad magic); the htap store
+// quarantines such a part and rebuilds it from its delta log.
 //
 // Since relal tables are themselves columnar, encoding and decoding
 // move cells straight between the typed column vectors and the on-disk
@@ -67,6 +77,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
+	"sync"
 
 	"elephants/internal/relal"
 )
@@ -83,12 +95,17 @@ const (
 	encGDict    = byte(1) // FOR-packed global codes (Str)
 	encGDictRLE = byte(2) // run-length encoded global codes (Str)
 	encDelta    = byte(4) // FOR-packed values (Int)
-	numEncs     = 5
+	encDecimal  = byte(5) // FOR-packed integer units of 10^-e (Float)
+	numEncs     = 6
+
+	// encDeflated is the footer enc byte's flag bit for a chunk stored as
+	// a gzip stream of its payload; the other bits are the encoding.
+	encDeflated = byte(0x80)
 )
 
 // EncNames names the chunk encodings, indexed by enc byte (tooling); the
 // retired byte 3 has no name.
-var EncNames = [numEncs]string{"plain", "gdict", "gdict+rle", "", "delta"}
+var EncNames = [numEncs]string{"plain", "gdict", "gdict+rle", "", "delta", "decimal"}
 
 // Writer serializes a table into RCFile bytes.
 type Writer struct {
@@ -103,14 +120,14 @@ func NewWriter(groupRows int) *Writer {
 	return &Writer{groupRows: groupRows}
 }
 
-// file layout (version 6):
+// file layout (version 7):
 //
-//	magic "RCF6"
+//	magic "RCF7"
 //	uint32 numColumns
 //	uint32 numGroups
-//	per group: the compressed column chunks, concatenated (chunk
-//	  lengths live in the footer, so a reader can skip any chunk — or a
-//	  whole group — with pointer arithmetic instead of decompression)
+//	per group: the stored column chunks, concatenated (chunk lengths
+//	  live in the footer, so a reader can skip any chunk — or a whole
+//	  group — with pointer arithmetic instead of decompression)
 //	footer:
 //	  global dictionary section, per column:
 //	    uint8 flag (1 = dictionary follows)
@@ -120,22 +137,23 @@ func NewWriter(groupRows int) *Writer {
 //	  per group:
 //	    uint32 rows (at least 1)
 //	    per column:
-//	      uint32 compLen
-//	      uint8  enc
-//	      uint32 crc (CRC32 of the compressed chunk bytes)
+//	      uint32 compLen (stored bytes)
+//	      uint8  enc: the encoding, | 0x80 when the stored bytes are a
+//	             gzip stream of the payload rather than the payload
+//	      uint32 crc (CRC32 of the stored chunk bytes)
 //	      zone map (typed min/max; enc 1/2 prepend min/max global codes)
 //	trailer:
 //	  uint32 footerLen (bytes of footer, ending where the trailer starts)
 //	  uint32 crc (CRC32 of numColumns, numGroups, footer and footerLen)
 //
-// Every chunk and dictionary blob carries a CRC32 of its compressed
-// bytes, verified before decompression, and the trailer CRC is verified
-// before any footer field is used — a flipped bit anywhere in the file
-// surfaces as ErrCorrupt (or a parse error) instead of garbage rows,
-// which the htap view layer uses to quarantine and re-convert a part
-// rather than serve a wrong answer.
+// Every chunk and dictionary blob carries a CRC32 of its stored bytes,
+// verified before decompression or decoding, and the trailer CRC is
+// verified before any footer field is used — a flipped bit anywhere in
+// the file surfaces as ErrCorrupt (or a parse error) instead of garbage
+// rows, which the htap view layer uses to quarantine and re-convert a
+// part rather than serve a wrong answer.
 //
-// Chunk payloads (before gzip):
+// Chunk payloads:
 //
 //	plain      Str: rows × (u32 len + bytes); numeric: rows × 8 bytes
 //	gdict      u8 width, u32 codeBase, rows × width (code − codeBase)
@@ -143,11 +161,15 @@ func NewWriter(groupRows int) *Writer {
 //	           runs × (width bytes code − codeBase, u32 runLen)
 //	delta      u8 width, 8-byte base (chunk min), rows × width
 //	           (value − base, little-endian)
+//	decimal    u8 width, u8 e (0–4), 8-byte base (min k), rows × width
+//	           (k − base, little-endian); the value is float64(k)/10^e
 //
 // width ∈ {0, 1, 2, 4} (relal.FORWidth); width 0 means every row equals
-// the base. Every chunk is gzip-compressed.
+// the base. A payload is stored deflated (enc bit 0x80) exactly when its
+// gzip stream is less than half its length: a format constant, so equal
+// tables write equal bytes.
 
-var magic = []byte("RCF6")
+var magic = []byte("RCF7")
 
 // ErrCorrupt is the typed corruption error: a chunk, dictionary blob or
 // footer whose stored CRC32 does not match its bytes. Callers that can
@@ -158,219 +180,231 @@ var ErrCorrupt = errors.New("rcfile: corrupt chunk")
 // Write encodes t.
 func (w *Writer) Write(t *relal.Table) ([]byte, error) {
 	d := t.Compacted() // dense vectors; no-op unless t is a view
-	var out bytes.Buffer
-	out.Write(magic)
-	binary.Write(&out, binary.LittleEndian, uint32(len(d.Schema)))
 	n := d.NumRows()
 	numGroups := (n + w.groupRows - 1) / w.groupRows
-	binary.Write(&out, binary.LittleEndian, uint32(numGroups))
-	var footer bytes.Buffer
+	out := append([]byte(nil), magic...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(d.Schema)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(numGroups))
+	var footer []byte
 	for _, v := range d.Cols {
 		if !v.IsDict() {
-			footer.WriteByte(0)
+			footer = append(footer, 0)
 			continue
 		}
-		vals := v.DictVals
-		blob, err := gzipChunk(func(w io.Writer) error {
-			var buf [4]byte
-			binary.LittleEndian.PutUint32(buf[:], uint32(len(vals)))
-			if _, err := w.Write(buf[:]); err != nil {
-				return err
-			}
-			for _, s := range vals {
-				binary.LittleEndian.PutUint32(buf[:], uint32(len(s)))
-				if _, err := w.Write(buf[:]); err != nil {
-					return err
-				}
-				if _, err := io.WriteString(w, s); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		blob, err := deflate(appendDict(nil, v.DictVals))
 		if err != nil {
 			return nil, err
 		}
-		footer.WriteByte(1)
-		binary.Write(&footer, binary.LittleEndian, uint32(len(blob)))
-		binary.Write(&footer, binary.LittleEndian, crc32.ChecksumIEEE(blob))
-		footer.Write(blob)
+		footer = append(footer, 1)
+		footer = binary.LittleEndian.AppendUint32(footer, uint32(len(blob)))
+		footer = binary.LittleEndian.AppendUint32(footer, crc32.ChecksumIEEE(blob))
+		footer = append(footer, blob...)
 	}
 	for g := 0; g < numGroups; g++ {
 		lo := g * w.groupRows
-		hi := lo + w.groupRows
-		if hi > n {
-			hi = n
-		}
-		binary.Write(&footer, binary.LittleEndian, uint32(hi-lo))
-		for c := range d.Schema {
-			v := d.Cols[c]
+		hi := min(lo+w.groupRows, n)
+		footer = binary.LittleEndian.AppendUint32(footer, uint32(hi-lo))
+		for _, v := range d.Cols {
 			plan := relal.PlanChunk(v, lo, hi)
-			chunk, err := encodeChunk(v, lo, hi, plan)
-			if err != nil {
+			start := len(out)
+			var enc byte
+			var err error
+			if out, enc, err = appendChunk(out, v, lo, hi, plan); err != nil {
 				return nil, err
 			}
-			out.Write(chunk)
-			binary.Write(&footer, binary.LittleEndian, uint32(len(chunk)))
-			footer.WriteByte(plan.Enc)
-			binary.Write(&footer, binary.LittleEndian, crc32.ChecksumIEEE(chunk))
-			writeZone(&footer, plan.Zone, plan.Enc)
+			chunk := out[start:]
+			footer = binary.LittleEndian.AppendUint32(footer, uint32(len(chunk)))
+			footer = append(footer, enc)
+			footer = binary.LittleEndian.AppendUint32(footer, crc32.ChecksumIEEE(chunk))
+			footer = appendZone(footer, plan.Zone, plan.Enc)
 		}
 	}
-	out.Write(footer.Bytes())
-	binary.Write(&out, binary.LittleEndian, uint32(footer.Len()))
-	b := out.Bytes()
-	binary.Write(&out, binary.LittleEndian, footerCRC(b[4:12], b[len(b)-footer.Len()-4:]))
+	out = append(out, footer...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(footer)))
+	return binary.LittleEndian.AppendUint32(out, footerCRC(out[4:12], out[len(out)-len(footer)-4:])), nil
+}
+
+// appendChunk appends rows [lo, hi) of v in the encoding relal.PlanChunk
+// chose for them — the payload is laid down once, then deflated, and the
+// gzip stream replaces it only when it is less than half as long. It
+// returns the grown buffer and the chunk's footer enc byte. The plan's
+// zone map, width, run count, exponent and base are what the layouts
+// store.
+func appendChunk(b []byte, v *relal.Vector, lo, hi int, plan relal.ChunkPlan) ([]byte, byte, error) {
+	start := len(b)
+	switch plan.Enc {
+	case encGDict:
+		b = appendGDict(b, v.Dict[lo:hi], plan.Zone.CodeMin, plan.Width)
+	case encGDictRLE:
+		b = appendGDictRLE(b, v.Dict[lo:hi], plan.Zone.CodeMin, plan.Width, plan.Runs)
+	case encDelta:
+		b = appendDelta(b, v.Ints[lo:hi], plan.Zone.IntMin, plan.Width)
+	case encDecimal:
+		b = appendDecimal(b, v.Floats[lo:hi], plan.Exp, plan.Base, plan.Width)
+	default:
+		var err error
+		if b, err = appendPlain(b, v, lo, hi); err != nil {
+			return nil, 0, err
+		}
+	}
+	gz, err := deflate(b[start:])
+	if err != nil {
+		return nil, 0, err
+	}
+	if 2*len(gz) < len(b)-start {
+		return append(b[:start], gz...), plan.Enc | encDeflated, nil
+	}
+	return b, plan.Enc, nil
+}
+
+// gzipWriters holds *gzip.Writer values for deflate to Reset: a fresh
+// one allocates about a megabyte of compressor state, and the writer
+// deflates every chunk it lays down.
+var gzipWriters sync.Pool
+
+// deflate returns the gzip stream of payload.
+func deflate(payload []byte) ([]byte, error) {
+	var out bytes.Buffer
+	gz, _ := gzipWriters.Get().(*gzip.Writer)
+	if gz == nil {
+		gz = gzip.NewWriter(&out)
+	} else {
+		gz.Reset(&out)
+	}
+	defer gzipWriters.Put(gz)
+	if _, err := gz.Write(payload); err != nil {
+		return nil, err
+	}
+	if err := gz.Close(); err != nil {
+		return nil, err
+	}
 	return out.Bytes(), nil
 }
 
-// encodeChunk lays rows [lo, hi) of v down in the encoding
-// relal.PlanChunk chose for them and compresses the payload; the plan's
-// zone map, width and run count are the base, cell width and run header
-// the layouts store.
-func encodeChunk(v *relal.Vector, lo, hi int, plan relal.ChunkPlan) ([]byte, error) {
-	return gzipChunk(func(w io.Writer) error {
-		switch plan.Enc {
-		case encGDict:
-			return writeGDictChunk(w, v.Dict[lo:hi], plan.Zone.CodeMin, plan.Width)
-		case encGDictRLE:
-			return writeGDictRLEChunk(w, v.Dict[lo:hi], plan.Zone.CodeMin, plan.Width, plan.Runs)
-		case encDelta:
-			return writeDeltaChunk(w, v.Ints[lo:hi], plan.Zone.IntMin, plan.Width)
-		}
-		return writePlainChunk(w, v, lo, hi)
-	})
+// appendDict appends a dictionary blob's payload: the value count, then
+// each value length-prefixed.
+func appendDict(b []byte, vals []string) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(vals)))
+	for _, s := range vals {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
+		b = append(b, s...)
+	}
+	return b
 }
 
-// writeZone appends one zone map in its typed encoding. Global-code
+// appendZone appends one zone map in its typed encoding. Global-code
 // chunks (enc 1/2) prepend the chunk's min/max codes — absolute indices
 // into the file dictionary — so code-space tooling and the dense
 // aggregation planner can size code ranges without decompression;
 // pruning consumes only the strings.
-func writeZone(w *bytes.Buffer, z relal.ZoneMap, enc byte) {
+func appendZone(b []byte, z relal.ZoneMap, enc byte) []byte {
 	switch z.Kind {
 	case relal.Int:
-		binary.Write(w, binary.LittleEndian, z.IntMin)
-		binary.Write(w, binary.LittleEndian, z.IntMax)
+		b = binary.LittleEndian.AppendUint64(b, uint64(z.IntMin))
+		return binary.LittleEndian.AppendUint64(b, uint64(z.IntMax))
 	case relal.Float:
-		binary.Write(w, binary.LittleEndian, math.Float64bits(z.FloatMin))
-		binary.Write(w, binary.LittleEndian, math.Float64bits(z.FloatMax))
-	default:
-		if enc == encGDict || enc == encGDictRLE {
-			binary.Write(w, binary.LittleEndian, z.CodeMin)
-			binary.Write(w, binary.LittleEndian, z.CodeMax)
-		}
-		for _, s := range []string{z.StrMin, z.StrMax} {
-			binary.Write(w, binary.LittleEndian, uint32(len(s)))
-			w.WriteString(s)
-		}
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(z.FloatMin))
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(z.FloatMax))
 	}
+	if enc == encGDict || enc == encGDictRLE {
+		b = binary.LittleEndian.AppendUint32(b, z.CodeMin)
+		b = binary.LittleEndian.AppendUint32(b, z.CodeMax)
+	}
+	for _, s := range []string{z.StrMin, z.StrMax} {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
+		b = append(b, s...)
+	}
+	return b
 }
 
-// writePlainChunk streams one plain column's cells in rows [lo, hi)
+// appendPlain appends one plain column's cells in rows [lo, hi)
 // straight from the typed vector.
-func writePlainChunk(w io.Writer, v *relal.Vector, lo, hi int) error {
-	var buf [8]byte
+func appendPlain(b []byte, v *relal.Vector, lo, hi int) ([]byte, error) {
 	switch v.Kind {
 	case relal.Int:
 		for _, x := range v.Ints[lo:hi] {
-			binary.LittleEndian.PutUint64(buf[:], uint64(x))
-			if _, err := w.Write(buf[:]); err != nil {
-				return err
-			}
+			b = binary.LittleEndian.AppendUint64(b, uint64(x))
 		}
 	case relal.Float:
 		for _, f := range v.Floats[lo:hi] {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-			if _, err := w.Write(buf[:]); err != nil {
-				return err
-			}
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 		}
 	case relal.Str:
 		for p := lo; p < hi; p++ {
 			s := v.StrAt(int32(p)) // decodes dict vectors on the way out
-			binary.LittleEndian.PutUint32(buf[:4], uint32(len(s)))
-			if _, err := w.Write(buf[:4]); err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, s); err != nil {
-				return err
-			}
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
+			b = append(b, s...)
 		}
 	default:
-		return fmt.Errorf("rcfile: unknown type %d", v.Kind)
+		return nil, fmt.Errorf("rcfile: unknown type %d", v.Kind)
 	}
-	return nil
+	return b, nil
 }
 
-// putPacked writes the low width bytes of x, little-endian (width 0
-// writes nothing).
-func putPacked(w io.Writer, x uint64, width int) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], x)
-	_, err := w.Write(buf[:width])
-	return err
+// appendPacked appends the low width bytes of x, little-endian (width 0
+// appends nothing).
+func appendPacked(b []byte, x uint64, width int) []byte {
+	switch width {
+	case 1:
+		return append(b, byte(x))
+	case 2:
+		return binary.LittleEndian.AppendUint16(b, uint16(x))
+	case 4:
+		return binary.LittleEndian.AppendUint32(b, uint32(x))
+	}
+	return b
 }
 
-// writeGDictChunk packs global codes frame-of-reference: the chunk's
-// minimum code is the base, every row stores code − base in width bytes.
-func writeGDictChunk(w io.Writer, codes []uint32, base uint32, width int) error {
-	var hdr [5]byte
-	hdr[0] = byte(width)
-	binary.LittleEndian.PutUint32(hdr[1:], base)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
+// appendGDict packs global codes frame-of-reference: the chunk's minimum
+// code is the base, every row stores code − base in width bytes.
+func appendGDict(b []byte, codes []uint32, base uint32, width int) []byte {
+	b = append(b, byte(width))
+	b = binary.LittleEndian.AppendUint32(b, base)
 	for _, c := range codes {
-		if err := putPacked(w, uint64(c-base), width); err != nil {
-			return err
-		}
+		b = appendPacked(b, uint64(c-base), width)
 	}
-	return nil
+	return b
 }
 
-// writeGDictRLEChunk writes global codes as (code − base, runLen) runs.
-func writeGDictRLEChunk(w io.Writer, codes []uint32, base uint32, width, runs int) error {
-	var hdr [9]byte
-	hdr[0] = byte(width)
-	binary.LittleEndian.PutUint32(hdr[1:], base)
-	binary.LittleEndian.PutUint32(hdr[5:], uint32(runs))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	var buf [4]byte
+// appendGDictRLE writes global codes as (code − base, runLen) runs.
+func appendGDictRLE(b []byte, codes []uint32, base uint32, width, runs int) []byte {
+	b = append(b, byte(width))
+	b = binary.LittleEndian.AppendUint32(b, base)
+	b = binary.LittleEndian.AppendUint32(b, uint32(runs))
 	for i := 0; i < len(codes); {
 		j := i + 1
 		for j < len(codes) && codes[j] == codes[i] {
 			j++
 		}
-		if err := putPacked(w, uint64(codes[i]-base), width); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(buf[:], uint32(j-i))
-		if _, err := w.Write(buf[:]); err != nil {
-			return err
-		}
+		b = appendPacked(b, uint64(codes[i]-base), width)
+		b = binary.LittleEndian.AppendUint32(b, uint32(j-i))
 		i = j
 	}
-	return nil
+	return b
 }
 
-// writeDeltaChunk packs ints frame-of-reference: the chunk minimum is
-// the 8-byte base, every row stores value − base in width bytes.
-func writeDeltaChunk(w io.Writer, xs []int64, base int64, width int) error {
-	var hdr [9]byte
-	hdr[0] = byte(width)
-	binary.LittleEndian.PutUint64(hdr[1:], uint64(base))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
+// appendDelta packs ints frame-of-reference: the chunk minimum is the
+// 8-byte base, every row stores value − base in width bytes.
+func appendDelta(b []byte, xs []int64, base int64, width int) []byte {
+	b = append(b, byte(width))
+	b = binary.LittleEndian.AppendUint64(b, uint64(base))
 	for _, x := range xs {
-		if err := putPacked(w, uint64(x)-uint64(base), width); err != nil {
-			return err
-		}
+		b = appendPacked(b, uint64(x)-uint64(base), width)
 	}
-	return nil
+	return b
+}
+
+// appendDecimal packs floats that are whole numbers of 10^-e units the
+// way appendDelta packs ints: every row stores k − base, k = x·10^e
+// rounded, which relal.PlanChunk has checked is exact.
+func appendDecimal(b []byte, xs []float64, e int, base int64, width int) []byte {
+	b = append(b, byte(width), byte(e))
+	b = binary.LittleEndian.AppendUint64(b, uint64(base))
+	p := math.Pow10(e)
+	for _, x := range xs {
+		b = appendPacked(b, uint64(int64(math.Round(x*p))-base), width)
+	}
+	return b
 }
 
 // group is the decoded footer entry for one row group.
@@ -378,13 +412,14 @@ type group struct {
 	rows     int
 	offset   int64 // byte offset of the group's first chunk
 	compLens []uint32
-	encs     []byte
-	crcs     []uint32 // CRC32 of each compressed chunk
+	encs     []byte   // encoding, the deflated flag cleared
+	deflated []bool   // stored bytes are a gzip stream of the payload
+	crcs     []uint32 // CRC32 of each stored chunk
 	zones    []relal.ZoneMap
 }
 
 // parsed is the decoded file structure (footer only — chunk bytes stay
-// compressed until a read asks for them).
+// untouched until a read asks for them).
 type parsed struct {
 	dicts  [][]string // per column; nil = no global dictionary
 	groups []group
@@ -400,6 +435,8 @@ func validEnc(enc byte, kind relal.Type, hasDict bool) bool {
 		return kind == relal.Str && hasDict
 	case encDelta:
 		return kind == relal.Int
+	case encDecimal:
+		return kind == relal.Float
 	}
 	return false
 }
@@ -473,39 +510,15 @@ func parse(data []byte, schema relal.Schema) (*parsed, error) {
 		if err := need(compLen); err != nil {
 			return nil, err
 		}
-		if got := crc32.ChecksumIEEE(f[pos : pos+compLen]); got != dictCRC {
+		blob := f[pos : pos+compLen]
+		pos += compLen
+		if got := crc32.ChecksumIEEE(blob); got != dictCRC {
 			return nil, fmt.Errorf("%w: dictionary blob of column %q (crc %08x, want %08x)",
 				ErrCorrupt, schema[c].Name, got, dictCRC)
 		}
-		gz, err := gzip.NewReader(bytes.NewReader(f[pos : pos+compLen]))
+		vals, err := readDict(blob)
 		if err != nil {
 			return nil, err
-		}
-		blob, err := io.ReadAll(gz)
-		if err != nil {
-			return nil, err
-		}
-		pos += compLen
-		if len(blob) < 4 {
-			return nil, fmt.Errorf("rcfile: truncated dictionary")
-		}
-		count := int(binary.LittleEndian.Uint32(blob))
-		if count < 0 || count > len(blob) {
-			return nil, fmt.Errorf("rcfile: implausible dictionary size %d", count)
-		}
-		vals := make([]string, 0, count)
-		bp := 4
-		for i := 0; i < count; i++ {
-			if bp+4 > len(blob) {
-				return nil, fmt.Errorf("rcfile: truncated dictionary")
-			}
-			sl := int(binary.LittleEndian.Uint32(blob[bp:]))
-			bp += 4
-			if sl < 0 || bp+sl > len(blob) {
-				return nil, fmt.Errorf("rcfile: truncated dictionary value")
-			}
-			vals = append(vals, string(blob[bp:bp+sl]))
-			bp += sl
 		}
 		p.dicts[c] = vals
 	}
@@ -519,6 +532,7 @@ func parse(data []byte, schema relal.Schema) (*parsed, error) {
 			offset:   offset,
 			compLens: make([]uint32, numCols),
 			encs:     make([]byte, numCols),
+			deflated: make([]bool, numCols),
 			crcs:     make([]uint32, numCols),
 			zones:    make([]relal.ZoneMap, numCols),
 		}
@@ -533,7 +547,8 @@ func parse(data []byte, schema relal.Schema) (*parsed, error) {
 				return nil, err
 			}
 			gr.compLens[c] = binary.LittleEndian.Uint32(f[pos:])
-			gr.encs[c] = f[pos+4]
+			gr.encs[c] = f[pos+4] &^ encDeflated
+			gr.deflated[c] = f[pos+4]&encDeflated != 0
 			gr.crcs[c] = binary.LittleEndian.Uint32(f[pos+5:])
 			pos += 9
 			if !validEnc(gr.encs[c], schema[c].Type, p.dicts[c] != nil) {
@@ -584,41 +599,98 @@ func parse(data []byte, schema relal.Schema) (*parsed, error) {
 	return p, nil
 }
 
-// gzipChunk runs one chunk encoder through gzip and returns the
-// compressed bytes.
-func gzipChunk(fn func(w io.Writer) error) ([]byte, error) {
-	var col bytes.Buffer
-	gz := gzip.NewWriter(&col)
-	if err := fn(gz); err != nil {
-		return nil, err
-	}
-	if err := gz.Close(); err != nil {
-		return nil, err
-	}
-	return col.Bytes(), nil
-}
-
-// verifyChunk checks a chunk's stored CRC32 against its bytes.
-func verifyChunk(data []byte, chunkOff int64, compLen, want uint32) error {
-	if chunkOff+int64(compLen) > int64(len(data)) {
-		return fmt.Errorf("%w: truncated chunk", ErrCorrupt)
-	}
-	if got := crc32.ChecksumIEEE(data[chunkOff : chunkOff+int64(compLen)]); got != want {
-		return fmt.Errorf("%w: crc %08x, want %08x", ErrCorrupt, got, want)
-	}
-	return nil
-}
-
-// inflateChunk decompresses one chunk's payload.
-func inflateChunk(data []byte, chunkOff int64, compLen uint32) ([]byte, error) {
-	if chunkOff+int64(compLen) > int64(len(data)) {
-		return nil, fmt.Errorf("rcfile: truncated chunk")
-	}
-	gz, err := gzip.NewReader(bytes.NewReader(data[chunkOff : chunkOff+int64(compLen)]))
+// readDict inflates and decodes one dictionary blob.
+func readDict(blob []byte) ([]string, error) {
+	buf, err := inflate(blob)
 	if err != nil {
+		return nil, fmt.Errorf("rcfile: dictionary: %w", err)
+	}
+	defer inflateBufs.Put(buf)
+	raw := *buf
+	if len(raw) < 4 {
+		return nil, fmt.Errorf("rcfile: truncated dictionary")
+	}
+	count := int(binary.LittleEndian.Uint32(raw))
+	if count < 0 || count > len(raw) {
+		return nil, fmt.Errorf("rcfile: implausible dictionary size %d", count)
+	}
+	vals := make([]string, 0, count)
+	bp := 4
+	for i := 0; i < count; i++ {
+		if bp+4 > len(raw) {
+			return nil, fmt.Errorf("rcfile: truncated dictionary")
+		}
+		sl := int(binary.LittleEndian.Uint32(raw[bp:]))
+		bp += 4
+		if sl < 0 || bp+sl > len(raw) {
+			return nil, fmt.Errorf("rcfile: truncated dictionary value")
+		}
+		vals = append(vals, string(raw[bp:bp+sl]))
+		bp += sl
+	}
+	return vals, nil
+}
+
+// verifiedChunk returns a chunk's stored bytes after checking them
+// against its CRC32.
+func verifiedChunk(data []byte, chunkOff int64, compLen, want uint32) ([]byte, error) {
+	if chunkOff+int64(compLen) > int64(len(data)) {
+		return nil, fmt.Errorf("%w: truncated chunk", ErrCorrupt)
+	}
+	chunk := data[chunkOff : chunkOff+int64(compLen)]
+	if got := crc32.ChecksumIEEE(chunk); got != want {
+		return nil, fmt.Errorf("%w: crc %08x, want %08x", ErrCorrupt, got, want)
+	}
+	return chunk, nil
+}
+
+// maxInflateRatio is DEFLATE's largest expansion, output bytes per
+// input byte: the most a gzip stream's ISIZE trailer can make inflate
+// allocate.
+const maxInflateRatio = 1032
+
+var (
+	gzipReaders sync.Pool // *gzip.Reader, reused through Reset
+	inflateBufs sync.Pool // *[]byte, the payloads inflate returns
+)
+
+// inflate decompresses one gzip stream into a pooled buffer sized from
+// the stream's ISIZE trailer, capped at maxInflateRatio × its length,
+// and requires the stream to end there, so gzip's own CRC-32 and size
+// check runs. The caller hands the buffer back to inflateBufs once
+// nothing reads it.
+func inflate(comp []byte) (*[]byte, error) {
+	if len(comp) < 18 { // 10-byte header, 8-byte trailer
+		return nil, fmt.Errorf("rcfile: truncated gzip stream")
+	}
+	size := min(int64(binary.LittleEndian.Uint32(comp[len(comp)-4:])), maxInflateRatio*int64(len(comp)))
+	zr, _ := gzipReaders.Get().(*gzip.Reader)
+	if zr == nil {
+		zr = new(gzip.Reader)
+	}
+	defer gzipReaders.Put(zr)
+	if err := zr.Reset(bytes.NewReader(comp)); err != nil {
 		return nil, err
 	}
-	return io.ReadAll(gz)
+	buf, _ := inflateBufs.Get().(*[]byte)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	if int64(cap(*buf)) <= size {
+		*buf = make([]byte, size+1)
+	}
+	// One byte past the size: reading it means the stream is longer
+	// than its trailer says.
+	n, err := io.ReadFull(zr, (*buf)[:size+1])
+	switch err {
+	case io.EOF, io.ErrUnexpectedEOF: // the stream ended and its trailer checked out
+		*buf = (*buf)[:n]
+		return buf, nil
+	case nil:
+		err = fmt.Errorf("rcfile: gzip stream inflates past %d bytes", size)
+	}
+	inflateBufs.Put(buf)
+	return nil, err
 }
 
 // strPart is one row group's decoded slice of a Str column: global
@@ -632,8 +704,8 @@ type strPart struct {
 // ReadCols decodes the requested columns (nil = all, otherwise the
 // result schema is the requested names in order), skipping row groups
 // whose zone maps cannot satisfy pred. Only surviving groups'
-// requested chunks are decompressed; everything else is skipped with
-// pointer arithmetic and accounted in the stats as compressed bytes.
+// requested chunks are decoded; everything else is skipped with
+// pointer arithmetic and accounted in the stats as stored bytes.
 // Run-length code chunks expand to one code per row as the column is
 // assembled; global-code chunks reassemble against the file dictionary
 // with no merging.
@@ -647,7 +719,7 @@ func ReadCols(data []byte, schema relal.Schema, name string, cols []string, pred
 
 // readColsCached is the parse-once read path, with an optional shared
 // chunk cache: when cache is non-nil, each surviving chunk is looked up
-// under (file, group, column) before inflating, and fresh decodes are
+// under (file, group, column) before decoding, and fresh decodes are
 // inserted. Hits keep counting toward BytesRead (the scan logically
 // decoded those bytes — the skipped fraction the cost models replay is
 // cache-invariant) and additionally toward BytesFromCache/CacheHits.
@@ -734,15 +806,12 @@ func readColsCached(data []byte, p *parsed, schema relal.Schema, name string, co
 				// hits skip this: the entry was verified when first
 				// decoded, and cache keys are content-hashed, so corrupt
 				// bytes can never ride in on a stale hit.
-				if err := verifyChunk(data, off, gr.compLens[ci], gr.crcs[ci]); err != nil {
+				stored, err := verifiedChunk(data, off, gr.compLens[ci], gr.crcs[ci])
+				if err != nil {
 					stats.CorruptChunks++
 					return nil, stats, fmt.Errorf("%s group %d column %q: %w", name, g, schema[ci].Name, err)
 				}
-				raw, err := inflateChunk(data, off, gr.compLens[ci])
-				if err != nil {
-					return nil, stats, err
-				}
-				if cd, err = decodeChunk(raw, schema[ci].Type, gr.encs[ci], gr.rows, p.dicts[ci]); err != nil {
+				if cd, err = loadChunk(stored, gr.deflated[ci], schema[ci].Type, gr.encs[ci], gr.rows, p.dicts[ci]); err != nil {
 					return nil, stats, err
 				}
 				if cache != nil {
@@ -760,11 +829,27 @@ func readColsCached(data []byte, p *parsed, schema relal.Schema, name string, co
 	return t, stats, nil
 }
 
-// decodeChunk inflates one chunk payload into its standalone decoded
-// form — fresh slices, not appends onto a caller vector — so the result
-// is safe to share through the chunk cache. Run-length code chunks stay
-// run lists; global-code chunks stay codes (the dictionary lives in the
-// parsed footer, not the cache entry).
+// loadChunk decodes one verified chunk: straight from its stored bytes,
+// or from a pooled buffer they inflate into when the writer kept them
+// deflated. decodeChunk copies every cell out, so neither the file nor a
+// reused buffer is aliased by what a cache holds.
+func loadChunk(stored []byte, deflated bool, kind relal.Type, enc byte, rows int, dict []string) (chunkData, error) {
+	if !deflated {
+		return decodeChunk(stored, kind, enc, rows, dict)
+	}
+	buf, err := inflate(stored)
+	if err != nil {
+		return chunkData{}, err
+	}
+	defer inflateBufs.Put(buf)
+	return decodeChunk(*buf, kind, enc, rows, dict)
+}
+
+// decodeChunk decodes one chunk payload into its standalone form — fresh
+// slices, not appends onto a caller vector — so the result is safe to
+// share through the chunk cache. Run-length code chunks stay run lists;
+// global-code chunks stay codes (the dictionary lives in the parsed
+// footer, not the cache entry).
 func decodeChunk(raw []byte, kind relal.Type, enc byte, rows int, dict []string) (chunkData, error) {
 	switch enc {
 	case encPlain:
@@ -798,15 +883,48 @@ func decodeChunk(raw []byte, kind relal.Type, enc byte, rows int, dict []string)
 			return chunkData{}, err
 		}
 		return chunkData{ints: ints}, nil
+	case encDecimal:
+		floats, err := readDecimalChunk(raw, rows)
+		if err != nil {
+			return chunkData{}, err
+		}
+		return chunkData{floats: floats}, nil
 	}
 	return chunkData{}, fmt.Errorf("rcfile: unknown chunk encoding %d", enc)
 }
 
-// getPacked reads a width-byte little-endian value (width 0 reads 0).
-func getPacked(raw []byte, pos, width int) uint64 {
-	var buf [8]byte
-	copy(buf[:], raw[pos:pos+width])
-	return binary.LittleEndian.Uint64(buf[:])
+// packedWidth validates a packed payload's width byte.
+func packedWidth(b byte) (int, error) {
+	switch b {
+	case 0, 1, 2, 4:
+		return int(b), nil
+	}
+	return 0, fmt.Errorf("rcfile: bad packed width %d", b)
+}
+
+// unpack sets out[i] to base plus the i-th width-byte little-endian
+// offset in packed, for width 0, 1, 2 or 4; packed holds at least
+// len(out)·width bytes. Every FOR-packed layout reads its cells through
+// it, one loop per width.
+func unpack[T uint32 | int64 | float64](out []T, packed []byte, width int, base T) {
+	switch width {
+	case 0:
+		for i := range out {
+			out[i] = base
+		}
+	case 1:
+		for i, x := range packed[:len(out)] {
+			out[i] = base + T(x)
+		}
+	case 2:
+		for i := range out {
+			out[i] = base + T(binary.LittleEndian.Uint16(packed[2*i:]))
+		}
+	case 4:
+		for i := range out {
+			out[i] = base + T(binary.LittleEndian.Uint32(packed[4*i:]))
+		}
+	}
 }
 
 // readGDictChunk decodes FOR-packed global codes.
@@ -814,23 +932,20 @@ func readGDictChunk(raw []byte, rows, dictLen int) ([]uint32, error) {
 	if len(raw) < 5 {
 		return nil, fmt.Errorf("rcfile: truncated gdict chunk")
 	}
-	width := int(raw[0])
-	if width != 0 && width != 1 && width != 2 && width != 4 {
-		return nil, fmt.Errorf("rcfile: bad code width %d", width)
+	width, err := packedWidth(raw[0])
+	if err != nil {
+		return nil, err
 	}
 	base := binary.LittleEndian.Uint32(raw[1:])
-	pos := 5
-	if pos+rows*width > len(raw) {
+	if 5+rows*width > len(raw) {
 		return nil, fmt.Errorf("rcfile: truncated codes")
 	}
 	codes := make([]uint32, rows)
-	for i := range codes {
-		c := base + uint32(getPacked(raw, pos, width))
-		if int(c) >= dictLen {
-			return nil, fmt.Errorf("rcfile: code %d out of dictionary range %d", c, dictLen)
-		}
-		codes[i] = c
-		pos += width
+	unpack(codes, raw[5:], width, base)
+	// One range check per chunk: a base + offset that wrapped lands
+	// below the base.
+	if lo, hi := slices.Min(codes), slices.Max(codes); lo < base || uint64(hi) >= uint64(dictLen) {
+		return nil, fmt.Errorf("rcfile: codes [%d, %d] from base %d outside dictionary range %d", lo, hi, base, dictLen)
 	}
 	return codes, nil
 }
@@ -841,9 +956,9 @@ func readGDictRLEChunk(raw []byte, rows, dictLen int) ([]uint32, []int32, error)
 	if len(raw) < 9 {
 		return nil, nil, fmt.Errorf("rcfile: truncated gdict+rle chunk")
 	}
-	width := int(raw[0])
-	if width != 0 && width != 1 && width != 2 && width != 4 {
-		return nil, nil, fmt.Errorf("rcfile: bad code width %d", width)
+	width, err := packedWidth(raw[0])
+	if err != nil {
+		return nil, nil, err
 	}
 	base := binary.LittleEndian.Uint32(raw[1:])
 	runs := int(binary.LittleEndian.Uint32(raw[5:]))
@@ -858,9 +973,9 @@ func readGDictRLEChunk(raw []byte, rows, dictLen int) ([]uint32, []int32, error)
 		if pos+width+4 > len(raw) {
 			return nil, nil, fmt.Errorf("rcfile: truncated run")
 		}
-		c := base + uint32(getPacked(raw, pos, width))
-		if int(c) >= dictLen {
-			return nil, nil, fmt.Errorf("rcfile: code %d out of dictionary range %d", c, dictLen)
+		unpack(codes[k:k+1], raw[pos:], width, base)
+		if c := codes[k]; c < base || uint64(c) >= uint64(dictLen) {
+			return nil, nil, fmt.Errorf("rcfile: code %d from base %d outside dictionary range %d", c, base, dictLen)
 		}
 		pos += width
 		rl := int(binary.LittleEndian.Uint32(raw[pos:]))
@@ -868,7 +983,6 @@ func readGDictRLEChunk(raw []byte, rows, dictLen int) ([]uint32, []int32, error)
 		if rl <= 0 || total+rl > rows {
 			return nil, nil, fmt.Errorf("rcfile: bad run length %d", rl)
 		}
-		codes[k] = c
 		total += rl
 		ends[k] = int32(total)
 	}
@@ -883,19 +997,43 @@ func readDeltaChunk(raw []byte, rows int) ([]int64, error) {
 	if len(raw) < 9 {
 		return nil, fmt.Errorf("rcfile: truncated delta chunk")
 	}
-	width := int(raw[0])
-	if width != 0 && width != 1 && width != 2 && width != 4 {
-		return nil, fmt.Errorf("rcfile: bad delta width %d", width)
+	width, err := packedWidth(raw[0])
+	if err != nil {
+		return nil, err
 	}
-	base := uint64(binary.LittleEndian.Uint64(raw[1:]))
-	pos := 9
-	if pos+rows*width > len(raw) {
+	if 9+rows*width > len(raw) {
 		return nil, fmt.Errorf("rcfile: truncated deltas")
 	}
 	out := make([]int64, rows)
+	unpack(out, raw[9:], width, int64(binary.LittleEndian.Uint64(raw[1:])))
+	return out, nil
+}
+
+// readDecimalChunk decodes FOR-packed decimal units: each value is
+// float64(k)/10^e.
+func readDecimalChunk(raw []byte, rows int) ([]float64, error) {
+	if len(raw) < 10 {
+		return nil, fmt.Errorf("rcfile: truncated decimal chunk")
+	}
+	width, err := packedWidth(raw[0])
+	if err != nil {
+		return nil, err
+	}
+	e := int(raw[1])
+	if e > relal.MaxDecimalExp {
+		return nil, fmt.Errorf("rcfile: bad decimal exponent %d", e)
+	}
+	if 10+rows*width > len(raw) {
+		return nil, fmt.Errorf("rcfile: truncated decimal units")
+	}
+	// The writer keeps every k within ±2^53, where float64(base) plus an
+	// offset of at most 32 bits is k exactly; the division is then the
+	// float64(k)/10^e relal.PlanChunk checked against every value.
+	out := make([]float64, rows)
+	unpack(out, raw[10:], width, float64(int64(binary.LittleEndian.Uint64(raw[2:]))))
+	p := math.Pow10(e)
 	for i := range out {
-		out[i] = int64(base + getPacked(raw, pos, width))
-		pos += width
+		out[i] /= p
 	}
 	return out, nil
 }
@@ -986,10 +1124,12 @@ func assembleStrCol(parts []strPart, dict []string) *relal.Vector {
 }
 
 // ColEncStats is one column's per-encoding chunk census: how many
-// chunks the adaptive writer settled on each encoding, and their
-// compressed bytes. Indexed by enc byte (see EncNames).
+// chunks the adaptive writer settled on each encoding, how many of
+// those it stored deflated, and their stored bytes. Indexed by enc byte
+// (see EncNames).
 type ColEncStats struct {
 	Chunks    [numEncs]int
+	Deflated  [numEncs]int
 	CompBytes [numEncs]int64
 }
 
@@ -1035,7 +1175,7 @@ func readPlainChunk(raw []byte, v *relal.Vector, rows int) error {
 
 // Source serves a table from its RCFile encoding through the relal scan
 // operator: ReadCols does the column selection and zone-map pruning, so
-// scans really decompress only what the query asked for. Decode errors
+// scans really decode only what the query asked for. Decode errors
 // panic — a Source wraps bytes this process just encoded, so corruption
 // is a programming bug, not an I/O condition.
 //
@@ -1044,7 +1184,7 @@ func readPlainChunk(raw []byte, v *relal.Vector, rows int) error {
 // streams can share one Source per table; each scan's accounting goes
 // into its own ScanStats and from there into the caller's step log.
 // Attaching a shared ChunkCache (SetCache, before serving scans) makes
-// repeated reads of hot chunks skip the gzip inflation entirely.
+// repeated reads of hot chunks skip the inflation and decoding entirely.
 type Source struct {
 	name   string
 	schema relal.Schema
@@ -1080,7 +1220,7 @@ func NewSourceFromBytes(data []byte, schema relal.Schema, name string) (*Source,
 	return &Source{name: name, schema: schema, data: data, parsed: p, id: fileID(data)}, nil
 }
 
-// SetCache attaches a shared decompressed-chunk cache. Call before the
+// SetCache attaches a shared decoded-chunk cache. Call before the
 // Source starts serving scans; concurrent scans then share the cache
 // safely (the cache locks internally, the field itself is not mutated
 // again).
@@ -1111,6 +1251,9 @@ func (s *Source) EncodingStats() []ColEncStats {
 	for _, gr := range s.parsed.groups {
 		for c := range s.schema {
 			out[c].Chunks[gr.encs[c]]++
+			if gr.deflated[c] {
+				out[c].Deflated[gr.encs[c]]++
+			}
 			out[c].CompBytes[gr.encs[c]] += int64(gr.compLens[c])
 		}
 	}

@@ -1,6 +1,7 @@
 package rcfile
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -120,6 +121,24 @@ func TestCompressionOnTPCH(t *testing.T) {
 	if ratio <= 0.01 {
 		t.Errorf("compression ratio = %.3f suspiciously low", ratio)
 	}
+
+	// The storage budget of gzip-only-where-it-halves: all eight SF 0.01
+	// tables (seed 1, 4096-row groups) may take at most 10% more bytes
+	// than the 1,984,193 the always-gzip RCF6 writer took.
+	const rcf6Bytes = 1_984_193
+	db := tpch.Generate(tpch.GenConfig{SF: 0.01, Seed: 1, Random64: true})
+	total := 0
+	for _, name := range tpch.TableNames {
+		data, err := NewWriter(4096).Write(db.Table(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += len(data)
+	}
+	if limit := rcf6Bytes * 11 / 10; total > limit {
+		t.Errorf("SF 0.01 tables take %d B, budget %d B (RCF6 took %d B)", total, limit, rcf6Bytes)
+	}
+	t.Logf("SF 0.01 tables: %d B, %+.1f%% on RCF6's %d B", total, 100*(float64(total)/rcf6Bytes-1), rcf6Bytes)
 }
 
 func TestRoundTripProperty(t *testing.T) {
@@ -157,33 +176,69 @@ func fill[T any](n int, f func(i int) T) []T {
 	return xs
 }
 
+// noise is a fixed pseudo-random 64-bit value per i (splitmix64's
+// finalizer): bytes gzip cannot shrink.
+func noise(i int) uint64 {
+	x := uint64(i+1) * 0x9E3779B97F4A7C15
+	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+	x = (x ^ x>>27) * 0x94D049BB133111EB
+	return x ^ x>>31
+}
+
+// alternate returns rows values, pattern(i) in even row groups of
+// groupRows and noisy(i) in odd ones.
+func alternate[T any](rows, groupRows int, pattern, noisy func(i int) T) []T {
+	return fill(rows, func(i int) T {
+		if i/groupRows%2 == 0 {
+			return pattern(i)
+		}
+		return noisy(i)
+	})
+}
+
 // TestRoundTripEveryEncoding makes the writer choose every chunk
-// encoding — plain for each of the three types, gdict, gdict+rle and
-// delta — proves from the footer census that it did, and then
-// round-trips the cells, so every chunk decoder provably runs. Numeric
-// runs are not run-encoded: an Int column of long runs packs as delta, a
-// Float one stays plain. The TPC-H golden suites never produce a plain
-// Int chunk.
+// encoding — plain for each of the three types, gdict, gdict+rle, delta
+// and decimal — each in both stored forms: every column alternates a
+// patterned row group, whose payload gzip more than halves, with a noisy
+// one, whose payload it cannot. It proves from the footer census that
+// every encoding landed both deflated and stored, then round-trips the
+// cells, so every chunk decoder provably runs on file bytes and on
+// inflated ones.
 func TestRoundTripEveryEncoding(t *testing.T) {
-	const rows, groupRows = 512, 128
+	const groupRows, groups = 1024, 4
+	const rows = groupRows * groups
 	cols := []struct {
 		name string
 		typ  relal.Type
 		vec  *relal.Vector
 		enc  byte
 	}{
-		// Any two values span more than 32 bits and no two are equal.
-		{"plain_int", relal.Int, relal.IntsV(fill(rows, func(i int) int64 { return int64(i) << 40 })), encPlain},
-		{"plain_float", relal.Float, relal.FloatsV(fill(rows, func(i int) float64 { return float64(i) + 0.5 })), encPlain},
-		{"plain_str", relal.Str, relal.StrsV(fill(rows, func(i int) string { return fmt.Sprintf("s%04d", i) })), encPlain},
-		// Five values changing every row: codes pack, runs do not.
-		{"gdict", relal.Str, relal.EncodeDict(fill(rows, func(i int) string { return fmt.Sprintf("v%d", i%5) })), encGDict},
-		// The same five values in runs of 64.
-		{"gdict_rle", relal.Str, relal.EncodeDict(fill(rows, func(i int) string { return fmt.Sprintf("v%d", i/64%5) })), encGDictRLE},
-		{"runs_int", relal.Int, relal.IntsV(fill(rows, func(i int) int64 { return int64(i / 64) })), encDelta},
-		{"runs_float", relal.Float, relal.FloatsV(fill(rows, func(i int) float64 { return float64(i/64) * 0.25 })), encPlain},
-		// Distinct and dense: a one-byte frame of reference, no runs.
-		{"delta", relal.Int, relal.IntsV(fill(rows, func(i int) int64 { return 1000 + int64(i) })), encDelta},
+		// Any two values span more than 32 bits.
+		{"plain_int", relal.Int, relal.IntsV(alternate(rows, groupRows,
+			func(i int) int64 { return int64(i) << 40 },
+			func(i int) int64 { return int64(noise(i)) })), encPlain},
+		// Never a whole number of 10^-4 units.
+		{"plain_float", relal.Float, relal.FloatsV(alternate(rows, groupRows,
+			func(i int) float64 { return float64(i%8) + math.Pi },
+			func(i int) float64 { return float64(noise(i)>>11) * 0x1p-53 })), encPlain},
+		{"plain_str", relal.Str, relal.StrsV(alternate(rows, groupRows,
+			func(i int) string { return fmt.Sprintf("s%04d", i%100) },
+			func(i int) string { return string(binary.LittleEndian.AppendUint64(nil, noise(i))) })), encPlain},
+		// 200 values: a one-byte code per row, and no runs.
+		{"gdict", relal.Str, relal.EncodeDict(alternate(rows, groupRows,
+			func(i int) string { return fmt.Sprintf("v%03d", i%5) },
+			func(i int) string { return fmt.Sprintf("v%03d", noise(i)%200) })), encGDict},
+		// Runs of 16 cycling through five values; four runs a group.
+		{"gdict_rle", relal.Str, relal.EncodeDict(alternate(rows, groupRows,
+			func(i int) string { return fmt.Sprintf("v%d", i/16%5) },
+			func(i int) string { return fmt.Sprintf("v%d", i/256%5) })), encGDictRLE},
+		// Dense spans: a one-byte frame of reference.
+		{"delta", relal.Int, relal.IntsV(alternate(rows, groupRows,
+			func(i int) int64 { return 1000 + int64(i%4) },
+			func(i int) int64 { return 1000 + int64(noise(i)%250) })), encDelta},
+		{"decimal", relal.Float, relal.FloatsV(alternate(rows, groupRows,
+			func(i int) float64 { return float64(i%7) / 100 },
+			func(i int) float64 { return float64(noise(i)%250) / 100 })), encDecimal},
 	}
 	schema := make(relal.Schema, len(cols))
 	vecs := make([]*relal.Vector, len(cols))
@@ -196,10 +251,18 @@ func TestRoundTripEveryEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	covered := map[byte]bool{}
 	for c, st := range src.EncodingStats() {
-		if got := st.Chunks[cols[c].enc]; got != rows/groupRows {
-			t.Errorf("%s: %d of %d chunks %s (census %v)",
-				cols[c].name, got, rows/groupRows, EncNames[cols[c].enc], st.Chunks)
+		enc := cols[c].enc
+		covered[enc] = true
+		if st.Chunks[enc] != groups || st.Deflated[enc] != groups/2 {
+			t.Errorf("%s: %d of %d chunks %s, %d of them deflated, want %d (census %v, deflated %v)",
+				cols[c].name, st.Chunks[enc], groups, EncNames[enc], st.Deflated[enc], groups/2, st.Chunks, st.Deflated)
+		}
+	}
+	for enc, name := range EncNames {
+		if name != "" && !covered[byte(enc)] {
+			t.Errorf("no column covers encoding %s", name)
 		}
 	}
 	if t.Failed() {
@@ -207,6 +270,72 @@ func TestRoundTripEveryEncoding(t *testing.T) {
 	}
 	got, _ := src.ScanTable(nil, nil)
 	tablesEqual(t, got, tab)
+}
+
+// TestDecimalChunkExact pins which Float chunks pack as decimal: whole
+// numbers of 10^-e units for the smallest e in 0…4, decided bit for bit,
+// so one value that is not — NaN, −0, ±Inf, a subnormal, 0.1+0.2, a
+// magnitude past 2^53 units, an acctbal-style difference — keeps the
+// whole chunk plain. Every cell round-trips bit for bit either way.
+func TestDecimalChunkExact(t *testing.T) {
+	const rows = 64
+	cents := func(i int) float64 { return float64(i*37-900) / 100 }
+	with := func(x float64) []float64 { // cents, one cell replaced by x
+		xs := fill(rows, cents)
+		xs[rows/2] = x
+		return xs
+	}
+	tenth, fifth := 0.1, 0.2 // variables: a constant 0.1+0.2 is exactly 0.3
+	cases := []struct {
+		name string
+		xs   []float64
+		exp  int // -1: stays plain
+	}{
+		{"cents", fill(rows, cents), 2},
+		{"integers", fill(rows, func(i int) float64 { return float64(i*3 - 50) }), 0},
+		{"tenths_and_thousandths", fill(rows, func(i int) float64 {
+			if i%2 == 0 {
+				return float64(i) / 10
+			}
+			return float64(i) / 1000
+		}), 3},
+		{"e4", fill(rows, func(i int) float64 { return float64(i*7+1) / 10000 }), 4},
+		{"nan", with(math.NaN()), -1},
+		{"negative_zero", with(math.Copysign(0, -1)), -1},
+		{"plus_inf", with(math.Inf(1)), -1},
+		{"minus_inf", with(math.Inf(-1)), -1},
+		{"subnormal", with(5e-324), -1},
+		{"inexact_sum", with(tenth + fifth), -1},
+		{"huge", with(1e300), -1},
+		{"acctbal", fill(rows, func(i int) float64 { return float64(i*1571%1000000)/100 - 999.99 }), -1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			schema := relal.Schema{{Name: "x", Type: relal.Float}}
+			tab := relal.NewTable("d", schema, relal.FloatsV(tc.xs))
+			plan := relal.PlanChunk(tab.Cols[0], 0, rows)
+			wantEnc := encDecimal
+			if tc.exp < 0 {
+				wantEnc = encPlain
+			}
+			if plan.Enc != wantEnc || (tc.exp >= 0 && plan.Exp != tc.exp) {
+				t.Fatalf("plan %s at e=%d, want %s at e=%d", EncNames[plan.Enc], plan.Exp, EncNames[wantEnc], tc.exp)
+			}
+			src, err := NewSource(tab, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := src.EncodingStats()[0].Chunks[wantEnc]; got != 1 {
+				t.Fatalf("file holds %d %s chunks, want 1", got, EncNames[wantEnc])
+			}
+			got, _ := src.ScanTable(nil, nil)
+			for i, x := range got.Cols[0].Floats {
+				if math.Float64bits(x) != math.Float64bits(tc.xs[i]) {
+					t.Fatalf("cell %d: %v (%#x), wrote %v (%#x)", i, x, math.Float64bits(x), tc.xs[i], math.Float64bits(tc.xs[i]))
+				}
+			}
+		})
+	}
 }
 
 // TestRunChunksThroughCache reads a column whose chunks are all
@@ -493,16 +622,19 @@ func TestSourceScanMatchesRead(t *testing.T) {
 // (SF 0.002, seed 1, 4096-row groups) to an FNV-64a hash of the file
 // bytes: a change to chunk planning, a chunk layout, the footer or the
 // trailer that alters any file the engine writes for TPC-H fails here.
+// The hashes are of RCF7 files; the move from RCF6 (gzip only where it
+// halves a chunk, decimal floats) was the deliberate change that last
+// set them.
 func TestWriterBytesGolden(t *testing.T) {
 	want := map[string]uint64{
-		"region":   0xfbe63bbaa7b24281,
-		"nation":   0xc84793ee0c6e4578,
-		"supplier": 0xf13ceab8d8f3376b,
-		"customer": 0xa27ab2c56a353cb1,
-		"part":     0xef9d9c48f14c9602,
-		"partsupp": 0xc739014c153e5033,
-		"orders":   0x5fac29f3434fc47d,
-		"lineitem": 0x2de3db7e3ca733a3,
+		"region":   0x85682b86e0b861cf,
+		"nation":   0xfbef1244ffdec773,
+		"supplier": 0x094a4c05661e4527,
+		"customer": 0x1bc97aa9e1ec5ad7,
+		"part":     0x45ee2c2630c25645,
+		"partsupp": 0xd228ea5f3834caba,
+		"orders":   0x6c1c6576d1b74e1a,
+		"lineitem": 0x2c2529d48d6a8ef7,
 	}
 	db := tpch.Generate(tpch.GenConfig{SF: 0.002, Seed: 1, Random64: true})
 	for _, name := range tpch.TableNames {
@@ -521,7 +653,8 @@ func TestWriterBytesGolden(t *testing.T) {
 // TestChunkPlanMatchesFile holds the writer and the size model to one
 // decision: for every chunk of every TPC-H table, the footer's enc byte
 // is relal.PlanChunk's, and the plan's modeled bytes are exactly the
-// length of the payload the writer laid down (before gzip).
+// length of the payload the writer laid down — the stored bytes, or
+// what they inflate to when the 0x80 bit says they are deflated.
 func TestChunkPlanMatchesFile(t *testing.T) {
 	db := tpch.Generate(tpch.GenConfig{SF: 0.002, Seed: 1, Random64: true})
 	for _, name := range tpch.TableNames {
@@ -539,9 +672,13 @@ func TestChunkPlanMatchesFile(t *testing.T) {
 				lo, off := g*groupRows, gr.offset
 				for c, v := range tab.Cols {
 					plan := relal.PlanChunk(v, lo, lo+gr.rows)
-					raw, err := inflateChunk(data, off, gr.compLens[c])
-					if err != nil {
-						t.Fatal(err)
+					raw := data[off : off+int64(gr.compLens[c])]
+					if gr.deflated[c] {
+						buf, err := inflate(raw)
+						if err != nil {
+							t.Fatal(err)
+						}
+						raw = *buf
 					}
 					if gr.encs[c] != plan.Enc || int64(len(raw)) != plan.Bytes {
 						t.Errorf("%s.%s group %d (%d rows/group): file enc %s payload %d B, plan enc %s %d B",

@@ -11,6 +11,8 @@
 // produces exactly the rows a full scan would.
 package relal
 
+import "math"
+
 // ZoneMap is the min/max summary of one column chunk (one column within
 // one row group). Exactly the pair matching Kind is meaningful. For a
 // dictionary-encoded Str chunk, CodeMin/CodeMax additionally carry the
@@ -247,9 +249,9 @@ type Source interface {
 // for its zone maps; it matches rcfile's on-disk default so the two
 // backends make the same group-pruning decisions. The byte accounting
 // still differs in weighting: TableSource reports uncompressed encoded
-// chunk bytes while rcfile reports per-chunk gzip-compressed bytes, so
-// the skipped fraction is a model of the on-disk ratio, not a
-// reproduction of it.
+// chunk bytes while rcfile reports per-chunk stored bytes, gzip'd where
+// that more than halves them, so the skipped fraction is a model of the
+// on-disk ratio, not a reproduction of it.
 const DefaultScanGroupRows = 16 * 1024
 
 // tableScanInfo is the cached per-group scan metadata of an in-memory
@@ -294,6 +296,10 @@ func GDictChunkBytes(rows, width int) int64 { return 5 + int64(rows)*int64(width
 // + code base + run count + (packed code, 4-byte length) per run.
 func GDictRLEChunkBytes(runs, width int) int64 { return 9 + int64(runs)*int64(width+4) }
 
+// DecimalChunkBytes is the decimal float payload: width byte + exponent
+// byte + 8-byte base + packed frame-of-reference integer units.
+func DecimalChunkBytes(rows, width int) int64 { return 10 + int64(rows)*int64(width) }
+
 // Chunk encodings, numbered as the RCFile footer's enc byte. Runs encode
 // only dictionary codes; enc byte 3 is retired and no file holds it.
 const (
@@ -301,7 +307,13 @@ const (
 	encGDict    = byte(1) // FOR-packed global codes (dict Str)
 	encGDictRLE = byte(2) // run-length encoded global codes (dict Str)
 	encDelta    = byte(4) // FOR-packed values (Int)
+	encDecimal  = byte(5) // FOR-packed integer units of 10^-e (Float)
 )
+
+// MaxDecimalExp is the largest decimal exponent: a Float chunk packs as
+// decimal only when every value is a whole number of 10^-e units for
+// some e in 0…MaxDecimalExp.
+const MaxDecimalExp = 4
 
 // ChunkPlan is the storage decision for one column chunk: which RCF
 // encoding lays rows [lo, hi) of a vector down smallest, and the numbers
@@ -309,16 +321,21 @@ const (
 // store.
 type ChunkPlan struct {
 	// Enc is the RCFile enc byte: 0 plain, 1 gdict, 2 gdict+rle,
-	// 4 delta.
+	// 4 delta, 5 decimal.
 	Enc byte
 	// Bytes is Enc's modeled payload size before gzip.
 	Bytes int64
-	// Width is the packed cell width of gdict, gdict+rle and delta
-	// payloads: the FORWidth of the chunk's code or value span.
+	// Width is the packed cell width of gdict, gdict+rle, delta and
+	// decimal payloads: the FORWidth of the chunk's code or value span.
 	Width int
 	// Runs counts maximal runs of equal adjacent dict codes; every other
 	// chunk reports 0.
 	Runs int
+	// Exp and Base describe a decimal payload: every value x is
+	// float64(k)/10^Exp for an integer k ≥ Base, and the chunk stores
+	// k − Base. Other encodings leave both 0.
+	Exp  int
+	Base int64
 	// Zone is the chunk's min/max; Zone.CodeMin / Zone.IntMin is the
 	// frame-of-reference base of gdict / delta payloads.
 	Zone ZoneMap
@@ -363,9 +380,42 @@ func PlanChunk(v *Vector, lo, hi int) ChunkPlan {
 					p.Enc, p.Bytes = encDelta, fb
 				}
 			}
+		} else if e, kmin, kmax, ok := decimalUnits(v.Floats[lo:hi]); ok {
+			if w := FORWidth(uint64(kmax - kmin)); w < 8 {
+				if db := DecimalChunkBytes(rows, w); db < p.Bytes {
+					p.Enc, p.Bytes, p.Width, p.Exp, p.Base = encDecimal, db, w, e, kmin
+				}
+			}
 		}
 	}
 	return p
+}
+
+// decimalUnits finds the smallest e in 0…MaxDecimalExp at which every x
+// in xs is exactly float64(k)/10^e for k = round(x·10^e) with
+// |x·10^e| ≤ 2^53, and returns e and the range of those ks. The check
+// compares bits, so NaN, −0, ±Inf, subnormals and inexact sums such as
+// 0.1+0.2 never qualify, and a decoder that computes float64(k)/10^e
+// returns every written value bit for bit.
+func decimalUnits(xs []float64) (e int, kmin, kmax int64, ok bool) {
+scales:
+	for e = 0; e <= MaxDecimalExp; e++ {
+		p := math.Pow10(e)
+		kmin, kmax = math.MaxInt64, math.MinInt64
+		for _, x := range xs {
+			s := x * p
+			if !(math.Abs(s) <= 1<<53) { // also rejects NaN
+				continue scales
+			}
+			k := int64(math.Round(s))
+			if math.Float64bits(float64(k)/p) != math.Float64bits(x) {
+				continue scales
+			}
+			kmin, kmax = min(kmin, k), max(kmax, k)
+		}
+		return e, kmin, kmax, true
+	}
+	return 0, 0, 0, false
 }
 
 // countRuns counts maximal runs of equal adjacent codes in a non-empty

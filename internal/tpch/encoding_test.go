@@ -8,7 +8,7 @@ import (
 )
 
 // TestEncodingGoldenOverRCFileParallel is the acceptance test for the
-// chunk-encoding pipeline: all 22 query answers, scanned through RCF6
+// chunk-encoding pipeline: all 22 query answers, scanned through RCF7
 // files (every encoding the adaptive writer picks, decoded and
 // assembled), must reproduce the committed golden snapshot byte-for-byte at several
 // worker counts.
