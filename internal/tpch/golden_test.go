@@ -4,11 +4,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/tpch_golden.txt from the current engine")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/tpch_golden.txt and steplog_golden.txt from the current engine")
 
 // goldenSF is deliberately tiny so the snapshot stays small and the test
 // fast; every query still exercises its full operator tree.
@@ -47,6 +48,40 @@ func TestGoldenAnswers(t *testing.T) {
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	diffGolden(t, got, string(want))
+}
+
+// TestStepLogGolden locks every Step field of all 22 queries — the
+// cardinalities and byte widths the Hive and PDW models replay — against
+// the committed snapshot, and requires the serial and the pooled run to
+// log the same steps.
+func TestStepLogGolden(t *testing.T) {
+	db := Generate(GenConfig{SF: goldenSF, Seed: 1, Random64: true})
+	var b strings.Builder
+	for _, q := range Queries {
+		_, serial := RunQueryWorkers(q.ID, db, 1)
+		_, pooled := RunQueryWorkers(q.ID, db, 0)
+		if !slices.Equal(serial.Steps, pooled.Steps) {
+			t.Errorf("Q%d: pooled step log differs from the serial one", q.ID)
+		}
+		fmt.Fprintf(&b, "Q%d\n", q.ID)
+		for _, s := range serial.Steps {
+			fmt.Fprintf(&b, "%+v\n", s)
+		}
+	}
+	got := b.String()
+	const path = "testdata/steplog_golden.txt"
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing step-log golden (run with -update to create): %v", err)
 	}
 	diffGolden(t, got, string(want))
 }

@@ -390,26 +390,6 @@ func TestQ19MatchesDirectFilter(t *testing.T) {
 	}
 }
 
-func TestStepLogShapes(t *testing.T) {
-	db := testDB(t)
-	_, log := RunQuery(5, db)
-	var scans, joins int
-	for _, s := range log.Steps {
-		switch s.Kind {
-		case relal.StepScan:
-			scans++
-		case relal.StepJoin:
-			joins++
-		}
-	}
-	if scans != 6 {
-		t.Errorf("Q5 scans = %d, want 6 (six base tables)", scans)
-	}
-	if joins < 5 {
-		t.Errorf("Q5 joins = %d, want >= 5", joins)
-	}
-}
-
 func TestCommentMarkers(t *testing.T) {
 	db := testDB(t)
 	// Some suppliers must carry the Q16 complaints marker at SF where
