@@ -27,12 +27,14 @@ type AggSpec struct {
 // cover. Beyond this a map wins on memory anyway.
 const maxDenseGroupSpan = 4096
 
-// groupKeys reads the group key of a physical row. When every key
-// column is Int or dict-encoded and the product of the columns' value
-// spans fits a uint64, the key packs into one mixed-radix integer
-// (packed); otherwise it is the cells' bytes.
+// groupKeys reads the group key of a logical row, each key column
+// through its own selection. When every key column is Int or
+// dict-encoded and the product of the columns' value spans fits a
+// uint64, the key packs into one mixed-radix integer (packed); otherwise
+// it is the cells' bytes.
 type groupKeys struct {
 	cols   []*Vector
+	sels   [][]int32
 	packed bool
 	lo     []uint64 // packed: per column, the value that maps to digit 0
 	radix  []uint64 // packed: per column, the number of distinct digits
@@ -42,11 +44,11 @@ type groupKeys struct {
 // newGroupKeys inspects the key columns over t's selected rows and picks
 // the packed encoding when it fits. t must have at least one row.
 func newGroupKeys(t *Table, gidx []int) *groupKeys {
-	k := &groupKeys{cols: make([]*Vector, len(gidx))}
+	k := &groupKeys{cols: make([]*Vector, len(gidx)), sels: make([][]int32, len(gidx))}
 	packable := true
 	for j, gi := range gidx {
 		c := t.Cols[gi]
-		k.cols[j] = c
+		k.cols[j], k.sels[j] = c, t.sel(gi)
 		packable = packable && (c.Kind == Int || c.DictVals != nil)
 	}
 	if !packable {
@@ -58,9 +60,10 @@ func newGroupKeys(t *Table, gidx []int) *groupKeys {
 	for j, c := range k.cols {
 		width := uint64(len(c.DictVals)) - 1 // highest digit: hi − lo
 		if c.Kind == Int {
-			lo, hi := c.Ints[t.phys(0)], c.Ints[t.phys(0)]
+			lo := keyAt(c.Ints, k.sels[j], 0)
+			hi := lo
 			for i, n := 1, t.NumRows(); i < n; i++ {
-				x := c.Ints[t.phys(i)]
+				x := keyAt(c.Ints, k.sels[j], i)
 				lo, hi = min(lo, x), max(hi, x)
 			}
 			// Wrapping arithmetic: MinInt64…MaxInt64 is MaxUint64.
@@ -76,15 +79,15 @@ func newGroupKeys(t *Table, gidx []int) *groupKeys {
 	return k
 }
 
-// pack returns the packed key of physical row p.
-func (k *groupKeys) pack(p int32) uint64 {
+// pack returns the packed key of logical row i.
+func (k *groupKeys) pack(i int) uint64 {
 	var key uint64
 	for j, c := range k.cols {
 		var digit uint64
 		if c.Kind == Int {
-			digit = uint64(c.Ints[p]) - k.lo[j]
+			digit = uint64(keyAt(c.Ints, k.sels[j], i)) - k.lo[j]
 		} else {
-			digit = uint64(c.Dict[p])
+			digit = uint64(keyAt(c.Dict, k.sels[j], i))
 		}
 		key = key*k.radix[j] + digit
 	}
@@ -95,11 +98,12 @@ func (k *groupKeys) pack(p int32) uint64 {
 // so all NaNs form one group whatever their payload.
 var canonicalNaN = math.Float64bits(math.NaN())
 
-// appendBytes appends the byte key of physical row p: fixed-width cells
+// appendBytes appends the byte key of logical row i: fixed-width cells
 // and length-prefixed strings, so two different rows never encode alike.
 // Floats are keyed by bit pattern: 0 and -0 stay apart.
-func (k *groupKeys) appendBytes(buf []byte, p int32) []byte {
-	for _, c := range k.cols {
+func (k *groupKeys) appendBytes(buf []byte, i int) []byte {
+	for j, c := range k.cols {
+		p := rowAt(k.sels[j], i)
 		switch {
 		case c.Kind == Int:
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Ints[p]))
@@ -146,24 +150,24 @@ func (k *groupKeys) table() *groupTable {
 	return g
 }
 
-// id returns the group id of physical row p's key, and whether this is
+// id returns the group id of logical row i's key, and whether this is
 // the first time the table sees that key.
-func (g *groupTable) id(p int32) (gid int32, fresh bool) {
+func (g *groupTable) id(i int) (gid int32, fresh bool) {
 	switch {
 	case g.slots != nil:
-		slot := &g.slots[g.k.pack(p)]
+		slot := &g.slots[g.k.pack(i)]
 		if *slot != 0 {
 			return *slot - 1, false
 		}
 		*slot = g.n + 1
 	case g.ints != nil:
-		key := g.k.pack(p)
+		key := g.k.pack(i)
 		if id, ok := g.ints[key]; ok {
 			return id, false
 		}
 		g.ints[key] = g.n
 	default:
-		g.buf = g.k.appendBytes(g.buf[:0], p)
+		g.buf = g.k.appendBytes(g.buf[:0], i)
 		// The literal string(g.buf) index lets the compiler look the key
 		// up without allocating; only a fresh key is copied.
 		if id, ok := g.strs[string(g.buf)]; ok {
@@ -177,7 +181,7 @@ func (g *groupTable) id(p int32) (gid int32, fresh bool) {
 
 // groupIDs assigns every logical row of t its group id — gid[i], ids
 // numbered in first-seen order — and returns each group's first
-// physical row. Each morsel numbers its own groups; a global table,
+// logical row. Each morsel numbers its own groups; a global table,
 // shown only each morsel's first rows in morsel order, renumbers them
 // (all rows of morsel m precede morsel m+1's, so that order is the
 // global first-seen order). One worker is the one-morsel case.
@@ -188,7 +192,7 @@ func groupIDs(t *Table, gidx []int, workers int) (gid, first []int32) {
 	}
 	gid = make([]int32, n)
 	if len(gidx) == 0 {
-		return gid, []int32{t.phys(0)}
+		return gid, []int32{0}
 	}
 	k := newGroupKeys(t, gidx)
 	size := MorselRows
@@ -199,10 +203,9 @@ func groupIDs(t *Table, gidx []int, workers int) (gid, first []int32) {
 	parallelMorselsSize(n, size, workers, func(m, lo, hi int) {
 		tab := k.table()
 		for i := lo; i < hi; i++ {
-			p := t.phys(i)
-			id, fresh := tab.id(p)
+			id, fresh := tab.id(i)
 			if fresh {
-				firsts[m] = append(firsts[m], p)
+				firsts[m] = append(firsts[m], int32(i))
 			}
 			gid[i] = id // morsel-local until remapped below
 		}
@@ -215,7 +218,7 @@ func groupIDs(t *Table, gidx []int, workers int) (gid, first []int32) {
 	for m, ps := range firsts {
 		remaps[m] = make([]int32, len(ps))
 		for lid, p := range ps {
-			id, fresh := global.id(p)
+			id, fresh := global.id(int(p))
 			if fresh {
 				first = append(first, p)
 			}
@@ -262,18 +265,19 @@ func foldNum[T int64 | float64](fn string, xs []T, sel, gid []int32, groups int)
 	return acc
 }
 
-// fold computes one aggregate's output column (Aggregate has checked fn
-// against the input's type). counts is the shared per-group row count;
-// every count column gets its own copy.
-func fold(fn string, in *Vector, t *Table, gid, first []int32, counts []int64) *Vector {
+// fold computes one aggregate's output column from the input vector in,
+// read through sel (Aggregate has checked fn against the input's type).
+// counts is the shared per-group row count; every count column gets its
+// own copy.
+func fold(fn string, in *Vector, sel, gid []int32, counts []int64) *Vector {
 	if fn == "count" {
 		return IntsV(slices.Clone(counts))
 	}
 	var acc []float64
 	if in.Kind == Int {
-		acc = foldNum(fn, in.Ints, t.sel, gid, len(first))
+		acc = foldNum(fn, in.Ints, sel, gid, len(counts))
 	} else {
-		acc = foldNum(fn, in.Floats, t.sel, gid, len(first))
+		acc = foldNum(fn, in.Floats, sel, gid, len(counts))
 	}
 	if fn == "avg" {
 		for g := range acc {
@@ -299,9 +303,11 @@ func (e *Exec) Aggregate(t *Table, groupBy []string, aggs []AggSpec) *Table {
 		sch = append(sch, t.Schema[gidx[i]])
 	}
 	ins := make([]*Vector, len(aggs)) // nil for "*"
+	inSels := make([][]int32, len(aggs))
 	for i, a := range aggs {
 		if a.Col != "*" {
-			ins[i] = t.Cols[t.Schema.Col(a.Col)]
+			c := t.Schema.Col(a.Col)
+			ins[i], inSels[i] = t.Cols[c], t.sel(c)
 		}
 		typ := Float
 		switch a.Fn {
@@ -327,11 +333,15 @@ func (e *Exec) Aggregate(t *Table, groupBy []string, aggs []AggSpec) *Table {
 	}
 	cols := make([]*Vector, len(sch))
 	for k, gi := range gidx {
-		cols[k] = t.Cols[gi].gather(first, w)
+		at := first
+		if s := t.sel(gi); s != nil {
+			at = gatherSlice(s, first)
+		}
+		cols[k] = t.Cols[gi].gather(at)
 	}
 	parallelRanges(len(aggs), w, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			cols[len(gidx)+i] = fold(aggs[i].Fn, ins[i], t, gid, first, counts)
+			cols[len(gidx)+i] = fold(aggs[i].Fn, ins[i], inSels[i], gid, counts)
 		}
 	})
 	out := &Table{Name: t.Name + "_agg", Schema: sch, Cols: cols}

@@ -11,18 +11,14 @@ package relal
 // name (parts may carry wider schemas or different column orders, e.g.
 // an in-memory part returning every column next to an RCFile part
 // returning the requested subset). Views are compacted first; the
-// result's vectors may alias a single part's, so the table is marked
-// shared.
+// result's vectors may alias a single part's.
 func Concat(name string, schema Schema, parts ...*Table) *Table {
 	dense := make([]*Table, 0, len(parts))
 	for _, p := range parts {
 		if p.NumRows() == 0 {
 			continue
 		}
-		if p.sel != nil {
-			p = p.Compacted()
-		}
-		dense = append(dense, p)
+		dense = append(dense, p.Compacted())
 	}
 	if len(dense) == 0 {
 		return NewTable(name, schema)
@@ -89,7 +85,7 @@ func Head(t *Table, n int) *Table {
 	if n >= t.NumRows() {
 		return t
 	}
-	if t.sel != nil {
+	if len(t.sels) > 0 {
 		panic("relal: Head of a view")
 	}
 	cols := make([]*Vector, len(t.Cols))

@@ -9,7 +9,8 @@ import (
 // FuzzJoinKeys fuzzes the join key-partitioning path: arbitrary bytes
 // become build/probe key columns (with heavy duplication forced by a
 // fuzz-chosen modulus), and Join/SemiJoin/AntiJoin must equal the naive
-// oracle (join_test.go) at every worker count. The morsel size is shrunk
+// oracle (join_test.go) at every worker count — and again with a filtered
+// join output of the two as the probe side. The morsel size is shrunk
 // so even tiny fuzz inputs cross the partitioned build and the
 // multi-morsel probe.
 func FuzzJoinKeys(f *testing.F) {
@@ -56,6 +57,21 @@ func FuzzJoinKeys(f *testing.F) {
 		for _, workers := range diffWorkers() {
 			if err := checkJoins(workers, left, right, "lk", "rk", join, semi, anti); err != nil {
 				t.Fatal(err)
+			}
+		}
+
+		// Probe again with a filtered join output, whose two columns
+		// read through different selections (bounded so the oracle's
+		// nested loop stays small).
+		if len(join) > 1024 {
+			return
+		}
+		e := &Exec{Parallelism: 1}
+		view := e.Filter(e.Join(left, right, "lk", "rk"), func(i int) bool { return i%3 != 1 })
+		join, semi, anti = oracleJoin(RowsOf(view), RowsOf(right), 0, 0)
+		for _, workers := range diffWorkers() {
+			if err := checkJoins(workers, view, right, "lk", "rk", join, semi, anti); err != nil {
+				t.Fatalf("filtered join output: %v", err)
 			}
 		}
 	})

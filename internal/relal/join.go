@@ -13,8 +13,10 @@
 //     is probe-row order. Join walks each hit's chain (left-major match
 //     order); SemiJoin/AntiJoin only ask whether a chain exists, through
 //     the row-selection loop Filter uses.
-//  3. Gather: Join's output columns materialize with typed gathers over
-//     the two index vectors, each output slot written exactly once.
+//  3. Compose: Join moves no cell. Its output holds both inputs' own
+//     vectors, each read through its input's selection composed with the
+//     matching index vector — one int32 pass per distinct input
+//     selection, the index vector itself for a dense input column.
 //
 // One worker, or an input of one morsel, is the one-partition, one-morsel
 // case of these loops: the dispatchers in parallel.go run it inline.
@@ -22,8 +24,8 @@ package relal
 
 import "fmt"
 
-// joinMorselRows is the probe/gather morsel size and the build size past
-// which the key table is partitioned. It defaults to the scan-kernel
+// joinMorselRows is the probe morsel size and the build size past which
+// the key table is partitioned. It defaults to the scan-kernel
 // morsel size; tests shrink it to exercise the multi-morsel concatenation
 // and the partitioned build on small randomized tables.
 var joinMorselRows = MorselRows
@@ -47,12 +49,12 @@ func mix64(x uint64) uint64 {
 // joinKeys returns t's named key column. Hash-join keys are Int columns:
 // every join the TPC-H plans run is on an integer key, so the table has
 // one key type instead of a kernel per type.
-func joinKeys(t *Table, name string) []int64 {
+func joinKeys(t *Table, name string) IntVec {
 	c := t.Schema.Col(name)
 	if t.Schema[c].Type != Int {
 		panic(fmt.Sprintf("relal: join key %q of table %q is not Int", name, t.Name))
 	}
-	return t.Cols[c].Ints
+	return IntVec{data: t.Cols[c].Ints, sel: t.sel(c)}
 }
 
 // keyTable is the read-only hash table of one join. heads holds, per
@@ -70,8 +72,7 @@ type keyTable struct {
 // scans from the last row to the first, pushing each of its rows onto
 // the front of its key's chain — every row is written by exactly one
 // partition and every chain comes out ascending.
-func buildKeyTable(right *Table, keys []int64, workers int) *keyTable {
-	rn := right.NumRows()
+func buildKeyTable(keys IntVec, rn, workers int) *keyTable {
 	p := 1
 	if workers > 1 && rn > joinMorselRows {
 		p = min(workers, maxBuildPartitions)
@@ -81,7 +82,7 @@ func buildKeyTable(right *Table, keys []int64, workers int) *keyTable {
 		for part := lo; part < hi; part++ {
 			head := make(map[int64]int32, rn/p+1)
 			for j := rn - 1; j >= 0; j-- {
-				k := keyAt(keys, right.sel, j)
+				k := keys.Get(j)
 				if p > 1 && mix64(uint64(k))%uint64(p) != uint64(part) {
 					continue
 				}
@@ -113,39 +114,36 @@ func (kt *keyTable) first(k int64) int32 {
 // Join hash-joins left and right on leftKey = rightKey (inner join),
 // producing the concatenated schema with right's key column retained
 // (callers project as needed). Matches come out left-major: probe-row
-// order, build-row order within a key. The output is materialized with
-// typed per-column gathers — no boxing — and is byte-identical at every
+// order, build-row order within a key. The output is a view over both
+// inputs' vectors (no cell is copied) and is byte-identical at every
 // pool size.
 func (e *Exec) Join(left, right *Table, leftKey, rightKey string) *Table {
-	lKeys, rKeys := joinKeys(left, leftKey), joinKeys(right, rightKey)
+	lKeys := joinKeys(left, leftKey)
 	w := e.workers()
-	kt := buildKeyTable(right, rKeys, w)
+	kt := buildKeyTable(joinKeys(right, rightKey), right.NumRows(), w)
 	ln := left.NumRows()
 	ls := make([][]int32, (ln+joinMorselRows-1)/joinMorselRows)
 	rs := make([][]int32, len(ls))
 	parallelMorselsSize(ln, joinMorselRows, w, func(m, lo, hi int) {
 		var l, r []int32
 		for i := lo; i < hi; i++ {
-			p := left.phys(i)
-			for j := kt.first(keyAt(lKeys, left.sel, i)); j >= 0; j = kt.next[j] {
-				l = append(l, p)
-				r = append(r, right.phys(int(j)))
+			for j := kt.first(lKeys.Get(i)); j >= 0; j = kt.next[j] {
+				l = append(l, int32(i))
+				r = append(r, j)
 			}
 		}
 		ls[m], rs[m] = l, r
 	})
-	lIdx, rIdx := concatIdx(ls), concatIdx(rs)
 	sch := make(Schema, 0, len(left.Schema)+len(right.Schema))
 	sch = append(sch, left.Schema...)
 	sch = append(sch, right.Schema...)
 	cols := make([]*Vector, 0, len(sch))
-	for _, v := range left.Cols {
-		cols = append(cols, v.gather(lIdx, w))
-	}
-	for _, v := range right.Cols {
-		cols = append(cols, v.gather(rIdx, w))
-	}
+	cols = append(cols, left.Cols...)
+	cols = append(cols, right.Cols...)
 	out := &Table{Name: left.Name + "⋈" + right.Name, Schema: sch, Cols: cols}
+	sels, lSel := left.composeSels(nil, concatIdx(ls))
+	sels, rSel := right.composeSels(sels, concatIdx(rs))
+	out.sels, out.colSel = sels, append(lSel, rSel...)
 	e.Log.Add(Step{
 		Kind: StepJoin, Table: out.Name,
 		LeftRows: left.NumRows(), LeftWidth: left.AvgRowBytes(),
@@ -161,11 +159,11 @@ func (e *Exec) Join(left, right *Table, leftKey, rightKey string) *Table {
 // zero-copy views over left: a row is selected when its key's presence
 // in the join's key table equals keep.
 func (e *Exec) semiAnti(left, right *Table, leftKey, rightKey, suffix string, keep bool) *Table {
-	lKeys, rKeys := joinKeys(left, leftKey), joinKeys(right, rightKey)
+	lKeys := joinKeys(left, leftKey)
 	w := e.workers()
-	kt := buildKeyTable(right, rKeys, w)
-	sel := selectRows(left, joinMorselRows, w, func(i int) bool {
-		return (kt.first(keyAt(lKeys, left.sel, i)) >= 0) == keep
+	kt := buildKeyTable(joinKeys(right, rightKey), right.NumRows(), w)
+	sel := selectRows(left.NumRows(), joinMorselRows, w, func(i int) bool {
+		return (kt.first(lKeys.Get(i)) >= 0) == keep
 	})
 	out := view(left, left.Name+suffix, sel)
 	e.Log.Add(Step{
@@ -191,19 +189,18 @@ func (e *Exec) AntiJoin(left, right *Table, leftKey, rightKey string) *Table {
 	return e.semiAnti(left, right, leftKey, rightKey, "_anti", false)
 }
 
-// selectRows returns the physical indices of t's logical rows that
-// satisfy pred, in row order: each morsel of size rows fills its own
-// buffer and the buffers concatenate in morsel order, so the selection
-// vector is the same at every worker count. Filter and the semi/anti
-// probe are both this loop.
-func selectRows(t *Table, size, workers int, pred func(i int) bool) []int32 {
-	n := t.NumRows()
+// selectRows returns the logical rows in [0, n) that satisfy pred, in
+// row order: each morsel of size rows fills its own buffer and the
+// buffers concatenate in morsel order, so the selection vector is the
+// same at every worker count. Filter and the semi/anti probe are both
+// this loop.
+func selectRows(n, size, workers int, pred func(i int) bool) []int32 {
 	parts := make([][]int32, (n+size-1)/size)
 	parallelMorselsSize(n, size, workers, func(m, lo, hi int) {
 		var buf []int32
 		for i := lo; i < hi; i++ {
 			if pred(i) {
-				buf = append(buf, t.phys(i))
+				buf = append(buf, int32(i))
 			}
 		}
 		parts[m] = buf
@@ -211,35 +208,31 @@ func selectRows(t *Table, size, workers int, pred func(i int) bool) []int32 {
 	return concatIdx(parts)
 }
 
-// gatherSlice returns xs's cells at the given physical indices, in
-// order. Every output slot is written by exactly one morsel.
-func gatherSlice[T any](xs []T, idx []int32, workers int) []T {
+// gatherSlice returns xs's cells at the given indices, in order.
+func gatherSlice[T any](xs []T, idx []int32) []T {
 	out := make([]T, len(idx))
-	parallelMorselsSize(len(idx), joinMorselRows, workers, func(_, lo, hi int) {
-		dst := out[lo:hi]
-		for k, p := range idx[lo:hi] {
-			dst[k] = xs[p]
-		}
-	})
+	for k, p := range idx {
+		out[k] = xs[p]
+	}
 	return out
 }
 
 // gather returns a dense vector holding v's cells at the given physical
 // indices, in order. Dict vectors gather their codes and keep sharing
 // the dictionary — strings only materialize at output boundaries.
-func (v *Vector) gather(idx []int32, workers int) *Vector {
+func (v *Vector) gather(idx []int32) *Vector {
 	out := &Vector{Kind: v.Kind}
 	switch v.Kind {
 	case Int:
-		out.Ints = gatherSlice(v.Ints, idx, workers)
+		out.Ints = gatherSlice(v.Ints, idx)
 	case Float:
-		out.Floats = gatherSlice(v.Floats, idx, workers)
+		out.Floats = gatherSlice(v.Floats, idx)
 	default:
 		if v.DictVals != nil {
-			out.Dict = gatherSlice(v.Dict, idx, workers)
+			out.Dict = gatherSlice(v.Dict, idx)
 			out.DictVals = v.DictVals
 		} else {
-			out.Strs = gatherSlice(v.Strs, idx, workers)
+			out.Strs = gatherSlice(v.Strs, idx)
 		}
 	}
 	return out

@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// shrinkJoinMorsels drops the join morsel size so the partitioned build,
-// the multi-morsel probe concatenation, and the multi-morsel gathers all
-// engage on test-sized tables; restored on cleanup.
+// shrinkJoinMorsels drops the join morsel size so the partitioned build
+// and the multi-morsel probe concatenation engage on test-sized tables;
+// restored on cleanup.
 func shrinkJoinMorsels(t testing.TB, rows int) {
 	t.Helper()
 	old := joinMorselRows
@@ -71,7 +71,7 @@ func checkJoins(workers int, left, right *Table, lk, rk string, join, semi, anti
 // sides; sentinel=true plants MinInt64 in both key columns. Beside the
 // key every table carries a Float payload (NaN planted with the
 // sentinels) and a Str payload — raw on the probe side, dict-encoded on
-// the build side — so the gather moves every vector representation.
+// the build side — so the output reads every vector representation.
 type joinCase struct {
 	name         string
 	lRows, rRows int
@@ -217,9 +217,9 @@ func TestJoinPartitioning(t *testing.T) {
 	c := joinCase{lRows: 0, rRows: 600, card: 50, sentinel: true}
 	_, dense := c.tables(13)
 	for _, right := range []*Table{dense, viewOf(dense, "rv")} {
-		keys := right.Cols[0].Ints
+		keys := joinKeys(right, "rk")
 		for _, workers := range []int{1, 4} {
-			kt := buildKeyTable(right, keys, workers)
+			kt := buildKeyTable(keys, right.NumRows(), workers)
 			parts := len(kt.heads)
 			if parts != workers {
 				t.Fatalf("workers=%d: %d partition(s), want one per worker", workers, parts)
@@ -234,7 +234,7 @@ func TestJoinPartitioning(t *testing.T) {
 						if j <= prev {
 							t.Fatalf("workers=%d: key %d chain steps back from row %d to %d", workers, k, prev, j)
 						}
-						if got := keys[right.phys(int(j))]; got != k {
+						if got := keys.Get(int(j)); got != k {
 							t.Fatalf("workers=%d: row %d (key %d) on key %d's chain", workers, j, got, k)
 						}
 						reached[j]++

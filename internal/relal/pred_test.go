@@ -67,11 +67,11 @@ func TestPredFactories(t *testing.T) {
 				name := fmt.Sprintf("dict=%v/view=%v/workers=%d", dict, tb == view, workers)
 				for _, c := range cases {
 					want := e.Filter(tb, c.want)
-					if got := e.Where(tb, c.pred); !slices.Equal(got.sel, want.sel) {
+					if got := e.Where(tb, c.pred); !slices.Equal(got.sel(0), want.sel(0)) {
 						t.Fatalf("%s: %s selects %d rows, closure %d", name, c.name, got.NumRows(), want.NumRows())
 					}
 					wantNot := e.Filter(tb, func(i int) bool { return !c.want(i) })
-					if got := e.Where(tb, Not(c.pred)); !slices.Equal(got.sel, wantNot.sel) {
+					if got := e.Where(tb, Not(c.pred)); !slices.Equal(got.sel(0), wantNot.sel(0)) {
 						t.Fatalf("%s: Not(%s) selects %d rows, closure %d", name, c.name, got.NumRows(), wantNot.NumRows())
 					}
 					if want.NumRows() == 0 || wantNot.NumRows() == 0 {
@@ -83,7 +83,7 @@ func TestPredFactories(t *testing.T) {
 				// factory and closure conjuncts.
 				p, q, r := k.Eq(3), s.Ne(""), PredFn(func(i int) bool { return f.Get(i) != 1 })
 				want := e.Filter(tb, func(i int) bool { return p.At(i) && q.At(i) && r.At(i) })
-				if got := e.Where(tb, p, q, r); !slices.Equal(got.sel, want.sel) || want.NumRows() == 0 {
+				if got := e.Where(tb, p, q, r); !slices.Equal(got.sel(0), want.sel(0)) || want.NumRows() == 0 {
 					t.Fatalf("%s: Where(p, q, r) selects %d rows, Filter(p∧q∧r) %d", name, got.NumRows(), want.NumRows())
 				}
 				if got := e.Where(tb); got.NumRows() != tb.NumRows() {
@@ -93,8 +93,8 @@ func TestPredFactories(t *testing.T) {
 				// A conjunction that matches nothing is an empty selection,
 				// not a nil one (nil means "every row" to a view).
 				none := e.Where(tb, f.Lt(0.5), f.Gt(0.5), s.Eq("REG"))
-				if none.sel == nil || none.NumRows() != 0 || len(RowsOf(none)) != 0 {
-					t.Fatalf("%s: empty conjunction yields %d rows (sel nil: %v)", name, none.NumRows(), none.sel == nil)
+				if none.sel(0) == nil || none.NumRows() != 0 || len(RowsOf(none)) != 0 {
+					t.Fatalf("%s: empty conjunction yields %d rows (sel nil: %v)", name, none.NumRows(), none.sel(0) == nil)
 				}
 			}
 		}

@@ -4,13 +4,15 @@
 // instrumented with a step log.
 //
 // Storage is columnar, mirroring the paper's RCFile insight: a Table
-// holds one typed vector per column ([]int64, []float64, or []string)
-// plus an optional selection vector. Filters, semi/anti joins, sorts,
-// and limits produce zero-copy views (shared column vectors + a
-// selection/permutation of physical row indices); a join materializes
-// new dense vectors with the typed gather (join.go), an aggregation
-// gathers its group columns and folds the rest (agg.go). No cell is ever
-// boxed into an interface{} on the hot path.
+// holds one typed vector per column ([]int64, []float64, or []string),
+// each read through an optional selection vector of its own. Filters,
+// semi/anti joins, joins, sorts, limits and extensions all return views:
+// the input's own vectors under selections composed with the operator's
+// row indices, one int32 pass per distinct input selection (join.go).
+// Cells move in two places only: an aggregation gathers its group
+// columns and folds the rest (agg.go), and Compacted materializes a
+// view at an output boundary. No cell is ever boxed into an interface{}
+// on the hot path.
 //
 // Each TPC-H query is written once as a small program over these
 // operators. Executing it yields (a) the correct answer (validated
@@ -126,24 +128,30 @@ func (v *Vector) Len() int {
 // whose partitioning the rows still align with ("" for post-join/agg
 // intermediates); filters and projections preserve it.
 //
-// sel, when non-nil, is a selection/permutation vector of physical row
-// indices: logical row i lives at physical position sel[i] in every
-// column. Filters, sorts, and limits return such views instead of
-// copying; Compacted materializes a view into dense vectors.
+// Cols[c] is column c's backing vector, not its rows: in a view, logical
+// row i of column c lives at physical position sel_c[i], where sel_c is
+// the column's own selection vector (nil for a dense column, whose
+// physical and logical rows agree). Read a table through the typed
+// accessors (IntCol/FloatCol/StrCol), RowsOf, or Compacted, which
+// materializes dense vectors. Columns that came from one operator input
+// share one selection: sels holds the distinct ones and colSel[c]
+// indexes column c's (-1 for a dense column; colSel nil when every
+// column is dense).
 //
 // A table is immutable once an operator or a Source returns it: no
-// operation writes a built table's vectors, so views, projections and
-// extensions alias them freely, and concurrent query streams execute
-// over one shared table without synchronization. The one cache, the
-// memoized AvgRowBytes, is atomic. Updates reach the analytical copy
-// through the delta log, never in place.
+// operation writes a built table's vectors or selections, so views,
+// projections and extensions alias them freely, and concurrent query
+// streams execute over one shared table without synchronization. The
+// one cache, the memoized AvgRowBytes, is atomic. Updates reach the
+// analytical copy through the delta log, never in place.
 type Table struct {
 	Name   string
 	Schema Schema
 	Cols   []*Vector
 	Base   string
 
-	sel      []int32
+	sels     [][]int32
+	colSel   []int
 	avgBytes atomic.Int64 // cached exact AvgRowBytes; 0 = not yet computed
 
 	// scanOnce/scanCached memoize the per-row-group zone maps and
@@ -183,23 +191,52 @@ func NewTable(name string, schema Schema, cols ...*Vector) *Table {
 	return t
 }
 
-// view wraps t's columns under a new selection vector.
-func view(t *Table, name string, sel []int32) *Table {
-	return &Table{Name: name, Schema: t.Schema, Cols: t.Cols, sel: sel}
+// sel returns column c's selection vector, nil when the column is dense.
+func (t *Table) sel(c int) []int32 {
+	if t.colSel == nil || t.colSel[c] < 0 {
+		return nil
+	}
+	return t.sels[t.colSel[c]]
 }
 
-// phys maps a logical row index to its physical position.
-func (t *Table) phys(i int) int32 {
-	if t.sel != nil {
-		return t.sel[i]
+// composeSels appends to sels the selections that read t's columns at
+// t's logical rows idx — one int32 pass per distinct selection of t, and
+// idx itself for every dense column — and returns the grown list with
+// each column's index into it. No cell moves.
+func (t *Table) composeSels(sels [][]int32, idx []int32) ([][]int32, []int) {
+	base := len(sels)
+	for _, s := range t.sels {
+		sels = append(sels, gatherSlice(s, idx))
 	}
-	return int32(i)
+	colSel := make([]int, len(t.Cols))
+	dense := -1
+	for c := range colSel {
+		switch {
+		case t.colSel != nil && t.colSel[c] >= 0:
+			colSel[c] = base + t.colSel[c]
+		case dense >= 0:
+			colSel[c] = dense
+		default:
+			dense = len(sels)
+			sels = append(sels, idx)
+			colSel[c] = dense
+		}
+	}
+	return sels, colSel
+}
+
+// view returns t's columns at its logical rows idx, in order, under a new
+// name.
+func view(t *Table, name string, idx []int32) *Table {
+	out := &Table{Name: name, Schema: t.Schema, Cols: t.Cols}
+	out.sels, out.colSel = t.composeSels(nil, idx)
+	return out
 }
 
 // NumRows returns the logical row count.
 func (t *Table) NumRows() int {
-	if t.sel != nil {
-		return len(t.sel)
+	if len(t.sels) > 0 {
+		return len(t.sels[0])
 	}
 	if len(t.Cols) == 0 {
 		return 0
@@ -208,14 +245,19 @@ func (t *Table) NumRows() int {
 }
 
 // Compacted returns a dense copy of t if it is a view (materializing
-// the selection vector), or t itself if it is already dense.
+// every column's selection vector), or t itself if it is already dense.
+// It is the output boundary: the one place besides Aggregate where a
+// view's cells move.
 func (t *Table) Compacted() *Table {
-	if t.sel == nil {
+	if len(t.sels) == 0 {
 		return t
 	}
 	cols := make([]*Vector, len(t.Cols))
-	for i, v := range t.Cols {
-		cols[i] = v.gather(t.sel, 1)
+	for c, v := range t.Cols {
+		cols[c] = v
+		if s := t.sel(c); s != nil {
+			cols[c] = v.gather(s)
+		}
 	}
 	return &Table{Name: t.Name, Schema: t.Schema, Cols: cols, Base: t.Base}
 }
@@ -226,7 +268,8 @@ func (t *Table) Compacted() *Table {
 // used by the engines to convert cardinalities into I/O and network
 // bytes. Dictionary encoding therefore shows up in the cost models the
 // same way it shows up on disk: a dict column is a few bytes per row,
-// not the string's.
+// not the string's. A raw-string column is walked through its own
+// selection, so a view reports exactly the width of its compacted form.
 func (t *Table) AvgRowBytes() int {
 	n := t.NumRows()
 	if n == 0 {
@@ -250,12 +293,12 @@ func (t *Table) AvgRowBytes() int {
 			continue
 		}
 		strs := col.Strs
-		if t.sel == nil {
+		if sel := t.sel(ci); sel == nil {
 			for _, s := range strs {
 				total += len(s) + 1
 			}
 		} else {
-			for _, p := range t.sel {
+			for _, p := range sel {
 				total += len(strs[p]) + 1
 			}
 		}
@@ -337,7 +380,7 @@ func (t *Table) IntCol(name string) IntVec {
 	if t.Schema[c].Type != Int {
 		panic(fmt.Sprintf("relal: column %q is not Int", name))
 	}
-	return IntVec{data: t.Cols[c].Ints, sel: t.sel}
+	return IntVec{data: t.Cols[c].Ints, sel: t.sel(c)}
 }
 
 // FloatCol returns a typed accessor for the named Float column.
@@ -346,7 +389,7 @@ func (t *Table) FloatCol(name string) FloatVec {
 	if t.Schema[c].Type != Float {
 		panic(fmt.Sprintf("relal: column %q is not Float", name))
 	}
-	return FloatVec{data: t.Cols[c].Floats, sel: t.sel}
+	return FloatVec{data: t.Cols[c].Floats, sel: t.sel(c)}
 }
 
 // StrCol returns a typed accessor for the named Str column.
@@ -357,9 +400,9 @@ func (t *Table) StrCol(name string) StrVec {
 	}
 	col := t.Cols[c]
 	if col.DictVals != nil {
-		return StrVec{dict: col.Dict, vals: col.DictVals, sel: t.sel}
+		return StrVec{dict: col.Dict, vals: col.DictVals, sel: t.sel(c)}
 	}
-	return StrVec{data: col.Strs, sel: t.sel}
+	return StrVec{data: col.Strs, sel: t.sel(c)}
 }
 
 // Row is one boxed tuple; elements are int64, float64, or string per
@@ -370,19 +413,18 @@ type Row []interface{}
 // RowsOf materializes t as boxed rows (for tests and row-oriented
 // consumers such as the answer formatter).
 func RowsOf(t *Table) []Row {
-	n := t.NumRows()
-	rows := make([]Row, n)
-	for i := 0; i < n; i++ {
-		p := t.phys(i)
+	rows := make([]Row, t.NumRows())
+	for i := range rows {
 		r := make(Row, len(t.Cols))
 		for c, v := range t.Cols {
+			p := rowAt(t.sel(c), i)
 			switch v.Kind {
 			case Int:
 				r[c] = v.Ints[p]
 			case Float:
 				r[c] = v.Floats[p]
 			default:
-				r[c] = v.StrAt(p)
+				r[c] = v.StrAt(int32(p))
 			}
 		}
 		rows[i] = r
@@ -496,12 +538,11 @@ func SetBase(t *Table, base string) { t.Base = base }
 func BaseOf(t *Table) string { return t.Base }
 
 // Filter returns the rows of t satisfying pred as a zero-copy view:
-// pred is evaluated per logical row index into a new selection vector;
-// no cells move. The result keeps t's base annotation (filtering
-// preserves partitioning).
+// pred is evaluated per logical row index into a new selection vector,
+// composed with each distinct selection of t; no cells move. The result
+// keeps t's base annotation (filtering preserves partitioning).
 func (e *Exec) Filter(t *Table, pred func(i int) bool) *Table {
-	sel := selectRows(t, MorselRows, e.workers(), pred)
-	out := view(t, t.Name+"_f", sel)
+	out := view(t, t.Name+"_f", selectRows(t.NumRows(), MorselRows, e.workers(), pred))
 	e.Log.Add(Step{
 		Kind: StepFilter, Table: t.Name,
 		LeftRows: t.NumRows(), LeftWidth: t.AvgRowBytes(),
@@ -513,48 +554,49 @@ func (e *Exec) Filter(t *Table, pred func(i int) bool) *Table {
 }
 
 // Project returns a table with the named columns only, preserving the
-// base annotation. Column vectors are shared (zero-copy). Projection is
-// logged as part of downstream steps, not separately (it is free in
-// both engines' models).
+// base annotation. Column vectors and their selections are shared
+// (zero-copy). Projection is logged as part of downstream steps, not
+// separately (it is free in both engines' models).
 func (e *Exec) Project(t *Table, cols ...string) *Table {
-	sch := make(Schema, len(cols))
-	vecs := make([]*Vector, len(cols))
+	out := &Table{Name: t.Name + "_p", Schema: make(Schema, len(cols)), Cols: make([]*Vector, len(cols)), sels: t.sels}
+	if t.colSel != nil {
+		out.colSel = make([]int, len(cols))
+	}
 	for i, c := range cols {
 		j := t.Schema.Col(c)
-		sch[i] = t.Schema[j]
-		vecs[i] = t.Cols[j]
+		out.Schema[i], out.Cols[i] = t.Schema[j], t.Cols[j]
+		if out.colSel != nil {
+			out.colSel[i] = t.colSel[j]
+		}
 	}
-	out := &Table{Name: t.Name + "_p", Schema: sch, Cols: vecs, sel: t.sel}
 	SetBase(out, BaseOf(t))
 	return out
 }
 
-// keyAt reads the key at logical row i of a selection-aware key column.
-func keyAt[K comparable](data []K, sel []int32, i int) K {
+// rowAt maps logical row i of a column read through sel to its physical
+// position.
+func rowAt(sel []int32, i int) int {
 	if sel != nil {
-		i = int(sel[i])
+		return int(sel[i])
 	}
-	return data[i]
+	return i
 }
 
-// Limit truncates t to n rows as a zero-copy view (the selection vector
-// is truncated, or synthesized for a dense input — the input table is
+// keyAt reads the key at logical row i of a selection-aware key column.
+func keyAt[K comparable](data []K, sel []int32, i int) K {
+	return data[rowAt(sel, i)]
+}
+
+// Limit truncates t to its first n rows as a view (the input table is
 // never written, so concurrent streams can limit one shared table). The
 // step is logged with the truncated view's own width; both cost models
 // fold limits into the surrounding job, so replayed costs are unchanged.
 func (e *Exec) Limit(t *Table, n int) *Table {
-	out := &Table{Name: t.Name, Schema: t.Schema, Cols: t.Cols, sel: t.sel}
-	if t.NumRows() > n {
-		if t.sel != nil {
-			out.sel = t.sel[:n]
-		} else {
-			sel := make([]int32, n)
-			for i := range sel {
-				sel[i] = int32(i)
-			}
-			out.sel = sel
-		}
+	idx := make([]int32, min(n, t.NumRows()))
+	for i := range idx {
+		idx[i] = int32(i)
 	}
+	out := view(t, t.Name, idx)
 	e.Log.Add(Step{
 		Kind: StepLimit, Table: t.Name,
 		LeftRows: t.NumRows(), LeftWidth: t.AvgRowBytes(),
@@ -581,7 +623,7 @@ func extendSlice[T any](n, workers int, fn func(i int) T) []T {
 // ExtendInt appends a computed Int column to t (no step logged;
 // expression evaluation is costed with the surrounding operator). fn
 // receives logical row indices of t and runs across the Exec's worker
-// pool; views are compacted so the output is dense.
+// pool; the new column is dense and t's columns stay as they are.
 func (e *Exec) ExtendInt(t *Table, name string, fn func(i int) int64) *Table {
 	return extendWith(t, name, IntsV(extendSlice(t.NumRows(), e.workers(), fn)))
 }
@@ -598,16 +640,20 @@ func (e *Exec) ExtendStr(t *Table, name string, fn func(i int) string) *Table {
 	return extendWith(t, name, StrsV(extendSlice(t.NumRows(), e.workers(), fn)))
 }
 
+// extendWith appends the dense column col to t's columns, which keep
+// their vectors and selections.
 func extendWith(t *Table, name string, col *Vector) *Table {
-	d := t.Compacted()
-	cols := make([]*Vector, 0, len(d.Cols)+1)
-	cols = append(cols, d.Cols...)
+	cols := make([]*Vector, 0, len(t.Cols)+1)
+	cols = append(cols, t.Cols...)
 	cols = append(cols, col)
 	sch := make(Schema, 0, len(t.Schema)+1)
 	sch = append(sch, t.Schema...)
 	sch = append(sch, Column{Name: name, Type: col.Kind})
-	// The first len(d.Cols) vectors alias the (compacted) input.
-	out := &Table{Name: t.Name, Schema: sch, Cols: cols}
+	out := &Table{Name: t.Name, Schema: sch, Cols: cols, sels: t.sels}
+	if t.colSel != nil {
+		out.colSel = append(make([]int, 0, len(cols)), t.colSel...)
+		out.colSel = append(out.colSel, -1)
+	}
 	SetBase(out, BaseOf(t))
 	return out
 }

@@ -281,7 +281,9 @@ func TestExtend(t *testing.T) {
 	}
 }
 
-func TestExtendOnViewCompacts(t *testing.T) {
+// TestExtendOnViewKeepsVectors: extending a view appends one dense column
+// and leaves the view's columns on the base vectors.
+func TestExtendOnViewKeepsVectors(t *testing.T) {
 	e := &Exec{}
 	tb := numbers(10)
 	k := tb.IntCol("k")
@@ -290,6 +292,9 @@ func TestExtendOnViewCompacts(t *testing.T) {
 	out := e.ExtendInt(f, "kk", func(i int) int64 { return fk.Get(i) * 10 })
 	if out.NumRows() != 5 {
 		t.Fatalf("rows = %d, want 5", out.NumRows())
+	}
+	if out.Cols[0] != tb.Cols[0] || out.Cols[3].Len() != 5 {
+		t.Error("extend must keep the view's vectors and append a dense column")
 	}
 	for i := 0; i < out.NumRows(); i++ {
 		if out.IntCol("kk").Get(i) != out.IntCol("k").Get(i)*10 {

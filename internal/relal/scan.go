@@ -557,7 +557,7 @@ func (e *Exec) ScanSource(src Source, cols []string, pred ZonePredicate) *Table 
 	name := src.SrcName()
 	width := t.AvgRowBytes()
 	if t.Base != name {
-		w := &Table{Name: t.Name, Schema: t.Schema, Cols: t.Cols, sel: t.sel, Base: name}
+		w := &Table{Name: t.Name, Schema: t.Schema, Cols: t.Cols, sels: t.sels, colSel: t.colSel, Base: name}
 		w.avgBytes.Store(int64(width))
 		t = w
 	}

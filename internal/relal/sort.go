@@ -1,4 +1,4 @@
-// Sorting. Sort is one stable sort of the physical-index vector over the
+// Sorting. Sort is one stable sort of the logical-row vector over the
 // shared column vectors: stability makes the permutation unique, so there
 // is nothing for a worker count to change. Every sort the 22 TPC-H
 // queries run is at most one morsel of rows, so a parallel sort would
@@ -29,47 +29,48 @@ type OrderSpec struct {
 	Desc bool
 }
 
-// cmpFn returns a physical-index comparator over one typed key column;
-// neg is -1 for descending keys. cmp.Compare gives a total order even
-// for float NaN (NaN sorts before every number and ties with itself) —
-// a non-transitive comparator would let two correct stable sorts
-// produce different permutations, and TopK's candidates would no longer
-// be a prefix of Sort's.
-func cmpFn[K cmp.Ordered](xs []K, neg int) func(a, b int32) int {
-	return func(a, b int32) int {
-		return neg * cmp.Compare(xs[a], xs[b])
+// cmpFn returns a logical-row comparator over one typed key column read
+// through its selection sel; neg is -1 for descending keys. cmp.Compare
+// gives a total order even for float NaN (NaN sorts before every number
+// and ties with itself) — a non-transitive comparator would let two
+// correct stable sorts produce different permutations, and TopK's
+// candidates would no longer be a prefix of Sort's.
+func cmpFn[K cmp.Ordered](xs []K, sel []int32, neg int) func(a, b int32) int {
+	if sel == nil {
+		return func(a, b int32) int { return neg * cmp.Compare(xs[a], xs[b]) }
 	}
+	return func(a, b int32) int { return neg * cmp.Compare(xs[sel[a]], xs[sel[b]]) }
 }
 
-// sortCmps builds the per-key physical-index comparators for t.
+// sortCmps builds the per-key logical-row comparators for t.
 func sortCmps(t *Table, keys []OrderSpec) []func(a, b int32) int {
 	cmps := make([]func(a, b int32) int, len(keys))
 	for k, spec := range keys {
 		ci := t.Schema.Col(spec.Col)
-		col := t.Cols[ci]
+		col, sel := t.Cols[ci], t.sel(ci)
 		neg := 1
 		if spec.Desc {
 			neg = -1
 		}
 		switch col.Kind {
 		case Int:
-			cmps[k] = cmpFn(col.Ints, neg)
+			cmps[k] = cmpFn(col.Ints, sel, neg)
 		case Float:
-			cmps[k] = cmpFn(col.Floats, neg)
+			cmps[k] = cmpFn(col.Floats, sel, neg)
 		default:
 			if col.DictVals != nil {
 				// The dictionary is sorted, so code order is value
 				// order: the string sort runs as a uint32 sort.
-				cmps[k] = cmpFn(col.Dict, neg)
+				cmps[k] = cmpFn(col.Dict, sel, neg)
 			} else {
-				cmps[k] = cmpFn(col.Strs, neg)
+				cmps[k] = cmpFn(col.Strs, sel, neg)
 			}
 		}
 	}
 	return cmps
 }
 
-// cmpIdx compares two physical rows through the key-comparator chain.
+// cmpIdx compares two logical rows through the key-comparator chain.
 func cmpIdx(cmps []func(a, b int32) int, a, b int32) int {
 	for _, c := range cmps {
 		if r := c(a, b); r != 0 {
@@ -79,11 +80,11 @@ func cmpIdx(cmps []func(a, b int32) int, a, b int32) int {
 	return 0
 }
 
-// sortIndex returns the stable sort permutation of t's physical indices.
+// sortIndex returns the stable sort permutation of t's logical rows.
 func sortIndex(t *Table, cmps []func(a, b int32) int) []int32 {
 	idx := make([]int32, t.NumRows())
 	for i := range idx {
-		idx[i] = t.phys(i)
+		idx[i] = int32(i)
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
 		return cmpIdx(cmps, idx[a], idx[b]) < 0
@@ -92,7 +93,7 @@ func sortIndex(t *Table, cmps []func(a, b int32) int) []int32 {
 }
 
 // Sort orders t by the given keys, logging the step. The sort permutes
-// an index slice over the shared column vectors — no row is copied.
+// a row-index slice over the shared column vectors — no cell is copied.
 func (e *Exec) Sort(t *Table, keys ...OrderSpec) *Table {
 	start := time.Now()
 	idx := sortIndex(t, sortCmps(t, keys))
@@ -150,7 +151,7 @@ func heapTopK(lo, hi, k int, less func(i, j int32) bool) []int32 {
 	return h
 }
 
-// topKIndex returns the first k physical indices of t's stable sort
+// topKIndex returns the first k logical rows of t's stable sort
 // permutation without sorting the whole input: per-morsel bounded heaps
 // select candidates under the strict (keys, original row index) order,
 // and the ≤ morsels·k survivors sort in one final pass. The index
@@ -162,13 +163,8 @@ func topKIndex(t *Table, cmps []func(a, b int32) int, k, workers int) []int32 {
 		return []int32{}
 	}
 	n := t.NumRows()
-	sel := t.sel // nil for dense inputs: physical index == logical index
 	less := func(i, j int32) bool {
-		a, b := i, j
-		if sel != nil {
-			a, b = sel[i], sel[j]
-		}
-		if r := cmpIdx(cmps, a, b); r != 0 {
+		if r := cmpIdx(cmps, i, j); r != 0 {
 			return r < 0
 		}
 		return i < j
@@ -182,19 +178,11 @@ func topKIndex(t *Table, cmps []func(a, b int32) int, k, workers int) []int32 {
 	if len(cand) > k {
 		cand = cand[:k]
 	}
-	out := make([]int32, len(cand))
-	for j, i := range cand {
-		if sel != nil {
-			out[j] = sel[i]
-		} else {
-			out[j] = i
-		}
-	}
-	return out
+	return cand
 }
 
 // TopK is the fused Sort+Limit operator: the k first rows of the stable
-// sort of t by keys, as a zero-copy view, byte-identical to
+// sort of t by keys, as a view (no cell copied), byte-identical to
 // e.Limit(e.Sort(t, keys...), k) at every Exec.Parallelism. It logs the
 // same Sort+Limit step pair (full input cardinality on the sort step)
 // the unfused operators would, so the Hive/PDW cost replays are
