@@ -4,7 +4,9 @@
 // slice indexed by group id, in a single pass over the rows in global
 // row order. A group's values are therefore always added first row to
 // last, whatever the worker count — the float bit-identity rule holds
-// by construction, not by a merge that has to reproduce it.
+// by construction, not by a merge that has to reproduce it. groupIDs
+// numbers runs of an ordered Int key column (lineitem arrives clustered
+// on l_orderkey) without a table, and hashes every other key.
 package relal
 
 import (
@@ -27,55 +29,69 @@ type AggSpec struct {
 // cover. Beyond this a map wins on memory anyway.
 const maxDenseGroupSpan = 4096
 
+// maxOrderedRun bounds a lead value's run beside other key columns: each
+// row is compared with every group its run has opened (a TPC-H order has
+// at most 7 lines).
+const maxOrderedRun = 64
+
 // groupKeys reads the group key of a logical row, each key column
 // through its own selection. When every key column is Int or
 // dict-encoded and the product of the columns' value spans fits a
 // uint64, the key packs into one mixed-radix integer (packed); otherwise
-// it is the cells' bytes.
+// it is the cells' bytes. When some Int key column never decreases over
+// the rows, that column leads and ids are numbered run by run instead.
 type groupKeys struct {
 	cols   []*Vector
 	sels   [][]int32
+	lead   int // index of the ordered lead column, or -1
 	packed bool
 	lo     []uint64 // packed: per column, the value that maps to digit 0
 	radix  []uint64 // packed: per column, the number of distinct digits
 	span   uint64   // packed: product of radix — keys lie in [0, span)
 }
 
-// newGroupKeys inspects the key columns over t's selected rows and picks
-// the packed encoding when it fits. t must have at least one row.
+// newGroupKeys inspects the key columns over t's selected rows — one
+// pass per Int column takes its min, max, order and longest run — and
+// picks the lead column, and the packed encoding when it fits. t must
+// have at least one row.
 func newGroupKeys(t *Table, gidx []int) *groupKeys {
-	k := &groupKeys{cols: make([]*Vector, len(gidx)), sels: make([][]int32, len(gidx))}
-	packable := true
+	n := len(gidx)
+	k := &groupKeys{cols: make([]*Vector, n), sels: make([][]int32, n), lead: -1,
+		lo: make([]uint64, n), radix: make([]uint64, n), span: 1}
+	packable, rows := true, t.NumRows()
+	leadRun := math.MaxInt
 	for j, gi := range gidx {
 		c := t.Cols[gi]
 		k.cols[j], k.sels[j] = c, t.sel(gi)
-		packable = packable && (c.Kind == Int || c.DictVals != nil)
-	}
-	if !packable {
-		return k
-	}
-	k.lo = make([]uint64, len(gidx))
-	k.radix = make([]uint64, len(gidx))
-	k.span = 1
-	for j, c := range k.cols {
 		width := uint64(len(c.DictVals)) - 1 // highest digit: hi − lo
 		if c.Kind == Int {
-			lo := keyAt(c.Ints, k.sels[j], 0)
-			hi := lo
-			for i, n := 1, t.NumRows(); i < n; i++ {
-				x := keyAt(c.Ints, k.sels[j], i)
+			sel := k.sels[j]
+			lo := keyAt(c.Ints, sel, 0)
+			hi, prev, start, run, asc := lo, lo, 0, 0, true
+			for i := 1; i < rows; i++ {
+				x := keyAt(c.Ints, sel, i)
 				lo, hi = min(lo, x), max(hi, x)
+				if x != prev {
+					asc = asc && x > prev
+					run = max(run, i-start)
+					prev, start = x, i
+				}
+			}
+			run = max(run, rows-start)
+			if asc && run < leadRun && (n == 1 || run <= maxOrderedRun) {
+				k.lead, leadRun = j, run
 			}
 			// Wrapping arithmetic: MinInt64…MaxInt64 is MaxUint64.
 			k.lo[j], width = uint64(lo), uint64(hi)-uint64(lo)
+		} else if c.DictVals == nil {
+			packable = false
+			continue
 		}
 		over, span := bits.Mul64(k.span, width+1)
-		if width == math.MaxUint64 || over != 0 {
-			return k
-		}
+		packable = packable && width != math.MaxUint64 && over == 0
 		k.radix[j], k.span = width+1, span
 	}
-	k.packed = true
+	k.packed = packable
 	return k
 }
 
@@ -121,6 +137,58 @@ func (k *groupKeys) appendBytes(buf []byte, i int) []byte {
 		}
 	}
 	return buf
+}
+
+// sameRest reports whether logical rows a and b agree on every key
+// column but the lead, under appendBytes' equality (floats by bit
+// pattern, every NaN one value).
+func (k *groupKeys) sameRest(a, b int) bool {
+	for j, c := range k.cols {
+		if j == k.lead {
+			continue
+		}
+		pa, pb := rowAt(k.sels[j], a), rowAt(k.sels[j], b)
+		var same bool
+		switch {
+		case c.Kind == Int:
+			same = c.Ints[pa] == c.Ints[pb]
+		case c.Kind == Float:
+			x, y := c.Floats[pa], c.Floats[pb]
+			same = math.Float64bits(x) == math.Float64bits(y) || x != x && y != y
+		case c.DictVals != nil:
+			same = c.Dict[pa] == c.Dict[pb]
+		default:
+			same = c.Strs[pa] == c.Strs[pb]
+		}
+		if !same {
+			return false
+		}
+	}
+	return true
+}
+
+// runIDs fills gid in one serial pass when the lead column never
+// decreases: a new lead value opens a run, and a row joins the group of
+// its run whose other key cells equal its own, or opens the next. All
+// rows of a key share one run, so the ids are first-seen order. It
+// returns each group's first logical row.
+func (k *groupKeys) runIDs(gid []int32) (first []int32) {
+	lead, sel := k.cols[k.lead].Ints, k.sels[k.lead]
+	prev, open := keyAt(lead, sel, 0), 0 // open: the run's first group
+	for i := range gid {
+		if x := keyAt(lead, sel, i); x != prev || i == 0 {
+			prev, open = x, len(first)
+		}
+		g := open
+		for g < len(first) && !(len(k.cols) == 1 || k.sameRest(int(first[g]), i)) {
+			g++
+		}
+		if g == len(first) {
+			first = append(first, int32(i))
+		}
+		gid[i] = int32(g)
+	}
+	return first
 }
 
 // groupTable numbers the distinct keys it is shown in first-seen order.
@@ -181,10 +249,9 @@ func (g *groupTable) id(i int) (gid int32, fresh bool) {
 
 // groupIDs assigns every logical row of t its group id — gid[i], ids
 // numbered in first-seen order — and returns each group's first
-// logical row. Each morsel numbers its own groups; a global table,
-// shown only each morsel's first rows in morsel order, renumbers them
-// (all rows of morsel m precede morsel m+1's, so that order is the
-// global first-seen order). One worker is the one-morsel case.
+// logical row. With a lead column, runIDs numbers the groups serially
+// at any worker count; otherwise hashIDs does, per morsel. Both give the
+// same gid and first.
 func groupIDs(t *Table, gidx []int, workers int) (gid, first []int32) {
 	n := t.NumRows()
 	if n == 0 {
@@ -195,6 +262,19 @@ func groupIDs(t *Table, gidx []int, workers int) (gid, first []int32) {
 		return gid, []int32{0}
 	}
 	k := newGroupKeys(t, gidx)
+	if k.lead >= 0 {
+		return gid, k.runIDs(gid)
+	}
+	return gid, k.hashIDs(gid, workers)
+}
+
+// hashIDs fills gid and returns each group's first logical row: each
+// morsel numbers its own groups; a global table, shown only each
+// morsel's first rows in morsel order, renumbers them (all rows of
+// morsel m precede morsel m+1's, so that order is the global first-seen
+// order). One worker is the one-morsel case.
+func (k *groupKeys) hashIDs(gid []int32, workers int) (first []int32) {
+	n := len(gid)
 	size := MorselRows
 	if workers <= 1 {
 		size = n
@@ -211,7 +291,7 @@ func groupIDs(t *Table, gidx []int, workers int) (gid, first []int32) {
 		}
 	})
 	if len(firsts) == 1 {
-		return gid, firsts[0]
+		return firsts[0]
 	}
 	global := k.table()
 	remaps := make([][]int32, len(firsts))
@@ -230,7 +310,7 @@ func groupIDs(t *Table, gidx []int, workers int) (gid, first []int32) {
 			gid[i] = remaps[m][gid[i]]
 		}
 	})
-	return gid, first
+	return first
 }
 
 // foldNum folds the numeric column xs (read through sel) into one

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -132,14 +133,24 @@ func sameRows(got, want []Row) error {
 	return nil
 }
 
-// tableRep names the groupTable representation the kernel picks for t
-// grouped by keys.
-func tableRep(t *Table, keys []string) string {
+// keyCols resolves the named key columns of t.
+func keyCols(t *Table, keys []string) []int {
 	gidx := make([]int, len(keys))
 	for i, k := range keys {
 		gidx[i] = t.Schema.Col(k)
 	}
-	switch tab := newGroupKeys(t, gidx).table(); {
+	return gidx
+}
+
+// tableRep names the path groupIDs takes for t grouped by keys: ordered
+// (numbered by runs of a lead column), or the groupTable representation
+// the hash path picks.
+func tableRep(t *Table, keys []string) string {
+	k := newGroupKeys(t, keyCols(t, keys))
+	if k.lead >= 0 {
+		return "ordered"
+	}
+	switch tab := k.table(); {
 	case tab.slots != nil:
 		return "slots"
 	case tab.ints != nil:
@@ -196,10 +207,11 @@ func aggDiffTables(rows int, seed int64) (raw, dict *Table) {
 
 // TestAggregateDifferential holds Exec.Aggregate to the naive oracle:
 // every key shape × raw/dict strings × dense table / filtered view /
-// sort-permuted view × workers {1, 2, 7}, over more than three morsels,
-// five aggregates at once. Group order, counts and the bits of every
-// float must match, and the inputs must take each of the three
-// groupTable representations through the multi-morsel merge.
+// sort-permuted view / two key-ordered views × workers {1, 2, 7}, over
+// more than three morsels, five aggregates at once. Group order, counts
+// and the bits of every float must match, and the inputs must take the
+// ordered path and each of the three groupTable representations through
+// the multi-morsel merge.
 func TestAggregateDifferential(t *testing.T) {
 	rows := 3*MorselRows + 1500
 	raw, dict := aggDiffTables(rows, 22)
@@ -233,6 +245,14 @@ func TestAggregateDifferential(t *testing.T) {
 			return (&Exec{}).Filter(tb, func(i int) bool { return vi.Get(i)%3 != 0 })
 		}},
 		{"sorted", func(tb *Table) *Table { return (&Exec{}).Sort(tb, OrderSpec{Col: "v"}, OrderSpec{Col: "vi"}) }},
+		{"by small", func(tb *Table) *Table { return (&Exec{}).Sort(tb, OrderSpec{Col: "small"}) }},
+		// Past the first rows, where wide's pool is still small, no run of
+		// one wide value passes maxOrderedRun: multi-column keys led by
+		// wide take the ordered path too.
+		{"by wide", func(tb *Table) *Table {
+			e := &Exec{}
+			return e.Sort(e.Filter(tb, func(i int) bool { return i >= MorselRows/2 }), OrderSpec{Col: "wide"})
+		}},
 	}
 	reps := map[string]bool{}
 	for _, view := range views {
@@ -256,9 +276,63 @@ func TestAggregateDifferential(t *testing.T) {
 			}
 		}
 	}
-	for _, rep := range []string{"slots", "ints", "strs"} {
+	for _, rep := range []string{"ordered", "slots", "ints", "strs"} {
 		if !reps[rep] {
 			t.Errorf("no key set took the %s representation", rep)
+		}
+	}
+}
+
+// TestAggregateOrderedGate pins when groupIDs numbers groups by runs of
+// a lead column: an Int key column that never decreases leads, whichever
+// key column it is; a single decrease falls back to hashing; beside
+// other key columns a run past maxOrderedRun falls back too, while a
+// lone key column may have runs of any length. Wherever the ordered path
+// runs, its gid and first must equal the hash path's on the same input.
+func TestAggregateOrderedGate(t *testing.T) {
+	n := 2*MorselRows + 100
+	asc, dip, long, mix := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
+	strs := make([]string, n)
+	for i := range asc {
+		asc[i] = int64(i / 5)
+		dip[i] = asc[i]
+		long[i] = int64(i / (2 * maxOrderedRun)) // a view keeping 3 rows in 4 still runs past the bound
+		mix[i] = int64(i*7919) % 13
+		strs[i] = dictPool[i*31%len(dictPool)]
+	}
+	dip[n/2] = asc[n/2] - 1
+	sch := Schema{{Name: "asc", Type: Int}, {Name: "dip", Type: Int}, {Name: "long", Type: Int},
+		{Name: "mix", Type: Int}, {Name: "s", Type: Str}}
+	tb := NewTable("o", sch, IntsV(asc), IntsV(dip), IntsV(long), IntsV(mix), StrsV(strs))
+	cases := []struct {
+		keys    []string
+		ordered bool
+	}{
+		{[]string{"asc"}, true},
+		{[]string{"asc", "mix", "s"}, true},
+		{[]string{"mix", "asc"}, true}, // the second key column leads
+		{[]string{"dip"}, false},
+		{[]string{"dip", "mix"}, false},
+		{[]string{"long"}, true},
+		{[]string{"long", "mix"}, false},
+		{[]string{"long", "asc"}, true}, // asc's runs are short enough to lead
+		{[]string{"mix", "s"}, false},
+	}
+	view := (&Exec{}).Filter(tb, func(i int) bool { return i%4 != 1 })
+	for _, c := range cases {
+		for _, in := range []*Table{tb, view} {
+			gidx := keyCols(in, c.keys)
+			if got := newGroupKeys(in, gidx).lead >= 0; got != c.ordered {
+				t.Fatalf("keys=%v: ordered=%v, want %v", c.keys, got, c.ordered)
+			}
+			for _, workers := range []int{1, 3} {
+				gid, first := groupIDs(in, gidx, workers)
+				hashGid := make([]int32, in.NumRows())
+				hashFirst := newGroupKeys(in, gidx).hashIDs(hashGid, workers)
+				if !slices.Equal(gid, hashGid) || !slices.Equal(first, hashFirst) {
+					t.Fatalf("keys=%v workers=%d: %d groups, hash path %d", c.keys, workers, len(first), len(hashFirst))
+				}
+			}
 		}
 	}
 }

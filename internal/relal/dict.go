@@ -244,6 +244,28 @@ func (v StrVec) Between(lo, hi string) Pred {
 	return v.rawPred(func(s string) bool { return s >= lo && s <= hi })
 }
 
+// Before returns a predicate for v.Get(i) < w.Get(i), v and w being
+// columns of one table (Q4's commit-before-receipt date test). When
+// both are dict-backed, each value of v's dictionary is ranked once in
+// w's — rank[c] is the first w code whose value is greater, found by one
+// merge walk of the two sorted dictionaries — and the row test is
+// wcode >= rank[vcode].
+func (v StrVec) Before(w StrVec) Pred {
+	if v.dict == nil || w.dict == nil {
+		return Pred{at: func(i int) bool { return v.Get(i) < w.Get(i) }}
+	}
+	rank := make([]uint32, len(v.vals))
+	r := 0
+	for c, s := range v.vals {
+		for r < len(w.vals) && w.vals[r] <= s {
+			r++
+		}
+		rank[c] = uint32(r)
+	}
+	vd, vs, wd, ws := v.dict, v.sel, w.dict, w.sel
+	return Pred{at: func(i int) bool { return keyAt(wd, ws, i) >= rank[keyAt(vd, vs, i)] }}
+}
+
 // In returns a predicate for Get(i) ∈ set. Dict-backed: a bitmap over
 // the dictionary, one indexed load per row.
 func (v StrVec) In(set ...string) Pred {

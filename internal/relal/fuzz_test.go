@@ -145,18 +145,24 @@ func FuzzSortKeys(f *testing.F) {
 	})
 }
 
-// FuzzGroupKeys fuzzes the group-by key encodings and the multi-morsel
-// merge: arbitrary bytes become base rows over four key columns (Int
-// with both extremes, Float with NaN payloads and signed zero, raw Str
-// with NUL bytes, dict Str), byte 0 picks which of them group, and the
-// base rows are tiled past two morsels — later base rows entering later,
-// so some groups are first seen in a later morsel. Aggregate at workers
-// {1, 3} must equal the naive oracle (agg_test.go), and so each other.
+// FuzzGroupKeys fuzzes the group-by key encodings, the multi-morsel
+// merge and the ordered path: arbitrary bytes become base rows over four
+// key columns (Int with both extremes, Float with NaN payloads and
+// signed zero, raw Str with NUL bytes, dict Str), byte 0 picks which of
+// them group, and the base rows are tiled past two morsels — later base
+// rows entering later, so some groups are first seen in a later morsel.
+// A second shape repeats the base rows three times and stably sorts them
+// on ki, so ki can lead the ordered path with the other columns as the
+// rest of the key. Aggregate at workers {1, 3} must equal the naive
+// oracle (agg_test.go) on both shapes.
 func FuzzGroupKeys(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x0f, 0, 0, 0, 0, 1, 1, 1, 1})
 	f.Add([]byte{0x04, 9, 9, 3, 9, 9, 9, 4, 9})
 	f.Add([]byte("\x0bduplicate keys duplicate keys duplicate keys"))
+	// ki 0, 1, 2 (sorted: short runs), NaN payloads, ±0, NUL strings.
+	f.Add([]byte{0x0f, 0, 2, 1, 3, 0, 3, 1, 3, 0, 0, 3, 1, 0, 1, 3, 1, 1, 2, 0, 0, 1, 3, 0, 0, 2, 0, 4, 2, 2, 1, 4, 2})
+	f.Add(append([]byte{0x0b}, make([]byte, 4*maxOrderedRun)...)) // one ki run past the bound
 	ints := []int64{0, math.MinInt64, math.MaxInt64, -1, 1, 1 << 40}
 	floats := []float64{0, math.Copysign(0, -1), math.NaN(), otherNaN, math.Inf(-1), 2.5}
 	strs := []string{"", "\x00", "a", "a\x00", "\x00b", "ab", "b"}
@@ -181,23 +187,30 @@ func FuzzGroupKeys(f *testing.F) {
 			}
 			return 0
 		}
-		n := 2*MorselRows + 77
-		ki, kf, v := make([]int64, n), make([]float64, n), make([]float64, n)
-		ks, kd := make([]string, n), make([]string, n)
-		for i := 0; i < n; i++ {
-			b := i % (1 + i*base/n)
-			ki[i] = ints[cell(b, 0)%len(ints)]
-			kf[i] = floats[cell(b, 1)%len(floats)]
-			ks[i] = strs[cell(b, 2)%len(strs)]
-			kd[i] = strs[cell(b, 3)%len(strs)]
-			v[i] = float64(i%97)/8 - 3
+		// rowsOf builds n rows, row i a copy of base row baseOf(i).
+		rowsOf := func(n int, baseOf func(i int) int) *Table {
+			ki, kf, v := make([]int64, n), make([]float64, n), make([]float64, n)
+			ks, kd := make([]string, n), make([]string, n)
+			for i := 0; i < n; i++ {
+				b := baseOf(i)
+				ki[i] = ints[cell(b, 0)%len(ints)]
+				kf[i] = floats[cell(b, 1)%len(floats)]
+				ks[i] = strs[cell(b, 2)%len(strs)]
+				kd[i] = strs[cell(b, 3)%len(strs)]
+				v[i] = float64(i%97)/8 - 3
+			}
+			return NewTable("g", sch, IntsV(ki), FloatsV(kf), StrsV(ks), EncodeDict(kd), FloatsV(v))
 		}
-		tb := NewTable("g", sch, IntsV(ki), FloatsV(kf), StrsV(ks), EncodeDict(kd), FloatsV(v))
-		want := oracleAggregate(sch, RowsOf(tb), keys, aggs)
-		for _, workers := range []int{1, 3} {
-			got := (&Exec{Parallelism: workers}).Aggregate(tb, keys, aggs)
-			if err := sameRows(RowsOf(got), want); err != nil {
-				t.Fatalf("keys=%v workers=%d: %v", keys, workers, err)
+		n := 2*MorselRows + 77
+		tiled := rowsOf(n, func(i int) int { return i % (1 + i*base/n) })
+		sorted := (&Exec{}).Sort(rowsOf(3*base, func(i int) int { return i % base }), OrderSpec{Col: "ki"})
+		for shape, tb := range map[string]*Table{"tiled": tiled, "sorted on ki": sorted} {
+			want := oracleAggregate(sch, RowsOf(tb), keys, aggs)
+			for _, workers := range []int{1, 3} {
+				got := (&Exec{Parallelism: workers}).Aggregate(tb, keys, aggs)
+				if err := sameRows(RowsOf(got), want); err != nil {
+					t.Fatalf("%s keys=%v workers=%d: %v", shape, keys, workers, err)
+				}
 			}
 		}
 	})

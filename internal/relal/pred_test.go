@@ -100,3 +100,60 @@ func TestPredFactories(t *testing.T) {
 		}
 	}
 }
+
+// TestPredBefore holds StrVec.Before to v.Get(i) < w.Get(i) over
+// dict×dict (two different dictionaries), raw×raw and both mixed pairs.
+// v and w come from the two sides of a join, so each is read through its
+// own selection, and a filtered view of the join adds another. Rows
+// whose two cells are equal must not pass.
+func TestPredBefore(t *testing.T) {
+	rows := 2*MorselRows + 77
+	rng := rand.New(rand.NewSource(30))
+	vs, ws := make([]string, rows), make([]string, rows)
+	keys, perm := make([]int64, rows), rng.Perm(rows)
+	for i := range vs {
+		keys[i] = int64(i)
+		vs[i] = fmt.Sprint(rng.Intn(300))
+		ws[i] = fmt.Sprint(100 + rng.Intn(300))
+		if i%7 == 0 {
+			ws[i] = vs[i]
+		}
+	}
+	rkeys, rws := make([]int64, rows), make([]string, rows)
+	for j, p := range perm {
+		rkeys[j], rws[j] = int64(p), ws[p]
+	}
+	enc := func(xs []string, dict bool) *Vector {
+		if dict {
+			return EncodeDict(xs)
+		}
+		return StrsV(xs)
+	}
+	for _, c := range []struct{ vDict, wDict bool }{{true, true}, {false, false}, {true, false}, {false, true}} {
+		left := NewTable("l", Schema{{Name: "lk", Type: Int}, {Name: "v", Type: Str}}, IntsV(keys), enc(vs, c.vDict))
+		right := NewTable("r", Schema{{Name: "rk", Type: Int}, {Name: "w", Type: Str}}, IntsV(rkeys), enc(rws, c.wDict))
+		joined := (&Exec{}).Join(left, right, "lk", "rk")
+		view := (&Exec{}).Filter(joined, func(i int) bool { return i%3 != 0 })
+		for _, tb := range []*Table{joined, view} {
+			v, w := tb.StrCol("v"), tb.StrCol("w")
+			for _, workers := range []int{1, 3} {
+				e := &Exec{Parallelism: workers}
+				name := fmt.Sprintf("v dict=%v, w dict=%v, view=%v, workers=%d", c.vDict, c.wDict, tb == view, workers)
+				got := e.Where(tb, v.Before(w))
+				want := e.Filter(tb, func(i int) bool { return v.Get(i) < w.Get(i) })
+				if err := sameRows(RowsOf(got), RowsOf(want)); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				same := func(i int) bool { return v.Get(i) == w.Get(i) }
+				if both := e.Where(tb, v.Before(w), PredFn(same)); both.NumRows() != 0 {
+					t.Fatalf("%s: %d rows with equal cells pass Before", name, both.NumRows())
+				}
+				equal := e.Filter(tb, same)
+				if want.NumRows() == 0 || want.NumRows()+equal.NumRows() == tb.NumRows() || equal.NumRows() == 0 {
+					t.Fatalf("%s: %d rows before, %d equal of %d: the test data lacks a side",
+						name, want.NumRows(), equal.NumRows(), tb.NumRows())
+				}
+			}
+		}
+	}
+}

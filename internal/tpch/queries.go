@@ -245,9 +245,7 @@ func q4Partial(e *relal.Exec, db *DB) *relal.Table {
 	ord := e.Where(ot, ot.StrCol("o_orderdate").Range("1993-07-01", "1993-10-01"))
 	lt := scan(e, db, "lineitem",
 		[]string{"l_orderkey", "l_commitdate", "l_receiptdate"})
-	cdate := lt.StrCol("l_commitdate")
-	rdate := lt.StrCol("l_receiptdate")
-	li := e.Filter(lt, func(i int) bool { return cdate.Get(i) < rdate.Get(i) })
+	li := e.Where(lt, lt.StrCol("l_commitdate").Before(lt.StrCol("l_receiptdate")))
 	liKeys := e.Aggregate(li, []string{"l_orderkey"}, []relal.AggSpec{{Fn: "count", Col: "*", As: "n"}})
 	sj := e.SemiJoin(ord, liKeys, "o_orderkey", "l_orderkey")
 	return e.Aggregate(sj, []string{"o_orderpriority"}, []relal.AggSpec{
@@ -499,11 +497,9 @@ func q12Partial(e *relal.Exec, db *DB) *relal.Table {
 	ship := lt.StrCol("l_shipdate")
 	li := e.Where(lt,
 		lt.StrCol("l_shipmode").In("MAIL", "SHIP"),
-		lt.StrCol("l_receiptdate").Range("1994-01-01", "1995-01-01"),
-		relal.PredFn(func(i int) bool {
-			c := commit.Get(i)
-			return c < receipt.Get(i) && ship.Get(i) < c
-		}),
+		receipt.Range("1994-01-01", "1995-01-01"),
+		commit.Before(receipt),
+		ship.Before(commit),
 	)
 	lo := e.Join(li, scan(e, db, "orders", []string{"o_orderkey", "o_orderpriority"}), "l_orderkey", "o_orderkey")
 	isHigh := lo.StrCol("o_orderpriority").In("1-URGENT", "2-HIGH")
@@ -795,9 +791,7 @@ func q21(e *relal.Exec, db *DB) *relal.Table {
 	perOrder := e.Aggregate(
 		e.Aggregate(li, []string{"l_orderkey", "l_suppkey"}, []relal.AggSpec{{Fn: "count", Col: "*", As: "n"}}),
 		[]string{"l_orderkey"}, []relal.AggSpec{{Fn: "count", Col: "*", As: "n_supp"}})
-	rdate := li.StrCol("l_receiptdate")
-	cdate := li.StrCol("l_commitdate")
-	late := e.Filter(li, func(i int) bool { return rdate.Get(i) > cdate.Get(i) })
+	late := e.Where(li, li.StrCol("l_commitdate").Before(li.StrCol("l_receiptdate")))
 	latePerOrder := e.Aggregate(
 		e.Aggregate(late, []string{"l_orderkey", "l_suppkey"}, []relal.AggSpec{{Fn: "count", Col: "*", As: "n"}}),
 		[]string{"l_orderkey"}, []relal.AggSpec{{Fn: "count", Col: "*", As: "n_late"}})

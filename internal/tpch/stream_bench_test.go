@@ -27,6 +27,27 @@ func BenchmarkTPCHJoinQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkTPCHGroupQuery times the group-heaviest queries, each
+// grouping lineitem by l_orderkey (Q4's late-line orders, Q18's
+// per-order quantity, Q21's four per-order counts), at pool size 1 vs
+// GOMAXPROCS — the group-by kernel's profile target.
+func BenchmarkTPCHGroupQuery(b *testing.B) {
+	db := Generate(GenConfig{SF: 0.01, Seed: 1, Random64: true})
+	for _, id := range []int{4, 18, 21} {
+		for _, pool := range []struct {
+			name    string
+			workers int
+		}{{"workers=1", 1}, {"workers=max", 0}} {
+			b.Run(fmt.Sprintf("Q%d/%s", id, pool.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					RunQueryWorkers(id, db, pool.workers)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkStreams measures aggregate stream throughput on the shared
 // DB at 1 stream vs GOMAXPROCS streams (the engine benchmark's
 // mem-stream workload is the script-facing version of the same
