@@ -22,10 +22,10 @@ race:
 # Concurrent-stream golden tests (including the cache golden matrix and
 # shared-scheduler suites) + every join, sort/top-K and group-by suite
 # (each kernel against its naive oracle at every worker count, the key
-# table's structure, the Int-key rule) + dict, predicate-factory and
-# chunk-encoding differentials + the HTAP delta-pipeline and
-# wal/delta-log concurrency suites under the race detector (CI's
-# `streams` job).
+# table's structure in each representation, the Int-key rule) + dict,
+# predicate-factory and chunk-encoding differentials + the HTAP
+# delta-pipeline and wal/delta-log concurrency suites under the race
+# detector (CI's `streams` job).
 streams:
 	$(GO) test -race -run 'Stream|Join|Sort|Aggregate|TopK|Dict|Pred|Cache|Sched|Encoding|Htap|Delta|Wal' ./...
 
@@ -56,7 +56,8 @@ dist:
 	$(GO) test -run xxx -fuzz FuzzNetFault -fuzztime 15s ./internal/dist/
 	$(GO) test -run xxx -fuzz FuzzWireTable -fuzztime 15s ./internal/dist/
 
-# Short fuzz runs over the join key-partitioning, sort/top-K, group-by
+# Short fuzz runs over the join key table's three representations
+# (slot array, packed-key map, byte-key map), sort/top-K, group-by
 # key encodings and morsel merge, RCF7 dict-chunk and gdict+rle/delta-chunk
 # round-trips, every chunk decoder behind re-stamped CRCs (stored and
 # deflated), chunk-cache key/eviction paths, the delta-log replay

@@ -25,9 +25,13 @@ type AggSpec struct {
 	As  string
 }
 
-// maxDenseGroupSpan bounds the packed key space a flat slot array will
-// cover. Beyond this a map wins on memory anyway.
-const maxDenseGroupSpan = 4096
+// A groupTable takes a flat slot array when the packed key space spans
+// at most maxDenseGroupSpan keys, or slotsPerRow keys per row it will be
+// shown: past that a map wins on memory.
+const (
+	maxDenseGroupSpan = 4096
+	slotsPerRow       = 8
+)
 
 // maxOrderedRun bounds a lead value's run beside other key columns: each
 // row is compared with every group its run has opened (a TPC-H order has
@@ -193,8 +197,10 @@ func (k *groupKeys) runIDs(gid []int32) (first []int32) {
 
 // groupTable numbers the distinct keys it is shown in first-seen order.
 // Exactly one of the three representations is live, chosen from the key
-// columns: a flat slot array for a small packed key space, a map of
-// packed keys for a larger one, a map of byte keys otherwise.
+// columns and the number of rows: a flat slot array for a dense packed
+// key space, a map of packed keys for a sparse one, a map of byte keys
+// otherwise. The group-by and the join's key table both number keys
+// with it.
 type groupTable struct {
 	k     *groupKeys
 	slots []int32 // packed key → id+1 (0 = unseen)
@@ -204,13 +210,14 @@ type groupTable struct {
 	n     int32 // ids handed out so far
 }
 
-// table returns an empty group table over k's keys.
-func (k *groupKeys) table() *groupTable {
+// table returns an empty group table over k's keys for a caller that
+// will show it at most rows rows.
+func (k *groupKeys) table(rows int) *groupTable {
 	g := &groupTable{k: k}
 	switch {
 	case !k.packed:
 		g.strs = make(map[string]int32)
-	case k.span <= maxDenseGroupSpan:
+	case k.span <= max(maxDenseGroupSpan, slotsPerRow*uint64(rows)):
 		g.slots = make([]int32, k.span)
 	default:
 		g.ints = make(map[uint64]int32)
@@ -247,6 +254,26 @@ func (g *groupTable) id(i int) (gid int32, fresh bool) {
 	return g.n - 1, true
 }
 
+// find returns the id of key x in a table over one Int key column, or
+// -1 if the table has not seen it. It writes nothing, so concurrent
+// probes may share the table.
+func (g *groupTable) find(x int64) int32 {
+	id, ok := int32(-1), true
+	switch key := uint64(x) - g.k.lo[0]; {
+	case g.strs != nil: // the span wraps: the key is the cell's 8 bytes
+		id, ok = g.strs[string(binary.LittleEndian.AppendUint64(make([]byte, 0, 8), uint64(x)))]
+	case key >= g.k.span:
+	case g.slots != nil:
+		id = g.slots[key] - 1
+	default:
+		id, ok = g.ints[key]
+	}
+	if !ok {
+		return -1
+	}
+	return id
+}
+
 // groupIDs assigns every logical row of t its group id — gid[i], ids
 // numbered in first-seen order — and returns each group's first
 // logical row. With a lead column, runIDs numbers the groups serially
@@ -281,7 +308,7 @@ func (k *groupKeys) hashIDs(gid []int32, workers int) (first []int32) {
 	}
 	firsts := make([][]int32, (n+size-1)/size)
 	parallelMorselsSize(n, size, workers, func(m, lo, hi int) {
-		tab := k.table()
+		tab := k.table(size)
 		for i := lo; i < hi; i++ {
 			id, fresh := tab.id(i)
 			if fresh {
@@ -293,7 +320,7 @@ func (k *groupKeys) hashIDs(gid []int32, workers int) (first []int32) {
 	if len(firsts) == 1 {
 		return firsts[0]
 	}
-	global := k.table()
+	global := k.table(n)
 	remaps := make([][]int32, len(firsts))
 	for m, ps := range firsts {
 		remaps[m] = make([]int32, len(ps))

@@ -142,15 +142,20 @@ func keyCols(t *Table, keys []string) []int {
 	return gidx
 }
 
-// tableRep names the path groupIDs takes for t grouped by keys: ordered
-// (numbered by runs of a lead column), or the groupTable representation
-// the hash path picks.
+// tableRep names the path groupIDs takes for t grouped by keys on one
+// worker: ordered (numbered by runs of a lead column), or the groupTable
+// representation the hash path picks.
 func tableRep(t *Table, keys []string) string {
 	k := newGroupKeys(t, keyCols(t, keys))
 	if k.lead >= 0 {
 		return "ordered"
 	}
-	switch tab := k.table(); {
+	return repOf(k.table(t.NumRows()))
+}
+
+// repOf names the live representation of a groupTable.
+func repOf(tab *groupTable) string {
+	switch {
 	case tab.slots != nil:
 		return "slots"
 	case tab.ints != nil:

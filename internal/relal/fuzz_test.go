@@ -6,13 +6,14 @@ import (
 	"testing"
 )
 
-// FuzzJoinKeys fuzzes the join key-partitioning path: arbitrary bytes
-// become build/probe key columns (with heavy duplication forced by a
-// fuzz-chosen modulus), and Join/SemiJoin/AntiJoin must equal the naive
-// oracle (join_test.go) at every worker count — and again with a filtered
-// join output of the two as the probe side. The morsel size is shrunk
-// so even tiny fuzz inputs cross the partitioned build and the
-// multi-morsel probe.
+// FuzzJoinKeys fuzzes the join's key table in every representation:
+// arbitrary bytes become build/probe key columns — heavily duplicated by
+// a fuzz-chosen modulus (the slot array), or kept as raw 64-bit keys (a
+// sparse span takes the packed-key map, both int64 extremes the byte-key
+// map) — and Join/SemiJoin/AntiJoin must equal the naive oracle
+// (join_test.go) at every worker count, and again with a filtered join
+// output of the two as the probe side. The morsel size is shrunk so even
+// tiny fuzz inputs cross the multi-morsel probe.
 func FuzzJoinKeys(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1})
@@ -20,18 +21,33 @@ func FuzzJoinKeys(f *testing.F) {
 	f.Add([]byte{0xff, 0xfe, 0xfd, 0xfc, 0xfb, 0xfa, 0xf9, 0xf8,
 		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
 		0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01})
+	// Raw keys, cut after word 0 (which holds the layout bytes and is
+	// the probe key 0x1e0): a wide sparse build, then both extremes.
+	rawKeys := func(keys ...int64) []byte {
+		b := []byte{0xe0, 1, 0, 0, 0, 0, 0, 0}
+		for _, k := range keys {
+			b = binary.LittleEndian.AppendUint64(b, uint64(k))
+		}
+		return b
+	}
+	f.Add(rawKeys(0x1e0, 1<<40, -7, 0x1e0))
+	f.Add(rawKeys(math.MaxInt64, 0x1e0, math.MinInt64, math.MinInt64+1, 0x1e0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		old := joinMorselRows
 		joinMorselRows = 4
 		defer func() { joinMorselRows = old }()
 
-		// Layout: byte 0 picks the key cardinality modulus, byte 1 the
-		// build/probe split; the rest becomes 8-byte int keys (tail
-		// bytes pad with zero, planting duplicate zero keys).
+		// Layout: byte 0 picks the key cardinality modulus (0xe0 and
+		// up: none, raw keys), byte 1 the build/probe split; the data
+		// becomes 8-byte int keys (tail bytes pad with zero, planting
+		// duplicate zero keys).
 		var mod int64 = 1
 		var split = 0
 		if len(data) > 0 {
 			mod = int64(data[0])%31 + 1
+			if data[0] >= 0xe0 {
+				mod = 0
+			}
 		}
 		if len(data) > 1 {
 			split = int(data[1])
@@ -41,8 +57,10 @@ func FuzzJoinKeys(f *testing.F) {
 		for i := range keys {
 			var w [8]byte
 			copy(w[:], data[i*8:])
-			k := int64(binary.LittleEndian.Uint64(w[:]))
-			keys[i] = k % mod
+			keys[i] = int64(binary.LittleEndian.Uint64(w[:]))
+			if mod > 0 {
+				keys[i] %= mod
+			}
 		}
 		cut := 0
 		if words > 0 {

@@ -1,13 +1,12 @@
 // Hash joins. Join, SemiJoin and AntiJoin share one key table over the
 // build (right) side, built once and then read-only:
 //
-//  1. Build: per partition, a map from key to the first build row holding
-//     it; a next vector chains the later rows of the same key. A big
-//     build side on a pool splits into one partition per worker by key
-//     hash — each partition scans the whole key column and takes only
-//     its own keys — and one partition is the same loop without the hash
-//     test. Chains always run in build-row order, so the probe output
-//     does not depend on the partition count.
+//  1. Build: the group-by's groupTable numbers the build keys in
+//     first-seen order — a slot array when the key span is dense, a map
+//     otherwise (see groupKeys.table) — and one serial pass from the last
+//     build row to the first chains each row onto its key's id: head[id]
+//     leads to the key's first row, next[j] to the row after j. Chains
+//     therefore run in build-row order.
 //  2. Probe: the probe (left) side splits into morsels, each filling its
 //     own index buffers; the buffers concatenate in morsel order, which
 //     is probe-row order. Join walks each hit's chain (left-major match
@@ -18,97 +17,73 @@
 //     matching index vector — one int32 pass per distinct input
 //     selection, the index vector itself for a dense input column.
 //
-// One worker, or an input of one morsel, is the one-partition, one-morsel
-// case of these loops: the dispatchers in parallel.go run it inline.
+// One worker, or an input of one morsel, is the one-morsel case of the
+// probe: the dispatchers in parallel.go run it inline.
 package relal
 
 import "fmt"
 
-// joinMorselRows is the probe morsel size and the build size past which
-// the key table is partitioned. It defaults to the scan-kernel
-// morsel size; tests shrink it to exercise the multi-morsel concatenation
-// and the partitioned build on small randomized tables.
+// joinMorselRows is the probe morsel size. It defaults to the
+// scan-kernel morsel size; tests shrink it to exercise the multi-morsel
+// concatenation on small randomized tables.
 var joinMorselRows = MorselRows
 
-// maxBuildPartitions bounds the partition-wise build fan-out: each
-// partition scans the full key column, so partitions beyond the worker
-// count only add wasted passes.
-const maxBuildPartitions = 64
-
-// mix64 is the splitmix64 finalizer: a cheap invertible mixer that
-// spreads int64 key bits across partitions.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// joinKeys returns t's named key column. Hash-join keys are Int columns:
-// every join the TPC-H plans run is on an integer key, so the table has
-// one key type instead of a kernel per type.
-func joinKeys(t *Table, name string) IntVec {
+// joinKey returns the column index of t's named join key. Hash-join keys
+// are Int columns: every join the TPC-H plans run is on an integer key,
+// so the table has one key type instead of a kernel per type.
+func joinKey(t *Table, name string) int {
 	c := t.Schema.Col(name)
 	if t.Schema[c].Type != Int {
 		panic(fmt.Sprintf("relal: join key %q of table %q is not Int", name, t.Name))
 	}
-	return IntVec{data: t.Cols[c].Ints, sel: t.sel(c)}
+	return c
 }
 
-// keyTable is the read-only hash table of one join. heads holds, per
-// partition, key → the first logical build row with that key; next[j] is
-// the next build row with row j's key, -1 at the end of a chain.
+// keyTable is the read-only key table of one join: tab numbers the build
+// keys, head[id] is one more than the first logical build row with key
+// id, and next[j] the next build row with row j's key, -1 at the end of a
+// chain. A nil keyTable is an empty build side.
 type keyTable struct {
-	heads []map[int64]int32
-	next  []int32
+	tab  *groupTable
+	head []int32
+	next []int32
 }
 
-// buildKeyTable builds the table over right's key column. Exactly one
-// partition per worker once the build side is past a morsel: each
-// partition is a full scan of the key column, so any extra partition
-// would put a second pass on some worker's critical path. A partition
-// scans from the last row to the first, pushing each of its rows onto
-// the front of its key's chain — every row is written by exactly one
-// partition and every chain comes out ascending.
-func buildKeyTable(keys IntVec, rn, workers int) *keyTable {
-	p := 1
-	if workers > 1 && rn > joinMorselRows {
-		p = min(workers, maxBuildPartitions)
+// buildKeyTable builds the key table over t's Int column c.
+func buildKeyTable(t *Table, c int) *keyTable {
+	n := t.NumRows()
+	if n == 0 {
+		return nil
 	}
-	kt := &keyTable{heads: make([]map[int64]int32, p), next: make([]int32, rn)}
-	parallelRanges(p, workers, func(lo, hi int) {
-		for part := lo; part < hi; part++ {
-			head := make(map[int64]int32, rn/p+1)
-			for j := rn - 1; j >= 0; j-- {
-				k := keys.Get(j)
-				if p > 1 && mix64(uint64(k))%uint64(p) != uint64(part) {
-					continue
-				}
-				if h, ok := head[k]; ok {
-					kt.next[j] = h
-				} else {
-					kt.next[j] = -1
-				}
-				head[k] = int32(j)
-			}
-			kt.heads[part] = head
-		}
-	})
+	kt := &keyTable{tab: newGroupKeys(t, []int{c}).table(n), next: make([]int32, n)}
+	for j := range kt.next {
+		kt.next[j], _ = kt.tab.id(j) // the key's id until chained below
+	}
+	kt.head = make([]int32, kt.tab.n)
+	for j := n - 1; j >= 0; j-- {
+		id := kt.next[j]
+		kt.next[j], kt.head[id] = kt.head[id]-1, int32(j)+1
+	}
 	return kt
 }
 
 // first returns the first build row with key k, or -1 for a miss.
 func (kt *keyTable) first(k int64) int32 {
-	part := 0
-	if len(kt.heads) > 1 {
-		part = int(mix64(uint64(k)) % uint64(len(kt.heads)))
+	if kt == nil {
+		return -1
 	}
-	if j, ok := kt.heads[part][k]; ok {
-		return j
+	if id := kt.tab.find(k); id >= 0 {
+		return kt.head[id] - 1
 	}
 	return -1
+}
+
+// joinSides returns left's key column and the key table over right's: the
+// probe side's key is checked first.
+func joinSides(left, right *Table, leftKey, rightKey string) (IntVec, *keyTable) {
+	lc := joinKey(left, leftKey)
+	kt := buildKeyTable(right, joinKey(right, rightKey))
+	return IntVec{data: left.Cols[lc].Ints, sel: left.sel(lc)}, kt
 }
 
 // Join hash-joins left and right on leftKey = rightKey (inner join),
@@ -118,13 +93,11 @@ func (kt *keyTable) first(k int64) int32 {
 // inputs' vectors (no cell is copied) and is byte-identical at every
 // pool size.
 func (e *Exec) Join(left, right *Table, leftKey, rightKey string) *Table {
-	lKeys := joinKeys(left, leftKey)
-	w := e.workers()
-	kt := buildKeyTable(joinKeys(right, rightKey), right.NumRows(), w)
+	lKeys, kt := joinSides(left, right, leftKey, rightKey)
 	ln := left.NumRows()
 	ls := make([][]int32, (ln+joinMorselRows-1)/joinMorselRows)
 	rs := make([][]int32, len(ls))
-	parallelMorselsSize(ln, joinMorselRows, w, func(m, lo, hi int) {
+	parallelMorselsSize(ln, joinMorselRows, e.workers(), func(m, lo, hi int) {
 		var l, r []int32
 		for i := lo; i < hi; i++ {
 			for j := kt.first(lKeys.Get(i)); j >= 0; j = kt.next[j] {
@@ -144,14 +117,7 @@ func (e *Exec) Join(left, right *Table, leftKey, rightKey string) *Table {
 	sels, lSel := left.composeSels(nil, concatIdx(ls))
 	sels, rSel := right.composeSels(sels, concatIdx(rs))
 	out.sels, out.colSel = sels, append(lSel, rSel...)
-	e.Log.Add(Step{
-		Kind: StepJoin, Table: out.Name,
-		LeftRows: left.NumRows(), LeftWidth: left.AvgRowBytes(),
-		RightRows: right.NumRows(), RightWidth: right.AvgRowBytes(),
-		OutRows: out.NumRows(), OutWidth: out.AvgRowBytes(),
-		JoinKey:  leftKey,
-		LeftBase: BaseOf(left), RightBase: BaseOf(right),
-	})
+	e.logJoin(left, right, out, leftKey)
 	return out
 }
 
@@ -159,23 +125,26 @@ func (e *Exec) Join(left, right *Table, leftKey, rightKey string) *Table {
 // zero-copy views over left: a row is selected when its key's presence
 // in the join's key table equals keep.
 func (e *Exec) semiAnti(left, right *Table, leftKey, rightKey, suffix string, keep bool) *Table {
-	lKeys := joinKeys(left, leftKey)
-	w := e.workers()
-	kt := buildKeyTable(joinKeys(right, rightKey), right.NumRows(), w)
-	sel := selectRows(left.NumRows(), joinMorselRows, w, func(i int) bool {
+	lKeys, kt := joinSides(left, right, leftKey, rightKey)
+	sel := selectRows(left.NumRows(), joinMorselRows, e.workers(), func(i int) bool {
 		return (kt.first(lKeys.Get(i)) >= 0) == keep
 	})
 	out := view(left, left.Name+suffix, sel)
+	e.logJoin(left, right, out, leftKey)
+	SetBase(out, BaseOf(left))
+	return out
+}
+
+// logJoin logs the join step of left and right that produced out.
+func (e *Exec) logJoin(left, right, out *Table, key string) {
 	e.Log.Add(Step{
 		Kind: StepJoin, Table: out.Name,
 		LeftRows: left.NumRows(), LeftWidth: left.AvgRowBytes(),
 		RightRows: right.NumRows(), RightWidth: right.AvgRowBytes(),
 		OutRows: out.NumRows(), OutWidth: out.AvgRowBytes(),
-		JoinKey:  leftKey,
+		JoinKey:  key,
 		LeftBase: BaseOf(left), RightBase: BaseOf(right),
 	})
-	SetBase(out, BaseOf(left))
-	return out
 }
 
 // SemiJoin returns left rows whose key appears in right (IN subquery).
