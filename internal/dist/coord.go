@@ -81,8 +81,6 @@ type Options struct {
 	// Net injects network faults into every data-plane frame the
 	// coordinator sends or receives.
 	Net fault.NetSchedule
-	// Workers sizes local plan execution (0 = tpch.DefaultWorkers).
-	Workers int
 	// NoFragments disables the fragment fast path, forcing every query
 	// through the scattered-scan path (differential testing).
 	NoFragments bool
@@ -210,15 +208,8 @@ func (c *Coordinator) RunQuery(id int) (t *relal.Table, err error) {
 	if frag, ok := tpch.Fragments[id]; ok && !c.opts.NoFragments {
 		return c.runFragment(frag)
 	}
-	out, _ := tpch.RunQueryWorkers(id, c.db, c.workers())
+	out, _ := tpch.RunQuery(id, c.db)
 	return out, nil
-}
-
-func (c *Coordinator) workers() int {
-	if c.opts.Workers != 0 {
-		return c.opts.Workers
-	}
-	return tpch.DefaultWorkers
 }
 
 // runFragment scatters a registered fragment and merges the partials.
@@ -228,7 +219,7 @@ func (c *Coordinator) runFragment(frag tpch.Fragment) (*relal.Table, error) {
 		c.partials.Add(1)
 		return nil, err
 	}
-	e := &relal.Exec{Parallelism: c.workers()}
+	e := &relal.Exec{Parallelism: tpch.DefaultWorkers}
 	return frag.Merge(e, parts), nil
 }
 

@@ -57,8 +57,6 @@ type ShardConfig struct {
 	Sync string
 	// GroupRows is the RCF7 row-group size (0 = htap default).
 	GroupRows int
-	// Workers sizes fragment execution (0 = tpch.DefaultWorkers).
-	Workers int
 }
 
 // shardOf is the orderkey router: FNV-1a over the key's 8 little-endian
@@ -317,11 +315,7 @@ func (s *Shard) handleFragment(req Request) (Response, *relal.Table) {
 	if !ok {
 		return Response{Shard: s.cfg.Index, Err: fmt.Sprintf("unknown fragment %d", req.FragID)}, nil
 	}
-	workers := s.cfg.Workers
-	if workers == 0 {
-		workers = tpch.DefaultWorkers
-	}
-	e := &relal.Exec{Parallelism: workers}
+	e := &relal.Exec{Parallelism: tpch.DefaultWorkers}
 	part := frag.Partial(e, s.db)
 	return s.tableResponse(part, relal.ScanStats{})
 }

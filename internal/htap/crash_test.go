@@ -273,7 +273,7 @@ func TestHtapCorruptPartQuarantine(t *testing.T) {
 	// corruption must surface, quarantine, and degrade — not panic, not
 	// return wrong rows.
 	st := store.tables["lineitem"]
-	hs := &htapSource{store: store, st: st, base: st.base}
+	hs := &htapSource{store: store, st: st}
 	tbl, scanStats := hs.ScanTable(nil, nil)
 	if tbl.NumRows() != st.base.NumRows() {
 		t.Fatalf("degraded scan rows = %d, want %d", tbl.NumRows(), st.base.NumRows())

@@ -229,7 +229,7 @@ func Open(db *tpch.DB, hold map[string]int, cfg Config) (*Store, error) {
 		st.view.Store(&tableView{parts: []*part{{src: baseSrc, rcf: baseRCF, rows: n - k, base: true}}})
 		s.tables[name] = st
 		perTable[name] = recordsOf(base, n-k, n)
-		db.SetSource(name, &htapSource{store: s, st: st, base: base})
+		db.SetSource(name, &htapSource{store: s, st: st})
 	}
 	s.held = interleave(names, perTable)
 

@@ -19,7 +19,6 @@ import (
 type htapSource struct {
 	store *Store
 	st    *tableState
-	base  *relal.Table // schema donor
 }
 
 func (h *htapSource) SrcName() string { return h.st.name }

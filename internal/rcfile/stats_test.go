@@ -69,15 +69,16 @@ func TestSourceStatsConcurrent(t *testing.T) {
 
 // TestTableSourceStatsConcurrent covers the in-memory TableSource the
 // same way (both backends serve concurrent streams): every scan returns
-// the source's own table and the same modeled stats.
+// the source's own table and the same modeled stats, all drawn from the
+// table's memoized scan info.
 func TestTableSourceStatsConcurrent(t *testing.T) {
-	rows := 6 * 512
+	rows := 6 * relal.DefaultScanGroupRows
 	keys := make([]int64, rows)
 	for i := range keys {
 		keys[i] = int64(i)
 	}
 	tb := relal.NewTable("t", relal.Schema{{Name: "k", Type: relal.Int}}, relal.IntsV(keys))
-	src := &relal.TableSource{T: tb, GroupRows: 512}
+	src := relal.NewTableSource(tb)
 	pred := relal.ZonePredicate{relal.IntBetween("k", math.MinInt64, int64(rows/3))}
 	_, once := src.ScanTable([]string{"k"}, pred)
 	if once.GroupsSkipped == 0 {

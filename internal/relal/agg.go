@@ -307,7 +307,7 @@ func (k *groupKeys) hashIDs(gid []int32, workers int) (first []int32) {
 		size = n
 	}
 	firsts := make([][]int32, (n+size-1)/size)
-	parallelMorselsSize(n, size, workers, func(m, lo, hi int) {
+	parallelMorsels(n, size, workers, func(m, lo, hi int) {
 		tab := k.table(size)
 		for i := lo; i < hi; i++ {
 			id, fresh := tab.id(i)
@@ -332,7 +332,7 @@ func (k *groupKeys) hashIDs(gid []int32, workers int) (first []int32) {
 			remaps[m][lid] = id
 		}
 	}
-	parallelMorselsSize(n, size, workers, func(m, lo, hi int) {
+	parallelMorsels(n, size, workers, func(m, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			gid[i] = remaps[m][gid[i]]
 		}
@@ -446,10 +446,8 @@ func (e *Exec) Aggregate(t *Table, groupBy []string, aggs []AggSpec) *Table {
 		}
 		cols[k] = t.Cols[gi].gather(at)
 	}
-	parallelRanges(len(aggs), w, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			cols[len(gidx)+i] = fold(aggs[i].Fn, ins[i], inSels[i], gid, counts)
-		}
+	runItems(len(aggs), w, func(i int) {
+		cols[len(gidx)+i] = fold(aggs[i].Fn, ins[i], inSels[i], gid, counts)
 	})
 	out := &Table{Name: t.Name + "_agg", Schema: sch, Cols: cols}
 	e.Log.Add(Step{

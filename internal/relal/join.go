@@ -18,7 +18,7 @@
 //     selection, the index vector itself for a dense input column.
 //
 // One worker, or an input of one morsel, is the one-morsel case of the
-// probe: the dispatchers in parallel.go run it inline.
+// probe: runItems (sched.go) runs it inline.
 package relal
 
 import "fmt"
@@ -97,7 +97,7 @@ func (e *Exec) Join(left, right *Table, leftKey, rightKey string) *Table {
 	ln := left.NumRows()
 	ls := make([][]int32, (ln+joinMorselRows-1)/joinMorselRows)
 	rs := make([][]int32, len(ls))
-	parallelMorselsSize(ln, joinMorselRows, e.workers(), func(m, lo, hi int) {
+	parallelMorsels(ln, joinMorselRows, e.workers(), func(m, lo, hi int) {
 		var l, r []int32
 		for i := lo; i < hi; i++ {
 			for j := kt.first(lKeys.Get(i)); j >= 0; j = kt.next[j] {
@@ -165,7 +165,7 @@ func (e *Exec) AntiJoin(left, right *Table, leftKey, rightKey string) *Table {
 // this loop.
 func selectRows(n, size, workers int, pred func(i int) bool) []int32 {
 	parts := make([][]int32, (n+size-1)/size)
-	parallelMorselsSize(n, size, workers, func(m, lo, hi int) {
+	parallelMorsels(n, size, workers, func(m, lo, hi int) {
 		var buf []int32
 		for i := lo; i < hi; i++ {
 			if pred(i) {

@@ -520,13 +520,14 @@ func (l *StepLog) Add(s Step) { l.Steps = append(l.Steps, s) }
 // Exec is the execution context threading the log through operators.
 type Exec struct {
 	Log StepLog
-	// Parallelism is this query's admission cap on the shared morsel
-	// scheduler (sched.go): 0 = the pool size (PoolSize), 1 = serial,
-	// n > 1 = at most n of this query's morsels in flight at once. The
-	// pool itself is process-wide and sized to GOMAXPROCS, so N
-	// concurrent queries never oversubscribe the cores. Kernels are
-	// written so the result — including floating-point aggregate bits
-	// and group emission order — is identical for every setting.
+	// Parallelism is this query's admission cap on the shared core
+	// budget (sched.go): 0 = PoolSize(), 1 = serial, n > 1 = at most n
+	// goroutines (the caller and n−1 pool helpers) on one of this
+	// query's kernels at once. The helpers are process-wide and sized
+	// to GOMAXPROCS, so N concurrent queries never oversubscribe the
+	// cores. Kernels are written so the result — including
+	// floating-point aggregate bits and group emission order — is
+	// identical for every setting.
 	Parallelism int
 }
 
@@ -612,7 +613,7 @@ func (e *Exec) Limit(t *Table, n int) *Table {
 // parallelism).
 func extendSlice[T any](n, workers int, fn func(i int) T) []T {
 	xs := make([]T, n)
-	parallelMorsels(n, workers, func(_, lo, hi int) {
+	parallelMorsels(n, MorselRows, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			xs[i] = fn(i)
 		}

@@ -257,10 +257,9 @@ const DefaultScanGroupRows = 16 * 1024
 // tableScanInfo is the cached per-group scan metadata of an in-memory
 // table.
 type tableScanInfo struct {
-	groupRows int
-	rows      []int       // per group: row count
-	zones     [][]ZoneMap // per group, per column
-	bytes     [][]int64   // per group, per column: encoded chunk bytes
+	rows  []int       // per group: row count
+	zones [][]ZoneMap // per group, per column
+	bytes [][]int64   // per group, per column: encoded chunk bytes
 }
 
 // FORWidth returns the packed frame-of-reference byte width for a
@@ -430,23 +429,18 @@ func countRuns(codes []uint32) int {
 	return runs
 }
 
-// scanInfo computes (and for the default group size, caches) the
-// per-group zone maps and encoded chunk sizes of t.
-func (t *Table) scanInfo(groupRows int) *tableScanInfo {
-	if groupRows <= 0 {
-		groupRows = DefaultScanGroupRows
-	}
-	if groupRows == DefaultScanGroupRows {
-		t.scanOnce.Do(func() { t.scanCached = computeScanInfo(t, groupRows) })
-		return t.scanCached
-	}
-	return computeScanInfo(t, groupRows)
+// scanInfo computes once and caches the per-group zone maps and encoded
+// chunk sizes of t.
+func (t *Table) scanInfo() *tableScanInfo {
+	t.scanOnce.Do(func() { t.scanCached = computeScanInfo(t) })
+	return t.scanCached
 }
 
-func computeScanInfo(t *Table, groupRows int) *tableScanInfo {
+func computeScanInfo(t *Table) *tableScanInfo {
+	const groupRows = DefaultScanGroupRows
 	d := t.Compacted() // zone maps want dense physical ranges
 	n := d.NumRows()
-	info := &tableScanInfo{groupRows: groupRows}
+	info := &tableScanInfo{}
 	numGroups := (n + groupRows - 1) / groupRows
 	// Per dict column, the file-global dictionary's bytes amortize
 	// evenly across the groups (an RCFile stores one dictionary per
@@ -486,11 +480,10 @@ func computeScanInfo(t *Table, groupRows int) *tableScanInfo {
 // decompressed vs skipped, so cost models can charge for pushdown.
 type TableSource struct {
 	T *Table
-	// GroupRows is the virtual row-group size (0 = default).
-	GroupRows int
 }
 
-// NewTableSource wraps t with the default virtual row-group size.
+// NewTableSource wraps t; its stats model DefaultScanGroupRows-row
+// groups.
 func NewTableSource(t *Table) *TableSource { return &TableSource{T: t} }
 
 // SrcName returns the table name.
@@ -501,7 +494,7 @@ func (s *TableSource) SrcSchema() Schema { return s.T.Schema }
 
 // ScanTable implements Source.
 func (s *TableSource) ScanTable(cols []string, pred ZonePredicate) (*Table, ScanStats) {
-	info := s.T.scanInfo(s.GroupRows)
+	info := s.T.scanInfo()
 	want := make([]bool, len(s.T.Schema))
 	if len(cols) == 0 {
 		for i := range want {

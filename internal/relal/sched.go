@@ -1,217 +1,113 @@
-// Shared morsel scheduler: one process-wide worker pool serving every
-// Exec, every query, every stream. Before this existed each parallel
-// kernel call spawned its own goroutines, so N concurrent query streams
-// × W workers oversubscribed the cores N-fold; now the pool is sized to
-// GOMAXPROCS once and queries submit morsel jobs to it.
+// The shared core budget: one process-wide set of PoolSize() helper
+// goroutines serving every Exec, every query, every stream, so N
+// concurrent query streams × W workers never oversubscribe the cores. A
+// kernel borrows idle helpers for the length of one job.
 //
-// Fairness and admission are both per job. A job's admission cap is the
-// submitting Exec's Parallelism (its per-query concurrency budget): at
-// most cap workers execute the job's morsels at any moment, so one wide
-// scan cannot monopolize the pool. Among eligible jobs workers claim
-// morsels round-robin (a rotating cursor over the active-job list), so
-// concurrent streams make proportional progress instead of FIFO
-// convoying.
+// runItems is the only dispatch primitive. The caller offers its job to
+// up to cap−1 helpers with non-blocking sends on one buffered channel
+// (a full channel means every helper already has work queued, so it
+// stops offering), then claims items from the job's atomic counter
+// itself. A job's admission cap is the submitting Exec's Parallelism:
+// the caller plus at most cap−1 helpers, so one wide scan cannot take
+// more than its share of the cores.
 //
-// The determinism contract is untouched: a job's morsel index set and
-// per-morsel row ranges are fixed by the submit call, only the
-// assignment of morsels to workers is dynamic — exactly the freedom the
-// kernels already tolerated, since every kernel merges per-morsel state
-// in morsel order. The golden snapshot stays byte-identical at any pool
-// size, stream count, and admission cap.
+// The determinism contract is untouched: a job's item set is fixed by
+// the submit call, only which goroutine runs an item is dynamic — the
+// freedom the kernels already rely on, since every kernel merges
+// per-item state in item order. The golden snapshot stays byte-identical
+// at any pool size, stream count and admission cap.
 //
-// Liveness: the submitting goroutine participates in its own job
-// (caller-runs) whenever the admission cap has room, so a job makes
-// progress even when every pool worker is busy elsewhere, and a kernel
-// running inside a pool worker can itself submit without deadlock. Pool
-// workers never block — they run one morsel at a time and return to the
-// scheduler — so a parked submitter is always eventually served.
+// Liveness: the caller always works on its own job and then waits only
+// for items some executor has already claimed, never for a helper to
+// arrive. So a job progresses while every helper is busy elsewhere, a
+// kernel running on a helper can itself submit without deadlock, and a
+// stale offer that reaches a finished job finds nothing left to claim.
 package relal
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
-// schedJob is one submitted batch of work items (morsels or ranges).
-// All bookkeeping fields are guarded by the scheduler mutex.
-type schedJob struct {
-	items   int            // total work items; fixed at submit
-	next    int            // next unclaimed item index
-	running int            // goroutines currently executing an item (incl. submitter)
-	cap     int            // admission cap: max concurrent executors
-	done    int            // completed items
-	fin     chan struct{}  // closed when done == items
-	run     func(item int) // executes one item; must not touch job state
+// pool is the process-wide helper set; PoolSize starts it.
+var pool struct {
+	once   sync.Once
+	size   int
+	offers chan *job // capacity size: at most one queued offer per helper
 }
 
-// scheduler is the process-wide pool. The zero value is usable; workers
-// start lazily on the first parallel submission.
-type scheduler struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	jobs    []*schedJob // active jobs in round-robin order
-	cursor  int         // next jobs index to offer a worker
-	size    int         // pool size, fixed at first start
-	started bool
+// job is one runItems call.
+type job struct {
+	items int
+	fn    func(item int)
+	next  atomic.Int64   // next unclaimed item
+	wg    sync.WaitGroup // one count per item, released when it finishes
 }
 
-var globalSched = &scheduler{}
-
-// PoolSize returns the shared scheduler's worker-pool size — the value
-// an Exec.Parallelism of 0 resolves to, and the "cores" figure harnesses
+// PoolSize returns the number of helper goroutines — the value an
+// Exec.Parallelism of 0 resolves to, and the "cores" figure harnesses
 // should report instead of streams × workers. The size is pinned to
-// GOMAXPROCS at first resolution so it stays stable for the process
-// lifetime even if GOMAXPROCS changes later.
+// GOMAXPROCS at first use, which also starts the helpers, so it stays
+// stable for the process lifetime even if GOMAXPROCS changes later.
 func PoolSize() int {
-	globalSched.mu.Lock()
-	defer globalSched.mu.Unlock()
-	return globalSched.sizeLocked()
-}
-
-func (s *scheduler) sizeLocked() int {
-	if s.size == 0 {
-		s.size = runtime.GOMAXPROCS(0)
-	}
-	return s.size
-}
-
-func (s *scheduler) startLocked() {
-	if s.started {
-		return
-	}
-	s.started = true
-	if s.cond == nil {
-		s.cond = sync.NewCond(&s.mu)
-	}
-	for i := 0; i < s.sizeLocked(); i++ {
-		go s.worker()
-	}
-}
-
-// claimJobLocked claims the next item of j if its admission cap has room.
-// Claiming the last item retires the job from the active list (nothing
-// left to hand out; completion is tracked separately by done/fin).
-func (s *scheduler) claimJobLocked(j *schedJob) (int, bool) {
-	if j.next >= j.items || j.running >= j.cap {
-		return 0, false
-	}
-	item := j.next
-	j.next++
-	j.running++
-	if j.next == j.items {
-		s.removeLocked(j)
-	}
-	return item, true
-}
-
-// claimLocked scans the active jobs round-robin from the cursor and
-// claims one item from the first eligible job. After a claim the cursor
-// points at the claimed job's successor, so the next claim offers the
-// following job first (round-robin fairness at morsel granularity).
-func (s *scheduler) claimLocked() (*schedJob, int) {
-	n := len(s.jobs)
-	for i := 0; i < n; i++ {
-		idx := (s.cursor + i) % n
-		j := s.jobs[idx]
-		if item, ok := s.claimJobLocked(j); ok {
-			switch m := len(s.jobs); {
-			case m == 0:
-				s.cursor = 0
-			case m < n:
-				// The claim retired j, shifting its successor into idx.
-				s.cursor = idx % m
-			default:
-				s.cursor = (idx + 1) % m
-			}
-			return j, item
+	pool.once.Do(func() {
+		pool.size = runtime.GOMAXPROCS(0)
+		pool.offers = make(chan *job, pool.size)
+		for range pool.size {
+			go func() {
+				for j := range pool.offers {
+					j.work()
+				}
+			}()
 		}
-	}
-	return nil, 0
+	})
+	return pool.size
 }
 
-// removeLocked drops j from the active list (idempotent) and keeps the
-// cursor pointing at the same successor job.
-func (s *scheduler) removeLocked(j *schedJob) {
-	for i, x := range s.jobs {
-		if x == j {
-			s.jobs = append(s.jobs[:i], s.jobs[i+1:]...)
-			if s.cursor > i {
-				s.cursor--
-			}
-			if len(s.jobs) > 0 {
-				s.cursor %= len(s.jobs)
-			} else {
-				s.cursor = 0
-			}
+// work claims and runs j's items until none is left unclaimed.
+func (j *job) work() {
+	for {
+		i := int(j.next.Add(1) - 1)
+		if i >= j.items {
 			return
 		}
+		j.fn(i)
+		j.wg.Done()
 	}
 }
 
-// finishLocked records one completed item and returns whether the job is
-// fully done. It wakes a parked worker when the completion may have
-// reopened the job's admission cap.
-func (s *scheduler) finishLocked(j *schedJob) bool {
-	j.running--
-	j.done++
-	if j.done == j.items {
-		close(j.fin)
-		return true
-	}
-	if j.next < j.items && j.running < j.cap {
-		s.cond.Signal()
-	}
-	return false
-}
-
-// worker is one pool goroutine: claim a single item, run it outside the
-// lock, repeat; park when nothing is eligible. Running one item per
-// claim (instead of draining a job) is what makes the round-robin fair
-// at morsel granularity.
-func (s *scheduler) worker() {
-	s.mu.Lock()
-	for {
-		j, item := s.claimLocked()
-		if j == nil {
-			s.cond.Wait()
-			continue
+// runItems runs fn once for every item in [0, items) on the caller plus
+// at most cap−1 pool helpers, and returns when every item has finished.
+// With cap ≤ 1 or a single item the items run inline, in order.
+func runItems(items, cap int, fn func(item int)) {
+	if cap <= 1 || items <= 1 {
+		for i := 0; i < items; i++ {
+			fn(i)
 		}
-		s.mu.Unlock()
-		j.run(item)
-		s.mu.Lock()
-		s.finishLocked(j)
-	}
-}
-
-// run submits items work units with the given admission cap and blocks
-// until all of them have completed. The caller participates in its own
-// job while the cap has room, then waits for pool workers to finish the
-// remainder.
-func (s *scheduler) run(items, cap int, fn func(item int)) {
-	if items <= 0 {
 		return
 	}
-	if cap < 1 {
-		cap = 1
-	}
-	j := &schedJob{items: items, cap: cap, fin: make(chan struct{}), run: fn}
-	s.mu.Lock()
-	s.startLocked()
-	s.jobs = append(s.jobs, j)
-	s.cond.Broadcast()
-	for {
-		item, ok := s.claimJobLocked(j)
-		if !ok {
-			break
-		}
-		s.mu.Unlock()
-		j.run(item)
-		s.mu.Lock()
-		if s.finishLocked(j) {
-			s.mu.Unlock()
-			return
+	j := &job{items: items, fn: fn}
+	j.wg.Add(items)
+	PoolSize() // starts the helpers on first use
+	offered := false
+offer:
+	for h := 1; h < min(cap, items); h++ {
+		select {
+		case pool.offers <- j:
+			offered = true
+		default:
+			break offer
 		}
 	}
-	s.mu.Unlock()
-	<-j.fin
+	if offered {
+		// A parked helper woken by the send waits in this P's runnext
+		// slot, which an idle P steals only after a sleep of tens of
+		// microseconds — longer than many jobs, which would then run
+		// serially. Yielding starts the helper here at once and moves
+		// the caller to the P the wake-up roused.
+		runtime.Gosched()
+	}
+	j.work()
+	j.wg.Wait()
 }

@@ -170,7 +170,7 @@ func topKIndex(t *Table, cmps []func(a, b int32) int, k, workers int) []int32 {
 		return i < j
 	}
 	parts := make([][]int32, (n+sortMorselRows-1)/sortMorselRows)
-	parallelMorselsSize(n, sortMorselRows, workers, func(m, lo, hi int) {
+	parallelMorsels(n, sortMorselRows, workers, func(m, lo, hi int) {
 		parts[m] = heapTopK(lo, hi, k, less)
 	})
 	cand := concatIdx(parts)

@@ -25,10 +25,6 @@ import "elephants/internal/relal"
 // Fragment is one query's scatter/gather decomposition.
 type Fragment struct {
 	ID int
-	// Tables are the base tables the partial scans; the distributed
-	// executor only offers the fragment when all of them are partitioned
-	// on the colocation key.
-	Tables []string
 	// Partial runs the shard-local plan against a (partitioned) DB and
 	// returns the per-shard grouped partial aggregate.
 	Partial func(e *relal.Exec, db *DB) *relal.Table
@@ -43,7 +39,6 @@ type Fragment struct {
 var Fragments = map[int]Fragment{
 	4: {
 		ID:      4,
-		Tables:  []string{"orders", "lineitem"},
 		Partial: q4Partial,
 		Merge: func(e *relal.Exec, parts []*relal.Table) *relal.Table {
 			return e.Sort(mergeGroupedSums(parts, "o_orderpriority"),
@@ -52,7 +47,6 @@ var Fragments = map[int]Fragment{
 	},
 	12: {
 		ID:      12,
-		Tables:  []string{"lineitem", "orders"},
 		Partial: q12Partial,
 		Merge: func(e *relal.Exec, parts []*relal.Table) *relal.Table {
 			return e.Sort(mergeGroupedSums(parts, "l_shipmode"),

@@ -23,11 +23,12 @@ type StreamConfig struct {
 	// Rounds is how many times each stream replays the query list
 	// (0 = 1).
 	Rounds int
-	// Workers is each query's admission cap on the shared morsel
-	// scheduler (0 = uncapped, 1 = serial). All streams share one
-	// process-wide pool of relal.PoolSize() workers, so streams do NOT
-	// multiply with workers: total execution parallelism is bounded by
-	// the pool regardless of stream count.
+	// Workers is each query's admission cap on the shared core budget
+	// (0 = relal.PoolSize(), 1 = serial). All streams share one
+	// process-wide set of relal.PoolSize() helpers, so streams do NOT
+	// multiply with workers: beyond the stream goroutines themselves,
+	// total execution parallelism is bounded by the helpers regardless
+	// of stream count.
 	Workers int
 	// Queries restricts the replayed query IDs (nil = all 22).
 	Queries []int
@@ -44,13 +45,14 @@ type StreamConfig struct {
 // StreamResult reports one run.
 type StreamResult struct {
 	Streams, Rounds int
-	// Workers is the resolved per-stream admission cap: how many morsels
-	// of one stream's current query may execute at once. It never
-	// exceeds PoolWorkers — the old streams × workers oversubscription
-	// arithmetic is gone because streams share the pool.
+	// Workers is the resolved per-stream admission cap: how many
+	// goroutines may work on one kernel of a stream's current query at
+	// once. It never exceeds PoolWorkers — the old streams × workers
+	// oversubscription arithmetic is gone because streams share the
+	// helpers.
 	Workers int
-	// PoolWorkers is the size of the process-wide morsel worker pool all
-	// streams drew from (relal.PoolSize()).
+	// PoolWorkers is the number of process-wide helpers all streams
+	// drew from (relal.PoolSize()).
 	PoolWorkers int
 	// Queries is the total number of queries executed across streams.
 	Queries int
