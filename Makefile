@@ -23,7 +23,8 @@ race:
 # shared-scheduler suites) + every join, sort/top-K and group-by suite
 # (each kernel against its naive oracle at every worker count, the key
 # table's structure in each representation, the Int-key rule) + dict,
-# predicate-factory and chunk-encoding differentials + the HTAP
+# predicate and range-condition soundness and chunk-encoding
+# differentials + the HTAP
 # delta-pipeline and wal/delta-log concurrency suites under the race
 # detector (CI's `streams` job).
 streams:
@@ -58,7 +59,9 @@ dist:
 
 # Short fuzz runs over the join key table's three representations
 # (slot array, packed-key map, byte-key map), sort/top-K, group-by
-# key encodings and morsel merge, RCF7 dict-chunk and gdict+rle/delta-chunk
+# key encodings and morsel merge, the range conditions (ZoneCond.On over
+# raw and dictionary columns against the naive comparison and against
+# zone pruning), RCF7 dict-chunk and gdict+rle/delta-chunk
 # round-trips, every chunk decoder behind re-stamped CRCs (stored and
 # deflated), chunk-cache key/eviction paths, the delta-log replay
 # parser, the full crash-schedule → recover cycle of the file-backed
@@ -68,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzJoinKeys -fuzztime 15s ./internal/relal/
 	$(GO) test -run xxx -fuzz FuzzSortKeys -fuzztime 15s ./internal/relal/
 	$(GO) test -run xxx -fuzz FuzzGroupKeys -fuzztime 15s ./internal/relal/
+	$(GO) test -run xxx -fuzz FuzzPredCond -fuzztime 15s ./internal/relal/
 	$(GO) test -run xxx -fuzz FuzzDictRoundTrip -fuzztime 15s ./internal/rcfile/
 	$(GO) test -run xxx -fuzz FuzzRunsDelta -fuzztime 15s ./internal/rcfile/
 	$(GO) test -run xxx -fuzz FuzzChunkDecode -fuzztime 15s ./internal/rcfile/

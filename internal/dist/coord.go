@@ -503,8 +503,9 @@ func (c *Coordinator) Health(i int) (map[string]int64, error) {
 // the coordinator: scatter the (column, predicate) request and merge
 // the shards' surviving rows back into global row order on the hidden
 // position column. Pruning stays conservative (a shard may return rows
-// its groups couldn't rule out) and plans re-apply their exact filters,
-// so the reassembled scan is answer-equivalent to the local one.
+// its groups couldn't rule out), and each plan's Where applies the same
+// conditions row by row (relal.ZoneCond.On), so the reassembled scan is
+// answer-equivalent to the local one.
 // relal.Source has no error channel — a failed gather panics a
 // *PartialError that Coordinator.RunQuery recovers into a typed error.
 type distSource struct {

@@ -553,7 +553,7 @@ func TestEmptyTableReadCols(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, stats, err := ReadCols(data, src.Schema, "t", []string{"v"},
-		relal.ZonePredicate{relal.FloatAtMost("v", 1)})
+		relal.ZonePredicate{relal.FloatLess("v", 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,10 +583,10 @@ func TestStrZoneEdgeCases(t *testing.T) {
 		pred relal.ZoneCond
 		keep bool
 	}{
-		{relal.StrEq("x", ""), true},     // empty string is in range
-		{relal.StrEq("x", "appl"), true}, // prefix between app and apple
-		{relal.StrAtLeast("x", "applesauce"), true},
-		{relal.StrAtLeast("x", "applesauces"), false}, // past the max
+		{relal.StrEq("x", ""), true},                  // empty string is in range
+		{relal.StrEq("x", "appl"), true},              // prefix between app and apple
+		{relal.StrGreater("x", "applesauce"), true},   // the closed hull holds the max
+		{relal.StrGreater("x", "applesauces"), false}, // past the max
 		{relal.StrAtMost("x", ""), true},              // min "" qualifies
 		{relal.StrBetween("x", "b", "c"), false},
 	} {

@@ -454,7 +454,7 @@ func (e *Exec) Aggregate(t *Table, groupBy []string, aggs []AggSpec) *Table {
 		Kind: StepAgg, Table: t.Name,
 		LeftRows: t.NumRows(), LeftWidth: t.AvgRowBytes(),
 		OutRows: out.NumRows(), OutWidth: out.AvgRowBytes(),
-		LeftBase: BaseOf(t),
+		LeftBase: t.Base,
 	})
 	return out
 }

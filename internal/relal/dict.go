@@ -12,10 +12,11 @@
 // to exactly the same strings, and every operator output is
 // byte-identical to the raw-string execution (the differential suite in
 // dict_test.go locks this at several worker counts). Filters get the
-// real win through the StrVec predicate factories below, which
-// translate a string predicate into a code comparison once per vector:
-// equality becomes one code probe, ordering becomes a code threshold
-// (the dictionary is sorted), and prefix matching becomes a code range.
+// real win through ZoneCond.On and the StrVec predicate factories
+// below, which translate a string predicate into a code comparison once
+// per vector: equality and ordering become a code interval (the
+// dictionary is sorted), membership a bitmap over the codes, and prefix
+// matching a code range.
 package relal
 
 import (
@@ -127,30 +128,26 @@ func DictEncodedBytes(vals []string, rows int) int64 {
 	return b + int64(rows)*int64(DictCodeWidth(len(vals)))
 }
 
-// lowerBound returns the first index in the sorted dictionary with
-// vals[i] >= s — the code threshold for >= / < predicates.
-func lowerBound(vals []string, s string) uint32 {
-	return uint32(sort.SearchStrings(vals, s))
+// bound returns the first index in the sorted dictionary whose value
+// is >= s, or > s when after is set — the code threshold of a bound.
+func bound(vals []string, s string, after bool) uint32 {
+	return uint32(sort.Search(len(vals), func(i int) bool {
+		return vals[i] > s || !after && vals[i] == s
+	}))
 }
 
-// upperBound returns the first index with vals[i] > s — the threshold
-// for > / <= predicates.
-func upperBound(vals []string, s string) uint32 {
-	return uint32(sort.Search(len(vals), func(i int) bool { return vals[i] > s }))
-}
-
-// The StrVec predicate factories below compile a string predicate into
-// a Pred (pred.go). On a dict-backed accessor the string comparison
-// happens once, against the dictionary, and the per-row closure
-// compares uint32 codes; on a raw accessor the closure compares strings
-// — the row set is identical either way, so queries use the factories
-// unconditionally.
+// The StrVec predicate factories below, and ZoneCond.On for string
+// ranges, compile a string predicate into a Pred (pred.go). On a
+// dict-backed accessor the string comparison happens once, against the
+// dictionary, and the per-row closure compares uint32 codes; on a raw
+// accessor the closure compares strings — the row set is identical
+// either way, so queries use them unconditionally.
 
 // codePred builds a code-interval predicate [lo, hi) over a
 // dict-backed accessor.
 func (v StrVec) codePred(lo, hi uint32) Pred {
 	if lo >= hi {
-		return Pred{at: func(int) bool { return false }}
+		return none
 	}
 	dict, sel := v.dict, v.sel
 	if sel == nil {
@@ -178,70 +175,13 @@ func (v StrVec) rawPred(ok func(s string) bool) Pred {
 	return Pred{at: func(i int) bool { return ok(data[sel[i]]) }}
 }
 
-// Eq returns a predicate for Get(i) == val. Dict-backed: one code probe
-// per row.
-func (v StrVec) Eq(val string) Pred {
-	if v.dict != nil {
-		c := lowerBound(v.vals, val)
-		if int(c) >= len(v.vals) || v.vals[c] != val {
-			return Pred{at: func(int) bool { return false }}
-		}
-		return v.codePred(c, c+1)
-	}
-	return v.rawPred(func(s string) bool { return s == val })
-}
-
-// Ne returns a predicate for Get(i) != val.
+// Ne returns a predicate for Get(i) != val: on a dict column, the
+// complement of val's code interval.
 func (v StrVec) Ne(val string) Pred {
 	if v.dict != nil {
-		c := lowerBound(v.vals, val)
-		if int(c) >= len(v.vals) || v.vals[c] != val {
-			return Pred{at: func(int) bool { return true }}
-		}
-		return v.codeTest(func(x uint32) bool { return x != c })
+		return Not(v.codePred(bound(v.vals, val, false), bound(v.vals, val, true)))
 	}
 	return v.rawPred(func(s string) bool { return s != val })
-}
-
-// Lt returns a predicate for Get(i) < val (code threshold on dict).
-func (v StrVec) Lt(val string) Pred {
-	if v.dict != nil {
-		return v.codePred(0, lowerBound(v.vals, val))
-	}
-	return v.rawPred(func(s string) bool { return s < val })
-}
-
-// Le returns a predicate for Get(i) <= val.
-func (v StrVec) Le(val string) Pred {
-	if v.dict != nil {
-		return v.codePred(0, upperBound(v.vals, val))
-	}
-	return v.rawPred(func(s string) bool { return s <= val })
-}
-
-// Gt returns a predicate for Get(i) > val.
-func (v StrVec) Gt(val string) Pred {
-	if v.dict != nil {
-		return v.codePred(upperBound(v.vals, val), uint32(len(v.vals)))
-	}
-	return v.rawPred(func(s string) bool { return s > val })
-}
-
-// Range returns a predicate for lo <= Get(i) < hi — the half-open
-// interval every TPC-H date-window filter uses.
-func (v StrVec) Range(lo, hi string) Pred {
-	if v.dict != nil {
-		return v.codePred(lowerBound(v.vals, lo), lowerBound(v.vals, hi))
-	}
-	return v.rawPred(func(s string) bool { return s >= lo && s < hi })
-}
-
-// Between returns a predicate for lo <= Get(i) <= hi (both inclusive).
-func (v StrVec) Between(lo, hi string) Pred {
-	if v.dict != nil {
-		return v.codePred(lowerBound(v.vals, lo), upperBound(v.vals, hi))
-	}
-	return v.rawPred(func(s string) bool { return s >= lo && s <= hi })
 }
 
 // Before returns a predicate for v.Get(i) < w.Get(i), v and w being
@@ -273,14 +213,14 @@ func (v StrVec) In(set ...string) Pred {
 		member := make([]bool, len(v.vals))
 		any := false
 		for _, val := range set {
-			c := lowerBound(v.vals, val)
+			c := bound(v.vals, val, false)
 			if int(c) < len(v.vals) && v.vals[c] == val {
 				member[c] = true
 				any = true
 			}
 		}
 		if !any {
-			return Pred{at: func(int) bool { return false }}
+			return none
 		}
 		return v.codeTest(func(c uint32) bool { return member[c] })
 	}
@@ -296,7 +236,7 @@ func (v StrVec) In(set ...string) Pred {
 // the dict-backed predicate is a code range.
 func (v StrVec) HasPrefix(prefix string) Pred {
 	if v.dict != nil {
-		lo := lowerBound(v.vals, prefix)
+		lo := bound(v.vals, prefix, false)
 		hi := lo
 		for int(hi) < len(v.vals) && strings.HasPrefix(v.vals[hi], prefix) {
 			hi++

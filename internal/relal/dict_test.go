@@ -63,8 +63,8 @@ func TestDictDifferential(t *testing.T) {
 
 			// Filter through the predicate factories (code ranges on the
 			// dict side) and through Get-based closures.
-			fr := e.Where(raw, raw.StrCol("s").Range("AB", "REG"))
-			fd := e.Where(dict, dict.StrCol("s").Range("AB", "REG"))
+			fr := e.Where(raw, StrRange("s", "AB", "REG").On(raw))
+			fd := e.Where(dict, StrRange("s", "AB", "REG").On(dict))
 			if render(fr) != render(fd) {
 				t.Fatalf("%s: Filter(Range) drifts", name)
 			}
@@ -111,9 +111,10 @@ func TestDictDifferential(t *testing.T) {
 	}
 }
 
-// TestDictPredicateFactories checks every StrVec factory against the
-// plain string semantics, on both representations, for boundary values
-// that are present, absent, below the minimum, and past the maximum.
+// TestDictPredicateFactories checks every string condition and StrVec
+// factory against the plain string semantics, on both representations,
+// for boundary values that are present, absent, below the minimum, and
+// past the maximum.
 func TestDictPredicateFactories(t *testing.T) {
 	raw, dict := dictPair(200, 17)
 	probes := append([]string{}, dictPool...)
@@ -121,26 +122,26 @@ func TestDictPredicateFactories(t *testing.T) {
 	for _, tb := range []*Table{raw, dict} {
 		v := tb.StrCol("s")
 		for _, p := range probes {
+			checks := []struct {
+				name string
+				pred Pred
+				want func(s string) bool
+			}{
+				{"StrEq", StrEq("s", p).On(tb), func(s string) bool { return s == p }},
+				{"Ne", v.Ne(p), func(s string) bool { return s != p }},
+				{"StrLess", StrLess("s", p).On(tb), func(s string) bool { return s < p }},
+				{"StrAtMost", StrAtMost("s", p).On(tb), func(s string) bool { return s <= p }},
+				{"StrGreater", StrGreater("s", p).On(tb), func(s string) bool { return s > p }},
+				{"StrRange", StrRange("s", "AB", p).On(tb), func(s string) bool { return s >= "AB" && s < p }},
+				{"StrBetween", StrBetween("s", p, "REG").On(tb), func(s string) bool { return s >= p && s <= "REG" }},
+				{"In", v.In(p, "R"), func(s string) bool { return s == p || s == "R" }},
+				{"HasPrefix", v.HasPrefix(p), func(s string) bool { return strings.HasPrefix(s, p) }},
+			}
 			for i := 0; i < tb.NumRows(); i++ {
 				s := v.Get(i)
-				checks := []struct {
-					name string
-					got  bool
-					want bool
-				}{
-					{"Eq", v.Eq(p).At(i), s == p},
-					{"Ne", v.Ne(p).At(i), s != p},
-					{"Lt", v.Lt(p).At(i), s < p},
-					{"Le", v.Le(p).At(i), s <= p},
-					{"Gt", v.Gt(p).At(i), s > p},
-					{"Range", v.Range("AB", p).At(i), s >= "AB" && s < p},
-					{"Between", v.Between(p, "REG").At(i), s >= p && s <= "REG"},
-					{"In", v.In(p, "R").At(i), s == p || s == "R"},
-					{"HasPrefix", v.HasPrefix(p).At(i), strings.HasPrefix(s, p)},
-				}
 				for _, c := range checks {
-					if c.got != c.want {
-						t.Fatalf("%s(%q) at row %d (%q): got %v want %v", c.name, p, i, s, c.got, c.want)
+					if got := c.pred.At(i); got != c.want(s) {
+						t.Fatalf("%s(%q) at row %d (%q): got %v want %v", c.name, p, i, s, got, !got)
 					}
 				}
 			}

@@ -131,7 +131,6 @@ func (e *Exec) semiAnti(left, right *Table, leftKey, rightKey, suffix string, ke
 	})
 	out := view(left, left.Name+suffix, sel)
 	e.logJoin(left, right, out, leftKey)
-	SetBase(out, BaseOf(left))
 	return out
 }
 
@@ -143,7 +142,7 @@ func (e *Exec) logJoin(left, right, out *Table, key string) {
 		RightRows: right.NumRows(), RightWidth: right.AvgRowBytes(),
 		OutRows: out.NumRows(), OutWidth: out.AvgRowBytes(),
 		JoinKey:  key,
-		LeftBase: BaseOf(left), RightBase: BaseOf(right),
+		LeftBase: left.Base, RightBase: right.Base,
 	})
 }
 

@@ -97,12 +97,12 @@ func randomLateOp(rng *rand.Rand, s int) lateOp {
 				v := t.IntCol(c.Name)
 				return e.Filter(t, func(i int) bool { return v.Get(i)%3 != 1 })
 			case Float:
-				return e.Where(t, t.FloatCol(c.Name).Gt(-1))
+				return e.Where(t, FloatGreater(c.Name, -1).On(t))
+			}
+			if r2%2 == 0 {
+				return e.Where(t, StrLess(c.Name, "N").On(t))
 			}
 			v := t.StrCol(c.Name)
-			if r2%2 == 0 {
-				return e.Where(t, v.Lt("N"))
-			}
 			return e.Filter(t, func(i int) bool { return len(v.Get(i))%2 == 0 })
 		}}
 	case 4:

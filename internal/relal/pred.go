@@ -1,11 +1,14 @@
 package relal
 
-// Compiled column predicates. The typed accessor factories (StrVec.Eq,
-// FloatVec.Between, …) return a Pred: a per-row closure compiled against
-// the accessor once (a string comparison becomes a code comparison on a
-// dict column). Exec.Where filters by a conjunction of them; Exec.Filter
-// keeps accepting plain closures; Pred.At adapts a Pred wherever a
-// per-row function is composed by hand.
+// Compiled column predicates. A Pred is a per-row closure compiled
+// against a column once. Range conditions are spelled as ZoneCond
+// (scan.go) and compiled by ZoneCond.On, so the Where that applies a
+// pushed condition tests the value the scan pruned with; the StrVec
+// factories in dict.go (Ne, In, HasPrefix, Before) cover the string
+// tests no zone map can prune. On a dict column a string comparison
+// becomes a code comparison. Exec.Where filters by a conjunction of
+// Preds; Exec.Filter keeps accepting plain closures; Pred.At adapts a
+// Pred wherever a per-row function is composed by hand.
 
 // Pred is a compiled predicate over one table's rows.
 type Pred struct {
@@ -51,37 +54,13 @@ func andPreds(ps []func(i int) bool) func(i int) bool {
 	}
 }
 
-// The IntVec/FloatVec factories below mirror the StrVec ones in
-// dict.go: they compile a value predicate against the accessor once.
-// There is one per comparison some TPC-H plan makes.
+// none is the predicate no row satisfies.
+var none = Pred{at: func(int) bool { return false }}
 
-// Eq returns a predicate for Get(i) == x.
-func (v IntVec) Eq(x int64) Pred {
-	data, sel := v.data, v.sel
+// within tests lo <= x <= hi over a selection-aware numeric column.
+func within[T int64 | float64](data []T, sel []int32, lo, hi T) Pred {
 	if sel == nil {
-		return Pred{at: func(i int) bool { return data[i] == x }}
+		return Pred{at: func(i int) bool { x := data[i]; return x >= lo && x <= hi }}
 	}
-	return Pred{at: func(i int) bool { return data[sel[i]] == x }}
-}
-
-func (v FloatVec) pred(test func(x float64) bool) Pred {
-	data, sel := v.data, v.sel
-	if sel == nil {
-		return Pred{at: func(i int) bool { return test(data[i]) }}
-	}
-	return Pred{at: func(i int) bool { return test(data[sel[i]]) }}
-}
-
-// Lt returns a predicate for Get(i) < x.
-func (v FloatVec) Lt(x float64) Pred { return v.pred(func(y float64) bool { return y < x }) }
-
-// Gt returns a predicate for Get(i) > x.
-func (v FloatVec) Gt(x float64) Pred { return v.pred(func(y float64) bool { return y > x }) }
-
-// Ge returns a predicate for Get(i) >= x.
-func (v FloatVec) Ge(x float64) Pred { return v.pred(func(y float64) bool { return y >= x }) }
-
-// Between returns a predicate for lo <= Get(i) <= hi (both inclusive).
-func (v FloatVec) Between(lo, hi float64) Pred {
-	return v.pred(func(y float64) bool { return y >= lo && y <= hi })
+	return Pred{at: func(i int) bool { x := data[sel[i]]; return x >= lo && x <= hi }}
 }

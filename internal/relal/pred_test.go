@@ -1,7 +1,9 @@
 package relal
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -32,10 +34,11 @@ func predTable(dict bool) *Table {
 	return NewTable("t", sch, IntsV(ks), FloatsV(fs), sv)
 }
 
-// TestPredFactories checks every IntVec, FloatVec and StrVec predicate
-// factory, and Not, against the hand-written closure over Get: the
-// selection Where produces must equal Filter's, on dense tables and on
-// views, over dict and raw strings, serial and parallel.
+// TestPredFactories checks every condition constructor compiled by On,
+// every StrVec predicate factory, and Not, against the hand-written
+// closure over Get: the selection Where produces must equal Filter's,
+// on dense tables and on views, over dict and raw strings, serial and
+// parallel.
 func TestPredFactories(t *testing.T) {
 	for _, dict := range []bool{false, true} {
 		dense := predTable(dict)
@@ -47,18 +50,19 @@ func TestPredFactories(t *testing.T) {
 				pred Pred
 				want func(i int) bool
 			}{
-				{"Int.Eq", k.Eq(3), func(i int) bool { return k.Get(i) == 3 }},
-				{"Float.Lt", f.Lt(0.75), func(i int) bool { return f.Get(i) < 0.75 }},
-				{"Float.Gt", f.Gt(1.25), func(i int) bool { return f.Get(i) > 1.25 }},
-				{"Float.Ge", f.Ge(1.25), func(i int) bool { return f.Get(i) >= 1.25 }},
-				{"Float.Between", f.Between(0.5, 1), func(i int) bool { return f.Get(i) >= 0.5 && f.Get(i) <= 1 }},
-				{"Str.Eq", s.Eq("REG"), func(i int) bool { return s.Get(i) == "REG" }},
+				{"IntEq", IntEq("k", 3).On(tb), func(i int) bool { return k.Get(i) == 3 }},
+				{"IntBetween", IntBetween("k", -2, 5).On(tb), func(i int) bool { return k.Get(i) >= -2 && k.Get(i) <= 5 }},
+				{"FloatLess", FloatLess("f", 0.75).On(tb), func(i int) bool { return f.Get(i) < 0.75 }},
+				{"FloatGreater", FloatGreater("f", 1.25).On(tb), func(i int) bool { return f.Get(i) > 1.25 }},
+				{"FloatAtLeast", FloatAtLeast("f", 1.25).On(tb), func(i int) bool { return f.Get(i) >= 1.25 }},
+				{"FloatBetween", FloatBetween("f", 0.5, 1).On(tb), func(i int) bool { return f.Get(i) >= 0.5 && f.Get(i) <= 1 }},
+				{"StrEq", StrEq("s", "REG").On(tb), func(i int) bool { return s.Get(i) == "REG" }},
 				{"Str.Ne", s.Ne("REG"), func(i int) bool { return s.Get(i) != "REG" }},
-				{"Str.Lt", s.Lt("N"), func(i int) bool { return s.Get(i) < "N" }},
-				{"Str.Le", s.Le("N"), func(i int) bool { return s.Get(i) <= "N" }},
-				{"Str.Gt", s.Gt("AB"), func(i int) bool { return s.Get(i) > "AB" }},
-				{"Str.Range", s.Range("AB", "REG"), func(i int) bool { return s.Get(i) >= "AB" && s.Get(i) < "REG" }},
-				{"Str.Between", s.Between("AB", "REG"), func(i int) bool { return s.Get(i) >= "AB" && s.Get(i) <= "REG" }},
+				{"StrLess", StrLess("s", "N").On(tb), func(i int) bool { return s.Get(i) < "N" }},
+				{"StrAtMost", StrAtMost("s", "N").On(tb), func(i int) bool { return s.Get(i) <= "N" }},
+				{"StrGreater", StrGreater("s", "AB").On(tb), func(i int) bool { return s.Get(i) > "AB" }},
+				{"StrRange", StrRange("s", "AB", "REG").On(tb), func(i int) bool { return s.Get(i) >= "AB" && s.Get(i) < "REG" }},
+				{"StrBetween", StrBetween("s", "AB", "REG").On(tb), func(i int) bool { return s.Get(i) >= "AB" && s.Get(i) <= "REG" }},
 				{"Str.In", s.In("R", "mail", "zzz"), func(i int) bool { return s.Get(i) == "R" || s.Get(i) == "mail" }},
 				{"Str.HasPrefix", s.HasPrefix("1994"), func(i int) bool { return strings.HasPrefix(s.Get(i), "1994") }},
 			}
@@ -81,7 +85,7 @@ func TestPredFactories(t *testing.T) {
 
 				// Where is Filter of the conjunction, whatever the mix of
 				// factory and closure conjuncts.
-				p, q, r := k.Eq(3), s.Ne(""), PredFn(func(i int) bool { return f.Get(i) != 1 })
+				p, q, r := IntEq("k", 3).On(tb), s.Ne(""), PredFn(func(i int) bool { return f.Get(i) != 1 })
 				want := e.Filter(tb, func(i int) bool { return p.At(i) && q.At(i) && r.At(i) })
 				if got := e.Where(tb, p, q, r); !slices.Equal(got.sel(0), want.sel(0)) || want.NumRows() == 0 {
 					t.Fatalf("%s: Where(p, q, r) selects %d rows, Filter(p∧q∧r) %d", name, got.NumRows(), want.NumRows())
@@ -92,9 +96,9 @@ func TestPredFactories(t *testing.T) {
 
 				// A conjunction that matches nothing is an empty selection,
 				// not a nil one (nil means "every row" to a view).
-				none := e.Where(tb, f.Lt(0.5), f.Gt(0.5), s.Eq("REG"))
-				if none.sel(0) == nil || none.NumRows() != 0 || len(RowsOf(none)) != 0 {
-					t.Fatalf("%s: empty conjunction yields %d rows (sel nil: %v)", name, none.NumRows(), none.sel(0) == nil)
+				nothing := e.Where(tb, ZonePredicate{FloatLess("f", 0.5), FloatGreater("f", 0.5), StrEq("s", "REG")}.On(tb)...)
+				if nothing.sel(0) == nil || nothing.NumRows() != 0 || len(RowsOf(nothing)) != 0 {
+					t.Fatalf("%s: empty conjunction yields %d rows (sel nil: %v)", name, nothing.NumRows(), nothing.sel(0) == nil)
 				}
 			}
 		}
@@ -155,5 +159,96 @@ func TestPredBefore(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Pools the condition soundness check draws cells and bounds from: both
+// int64 extremes, ±Inf, NaN, signed zero, the smallest subnormal, and
+// strings with "" and shared prefixes. A column draws its cells from a
+// prefix of its pool, so a bound from the rest is absent from the
+// column (and from its dictionary).
+var (
+	condInts   = []int64{3, -1, 0, math.MaxInt64, 7, math.MinInt64, 40, math.MaxInt64 - 1, -7, math.MinInt64 + 1, 1}
+	condFloats = []float64{0.25, math.NaN(), 24, math.Inf(1), -2.5, math.Copysign(0, -1), 0, math.Inf(-1),
+		0.05, 5e-324, math.MaxFloat64, -math.MaxFloat64, 1}
+	condStrs = append(append([]string{}, dictPool...), "0", "AA", "REG AIRX", "zzz", "1994")
+)
+
+// naiveCond is a condition's meaning, compared value by value: every
+// present bound holds, strictly where its flag says so, and a NaN cell
+// or bound matches nothing.
+func naiveCond[T cmp.Ordered](c ZoneCond, x, lo, hi T) bool {
+	above := !c.HasLo || x > lo || !c.LoOpen && x == lo
+	below := !c.HasHi || x < hi || !c.HiOpen && x == hi
+	return x == x && above && below
+}
+
+// checkPredCond builds an Int, a Float and a Str column from next's
+// bytes (sorted or not, so zone maps are narrow or wide), the Str
+// column raw and dictionary-encoded, and one condition per column with
+// open, closed or missing bounds. On must agree with naiveCond over both
+// encodings, and no 64-row group that mayMatch rules out may hold a row
+// On accepts.
+func checkPredCond(t *testing.T, next func() byte) {
+	rows := 1 + int(next())%200
+	prefix := func(n int) int { return 1 + int(next())%n }
+	ni, nf, ns := prefix(len(condInts)), prefix(len(condFloats)), prefix(len(dictPool))
+	ints, floats, strs := make([]int64, rows), make([]float64, rows), make([]string, rows)
+	for r := range rows {
+		ints[r], floats[r], strs[r] = condInts[int(next())%ni], condFloats[int(next())%nf], dictPool[int(next())%ns]
+	}
+	if next()%2 == 0 {
+		slices.Sort(ints)
+		slices.SortFunc(floats, cmp.Compare[float64])
+		slices.Sort(strs)
+	}
+	sch := Schema{{Name: "i", Type: Int}, {Name: "f", Type: Float}, {Name: "s", Type: Str}}
+	raw := NewTable("t", sch, IntsV(ints), FloatsV(floats), StrsV(strs))
+	dict := NewTable("t", sch, IntsV(ints), FloatsV(floats), EncodeDict(strs))
+	for col, kind := range []Type{Int, Float, Str} {
+		flags := next()
+		c := ZoneCond{Col: sch[col].Name, Kind: kind,
+			HasLo: flags&1 != 0, HasHi: flags&2 != 0, LoOpen: flags&4 != 0, HiOpen: flags&8 != 0}
+		c.IntLo, c.IntHi = condInts[int(next())%len(condInts)], condInts[int(next())%len(condInts)]
+		c.FloLo, c.FloHi = condFloats[int(next())%len(condFloats)], condFloats[int(next())%len(condFloats)]
+		c.StrLo, c.StrHi = condStrs[int(next())%len(condStrs)], condStrs[int(next())%len(condStrs)]
+		want := func(r int) bool {
+			switch kind {
+			case Int:
+				return naiveCond(c, ints[r], c.IntLo, c.IntHi)
+			case Float:
+				return naiveCond(c, floats[r], c.FloLo, c.FloHi)
+			}
+			return naiveCond(c, strs[r], c.StrLo, c.StrHi)
+		}
+		onRaw, onDict := c.On(raw), c.On(dict)
+		for r := range rows {
+			if w := want(r); onRaw.At(r) != w || onDict.At(r) != w {
+				t.Fatalf("%+v at row %d: raw %v, dict %v, want %v", c, r, onRaw.At(r), onDict.At(r), w)
+			}
+		}
+		for lo := 0; lo < rows; lo += 64 {
+			hi := min(lo+64, rows)
+			for _, tb := range []*Table{raw, dict} {
+				if c.mayMatch(ZoneOf(tb.Cols[col], lo, hi)) {
+					continue
+				}
+				for r := lo; r < hi; r++ {
+					if want(r) {
+						t.Fatalf("%+v: mayMatch rules out rows [%d, %d), but row %d matches", c, lo, hi, r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPredCondSound holds ZoneCond.On to the naive comparison over raw
+// and dictionary columns, and zone pruning to never drop a row On
+// accepts, over random columns and conditions.
+func TestPredCondSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for range 2000 {
+		checkPredCond(t, func() byte { return byte(rng.Intn(256)) })
 	}
 }

@@ -226,9 +226,9 @@ func (t *Table) composeSels(sels [][]int32, idx []int32) ([][]int32, []int) {
 }
 
 // view returns t's columns at its logical rows idx, in order, under a new
-// name.
+// name; the rows keep t's base annotation.
 func view(t *Table, name string, idx []int32) *Table {
-	out := &Table{Name: name, Schema: t.Schema, Cols: t.Cols}
+	out := &Table{Name: name, Schema: t.Schema, Cols: t.Cols, Base: t.Base}
 	out.sels, out.colSel = t.composeSels(nil, idx)
 	return out
 }
@@ -352,8 +352,8 @@ func (v FloatVec) Get(i int) float64 {
 
 // StrVec is a read accessor for a Str column. For a dict-encoded
 // column, dict/vals are set instead of data and Get decodes through the
-// dictionary; the predicate factories in pred.go compare codes and skip
-// the decode entirely.
+// dictionary; ZoneCond.On and the predicate factories in dict.go compare
+// codes and skip the decode entirely.
 type StrVec struct {
 	data []string
 	dict []uint32
@@ -531,13 +531,6 @@ type Exec struct {
 	Parallelism int
 }
 
-// SetBase marks t's rows as originating from (and still partitioned
-// like) the named base table.
-func SetBase(t *Table, base string) { t.Base = base }
-
-// BaseOf returns the base-table annotation for t ("" if none).
-func BaseOf(t *Table) string { return t.Base }
-
 // Filter returns the rows of t satisfying pred as a zero-copy view:
 // pred is evaluated per logical row index into a new selection vector,
 // composed with each distinct selection of t; no cells move. The result
@@ -548,9 +541,8 @@ func (e *Exec) Filter(t *Table, pred func(i int) bool) *Table {
 		Kind: StepFilter, Table: t.Name,
 		LeftRows: t.NumRows(), LeftWidth: t.AvgRowBytes(),
 		OutRows: out.NumRows(), OutWidth: out.AvgRowBytes(),
-		LeftBase: BaseOf(t),
+		LeftBase: t.Base,
 	})
-	SetBase(out, BaseOf(t))
 	return out
 }
 
@@ -559,7 +551,7 @@ func (e *Exec) Filter(t *Table, pred func(i int) bool) *Table {
 // (zero-copy). Projection is logged as part of downstream steps, not
 // separately (it is free in both engines' models).
 func (e *Exec) Project(t *Table, cols ...string) *Table {
-	out := &Table{Name: t.Name + "_p", Schema: make(Schema, len(cols)), Cols: make([]*Vector, len(cols)), sels: t.sels}
+	out := &Table{Name: t.Name + "_p", Schema: make(Schema, len(cols)), Cols: make([]*Vector, len(cols)), Base: t.Base, sels: t.sels}
 	if t.colSel != nil {
 		out.colSel = make([]int, len(cols))
 	}
@@ -570,7 +562,6 @@ func (e *Exec) Project(t *Table, cols ...string) *Table {
 			out.colSel[i] = t.colSel[j]
 		}
 	}
-	SetBase(out, BaseOf(t))
 	return out
 }
 
@@ -602,9 +593,8 @@ func (e *Exec) Limit(t *Table, n int) *Table {
 		Kind: StepLimit, Table: t.Name,
 		LeftRows: t.NumRows(), LeftWidth: t.AvgRowBytes(),
 		OutRows: out.NumRows(), OutWidth: out.AvgRowBytes(),
-		LeftBase: BaseOf(t),
+		LeftBase: t.Base,
 	})
-	SetBase(out, BaseOf(t))
 	return out
 }
 
@@ -650,11 +640,10 @@ func extendWith(t *Table, name string, col *Vector) *Table {
 	sch := make(Schema, 0, len(t.Schema)+1)
 	sch = append(sch, t.Schema...)
 	sch = append(sch, Column{Name: name, Type: col.Kind})
-	out := &Table{Name: t.Name, Schema: sch, Cols: cols, sels: t.sels}
+	out := &Table{Name: t.Name, Schema: sch, Cols: cols, Base: t.Base, sels: t.sels}
 	if t.colSel != nil {
 		out.colSel = append(make([]int, 0, len(cols)), t.colSel...)
 		out.colSel = append(out.colSel, -1)
 	}
-	SetBase(out, BaseOf(t))
 	return out
 }

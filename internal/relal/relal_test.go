@@ -40,13 +40,13 @@ func TestSchemaCol(t *testing.T) {
 func TestFilterKeepsBase(t *testing.T) {
 	e := &Exec{}
 	tb := numbers(10)
-	SetBase(tb, "nums")
+	tb.Base = "nums"
 	k := tb.IntCol("k")
 	f := e.Filter(tb, func(i int) bool { return k.Get(i) >= 5 })
 	if f.NumRows() != 5 {
 		t.Errorf("filtered rows = %d, want 5", f.NumRows())
 	}
-	if BaseOf(f) != "nums" {
+	if f.Base != "nums" {
 		t.Error("filter must preserve base annotation")
 	}
 }
@@ -72,7 +72,7 @@ func TestJoinInner(t *testing.T) {
 	if out.NumRows() != 3 {
 		t.Fatalf("join rows = %d, want 3 (1×2 + 3×1)", out.NumRows())
 	}
-	if BaseOf(out) != "" {
+	if out.Base != "" {
 		t.Error("join output must lose base annotation")
 	}
 	// The join step must be logged with cardinalities.
@@ -376,7 +376,7 @@ func TestCompacted(t *testing.T) {
 	if d.Cols[0] == tb.Cols[0] {
 		t.Error("compacted table must own dense vectors")
 	}
-	if BaseOf(d) != BaseOf(f) {
+	if d.Base != f.Base {
 		t.Error("compaction must preserve the base annotation")
 	}
 	if tb.Compacted() != tb {

@@ -7,8 +7,9 @@
 //
 // Pruning is conservative: a condition only rules a group out when the
 // group's [min, max] interval cannot intersect the condition's bounds,
-// so a scan through any Source followed by the query's own Filter
-// produces exactly the rows a full scan would.
+// so a scan through any Source followed by a Where over the same
+// conditions (ZonePredicate.On) produces exactly the rows a full scan
+// followed by that Where would.
 package relal
 
 import "math"
@@ -83,17 +84,19 @@ func ZoneOf(v *Vector, lo, hi int) ZoneMap {
 	return z
 }
 
-// ZoneCond is one sargable range condition on a base-table column.
-// Bounds are inclusive; representing a strict predicate (< or >) with
-// its inclusive closure is safe — pruning only ever keeps extra groups,
-// never drops matching ones.
+// ZoneCond is one range condition on a column, and its only spelling: a
+// scan prunes row groups with it and the plan's Where applies it row by
+// row (On). A bound is inclusive unless its Open flag is set; pruning
+// tests the closed hull, which only ever keeps extra groups. A NaN cell
+// or bound matches nothing.
 type ZoneCond struct {
-	Col          string
-	Kind         Type
-	HasLo, HasHi bool
-	IntLo, IntHi int64
-	FloLo, FloHi float64
-	StrLo, StrHi string
+	Col            string
+	Kind           Type
+	HasLo, HasHi   bool
+	LoOpen, HiOpen bool
+	IntLo, IntHi   int64
+	FloLo, FloHi   float64
+	StrLo, StrHi   string
 }
 
 // mayMatch reports whether a chunk with zone map z can contain a row
@@ -110,6 +113,69 @@ func (c ZoneCond) mayMatch(z ZoneMap) bool {
 	}
 }
 
+// On compiles the condition into a row test over t's column c.Col: one
+// closed interval test for a number (a strict bound steps to the next
+// representable value), a code interval for a dictionary string.
+func (c ZoneCond) On(t *Table) Pred {
+	switch c.Kind {
+	case Int:
+		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+		if c.HasLo {
+			if lo = c.IntLo; c.LoOpen {
+				if lo == math.MaxInt64 {
+					return none
+				}
+				lo++
+			}
+		}
+		if c.HasHi {
+			if hi = c.IntHi; c.HiOpen {
+				if hi == math.MinInt64 {
+					return none
+				}
+				hi--
+			}
+		}
+		v := t.IntCol(c.Col)
+		return within(v.data, v.sel, lo, hi)
+	case Float:
+		lo, hi := math.Inf(-1), math.Inf(1)
+		if c.HasLo {
+			if lo = c.FloLo; c.LoOpen {
+				if lo == math.Inf(1) {
+					return none
+				}
+				lo = math.Nextafter(lo, math.Inf(1))
+			}
+		}
+		if c.HasHi {
+			if hi = c.FloHi; c.HiOpen {
+				if hi == math.Inf(-1) {
+					return none
+				}
+				hi = math.Nextafter(hi, math.Inf(-1))
+			}
+		}
+		v := t.FloatCol(c.Col)
+		return within(v.data, v.sel, lo, hi)
+	}
+	v := t.StrCol(c.Col)
+	if v.dict != nil {
+		lo, hi := uint32(0), uint32(len(v.vals))
+		if c.HasLo {
+			lo = bound(v.vals, c.StrLo, c.LoOpen)
+		}
+		if c.HasHi {
+			hi = bound(v.vals, c.StrHi, !c.HiOpen)
+		}
+		return v.codePred(lo, hi)
+	}
+	return v.rawPred(func(s string) bool {
+		return !(c.HasLo && (s < c.StrLo || c.LoOpen && s == c.StrLo)) &&
+			!(c.HasHi && (s > c.StrHi || c.HiOpen && s == c.StrHi))
+	})
+}
+
 // IntBetween matches lo <= col <= hi.
 func IntBetween(col string, lo, hi int64) ZoneCond {
 	return ZoneCond{Col: col, Kind: Int, HasLo: true, HasHi: true, IntLo: lo, IntHi: hi}
@@ -123,9 +189,19 @@ func FloatBetween(col string, lo, hi float64) ZoneCond {
 	return ZoneCond{Col: col, Kind: Float, HasLo: true, HasHi: true, FloLo: lo, FloHi: hi}
 }
 
-// FloatAtMost matches col <= hi.
-func FloatAtMost(col string, hi float64) ZoneCond {
-	return ZoneCond{Col: col, Kind: Float, HasHi: true, FloHi: hi}
+// FloatLess matches col < hi.
+func FloatLess(col string, hi float64) ZoneCond {
+	return ZoneCond{Col: col, Kind: Float, HasHi: true, HiOpen: true, FloHi: hi}
+}
+
+// FloatGreater matches col > lo.
+func FloatGreater(col string, lo float64) ZoneCond {
+	return ZoneCond{Col: col, Kind: Float, HasLo: true, LoOpen: true, FloLo: lo}
+}
+
+// FloatAtLeast matches col >= lo.
+func FloatAtLeast(col string, lo float64) ZoneCond {
+	return ZoneCond{Col: col, Kind: Float, HasLo: true, FloLo: lo}
 }
 
 // StrBetween matches lo <= col <= hi (ISO date strings compare as
@@ -134,14 +210,25 @@ func StrBetween(col, lo, hi string) ZoneCond {
 	return ZoneCond{Col: col, Kind: Str, HasLo: true, HasHi: true, StrLo: lo, StrHi: hi}
 }
 
-// StrAtLeast matches col >= lo.
-func StrAtLeast(col, lo string) ZoneCond {
-	return ZoneCond{Col: col, Kind: Str, HasLo: true, StrLo: lo}
+// StrRange matches lo <= col < hi — the half-open window of most TPC-H
+// date intervals.
+func StrRange(col, lo, hi string) ZoneCond {
+	return ZoneCond{Col: col, Kind: Str, HasLo: true, HasHi: true, HiOpen: true, StrLo: lo, StrHi: hi}
+}
+
+// StrGreater matches col > lo.
+func StrGreater(col, lo string) ZoneCond {
+	return ZoneCond{Col: col, Kind: Str, HasLo: true, LoOpen: true, StrLo: lo}
 }
 
 // StrAtMost matches col <= hi.
 func StrAtMost(col, hi string) ZoneCond {
 	return ZoneCond{Col: col, Kind: Str, HasHi: true, StrHi: hi}
+}
+
+// StrLess matches col < hi.
+func StrLess(col, hi string) ZoneCond {
+	return ZoneCond{Col: col, Kind: Str, HasHi: true, HiOpen: true, StrHi: hi}
 }
 
 // StrEq matches col == v.
@@ -150,6 +237,16 @@ func StrEq(col, v string) ZoneCond { return StrBetween(col, v, v) }
 // ZonePredicate is a conjunction of sargable conditions pushed into a
 // scan. nil means no pushdown.
 type ZonePredicate []ZoneCond
+
+// On compiles every condition into a row test over t — the Where
+// conjunction that applies exactly what the scan pruned with.
+func (p ZonePredicate) On(t *Table) []Pred {
+	preds := make([]Pred, len(p))
+	for i, c := range p {
+		preds[i] = c.On(t)
+	}
+	return preds
+}
 
 // MayMatch reports whether a row group can contain a matching row. zone
 // looks up the group's zone map by column name; a column the storage

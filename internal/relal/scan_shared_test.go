@@ -10,9 +10,9 @@ func TestScanSourceWrapperProtectsSource(t *testing.T) {
 	tb := NewTable("t", Schema{{Name: "k", Type: Int}}, IntsV([]int64{1, 2}))
 	e := &Exec{Parallelism: 1}
 	scanned := e.ScanSource(NewTableSource(tb), []string{"k"}, nil)
-	if BaseOf(scanned) != "t" || BaseOf(tb) == "t" {
+	if scanned.Base != "t" || tb.Base == "t" {
 		t.Fatalf("base annotation should live on the wrapper only: wrapper=%q source=%q",
-			BaseOf(scanned), BaseOf(tb))
+			scanned.Base, tb.Base)
 	}
 	if scanned == tb || scanned.Cols[0] != tb.Cols[0] {
 		t.Fatal("the scan must return a fresh header over the source's vectors")

@@ -24,7 +24,9 @@ func TestZoneCondMayMatch(t *testing.T) {
 		{IntEq("x", 10), iz, true},
 		{FloatBetween("x", 2.5, 9), fz, true},
 		{FloatBetween("x", 2.6, 9), fz, false},
-		{FloatAtMost("x", -1.6), fz, false},
+		{FloatLess("x", -1.6), fz, false},
+		{FloatLess("x", -1.5), fz, true}, // pruning tests the closed hull
+		{StrGreater("x", "1994-06-30"), sz, true},
 		{FloatBetween("x", -1.5, math.Inf(1)), fz, true},
 		{StrBetween("x", "1994-02-01", "1994-03-01"), sz, true},
 		{StrBetween("x", "1994-07-01", "1995-01-01"), sz, false},
@@ -123,8 +125,8 @@ func TestScanSourceLogsStats(t *testing.T) {
 		IntsV([]int64{1, 2, 3}))
 	e := &Exec{}
 	out := e.ScanSource(NewTableSource(tb), []string{"k"}, nil)
-	if out.NumRows() != 3 || BaseOf(out) != "base" {
-		t.Fatalf("scan output wrong: rows=%d base=%q", out.NumRows(), BaseOf(out))
+	if out.NumRows() != 3 || out.Base != "base" {
+		t.Fatalf("scan output wrong: rows=%d base=%q", out.NumRows(), out.Base)
 	}
 	if len(e.Log.Steps) != 1 {
 		t.Fatalf("steps = %d", len(e.Log.Steps))

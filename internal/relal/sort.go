@@ -103,9 +103,8 @@ func (e *Exec) Sort(t *Table, keys ...OrderSpec) *Table {
 		Kind: StepSort, Table: t.Name,
 		LeftRows: t.NumRows(), LeftWidth: t.AvgRowBytes(),
 		OutRows: out.NumRows(), OutWidth: out.AvgRowBytes(),
-		LeftBase: BaseOf(t),
+		LeftBase: t.Base,
 	})
-	SetBase(out, BaseOf(t))
 	return out
 }
 
@@ -203,15 +202,14 @@ func (e *Exec) TopK(t *Table, k int, keys ...OrderSpec) *Table {
 		Kind: StepSort, Table: t.Name,
 		LeftRows: n, LeftWidth: width,
 		OutRows: n, OutWidth: width,
-		LeftBase: BaseOf(t),
+		LeftBase: t.Base,
 	})
 	out := view(t, t.Name+"_s", sel)
-	SetBase(out, BaseOf(t))
 	e.Log.Add(Step{
 		Kind: StepLimit, Table: out.Name,
 		LeftRows: n, LeftWidth: width,
 		OutRows: out.NumRows(), OutWidth: out.AvgRowBytes(),
-		LeftBase: BaseOf(t),
+		LeftBase: t.Base,
 	})
 	return out
 }

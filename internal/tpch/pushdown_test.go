@@ -191,9 +191,20 @@ func TestClusteredLineitemBoostsQ6ZoneSkip(t *testing.T) {
 }
 
 // TestRunQueryWorkersMatchesSerial locks RunQueryWorkers to the serial
-// result for a representative query mix at several pool sizes.
+// result for a representative query mix at several pool sizes, and to
+// its panic on an id outside 1..22.
 func TestRunQueryWorkersMatchesSerial(t *testing.T) {
 	db := Generate(GenConfig{SF: 0.005, Seed: 1, Random64: true})
+	for _, id := range []int{0, 23} {
+		func() {
+			defer func() {
+				if r := recover(); r != "tpch: unknown query" {
+					t.Errorf("Q%d: panic %v, want \"tpch: unknown query\"", id, r)
+				}
+			}()
+			RunQueryWorkers(id, db, 1)
+		}()
+	}
 	for _, id := range []int{1, 6, 13, 18, 21} {
 		ref, _ := RunQueryWorkers(id, db, 1)
 		want := FormatAnswer(id, ref)

@@ -7,45 +7,45 @@ import (
 )
 
 // Query is one of the 22 TPC-H queries, written once over the relal
-// operators. Running Fn yields the answer table plus a step log that the
-// Hive and PDW engines cost with their own physical strategies. The
-// step order is the "written order" of the HIVE-600 scripts, which is
-// what Hive executes literally (no cost-based reordering).
+// operators. Run executes the plan; its step log is what the Hive and
+// PDW engines cost with their own physical strategies. The step order
+// is the "written order" of the HIVE-600 scripts, which is what Hive
+// executes literally (no cost-based reordering).
 //
 // Predicates and computed columns use the columnar accessor API: a
 // query binds typed column accessors (IntCol/FloatCol/StrCol) once,
 // then filters and extensions evaluate them per row index — no boxed
 // cells, no per-row type switches.
 type Query struct {
-	ID     int
-	Name   string
-	Tables []string // base tables referenced
+	ID   int
+	Name string
+	Run  func(e *relal.Exec, db *DB) *relal.Table
 }
 
 // Queries lists all 22 queries in benchmark order.
 var Queries = []Query{
-	{1, "pricing summary report", []string{"lineitem"}},
-	{2, "minimum cost supplier", []string{"part", "supplier", "partsupp", "nation", "region"}},
-	{3, "shipping priority", []string{"customer", "orders", "lineitem"}},
-	{4, "order priority checking", []string{"orders", "lineitem"}},
-	{5, "local supplier volume", []string{"customer", "orders", "lineitem", "supplier", "nation", "region"}},
-	{6, "forecasting revenue change", []string{"lineitem"}},
-	{7, "volume shipping", []string{"supplier", "lineitem", "orders", "customer", "nation"}},
-	{8, "national market share", []string{"part", "supplier", "lineitem", "orders", "customer", "nation", "region"}},
-	{9, "product type profit", []string{"part", "supplier", "lineitem", "partsupp", "orders", "nation"}},
-	{10, "returned item reporting", []string{"customer", "orders", "lineitem", "nation"}},
-	{11, "important stock identification", []string{"partsupp", "supplier", "nation"}},
-	{12, "shipping modes and order priority", []string{"orders", "lineitem"}},
-	{13, "customer distribution", []string{"customer", "orders"}},
-	{14, "promotion effect", []string{"lineitem", "part"}},
-	{15, "top supplier", []string{"supplier", "lineitem"}},
-	{16, "parts/supplier relationship", []string{"partsupp", "part", "supplier"}},
-	{17, "small-quantity-order revenue", []string{"lineitem", "part"}},
-	{18, "large volume customer", []string{"customer", "orders", "lineitem"}},
-	{19, "discounted revenue", []string{"lineitem", "part"}},
-	{20, "potential part promotion", []string{"supplier", "nation", "partsupp", "part", "lineitem"}},
-	{21, "suppliers who kept orders waiting", []string{"supplier", "lineitem", "orders", "nation"}},
-	{22, "global sales opportunity", []string{"customer", "orders"}},
+	{1, "pricing summary report", q1},
+	{2, "minimum cost supplier", q2},
+	{3, "shipping priority", q3},
+	{4, "order priority checking", q4},
+	{5, "local supplier volume", q5},
+	{6, "forecasting revenue change", q6},
+	{7, "volume shipping", q7},
+	{8, "national market share", q8},
+	{9, "product type profit", q9},
+	{10, "returned item reporting", q10},
+	{11, "important stock identification", q11},
+	{12, "shipping modes and order priority", q12},
+	{13, "customer distribution", q13},
+	{14, "promotion effect", q14},
+	{15, "top supplier", q15},
+	{16, "parts/supplier relationship", q16},
+	{17, "small-quantity-order revenue", q17},
+	{18, "large volume customer", q18},
+	{19, "discounted revenue", q19},
+	{20, "potential part promotion", q20},
+	{21, "suppliers who kept orders waiting", q21},
+	{22, "global sales opportunity", q22},
 }
 
 // DefaultWorkers sizes the morsel worker pool RunQuery executes with
@@ -56,11 +56,19 @@ var DefaultWorkers int
 // scan is the pushdown-aware base-table scan every query goes through:
 // cols declares the columns the query references from the table and
 // conds its sargable predicate, so a columnar source decompresses only
-// the chunks that can matter. Pruning is conservative — the query still
-// applies its full Filter afterwards — which is why the answers match a
-// full scan byte-for-byte.
+// the chunks that can matter. Pruning is conservative — it keeps every
+// row group that may hold a matching row, and the plan applies the same
+// conditions row by row (scanWhere, or ZoneCond.On inside its own
+// Where) — which is why the answers match a full scan byte-for-byte.
 func scan(e *relal.Exec, db *DB, table string, cols []string, conds ...relal.ZoneCond) *relal.Table {
 	return e.ScanSource(db.Src(table), cols, relal.ZonePredicate(conds))
+}
+
+// scanWhere is scan followed by the one Where that applies its
+// conditions to the rows.
+func scanWhere(e *relal.Exec, db *DB, table string, cols []string, conds ...relal.ZoneCond) *relal.Table {
+	t := scan(e, db, table, cols, conds...)
+	return e.Where(t, relal.ZonePredicate(conds).On(t)...)
 }
 
 // RunQuery executes query id against db, returning the answer and the
@@ -71,56 +79,11 @@ func RunQuery(id int, db *DB) (*relal.Table, relal.StepLog) {
 
 // RunQueryWorkers executes query id with an explicit worker-pool size.
 func RunQueryWorkers(id int, db *DB, workers int) (*relal.Table, relal.StepLog) {
-	e := &relal.Exec{Parallelism: workers}
-	var out *relal.Table
-	switch id {
-	case 1:
-		out = q1(e, db)
-	case 2:
-		out = q2(e, db)
-	case 3:
-		out = q3(e, db)
-	case 4:
-		out = q4(e, db)
-	case 5:
-		out = q5(e, db)
-	case 6:
-		out = q6(e, db)
-	case 7:
-		out = q7(e, db)
-	case 8:
-		out = q8(e, db)
-	case 9:
-		out = q9(e, db)
-	case 10:
-		out = q10(e, db)
-	case 11:
-		out = q11(e, db)
-	case 12:
-		out = q12(e, db)
-	case 13:
-		out = q13(e, db)
-	case 14:
-		out = q14(e, db)
-	case 15:
-		out = q15(e, db)
-	case 16:
-		out = q16(e, db)
-	case 17:
-		out = q17(e, db)
-	case 18:
-		out = q18(e, db)
-	case 19:
-		out = q19(e, db)
-	case 20:
-		out = q20(e, db)
-	case 21:
-		out = q21(e, db)
-	case 22:
-		out = q22(e, db)
-	default:
+	if id < 1 || id > len(Queries) {
 		panic("tpch: unknown query")
 	}
+	e := &relal.Exec{Parallelism: workers}
+	out := Queries[id-1].Run(e, db)
 	return out, e.Log
 }
 
@@ -135,14 +98,13 @@ func discPrice(e *relal.Exec, t *relal.Table, name string) *relal.Table {
 }
 
 // q1: scan lineitem, filter by shipdate, wide aggregation, sort. The
-// shipdate predicate binds once through the StrVec factory: on the
-// dict-encoded column it compares a uint32 code against a threshold,
-// and the (l_returnflag, l_linestatus) group keys aggregate as codes.
+// shipdate condition binds once: on the dict-encoded column it compares
+// a uint32 code against a threshold, and the (l_returnflag,
+// l_linestatus) group keys aggregate as codes.
 func q1(e *relal.Exec, db *DB) *relal.Table {
-	li := scan(e, db, "lineitem",
+	f := scanWhere(e, db, "lineitem",
 		[]string{"l_shipdate", "l_quantity", "l_extendedprice", "l_discount", "l_tax", "l_returnflag", "l_linestatus"},
 		relal.StrAtMost("l_shipdate", "1998-09-02"))
-	f := e.Where(li, li.StrCol("l_shipdate").Le("1998-09-02"))
 	f = discPrice(e, f, "disc_price")
 	dp := f.FloatCol("disc_price")
 	tax := f.FloatCol("l_tax")
@@ -164,15 +126,13 @@ func q1(e *relal.Exec, db *DB) *relal.Table {
 
 // q2: min-cost supplier for size-15 BRASS parts in EUROPE.
 func q2(e *relal.Exec, db *DB) *relal.Table {
-	pt := scan(e, db, "part",
-		[]string{"p_partkey", "p_mfgr", "p_type", "p_size"},
-		relal.IntEq("p_size", 15))
+	size := relal.IntEq("p_size", 15)
+	pt := scan(e, db, "part", []string{"p_partkey", "p_mfgr", "p_type", "p_size"}, size)
 	ptype := pt.StrCol("p_type")
-	part := e.Where(pt, pt.IntCol("p_size").Eq(15),
+	part := e.Where(pt, size.On(pt),
 		relal.PredFn(func(i int) bool { return strings.HasSuffix(ptype.Get(i), "BRASS") }))
-	rt := scan(e, db, "region", []string{"r_regionkey", "r_name"},
+	region := scanWhere(e, db, "region", []string{"r_regionkey", "r_name"},
 		relal.StrEq("r_name", "EUROPE"))
-	region := e.Where(rt, rt.StrCol("r_name").Eq("EUROPE"))
 	nation := e.Join(scan(e, db, "nation", []string{"n_nationkey", "n_name", "n_regionkey"}), region, "n_regionkey", "r_regionkey")
 	supp := e.Join(scan(e, db, "supplier",
 		[]string{"s_suppkey", "s_name", "s_address", "s_nationkey", "s_phone", "s_acctbal", "s_comment"}), nation, "s_nationkey", "n_nationkey")
@@ -205,17 +165,14 @@ func q2(e *relal.Exec, db *DB) *relal.Table {
 
 // q3: top unshipped orders for the BUILDING segment.
 func q3(e *relal.Exec, db *DB) *relal.Table {
-	ct := scan(e, db, "customer", []string{"c_custkey", "c_mktsegment"},
+	cust := scanWhere(e, db, "customer", []string{"c_custkey", "c_mktsegment"},
 		relal.StrEq("c_mktsegment", "BUILDING"))
-	cust := e.Where(ct, ct.StrCol("c_mktsegment").Eq("BUILDING"))
-	ot := scan(e, db, "orders",
+	ord := scanWhere(e, db, "orders",
 		[]string{"o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"},
-		relal.StrAtMost("o_orderdate", "1995-03-15"))
-	ord := e.Where(ot, ot.StrCol("o_orderdate").Lt("1995-03-15"))
-	lt := scan(e, db, "lineitem",
+		relal.StrLess("o_orderdate", "1995-03-15"))
+	li := scanWhere(e, db, "lineitem",
 		[]string{"l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"},
-		relal.StrAtLeast("l_shipdate", "1995-03-15"))
-	li := e.Where(lt, lt.StrCol("l_shipdate").Gt("1995-03-15"))
+		relal.StrGreater("l_shipdate", "1995-03-15"))
 	co := e.Join(ord, cust, "o_custkey", "c_custkey")
 	col := e.Join(li, co, "l_orderkey", "o_orderkey")
 	col = discPrice(e, col, "revenue_item")
@@ -239,10 +196,9 @@ func q4(e *relal.Exec, db *DB) *relal.Table {
 // summing the counts reproduces the single-process aggregate exactly
 // (counts are integers; no accumulation-order sensitivity).
 func q4Partial(e *relal.Exec, db *DB) *relal.Table {
-	ot := scan(e, db, "orders",
+	ord := scanWhere(e, db, "orders",
 		[]string{"o_orderkey", "o_orderdate", "o_orderpriority"},
-		relal.StrBetween("o_orderdate", "1993-07-01", "1993-10-01"))
-	ord := e.Where(ot, ot.StrCol("o_orderdate").Range("1993-07-01", "1993-10-01"))
+		relal.StrRange("o_orderdate", "1993-07-01", "1993-10-01"))
 	lt := scan(e, db, "lineitem",
 		[]string{"l_orderkey", "l_commitdate", "l_receiptdate"})
 	li := e.Where(lt, lt.StrCol("l_commitdate").Before(lt.StrCol("l_receiptdate")))
@@ -257,16 +213,14 @@ func q4Partial(e *relal.Exec, db *DB) *relal.Table {
 // script the paper analyzes: nation⋈region, then supplier, then the big
 // lineitem common join, then orders, then customer.
 func q5(e *relal.Exec, db *DB) *relal.Table {
-	rt := scan(e, db, "region", []string{"r_regionkey", "r_name"},
+	region := scanWhere(e, db, "region", []string{"r_regionkey", "r_name"},
 		relal.StrEq("r_name", "ASIA"))
-	region := e.Where(rt, rt.StrCol("r_name").Eq("ASIA"))
 	nr := e.Join(scan(e, db, "nation", []string{"n_nationkey", "n_name", "n_regionkey"}), region, "n_regionkey", "r_regionkey")
 	snr := e.Join(scan(e, db, "supplier", []string{"s_suppkey", "s_nationkey"}), nr, "s_nationkey", "n_nationkey")
 	lsnr := e.Join(scan(e, db, "lineitem",
 		[]string{"l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"}), snr, "l_suppkey", "s_suppkey")
-	ot := scan(e, db, "orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
-		relal.StrBetween("o_orderdate", "1994-01-01", "1995-01-01"))
-	ord := e.Where(ot, ot.StrCol("o_orderdate").Range("1994-01-01", "1995-01-01"))
+	ord := scanWhere(e, db, "orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
+		relal.StrRange("o_orderdate", "1994-01-01", "1995-01-01"))
 	lo := e.Join(lsnr, ord, "l_orderkey", "o_orderkey")
 	// Customer must be in the same nation as the supplier.
 	loc := e.Join(lo, scan(e, db, "customer", []string{"c_custkey", "c_nationkey"}), "o_custkey", "c_custkey")
@@ -284,16 +238,11 @@ func q5(e *relal.Exec, db *DB) *relal.Table {
 // a code range over the dictionary — per row the date test is two
 // uint32 compares, no string ever touched.
 func q6(e *relal.Exec, db *DB) *relal.Table {
-	li := scan(e, db, "lineitem",
+	f := scanWhere(e, db, "lineitem",
 		[]string{"l_quantity", "l_extendedprice", "l_discount", "l_shipdate"},
-		relal.StrBetween("l_shipdate", "1994-01-01", "1995-01-01"),
+		relal.StrRange("l_shipdate", "1994-01-01", "1995-01-01"),
 		relal.FloatBetween("l_discount", 0.05-1e-9, 0.07+1e-9),
-		relal.FloatAtMost("l_quantity", 24))
-	f := e.Where(li,
-		li.StrCol("l_shipdate").Range("1994-01-01", "1995-01-01"),
-		li.FloatCol("l_discount").Between(0.05-1e-9, 0.07+1e-9),
-		li.FloatCol("l_quantity").Lt(24),
-	)
+		relal.FloatLess("l_quantity", 24))
 	ep := f.FloatCol("l_extendedprice")
 	fdc := f.FloatCol("l_discount")
 	f = e.ExtendFloat(f, "rev", func(i int) float64 {
@@ -304,10 +253,9 @@ func q6(e *relal.Exec, db *DB) *relal.Table {
 
 // q7: shipping volume between FRANCE and GERMANY.
 func q7(e *relal.Exec, db *DB) *relal.Table {
-	lt := scan(e, db, "lineitem",
+	li := scanWhere(e, db, "lineitem",
 		[]string{"l_orderkey", "l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"},
 		relal.StrBetween("l_shipdate", "1995-01-01", "1996-12-31"))
-	li := e.Where(lt, lt.StrCol("l_shipdate").Between("1995-01-01", "1996-12-31"))
 	ls := e.Join(li, scan(e, db, "supplier", []string{"s_suppkey", "s_nationkey"}), "l_suppkey", "s_suppkey")
 	lso := e.Join(ls, scan(e, db, "orders", []string{"o_orderkey", "o_custkey"}), "l_orderkey", "o_orderkey")
 	lsoc := e.Join(lso, scan(e, db, "customer", []string{"c_custkey", "c_nationkey"}), "o_custkey", "c_custkey")
@@ -322,7 +270,7 @@ func q7(e *relal.Exec, db *DB) *relal.Table {
 		{Name: "n2_nationkey", Type: relal.Int},
 		{Name: "cust_nation", Type: relal.Str},
 	}, custNation.Cols[0], custNation.Cols[1])
-	relal.SetBase(cn, "nation")
+	cn.Base = "nation"
 	n2 := e.Join(n1, cn, "c_nationkey", "n2_nationkey")
 	sn := n2.StrCol("supp_nation")
 	cu := n2.StrCol("cust_nation")
@@ -345,21 +293,18 @@ func q7(e *relal.Exec, db *DB) *relal.Table {
 
 // q8: BRAZIL's market share in AMERICA for a part type.
 func q8(e *relal.Exec, db *DB) *relal.Table {
-	pt := scan(e, db, "part", []string{"p_partkey", "p_type"},
+	part := scanWhere(e, db, "part", []string{"p_partkey", "p_type"},
 		relal.StrEq("p_type", "ECONOMY ANODIZED STEEL"))
-	part := e.Where(pt, pt.StrCol("p_type").Eq("ECONOMY ANODIZED STEEL"))
 	lp := e.Join(scan(e, db, "lineitem",
 		[]string{"l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"}), part, "l_partkey", "p_partkey")
 	lps := e.Join(lp, scan(e, db, "supplier", []string{"s_suppkey", "s_nationkey"}), "l_suppkey", "s_suppkey")
-	ot := scan(e, db, "orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
+	ord := scanWhere(e, db, "orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
 		relal.StrBetween("o_orderdate", "1995-01-01", "1996-12-31"))
-	ord := e.Where(ot, ot.StrCol("o_orderdate").Between("1995-01-01", "1996-12-31"))
 	lpso := e.Join(lps, ord, "l_orderkey", "o_orderkey")
 	lpsoc := e.Join(lpso, scan(e, db, "customer", []string{"c_custkey", "c_nationkey"}), "o_custkey", "c_custkey")
 	// Customer nation must be in AMERICA.
-	rt := scan(e, db, "region", []string{"r_regionkey", "r_name"},
+	region := scanWhere(e, db, "region", []string{"r_regionkey", "r_name"},
 		relal.StrEq("r_name", "AMERICA"))
-	region := e.Where(rt, rt.StrCol("r_name").Eq("AMERICA"))
 	nr := e.Join(scan(e, db, "nation", []string{"n_nationkey", "n_regionkey"}), region, "n_regionkey", "r_regionkey")
 	custAm := e.Join(lpsoc, nr, "c_nationkey", "n_nationkey")
 	// Supplier nation name (shares the nation table's vectors).
@@ -367,12 +312,12 @@ func q8(e *relal.Exec, db *DB) *relal.Table {
 		{Name: "ns_nationkey", Type: relal.Int},
 		{Name: "supp_nation", Type: relal.Str},
 	}, db.Nation.Cols[0], db.Nation.Cols[1])
-	relal.SetBase(sn, "nation")
+	sn.Base = "nation"
 	all := e.Join(custAm, sn, "s_nationkey", "ns_nationkey")
 	aod := all.StrCol("o_orderdate")
 	all = e.ExtendStr(all, "o_year", func(i int) string { return aod.Get(i)[:4] })
 	all = discPrice(e, all, "volume")
-	isBrazil := all.StrCol("supp_nation").Eq("BRAZIL")
+	isBrazil := relal.StrEq("supp_nation", "BRAZIL").On(all)
 	avol := all.FloatCol("volume")
 	all = e.ExtendFloat(all, "brazil_volume", func(i int) float64 {
 		if isBrazil.At(i) {
@@ -433,13 +378,11 @@ func q9(e *relal.Exec, db *DB) *relal.Table {
 
 // q10: customers who returned items.
 func q10(e *relal.Exec, db *DB) *relal.Table {
-	ot := scan(e, db, "orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
-		relal.StrBetween("o_orderdate", "1993-10-01", "1994-01-01"))
-	ord := e.Where(ot, ot.StrCol("o_orderdate").Range("1993-10-01", "1994-01-01"))
-	lt := scan(e, db, "lineitem",
+	ord := scanWhere(e, db, "orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
+		relal.StrRange("o_orderdate", "1993-10-01", "1994-01-01"))
+	li := scanWhere(e, db, "lineitem",
 		[]string{"l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"},
 		relal.StrEq("l_returnflag", "R"))
-	li := e.Where(lt, lt.StrCol("l_returnflag").Eq("R"))
 	lo := e.Join(li, ord, "l_orderkey", "o_orderkey")
 	loc := e.Join(lo, scan(e, db, "customer",
 		[]string{"c_custkey", "c_name", "c_address", "c_nationkey", "c_phone", "c_acctbal", "c_comment"}), "o_custkey", "c_custkey")
@@ -453,9 +396,8 @@ func q10(e *relal.Exec, db *DB) *relal.Table {
 
 // q11: important stock in GERMANY.
 func q11(e *relal.Exec, db *DB) *relal.Table {
-	nt := scan(e, db, "nation", []string{"n_nationkey", "n_name"},
+	nation := scanWhere(e, db, "nation", []string{"n_nationkey", "n_name"},
 		relal.StrEq("n_name", "GERMANY"))
-	nation := e.Where(nt, nt.StrCol("n_name").Eq("GERMANY"))
 	sn := e.Join(scan(e, db, "supplier", []string{"s_suppkey", "s_nationkey"}), nation, "s_nationkey", "n_nationkey")
 	ps := e.Join(scan(e, db, "partsupp",
 		[]string{"ps_partkey", "ps_suppkey", "ps_availqty", "ps_supplycost"}), sn, "ps_suppkey", "s_suppkey")
@@ -474,7 +416,7 @@ func q11(e *relal.Exec, db *DB) *relal.Table {
 	byPart := e.Aggregate(ps, []string{"ps_partkey"}, []relal.AggSpec{
 		{Fn: "sum", Col: "value", As: "value"},
 	})
-	f := e.Where(byPart, byPart.FloatCol("value").Gt(threshold))
+	f := e.Where(byPart, relal.FloatGreater("value", threshold).On(byPart))
 	return e.Sort(f, relal.OrderSpec{Col: "value", Desc: true})
 }
 
@@ -489,15 +431,15 @@ func q12(e *relal.Exec, db *DB) *relal.Table {
 // partial sums (exact in float64) add back to the global answer with no
 // rounding drift.
 func q12Partial(e *relal.Exec, db *DB) *relal.Table {
+	received := relal.StrRange("l_receiptdate", "1994-01-01", "1995-01-01")
 	lt := scan(e, db, "lineitem",
-		[]string{"l_orderkey", "l_shipdate", "l_commitdate", "l_receiptdate", "l_shipmode"},
-		relal.StrBetween("l_receiptdate", "1994-01-01", "1995-01-01"))
+		[]string{"l_orderkey", "l_shipdate", "l_commitdate", "l_receiptdate", "l_shipmode"}, received)
 	commit := lt.StrCol("l_commitdate")
 	receipt := lt.StrCol("l_receiptdate")
 	ship := lt.StrCol("l_shipdate")
 	li := e.Where(lt,
 		lt.StrCol("l_shipmode").In("MAIL", "SHIP"),
-		receipt.Range("1994-01-01", "1995-01-01"),
+		received.On(lt),
 		commit.Before(receipt),
 		ship.Before(commit),
 	)
@@ -539,24 +481,9 @@ func q13(e *relal.Exec, db *DB) *relal.Table {
 	// the complement.
 	joined := e.Join(cust, perCust, "c_custkey", "o_custkey")
 	matched := e.Project(joined, "c_custkey", "c_count")
-	unmatched := e.AntiJoin(cust, perCust, "c_custkey", "o_custkey")
-	keys := make([]int64, 0, matched.NumRows()+unmatched.NumRows())
-	counts := make([]int64, 0, matched.NumRows()+unmatched.NumRows())
-	mk := matched.IntCol("c_custkey")
-	mc := matched.IntCol("c_count")
-	for i := 0; i < matched.NumRows(); i++ {
-		keys = append(keys, mk.Get(i))
-		counts = append(counts, mc.Get(i))
-	}
-	uk := unmatched.IntCol("c_custkey")
-	for i := 0; i < unmatched.NumRows(); i++ {
-		keys = append(keys, uk.Get(i))
-		counts = append(counts, 0)
-	}
-	all := relal.NewTable("cust_counts", relal.Schema{
-		{Name: "c_custkey", Type: relal.Int},
-		{Name: "c_count", Type: relal.Int},
-	}, relal.IntsV(keys), relal.IntsV(counts))
+	unmatched := e.ExtendInt(e.AntiJoin(cust, perCust, "c_custkey", "o_custkey"), "c_count",
+		func(int) int64 { return 0 })
+	all := relal.Concat("cust_counts", matched.Schema, matched, unmatched)
 	dist := e.Aggregate(all, []string{"c_count"}, []relal.AggSpec{
 		{Fn: "count", Col: "*", As: "custdist"},
 	})
@@ -568,10 +495,9 @@ func q13(e *relal.Exec, db *DB) *relal.Table {
 
 // q14: promotion effect for one month.
 func q14(e *relal.Exec, db *DB) *relal.Table {
-	lt := scan(e, db, "lineitem",
+	li := scanWhere(e, db, "lineitem",
 		[]string{"l_partkey", "l_extendedprice", "l_discount", "l_shipdate"},
-		relal.StrBetween("l_shipdate", "1995-09-01", "1995-10-01"))
-	li := e.Where(lt, lt.StrCol("l_shipdate").Range("1995-09-01", "1995-10-01"))
+		relal.StrRange("l_shipdate", "1995-09-01", "1995-10-01"))
 	lp := e.Join(li, scan(e, db, "part", []string{"p_partkey", "p_type"}), "l_partkey", "p_partkey")
 	lp = discPrice(e, lp, "rev")
 	// Prefix match as a code range: PROMO-typed parts are contiguous in
@@ -601,10 +527,9 @@ func q14(e *relal.Exec, db *DB) *relal.Table {
 
 // q15: top supplier by quarterly revenue.
 func q15(e *relal.Exec, db *DB) *relal.Table {
-	lt := scan(e, db, "lineitem",
+	li := scanWhere(e, db, "lineitem",
 		[]string{"l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"},
-		relal.StrBetween("l_shipdate", "1996-01-01", "1996-04-01"))
-	li := e.Where(lt, lt.StrCol("l_shipdate").Range("1996-01-01", "1996-04-01"))
+		relal.StrRange("l_shipdate", "1996-01-01", "1996-04-01"))
 	li = discPrice(e, li, "rev")
 	revenue := e.Aggregate(li, []string{"l_suppkey"}, []relal.AggSpec{
 		{Fn: "sum", Col: "rev", As: "total_revenue"},
@@ -616,7 +541,7 @@ func q15(e *relal.Exec, db *DB) *relal.Table {
 	if maxRev.NumRows() > 0 {
 		mx = maxRev.FloatCol("max_rev").Get(0)
 	}
-	top := e.Where(revenue, revenue.FloatCol("total_revenue").Ge(mx-1e-6))
+	top := e.Where(revenue, relal.FloatAtLeast("total_revenue", mx-1e-6).On(revenue))
 	st := e.Join(top, scan(e, db, "supplier",
 		[]string{"s_suppkey", "s_name", "s_address", "s_phone"}), "l_suppkey", "s_suppkey")
 	proj := e.Project(st, "s_suppkey", "s_name", "s_address", "s_phone", "total_revenue")
@@ -626,12 +551,13 @@ func q15(e *relal.Exec, db *DB) *relal.Table {
 // q16: supplier counts by part attributes, excluding complaint suppliers.
 func q16(e *relal.Exec, db *DB) *relal.Table {
 	sizes := map[int64]bool{49: true, 14: true, 23: true, 45: true, 19: true, 3: true, 36: true, 9: true}
-	pt := scan(e, db, "part", []string{"p_partkey", "p_brand", "p_type", "p_size"},
-		relal.IntBetween("p_size", 3, 49))
+	hull := relal.IntBetween("p_size", 3, 49) // the size set's [min, max]
+	pt := scan(e, db, "part", []string{"p_partkey", "p_brand", "p_type", "p_size"}, hull)
 	psize := pt.IntCol("p_size")
 	part := e.Where(pt,
 		pt.StrCol("p_brand").Ne("Brand#45"),
 		relal.Not(pt.StrCol("p_type").HasPrefix("MEDIUM POLISHED")),
+		hull.On(pt),
 		relal.PredFn(func(i int) bool { return sizes[psize.Get(i)] }),
 	)
 	st := scan(e, db, "supplier", []string{"s_suppkey", "s_comment"})
@@ -660,13 +586,9 @@ func q16(e *relal.Exec, db *DB) *relal.Table {
 
 // q17: small-quantity-order revenue for one brand/container.
 func q17(e *relal.Exec, db *DB) *relal.Table {
-	pt := scan(e, db, "part", []string{"p_partkey", "p_brand", "p_container"},
+	part := scanWhere(e, db, "part", []string{"p_partkey", "p_brand", "p_container"},
 		relal.StrEq("p_brand", "Brand#23"),
 		relal.StrEq("p_container", "MED BOX"))
-	part := e.Where(pt,
-		pt.StrCol("p_brand").Eq("Brand#23"),
-		pt.StrCol("p_container").Eq("MED BOX"),
-	)
 	lp := e.Join(scan(e, db, "lineitem",
 		[]string{"l_partkey", "l_quantity", "l_extendedprice"}), part, "l_partkey", "p_partkey")
 	avgQty := e.Aggregate(lp, []string{"p_partkey"}, []relal.AggSpec{
@@ -698,7 +620,7 @@ func q18(e *relal.Exec, db *DB) *relal.Table {
 	perOrder := e.Aggregate(li, []string{"l_orderkey"}, []relal.AggSpec{
 		{Fn: "sum", Col: "l_quantity", As: "sum_qty"},
 	})
-	big := e.Where(perOrder, perOrder.FloatCol("sum_qty").Gt(300))
+	big := e.Where(perOrder, relal.FloatGreater("sum_qty", 300).On(perOrder))
 	bo := e.Join(big, scan(e, db, "orders",
 		[]string{"o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"}), "l_orderkey", "o_orderkey")
 	boc := e.Join(bo, scan(e, db, "customer", []string{"c_custkey", "c_name"}), "o_custkey", "c_custkey")
@@ -712,25 +634,26 @@ func q18(e *relal.Exec, db *DB) *relal.Table {
 // q19: discounted revenue with the three-branch AND/OR predicate the
 // paper's §3.3.4.1 analysis discusses.
 func q19(e *relal.Exec, db *DB) *relal.Table {
+	inPerson := relal.StrEq("l_shipinstruct", "DELIVER IN PERSON")
 	lp := e.Join(
 		scan(e, db, "lineitem",
 			[]string{"l_partkey", "l_quantity", "l_extendedprice", "l_discount", "l_shipinstruct", "l_shipmode"},
-			relal.StrEq("l_shipinstruct", "DELIVER IN PERSON")),
+			inPerson),
 		scan(e, db, "part", []string{"p_partkey", "p_brand", "p_size", "p_container"}),
 		"l_partkey", "p_partkey")
 	// Every string leg of the three-branch predicate binds to codes
 	// once; per row the branch dispatch is integer compares only.
-	brand := lp.StrCol("p_brand")
 	container := lp.StrCol("p_container")
-	b12, b23, b34 := brand.Eq("Brand#12"), brand.Eq("Brand#23"), brand.Eq("Brand#34")
+	b12 := relal.StrEq("p_brand", "Brand#12").On(lp)
+	b23 := relal.StrEq("p_brand", "Brand#23").On(lp)
+	b34 := relal.StrEq("p_brand", "Brand#34").On(lp)
 	cSM := container.In("SM CASE", "SM BOX", "SM PACK", "SM PKG")
 	cMED := container.In("MED BAG", "MED BOX", "MED PKG", "MED PACK")
 	cLG := container.In("LG CASE", "LG BOX", "LG PACK", "LG PKG")
 	wantMode := lp.StrCol("l_shipmode").In("AIR", "REG AIR")
-	wantInstr := lp.StrCol("l_shipinstruct").Eq("DELIVER IN PERSON")
 	qty := lp.FloatCol("l_quantity")
 	size := lp.IntCol("p_size")
-	f := e.Where(lp, wantMode, wantInstr, relal.PredFn(func(i int) bool {
+	f := e.Where(lp, wantMode, inPerson.On(lp), relal.PredFn(func(i int) bool {
 		q := qty.Get(i)
 		sz := size.Get(i)
 		switch {
@@ -751,10 +674,9 @@ func q19(e *relal.Exec, db *DB) *relal.Table {
 func q20(e *relal.Exec, db *DB) *relal.Table {
 	pt := scan(e, db, "part", []string{"p_partkey", "p_name"})
 	part := e.Where(pt, pt.StrCol("p_name").HasPrefix("forest"))
-	lt := scan(e, db, "lineitem",
+	li := scanWhere(e, db, "lineitem",
 		[]string{"l_partkey", "l_suppkey", "l_quantity", "l_shipdate"},
-		relal.StrBetween("l_shipdate", "1994-01-01", "1995-01-01"))
-	li := e.Where(lt, lt.StrCol("l_shipdate").Range("1994-01-01", "1995-01-01"))
+		relal.StrRange("l_shipdate", "1994-01-01", "1995-01-01"))
 	shipped := e.Aggregate(li, []string{"l_partkey", "l_suppkey"}, []relal.AggSpec{
 		{Fn: "sum", Col: "l_quantity", As: "sum_qty"},
 	})
@@ -773,9 +695,8 @@ func q20(e *relal.Exec, db *DB) *relal.Table {
 	surplus := e.Filter(ps, func(i int) bool {
 		return float64(avail.Get(i)) > 0.5*shippedIdx[[2]int64{pspk.Get(i), pssk.Get(i)}]
 	})
-	nt := scan(e, db, "nation", []string{"n_nationkey", "n_name"},
+	nation := scanWhere(e, db, "nation", []string{"n_nationkey", "n_name"},
 		relal.StrEq("n_name", "CANADA"))
-	nation := e.Where(nt, nt.StrCol("n_name").Eq("CANADA"))
 	supp := e.Join(scan(e, db, "supplier",
 		[]string{"s_suppkey", "s_name", "s_address", "s_nationkey"}), nation, "s_nationkey", "n_nationkey")
 	final := e.SemiJoin(supp, surplus, "s_suppkey", "ps_suppkey")
@@ -809,9 +730,8 @@ func q21(e *relal.Exec, db *DB) *relal.Table {
 	}
 	// Candidate rows: this supplier was late, order has >1 suppliers,
 	// and exactly one late supplier (this one), on F orders.
-	ot := scan(e, db, "orders", []string{"o_orderkey", "o_orderstatus"},
+	ord := scanWhere(e, db, "orders", []string{"o_orderkey", "o_orderstatus"},
 		relal.StrEq("o_orderstatus", "F"))
-	ord := e.Where(ot, ot.StrCol("o_orderstatus").Eq("F"))
 	lko := late.IntCol("l_orderkey")
 	lateRows := e.Filter(late, func(i int) bool {
 		ok := lko.Get(i)
@@ -820,9 +740,8 @@ func q21(e *relal.Exec, db *DB) *relal.Table {
 	lo := e.SemiJoin(lateRows, ord, "l_orderkey", "o_orderkey")
 	ls := e.Join(lo, scan(e, db, "supplier",
 		[]string{"s_suppkey", "s_name", "s_nationkey"}), "l_suppkey", "s_suppkey")
-	nt := scan(e, db, "nation", []string{"n_nationkey", "n_name"},
+	nation := scanWhere(e, db, "nation", []string{"n_nationkey", "n_name"},
 		relal.StrEq("n_name", "SAUDI ARABIA"))
-	nation := e.Where(nt, nt.StrCol("n_name").Eq("SAUDI ARABIA"))
 	lsn := e.Join(ls, nation, "s_nationkey", "n_nationkey")
 	// One row per (order, supplier) — dedup before counting.
 	dedup := e.Aggregate(lsn, []string{"s_name", "l_orderkey"}, []relal.AggSpec{
@@ -847,8 +766,7 @@ func q22(e *relal.Exec, db *DB) *relal.Table {
 	// Sub-query 1: candidate customers by phone code.
 	cust := e.Filter(ct, func(i int) bool { return codes[cphone.Get(i)[:2]] })
 	// Sub-query 2: average positive balance among them.
-	cbal := cust.FloatCol("c_acctbal")
-	pos := e.Where(cust, cbal.Gt(0))
+	pos := e.Where(cust, relal.FloatGreater("c_acctbal", 0).On(cust))
 	avg := e.Aggregate(pos, nil, []relal.AggSpec{{Fn: "avg", Col: "c_acctbal", As: "avg_bal"}})
 	avgBal := 0.0
 	if avg.NumRows() > 0 {
@@ -859,7 +777,7 @@ func q22(e *relal.Exec, db *DB) *relal.Table {
 		{Fn: "count", Col: "*", As: "n"},
 	})
 	// Sub-query 4: join it all.
-	rich := e.Where(cust, cbal.Gt(avgBal))
+	rich := e.Where(cust, relal.FloatGreater("c_acctbal", avgBal).On(cust))
 	noOrders := e.AntiJoin(rich, ordCust, "c_custkey", "o_custkey")
 	nphone := noOrders.StrCol("c_phone")
 	noOrders = e.ExtendStr(noOrders, "cntrycode", func(i int) string {
