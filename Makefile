@@ -47,11 +47,13 @@ crash:
 		./internal/fault/ ./internal/delta/ ./internal/rcfile/ ./internal/htap/
 
 # The distributed scatter/gather suites: golden answers at shard counts
-# {1,2,4} over the wire, fragment-vs-scan differential, injected network
-# faults (drop/truncate/duplicate/reset/delay), kill + restart of shard
-# OS processes mid-stream, typed ErrPartial on outage, the wire codec's
-# round-trip and scan-merge differentials — under -race — plus the
-# network-fault and wire-table fuzz smokes (CI's `dist` job).
+# {1,2,4} over the wire, shard-side filtering (a shard ships only the
+# rows that pass the pushed conditions), fragment-vs-scan differential,
+# injected network faults (drop/truncate/duplicate/reset/delay), kill +
+# restart of shard OS processes mid-stream, typed ErrPartial on outage,
+# the wire codec's round-trip and scan-merge differentials — under
+# -race — plus the network-fault and wire-table fuzz smokes (CI's
+# `dist` job).
 dist:
 	$(GO) test -race -run 'Dist|NetFault|WireTable' ./...
 	$(GO) test -run xxx -fuzz FuzzNetFault -fuzztime 15s ./internal/dist/
@@ -65,8 +67,10 @@ dist:
 # round-trips, every chunk decoder behind re-stamped CRCs (stored and
 # deflated), chunk-cache key/eviction paths, the delta-log replay
 # parser, the full crash-schedule → recover cycle of the file-backed
-# log, the dist table decoder, and the BSON decoder of the HTAP write
-# path (accepts exactly what Marshal produces).
+# log, Q6 through the scattered, shard-filtered scan under injected
+# network faults, the dist table decoder, and the BSON decoder of the
+# HTAP write path (accepts exactly what Marshal produces) — every fuzz
+# target CI runs.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzJoinKeys -fuzztime 15s ./internal/relal/
 	$(GO) test -run xxx -fuzz FuzzSortKeys -fuzztime 15s ./internal/relal/
@@ -78,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzChunkCache -fuzztime 15s ./internal/rcfile/
 	$(GO) test -run xxx -fuzz FuzzDeltaReplay -fuzztime 15s ./internal/delta/
 	$(GO) test -run xxx -fuzz FuzzCrashRecovery -fuzztime 15s ./internal/delta/
+	$(GO) test -run xxx -fuzz FuzzNetFault -fuzztime 15s ./internal/dist/
 	$(GO) test -run xxx -fuzz FuzzWireTable -fuzztime 15s ./internal/dist/
 	$(GO) test -run xxx -fuzz FuzzBSONUnmarshal -fuzztime 15s ./internal/docstore/
 

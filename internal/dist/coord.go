@@ -501,10 +501,10 @@ func (c *Coordinator) Health(i int) (map[string]int64, error) {
 
 // distSource is the relal.Source a partitioned table scans through on
 // the coordinator: scatter the (column, predicate) request and merge
-// the shards' surviving rows back into global row order on the hidden
-// position column. Pruning stays conservative (a shard may return rows
-// its groups couldn't rule out), and each plan's Where applies the same
-// conditions row by row (relal.ZoneCond.On), so the reassembled scan is
+// the shards' matching rows back into global row order on the hidden
+// position column. Each shard applies the pushed conditions row by row
+// before shipping, and each plan's Where applies the same conditions
+// again (relal.ZoneCond.On), so the reassembled scan is
 // answer-equivalent to the local one.
 // relal.Source has no error channel — a failed gather panics a
 // *PartialError that Coordinator.RunQuery recovers into a typed error.

@@ -32,7 +32,8 @@ func scanSchema(table relal.Schema, cols []string) (relal.Schema, error) {
 // checkScanPart holds one shard's decoded scan answer to what the merge
 // relies on: exactly the requested schema, and positions strictly
 // ascending (a shard's partition keeps the original row order, and
-// pruning only drops rows). Anything else is a malformed response.
+// pruning and filtering only drop rows). Anything else is a malformed
+// response.
 func checkScanPart(t *relal.Table, want relal.Schema) error {
 	if !slices.Equal(t.Schema, want) {
 		return fmt.Errorf("dist: scan answered with columns %v, want %v", t.Schema.Names(), want.Names())

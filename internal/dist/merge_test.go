@@ -14,11 +14,18 @@ import (
 
 // TestDistScanMergeDifferential: at every shard count, a scan through
 // the coordinator's scattered source returns exactly the cells the same
-// scan of the in-memory table returns — all columns, a column subset,
-// and under a zone predicate that prunes row groups on both sides — and
-// dictionary columns arrive still dictionary-encoded.
+// scan of the in-memory table returns — all columns and a column subset
+// unfiltered, and under a zone predicate exactly the rows that pass it,
+// since the shards filter before they ship — and dictionary columns
+// arrive still dictionary-encoded.
 func TestDistScanMergeDifferential(t *testing.T) {
 	e := &relal.Exec{Parallelism: 1}
+	// Per table: a dictionary Str condition and an open Float bound to
+	// push beside the key range.
+	extra := map[string][]relal.ZoneCond{
+		"lineitem": {relal.StrEq("l_shipinstruct", "DELIVER IN PERSON"), relal.FloatLess("l_quantity", 24)},
+		"orders":   {relal.StrRange("o_orderdate", "1993-01-01", "1997-01-01"), relal.FloatGreater("o_totalprice", 50000)},
+	}
 	for _, n := range []int{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			db := tpch.Generate(goldenGen())
@@ -29,7 +36,7 @@ func TestDistScanMergeDifferential(t *testing.T) {
 				dist := db.Src(name)
 				key := PartitionedTables[name]
 				subset := []string{mem.Schema[len(mem.Schema)-1].Name, key, mem.Schema[4].Name}
-				// The in-memory source prunes row groups but hands back every
+				// The in-memory source hands back every row and every
 				// column; project to what was asked for.
 				local := func(cols []string, pred relal.ZonePredicate) *relal.Table {
 					tbl, _ := relal.NewTableSource(mem).ScanTable(cols, pred)
@@ -51,27 +58,119 @@ func TestDistScanMergeDifferential(t *testing.T) {
 				}
 
 				// The table is clustered by its key, so a key range prunes
-				// groups everywhere. Which rows survive pruning depends on
-				// where each side's group boundaries fall; the rows that
-				// satisfy the predicate survive on both, in order.
+				// groups on the shards; the shards then drop every row that
+				// fails a condition, so the merged scan is exactly the
+				// matching rows, in order.
 				keys := mem.IntCol(key)
 				lo, hi := keys.Get(mem.NumRows()/3), keys.Get(mem.NumRows()/2)
-				pred := relal.ZonePredicate{relal.IntBetween(key, lo, hi)}
-				exact := func(tbl *relal.Table) *relal.Table {
-					k := tbl.IntCol(key)
-					return e.Filter(tbl, func(i int) bool { return k.Get(i) >= lo && k.Get(i) <= hi })
+				pred := append(relal.ZonePredicate{relal.IntBetween(key, lo, hi)}, extra[name]...)
+				cols := slices.Clone(subset)
+				for _, c := range extra[name] {
+					cols = append(cols, c.Col)
 				}
-				want := local(subset, pred)
-				got, stats := dist.ScanTable(subset, pred)
+				scanned := local(cols, pred)
+				want := e.Where(scanned, pred.On(scanned)...)
+				got, stats := dist.ScanTable(cols, pred)
 				if stats.GroupsSkipped == 0 {
 					t.Fatalf("%s: predicate pruned nothing on the shards: %+v", name, stats)
 				}
-				if exact(want).NumRows() == 0 {
-					t.Fatalf("%s: predicate matches nothing", name)
+				if want.NumRows() == 0 || want.NumRows() == e.Where(scanned, pred[:1].On(scanned)...).NumRows() {
+					t.Fatalf("%s: %d rows match; the extra conditions must keep some and drop some", name, want.NumRows())
 				}
-				sameCells(t, exact(got), exact(want))
+				sameCells(t, got, want)
 			}
 		})
+	}
+}
+
+// shardScan sends one request straight to a shard over the wire and
+// returns its decoded response.
+func shardScan(t *testing.T, addr string, req Request) Response {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	payload, err := EncodeRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(conn, payload); err != nil {
+		t.Fatal(err)
+	}
+	data, err := ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := DecodeResponse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Err != "" {
+		t.Fatalf("shard error: %s", resp.Err)
+	}
+	return resp
+}
+
+// TestDistShardScanFilter: a shard answers a scan with exactly the rows
+// of its partition that pass every pushed condition it can test — Int,
+// open Float and dictionary Str bounds, over a column subset or all
+// columns. A condition on an unrequested column, or whose type is not
+// its column's, is left to pruning without an error, and a predicate no
+// row passes ships schema only.
+func TestDistShardScanFilter(t *testing.T) {
+	e := &relal.Exec{Parallelism: 1}
+	gen := goldenGen()
+	addrs := startLocalShards(t, 2)
+	quantity := relal.FloatLess("l_quantity", 24)
+	instruct := relal.StrEq("l_shipinstruct", "DELIVER IN PERSON")
+	year := relal.StrRange("l_shipdate", "1994-01-01", "1995-01-01")
+	mistyped := relal.ZoneCond{Col: "l_quantity", Kind: relal.Int, HasHi: true, IntHi: 10}
+	for i, addr := range addrs {
+		part := BuildShardDB(ShardConfig{Shards: 2, Index: i, SF: gen.SF, Seed: gen.Seed, Random64: gen.Random64}).Lineitem
+		keys := part.IntCol("l_orderkey")
+		keyRange := relal.IntBetween("l_orderkey", keys.Get(part.NumRows()/3), keys.Get(part.NumRows()/2))
+		// Quantities are whole numbers, so no row group can rule this out
+		// and no row passes it.
+		nothing := relal.FloatBetween("l_quantity", 24.25, 24.75)
+		cases := []struct {
+			name string
+			cols []string
+			// pred is sent; applied is the part of it the shard can test.
+			pred, applied relal.ZonePredicate
+		}{
+			{"int range", []string{"l_orderkey", "l_quantity", PosCol}, relal.ZonePredicate{keyRange}, relal.ZonePredicate{keyRange}},
+			{"open float bound", []string{"l_quantity", "l_extendedprice", PosCol}, relal.ZonePredicate{quantity}, relal.ZonePredicate{quantity}},
+			{"dict str", []string{"l_shipinstruct", "l_shipdate", PosCol}, relal.ZonePredicate{instruct, year}, relal.ZonePredicate{instruct, year}},
+			{"all columns", nil, relal.ZonePredicate{year, quantity}, relal.ZonePredicate{year, quantity}},
+			{"unrequested column", []string{"l_orderkey", PosCol}, relal.ZonePredicate{quantity, keyRange}, relal.ZonePredicate{keyRange}},
+			{"mistyped", []string{"l_quantity", PosCol}, relal.ZonePredicate{mistyped}, nil},
+			{"matches nothing", []string{"l_quantity", PosCol}, relal.ZonePredicate{nothing}, relal.ZonePredicate{nothing}},
+		}
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("shard=%d/%s", i, tc.name), func(t *testing.T) {
+				want := e.Where(part, tc.applied.On(part)...)
+				if tc.cols != nil {
+					want = e.Project(want, tc.cols...)
+				}
+				resp := shardScan(t, addr, Request{Op: OpScan, Table: "lineitem", Cols: tc.cols, Pred: tc.pred})
+				if want.NumRows() == 0 {
+					if resp.Rows != 0 || resp.Data != nil {
+						t.Fatalf("nothing matches, yet the shard shipped %d rows, %d bytes", resp.Rows, len(resp.Data))
+					}
+					return
+				}
+				got, err := decodeTable(resp, "lineitem")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := e.Where(got, tc.applied.On(got)...).NumRows(); n != got.NumRows() {
+					t.Fatalf("%d of %d shipped rows fail the predicate", got.NumRows()-n, got.NumRows())
+				}
+				sameCells(t, got, want)
+			})
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -305,8 +306,22 @@ func (s *Shard) handle(req Request) (resp Response, t *relal.Table) {
 	return Response{Shard: s.cfg.Index, Err: fmt.Sprintf("unknown op %d", req.Op)}, nil
 }
 
+// handleScan scans the partition and applies the pushed conditions row
+// by row before anything is encoded, so only rows the plan keeps cross
+// the wire. A condition the scanned columns cannot test (its column was
+// not requested, or has another type) is left to group pruning, exactly
+// as MayMatch leaves it.
 func (s *Shard) handleScan(req Request) (Response, *relal.Table) {
 	t, stats := s.db.Src(req.Table).ScanTable(req.Cols, req.Pred)
+	var preds []relal.Pred
+	for _, c := range req.Pred {
+		if slices.Contains(t.Schema, relal.Column{Name: c.Col, Type: c.Kind}) {
+			preds = append(preds, c.On(t))
+		}
+	}
+	if len(preds) > 0 {
+		t = (&relal.Exec{Parallelism: tpch.DefaultWorkers}).Where(t, preds...)
+	}
 	return s.tableResponse(t, stats)
 }
 

@@ -38,9 +38,9 @@ import (
 
 // Wire ops.
 const (
-	// OpScan returns the shard's partition of a base table, restricted
-	// to the requested columns (plus the hidden _pos position column)
-	// with zone-pruned row groups dropped.
+	// OpScan returns the rows of the shard's partition of a base table
+	// that pass every pushed condition on a scanned column, restricted
+	// to the requested columns (plus the hidden _pos position column).
 	OpScan = iota
 	// OpFragment runs a registered tpch.Fragment partial plan on the
 	// shard and returns the grouped partial aggregate.

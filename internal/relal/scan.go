@@ -336,9 +336,11 @@ type Source interface {
 	SrcName() string
 	SrcSchema() Schema
 	// ScanTable returns the table restricted to cols (nil = every
-	// column) with row groups the predicate rules out pruned, plus the
-	// scan's byte accounting. The returned table must be safe to wrap
-	// in zero-copy views.
+	// column), plus the scan's byte accounting. Its rows are any subset
+	// of the base rows, in base-row order, that keeps every row
+	// satisfying pred: whole pruned row groups and exactly filtered rows
+	// are both allowed, so a plan must apply every condition it pushes.
+	// The returned table must be safe to wrap in zero-copy views.
 	ScanTable(cols []string, pred ZonePredicate) (*Table, ScanStats)
 }
 

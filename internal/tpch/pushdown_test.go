@@ -1,7 +1,9 @@
 package tpch
 
 import (
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"elephants/internal/rcfile"
@@ -59,6 +61,40 @@ func TestRCFileParallelMatchesGolden(t *testing.T) {
 	DefaultWorkers = 4
 	defer func() { DefaultWorkers = old }()
 	diffGolden(t, goldenSnapshotOf(db), string(want))
+}
+
+// exactSource is the strictest Source the contract allows: it returns
+// only the rows that satisfy every pushed condition, as a dist shard
+// does.
+type exactSource struct{ *relal.TableSource }
+
+func (s exactSource) ScanTable(cols []string, pred relal.ZonePredicate) (*relal.Table, relal.ScanStats) {
+	t, stats := s.TableSource.ScanTable(cols, pred)
+	return (&relal.Exec{Parallelism: 1}).Where(t, pred.On(t)...), stats
+}
+
+// TestPredExactSourceGolden: every query applies every condition it
+// pushes into a scan, so sources that drop exactly the failing rows
+// still reproduce the golden snapshot byte for byte, serial and pooled.
+func TestPredExactSourceGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/tpch_golden.txt")
+	if err != nil {
+		t.Skip("golden file missing")
+	}
+	db := Generate(GenConfig{SF: goldenSF, Seed: 1, Random64: true})
+	for _, name := range TableNames {
+		db.SetSource(name, exactSource{relal.NewTableSource(db.Table(name))})
+	}
+	for _, workers := range []int{1, DefaultWorkers} {
+		var b strings.Builder
+		for _, q := range Queries {
+			out, _ := RunQueryWorkers(q.ID, db, workers)
+			b.WriteString(FormatAnswer(q.ID, out))
+		}
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			diffGolden(t, b.String(), string(want))
+		})
+	}
 }
 
 // shipdateSorted generates the seed-1 DB at sf with lineitem rewritten
