@@ -503,9 +503,9 @@ func (c *Coordinator) Health(i int) (map[string]int64, error) {
 // the coordinator: scatter the (column, predicate) request and merge
 // the shards' matching rows back into global row order on the hidden
 // position column. Each shard applies the pushed conditions row by row
-// before shipping, and each plan's Where applies the same conditions
-// again (relal.ZoneCond.On), so the reassembled scan is
-// answer-equivalent to the local one.
+// before shipping (key sets too), and each plan applies them again (its
+// Where through relal.ZoneCond.On, a key set through its join), so the
+// reassembled scan is answer-equivalent to the local one.
 // relal.Source has no error channel — a failed gather panics a
 // *PartialError that Coordinator.RunQuery recovers into a typed error.
 type distSource struct {

@@ -15,17 +15,18 @@ import (
 // TestDistScanMergeDifferential: at every shard count, a scan through
 // the coordinator's scattered source returns exactly the cells the same
 // scan of the in-memory table returns — all columns and a column subset
-// unfiltered, and under a zone predicate exactly the rows that pass it,
-// since the shards filter before they ship — and dictionary columns
-// arrive still dictionary-encoded.
+// unfiltered, and under a zone predicate (key sets included) exactly the
+// rows that pass it, since the shards filter before they ship — and
+// dictionary columns arrive still dictionary-encoded.
 func TestDistScanMergeDifferential(t *testing.T) {
 	e := &relal.Exec{Parallelism: 1}
 	// Per table: a dictionary Str condition and an open Float bound to
-	// push beside the key range.
+	// push beside the key range, and a column to take a key set on.
 	extra := map[string][]relal.ZoneCond{
 		"lineitem": {relal.StrEq("l_shipinstruct", "DELIVER IN PERSON"), relal.FloatLess("l_quantity", 24)},
 		"orders":   {relal.StrRange("o_orderdate", "1993-01-01", "1997-01-01"), relal.FloatGreater("o_totalprice", 50000)},
 	}
+	setCol := map[string]string{"lineitem": "l_partkey", "orders": "o_custkey"}
 	for _, n := range []int{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			db := tpch.Generate(goldenGen())
@@ -59,13 +60,16 @@ func TestDistScanMergeDifferential(t *testing.T) {
 
 				// The table is clustered by its key, so a key range prunes
 				// groups on the shards; the shards then drop every row that
-				// fails a condition, so the merged scan is exactly the
+				// fails a condition or lies outside the key set (the values
+				// of every third row), so the merged scan is exactly the
 				// matching rows, in order.
 				keys := mem.IntCol(key)
 				lo, hi := keys.Get(mem.NumRows()/3), keys.Get(mem.NumRows()/2)
-				pred := append(relal.ZonePredicate{relal.IntBetween(key, lo, hi)}, extra[name]...)
+				thirds := e.Filter(mem, func(i int) bool { return i%3 == 0 })
+				set := relal.IntIn(setCol[name], thirds, setCol[name])
+				pred := append(relal.ZonePredicate{relal.IntBetween(key, lo, hi), set}, extra[name]...)
 				cols := slices.Clone(subset)
-				for _, c := range extra[name] {
+				for _, c := range pred[1:] {
 					cols = append(cols, c.Col)
 				}
 				scanned := local(cols, pred)
@@ -115,10 +119,11 @@ func shardScan(t *testing.T, addr string, req Request) Response {
 
 // TestDistShardScanFilter: a shard answers a scan with exactly the rows
 // of its partition that pass every pushed condition it can test — Int,
-// open Float and dictionary Str bounds, over a column subset or all
-// columns. A condition on an unrequested column, or whose type is not
-// its column's, is left to pruning without an error, and a predicate no
-// row passes ships schema only.
+// open Float and dictionary Str bounds and key sets, over a column
+// subset or all columns. A condition on an unrequested column, or whose
+// type is not its column's, is left to pruning without an error, and a
+// predicate no row passes — the empty key set among them — ships schema
+// only.
 func TestDistShardScanFilter(t *testing.T) {
 	e := &relal.Exec{Parallelism: 1}
 	gen := goldenGen()
@@ -134,6 +139,16 @@ func TestDistShardScanFilter(t *testing.T) {
 		// Quantities are whole numbers, so no row group can rule this out
 		// and no row passes it.
 		nothing := relal.FloatBetween("l_quantity", 24.25, 24.75)
+		// Key sets: the order keys of every fifth row, the part keys of
+		// every ninth (their hull spans every group, so pruning keeps
+		// all of them), and the keys of an empty build.
+		every := func(n int) *relal.Table { return e.Filter(part, func(i int) bool { return i%n == 0 }) }
+		orderSet := relal.IntIn("l_orderkey", every(5), "l_orderkey")
+		partSet := relal.IntIn("l_partkey", every(9), "l_partkey")
+		emptySet := relal.IntIn("l_partkey", e.Filter(part, func(int) bool { return false }), "l_partkey")
+		if !emptySet.HasKeys || emptySet.HasLo || emptySet.HasHi {
+			t.Fatalf("an empty build gave %+v", emptySet)
+		}
 		cases := []struct {
 			name string
 			cols []string
@@ -147,6 +162,10 @@ func TestDistShardScanFilter(t *testing.T) {
 			{"unrequested column", []string{"l_orderkey", PosCol}, relal.ZonePredicate{quantity, keyRange}, relal.ZonePredicate{keyRange}},
 			{"mistyped", []string{"l_quantity", PosCol}, relal.ZonePredicate{mistyped}, nil},
 			{"matches nothing", []string{"l_quantity", PosCol}, relal.ZonePredicate{nothing}, relal.ZonePredicate{nothing}},
+			{"orderkey set", []string{"l_orderkey", "l_quantity", PosCol}, relal.ZonePredicate{orderSet, quantity}, relal.ZonePredicate{orderSet, quantity}},
+			{"partkey set", []string{"l_partkey", "l_orderkey", PosCol}, relal.ZonePredicate{partSet}, relal.ZonePredicate{partSet}},
+			{"empty set", []string{"l_partkey", PosCol}, relal.ZonePredicate{emptySet}, relal.ZonePredicate{emptySet}},
+			{"set on unrequested column", []string{"l_orderkey", PosCol}, relal.ZonePredicate{partSet}, nil},
 		}
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("shard=%d/%s", i, tc.name), func(t *testing.T) {
@@ -155,6 +174,9 @@ func TestDistShardScanFilter(t *testing.T) {
 					want = e.Project(want, tc.cols...)
 				}
 				resp := shardScan(t, addr, Request{Op: OpScan, Table: "lineitem", Cols: tc.cols, Pred: tc.pred})
+				if tc.pred[0].HasKeys && len(tc.pred[0].Keys) == 0 && resp.Stats.GroupsSkipped != 0 {
+					t.Fatalf("the empty key set pruned %d groups", resp.Stats.GroupsSkipped)
+				}
 				if want.NumRows() == 0 {
 					if resp.Rows != 0 || resp.Data != nil {
 						t.Fatalf("nothing matches, yet the shard shipped %d rows, %d bytes", resp.Rows, len(resp.Data))

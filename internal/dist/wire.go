@@ -39,8 +39,8 @@ import (
 // Wire ops.
 const (
 	// OpScan returns the rows of the shard's partition of a base table
-	// that pass every pushed condition on a scanned column, restricted
-	// to the requested columns (plus the hidden _pos position column).
+	// that pass every pushed condition (key sets too) on a scanned column,
+	// restricted to the requested columns (plus the hidden _pos column).
 	OpScan = iota
 	// OpFragment runs a registered tpch.Fragment partial plan on the
 	// shard and returns the grouped partial aggregate.

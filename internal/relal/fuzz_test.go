@@ -234,21 +234,24 @@ func FuzzGroupKeys(f *testing.F) {
 	})
 }
 
-// FuzzPredCond drives checkPredCond (pred_test.go) from arbitrary
-// bytes: column contents, their order and each condition's bounds and
-// flags. Past the input's end every byte reads as zero.
+// FuzzPredCond drives checkPredCond and then keySetFrom (pred_test.go)
+// from arbitrary bytes: column contents, their order, each condition's
+// bounds and flags, then a key set and its probe cells. Past the
+// input's end every byte reads as zero.
 func FuzzPredCond(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{63, 11, 13, 15, 3, 4, 5, 1, 1, 2, 2, 0, 0, 15, 3, 10, 1, 2, 3, 4, 5, 6, 13, 0, 2, 5, 1, 9})
 	f.Add([]byte{199, 10, 12, 14, 0xff, 0xfe, 0xfd, 0xfc, 0xfb, 0xfa, 0xf9, 0xf8, 1, 7, 3, 5, 0, 12, 11, 6, 15, 18, 19})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkPredCond(t, func() byte {
+		next := func() byte {
 			if len(data) == 0 {
 				return 0
 			}
 			b := data[0]
 			data = data[1:]
 			return b
-		})
+		}
+		checkPredCond(t, next)
+		keySetFrom(t, next)
 	})
 }

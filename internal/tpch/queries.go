@@ -59,7 +59,8 @@ var DefaultWorkers int
 // the chunks that can matter. Pruning is conservative — it keeps every
 // row group that may hold a matching row, and the plan applies the same
 // conditions row by row (scanWhere, or ZoneCond.On inside its own
-// Where) — which is why the answers match a full scan byte-for-byte.
+// Where; a key set through its join, scanKeys) — which is why the
+// answers match a full scan byte-for-byte.
 func scan(e *relal.Exec, db *DB, table string, cols []string, conds ...relal.ZoneCond) *relal.Table {
 	return e.ScanSource(db.Src(table), cols, relal.ZonePredicate(conds))
 }
@@ -68,6 +69,18 @@ func scan(e *relal.Exec, db *DB, table string, cols []string, conds ...relal.Zon
 // conditions to the rows.
 func scanWhere(e *relal.Exec, db *DB, table string, cols []string, conds ...relal.ZoneCond) *relal.Table {
 	t := scan(e, db, table, cols, conds...)
+	return e.Where(t, relal.ZonePredicate(conds).On(t)...)
+}
+
+// scanKeys is scanWhere with a join's key set (relal.IntIn) pushed
+// beside conds, so a dist shard ships only rows that can join. Its Where
+// applies conds alone: the join that follows applies the set, provided
+// its keys are a subset of the set's, so no logged step moves.
+func scanKeys(e *relal.Exec, db *DB, table string, cols []string, keys relal.ZoneCond, conds ...relal.ZoneCond) *relal.Table {
+	t := scan(e, db, table, cols, append([]relal.ZoneCond{keys}, conds...)...)
+	if len(conds) == 0 {
+		return t
+	}
 	return e.Where(t, relal.ZonePredicate(conds).On(t)...)
 }
 
@@ -170,8 +183,8 @@ func q3(e *relal.Exec, db *DB) *relal.Table {
 	ord := scanWhere(e, db, "orders",
 		[]string{"o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"},
 		relal.StrLess("o_orderdate", "1995-03-15"))
-	li := scanWhere(e, db, "lineitem",
-		[]string{"l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"},
+	li := scanKeys(e, db, "lineitem",
+		[]string{"l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"}, relal.IntIn("l_orderkey", ord, "o_orderkey"),
 		relal.StrGreater("l_shipdate", "1995-03-15"))
 	co := e.Join(ord, cust, "o_custkey", "c_custkey")
 	col := e.Join(li, co, "l_orderkey", "o_orderkey")
@@ -217,9 +230,11 @@ func q5(e *relal.Exec, db *DB) *relal.Table {
 		relal.StrEq("r_name", "ASIA"))
 	nr := e.Join(scan(e, db, "nation", []string{"n_nationkey", "n_name", "n_regionkey"}), region, "n_regionkey", "r_regionkey")
 	snr := e.Join(scan(e, db, "supplier", []string{"s_suppkey", "s_nationkey"}), nr, "s_nationkey", "n_nationkey")
-	lsnr := e.Join(scan(e, db, "lineitem",
-		[]string{"l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"}), snr, "l_suppkey", "s_suppkey")
-	ord := scanWhere(e, db, "orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
+	lsnr := e.Join(scanKeys(e, db, "lineitem",
+		[]string{"l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"},
+		relal.IntIn("l_suppkey", snr, "s_suppkey")), snr, "l_suppkey", "s_suppkey")
+	ord := scanKeys(e, db, "orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
+		relal.IntIn("o_orderkey", lsnr, "l_orderkey"),
 		relal.StrRange("o_orderdate", "1994-01-01", "1995-01-01"))
 	lo := e.Join(lsnr, ord, "l_orderkey", "o_orderkey")
 	// Customer must be in the same nation as the supplier.
@@ -295,10 +310,12 @@ func q7(e *relal.Exec, db *DB) *relal.Table {
 func q8(e *relal.Exec, db *DB) *relal.Table {
 	part := scanWhere(e, db, "part", []string{"p_partkey", "p_type"},
 		relal.StrEq("p_type", "ECONOMY ANODIZED STEEL"))
-	lp := e.Join(scan(e, db, "lineitem",
-		[]string{"l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"}), part, "l_partkey", "p_partkey")
+	lp := e.Join(scanKeys(e, db, "lineitem",
+		[]string{"l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"},
+		relal.IntIn("l_partkey", part, "p_partkey")), part, "l_partkey", "p_partkey")
 	lps := e.Join(lp, scan(e, db, "supplier", []string{"s_suppkey", "s_nationkey"}), "l_suppkey", "s_suppkey")
-	ord := scanWhere(e, db, "orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
+	ord := scanKeys(e, db, "orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
+		relal.IntIn("o_orderkey", lps, "l_orderkey"),
 		relal.StrBetween("o_orderdate", "1995-01-01", "1996-12-31"))
 	lpso := e.Join(lps, ord, "l_orderkey", "o_orderkey")
 	lpsoc := e.Join(lpso, scan(e, db, "customer", []string{"c_custkey", "c_nationkey"}), "o_custkey", "c_custkey")
@@ -348,15 +365,17 @@ func q9(e *relal.Exec, db *DB) *relal.Table {
 	pt := scan(e, db, "part", []string{"p_partkey", "p_name"})
 	pname := pt.StrCol("p_name")
 	part := e.Filter(pt, func(i int) bool { return strings.Contains(pname.Get(i), "green") })
-	lp := e.Join(scan(e, db, "lineitem",
-		[]string{"l_orderkey", "l_partkey", "l_suppkey", "l_quantity", "l_extendedprice", "l_discount"}), part, "l_partkey", "p_partkey")
+	lp := e.Join(scanKeys(e, db, "lineitem",
+		[]string{"l_orderkey", "l_partkey", "l_suppkey", "l_quantity", "l_extendedprice", "l_discount"},
+		relal.IntIn("l_partkey", part, "p_partkey")), part, "l_partkey", "p_partkey")
 	lps := e.Join(lp, scan(e, db, "supplier", []string{"s_suppkey", "s_nationkey"}), "l_suppkey", "s_suppkey")
 	// partsupp join on (partkey, suppkey): join on partkey then filter.
 	lpsps := e.Join(lps, scan(e, db, "partsupp", []string{"ps_partkey", "ps_suppkey", "ps_supplycost"}), "l_partkey", "ps_partkey")
 	sk := lpsps.IntCol("l_suppkey")
 	pssk := lpsps.IntCol("ps_suppkey")
 	match := e.Filter(lpsps, func(i int) bool { return sk.Get(i) == pssk.Get(i) })
-	mo := e.Join(match, scan(e, db, "orders", []string{"o_orderkey", "o_orderdate"}), "l_orderkey", "o_orderkey")
+	mo := e.Join(match, scanKeys(e, db, "orders", []string{"o_orderkey", "o_orderdate"},
+		relal.IntIn("o_orderkey", match, "l_orderkey")), "l_orderkey", "o_orderkey")
 	mon := e.Join(mo, scan(e, db, "nation", []string{"n_nationkey", "n_name"}), "s_nationkey", "n_nationkey")
 	mod := mon.StrCol("o_orderdate")
 	mon = e.ExtendStr(mon, "o_year", func(i int) string { return mod.Get(i)[:4] })
@@ -380,8 +399,8 @@ func q9(e *relal.Exec, db *DB) *relal.Table {
 func q10(e *relal.Exec, db *DB) *relal.Table {
 	ord := scanWhere(e, db, "orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
 		relal.StrRange("o_orderdate", "1993-10-01", "1994-01-01"))
-	li := scanWhere(e, db, "lineitem",
-		[]string{"l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"},
+	li := scanKeys(e, db, "lineitem",
+		[]string{"l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"}, relal.IntIn("l_orderkey", ord, "o_orderkey"),
 		relal.StrEq("l_returnflag", "R"))
 	lo := e.Join(li, ord, "l_orderkey", "o_orderkey")
 	loc := e.Join(lo, scan(e, db, "customer",
@@ -589,8 +608,9 @@ func q17(e *relal.Exec, db *DB) *relal.Table {
 	part := scanWhere(e, db, "part", []string{"p_partkey", "p_brand", "p_container"},
 		relal.StrEq("p_brand", "Brand#23"),
 		relal.StrEq("p_container", "MED BOX"))
-	lp := e.Join(scan(e, db, "lineitem",
-		[]string{"l_partkey", "l_quantity", "l_extendedprice"}), part, "l_partkey", "p_partkey")
+	lp := e.Join(scanKeys(e, db, "lineitem",
+		[]string{"l_partkey", "l_quantity", "l_extendedprice"},
+		relal.IntIn("l_partkey", part, "p_partkey")), part, "l_partkey", "p_partkey")
 	avgQty := e.Aggregate(lp, []string{"p_partkey"}, []relal.AggSpec{
 		{Fn: "avg", Col: "l_quantity", As: "avg_qty"},
 	})
@@ -621,8 +641,9 @@ func q18(e *relal.Exec, db *DB) *relal.Table {
 		{Fn: "sum", Col: "l_quantity", As: "sum_qty"},
 	})
 	big := e.Where(perOrder, relal.FloatGreater("sum_qty", 300).On(perOrder))
-	bo := e.Join(big, scan(e, db, "orders",
-		[]string{"o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"}), "l_orderkey", "o_orderkey")
+	bo := e.Join(big, scanKeys(e, db, "orders",
+		[]string{"o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"},
+		relal.IntIn("o_orderkey", big, "l_orderkey")), "l_orderkey", "o_orderkey")
 	boc := e.Join(bo, scan(e, db, "customer", []string{"c_custkey", "c_name"}), "o_custkey", "c_custkey")
 	proj := e.Project(boc, "c_name", "c_custkey", "o_orderkey", "o_orderdate", "o_totalprice", "sum_qty")
 	return e.TopK(proj, 100,
