@@ -97,9 +97,10 @@ func BuildShardDB(cfg ShardConfig) *tpch.DB {
 	return db
 }
 
-// shardCacheBytes bounds a shard's decoded-chunk cache. A partition's
-// decoded parts at the scale factors the localhost cluster runs are a
-// few megabytes, so this holds all of them; past it the LRU evicts.
+// shardCacheBytes bounds a shard's decoded-chunk cache. The cache holds
+// only the converted held rows (the base part is the in-memory
+// partition itself), far below this bound at the scale factors the
+// localhost cluster runs; past it the LRU evicts.
 const shardCacheBytes = 64 << 20
 
 // defaultHold routes a few hundred trailing rows of each partition
@@ -147,9 +148,9 @@ func StartShard(cfg ShardConfig) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The parts are immutable once written, so every scan after the first
-	// serves their chunks decoded from the cache instead of inflating them
-	// again.
+	// The converted held rows' parts are immutable once written, so
+	// every scan after the first serves their chunks decoded from the
+	// cache instead of inflating them again.
 	hcfg := htap.Config{
 		Window: -1, RCFile: true, GroupRows: cfg.GroupRows, Sync: pol,
 		Cache: rcfile.NewChunkCache(shardCacheBytes),

@@ -1,15 +1,16 @@
 // Package dist is the coordinator/shard execution layer: the paper's
 // 16-node PDW and sharded-Mongo clusters shrunk to localhost processes.
-// lineitem and orders are hash-partitioned by orderkey into per-process
-// RCF7 shards (internal/shard routing, one internal/htap store each);
-// the coordinator scatters scans and query fragments over TCP and
-// merges the partials deterministically, so all 22 golden answers stay
-// byte-identical at any shard count.
+// lineitem and orders are hash-partitioned by orderkey (shardOf) into
+// per-process shards, one internal/htap store each; the coordinator
+// scatters scans and query fragments over TCP and merges the partials
+// deterministically, so all 22 golden answers stay byte-identical at
+// any shard count.
 //
 // Storage format and message format are separate decisions, as they are
-// in the paper's PDW: a shard keeps its partition as compressed RCF7
-// parts, but what crosses the wire is the result's column vectors laid
-// out flat (see the table encoding below) — no compression and no
+// in the paper's PDW: a shard serves its partition's base rows from
+// memory and keeps its converted held rows as compressed RCF7 parts,
+// but what crosses the wire is the result's column vectors laid out
+// flat (see the table encoding below) — no compression and no
 // per-chunk encoding choice on the data path; the frame checksum covers
 // every byte.
 //

@@ -53,12 +53,14 @@ type Config struct {
 	// Window is the delta log's group-commit window (0 = the delta
 	// default; negative = flush immediately, for deterministic tests).
 	Window time.Duration
-	// RCFile encodes converted parts (and the held tables' base parts)
-	// as RCF7 files instead of in-memory sources.
+	// RCFile encodes converted parts as RCF7 files instead of in-memory
+	// sources. A held table's base part is the in-memory prefix of the
+	// DB's table in both modes.
 	RCFile bool
 	// GroupRows is the RCF7 row-group size (0 = 4096). Used with RCFile.
 	GroupRows int
-	// Cache, when non-nil, serves decoded chunks of the RCF7 parts.
+	// Cache, when non-nil, serves decoded chunks of the converted RCF7
+	// parts (the base part is never encoded, so it never enters it).
 	Cache *rcfile.ChunkCache
 	// ConvertRows is the tail size at which the background converter
 	// encodes a table's tail into a part (0 = 4096).
@@ -89,19 +91,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// part is one storage part of a table view: the base prefix (built
-// in-process each open) or a converted slice of the delta record
-// stream. Converted parts remember which record range they accelerate —
+// part is one storage part of a table view: the base prefix (a
+// TableSource over the leading rows of the DB's own table, sharing its
+// column arrays) or a converted slice of the delta record stream.
+// Converted parts remember which record range they accelerate —
 // the range [start, start+rows) of the table's published record list —
 // so a part that fails verification can be dropped and its rows served
 // from the records themselves.
 type part struct {
-	src   relal.Source
-	rcf   *rcfile.Source // non-nil when src is an RCF7 source
-	file  string         // persisted part file name ("" if memory-only)
-	start int            // first record index covered (converted parts)
+	mem   *relal.TableSource // in-memory storage; nil for an RCF7 part
+	rcf   *rcfile.Source     // RCF7 storage; nil for an in-memory part
+	file  string             // persisted part file name ("" if memory-only)
+	start int                // first record index covered (converted parts)
 	rows  int
-	base  bool // the base prefix: never quarantined (built in-process)
 }
 
 // tableView is one immutable snapshot of a table's storage: the base
@@ -182,10 +184,11 @@ type Store struct {
 
 // New builds an in-memory (or fresh durable) store over db, holding
 // back the last hold[name] rows of each named table: the remaining
-// prefix becomes the table's base part (installed as the DB's scan
-// source), and the suffix is returned by HeldRecords for the write
-// driver to replay through the delta path. Equivalent to Open — with a
-// Config.FS holding a previous run's bytes, both recover it.
+// prefix — the DB table's own leading rows, not copied — becomes the
+// table's base part (installed as the DB's scan source), and the suffix
+// is returned by HeldRecords for the write driver to replay through the
+// delta path. Equivalent to Open — with a Config.FS holding a previous
+// run's bytes, both recover it.
 func New(db *tpch.DB, hold map[string]int, cfg Config) (*Store, error) {
 	return Open(db, hold, cfg)
 }
@@ -215,18 +218,14 @@ func Open(db *tpch.DB, hold map[string]int, cfg Config) (*Store, error) {
 		if k >= n {
 			return nil, fmt.Errorf("htap: hold %d of %d rows of %s", k, n, name)
 		}
-		prefix := relal.Head(base, n-k)
-		baseSrc, baseRCF, err := s.buildSource(prefix)
-		if err != nil {
-			return nil, fmt.Errorf("htap: encode %s base: %w", name, err)
-		}
 		st := &tableState{
 			name:    name,
 			schema:  base.Schema,
 			base:    base,
 			pending: make(map[int64]delta.Record),
 		}
-		st.view.Store(&tableView{parts: []*part{{src: baseSrc, rcf: baseRCF, rows: n - k, base: true}}})
+		baseSrc := relal.NewTableSource(relal.Head(base, n-k))
+		st.view.Store(&tableView{parts: []*part{{mem: baseSrc, rows: n - k}}})
 		s.tables[name] = st
 		perTable[name] = recordsOf(base, n-k, n)
 		db.SetSource(name, &htapSource{store: s, st: st})
@@ -329,7 +328,7 @@ func (s *Store) recoverParts() error {
 				continue
 			}
 			src.SetCache(s.cfg.Cache)
-			parts = append(parts, &part{src: src, rcf: src, file: c.file, start: c.start, rows: c.rows})
+			parts = append(parts, &part{rcf: src, file: c.file, start: c.start, rows: c.rows})
 			covered = c.start + c.rows
 			s.partsRecovered.Add(1)
 			s.converted.Add(int64(c.rows))
@@ -363,21 +362,6 @@ func parsePartName(name string) (table string, start, rows int, ok bool) {
 		return "", 0, 0, false
 	}
 	return fields[0], start, rows, true
-}
-
-// buildSource wraps t as a scan source per the store's storage mode.
-// The second return is the RCF7 view of the same source (nil in the
-// in-memory mode).
-func (s *Store) buildSource(t *relal.Table) (relal.Source, *rcfile.Source, error) {
-	if !s.cfg.RCFile {
-		return relal.NewTableSource(t), nil, nil
-	}
-	src, err := rcfile.NewSource(t, s.cfg.GroupRows)
-	if err != nil {
-		return nil, nil, err
-	}
-	src.SetCache(s.cfg.Cache)
-	return src, src, nil
 }
 
 // recordsOf extracts rows [lo, hi) of t as delta records, positions
@@ -735,14 +719,20 @@ func (s *Store) convertTable(st *tableState, minRows int) error {
 	t := recordsTable(st, recs)
 	st.mu.Unlock()
 
-	src, rcf, err := s.buildSource(t)
-	if err != nil {
-		return fmt.Errorf("htap: convert %s: %w", st.name, err)
+	p := &part{start: start, rows: len(recs)}
+	if s.cfg.RCFile {
+		rcf, err := rcfile.NewSource(t, s.cfg.GroupRows)
+		if err != nil {
+			return fmt.Errorf("htap: convert %s: %w", st.name, err)
+		}
+		rcf.SetCache(s.cfg.Cache)
+		p.rcf = rcf
+	} else {
+		p.mem = relal.NewTableSource(t)
 	}
-	p := &part{src: src, rcf: rcf, start: start, rows: len(recs)}
-	if s.fs != nil && rcf != nil {
+	if s.fs != nil && p.rcf != nil {
 		p.file = partName(st.name, start, len(recs))
-		if err := fault.WriteFile(s.fs, p.file, rcf.Data()); err != nil {
+		if err := fault.WriteFile(s.fs, p.file, p.rcf.Data()); err != nil {
 			s.fs.Remove(p.file)
 			return fmt.Errorf("htap: persist %s: %w", p.file, err)
 		}
@@ -788,7 +778,7 @@ func (s *Store) quarantine(st *tableState, bad *part) {
 			break
 		}
 	}
-	if idx < 0 || bad.base {
+	if idx < 0 {
 		// Another scan already quarantined it (views are immutable, so
 		// two scans can race to report the same part).
 		st.mu.Unlock()

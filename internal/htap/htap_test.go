@@ -3,6 +3,7 @@ package htap
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 
 	"elephants/internal/delta"
 	"elephants/internal/docstore"
+	"elephants/internal/relal"
 	"elephants/internal/tpch"
 )
 
@@ -301,36 +303,82 @@ func TestHtapRejectsBadWrites(t *testing.T) {
 	}
 }
 
-// TestHtapScanSubsetColumns pins by-name column selection across parts:
-// a projected scan over base + tail returns exactly the requested
-// columns with the parts' rows in order.
+// TestHtapScanSubsetColumns pins the projection contract for every view
+// shape, in both storage modes: base only (before any held row is
+// appended), base + tail, and base + converted part. Each scan returns
+// exactly the requested columns with the parts' rows in order, and a
+// base-only full scan hands back the DB table's own column arrays — the
+// base part is the in-memory prefix, not a decoded copy of it.
 func TestHtapScanSubsetColumns(t *testing.T) {
-	db := goldenDB()
-	store, err := New(db, map[string]int{"lineitem": 20}, Config{Window: -1})
-	if err != nil {
-		t.Fatal(err)
+	const hold = 20
+	for _, rcf := range []bool{false, true} {
+		t.Run(fmt.Sprintf("rcfile=%v", rcf), func(t *testing.T) {
+			db := goldenDB()
+			orig := db.Table("lineitem")
+			want := relal.RowsOf(orig)
+			store, err := New(db, map[string]int{"lineitem": hold}, Config{Window: -1, RCFile: rcf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cols := []string{orig.Schema[4].Name, orig.Schema[0].Name, "l_returnflag"}
+			check := func(stage string, rows int) {
+				t.Helper()
+				for _, c := range [][]string{cols, nil} {
+					out, _ := db.Src("lineitem").ScanTable(c, nil)
+					names := c
+					if c == nil {
+						names = orig.Schema.Names()
+					}
+					if !reflect.DeepEqual(out.Schema.Names(), names) {
+						t.Fatalf("%s: schema = %v, want %v", stage, out.Schema.Names(), names)
+					}
+					if out.NumRows() != rows {
+						t.Fatalf("%s: rows = %d, want %d", stage, out.NumRows(), rows)
+					}
+					for i, r := range relal.RowsOf(out) {
+						for k, name := range names {
+							if w := want[i][orig.Schema.Col(name)]; r[k] != w {
+								t.Fatalf("%s: row %d %s = %v, want %v", stage, i, name, r[k], w)
+							}
+						}
+					}
+				}
+			}
+			check("base", orig.NumRows()-hold)
+			full, _ := db.Src("lineitem").ScanTable(nil, nil)
+			for c, v := range orig.Cols {
+				if !sameBacking(full.Cols[c], v) {
+					t.Errorf("base scan column %s is a copy, want the DB table's own array", orig.Schema[c].Name)
+				}
+			}
+
+			for _, r := range store.HeldRecords() {
+				if _, err := store.AppendRecord(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := store.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
+			check("tail", orig.NumRows())
+			if err := store.ConvertAll(); err != nil {
+				t.Fatal(err)
+			}
+			check("converted", orig.NumRows())
+		})
 	}
-	for _, r := range store.HeldRecords() {
-		if _, err := store.AppendRecord(r); err != nil {
-			t.Fatal(err)
-		}
+}
+
+// sameBacking reports whether a's cells start at b's first backing
+// array element (b non-empty).
+func sameBacking(a, b *relal.Vector) bool {
+	switch {
+	case b.Kind == relal.Int:
+		return len(a.Ints) > 0 && &a.Ints[0] == &b.Ints[0]
+	case b.Kind == relal.Float:
+		return len(a.Floats) > 0 && &a.Floats[0] == &b.Floats[0]
+	case b.IsDict():
+		return len(a.Dict) > 0 && &a.Dict[0] == &b.Dict[0]
 	}
-	if err := store.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-	orig := db.Table("lineitem")
-	cols := []string{orig.Schema[4].Name, orig.Schema[0].Name}
-	out, _ := db.Src("lineitem").ScanTable(cols, nil)
-	if out.NumRows() != orig.NumRows() {
-		t.Fatalf("rows = %d, want %d", out.NumRows(), orig.NumRows())
-	}
-	if len(out.Schema) != 2 || out.Schema[0].Name != cols[0] || out.Schema[1].Name != cols[1] {
-		t.Fatalf("schema = %v, want %v", out.Schema.Names(), cols)
-	}
-	a, b := out.FloatCol(cols[0]), orig.FloatCol(cols[0])
-	for _, i := range []int{0, orig.NumRows() - 20, orig.NumRows() - 1} {
-		if a.Get(i) != b.Get(i) {
-			t.Errorf("row %d %s = %v, want %v", i, cols[0], a.Get(i), b.Get(i))
-		}
-	}
+	return len(a.Strs) > 0 && &a.Strs[0] == &b.Strs[0]
 }

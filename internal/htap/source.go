@@ -1,9 +1,12 @@
 // The scan side of the pipeline: a held table's relal.Source stitches
-// base part + converted parts + the unconverted delta tail into one
-// table per scan. Each scan loads the view pointer once, so it sees a
-// consistent snapshot (never a trimmed tail without its converted part,
-// never a row twice); full cross-table consistency holds once writes
-// quiesce, which is when the golden tests compare answers.
+// the base part (the in-memory prefix of the DB's table) + converted
+// parts + the unconverted delta tail into one table per scan, always
+// through relal.Concat, which projects the requested columns and
+// aliases a lone part's vectors. Each scan loads the view pointer
+// once, so it sees a consistent snapshot (never a trimmed tail without
+// its converted part, never a row twice); full cross-table consistency
+// holds once writes quiesce, which is when the golden tests compare
+// answers.
 package htap
 
 import (
@@ -27,10 +30,11 @@ func (h *htapSource) SrcSchema() relal.Schema { return h.st.schema }
 
 // ScanTable implements relal.Source: every part (and the tail snapshot)
 // scans with the same column subset and predicate, their byte
-// accounting sums, and the parts concatenate in row order. A part may
-// prune row groups the predicate rules out — surviving rows keep their
-// order, so the query's own filter sees exactly the rows a full scan
-// would, in the same order.
+// accounting sums, and the parts concatenate in row order. The base
+// part and the tail are in memory and return every row; an RCF7
+// converted part may prune row groups the predicate rules out —
+// surviving rows keep their order, so the query's own filter sees
+// exactly the rows a full scan would, in the same order.
 //
 // A converted part whose chunk fails CRC verification is quarantined
 // and the scan retries over the degraded view — the dropped rows come
@@ -61,7 +65,7 @@ func (h *htapSource) scanView(cols []string, pred relal.ZonePredicate) (_ *relal
 	for _, p := range v.parts {
 		var t *relal.Table
 		var st relal.ScanStats
-		if !p.base && p.rcf != nil {
+		if p.rcf != nil {
 			// Converted parts may have been read back from disk; scan
 			// through the verifying path and degrade on corruption.
 			var err error
@@ -74,10 +78,7 @@ func (h *htapSource) scanView(cols []string, pred relal.ZonePredicate) (_ *relal
 				panic("htap: " + err.Error())
 			}
 		} else {
-			// The base part wraps bytes encoded in-process this run;
-			// corruption there is a programming bug, so keep the
-			// panicking path.
-			t, st = p.src.ScanTable(cols, pred)
+			t, st = p.mem.ScanTable(cols, pred)
 		}
 		stats.Add(st)
 		tables = append(tables, t)
@@ -86,9 +87,6 @@ func (h *htapSource) scanView(cols []string, pred relal.ZonePredicate) (_ *relal
 		t, st := v.tailSource(h.st).ScanTable(cols, pred)
 		stats.Add(st)
 		tables = append(tables, t)
-	}
-	if len(tables) == 1 {
-		return tables[0], stats, nil
 	}
 	schema := h.st.schema
 	if len(cols) > 0 {
