@@ -10,7 +10,6 @@ import (
 	"elephants/internal/delta"
 	"elephants/internal/fault"
 	"elephants/internal/htap"
-	"elephants/internal/rcfile"
 	"elephants/internal/relal"
 	"elephants/internal/tpch"
 )
@@ -46,8 +45,8 @@ type ShardConfig struct {
 	// given its old port so retrying coordinators reconnect unchanged.
 	Port int
 	// DataDir, when set, holds the shard's durable delta log and RCF7
-	// part files; a restart replays them via htap.Open. Empty runs the
-	// store in memory (tests that only need the wire path).
+	// part checkpoints; a restart replays them via htap.Open. Empty runs
+	// the store in memory and persists nothing.
 	DataDir string
 	// Hold is the per-table count of trailing partition rows routed
 	// through the delta log instead of the base part (nil = defaults),
@@ -56,7 +55,8 @@ type ShardConfig struct {
 	// Sync is the delta-log fsync policy ("" = always: each acked row
 	// is durable, so a kill at any instant loses nothing acked).
 	Sync string
-	// GroupRows is the RCF7 row-group size (0 = htap default).
+	// GroupRows is the RCF7 row-group size of part checkpoints (0 =
+	// htap default).
 	GroupRows int
 }
 
@@ -96,12 +96,6 @@ func BuildShardDB(cfg ShardConfig) *tpch.DB {
 	}
 	return db
 }
-
-// shardCacheBytes bounds a shard's decoded-chunk cache. The cache holds
-// only the converted held rows (the base part is the in-memory
-// partition itself), far below this bound at the scale factors the
-// localhost cluster runs; past it the LRU evicts.
-const shardCacheBytes = 64 << 20
 
 // defaultHold routes a few hundred trailing rows of each partition
 // through the delta log, clamped so small partitions stay legal.
@@ -148,13 +142,10 @@ func StartShard(cfg ShardConfig) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The converted held rows' parts are immutable once written, so
-	// every scan after the first serves their chunks decoded from the
-	// cache instead of inflating them again.
-	hcfg := htap.Config{
-		Window: -1, RCFile: true, GroupRows: cfg.GroupRows, Sync: pol,
-		Cache: rcfile.NewChunkCache(shardCacheBytes),
-	}
+	// Scans serve the store's in-memory replica of the partition; with
+	// a DataDir, converted held rows are also checkpointed as RCF7 part
+	// files that a restart re-adopts.
+	hcfg := htap.Config{Window: -1, RCFile: true, GroupRows: cfg.GroupRows, Sync: pol}
 	if cfg.DataDir != "" {
 		fs, err := fault.NewDirFS(cfg.DataDir)
 		if err != nil {

@@ -7,12 +7,12 @@
 // any shard count.
 //
 // Storage format and message format are separate decisions, as they are
-// in the paper's PDW: a shard serves its partition's base rows from
-// memory and keeps its converted held rows as compressed RCF7 parts,
-// but what crosses the wire is the result's column vectors laid out
-// flat (see the table encoding below) — no compression and no
-// per-chunk encoding choice on the data path; the frame checksum covers
-// every byte.
+// in the paper's PDW: a shard serves its whole partition from its htap
+// store's in-memory replica (checkpointing converted held rows as RCF7
+// parts only with a DataDir), and what crosses the wire is the result's
+// column vectors laid out flat (see the table encoding below) — no
+// compression and no per-chunk encoding choice on the data path; the
+// frame checksum covers every byte.
 //
 // Robustness is the contract, not a bolt-on: every fragment carries a
 // deadline in the wire protocol, every call retries with exponential

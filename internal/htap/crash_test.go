@@ -241,11 +241,12 @@ func TestHtapRecoverHalfWrittenPart(t *testing.T) {
 }
 
 // TestHtapCorruptPartQuarantine flips one bit inside a persisted RCF7
-// part's chunk region: reopen adopts the part (the footer is intact),
-// the first scan that touches the chunk gets ErrCorrupt from the CRC,
-// the part is quarantined mid-scan, and the same scan's retry serves
-// the rows from the replayed log — golden answers, never a wrong one.
-// A re-conversion then restores the columnar part.
+// part's chunk region. The footer still parses, but Open verifies every
+// chunk CRC before it adopts a part, so reopen quarantines (deletes)
+// the corrupt part and adopts only the intact one. Scans never read
+// parts, so the flipped bit cannot reach an answer: the replayed log
+// serves the rows and the answers are golden. A re-conversion then
+// checkpoints the range again, and a second reopen adopts both parts.
 func TestHtapCorruptPartQuarantine(t *testing.T) {
 	want := readGolden(t)
 	memfs := fault.NewMemFS()
@@ -262,39 +263,45 @@ func TestHtapCorruptPartQuarantine(t *testing.T) {
 	}
 
 	db := goldenDB()
-	store, err := Open(db, testHold(), durableConfig(memfs, delta.SyncGroup))
+	cfg := durableConfig(memfs, delta.SyncGroup)
+	store, err := Open(db, testHold(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := store.StatsNow().PartsRecovered; got < 2 {
-		t.Fatalf("recovered %d parts, want both (footer still parses)", got)
-	}
-	// Force a full scan of every chunk through the htap source: the
-	// corruption must surface, quarantine, and degrade — not panic, not
-	// return wrong rows.
-	st := store.tables["lineitem"]
-	hs := &htapSource{store: store, st: st}
-	tbl, scanStats := hs.ScanTable(nil, nil)
-	if tbl.NumRows() != st.base.NumRows() {
-		t.Fatalf("degraded scan rows = %d, want %d", tbl.NumRows(), st.base.NumRows())
-	}
-	if scanStats.CorruptChunks < 1 {
-		t.Error("scan stats did not count the corrupt chunk")
-	}
 	stats := store.StatsNow()
-	if stats.CorruptChunks < 1 || stats.PartsQuarantined < 1 {
-		t.Errorf("corruption not quarantined: %+v", stats)
+	if stats.PartsRecovered != 1 {
+		t.Errorf("recovered %d parts, want only the intact orders part", stats.PartsRecovered)
+	}
+	if stats.PartsQuarantined < 1 || stats.CorruptChunks < 1 {
+		t.Errorf("corrupt part not caught at Open: %+v", stats)
+	}
+	if _, err := memfs.ReadFile(name); err == nil {
+		t.Errorf("quarantined part %s is still on disk", name)
 	}
 	diffSnapshot(t, snapshotAnswers(db), want)
 
-	// The converter re-encodes the dropped range; answers hold.
+	// The converter re-persists the dropped range; answers hold.
 	if err := store.ConvertAll(); err != nil {
 		t.Fatal(err)
 	}
 	if lag := store.StatsNow().LagRecords; lag != 0 {
 		t.Errorf("lag = %d after re-conversion", lag)
 	}
+	if _, err := memfs.ReadFile(name); err != nil {
+		t.Errorf("range not re-persisted as %s: %v", name, err)
+	}
 	diffSnapshot(t, snapshotAnswers(db), want)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store, err = Open(goldenDB(), testHold(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats := store.StatsNow(); stats.PartsRecovered != 2 || stats.PartsQuarantined != 0 {
+		t.Errorf("second reopen: recovered %d, quarantined %d parts, want 2 and 0", stats.PartsRecovered, stats.PartsQuarantined)
+	}
 	store.Close()
 }
 

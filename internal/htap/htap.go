@@ -1,33 +1,34 @@
 // Package htap is the update-shipping pipeline that joins the two
 // halves of the paper: docstore-shaped OLTP writes append typed records
-// to a group-committed delta log (internal/delta), a background
-// converter drains committed deltas in batches and encodes them into
-// column-group parts via the existing RCF writer, and the relal engine
-// answers analytical queries over base + converted parts + the
-// unconverted delta tail with per-scan snapshot semantics — the
-// Polynesia-style columnar replica fed by live write traffic.
+// to a group-committed delta log (internal/delta), and each held table
+// keeps one append-only columnar replica — its base prefix followed by
+// every published record — that the relal engine scans as a zero-copy
+// prefix view with per-scan snapshot semantics: the Polynesia-style
+// columnar replica fed by live write traffic, with no copy between the
+// write and the scan.
 //
-//	writers ──AppendBSON──▶ delta.Log ──commit──▶ tail view ──converter──▶ RCF part
+//	writers ──AppendBSON──▶ delta.Log ──commit──▶ replica (append) ──▶ prefix view ──▶ scans
+//	                                                  └──converter──▶ RCF7 checkpoint (with FS)
 //
 // Commit order interleaves writers and tables arbitrarily, but each
 // record carries its per-table position: the apply side holds
-// out-of-order records in a reorder buffer and publishes only the
-// contiguous prefix, so a quiesced base + parts + tail concatenation
-// reproduces the original table byte-for-byte — which is what lets the
-// golden snapshot pin quiesced HTAP answers.
+// out-of-order records in a reorder buffer and appends only the
+// contiguous prefix to the replica, so a quiesced view reproduces the
+// original table byte-for-byte — which is what lets the golden
+// snapshot pin quiesced HTAP answers.
 //
 // With a Config.FS the store is durable and crash-recoverable: the
 // delta log appends through the fault layer (fsync policy per
-// Config.Sync), converted parts persist as RCF7 files, and Open replays
-// the surviving log bytes through the same reorder buffer to rebuild
-// tail views, reconciling the contiguous verified prefix of part files
-// against the replayed records. Records the log recovered but the
-// driver re-appends are deduplicated by per-table position, so replay
-// plus a resume-from-NextPos driver is idempotent. A part that fails
-// CRC verification mid-scan is quarantined — the scan falls back to
-// base + tail (the log covers every converted row) and the converter
-// rebuilds the part; a corrupt part can cost a re-conversion, never a
-// wrong answer.
+// Config.Sync), the converter checkpoints converted ranges as RCF7 part
+// files (with Config.RCFile), and Open replays the surviving log bytes
+// through the same reorder buffer to rebuild the replica, then
+// re-adopts the contiguous prefix of part files that verify — footer
+// and every chunk CRC. Records the log recovered but the driver
+// re-appends are deduplicated by per-table position, so replay plus a
+// resume-from-NextPos driver is idempotent. A part that fails
+// verification is quarantined at Open and the converter rebuilds it;
+// scans never read parts, so a corrupt part can cost a re-conversion,
+// never a wrong answer.
 package htap
 
 import (
@@ -53,23 +54,24 @@ type Config struct {
 	// Window is the delta log's group-commit window (0 = the delta
 	// default; negative = flush immediately, for deterministic tests).
 	Window time.Duration
-	// RCFile encodes converted parts as RCF7 files instead of in-memory
-	// sources. A held table's base part is the in-memory prefix of the
-	// DB's table in both modes.
+	// RCFile, with an FS, checkpoints each converted range as an RCF7
+	// part file that Open re-adopts. Scans serve the in-memory replica
+	// in both modes and never read a part; without an FS nothing is
+	// encoded.
 	RCFile bool
-	// GroupRows is the RCF7 row-group size (0 = 4096). Used with RCFile.
+	// GroupRows is the RCF7 row-group size of checkpoints (0 = 4096).
 	GroupRows int
-	// Cache, when non-nil, serves decoded chunks of the converted RCF7
-	// parts (the base part is never encoded, so it never enters it).
+	// Cache is not read by htap: scans decode no part, so no chunk
+	// enters it.
 	Cache *rcfile.ChunkCache
 	// ConvertRows is the tail size at which the background converter
-	// encodes a table's tail into a part (0 = 4096).
+	// converts a table's tail into a part (0 = 4096).
 	ConvertRows int
 	// ConvertEvery is the background converter's poll interval
 	// (0 = 2ms).
 	ConvertEvery time.Duration
 	// FS, when non-nil, makes the store durable: the delta log lives in
-	// "delta.log" and (with RCFile) converted parts persist as
+	// "delta.log" and (with RCFile) converted ranges persist as
 	// "<table>-<start>-<rows>.part" files. Open replays whatever the FS
 	// holds. Wrap the FS in a fault.Injector to test crash schedules.
 	FS fault.FS
@@ -91,74 +93,107 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// part is one storage part of a table view: the base prefix (a
-// TableSource over the leading rows of the DB's own table, sharing its
-// column arrays) or a converted slice of the delta record stream.
-// Converted parts remember which record range they accelerate —
-// the range [start, start+rows) of the table's published record list —
-// so a part that fails verification can be dropped and its rows served
-// from the records themselves.
-type part struct {
-	mem   *relal.TableSource // in-memory storage; nil for an RCF7 part
-	rcf   *rcfile.Source     // RCF7 storage; nil for an in-memory part
-	file  string             // persisted part file name ("" if memory-only)
-	start int                // first record index covered (converted parts)
-	rows  int
-}
-
-// tableView is one immutable snapshot of a table's storage: the base
-// part, converted delta parts in record order, and the unconverted
-// committed tail in per-table row order. Scans load the pointer once,
-// so a scan always sees a consistent (parts, tail) pair; installs swap
-// the whole view under the table mutex.
+// tableView is one immutable snapshot of a table: t is the replica's
+// first rows — the base prefix and every published record — with each
+// slice capped at its length; segs are the in-memory scan models of the
+// base prefix and of each converted range, in row order (a scan's stats
+// sum their memoized zone maps); tail counts the published rows past
+// the last converted range. Scans load the pointer once, so a scan
+// always sees a consistent snapshot; installs swap the whole view under
+// the table mutex.
 type tableView struct {
-	parts []*part
-	tail  []delta.Record
-	// tailSrc memoizes the tail's table snapshot. Views are immutable,
-	// so concurrent builders compute identical snapshots and the first
-	// published pointer wins.
+	t    *relal.Table
+	segs []*relal.TableSource
+	tail int
+	// tailSrc memoizes the tail segment's scan model.
 	tailSrc atomic.Pointer[relal.TableSource]
 }
 
-// tableState is one held table's write-side state.
+// tableState is one held table: its write-side state, and the
+// relal.Source its scans go through (source.go).
 type tableState struct {
-	name   string
-	schema relal.Schema
-	base   *relal.Table // full in-memory table (dictionary + schema donor)
+	name     string
+	schema   relal.Schema
+	baseRows int // replica row baseRows+p holds per-table position p
 
-	// mu serializes view installs (commit applies and conversions).
-	// Scans never take it — they load view atomically.
+	// mu serializes replica appends and view installs (commit applies
+	// and conversions). Scans never take it — they load view atomically.
 	mu   sync.Mutex
 	view atomic.Pointer[tableView]
 
-	// recs is every published record in per-table row order, append-only
-	// — the authoritative in-memory copy of the delta stream. Converted
-	// parts are accelerators over ranges of it (the delta log is never
-	// truncated on conversion), so dropping a corrupt part never loses
-	// rows: the view's tail re-extends to cover the dropped range.
-	// Guarded by mu for writes; views hand out capped reslices, which
-	// are safe to read concurrently because published elements are
-	// never mutated.
-	recs []delta.Record
-	// converted is how many of recs are covered by converted parts.
+	// cols is the replica: one append-only column per schema column,
+	// starting as the base prefix of the DB's table (capped, so the
+	// first append reallocates to capRows — the table's length at Open
+	// — instead of writing into the DB table's held suffix). Appends
+	// write only at indices past every view's length, so published
+	// cells are never rewritten. A Str column stays coded against the
+	// base dictionary until a value outside it arrives; it then turns
+	// into raw strings once. Guarded by mu.
+	cols    []*relal.Vector
+	capRows int
+	// converted is how many published records converted parts cover.
 	converted int
 
 	// nextPos/pending are the reorder buffer: committed records arrive
 	// in commit order (arbitrary across writers), are parked by
-	// position, and only the contiguous prefix is published to the
-	// tail. Guarded by mu.
+	// position, and only the contiguous prefix is appended to the
+	// replica, so nextPos is also the published record count. Guarded
+	// by mu.
 	nextPos int64
 	pending map[int64]delta.Record
 }
 
-// tailOf returns the capped reslice of recs past the converted
-// watermark — the view tail. Caller holds st.mu.
-func (st *tableState) tailOf() []delta.Record {
-	return st.recs[st.converted:len(st.recs):len(st.recs)]
+// rows returns a zero-copy table over replica rows [lo, hi). Caller
+// holds st.mu.
+func (st *tableState) rows(lo, hi int) *relal.Table {
+	return relal.NewTable(st.name, st.schema, window(st.cols, lo, hi)...)
+}
+
+// publish installs a view over the replica's published rows with the
+// given segments. Caller holds st.mu.
+func (st *tableState) publish(segs []*relal.TableSource) {
+	st.view.Store(&tableView{
+		t:    st.rows(0, st.baseRows+int(st.nextPos)),
+		segs: segs,
+		tail: int(st.nextPos) - st.converted,
+	})
+}
+
+// push appends one published record's cells to the replica. Caller
+// holds st.mu.
+func (st *tableState) push(cells []delta.Value) {
+	for ci, v := range st.cols {
+		c := cells[ci]
+		switch v.Kind {
+		case relal.Int:
+			v.Ints = grow(v.Ints, st.capRows, c.Int)
+		case relal.Float:
+			v.Floats = grow(v.Floats, st.capRows, c.Float)
+		default:
+			if v.IsDict() {
+				if k := sort.SearchStrings(v.DictVals, c.Str); k < len(v.DictVals) && v.DictVals[k] == c.Str {
+					v.Dict = grow(v.Dict, st.capRows, uint32(k))
+					continue
+				}
+				*v = relal.Vector{Kind: relal.Str, Strs: v.DecodeStrs()}
+			}
+			v.Strs = grow(v.Strs, st.capRows, c.Str)
+		}
+	}
+}
+
+// grow appends x to xs. A full slice shorter than capRows reallocates
+// straight to capRows, so replaying the held rows grows it once.
+func grow[T any](xs []T, capRows int, x T) []T {
+	if len(xs) == cap(xs) && len(xs) < capRows {
+		xs = append(make([]T, 0, capRows), xs...)
+	}
+	return append(xs, x)
 }
 
 // Store is the HTAP store over a tpch.DB: held tables answer scans
-// through base + delta views and accept writes through the delta log.
+// through prefix views of their replicas and accept writes through the
+// delta log.
 type Store struct {
 	cfg Config
 	log *delta.Log
@@ -167,8 +202,8 @@ type Store struct {
 	tables map[string]*tableState
 	held   []delta.Record // the held-back rows, as replayable write ops
 
-	applied   atomic.Int64 // records published to tail views
-	converted atomic.Int64 // records encoded into parts
+	applied   atomic.Int64 // records published to views
+	converted atomic.Int64 // records covered by converted parts
 	converts  atomic.Int64 // conversion batches
 
 	// Robustness accounting (recovery, retries, corruption); StatsNow
@@ -184,8 +219,8 @@ type Store struct {
 
 // New builds an in-memory (or fresh durable) store over db, holding
 // back the last hold[name] rows of each named table: the remaining
-// prefix — the DB table's own leading rows, not copied — becomes the
-// table's base part (installed as the DB's scan source), and the suffix
+// prefix — the DB table's own leading rows, not copied — starts the
+// table's replica (installed as the DB's scan source), and the suffix
 // is returned by HeldRecords for the write driver to replay through the
 // delta path. Equivalent to Open — with a Config.FS holding a previous
 // run's bytes, both recover it.
@@ -196,10 +231,10 @@ func New(db *tpch.DB, hold map[string]int, cfg Config) (*Store, error) {
 // Open builds the store and, when Config.FS is set, recovers whatever a
 // previous incarnation left there: it replays the delta log's durable
 // bytes through the reorder buffer (truncating any torn tail off the
-// file), rebuilds tail views, and re-adopts the contiguous verified
+// file), rebuilds the replicas, and re-adopts the contiguous verified
 // prefix of converted part files — any part that is torn, unparseable,
-// or out of range is quarantined and deleted, its rows served from the
-// replayed records until the converter rebuilds it.
+// fails a chunk CRC, or is out of range is quarantined and deleted, its
+// rows left in the tail until the converter rebuilds it.
 func Open(db *tpch.DB, hold map[string]int, cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
 	s := &Store{cfg: cfg, fs: cfg.FS, tables: make(map[string]*tableState)}
@@ -219,16 +254,18 @@ func Open(db *tpch.DB, hold map[string]int, cfg Config) (*Store, error) {
 			return nil, fmt.Errorf("htap: hold %d of %d rows of %s", k, n, name)
 		}
 		st := &tableState{
-			name:    name,
-			schema:  base.Schema,
-			base:    base,
-			pending: make(map[int64]delta.Record),
+			name:     name,
+			schema:   base.Schema,
+			baseRows: n - k,
+			cols:     window(relal.Head(base, n-k).Cols, 0, n-k),
+			capRows:  n,
+			pending:  make(map[int64]delta.Record),
 		}
-		baseSrc := relal.NewTableSource(relal.Head(base, n-k))
-		st.view.Store(&tableView{parts: []*part{{mem: baseSrc, rows: n - k}}})
+		head := st.rows(0, n-k)
+		st.view.Store(&tableView{t: head, segs: []*relal.TableSource{relal.NewTableSource(head)}})
 		s.tables[name] = st
 		perTable[name] = recordsOf(base, n-k, n)
-		db.SetSource(name, &htapSource{store: s, st: st})
+		db.SetSource(name, st)
 	}
 	s.held = interleave(names, perTable)
 
@@ -271,11 +308,12 @@ func (s *Store) recover() error {
 
 // recoverParts re-adopts persisted part files. Per table, candidate
 // files sort by record range and the longest contiguous prefix that
-// parses and stays within the replayed records is installed; everything
-// else — torn files, ranges past what the log recovered, parts shadowed
-// by a broken predecessor — is quarantined (deleted) and left for the
-// converter to rebuild. In the non-RCFile storage mode parts are
-// memory-only, so any *.part files on the FS are stale and removed.
+// verifies — footer and every chunk CRC, read without a cache — and
+// stays within the replayed records is installed; everything else —
+// torn or corrupt files, ranges past what the log recovered, parts
+// shadowed by a broken predecessor — is quarantined (deleted) and left
+// for the converter to rebuild. Without RCFile nothing checkpoints, so
+// any *.part files on the FS are stale and removed.
 func (s *Store) recoverParts() error {
 	names, err := s.fs.List()
 	if err != nil {
@@ -302,43 +340,40 @@ func (s *Store) recoverParts() error {
 		sort.Slice(cands, func(i, j int) bool { return cands[i].start < cands[j].start })
 		st.mu.Lock()
 		covered := 0
-		var parts []*part
-		parts = append(parts, st.view.Load().parts[0]) // base
+		segs := st.view.Load().segs[:1:1] // base
 		broken := false
 		for _, c := range cands {
-			if broken || c.start != covered || c.start+c.rows > len(st.recs) {
+			if broken || c.start != covered || c.start+c.rows > int(st.nextPos) || !s.verifyPart(st, c.file) {
 				s.fs.Remove(c.file)
 				s.partsQuarantined.Add(1)
 				broken = true // contiguity is gone; later parts can't install
 				continue
 			}
-			data, err := s.fs.ReadFile(c.file)
-			if err != nil {
-				s.fs.Remove(c.file)
-				s.partsQuarantined.Add(1)
-				broken = true
-				continue
-			}
-			src, err := rcfile.NewSourceFromBytes(data, st.schema, table)
-			if err != nil {
-				// Torn or corrupt footer — the log covers these rows.
-				s.fs.Remove(c.file)
-				s.partsQuarantined.Add(1)
-				broken = true
-				continue
-			}
-			src.SetCache(s.cfg.Cache)
-			parts = append(parts, &part{rcf: src, file: c.file, start: c.start, rows: c.rows})
+			lo := st.baseRows + c.start
+			segs = append(segs, relal.NewTableSource(st.rows(lo, lo+c.rows)))
 			covered = c.start + c.rows
 			s.partsRecovered.Add(1)
 			s.converted.Add(int64(c.rows))
 			s.converts.Add(1)
 		}
 		st.converted = covered
-		st.view.Store(&tableView{parts: parts, tail: st.tailOf()})
+		st.publish(segs)
 		st.mu.Unlock()
 	}
 	return nil
+}
+
+// verifyPart reports whether a part file reads back whole: its footer
+// parses and every chunk's CRC matches. Chunk CRC failures count
+// toward CorruptChunks.
+func (s *Store) verifyPart(st *tableState, file string) bool {
+	data, err := s.fs.ReadFile(file)
+	if err != nil {
+		return false
+	}
+	_, stats, err := rcfile.ReadCols(data, st.schema, st.name, nil, nil)
+	s.corruptChunks.Add(int64(stats.CorruptChunks))
+	return err == nil
 }
 
 // partName formats a converted part's file name; parsePartName inverts
@@ -425,14 +460,15 @@ func (s *Store) Log() *delta.Log { return s.log }
 
 // onCommit is the delta log's commit hook: it files each committed
 // record into its table's reorder buffer and publishes the contiguous
-// prefix to a fresh tail view. Runs with the log mutex held — batches
+// prefix to a fresh view. Runs with the log mutex held — batches
 // apply in commit order, exactly once.
 func (s *Store) onCommit(batch []delta.Record, from, to int64) {
 	s.applyBatch(batch)
 }
 
 // applyBatch runs committed (or recovered) records through the reorder
-// buffers and publishes contiguous prefixes. Every record is disposed
+// buffers, appends contiguous prefixes to the replicas, and publishes
+// them. Every record is disposed
 // exactly once toward the applied counter — published, dropped as an
 // already-published duplicate, or displaced from pending by a
 // re-delivery of the same position — so `applied == committed` still
@@ -467,14 +503,13 @@ func (s *Store) applyBatch(batch []delta.Record) {
 			if !ok {
 				break
 			}
-			st.recs = append(st.recs, r)
+			st.push(r.Cells)
 			delete(st.pending, st.nextPos)
 			st.nextPos++
 			published++
 		}
 		if published > 0 {
-			old := st.view.Load()
-			st.view.Store(&tableView{parts: old.parts, tail: st.tailOf()})
+			st.publish(st.view.Load().segs)
 		}
 		s.applied.Add(published + dups)
 		if dups > 0 {
@@ -603,8 +638,8 @@ func (s *Store) AppendBSON(table string, pos int64, data []byte) (int64, error) 
 }
 
 // StartConverter launches the background converter: every ConvertEvery
-// it encodes any table whose tail has reached ConvertRows records into
-// a new column-group part. A table whose conversion fails (a transient
+// it converts any table whose tail has reached ConvertRows records into
+// a new part. A table whose conversion fails (a transient
 // part-write error, say) backs off exponentially with seeded jitter —
 // doubling from ConvertEvery up to 64× — so a struggling disk isn't
 // hammered every tick, while healthy tables keep converting on
@@ -680,7 +715,7 @@ func (s *Store) StopConverter() {
 // ConvertAll synchronously converts every non-empty tail, regardless of
 // batch size, retrying each table a bounded number of times so a
 // scheduled run of transient faults doesn't strand a tail. After
-// Quiesce + ConvertAll, every written row lives in a column-group part.
+// Quiesce + ConvertAll, every written row lies in a converted part.
 func (s *Store) ConvertAll() error {
 	for _, name := range tpch.TableNames {
 		st := s.tables[name]
@@ -701,102 +736,52 @@ func (s *Store) ConvertAll() error {
 	return nil
 }
 
-// convertTable encodes the record range [st.converted, len(st.recs))
-// into a part when it holds at least minRows records. The encode runs
-// outside st.mu (commits must not stall behind gzip); the install
-// re-checks that the range is still the one snapshotted — a quarantine
-// racing in between rolls the watermark back, in which case the built
-// part is discarded and the next pass re-converts. The new view's tail
-// drops the converted range.
+// convertTable turns the tail — records [st.converted, st.nextPos) —
+// into a converted range when it holds at least minRows records: the
+// range gets its own scan-model segment, and with RCFile and an FS its
+// rows are also checkpointed as an RCF7 part file. The encode runs
+// outside st.mu (commits must not stall behind it); the install
+// re-checks that no competing convert moved the watermark meanwhile, in
+// which case the built range is discarded. The new view's tail drops
+// the converted range.
 func (s *Store) convertTable(st *tableState, minRows int) error {
 	st.mu.Lock()
-	start := st.converted
-	recs := st.tailOf()
-	if len(recs) < minRows {
+	start, rows := st.converted, int(st.nextPos)-st.converted
+	if rows < minRows {
 		st.mu.Unlock()
 		return nil
 	}
-	t := recordsTable(st, recs)
+	t := st.rows(st.baseRows+start, st.baseRows+start+rows)
 	st.mu.Unlock()
 
-	p := &part{start: start, rows: len(recs)}
-	if s.cfg.RCFile {
-		rcf, err := rcfile.NewSource(t, s.cfg.GroupRows)
+	file := ""
+	if s.cfg.RCFile && s.fs != nil {
+		data, err := rcfile.NewWriter(s.cfg.GroupRows).Write(t)
 		if err != nil {
 			return fmt.Errorf("htap: convert %s: %w", st.name, err)
 		}
-		rcf.SetCache(s.cfg.Cache)
-		p.rcf = rcf
-	} else {
-		p.mem = relal.NewTableSource(t)
-	}
-	if s.fs != nil && p.rcf != nil {
-		p.file = partName(st.name, start, len(recs))
-		if err := fault.WriteFile(s.fs, p.file, p.rcf.Data()); err != nil {
-			s.fs.Remove(p.file)
-			return fmt.Errorf("htap: persist %s: %w", p.file, err)
+		file = partName(st.name, start, rows)
+		if err := fault.WriteFile(s.fs, file, data); err != nil {
+			s.fs.Remove(file)
+			return fmt.Errorf("htap: persist %s: %w", file, err)
 		}
 	}
 
 	st.mu.Lock()
 	if st.converted != start {
-		// A quarantine (or competing convert) moved the watermark while
-		// we encoded; this part no longer lines up. Drop it.
 		st.mu.Unlock()
-		if p.file != "" {
-			s.fs.Remove(p.file)
+		if file != "" {
+			s.fs.Remove(file)
 		}
 		return nil
 	}
-	old := st.view.Load()
-	parts := make([]*part, 0, len(old.parts)+1)
-	parts = append(append(parts, old.parts...), p)
-	st.converted = start + len(recs)
-	st.view.Store(&tableView{parts: parts, tail: st.tailOf()})
+	segs := st.view.Load().segs
+	st.converted = start + rows
+	st.publish(append(segs[:len(segs):len(segs)], relal.NewTableSource(t)))
 	st.mu.Unlock()
-	s.converted.Add(int64(len(recs)))
+	s.converted.Add(int64(rows))
 	s.converts.Add(1)
 	return nil
-}
-
-// quarantine drops bad (a part whose chunk failed CRC verification mid-
-// scan) and every later part of the table: the converted watermark
-// rolls back to the start of the bad range, the view's tail re-extends
-// over the dropped rows straight from the published records, and the
-// persisted files are deleted so recovery can't re-adopt them. The
-// caller's scan then retries against the degraded view — base + intact
-// parts + tail — which serves the same rows; the converter re-encodes
-// the range on its next pass. No answer is ever produced from bytes
-// that failed verification.
-func (s *Store) quarantine(st *tableState, bad *part) {
-	st.mu.Lock()
-	old := st.view.Load()
-	idx := -1
-	for i, p := range old.parts {
-		if p == bad {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		// Another scan already quarantined it (views are immutable, so
-		// two scans can race to report the same part).
-		st.mu.Unlock()
-		return
-	}
-	dropped := old.parts[idx:]
-	st.converted = bad.start
-	st.view.Store(&tableView{parts: old.parts[:idx:idx], tail: st.tailOf()})
-	var droppedRows int64
-	for _, p := range dropped {
-		droppedRows += int64(p.rows)
-		if p.file != "" {
-			s.fs.Remove(p.file)
-		}
-	}
-	st.mu.Unlock()
-	s.converted.Add(-droppedRows)
-	s.partsQuarantined.Add(int64(len(dropped)))
 }
 
 // Close stops the converter and closes the delta log (quiesce, final
@@ -830,17 +815,16 @@ func (s *Store) Quiesce() error {
 type Stats struct {
 	// CommittedRecords is the delta log's commit watermark.
 	CommittedRecords int64
-	// AppliedRecords is how many of those scans can see (tail views).
+	// AppliedRecords is how many of those scans can see.
 	AppliedRecords int64
-	// ConvertedRecords is how many have been encoded into parts.
+	// ConvertedRecords is how many converted parts cover.
 	ConvertedRecords int64
 	// Converts is the number of conversion batches.
 	Converts int64
 	// Flushes is the number of physical delta-log flushes.
 	Flushes int64
-	// LagRecords is CommittedRecords - ConvertedRecords: the freshness
-	// lag, in records, between the write watermark and the columnar
-	// replica's converted state.
+	// LagRecords is CommittedRecords - ConvertedRecords: the lag, in
+	// records, between the write watermark and the converted ranges.
 	LagRecords int64
 
 	// Robustness accounting.
@@ -856,10 +840,10 @@ type Stats struct {
 	// stuck, not just unlucky" signal.
 	ConverterRetries  int64
 	BackoffMaxReached int64
-	// CorruptChunks counts chunk CRC failures detected during scans;
-	// PartsQuarantined counts parts dropped (at scan time or during
-	// recovery reconciliation) and PartsRecovered counts part files
-	// re-adopted by Open.
+	// CorruptChunks counts chunk CRC failures Open found while
+	// verifying part files; PartsQuarantined counts part files Open
+	// dropped (torn, corrupt, out of range, or behind a dropped one)
+	// and PartsRecovered counts part files it re-adopted.
 	CorruptChunks    int64
 	PartsQuarantined int64
 	PartsRecovered   int64

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 
 	"elephants/internal/delta"
 	"elephants/internal/docstore"
+	"elephants/internal/fault"
 	"elephants/internal/relal"
 	"elephants/internal/tpch"
 )
@@ -365,6 +367,112 @@ func TestHtapScanSubsetColumns(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("converted", orig.NumRows())
+		})
+	}
+}
+
+// TestHtapReplicaViews pins the replica's view contract in both
+// storage modes. Over a view with a base prefix, a converted part and a
+// tail, two scans share every column's backing array (a scan copies no
+// cell), their stats are the sum of the segments' in-memory scan model,
+// and a scanned table keeps every cell after more appends and a
+// conversion. A Str cell outside the base dictionary turns only its own
+// column into raw strings, and every answer matches a reference DB
+// holding the same cell.
+func TestHtapReplicaViews(t *testing.T) {
+	const hold, converted, tail = 40, 20, 10
+	for _, rcf := range []bool{false, true} {
+		t.Run(fmt.Sprintf("rcfile=%v", rcf), func(t *testing.T) {
+			db := goldenDB()
+			orig := db.Table("lineitem")
+			want := relal.RowsOf(orig)
+			n := orig.NumRows()
+			cfg := Config{Window: -1, RCFile: rcf}
+			if rcf {
+				cfg.FS = fault.NewMemFS()
+			}
+			store, err := New(db, map[string]int{"lineitem": hold}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendAll := func(recs []delta.Record) {
+				t.Helper()
+				for _, r := range recs {
+					if _, err := store.AppendRecord(r); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			checkRows := func(stage string, tbl *relal.Table, rows int) {
+				t.Helper()
+				got := relal.RowsOf(tbl)
+				if len(got) != rows {
+					t.Fatalf("%s: rows = %d, want %d", stage, len(got), rows)
+				}
+				for i, r := range got {
+					if !reflect.DeepEqual(r, want[i]) {
+						t.Fatalf("%s: row %d = %v, want %v", stage, i, r, want[i])
+					}
+				}
+			}
+			held := store.HeldRecords()
+			appendAll(held[:converted])
+			if err := store.ConvertAll(); err != nil {
+				t.Fatal(err)
+			}
+			appendAll(held[converted : converted+tail])
+
+			src := db.Src("lineitem")
+			cols := []string{"l_orderkey", "l_shipdate", "l_quantity", "l_shipmode"}
+			pred := relal.ZonePredicate{{Col: "l_shipdate", Kind: relal.Str, HasLo: true, StrLo: "1995-01-01"}}
+			a, stats := src.ScanTable(cols, pred)
+			b, _ := src.ScanTable(cols, pred)
+			for c := range a.Cols {
+				if !sameBacking(a.Cols[c], b.Cols[c]) {
+					t.Errorf("two scans of one view copy column %s", cols[c])
+				}
+			}
+			var sum relal.ScanStats
+			for _, seg := range [][2]int{{0, n - hold}, {n - hold, n - hold + converted}, {n - hold + converted, n - hold + converted + tail}} {
+				segT := relal.NewTable("lineitem", orig.Schema, window(orig.Cols, seg[0], seg[1])...)
+				_, st := relal.NewTableSource(segT).ScanTable(cols, pred)
+				sum.Add(st)
+			}
+			if stats != sum {
+				t.Errorf("scan stats = %+v, want the segments' sum %+v", stats, sum)
+			}
+			rows := n - hold + converted + tail
+			full, _ := src.ScanTable(nil, nil)
+			checkRows("base+part+tail", full, rows)
+
+			// The last held row's ship mode leaves the base dictionary.
+			mode := orig.Schema.Col("l_shipmode")
+			last := held[hold-1]
+			odd := delta.Record{Table: last.Table, Pos: last.Pos, Cells: append([]delta.Value(nil), last.Cells...)}
+			odd.Cells[mode] = delta.StrVal("ZEPPELIN")
+			appendAll(held[converted+tail : hold-1])
+			appendAll([]delta.Record{odd})
+			if err := store.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.ConvertAll(); err != nil {
+				t.Fatal(err)
+			}
+			checkRows("earlier scan after appends", full, rows)
+			after, _ := src.ScanTable(nil, nil)
+			for c, v := range after.Cols {
+				if wantDict := orig.Cols[c].IsDict() && c != mode; v.IsDict() != wantDict {
+					t.Errorf("column %s dict = %v, want %v", orig.Schema[c].Name, v.IsDict(), wantDict)
+				}
+			}
+
+			ref := goldenDB()
+			refCols := slices.Clone(ref.Lineitem.Cols)
+			strs := slices.Clone(refCols[mode].DecodeStrs())
+			strs[n-1] = "ZEPPELIN"
+			refCols[mode] = relal.StrsV(strs)
+			ref.Lineitem = relal.NewTable("lineitem", orig.Schema, refCols...)
+			diffSnapshot(t, snapshotAnswers(db), snapshotAnswers(ref))
 		})
 	}
 }

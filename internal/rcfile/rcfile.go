@@ -150,8 +150,8 @@ func NewWriter(groupRows int) *Writer {
 // verified before decompression or decoding, and the trailer CRC is
 // verified before any footer field is used — a flipped bit anywhere in
 // the file surfaces as ErrCorrupt (or a parse error) instead of garbage
-// rows, which the htap view layer uses to quarantine and re-convert a
-// part rather than serve a wrong answer.
+// rows, which htap.Open uses to quarantine and re-convert a part
+// checkpoint rather than adopt a damaged one.
 //
 // Chunk payloads:
 //
@@ -173,8 +173,8 @@ var magic = []byte("RCF7")
 
 // ErrCorrupt is the typed corruption error: a chunk, dictionary blob or
 // footer whose stored CRC32 does not match its bytes. Callers that can
-// degrade (the htap view layer) test with errors.Is and rebuild the
-// part; the panic-on-error Scan path still panics, wrapping this.
+// degrade test with errors.Is and rebuild the file; the panic-on-error
+// Scan path still panics, wrapping this.
 var ErrCorrupt = errors.New("rcfile: corrupt chunk")
 
 // Write encodes t.
@@ -1275,8 +1275,7 @@ func (s *Source) ScanTable(cols []string, pred relal.ZonePredicate) (*relal.Tabl
 // TryScan is ScanTable with errors instead of panics: a chunk whose
 // CRC32 does not match comes back as an error wrapping ErrCorrupt
 // (with stats.CorruptChunks set), letting a caller that holds redundant
-// data — the htap store, whose delta log covers every converted part —
-// degrade and rebuild instead of crashing or returning wrong rows.
+// data degrade and rebuild instead of crashing or returning wrong rows.
 func (s *Source) TryScan(cols []string, pred relal.ZonePredicate) (*relal.Table, relal.ScanStats, error) {
 	t, stats, err := readColsCached(s.data, s.parsed, s.schema, s.name, cols, pred, s.cache, s.id)
 	if err != nil {

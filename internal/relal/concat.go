@@ -1,9 +1,9 @@
-// Multi-part table concatenation: the HTAP scan path answers queries
-// over a base part, zero or more converted delta parts, and the
-// unconverted delta tail, stitched back together in row order. A Str
-// column stays dictionary-encoded when every part carries the same
-// dictionary — codes concatenate without decoding — and decodes to raw
-// strings otherwise: the rule dist's scan merge applies across shards.
+// Multi-part table concatenation: the rows of several tables of one
+// schema (Q13's matched and unmatched customers, say) stitched together
+// in row order. A Str column stays dictionary-encoded when every part
+// carries the same dictionary — codes concatenate without decoding —
+// and decodes to raw strings otherwise: the rule dist's scan merge
+// applies across shards.
 package relal
 
 // Concat returns a table with the given name and schema whose rows are
@@ -78,8 +78,8 @@ func concatVecs(typ Type, vecs []*Vector) *Vector {
 // Head returns a zero-copy table over t's first n rows (t itself when n
 // covers the table). t must be dense (no selection vector) with flat or
 // dict vectors — the base-table shapes the generator emits. The HTAP
-// store uses it to split a generated table into the base part that
-// stays resident and the held-back suffix that replays through the
+// store uses it to split a generated table into the base prefix its
+// replica starts from and the held-back suffix that replays through the
 // write path.
 func Head(t *Table, n int) *Table {
 	if n >= t.NumRows() {

@@ -98,8 +98,8 @@ func TestConcatEqualDicts(t *testing.T) {
 }
 
 // TestConcatMergedDicts: parts with different dictionaries (which no
-// caller produces: HTAP parts and tails re-encode against the base
-// table's dictionary or go raw, dist shards ship the generated one)
+// caller produces: the HTAP replica codes against the base table's
+// dictionary or goes raw, dist shards ship the generated one)
 // decode to raw strings with identical values.
 func TestConcatMergedDicts(t *testing.T) {
 	sch := Schema{{Name: "s", Type: Str}}
