@@ -51,8 +51,10 @@ crash:
 # rows that pass the pushed conditions and lie in any pushed key set,
 # the empty set included), fragment-vs-scan differential, injected
 # network faults (drop/truncate/duplicate/reset/delay), kill + restart
-# of shard OS processes mid-stream, typed ErrPartial on outage, the
-# wire codec's round-trip and scan-merge differentials — under -race —
+# of shard OS processes mid-stream, typed ErrPartial on outage, kept
+# sessions (reuse, sequence echo, the redial after a shard restart,
+# Shard.Close with idle sessions), the wire codec's round-trip and
+# scan-merge differentials — under -race —
 # plus the network-fault and wire-table fuzz smokes (CI's `dist` job).
 dist:
 	$(GO) test -race -run 'Dist|NetFault|WireTable' ./...

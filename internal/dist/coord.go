@@ -1,12 +1,9 @@
 package dist
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,9 +49,10 @@ const (
 // Options tune the coordinator's robustness machinery. Zero values get
 // workable defaults.
 type Options struct {
-	// AttemptTimeout bounds one network attempt end to end (dial +
-	// request + response); it is also the deadline budget shipped to
-	// the shard. Default 2s.
+	// AttemptTimeout bounds one network attempt end to end (request +
+	// response, plus the dial when no kept session is idle, or the one
+	// redial of a session the shard hung up on); it is also the deadline
+	// budget shipped to the shard. Default 2s.
 	AttemptTimeout time.Duration
 	// MaxAttempts bounds the retries of one logical call. Default 10.
 	MaxAttempts int
@@ -135,6 +133,12 @@ type Coordinator struct {
 	stop     chan struct{}
 	probeWG  sync.WaitGroup
 	stopOnce sync.Once
+
+	// idle holds each shard's kept sessions, not in use; closed makes
+	// sessions handed back after Close close instead.
+	idleMu sync.Mutex
+	idle   [][]*session
+	closed bool
 }
 
 // NewCoordinatorDB wires db's partitioned tables to scattered scans
@@ -150,6 +154,7 @@ func NewCoordinatorDB(db *tpch.DB, addrs []string, opts Options) *Coordinator {
 		opts:     opts,
 		inj:      fault.NewNetInjector(opts.Net),
 		breakers: make([]*breakerState, len(addrs)),
+		idle:     make([][]*session, len(addrs)),
 		rng:      rand.New(rand.NewSource(opts.Seed)),
 		stop:     make(chan struct{}),
 	}
@@ -166,10 +171,19 @@ func NewCoordinatorDB(db *tpch.DB, addrs []string, opts Options) *Coordinator {
 	return c
 }
 
-// Close stops the health prober.
+// Close stops the health prober and closes the idle sessions.
 func (c *Coordinator) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.probeWG.Wait()
+	c.idleMu.Lock()
+	defer c.idleMu.Unlock()
+	c.closed = true
+	for i, idle := range c.idle {
+		for _, s := range idle {
+			s.conn.Close()
+		}
+		c.idle[i] = nil
+	}
 }
 
 // Stats snapshots the robustness counters, including injected network
@@ -273,14 +287,10 @@ func (c *Coordinator) call(i int, req Request) (*relal.Table, relal.ScanStats, e
 			}
 			return nil, relal.ScanStats{}, fmt.Errorf("dist: shard %d circuit open: %w", i, lastErr)
 		}
-		resp, err := c.attempt(i, req)
-		var t *relal.Table
-		if err == nil {
-			t, err = c.tableOf(req, resp)
-		}
+		t, stats, err := c.attempt(i, req)
 		if err == nil {
 			c.noteSuccess(i)
-			return t, resp.Stats, nil
+			return t, stats, nil
 		}
 		lastErr = err
 		c.noteFailure(i)
@@ -319,99 +329,80 @@ func (c *Coordinator) jitter(b time.Duration) time.Duration {
 	return time.Duration(c.rng.Int63n(int64(b)/2 + 1))
 }
 
-// attempt is one request/response round trip over a fresh connection
-// with a hard deadline, with the network fault injector (if armed)
-// deciding each frame's fate.
-func (c *Coordinator) attempt(i int, req Request) (Response, error) {
-	deadline := time.Now().Add(c.opts.AttemptTimeout)
+// attempt is one request/response exchange with shard i under a hard
+// deadline, with the network fault injector (if armed) deciding each
+// frame's fate. It succeeds only once the response has decoded into a
+// well-formed table.
+func (c *Coordinator) attempt(i int, req Request) (t *relal.Table, stats relal.ScanStats, err error) {
 	req.DeadlineMS = int64(c.opts.AttemptTimeout / time.Millisecond)
-	conn, err := net.DialTimeout("tcp", c.addrs[i], c.opts.AttemptTimeout)
-	if err != nil {
-		return Response{}, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(deadline)
-	payload, err := EncodeRequest(req)
-	if err != nil {
-		return Response{}, err
-	}
-	if err := c.sendFrame(conn, i, payload); err != nil {
-		return Response{}, err
-	}
-	data, err := c.recvFrame(conn, i)
-	if err != nil {
-		return Response{}, err
-	}
-	return DecodeResponse(data)
+	err = c.exchange(i, req, c.inj, func(resp Response) (err error) {
+		t, err = c.tableOf(req, resp)
+		stats = resp.Stats
+		return err
+	})
+	return t, stats, err
 }
 
-// sendFrame writes the request frame, applying the injected fate of
-// the coordinator→shard message.
-func (c *Coordinator) sendFrame(conn net.Conn, shard int, payload []byte) error {
-	if c.inj == nil {
-		return WriteFrame(conn, payload)
+// exchange sends req to shard i and hands the answer to accept, all
+// within one AttemptTimeout. It runs on a kept session when one is idle
+// and on a fresh connection otherwise. The session is kept again only
+// if the exchange and accept succeeded and the injector let both frames
+// through intact; any error closes it. A kept session that fails before
+// any byte of the answer arrives was most likely closed by the shard
+// while idle (a restart, an idle timeout), so the request is re-sent
+// once on a fresh connection, and only the outcome of that counts.
+func (c *Coordinator) exchange(i int, req Request, inj *fault.NetInjector, accept func(Response) error) error {
+	deadline := time.Now().Add(c.opts.AttemptTimeout)
+	s := c.takeSession(i)
+	for {
+		if s == nil {
+			var err error
+			if s, err = dialSession(c.addrs[i], deadline); err != nil {
+				return err
+			}
+		}
+		resp, clean, err := s.roundTrip(i, req, deadline, inj)
+		var hangup *hangupError
+		if s.used && errors.As(err, &hangup) {
+			s.conn.Close()
+			s = nil
+			continue
+		}
+		if err == nil {
+			err = accept(resp)
+		}
+		if err == nil && clean {
+			c.keepSession(i, s)
+		} else {
+			s.conn.Close()
+		}
+		return err
 	}
-	action, delay := c.inj.Next(fmt.Sprintf("coord->shard%d", shard))
-	switch action {
-	case fault.NetReset:
-		conn.Close()
-		return errors.New("dist: injected connection reset on send")
-	case fault.NetDrop:
-		// The shard never sees the request; the response read below
-		// blocks until the attempt deadline — the slow-failure mode
-		// deadlines exist for.
+}
+
+// takeSession returns one of shard i's idle sessions, or nil.
+func (c *Coordinator) takeSession(i int) *session {
+	c.idleMu.Lock()
+	defer c.idleMu.Unlock()
+	idle := c.idle[i]
+	if len(idle) == 0 {
 		return nil
-	case fault.NetTruncate:
-		// Ship length + half the payload, then hang up: the shard's
-		// framed read fails and it drops the connection.
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-		conn.Write(hdr[:])
-		conn.Write(payload[:len(payload)/2])
-		conn.Close()
-		return errors.New("dist: injected truncated request")
-	case fault.NetDuplicate:
-		if err := WriteFrame(conn, payload); err != nil {
-			return err
-		}
-	case fault.NetDelay:
-		time.Sleep(delay)
 	}
-	return WriteFrame(conn, payload)
+	s := idle[len(idle)-1]
+	c.idle[i] = idle[:len(idle)-1]
+	return s
 }
 
-// recvFrame reads the response frame, applying the injected fate of
-// the shard→coordinator message.
-func (c *Coordinator) recvFrame(conn net.Conn, shard int) ([]byte, error) {
-	if c.inj != nil {
-		action, delay := c.inj.Next(fmt.Sprintf("shard%d->coord", shard))
-		switch action {
-		case fault.NetReset:
-			conn.Close()
-			return nil, errors.New("dist: injected connection reset on receive")
-		case fault.NetDrop:
-			return nil, errors.New("dist: injected dropped response")
-		case fault.NetTruncate:
-			// Receive the real bytes, tear off the tail, and push the
-			// torn message through the framed reader — the CRC/length
-			// layer must reject it.
-			raw, err := readRawFrame(conn)
-			if err != nil {
-				return nil, err
-			}
-			torn := raw[:len(raw)-len(raw)/4-1]
-			if _, err := ReadFrame(bytes.NewReader(torn)); err != nil {
-				return nil, fmt.Errorf("dist: injected torn response rejected: %w", err)
-			}
-			return nil, errors.New("dist: injected torn response escaped the CRC check")
-		case fault.NetDuplicate:
-			// Duplicate delivery of a response is benign: the extra
-			// copy dies with the connection.
-		case fault.NetDelay:
-			time.Sleep(delay)
-		}
+// keepSession puts s on shard i's idle list, or closes it once the
+// coordinator is closed.
+func (c *Coordinator) keepSession(i int, s *session) {
+	c.idleMu.Lock()
+	defer c.idleMu.Unlock()
+	if c.closed {
+		s.conn.Close()
+		return
 	}
-	return ReadFrame(conn)
+	c.idle[i] = append(c.idle[i], s)
 }
 
 func (c *Coordinator) breakerOpen(i int) bool {
@@ -472,31 +463,15 @@ func (c *Coordinator) probeLoop() {
 // the fault injector: probes must not consume fault-schedule frames, or
 // background timing would change which data-plane frames get faulted.
 func (c *Coordinator) Health(i int) (map[string]int64, error) {
-	conn, err := net.DialTimeout("tcp", c.addrs[i], c.opts.AttemptTimeout)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(c.opts.AttemptTimeout))
-	payload, err := EncodeRequest(Request{Op: OpHealth})
-	if err != nil {
-		return nil, err
-	}
-	if err := WriteFrame(conn, payload); err != nil {
-		return nil, err
-	}
-	data, err := ReadFrame(conn)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := DecodeResponse(data)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
-	}
-	return resp.NextPos, nil
+	var pos map[string]int64
+	err := c.exchange(i, Request{Op: OpHealth}, nil, func(resp Response) error {
+		if resp.Err != "" {
+			return errors.New(resp.Err)
+		}
+		pos = resp.NextPos
+		return nil
+	})
+	return pos, err
 }
 
 // distSource is the relal.Source a partitioned table scans through on

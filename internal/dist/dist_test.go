@@ -57,13 +57,13 @@ func diffSnapshot(t *testing.T, got, want string) {
 	t.Fatalf("answer drift: got %d lines, want %d", len(gl), len(wl))
 }
 
-// startLocalShards runs n in-memory shard servers inside this process
-// (real TCP, no child processes) and returns their addresses.
-func startLocalShards(t *testing.T, n int) []string {
+// startShards runs n in-memory shard servers inside this process (real
+// TCP, no child processes).
+func startShards(t *testing.T, n int) []*Shard {
 	t.Helper()
 	gen := goldenGen()
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
+	shards := make([]*Shard, n)
+	for i := range shards {
 		s, err := StartShard(ShardConfig{
 			Shards: n, Index: i,
 			SF: gen.SF, Seed: gen.Seed, Random64: gen.Random64,
@@ -72,7 +72,17 @@ func startLocalShards(t *testing.T, n int) []string {
 			t.Fatalf("start shard %d/%d: %v", i, n, err)
 		}
 		t.Cleanup(func() { s.Close() })
-		addrs[i] = s.Addr()
+		shards[i] = s
+	}
+	return shards
+}
+
+// startLocalShards is startShards' addresses.
+func startLocalShards(t *testing.T, n int) []string {
+	t.Helper()
+	var addrs []string
+	for _, s := range startShards(t, n) {
+		addrs = append(addrs, s.Addr())
 	}
 	return addrs
 }

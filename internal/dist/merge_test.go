@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -87,27 +88,17 @@ func TestDistScanMergeDifferential(t *testing.T) {
 	}
 }
 
-// shardScan sends one request straight to a shard over the wire and
-// returns its decoded response.
+// shardScan sends one request straight to a shard over a session of its
+// own and returns its decoded response.
 func shardScan(t *testing.T, addr string, req Request) Response {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	deadline := time.Now().Add(time.Minute)
+	s, err := dialSession(addr, deadline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	payload, err := EncodeRequest(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(conn, payload); err != nil {
-		t.Fatal(err)
-	}
-	data, err := ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := DecodeResponse(data)
+	defer s.conn.Close()
+	resp, _, err := s.roundTrip(0, req, deadline, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,8 +265,11 @@ func TestDistMergeByPos(t *testing.T) {
 
 // fakeShard serves the shard protocol with answers of the test's
 // making: whatever a real shard could be made to send by a bug or a
-// bad disk, the coordinator has to survive.
-func fakeShard(t *testing.T, answer func(Request) (Response, *relal.Table)) string {
+// bad disk, the coordinator has to survive. Like a shard, it serves a
+// connection's requests in turn on one pair of gob streams, and it
+// echoes each request's sequence number unless the answer sets its own.
+// It sends every answer copies times.
+func fakeShard(t *testing.T, copies int, answer func(Request) (Response, *relal.Table)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -290,20 +284,54 @@ func fakeShard(t *testing.T, answer func(Request) (Response, *relal.Table)) stri
 			}
 			go func() {
 				defer conn.Close()
-				payload, err := ReadFrame(conn)
-				if err != nil {
-					return
+				r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+				in, out := newGobIn(), newGobOut()
+				for {
+					payload, err := ReadFrame(r)
+					if err != nil {
+						return
+					}
+					var req Request
+					if err := in.decode(payload, &req); err != nil {
+						return
+					}
+					resp, tbl := answer(req)
+					if resp.Seq == 0 {
+						resp.Seq = req.Seq
+					}
+					for range copies {
+						if writeResponse(w, out, resp, tbl) != nil || w.Flush() != nil {
+							return
+						}
+					}
 				}
-				req, err := DecodeRequest(payload)
-				if err != nil {
-					return
-				}
-				resp, tbl := answer(req)
-				writeResponse(conn, resp, tbl)
 			}()
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// scanAnswer answers a scan request the way a shard could: two rows of
+// the requested schema, at the given positions.
+func scanAnswer(db *tpch.DB, req Request, pos ...int64) (Response, *relal.Table) {
+	schema, err := scanSchema(db.Table(req.Table).Schema, req.Cols)
+	if err != nil {
+		return Response{Err: err.Error()}, nil
+	}
+	cols := make([]*relal.Vector, len(schema))
+	for i, c := range schema {
+		switch {
+		case c.Name == PosCol:
+			cols[i] = relal.IntsV(pos)
+		case c.Type == relal.Int:
+			cols[i] = relal.IntsV([]int64{1, 2})
+		case c.Type == relal.Float:
+			cols[i] = relal.FloatsV([]float64{1, 2})
+		default:
+			cols[i] = relal.DictV([]uint32{0, 1}, []string{"1994-01-01", "1994-06-01"})
+		}
+	}
+	return Response{Schema: schema, Rows: 2}, relal.NewTable(req.Table, schema, cols...)
 }
 
 // TestDistMalformedAnswers: a shard that answers a scan with bytes that
@@ -312,29 +340,7 @@ func fakeShard(t *testing.T, answer func(Request) (Response, *relal.Table)) stri
 // rows.
 func TestDistMalformedAnswers(t *testing.T) {
 	db := tpch.Generate(goldenGen())
-	// wellFormed answers any scan with two rows of the requested schema,
-	// at the given positions.
-	wellFormed := func(req Request, pos ...int64) (Response, *relal.Table) {
-		schema, err := scanSchema(db.Table(req.Table).Schema, req.Cols)
-		if err != nil {
-			return Response{Err: err.Error()}, nil
-		}
-		cols := make([]*relal.Vector, len(schema))
-		for i, c := range schema {
-			switch {
-			case c.Name == PosCol:
-				cols[i] = relal.IntsV(pos)
-			case c.Type == relal.Int:
-				cols[i] = relal.IntsV([]int64{1, 2})
-			case c.Type == relal.Float:
-				cols[i] = relal.FloatsV([]float64{1, 2})
-			default:
-				cols[i] = relal.DictV([]uint32{0, 1}, []string{"1994-01-01", "1994-06-01"})
-			}
-		}
-		tbl := relal.NewTable(req.Table, schema, cols...)
-		return Response{Schema: schema, Rows: 2}, tbl
-	}
+	wellFormed := func(req Request, pos ...int64) (Response, *relal.Table) { return scanAnswer(db, req, pos...) }
 	firstStr := func(tbl *relal.Table) int {
 		return slices.IndexFunc(tbl.Schema, func(c relal.Column) bool { return c.Type == relal.Str })
 	}
@@ -365,7 +371,7 @@ func TestDistMalformedAnswers(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			addrs := make([]string, len(answers))
 			for i, answer := range answers {
-				addrs[i] = fakeShard(t, answer)
+				addrs[i] = fakeShard(t, 1, answer)
 			}
 			c := NewCoordinatorDB(db, addrs, Options{MaxAttempts: 3, BackoffBase: time.Millisecond, ProbeEvery: -1, NoFragments: true})
 			defer c.Close()
@@ -381,10 +387,79 @@ func TestDistMalformedAnswers(t *testing.T) {
 
 	// The same fake, answering within the rules, is believed: the cases
 	// above fail for the reason they name.
-	c := NewCoordinatorDB(db, []string{fakeShard(t, func(req Request) (Response, *relal.Table) { return wellFormed(req, 4, 9) })},
+	c := NewCoordinatorDB(db, []string{fakeShard(t, 1, func(req Request) (Response, *relal.Table) { return wellFormed(req, 4, 9) })},
 		Options{MaxAttempts: 1, ProbeEvery: -1, NoFragments: true})
 	defer c.Close()
 	if _, err := c.RunQuery(6); err != nil {
 		t.Fatalf("well-formed answer rejected: %v", err)
 	}
+}
+
+// TestDistSequenceEcho: an answer that does not echo its request's
+// sequence number fails the attempt like a malformed one — retried, in
+// the end a typed partial error, never rows. That covers a shard that
+// answers every request twice, whose spare copy waits on the kept
+// session for the next request: two scans of the same columns pass
+// every check but this one. The fake names each request in its answer
+// (the order keys are the pushed lower bound), so an answer read for
+// the wrong request would show.
+func TestDistSequenceEcho(t *testing.T) {
+	db := tpch.Generate(goldenGen())
+	keyed := func(req Request) (Response, *relal.Table) {
+		resp, tbl := scanAnswer(db, req, 4, 9)
+		k := req.Pred[0].IntLo
+		tbl.Cols[0] = relal.IntsV([]int64{k, k})
+		return resp, tbl
+	}
+	scan := func(k int64) Request {
+		return Request{Op: OpScan, Table: "lineitem", Cols: []string{"l_orderkey", PosCol},
+			Pred: relal.ZonePredicate{relal.IntBetween("l_orderkey", k, k)}}
+	}
+	opts := Options{MaxAttempts: 3, BackoffBase: time.Millisecond, ProbeEvery: -1}
+
+	t.Run("wrong sequence", func(t *testing.T) {
+		c := NewCoordinatorDB(db, []string{fakeShard(t, 1, func(req Request) (Response, *relal.Table) {
+			resp, tbl := keyed(req)
+			resp.Seq = req.Seq + 1
+			return resp, tbl
+		})}, opts)
+		defer c.Close()
+		parts, _, err := c.scatter(scan(1))
+		if !errors.Is(err, ErrPartial) || parts != nil {
+			t.Fatalf("got parts %v, err %v; want a partial error and no parts", parts != nil, err)
+		}
+		if got := c.Stats()[cRetries]; got != int64(opts.MaxAttempts-1) {
+			t.Fatalf("%d retries, want %d", got, opts.MaxAttempts-1)
+		}
+	})
+
+	t.Run("answers twice", func(t *testing.T) {
+		addr := fakeShard(t, 2, keyed)
+		c := NewCoordinatorDB(db, []string{addr}, opts)
+		defer c.Close()
+		for k := int64(1); k <= 3; k++ {
+			parts, _, err := c.scatter(scan(k))
+			if err != nil {
+				t.Fatalf("scan %d: %v", k, err)
+			}
+			if got := parts[0].IntCol("l_orderkey").Get(0); got != k {
+				t.Fatalf("scan %d read the answer to scan %d", k, got)
+			}
+			// Every scan after the first meets the spare copy first.
+			if got := c.Stats()[cRetries]; got != k-1 {
+				t.Fatalf("after scan %d: %d retries, want %d", k, got, k-1)
+			}
+		}
+
+		// With no attempt to spare, the spare copy ends the call.
+		one := NewCoordinatorDB(db, []string{addr}, Options{MaxAttempts: 1, ProbeEvery: -1})
+		defer one.Close()
+		if _, _, err := one.scatter(scan(1)); err != nil {
+			t.Fatal(err)
+		}
+		parts, _, err := one.scatter(scan(2))
+		if !errors.Is(err, ErrPartial) || parts != nil {
+			t.Fatalf("got parts %v, err %v; want a partial error and no parts", parts != nil, err)
+		}
+	})
 }

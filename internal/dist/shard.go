@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"slices"
@@ -122,7 +123,11 @@ type Shard struct {
 
 	mu     sync.Mutex
 	closed bool
-	wg     sync.WaitGroup
+	// conns are the live sessions, which Close closes; accepted counts
+	// every connection served.
+	conns    map[net.Conn]struct{}
+	accepted int
+	wg       sync.WaitGroup
 }
 
 // StartShard builds the shard's partition, opens (and if needed
@@ -195,7 +200,7 @@ func StartShard(cfg ShardConfig) (*Shard, error) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	s := &Shard{cfg: cfg, db: db, store: store, ln: ln}
+	s := &Shard{cfg: cfg, db: db, store: store, ln: ln, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -214,7 +219,8 @@ func (s *Shard) Addr() string { return s.ln.Addr().String() }
 // Port returns the shard's listen port.
 func (s *Shard) Port() int { return s.ln.Addr().(*net.TCPAddr).Port }
 
-// Close stops serving and closes the store.
+// Close stops serving, closes every session (idle ones included, so it
+// never waits for a coordinator to hang up) and closes the store.
 func (s *Shard) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -222,6 +228,9 @@ func (s *Shard) Close() error {
 		return nil
 	}
 	s.closed = true
+	for conn := range s.conns {
+		conn.Close()
+	}
 	s.mu.Unlock()
 	s.ln.Close()
 	s.wg.Wait()
@@ -235,38 +244,72 @@ func (s *Shard) acceptLoop() {
 		if err != nil {
 			return
 		}
+		if !s.track(conn) {
+			conn.Close()
+			return
+		}
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
+			defer s.untrack(conn)
 			s.handleConn(conn)
 		}()
 	}
 }
 
-// handleConn serves framed requests until the peer goes away or sends
-// garbage. Any read error — EOF, torn frame, bad checksum, deadline —
-// just drops the connection; the coordinator's retry layer owns
-// recovery, the shard never trusts a damaged frame.
+// track registers a new session, or reports false once the shard is
+// closing.
+func (s *Shard) track(conn net.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.conns[conn] = struct{}{}
+	s.accepted++
+	return true
+}
+
+func (s *Shard) untrack(conn net.Conn) {
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
+	conn.Close()
+}
+
+// handleConn serves one coordinator session: framed requests, one at a
+// time, until the peer goes away, sends garbage or the shard closes.
+// Both directions are buffered and each response is flushed whole; the
+// request and response-header gob streams live as long as the
+// connection, as the coordinator's do, and each response echoes its
+// request's sequence number. Any read error — EOF, torn frame, bad
+// checksum, deadline — just drops the connection; the coordinator's
+// retry layer owns recovery, the shard never trusts a damaged frame.
 func (s *Shard) handleConn(conn net.Conn) {
-	defer conn.Close()
+	r, w := bufio.NewReader(conn), bufio.NewWriter(conn)
+	in, out := newGobIn(), newGobOut()
 	for {
-		// A fresh request gets a generous baseline deadline so a dead
-		// peer can't pin the goroutine; the request's own budget
-		// tightens it below.
+		// A kept session waits for its next request under a generous
+		// baseline deadline, so a dead peer can't pin the goroutine; the
+		// request's own budget tightens it below.
 		conn.SetDeadline(time.Now().Add(time.Minute))
-		payload, err := ReadFrame(conn)
+		payload, err := ReadFrame(r)
 		if err != nil {
 			return
 		}
-		req, err := DecodeRequest(payload)
-		if err != nil {
+		var req Request
+		if err := in.decode(payload, &req); err != nil {
 			return
 		}
 		if req.DeadlineMS > 0 {
 			conn.SetDeadline(time.Now().Add(time.Duration(req.DeadlineMS) * time.Millisecond))
 		}
 		resp, t := s.handle(req)
-		if err := writeResponse(conn, resp, t); err != nil {
+		resp.Seq = req.Seq
+		if err := writeResponse(w, out, resp, t); err != nil {
+			return
+		}
+		if err := w.Flush(); err != nil {
 			return
 		}
 	}

@@ -14,6 +14,14 @@
 // compression and no per-chunk encoding choice on the data path; the
 // frame checksum covers every byte.
 //
+// The coordinator keeps one session per concurrent request to each
+// shard: a TCP connection that outlives its request, buffered both ways,
+// with one gob stream per direction — requests one way, response headers
+// the other — so a type's descriptor crosses once per connection, not
+// once per message. Every request carries a sequence number its response
+// echoes, so an answer left over on a reused connection is never read as
+// the answer to the next request.
+//
 // Robustness is the contract, not a bolt-on: every fragment carries a
 // deadline in the wire protocol, every call retries with exponential
 // backoff and seeded jitter, per-shard circuit breakers fail fast while
@@ -63,6 +71,8 @@ type Request struct {
 	// milliseconds; the shard arms its connection deadline with it so a
 	// stalled peer can never wedge a shard goroutine past the budget.
 	DeadlineMS int64
+	// Seq numbers the request within its session; the response echoes it.
+	Seq uint64
 }
 
 // Response is one shard→coordinator message.
@@ -72,6 +82,8 @@ type Response struct {
 	Err string
 	// Shard echoes the responding shard's index.
 	Shard int
+	// Seq echoes the sequence number of the request answered.
+	Seq uint64
 	// Schema and Rows describe the returned table; Data is its column
 	// vectors in the table wire encoding (nil when Rows is 0 — an empty
 	// table round-trips as schema only). Data travels outside the gob
@@ -196,48 +208,114 @@ func readRawFrame(r io.Reader) ([]byte, error) {
 	return raw, nil
 }
 
-// EncodeRequest gob-encodes a request for framing.
-func EncodeRequest(req Request) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
+// gobOut is the sending half of one connection's gob stream: each
+// message is encoded on its own, to be framed, but the encoder lives as
+// long as the connection, so a type's descriptor goes out with the first
+// message of that type and never again. The bytes an encode returns are
+// valid until the next one.
+type gobOut struct {
+	buf bytes.Buffer
+	enc *gob.Encoder
+}
+
+func newGobOut() *gobOut {
+	g := &gobOut{}
+	g.enc = gob.NewEncoder(&g.buf)
+	return g
+}
+
+// encode returns the stream's next message, holding v, after prefix.
+func (g *gobOut) encode(prefix []byte, v any) ([]byte, error) {
+	g.buf.Reset()
+	g.buf.Write(prefix)
+	if err := g.enc.Encode(v); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return g.buf.Bytes(), nil
 }
 
-// DecodeRequest inverts EncodeRequest.
-func DecodeRequest(data []byte) (Request, error) {
-	var req Request
-	err := gob.NewDecoder(bytes.NewReader(data)).Decode(&req)
-	return req, err
+// responseHead encodes resp without its Data as the head of a response
+// payload: u32 header length | gob of the response without Data.
+func (g *gobOut) responseHead(resp Response) ([]byte, error) {
+	resp.Data = nil
+	head, err := g.encode(make([]byte, 4), resp)
+	if err != nil {
+		return nil, err
+	}
+	binary.LittleEndian.PutUint32(head, uint32(len(head)-4))
+	return head, nil
 }
 
-// EncodeResponse encodes a response for framing:
-// u32 header length | gob of the response without Data | Data.
+// gobIn is the receiving half of one connection's gob stream. Each
+// frame's payload holds exactly one message (after whatever type
+// descriptors came with it); the decoder reads it straight from the
+// payload, an io.ByteReader, so it never reads ahead past the frame.
+type gobIn struct {
+	src bytes.Reader
+	dec *gob.Decoder
+}
+
+func newGobIn() *gobIn {
+	g := &gobIn{}
+	g.dec = gob.NewDecoder(&g.src)
+	return g
+}
+
+// decode decodes the one message in payload into v.
+func (g *gobIn) decode(payload []byte, v any) error {
+	g.src.Reset(payload)
+	if err := g.dec.Decode(v); err != nil {
+		return err
+	}
+	if n := g.src.Len(); n != 0 {
+		return fmt.Errorf("dist: %d bytes follow the gob message in its frame", n)
+	}
+	return nil
+}
+
+// response inverts gobOut.responseHead followed by the Data: the
+// returned Data aliases data.
+func (g *gobIn) response(data []byte) (Response, error) {
+	var resp Response
+	if len(data) < 4 {
+		return resp, errors.New("dist: response shorter than its header length")
+	}
+	hdrLen := binary.LittleEndian.Uint32(data)
+	body := data[4:]
+	if uint64(hdrLen) > uint64(len(body)) {
+		return resp, fmt.Errorf("dist: response header length %d exceeds payload", hdrLen)
+	}
+	if err := g.decode(body[:hdrLen], &resp); err != nil {
+		return resp, err
+	}
+	if rest := body[hdrLen:]; len(rest) > 0 {
+		resp.Data = rest
+	}
+	return resp, nil
+}
+
+// EncodeResponse encodes a response for framing, on a gob stream of its
+// own: u32 header length | gob of the response without Data | Data.
 // Only the small header goes through gob; the bulk bytes are appended
 // as they are, so they are copied once on the way out and not at all on
 // the way in.
 func EncodeResponse(resp Response) ([]byte, error) {
-	data := resp.Data
-	resp.Data = nil
-	var hdr bytes.Buffer
-	if err := gob.NewEncoder(&hdr).Encode(resp); err != nil {
+	head, err := newGobOut().responseHead(resp)
+	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, 4+hdr.Len()+len(data))
-	out = binary.LittleEndian.AppendUint32(out, uint32(hdr.Len()))
-	out = append(out, hdr.Bytes()...)
-	return append(out, data...), nil
+	out := make([]byte, 0, len(head)+len(resp.Data))
+	return append(append(out, head...), resp.Data...), nil
 }
 
-// writeResponse frames resp with t's wire encoding as its Data (t nil:
-// resp as it is) — the shard's send path. The table is never assembled
-// into one payload: its exact size goes into the frame header up front
-// and the columns follow one at a time through a single reused buffer,
-// so sending a result costs the memory of its largest column, not of a
-// second copy of the result.
-func writeResponse(w io.Writer, resp Response, t *relal.Table) error {
-	head, err := EncodeResponse(resp)
+// writeResponse frames resp, its header encoded on the stream out, with
+// t's wire encoding as its Data (t nil: resp as it is) — the shard's
+// send path. The table is never assembled into one payload: its exact
+// size goes into the frame header up front and the columns follow one
+// at a time through a single reused buffer, so sending a result costs
+// the memory of its largest column, not of a second copy of the result.
+func writeResponse(w io.Writer, out *gobOut, resp Response, t *relal.Table) error {
+	head, err := out.responseHead(resp)
 	if err != nil {
 		return err
 	}
@@ -264,22 +342,7 @@ func writeResponse(w io.Writer, resp Response, t *relal.Table) error {
 // DecodeResponse inverts EncodeResponse. The returned Data aliases
 // data.
 func DecodeResponse(data []byte) (Response, error) {
-	var resp Response
-	if len(data) < 4 {
-		return resp, errors.New("dist: response shorter than its header length")
-	}
-	hdrLen := binary.LittleEndian.Uint32(data)
-	body := data[4:]
-	if uint64(hdrLen) > uint64(len(body)) {
-		return resp, fmt.Errorf("dist: response header length %d exceeds payload", hdrLen)
-	}
-	if err := gob.NewDecoder(bytes.NewReader(body[:hdrLen])).Decode(&resp); err != nil {
-		return resp, err
-	}
-	if rest := body[hdrLen:]; len(rest) > 0 {
-		resp.Data = rest
-	}
-	return resp, nil
+	return newGobIn().response(data)
 }
 
 // Table wire encoding. A table crosses the wire as its column vectors,

@@ -107,7 +107,7 @@ func ship(t testing.TB, tbl *relal.Table) Response {
 	t.Helper()
 	resp, dense := (&Shard{}).tableResponse(tbl, relal.ScanStats{})
 	var buf bytes.Buffer
-	if err := writeResponse(&buf, resp, dense); err != nil {
+	if err := writeResponse(&buf, newGobOut(), resp, dense); err != nil {
 		t.Fatal(err)
 	}
 	payload, err := ReadFrame(&buf)
