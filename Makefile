@@ -31,17 +31,18 @@ streams:
 	$(GO) test -race -run 'Stream|Join|Sort|Aggregate|TopK|Dict|Pred|Cache|Sched|Encoding|Htap|Delta|Wal' ./...
 
 # The HTAP suites under -race: the golden matrix (held rows replayed
-# through the delta log, quiesced answers pinned to the golden snapshot
-# over both storage modes, tail and converted) and the concurrent test —
-# BSON writers from a test-local loop beside tpch.RunStreams, the
-# background converter and a StatsNow poller — then quiesce, convert and
-# pin the same snapshot.
+# through the delta log, quiesced answers pinned to the golden snapshot,
+# tail and converted), the close rule (commits close each ConvertRows
+# records of tail), the log-only recovery and the concurrent test —
+# BSON writers from a test-local loop beside tpch.RunStreams and a
+# StatsNow poller — then quiesce, convert and pin the same snapshot.
 htap:
 	$(GO) test -race -run 'Htap' ./internal/htap/ -v
 
-# The crash matrix and corruption suites: injected faults (torn writes,
-# failed fsyncs, full disk, bit flips), kill + reopen + replay, recovered
-# answers pinned to the golden snapshot, under -race.
+# The crash matrix and corruption suites: injected faults on the delta
+# log (torn appends, failed fsyncs, full disk, bit flips), kill + reopen
+# + replay from the log alone, recovered answers pinned to the golden
+# snapshot, and RCF7 chunk/footer corruption detection, under -race.
 crash:
 	$(GO) test -race -run 'Crash|Corrupt|Recover|Fault|Fsync|Torn|TryScan' \
 		./internal/fault/ ./internal/delta/ ./internal/rcfile/ ./internal/htap/

@@ -58,7 +58,7 @@ type Options struct {
 	MaxAttempts int
 	// BackoffBase/BackoffCap shape the exponential backoff between
 	// attempts (doubling from base, clamped at cap, plus seeded jitter
-	// of up to half the step — the background converter's scheme).
+	// of up to half the step).
 	// Defaults 5ms / 250ms.
 	BackoffBase time.Duration
 	BackoffCap  time.Duration

@@ -45,9 +45,9 @@ type ShardConfig struct {
 	// Port pins the listen port (0 = ephemeral). A restarting shard is
 	// given its old port so retrying coordinators reconnect unchanged.
 	Port int
-	// DataDir, when set, holds the shard's durable delta log and RCF7
-	// part checkpoints; a restart replays them via htap.Open. Empty runs
-	// the store in memory and persists nothing.
+	// DataDir, when set, holds the shard's durable delta log
+	// (delta.log, its only file); a restart replays it via htap.Open.
+	// Empty runs the store in memory and persists nothing.
 	DataDir string
 	// Hold is the per-table count of trailing partition rows routed
 	// through the delta log instead of the base part (nil = defaults),
@@ -56,9 +56,6 @@ type ShardConfig struct {
 	// Sync is the delta-log fsync policy ("" = always: each acked row
 	// is durable, so a kill at any instant loses nothing acked).
 	Sync string
-	// GroupRows is the RCF7 row-group size of part checkpoints (0 =
-	// htap default).
-	GroupRows int
 }
 
 // shardOf is the orderkey router: FNV-1a over the key's 8 little-endian
@@ -148,9 +145,8 @@ func StartShard(cfg ShardConfig) (*Shard, error) {
 		return nil, err
 	}
 	// Scans serve the store's in-memory replica of the partition; with
-	// a DataDir, converted held rows are also checkpointed as RCF7 part
-	// files that a restart re-adopts.
-	hcfg := htap.Config{Window: -1, RCFile: true, GroupRows: cfg.GroupRows, Sync: pol}
+	// a DataDir, the delta log that a restart replays is durable.
+	hcfg := htap.Config{Window: -1, Sync: pol}
 	if cfg.DataDir != "" {
 		fs, err := fault.NewDirFS(cfg.DataDir)
 		if err != nil {

@@ -8,11 +8,11 @@
 //
 // Storage format and message format are separate decisions, as they are
 // in the paper's PDW: a shard serves its whole partition from its htap
-// store's in-memory replica (checkpointing converted held rows as RCF7
-// parts only with a DataDir), and what crosses the wire is the result's
-// column vectors laid out flat (see the table encoding below) — no
-// compression and no per-chunk encoding choice on the data path; the
-// frame checksum covers every byte.
+// store's in-memory replica (with a DataDir, its delta log is the one
+// durable copy of the held rows), and what crosses the wire is the
+// result's column vectors laid out flat (see the table encoding below)
+// — no compression and no per-chunk encoding choice on the data path;
+// the frame checksum covers every byte.
 //
 // The coordinator keeps one session per concurrent request to each
 // shard: a TCP connection that outlives its request, buffered both ways,

@@ -6,12 +6,12 @@
 // wraps any FS and injects the classic storage failures at scheduled
 // points — torn appends after a byte budget, fsync errors with sticky
 // poison semantics (a failed fsync never later pretends the data made
-// it), ENOSPC, transient write errors, and read-side bit flips.
+// it), ENOSPC, and read-side bit flips.
 //
-// The delta log and the htap converter thread every durable byte
-// through this interface, so the crash-matrix tests can kill the
-// pipeline at any injected point, reopen over the surviving bytes, and
-// check recovery — with production code paths, not test doubles.
+// The delta log threads every durable byte through this interface, so
+// the crash-matrix tests can kill the pipeline at any injected point,
+// reopen over the surviving bytes, and check recovery — with production
+// code paths, not test doubles.
 package fault
 
 import (
@@ -21,7 +21,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -35,9 +34,6 @@ var (
 	// ErrNoSpace is ENOSPC: the write (possibly partially applied) ran
 	// out of disk.
 	ErrNoSpace = errors.New("fault: no space left on device")
-	// ErrTransient is a retryable IO error (the converter's backoff
-	// demo): the next attempt may succeed.
-	ErrTransient = errors.New("fault: transient io error")
 )
 
 // File is an append-only log handle. Append extends the file; Sync
@@ -52,35 +48,11 @@ type File interface {
 	Close() error
 }
 
-// FS is the flat-namespace file system the durable store lives in (one
-// delta log plus converted part files). Open creates the file when
-// absent; names never contain path separators.
+// FS is the flat-namespace file system the durable store lives in (its
+// one delta log). Open creates the file when absent; names never
+// contain path separators.
 type FS interface {
 	Open(name string) (File, error)
-	ReadFile(name string) ([]byte, error)
-	List() ([]string, error)
-	Remove(name string) error
-}
-
-// WriteFile replaces name with data via Open/Append/Sync/Close, so a
-// wrapping Injector's faults apply to it naturally and an in-flight
-// crash leaves a detectable partial file. Any existing file is removed
-// first — a retry must never append onto a stale or torn predecessor.
-func WriteFile(fs FS, name string, data []byte) error {
-	_ = fs.Remove(name) // ignore not-exist
-	f, err := fs.Open(name)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Append(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // MemFS is the in-memory backend. It tracks a per-file synced
@@ -112,7 +84,8 @@ func (m *MemFS) Open(name string) (File, error) {
 	return &memHandle{f: f}, nil
 }
 
-// ReadFile returns a copy of name's current contents.
+// ReadFile returns a copy of name's current contents. ReadFile and List
+// are for tests that inspect what a store left behind.
 func (m *MemFS) ReadFile(name string) ([]byte, error) {
 	m.mu.Lock()
 	f := m.files[name]
@@ -135,18 +108,6 @@ func (m *MemFS) List() ([]string, error) {
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// Remove deletes name. Handles already open on it keep their orphaned
-// contents, as on POSIX.
-func (m *MemFS) Remove(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.files[name]; !ok {
-		return fmt.Errorf("fault: %s: %w", name, os.ErrNotExist)
-	}
-	delete(m.files, name)
-	return nil
 }
 
 // Crash models the machine dying: every file keeps its synced prefix
@@ -249,40 +210,6 @@ func (d *DirFS) Open(name string) (File, error) {
 	return &osFile{f: f, path: path}, nil
 }
 
-// ReadFile reads name whole.
-func (d *DirFS) ReadFile(name string) ([]byte, error) {
-	path, err := d.path(name)
-	if err != nil {
-		return nil, err
-	}
-	return os.ReadFile(path)
-}
-
-// List returns the directory's regular-file names, sorted.
-func (d *DirFS) List() ([]string, error) {
-	entries, err := os.ReadDir(d.dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if e.Type().IsRegular() {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// Remove deletes name.
-func (d *DirFS) Remove(name string) error {
-	path, err := d.path(name)
-	if err != nil {
-		return err
-	}
-	return os.Remove(path)
-}
-
 type osFile struct {
 	f    *os.File
 	path string
@@ -309,14 +236,10 @@ func (o *osFile) Close() error             { return o.f.Close() }
 type Schedule struct {
 	Seed int64
 	// TornAppendAfter tears the append that crosses this many
-	// cumulative bytes written to non-part files (the delta log): a
-	// prefix lands, the rest is lost, and the file is poisoned — every
-	// later append fails with ErrTorn (the process is "dying").
+	// cumulative bytes written (all files): a prefix lands, the rest is
+	// lost, and the file is poisoned — every later append fails with
+	// ErrTorn (the process is "dying").
 	TornAppendAfter int64
-	// TornPartAfter is the same byte budget counted only over "*.part"
-	// files, so a schedule can target the converter's part writes
-	// without knowing how many log bytes precede them.
-	TornPartAfter int64
 	// SyncFailAt fails the Nth Sync call (1-based) across all files and
 	// poisons that file: later syncs on it fail too (a failed fsync
 	// must never later pretend the data made it — fsyncgate semantics).
@@ -326,12 +249,9 @@ type Schedule struct {
 	// that fit.
 	DiskCap int64
 	// FlipReadAt flips one seed-chosen bit in the data returned by the
-	// Nth read (1-based, counted across ReadFile and File.ReadAll) —
-	// silent media corruption for the checksum layers to catch.
+	// Nth File.ReadAll (1-based) — silent media corruption for the
+	// checksum layers to catch.
 	FlipReadAt int64
-	// TransientPartFails fails the first N appends to "*.part" files
-	// with ErrTransient (no bytes land) — the converter's retry demo.
-	TransientPartFails int
 }
 
 // Injector wraps an FS and injects the Schedule's faults at the
@@ -344,12 +264,9 @@ type Injector struct {
 
 	mu           sync.Mutex
 	rng          *rand.Rand
-	logBytes     int64
-	partBytes    int64
-	totalBytes   int64
+	written      int64 // bytes landed, all files
 	syncs        int64
 	reads        int64
-	partFails    int
 	tornFiles    map[string]bool
 	poisonedSync map[string]bool
 	faults       faultLog
@@ -431,42 +348,11 @@ func (in *Injector) Open(name string) (File, error) {
 	return &injFile{in: in, name: name, f: f}, nil
 }
 
-// ReadFile reads through the inner FS, applying any scheduled bit flip.
-func (in *Injector) ReadFile(name string) ([]byte, error) {
-	data, err := in.inner.ReadFile(name)
-	if err != nil {
-		return nil, err
-	}
-	return in.maybeFlip(name, data), nil
-}
-
-// List passes through.
-func (in *Injector) List() ([]string, error) { return in.inner.List() }
-
-// Remove passes through.
-func (in *Injector) Remove(name string) error { return in.inner.Remove(name) }
-
-func (in *Injector) maybeFlip(name string, data []byte) []byte {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.reads++
-	if in.sched.FlipReadAt > 0 && in.reads == in.sched.FlipReadAt && len(data) > 0 {
-		out := append([]byte(nil), data...)
-		bit := in.rng.Intn(len(out) * 8)
-		out[bit/8] ^= 1 << (bit % 8)
-		in.note(name, fmt.Sprintf("flipped bit %d of %s", bit, name))
-		return out
-	}
-	return data
-}
-
 type injFile struct {
 	in   *Injector
 	name string
 	f    File
 }
-
-func isPartFile(name string) bool { return strings.HasSuffix(name, ".part") }
 
 func (g *injFile) Append(p []byte) (int, error) {
 	in := g.in
@@ -475,48 +361,29 @@ func (g *injFile) Append(p []byte) (int, error) {
 	if in.tornFiles[g.name] {
 		return 0, ErrTorn
 	}
-	part := isPartFile(g.name)
-	if part && in.partFails < in.sched.TransientPartFails {
-		in.partFails++
-		in.note(g.name, fmt.Sprintf("transient append failure on %s (%d/%d)", g.name, in.partFails, in.sched.TransientPartFails))
-		return 0, ErrTransient
-	}
-	counter, budget := &in.logBytes, in.sched.TornAppendAfter
-	if part {
-		counter, budget = &in.partBytes, in.sched.TornPartAfter
-	}
 	n := int64(len(p))
-	if budget > 0 && *counter+n > budget {
-		keep := budget - *counter
-		if keep < 0 {
-			keep = 0
-		}
+	if budget := in.sched.TornAppendAfter; budget > 0 && in.written+n > budget {
+		keep := max(budget-in.written, 0)
 		if keep > 0 {
 			g.f.Append(p[:keep])
 		}
-		*counter += keep
-		in.totalBytes += keep
+		in.written += keep
 		in.tornFiles[g.name] = true
 		in.note(g.name, fmt.Sprintf("torn append on %s: %d of %d bytes", g.name, keep, n))
 		return int(keep), ErrTorn
 	}
-	if cap := in.sched.DiskCap; cap > 0 && in.totalBytes+n > cap {
-		keep := cap - in.totalBytes
-		if keep < 0 {
-			keep = 0
-		}
+	if cap := in.sched.DiskCap; cap > 0 && in.written+n > cap {
+		keep := max(cap-in.written, 0)
 		if keep > 0 {
 			g.f.Append(p[:keep])
 		}
-		*counter += keep
-		in.totalBytes += keep
+		in.written += keep
 		in.tornFiles[g.name] = true // the disk stays full
 		in.note(g.name, fmt.Sprintf("disk full on %s: %d of %d bytes", g.name, keep, n))
 		return int(keep), ErrNoSpace
 	}
 	wrote, err := g.f.Append(p)
-	*counter += int64(wrote)
-	in.totalBytes += int64(wrote)
+	in.written += int64(wrote)
 	return wrote, err
 }
 
@@ -541,12 +408,24 @@ func (g *injFile) Sync() error {
 func (g *injFile) Truncate(n int64) error { return g.f.Truncate(n) }
 func (g *injFile) Size() int64            { return g.f.Size() }
 
+// ReadAll reads through the inner handle, flipping one bit of the
+// result when this is the schedule's FlipReadAt-th read.
 func (g *injFile) ReadAll() ([]byte, error) {
 	data, err := g.f.ReadAll()
 	if err != nil {
 		return nil, err
 	}
-	return g.in.maybeFlip(g.name, data), nil
+	in := g.in
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.reads++
+	if in.sched.FlipReadAt > 0 && in.reads == in.sched.FlipReadAt && len(data) > 0 {
+		data = append([]byte(nil), data...) // never flip the inner file's bytes
+		bit := in.rng.Intn(len(data) * 8)
+		data[bit/8] ^= 1 << (bit % 8)
+		in.note(g.name, fmt.Sprintf("flipped bit %d of %s", bit, g.name))
+	}
+	return data, nil
 }
 
 func (g *injFile) Close() error { return g.f.Close() }

@@ -3,7 +3,6 @@ package fault
 import (
 	"bytes"
 	"errors"
-	"os"
 	"path/filepath"
 	"testing"
 )
@@ -83,28 +82,6 @@ func TestFaultTornAppendBudget(t *testing.T) {
 	if string(data) != "12345678ab" {
 		t.Fatalf("on-disk bytes %q", data)
 	}
-	// Part files have their own budget: untouched here.
-	p, _ := in.Open("x.part")
-	if _, err := p.Append(bytes.Repeat([]byte("p"), 100)); err != nil {
-		t.Fatalf("part append hit log budget: %v", err)
-	}
-}
-
-func TestFaultTornPartBudget(t *testing.T) {
-	fs := NewMemFS()
-	in := NewInjector(fs, Schedule{Seed: 1, TornPartAfter: 5})
-	f, _ := in.Open("log")
-	if _, err := f.Append(bytes.Repeat([]byte("L"), 64)); err != nil {
-		t.Fatalf("log append hit part budget: %v", err)
-	}
-	p, _ := in.Open("t.part")
-	if _, err := p.Append([]byte("123456789")); !errors.Is(err, ErrTorn) {
-		t.Fatalf("want ErrTorn on part, got %v", err)
-	}
-	data, _ := fs.ReadFile("t.part")
-	if string(data) != "12345" {
-		t.Fatalf("part bytes %q", data)
-	}
 }
 
 func TestFaultSyncFailSticky(t *testing.T) {
@@ -147,33 +124,16 @@ func TestFaultDiskCap(t *testing.T) {
 	}
 }
 
-func TestFaultTransientPartFails(t *testing.T) {
-	fs := NewMemFS()
-	in := NewInjector(fs, Schedule{Seed: 1, TransientPartFails: 2})
-	p, _ := in.Open("a.part")
-	for i := 0; i < 2; i++ {
-		if _, err := p.Append([]byte("x")); !errors.Is(err, ErrTransient) {
-			t.Fatalf("attempt %d: want ErrTransient, got %v", i+1, err)
-		}
-	}
-	if _, err := p.Append([]byte("x")); err != nil {
-		t.Fatalf("third attempt should succeed: %v", err)
-	}
-	data, _ := fs.ReadFile("a.part")
-	if string(data) != "x" {
-		t.Fatalf("failed attempts leaked bytes: %q", data)
-	}
-}
-
 func TestFaultFlipRead(t *testing.T) {
 	fs := NewMemFS()
-	WriteFile(fs, "blob", bytes.Repeat([]byte{0}, 32))
 	in := NewInjector(fs, Schedule{Seed: 9, FlipReadAt: 2})
-	clean, _ := in.ReadFile("blob")
+	f, _ := in.Open("blob")
+	f.Append(make([]byte, 32))
+	clean, _ := f.ReadAll()
 	if !bytes.Equal(clean, make([]byte, 32)) {
 		t.Fatalf("read 1 should be clean")
 	}
-	flipped, _ := in.ReadFile("blob")
+	flipped, _ := f.ReadAll()
 	diff := 0
 	for i := range flipped {
 		for b := 0; b < 8; b++ {
@@ -189,26 +149,6 @@ func TestFaultFlipRead(t *testing.T) {
 	again, _ := fs.ReadFile("blob")
 	if !bytes.Equal(again, make([]byte, 32)) {
 		t.Fatalf("flip corrupted the stored bytes")
-	}
-}
-
-func TestFaultWriteFileReplaces(t *testing.T) {
-	fs := NewMemFS()
-	if err := WriteFile(fs, "f", []byte("first-longer")); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFile(fs, "f", []byte("second")); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := fs.ReadFile("f")
-	if string(data) != "second" {
-		t.Fatalf("got %q", data)
-	}
-	// Synced by WriteFile: survives a crash whole.
-	fs.Crash(1)
-	data, _ = fs.ReadFile("f")
-	if string(data) != "second" {
-		t.Fatalf("post-crash %q", data)
 	}
 }
 
@@ -238,24 +178,15 @@ func TestFaultDirFSRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	data, err = fs.ReadFile("delta.log")
-	if err != nil || string(data) != "hello" {
-		t.Fatalf("after truncate %q %v", data, err)
-	}
-	WriteFile(fs, "a.part", []byte("p"))
-	names, err := fs.List()
+	f, err = fs.Open("delta.log")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 2 || names[0] != "a.part" || names[1] != "delta.log" {
-		t.Fatalf("list %v", names)
+	data, err = f.ReadAll()
+	if err != nil || string(data) != "hello" {
+		t.Fatalf("after truncate and reopen %q %v", data, err)
 	}
-	if err := fs.Remove("a.part"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "a.part")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("remove left file: %v", err)
-	}
+	f.Close()
 	if _, err := fs.Open("../escape"); err == nil {
 		t.Fatal("path escape allowed")
 	}

@@ -79,68 +79,60 @@ func TestNetInjectorDisabled(t *testing.T) {
 }
 
 // TestFaultLogConcurrentFilesDeterministic is the regression test for
-// the fault-log ordering fix: N goroutines each fault their own file
-// concurrently, and Faults() must render grouped by file in sorted
-// order with each file's entries in its own operation order — never in
-// raw wall-clock interleaving. Two snapshots must render identically.
+// the fault-log ordering fix (the log both injectors share): N
+// goroutines each fault their own stream concurrently, and Faults()
+// must render grouped by stream in sorted order with each stream's
+// entries in its own operation order — never in raw wall-clock
+// interleaving. Two snapshots must render identically.
 func TestFaultLogConcurrentFilesDeterministic(t *testing.T) {
 	const writers, per = 6, 5
-	inj := NewInjector(NewMemFS(), Schedule{Seed: 3, TransientPartFails: writers * per})
+	// Every frame but the first resets.
+	inj := NewNetInjector(NetSchedule{Seed: 3, ResetNth: 1})
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			f, err := inj.Open(fmt.Sprintf("conv-%d.part", w))
-			if err != nil {
-				t.Error(err)
-				return
-			}
 			for i := 0; i < per; i++ {
-				f.Append([]byte("x")) // every part append fails transient
+				inj.Next(fmt.Sprintf("stream-%d", w))
 			}
 		}(w)
 	}
 	wg.Wait()
 	log := inj.Faults()
-	if len(log) != writers*per {
-		t.Fatalf("logged %d faults, want %d", len(log), writers*per)
+	if len(log) != writers*per-1 {
+		t.Fatalf("logged %d faults, want %d", len(log), writers*per-1)
 	}
 	if !reflect.DeepEqual(log, inj.Faults()) {
 		t.Fatal("two renders of the same log differ")
 	}
-	// Grouped: each file's entries form one contiguous block, files in
-	// sorted order, and within a block the global (g/total) counters
-	// strictly increase (per-file operation order is preserved).
-	fileOf := func(msg string) string {
-		i := strings.Index(msg, " on ")
-		j := strings.Index(msg[i+4:], " ")
-		return msg[i+4 : i+4+j]
-	}
+	// Grouped: each stream's entries form one contiguous block, streams
+	// in sorted order, and within a block the global frame indices
+	// strictly increase (per-stream operation order is preserved).
 	seen := map[string]bool{}
-	prevFile, prevG := "", 0
+	prevStream, prevFrame := "", -1
 	for _, msg := range log {
-		file := fileOf(msg)
-		var g, total int
-		if _, err := fmt.Sscanf(msg[strings.Index(msg, "("):], "(%d/%d)", &g, &total); err != nil {
+		var frame int
+		var stream string
+		if _, err := fmt.Sscanf(msg, "reset frame %d on %s", &frame, &stream); err != nil {
 			t.Fatalf("unparseable fault %q: %v", msg, err)
 		}
-		if file != prevFile {
-			if seen[file] {
-				t.Fatalf("file %s split across blocks:\n%s", file, strings.Join(log, "\n"))
+		if stream != prevStream {
+			if seen[stream] {
+				t.Fatalf("stream %s split across blocks:\n%s", stream, strings.Join(log, "\n"))
 			}
-			if file < prevFile {
-				t.Fatalf("files out of sorted order: %s after %s", file, prevFile)
+			if stream < prevStream {
+				t.Fatalf("streams out of sorted order: %s after %s", stream, prevStream)
 			}
-			seen[file] = true
-			prevFile, prevG = file, 0
+			seen[stream] = true
+			prevStream, prevFrame = stream, -1
 		}
-		if g <= prevG {
-			t.Fatalf("%s: per-file order broken: counter %d after %d", file, g, prevG)
+		if frame <= prevFrame {
+			t.Fatalf("%s: per-stream order broken: frame %d after %d", stream, frame, prevFrame)
 		}
-		prevG = g
+		prevFrame = frame
 	}
 	if len(seen) != writers {
-		t.Fatalf("log covers %d files, want %d", len(seen), writers)
+		t.Fatalf("log covers %d streams, want %d", len(seen), writers)
 	}
 }

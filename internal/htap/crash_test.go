@@ -1,11 +1,11 @@
 package htap
 
 import (
+	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"elephants/internal/delta"
 	"elephants/internal/fault"
@@ -13,19 +13,11 @@ import (
 )
 
 // durableConfig is the crash tests' store shape: immediate flush
-// windows (every fault point is deterministic), small row groups and
-// convert batches so the converter really runs during a short write
-// burst, and RCF7 parts on the given FS.
+// windows (every fault point is deterministic), small convert batches
+// so commits close converted ranges during a short write burst, and the
+// delta log on the given FS.
 func durableConfig(fs fault.FS, pol delta.SyncPolicy) Config {
-	return Config{
-		Window:       -1,
-		RCFile:       true,
-		GroupRows:    2048,
-		ConvertRows:  64,
-		ConvertEvery: 200 * time.Microsecond,
-		FS:           fs,
-		Sync:         pol,
-	}
+	return Config{Window: -1, ConvertRows: 64, FS: fs, Sync: pol}
 }
 
 // driveWriters replays held through store with 4 concurrent writers
@@ -95,14 +87,15 @@ func recoverAndPin(t *testing.T, fs fault.FS, pol delta.SyncPolicy, want string)
 	return openStats
 }
 
-// TestHtapCrashMatrix is the tentpole's proof: drive concurrent write
-// traffic (converter live) against a schedule of injected faults —
-// torn log appends, a failing fsync, a full disk, torn part writes,
-// and a no-fsync policy — "kill the process" at the injected point,
-// crash the file system, reopen, recover, re-append from the recovered
-// watermark, and require all 22 answers byte-identical to the golden
-// snapshot. Under the syncing policies, nothing acknowledged may be
-// lost.
+// TestHtapCrashMatrix drives concurrent write traffic (commits closing
+// converted ranges) against a schedule of injected faults — torn log
+// appends, a failing fsync, a full disk, and a no-fsync policy — "kills
+// the process" at the injected point, crashes the file system, reopens,
+// recovers, re-appends from the recovered watermark, and requires all
+// 22 answers byte-identical to the golden snapshot. Under the syncing
+// policies, nothing acknowledged may be lost. Every schedule that arms
+// a fault must fire it: the log is the only file, so all of its budget
+// lands on log traffic.
 func TestHtapCrashMatrix(t *testing.T) {
 	want := readGolden(t)
 	cases := []struct {
@@ -116,7 +109,6 @@ func TestHtapCrashMatrix(t *testing.T) {
 		{name: "append-torn", sched: fault.Schedule{Seed: 3, TornAppendAfter: 4096}, pol: delta.SyncGroup, ackDurable: true},
 		{name: "fsync-fail", sched: fault.Schedule{Seed: 5, SyncFailAt: 5}, pol: delta.SyncGroup, ackDurable: true},
 		{name: "enospc", sched: fault.Schedule{Seed: 7, DiskCap: 6000}, pol: delta.SyncGroup, ackDurable: true},
-		{name: "part-write-torn", sched: fault.Schedule{Seed: 9, TornPartAfter: 512}, pol: delta.SyncGroup, ackDurable: true},
 		{name: "sync-none-crash", sched: fault.Schedule{Seed: 11}, pol: delta.SyncNone, ackDurable: false},
 		{name: "always-torn", sched: fault.Schedule{Seed: 13, TornAppendAfter: 2048}, pol: delta.SyncAlways, ackDurable: true},
 	}
@@ -129,9 +121,11 @@ func TestHtapCrashMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			store.StartConverter()
 			acked := driveWriters(t, store, store.HeldRecords(), nil, true)
-			store.StopConverter()
+			armed := tc.sched != fault.Schedule{Seed: tc.sched.Seed}
+			if armed && len(inj.Faults()) == 0 {
+				t.Errorf("schedule %+v injected no fault", tc.sched)
+			}
 			// No Close: the "process" dies here with whatever the
 			// schedule let through; the machine crash tears every
 			// unsynced tail.
@@ -169,9 +163,14 @@ func TestHtapReopenEmptyLog(t *testing.T) {
 	})
 	t.Run("garbage-log", func(t *testing.T) {
 		memfs := fault.NewMemFS()
-		if err := fault.WriteFile(memfs, "delta.log", []byte("\xff\xfe\xfdnot a frame")); err != nil {
+		f, err := memfs.Open("delta.log")
+		if err != nil {
 			t.Fatal(err)
 		}
+		if _, err := f.Append([]byte("\xff\xfe\xfdnot a frame")); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
 		stats := recoverAndPin(t, memfs, delta.SyncGroup, want)
 		if stats.FramesReplayed != 0 {
 			t.Errorf("replayed %d frames from garbage", stats.FramesReplayed)
@@ -182,12 +181,18 @@ func TestHtapReopenEmptyLog(t *testing.T) {
 	})
 }
 
-// cleanDurableRun builds a fully-written, converted, closed store on fs
-// and pins its answers to the golden snapshot.
-func cleanDurableRun(t *testing.T, fs fault.FS, want string) {
-	t.Helper()
+// TestHtapRecoverFromTheLogAlone pins the durable store's one-file
+// contract: after writes, Quiesce, ConvertAll and Close — with RCFile
+// set, which selects nothing — the FS holds exactly delta.log, and a
+// reopen replays every held record from it and answers golden with no
+// re-append.
+func TestHtapRecoverFromTheLogAlone(t *testing.T) {
+	want := readGolden(t)
+	memfs := fault.NewMemFS()
+	cfg := durableConfig(memfs, delta.SyncGroup)
+	cfg.RCFile = true
 	db := goldenDB()
-	store, err := Open(db, testHold(), durableConfig(fs, delta.SyncGroup))
+	store, err := Open(db, testHold(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,99 +203,48 @@ func cleanDurableRun(t *testing.T, fs fault.FS, want string) {
 	if err := store.ConvertAll(); err != nil {
 		t.Fatal(err)
 	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names, _ := memfs.List(); !reflect.DeepEqual(names, []string{"delta.log"}) {
+		t.Fatalf("store files = %v, want only delta.log", names)
+	}
+
+	db = goldenDB()
+	store, err = Open(db, testHold(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := store.StatsNow().FramesReplayed, int64(len(store.HeldRecords())); got != want {
+		t.Errorf("replayed %d frames, want %d", got, want)
+	}
+	for table, n := range testHold() {
+		if got := store.NextPos(table); got != int64(n) {
+			t.Errorf("%s recovered to position %d, want %d", table, got, n)
+		}
+	}
+	if err := store.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
 	diffSnapshot(t, snapshotAnswers(db), want)
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestHtapRecoverHalfWrittenPart crashes "mid part write": a converted
-// part file survives only as a prefix. Recovery must quarantine it (the
-// footer cannot parse) and serve its rows from the replayed log — the
-// answers stay golden with no re-appends at all.
-func TestHtapRecoverHalfWrittenPart(t *testing.T) {
-	want := readGolden(t)
+// TestHtapLagIgnoresDuplicates re-appends every held record after a
+// reopen that already replayed them all. Each re-append commits and is
+// dropped as a duplicate, so once every position is converted the lag
+// must read 0, not the number of duplicates.
+func TestHtapLagIgnoresDuplicates(t *testing.T) {
 	memfs := fault.NewMemFS()
-	cleanDurableRun(t, memfs, want)
-	name := partName("lineitem", 0, testHold()["lineitem"])
-	data, err := memfs.ReadFile(name)
-	if err != nil {
-		t.Fatalf("expected part file %s: %v", name, err)
-	}
-	if err := fault.WriteFile(memfs, name, data[:len(data)/2]); err != nil {
-		t.Fatal(err)
-	}
-
-	db := goldenDB()
-	store, err := Open(db, testHold(), durableConfig(memfs, delta.SyncGroup))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := store.StatsNow()
-	if stats.PartsQuarantined < 1 {
-		t.Errorf("half-written part not quarantined: %+v", stats)
-	}
-	if stats.FramesReplayed != int64(len(store.HeldRecords())) {
-		t.Errorf("replayed %d frames, want %d", stats.FramesReplayed, len(store.HeldRecords()))
-	}
-	if err := store.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-	diffSnapshot(t, snapshotAnswers(db), want)
-	store.Close()
-}
-
-// TestHtapCorruptPartQuarantine flips one bit inside a persisted RCF7
-// part's chunk region. The footer still parses, but Open verifies every
-// chunk CRC before it adopts a part, so reopen quarantines (deletes)
-// the corrupt part and adopts only the intact one. Scans never read
-// parts, so the flipped bit cannot reach an answer: the replayed log
-// serves the rows and the answers are golden. A re-conversion then
-// checkpoints the range again, and a second reopen adopts both parts.
-func TestHtapCorruptPartQuarantine(t *testing.T) {
-	want := readGolden(t)
-	memfs := fault.NewMemFS()
-	cleanDurableRun(t, memfs, want)
-	name := partName("lineitem", 0, testHold()["lineitem"])
-	data, err := memfs.ReadFile(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), data...)
-	bad[20] ^= 0x10 // inside the first chunk, far from the footer
-	if err := fault.WriteFile(memfs, name, bad); err != nil {
-		t.Fatal(err)
-	}
-
-	db := goldenDB()
 	cfg := durableConfig(memfs, delta.SyncGroup)
-	store, err := Open(db, testHold(), cfg)
+	store, err := Open(goldenDB(), testHold(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := store.StatsNow()
-	if stats.PartsRecovered != 1 {
-		t.Errorf("recovered %d parts, want only the intact orders part", stats.PartsRecovered)
-	}
-	if stats.PartsQuarantined < 1 || stats.CorruptChunks < 1 {
-		t.Errorf("corrupt part not caught at Open: %+v", stats)
-	}
-	if _, err := memfs.ReadFile(name); err == nil {
-		t.Errorf("quarantined part %s is still on disk", name)
-	}
-	diffSnapshot(t, snapshotAnswers(db), want)
-
-	// The converter re-persists the dropped range; answers hold.
-	if err := store.ConvertAll(); err != nil {
-		t.Fatal(err)
-	}
-	if lag := store.StatsNow().LagRecords; lag != 0 {
-		t.Errorf("lag = %d after re-conversion", lag)
-	}
-	if _, err := memfs.ReadFile(name); err != nil {
-		t.Errorf("range not re-persisted as %s: %v", name, err)
-	}
-	diffSnapshot(t, snapshotAnswers(db), want)
+	held := store.HeldRecords()
+	driveWriters(t, store, held, nil, false)
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -299,136 +253,23 @@ func TestHtapCorruptPartQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats := store.StatsNow(); stats.PartsRecovered != 2 || stats.PartsQuarantined != 0 {
-		t.Errorf("second reopen: recovered %d, quarantined %d parts, want 2 and 0", stats.PartsRecovered, stats.PartsQuarantined)
-	}
-	store.Close()
-}
-
-// TestHtapRecoverRCF6Part is the format upgrade: a store reopened over
-// a directory whose part an RCF6 writer left behind. The part carries the
-// retired magic, which is the first thing a parse checks, so Open
-// quarantines it (and only it), the replayed log serves its rows, and
-// the converter rebuilds it as RCF7 — golden answers throughout.
-func TestHtapRecoverRCF6Part(t *testing.T) {
-	want := readGolden(t)
-	dir, err := fault.NewDirFS(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanDurableRun(t, dir, want)
-	name := partName("lineitem", 0, testHold()["lineitem"])
-	data, err := dir.ReadFile(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fault.WriteFile(dir, name, append([]byte("RCF6"), data[4:]...)); err != nil {
-		t.Fatal(err)
-	}
-
-	db := goldenDB()
-	store, err := Open(db, testHold(), durableConfig(dir, delta.SyncGroup))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := store.StatsNow().PartsQuarantined; got != 1 {
-		t.Errorf("quarantined %d parts, want the RCF6 one", got)
-	}
-	if _, err := dir.ReadFile(name); err == nil {
-		t.Errorf("quarantined part %s is still on disk", name)
-	}
+	driveWriters(t, store, held, nil, false)
 	if err := store.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	diffSnapshot(t, snapshotAnswers(db), want)
 	if err := store.ConvertAll(); err != nil {
 		t.Fatal(err)
 	}
-	if lag := store.StatsNow().LagRecords; lag != 0 {
-		t.Errorf("lag = %d after re-conversion", lag)
+	st := store.StatsNow()
+	if st.DuplicateRecords != int64(len(held)) {
+		t.Errorf("duplicates = %d, want %d", st.DuplicateRecords, len(held))
 	}
-	rebuilt, err := dir.ReadFile(name)
-	if err != nil || string(rebuilt[:4]) != "RCF7" {
-		t.Errorf("part %s not rebuilt as RCF7 (%v)", name, err)
+	if st.LagRecords != 0 {
+		t.Errorf("lag = %d after re-appending %d duplicates and converting, want 0", st.LagRecords, len(held))
 	}
-	diffSnapshot(t, snapshotAnswers(db), want)
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestHtapCorruptFooterQuarantine flips one bit in a persisted part's
-// footer — a zone map bound, which no chunk CRC covers: the trailer CRC
-// makes the part fail to parse, so reopen quarantines it instead of
-// adopting a footer that would prune the wrong row groups, the replayed
-// log serves its rows, and the answers are golden before and after the
-// converter rebuilds the part.
-func TestHtapCorruptFooterQuarantine(t *testing.T) {
-	want := readGolden(t)
-	memfs := fault.NewMemFS()
-	cleanDurableRun(t, memfs, want)
-	name := partName("lineitem", 0, testHold()["lineitem"])
-	data, err := memfs.ReadFile(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), data...)
-	bad[len(bad)-20] ^= 0x04 // in the last group's zone maps, ahead of the 8-byte trailer
-	if err := fault.WriteFile(memfs, name, bad); err != nil {
-		t.Fatal(err)
-	}
-
-	db := goldenDB()
-	store, err := Open(db, testHold(), durableConfig(memfs, delta.SyncGroup))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats := store.StatsNow(); stats.PartsQuarantined < 1 {
-		t.Errorf("part with a damaged footer not quarantined: %+v", stats)
-	}
-	if err := store.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-	diffSnapshot(t, snapshotAnswers(db), want)
-	if err := store.ConvertAll(); err != nil {
-		t.Fatal(err)
-	}
-	if lag := store.StatsNow().LagRecords; lag != 0 {
-		t.Errorf("lag = %d after re-conversion", lag)
-	}
-	diffSnapshot(t, snapshotAnswers(db), want)
-	store.Close()
-}
-
-// TestHtapConverterRetriesTransientFaults pins the backoff path: the
-// first part writes fail with a transient error, the converter retries
-// with exponential backoff, and conversion eventually lands with the
-// retries counted.
-func TestHtapConverterRetriesTransientFaults(t *testing.T) {
-	want := readGolden(t)
-	db := goldenDB()
-	memfs := fault.NewMemFS()
-	inj := fault.NewInjector(memfs, fault.Schedule{Seed: 1, TransientPartFails: 2})
-	store, err := Open(db, testHold(), durableConfig(inj, delta.SyncGroup))
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveWriters(t, store, store.HeldRecords(), nil, false)
-	if err := store.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.ConvertAll(); err != nil {
-		t.Fatalf("ConvertAll should absorb transient faults: %v", err)
-	}
-	stats := store.StatsNow()
-	if stats.ConverterRetries < 2 {
-		t.Errorf("retries = %d, want >= 2", stats.ConverterRetries)
-	}
-	if stats.LagRecords != 0 {
-		t.Errorf("lag = %d after ConvertAll", stats.LagRecords)
-	}
-	diffSnapshot(t, snapshotAnswers(db), want)
-	store.Close()
 }
 
 // BenchmarkRecovery measures Open's replay-into-views cost against log

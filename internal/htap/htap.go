@@ -8,35 +8,32 @@
 // write and the scan.
 //
 //	writers ──AppendBSON──▶ delta.Log ──commit──▶ replica (append) ──▶ prefix view ──▶ scans
-//	                                                  └──converter──▶ RCF7 checkpoint (with FS)
+//	                           │                      └─ every ConvertRows records: close a converted range
+//	                           └─(with FS)─▶ delta.log, the store's only file
 //
 // Commit order interleaves writers and tables arbitrarily, but each
 // record carries its per-table position: the apply side holds
 // out-of-order records in a reorder buffer and appends only the
 // contiguous prefix to the replica, so a quiesced view reproduces the
 // original table byte-for-byte — which is what lets the golden
-// snapshot pin quiesced HTAP answers.
+// snapshot pin quiesced HTAP answers. Once a table's tail reaches
+// Config.ConvertRows records, the commit that filled it closes it into
+// a converted range: a segment whose scan model a scan memoizes, so no
+// scan computes zone maps over the whole table.
 //
 // With a Config.FS the store is durable and crash-recoverable: the
 // delta log appends through the fault layer (fsync policy per
-// Config.Sync), the converter checkpoints converted ranges as RCF7 part
-// files (with Config.RCFile), and Open replays the surviving log bytes
-// through the same reorder buffer to rebuild the replica, then
-// re-adopts the contiguous prefix of part files that verify — footer
-// and every chunk CRC. Records the log recovered but the driver
-// re-appends are deduplicated by per-table position, so replay plus a
-// resume-from-NextPos driver is idempotent. A part that fails
-// verification is quarantined at Open and the converter rebuilds it;
-// scans never read parts, so a corrupt part can cost a re-conversion,
-// never a wrong answer.
+// Config.Sync) into "delta.log", and Open replays the surviving log
+// bytes through the same reorder buffer to rebuild the replica. The
+// log is the only copy on disk: nothing else is written, so nothing
+// else can be torn or corrupt. Records the log recovered but the
+// driver re-appends are deduplicated by per-table position, so replay
+// plus a resume-from-NextPos driver is idempotent.
 package htap
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,41 +51,29 @@ type Config struct {
 	// Window is the delta log's group-commit window (0 = the delta
 	// default; negative = flush immediately, for deterministic tests).
 	Window time.Duration
-	// RCFile, with an FS, checkpoints each converted range as an RCF7
-	// part file that Open re-adopts. Scans serve the in-memory replica
-	// in both modes and never read a part; without an FS nothing is
-	// encoded.
-	RCFile bool
-	// GroupRows is the RCF7 row-group size of checkpoints (0 = 4096).
-	GroupRows int
-	// Cache is not read by htap: scans decode no part, so no chunk
-	// enters it.
-	Cache *rcfile.ChunkCache
-	// ConvertRows is the tail size at which the background converter
-	// converts a table's tail into a part (0 = 4096).
+	// ConvertRows is the tail size at which a commit closes a table's
+	// tail into a converted range (0 = 4096).
 	ConvertRows int
-	// ConvertEvery is the background converter's poll interval
-	// (0 = 2ms).
-	ConvertEvery time.Duration
 	// FS, when non-nil, makes the store durable: the delta log lives in
-	// "delta.log" and (with RCFile) converted ranges persist as
-	// "<table>-<start>-<rows>.part" files. Open replays whatever the FS
-	// holds. Wrap the FS in a fault.Injector to test crash schedules.
+	// "delta.log", the only file the store writes, and Open replays
+	// whatever it holds. Wrap the FS in a fault.Injector to test crash
+	// schedules.
 	FS fault.FS
 	// Sync is the delta log's fsync policy (SyncGroup default). Used
 	// with FS.
 	Sync delta.SyncPolicy
+
+	// RCFile, GroupRows and Cache select nothing: the store writes no
+	// file but the delta log and scans decode no RCF7 chunk. They
+	// remain so that the benchmark's configurations still compile.
+	RCFile    bool
+	GroupRows int
+	Cache     *rcfile.ChunkCache
 }
 
 func (c Config) withDefaults() Config {
-	if c.GroupRows <= 0 {
-		c.GroupRows = 4096
-	}
 	if c.ConvertRows <= 0 {
 		c.ConvertRows = 4096
-	}
-	if c.ConvertEvery <= 0 {
-		c.ConvertEvery = 2 * time.Millisecond
 	}
 	return c
 }
@@ -99,7 +84,7 @@ func (c Config) withDefaults() Config {
 // base prefix and of each converted range, in row order (a scan's stats
 // sum their memoized zone maps); tail counts the published rows past
 // the last converted range. Scans load the pointer once, so a scan
-// always sees a consistent snapshot; installs swap the whole view under
+// always sees a consistent snapshot; commits swap the whole view under
 // the table mutex.
 type tableView struct {
 	t    *relal.Table
@@ -116,8 +101,8 @@ type tableState struct {
 	schema   relal.Schema
 	baseRows int // replica row baseRows+p holds per-table position p
 
-	// mu serializes replica appends and view installs (commit applies
-	// and conversions). Scans never take it — they load view atomically.
+	// mu serializes replica appends, closes and view installs. Scans
+	// never take it — they load view atomically.
 	mu   sync.Mutex
 	view atomic.Pointer[tableView]
 
@@ -131,7 +116,11 @@ type tableState struct {
 	// into raw strings once. Guarded by mu.
 	cols    []*relal.Vector
 	capRows int
-	// converted is how many published records converted parts cover.
+	// segs are the scan models of the base prefix and of each converted
+	// range, append-only like cols: a view holds a capped prefix of it.
+	// converted is how many published records the converted ranges
+	// cover. Guarded by mu.
+	segs      []*relal.TableSource
 	converted int
 
 	// nextPos/pending are the reorder buffer: committed records arrive
@@ -149,14 +138,25 @@ func (st *tableState) rows(lo, hi int) *relal.Table {
 	return relal.NewTable(st.name, st.schema, window(st.cols, lo, hi)...)
 }
 
-// publish installs a view over the replica's published rows with the
-// given segments. Caller holds st.mu.
-func (st *tableState) publish(segs []*relal.TableSource) {
+// publish installs a view over the replica's published rows and its
+// segments. Caller holds st.mu.
+func (st *tableState) publish() {
 	st.view.Store(&tableView{
 		t:    st.rows(0, st.baseRows+int(st.nextPos)),
-		segs: segs,
+		segs: st.segs[:len(st.segs):len(st.segs)],
 		tail: int(st.nextPos) - st.converted,
 	})
+}
+
+// closeRange closes the tail's first rows records into a converted
+// range. The range's scan model computes its zone maps on the first
+// scan, so a close costs O(columns) — cheap enough for the commit hook,
+// which runs under the delta log's mutex. Caller holds st.mu and
+// publishes afterwards.
+func (st *tableState) closeRange(rows int) {
+	lo := st.baseRows + st.converted
+	st.segs = append(st.segs, relal.NewTableSource(st.rows(lo, lo+rows)))
+	st.converted += rows
 }
 
 // push appends one published record's cells to the replica. Caller
@@ -197,24 +197,17 @@ func grow[T any](xs []T, capRows int, x T) []T {
 type Store struct {
 	cfg Config
 	log *delta.Log
-	fs  fault.FS // nil for the in-memory store
 
 	tables map[string]*tableState
 	held   []delta.Record // the held-back rows, as replayable write ops
 
 	applied   atomic.Int64 // records published to views
-	converted atomic.Int64 // records covered by converted parts
-	converts  atomic.Int64 // conversion batches
+	converted atomic.Int64 // records covered by converted ranges
+	converts  atomic.Int64 // converted ranges closed
 
-	// Robustness accounting (recovery, retries, corruption); StatsNow
-	// reports each under the Stats field of the same name.
-	framesReplayed, truncatedBytes      atomic.Int64
-	converterRetries, backoffMaxReached atomic.Int64
-	corruptChunks, partsQuarantined     atomic.Int64
-	partsRecovered, duplicateRecords    atomic.Int64
-
-	convStop chan struct{}
-	convDone chan struct{}
+	// Recovery and dedup accounting; StatsNow reports each under the
+	// Stats field of the same name.
+	framesReplayed, truncatedBytes, duplicateRecords atomic.Int64
 }
 
 // New builds an in-memory (or fresh durable) store over db, holding
@@ -231,13 +224,10 @@ func New(db *tpch.DB, hold map[string]int, cfg Config) (*Store, error) {
 // Open builds the store and, when Config.FS is set, recovers whatever a
 // previous incarnation left there: it replays the delta log's durable
 // bytes through the reorder buffer (truncating any torn tail off the
-// file), rebuilds the replicas, and re-adopts the contiguous verified
-// prefix of converted part files — any part that is torn, unparseable,
-// fails a chunk CRC, or is out of range is quarantined and deleted, its
-// rows left in the tail until the converter rebuilds it.
+// file) and so rebuilds the replicas and their converted ranges.
 func Open(db *tpch.DB, hold map[string]int, cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
-	s := &Store{cfg: cfg, fs: cfg.FS, tables: make(map[string]*tableState)}
+	s := &Store{cfg: cfg, tables: make(map[string]*tableState)}
 
 	names := make([]string, 0, len(hold))
 	for _, name := range tpch.TableNames {
@@ -261,15 +251,15 @@ func Open(db *tpch.DB, hold map[string]int, cfg Config) (*Store, error) {
 			capRows:  n,
 			pending:  make(map[int64]delta.Record),
 		}
-		head := st.rows(0, n-k)
-		st.view.Store(&tableView{t: head, segs: []*relal.TableSource{relal.NewTableSource(head)}})
+		st.segs = []*relal.TableSource{relal.NewTableSource(st.rows(0, n-k))}
+		st.publish()
 		s.tables[name] = st
 		perTable[name] = recordsOf(base, n-k, n)
 		db.SetSource(name, st)
 	}
 	s.held = interleave(names, perTable)
 
-	if s.fs == nil {
+	if cfg.FS == nil {
 		s.log = delta.NewLog(cfg.Window, s.onCommit)
 		return s, nil
 	}
@@ -279,11 +269,10 @@ func Open(db *tpch.DB, hold map[string]int, cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// recover opens the durable delta log, replays it into the reorder
-// buffers, and reconciles persisted part files against the replayed
-// records.
+// recover opens the durable delta log and replays it into the reorder
+// buffers.
 func (s *Store) recover() error {
-	f, err := s.fs.Open("delta.log")
+	f, err := s.cfg.FS.Open("delta.log")
 	if err != nil {
 		return fmt.Errorf("htap: open delta log: %w", err)
 	}
@@ -300,103 +289,9 @@ func (s *Store) recover() error {
 	s.framesReplayed.Add(int64(len(recovered)))
 	s.truncatedBytes.Add(truncated)
 	// Replay through the same apply path commits use — same reorder
-	// buffer, same dedup, same publish.
+	// buffer, same dedup, same publish, same closes.
 	s.applyBatch(recovered)
-
-	return s.recoverParts()
-}
-
-// recoverParts re-adopts persisted part files. Per table, candidate
-// files sort by record range and the longest contiguous prefix that
-// verifies — footer and every chunk CRC, read without a cache — and
-// stays within the replayed records is installed; everything else —
-// torn or corrupt files, ranges past what the log recovered, parts
-// shadowed by a broken predecessor — is quarantined (deleted) and left
-// for the converter to rebuild. Without RCFile nothing checkpoints, so
-// any *.part files on the FS are stale and removed.
-func (s *Store) recoverParts() error {
-	names, err := s.fs.List()
-	if err != nil {
-		return fmt.Errorf("htap: list parts: %w", err)
-	}
-	type cand struct {
-		file        string
-		start, rows int
-	}
-	byTable := make(map[string][]cand)
-	for _, name := range names {
-		table, start, rows, ok := parsePartName(name)
-		if !ok {
-			continue
-		}
-		if !s.cfg.RCFile || s.tables[table] == nil {
-			s.fs.Remove(name)
-			continue
-		}
-		byTable[table] = append(byTable[table], cand{file: name, start: start, rows: rows})
-	}
-	for table, cands := range byTable {
-		st := s.tables[table]
-		sort.Slice(cands, func(i, j int) bool { return cands[i].start < cands[j].start })
-		st.mu.Lock()
-		covered := 0
-		segs := st.view.Load().segs[:1:1] // base
-		broken := false
-		for _, c := range cands {
-			if broken || c.start != covered || c.start+c.rows > int(st.nextPos) || !s.verifyPart(st, c.file) {
-				s.fs.Remove(c.file)
-				s.partsQuarantined.Add(1)
-				broken = true // contiguity is gone; later parts can't install
-				continue
-			}
-			lo := st.baseRows + c.start
-			segs = append(segs, relal.NewTableSource(st.rows(lo, lo+c.rows)))
-			covered = c.start + c.rows
-			s.partsRecovered.Add(1)
-			s.converted.Add(int64(c.rows))
-			s.converts.Add(1)
-		}
-		st.converted = covered
-		st.publish(segs)
-		st.mu.Unlock()
-	}
 	return nil
-}
-
-// verifyPart reports whether a part file reads back whole: its footer
-// parses and every chunk's CRC matches. Chunk CRC failures count
-// toward CorruptChunks.
-func (s *Store) verifyPart(st *tableState, file string) bool {
-	data, err := s.fs.ReadFile(file)
-	if err != nil {
-		return false
-	}
-	_, stats, err := rcfile.ReadCols(data, st.schema, st.name, nil, nil)
-	s.corruptChunks.Add(int64(stats.CorruptChunks))
-	return err == nil
-}
-
-// partName formats a converted part's file name; parsePartName inverts
-// it. Table names contain no "-", so the split is unambiguous.
-func partName(table string, start, rows int) string {
-	return fmt.Sprintf("%s-%d-%d.part", table, start, rows)
-}
-
-func parsePartName(name string) (table string, start, rows int, ok bool) {
-	base, found := strings.CutSuffix(name, ".part")
-	if !found {
-		return "", 0, 0, false
-	}
-	fields := strings.Split(base, "-")
-	if len(fields) != 3 {
-		return "", 0, 0, false
-	}
-	start, err1 := strconv.Atoi(fields[1])
-	rows, err2 := strconv.Atoi(fields[2])
-	if err1 != nil || err2 != nil || start < 0 || rows <= 0 {
-		return "", 0, 0, false
-	}
-	return fields[0], start, rows, true
 }
 
 // recordsOf extracts rows [lo, hi) of t as delta records, positions
@@ -459,21 +354,21 @@ func (s *Store) HeldRecords() []delta.Record { return s.held }
 func (s *Store) Log() *delta.Log { return s.log }
 
 // onCommit is the delta log's commit hook: it files each committed
-// record into its table's reorder buffer and publishes the contiguous
-// prefix to a fresh view. Runs with the log mutex held — batches
-// apply in commit order, exactly once.
+// record into its table's reorder buffer, publishes the contiguous
+// prefix to a fresh view, and closes full tails. Runs with the log
+// mutex held — batches apply in commit order, exactly once.
 func (s *Store) onCommit(batch []delta.Record, from, to int64) {
 	s.applyBatch(batch)
 }
 
 // applyBatch runs committed (or recovered) records through the reorder
-// buffers, appends contiguous prefixes to the replicas, and publishes
-// them. Every record is disposed
-// exactly once toward the applied counter — published, dropped as an
-// already-published duplicate, or displaced from pending by a
-// re-delivery of the same position — so `applied == committed` still
-// balances after a recovery followed by a driver re-appending from
-// NextPos.
+// buffers, appends contiguous prefixes to the replicas, closes each
+// ConvertRows records of tail into a converted range, and publishes.
+// Every record is disposed exactly once toward the applied counter —
+// published, dropped as an already-published duplicate, or displaced
+// from pending by a re-delivery of the same position — so `applied ==
+// committed` still balances after a recovery followed by a driver
+// re-appending from NextPos.
 func (s *Store) applyBatch(batch []delta.Record) {
 	for i := 0; i < len(batch); {
 		name := batch[i].Table
@@ -509,7 +404,14 @@ func (s *Store) applyBatch(batch []delta.Record) {
 			published++
 		}
 		if published > 0 {
-			st.publish(st.view.Load().segs)
+			closed := 0
+			for int(st.nextPos)-st.converted >= s.cfg.ConvertRows {
+				st.closeRange(s.cfg.ConvertRows)
+				closed++
+			}
+			st.publish()
+			s.converted.Add(int64(closed * s.cfg.ConvertRows))
+			s.converts.Add(int64(closed))
 		}
 		s.applied.Add(published + dups)
 		if dups > 0 {
@@ -637,158 +539,34 @@ func (s *Store) AppendBSON(table string, pos int64, data []byte) (int64, error) 
 	return s.AppendDoc(table, pos, doc)
 }
 
-// StartConverter launches the background converter: every ConvertEvery
-// it converts any table whose tail has reached ConvertRows records into
-// a new part. A table whose conversion fails (a transient
-// part-write error, say) backs off exponentially with seeded jitter —
-// doubling from ConvertEvery up to 64× — so a struggling disk isn't
-// hammered every tick, while healthy tables keep converting on
-// schedule.
-func (s *Store) StartConverter() {
-	if s.convStop != nil {
-		return
-	}
-	s.convStop = make(chan struct{})
-	s.convDone = make(chan struct{})
-	go func() {
-		defer close(s.convDone)
-		ticker := time.NewTicker(s.cfg.ConvertEvery)
-		defer ticker.Stop()
-		rng := rand.New(rand.NewSource(1))
-		backoff := make(map[string]time.Duration) // current backoff per failing table
-		wait := make(map[string]time.Duration)    // remaining cool-down per failing table
-		saturated := make(map[string]bool)        // tables whose backoff hit the cap this episode
-		for {
-			select {
-			case <-s.convStop:
-				return
-			case <-ticker.C:
-				for _, name := range tpch.TableNames {
-					st := s.tables[name]
-					if st == nil {
-						continue
-					}
-					if w := wait[name]; w > 0 {
-						wait[name] = w - s.cfg.ConvertEvery
-						continue
-					}
-					if err := s.convertTable(st, s.cfg.ConvertRows); err != nil {
-						s.converterRetries.Add(1)
-						b := backoff[name]
-						if b == 0 {
-							b = s.cfg.ConvertEvery
-						}
-						b *= 2
-						if max := 64 * s.cfg.ConvertEvery; b >= max {
-							b = max
-							// The backoff is now pinned at its bound — count the
-							// saturation once per failure episode so operators can
-							// tell "retried a few times" from "stuck for a while".
-							if !saturated[name] {
-								saturated[name] = true
-								s.backoffMaxReached.Add(1)
-							}
-						}
-						backoff[name] = b
-						wait[name] = b + time.Duration(rng.Int63n(int64(b/2)+1))
-					} else {
-						delete(backoff, name)
-						delete(wait, name)
-						delete(saturated, name)
-					}
-				}
-			}
-		}
-	}()
-}
+// StartConverter does nothing: the commit that fills a tail closes
+// it, so no background goroutine converts. StartConverter and
+// StopConverter remain for callers written against that converter.
+func (s *Store) StartConverter() {}
 
-// StopConverter halts the background converter and waits for it.
-func (s *Store) StopConverter() {
-	if s.convStop == nil {
-		return
-	}
-	close(s.convStop)
-	<-s.convDone
-	s.convStop, s.convDone = nil, nil
-}
+// StopConverter does nothing; see StartConverter.
+func (s *Store) StopConverter() {}
 
-// ConvertAll synchronously converts every non-empty tail, regardless of
-// batch size, retrying each table a bounded number of times so a
-// scheduled run of transient faults doesn't strand a tail. After
-// Quiesce + ConvertAll, every written row lies in a converted part.
+// ConvertAll closes every non-empty tail into a converted range,
+// regardless of size. After Quiesce + ConvertAll, every written row lies
+// in a converted range. A close does no IO, so the error is always nil.
 func (s *Store) ConvertAll() error {
-	for _, name := range tpch.TableNames {
-		st := s.tables[name]
-		if st == nil {
-			continue
+	for _, st := range s.tables {
+		st.mu.Lock()
+		if rows := int(st.nextPos) - st.converted; rows > 0 {
+			st.closeRange(rows)
+			st.publish()
+			s.converted.Add(int64(rows))
+			s.converts.Add(1)
 		}
-		var err error
-		for attempt := 0; attempt < 8; attempt++ {
-			if err = s.convertTable(st, 1); err == nil {
-				break
-			}
-			s.converterRetries.Add(1)
-		}
-		if err != nil {
-			return err
-		}
+		st.mu.Unlock()
 	}
 	return nil
 }
 
-// convertTable turns the tail — records [st.converted, st.nextPos) —
-// into a converted range when it holds at least minRows records: the
-// range gets its own scan-model segment, and with RCFile and an FS its
-// rows are also checkpointed as an RCF7 part file. The encode runs
-// outside st.mu (commits must not stall behind it); the install
-// re-checks that no competing convert moved the watermark meanwhile, in
-// which case the built range is discarded. The new view's tail drops
-// the converted range.
-func (s *Store) convertTable(st *tableState, minRows int) error {
-	st.mu.Lock()
-	start, rows := st.converted, int(st.nextPos)-st.converted
-	if rows < minRows {
-		st.mu.Unlock()
-		return nil
-	}
-	t := st.rows(st.baseRows+start, st.baseRows+start+rows)
-	st.mu.Unlock()
-
-	file := ""
-	if s.cfg.RCFile && s.fs != nil {
-		data, err := rcfile.NewWriter(s.cfg.GroupRows).Write(t)
-		if err != nil {
-			return fmt.Errorf("htap: convert %s: %w", st.name, err)
-		}
-		file = partName(st.name, start, rows)
-		if err := fault.WriteFile(s.fs, file, data); err != nil {
-			s.fs.Remove(file)
-			return fmt.Errorf("htap: persist %s: %w", file, err)
-		}
-	}
-
-	st.mu.Lock()
-	if st.converted != start {
-		st.mu.Unlock()
-		if file != "" {
-			s.fs.Remove(file)
-		}
-		return nil
-	}
-	segs := st.view.Load().segs
-	st.converted = start + rows
-	st.publish(append(segs[:len(segs):len(segs)], relal.NewTableSource(t)))
-	st.mu.Unlock()
-	s.converted.Add(int64(rows))
-	s.converts.Add(1)
-	return nil
-}
-
-// Close stops the converter and closes the delta log (quiesce, final
-// fsync, file close). The store must not be used afterwards; reopen
-// with Open over the same FS.
+// Close closes the delta log (quiesce, final fsync, file close). The
+// store must not be used afterwards; reopen with Open over the same FS.
 func (s *Store) Close() error {
-	s.StopConverter()
 	return s.log.Close()
 }
 
@@ -817,36 +595,26 @@ type Stats struct {
 	CommittedRecords int64
 	// AppliedRecords is how many of those scans can see.
 	AppliedRecords int64
-	// ConvertedRecords is how many converted parts cover.
+	// ConvertedRecords is how many converted ranges cover.
 	ConvertedRecords int64
-	// Converts is the number of conversion batches.
+	// Converts is the number of converted ranges closed.
 	Converts int64
 	// Flushes is the number of physical delta-log flushes.
 	Flushes int64
-	// LagRecords is CommittedRecords - ConvertedRecords: the lag, in
-	// records, between the write watermark and the converted ranges.
+	// LagRecords is CommittedRecords - DuplicateRecords -
+	// ConvertedRecords: the committed records, each position counted
+	// once, that no converted range covers yet.
 	LagRecords int64
 
-	// Robustness accounting.
+	// Recovery accounting.
 
 	// FramesReplayed is how many records Open recovered from the
 	// durable log; TruncatedBytes is the torn tail it discarded.
 	FramesReplayed int64
 	TruncatedBytes int64
-	// ConverterRetries counts conversion attempts that failed and were
-	// retried (backoff in the background converter, bounded retry in
-	// ConvertAll). BackoffMaxReached counts failure episodes whose
-	// backoff saturated at the 64× ConvertEvery cap — the "converter is
-	// stuck, not just unlucky" signal.
-	ConverterRetries  int64
-	BackoffMaxReached int64
-	// CorruptChunks counts chunk CRC failures Open found while
-	// verifying part files; PartsQuarantined counts part files Open
-	// dropped (torn, corrupt, out of range, or behind a dropped one)
-	// and PartsRecovered counts part files it re-adopted.
-	CorruptChunks    int64
-	PartsQuarantined int64
-	PartsRecovered   int64
+	// PartsRecovered is always 0: the store writes no part file. It
+	// remains for the benchmark's htap.parts_recovered metric.
+	PartsRecovered int64
 	// DuplicateRecords counts committed records dropped by position
 	// dedup — a driver re-appending rows the recovered log already
 	// held.
@@ -855,22 +623,19 @@ type Stats struct {
 
 // StatsNow samples the store. Safe from any goroutine.
 func (s *Store) StatsNow() Stats {
+	// Read the apply-side counters before the log's watermark, which
+	// they never run ahead of, so the lag never reads negative.
+	converted, dups := s.converted.Load(), s.duplicateRecords.Load()
 	committed, flushes := s.log.Stats()
-	converted := s.converted.Load()
 	return Stats{
-		CommittedRecords:  committed,
-		AppliedRecords:    s.applied.Load(),
-		ConvertedRecords:  converted,
-		Converts:          s.converts.Load(),
-		Flushes:           flushes,
-		LagRecords:        committed - converted,
-		FramesReplayed:    s.framesReplayed.Load(),
-		TruncatedBytes:    s.truncatedBytes.Load(),
-		ConverterRetries:  s.converterRetries.Load(),
-		BackoffMaxReached: s.backoffMaxReached.Load(),
-		CorruptChunks:     s.corruptChunks.Load(),
-		PartsQuarantined:  s.partsQuarantined.Load(),
-		PartsRecovered:    s.partsRecovered.Load(),
-		DuplicateRecords:  s.duplicateRecords.Load(),
+		CommittedRecords: committed,
+		AppliedRecords:   s.applied.Load(),
+		ConvertedRecords: converted,
+		Converts:         s.converts.Load(),
+		Flushes:          flushes,
+		LagRecords:       committed - dups - converted,
+		FramesReplayed:   s.framesReplayed.Load(),
+		TruncatedBytes:   s.truncatedBytes.Load(),
+		DuplicateRecords: dups,
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"elephants/internal/delta"
 	"elephants/internal/docstore"
-	"elephants/internal/fault"
 	"elephants/internal/relal"
 	"elephants/internal/tpch"
 )
@@ -67,13 +66,12 @@ func testHold() map[string]int {
 // through the delta write path, quiesce, and require all 22 query
 // answers byte-identical to the committed golden snapshot — with the
 // replayed rows served from the unconverted delta tail and again after
-// conversion into column-group parts, over both storage modes.
+// ConvertAll closes them into converted ranges.
 func TestHtapGoldenQuiesced(t *testing.T) {
 	want := readGolden(t)
 	for _, rcf := range []bool{false, true} {
 		for _, convert := range []bool{false, true} {
-			name := fmt.Sprintf("rcfile=%v/converted=%v", rcf, convert)
-			t.Run(name, func(t *testing.T) {
+			t.Run(fmt.Sprintf("rcfile=%v/converted=%v", rcf, convert), func(t *testing.T) {
 				db := goldenDB()
 				store, err := New(db, testHold(), Config{Window: -1, RCFile: rcf})
 				if err != nil {
@@ -105,11 +103,57 @@ func TestHtapGoldenQuiesced(t *testing.T) {
 	}
 }
 
+// TestHtapCommitClosesTail pins the close rule: with ConvertRows k and
+// no ConvertAll, the commits themselves close each table's tail every k
+// records, so after n appends to a table its converted ranges cover
+// k·⌊n/k⌋ records — checked halfway and at the end — and the answers
+// over base, closed ranges and tail stay golden.
+func TestHtapCommitClosesTail(t *testing.T) {
+	const k = 64
+	want := readGolden(t)
+	db := goldenDB()
+	store, err := New(db, testHold(), Config{Window: -1, ConvertRows: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := store.HeldRecords()
+	check := func(stage string) {
+		t.Helper()
+		var converted, converts int64
+		for name, st := range store.tables {
+			st.mu.Lock()
+			n, got := int(st.nextPos), st.converted
+			st.mu.Unlock()
+			if got != k*(n/k) {
+				t.Errorf("%s: %s converted %d of %d records, want %d", stage, name, got, n, k*(n/k))
+			}
+			converted += int64(k * (n / k))
+			converts += int64(n / k)
+		}
+		if st := store.StatsNow(); st.ConvertedRecords != converted || st.Converts != converts {
+			t.Errorf("%s: stats converted %d in %d ranges, want %d in %d", stage, st.ConvertedRecords, st.Converts, converted, converts)
+		}
+	}
+	for i, r := range held {
+		if _, err := store.AppendRecord(r); err != nil {
+			t.Fatal(err)
+		}
+		if i == len(held)/2 {
+			check("halfway")
+		}
+	}
+	if err := store.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	check("end")
+	diffSnapshot(t, snapshotAnswers(db), want)
+}
+
 // writeHeld replays every held record through the BSON wire path —
 // record → doc → BSON bytes → unmarshal → append — from writers
 // goroutines that claim records off an atomic cursor, beside
 // tpch.RunStreams over the same DB, while one goroutine polls StatsNow
-// so -race sees stats sampling against writes, converter and scans. It
+// so -race sees stats sampling against writes, closes and scans. It
 // returns how many writes were issued and how many failed.
 func writeHeld(store *Store, db *tpch.DB, writers int, streams tpch.StreamConfig) (ops, errs int64) {
 	held := store.HeldRecords()
@@ -178,26 +222,30 @@ func TestHtapGoldenBSONPath(t *testing.T) {
 
 // TestHtapHarnessCombined is the capstone: concurrent write clients
 // feed the delta log (group-commit windows live) while analytical
-// streams run and the background converter drains tails — then the
-// store quiesces, converts, and the answers still pin the golden
-// snapshot. Run under -race this exercises every cross-goroutine edge:
-// commit applies vs scans, converter vs scans, stats sampling vs all.
+// streams run and commits close full tails into converted ranges —
+// then the store quiesces, converts, and the answers still pin the
+// golden snapshot. Run under -race this exercises every cross-goroutine
+// edge: commit applies and closes vs scans, stats sampling vs all.
 func TestHtapHarnessCombined(t *testing.T) {
+	const k = 64
 	want := readGolden(t)
 	db := goldenDB()
-	store, err := New(db, testHold(), Config{
-		Window:       100 * time.Microsecond,
-		ConvertRows:  64,
-		ConvertEvery: time.Millisecond,
-	})
+	store, err := New(db, testHold(), Config{Window: 100 * time.Microsecond, ConvertRows: k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.StartConverter()
 	ops, errs := writeHeld(store, db, 8, tpch.StreamConfig{Streams: 2, Rounds: 2})
-	store.StopConverter()
 	if err := store.Quiesce(); err != nil {
 		t.Fatal(err)
+	}
+	// Whatever order the commits arrived in, the closes leave each
+	// table less than k records of tail.
+	closed := int64(0)
+	for _, n := range testHold() {
+		closed += int64(k * (n / k))
+	}
+	if got := store.StatsNow().ConvertedRecords; got != closed {
+		t.Errorf("commits closed %d records, want %d", got, closed)
 	}
 	if err := store.ConvertAll(); err != nil {
 		t.Fatal(err)
@@ -306,175 +354,178 @@ func TestHtapRejectsBadWrites(t *testing.T) {
 }
 
 // TestHtapScanSubsetColumns pins the projection contract for every view
-// shape, in both storage modes: base only (before any held row is
-// appended), base + tail, and base + converted part. Each scan returns
-// exactly the requested columns with the parts' rows in order, and a
-// base-only full scan hands back the DB table's own column arrays — the
-// base part is the in-memory prefix, not a decoded copy of it.
+// shape: base only (before any held row is appended), base + tail, and
+// base + converted range. Each scan returns exactly the requested
+// columns with the segments' rows in order, and a base-only full scan
+// hands back the DB table's own column arrays — the base segment is
+// the in-memory prefix, not a copy of it.
+//
+// Config.RCFile selects nothing, so both of its values must pass alike.
 func TestHtapScanSubsetColumns(t *testing.T) {
-	const hold = 20
 	for _, rcf := range []bool{false, true} {
-		t.Run(fmt.Sprintf("rcfile=%v", rcf), func(t *testing.T) {
-			db := goldenDB()
-			orig := db.Table("lineitem")
-			want := relal.RowsOf(orig)
-			store, err := New(db, map[string]int{"lineitem": hold}, Config{Window: -1, RCFile: rcf})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cols := []string{orig.Schema[4].Name, orig.Schema[0].Name, "l_returnflag"}
-			check := func(stage string, rows int) {
-				t.Helper()
-				for _, c := range [][]string{cols, nil} {
-					out, _ := db.Src("lineitem").ScanTable(c, nil)
-					names := c
-					if c == nil {
-						names = orig.Schema.Names()
-					}
-					if !reflect.DeepEqual(out.Schema.Names(), names) {
-						t.Fatalf("%s: schema = %v, want %v", stage, out.Schema.Names(), names)
-					}
-					if out.NumRows() != rows {
-						t.Fatalf("%s: rows = %d, want %d", stage, out.NumRows(), rows)
-					}
-					for i, r := range relal.RowsOf(out) {
-						for k, name := range names {
-							if w := want[i][orig.Schema.Col(name)]; r[k] != w {
-								t.Fatalf("%s: row %d %s = %v, want %v", stage, i, name, r[k], w)
-							}
-						}
-					}
-				}
-			}
-			check("base", orig.NumRows()-hold)
-			full, _ := db.Src("lineitem").ScanTable(nil, nil)
-			for c, v := range orig.Cols {
-				if !sameBacking(full.Cols[c], v) {
-					t.Errorf("base scan column %s is a copy, want the DB table's own array", orig.Schema[c].Name)
-				}
-			}
-
-			for _, r := range store.HeldRecords() {
-				if _, err := store.AppendRecord(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := store.Quiesce(); err != nil {
-				t.Fatal(err)
-			}
-			check("tail", orig.NumRows())
-			if err := store.ConvertAll(); err != nil {
-				t.Fatal(err)
-			}
-			check("converted", orig.NumRows())
-		})
+		t.Run(fmt.Sprintf("rcfile=%v", rcf), func(t *testing.T) { checkScanSubsetColumns(t, rcf) })
 	}
 }
 
-// TestHtapReplicaViews pins the replica's view contract in both
-// storage modes. Over a view with a base prefix, a converted part and a
-// tail, two scans share every column's backing array (a scan copies no
+func checkScanSubsetColumns(t *testing.T, rcf bool) {
+	const hold = 20
+	db := goldenDB()
+	orig := db.Table("lineitem")
+	want := relal.RowsOf(orig)
+	store, err := New(db, map[string]int{"lineitem": hold}, Config{Window: -1, RCFile: rcf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := []string{orig.Schema[4].Name, orig.Schema[0].Name, "l_returnflag"}
+	check := func(stage string, rows int) {
+		t.Helper()
+		for _, c := range [][]string{cols, nil} {
+			out, _ := db.Src("lineitem").ScanTable(c, nil)
+			names := c
+			if c == nil {
+				names = orig.Schema.Names()
+			}
+			if !reflect.DeepEqual(out.Schema.Names(), names) {
+				t.Fatalf("%s: schema = %v, want %v", stage, out.Schema.Names(), names)
+			}
+			if out.NumRows() != rows {
+				t.Fatalf("%s: rows = %d, want %d", stage, out.NumRows(), rows)
+			}
+			for i, r := range relal.RowsOf(out) {
+				for k, name := range names {
+					if w := want[i][orig.Schema.Col(name)]; r[k] != w {
+						t.Fatalf("%s: row %d %s = %v, want %v", stage, i, name, r[k], w)
+					}
+				}
+			}
+		}
+	}
+	check("base", orig.NumRows()-hold)
+	full, _ := db.Src("lineitem").ScanTable(nil, nil)
+	for c, v := range orig.Cols {
+		if !sameBacking(full.Cols[c], v) {
+			t.Errorf("base scan column %s is a copy, want the DB table's own array", orig.Schema[c].Name)
+		}
+	}
+
+	for _, r := range store.HeldRecords() {
+		if _, err := store.AppendRecord(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	check("tail", orig.NumRows())
+	if err := store.ConvertAll(); err != nil {
+		t.Fatal(err)
+	}
+	check("converted", orig.NumRows())
+}
+
+// TestHtapReplicaViews pins the replica's view contract. Over a view
+// with a base prefix, a converted range and a tail, two scans share every column's backing array (a scan copies no
 // cell), their stats are the sum of the segments' in-memory scan model,
 // and a scanned table keeps every cell after more appends and a
 // conversion. A Str cell outside the base dictionary turns only its own
 // column into raw strings, and every answer matches a reference DB
 // holding the same cell.
+//
+// Config.RCFile selects nothing, so both of its values must pass alike.
 func TestHtapReplicaViews(t *testing.T) {
-	const hold, converted, tail = 40, 20, 10
 	for _, rcf := range []bool{false, true} {
-		t.Run(fmt.Sprintf("rcfile=%v", rcf), func(t *testing.T) {
-			db := goldenDB()
-			orig := db.Table("lineitem")
-			want := relal.RowsOf(orig)
-			n := orig.NumRows()
-			cfg := Config{Window: -1, RCFile: rcf}
-			if rcf {
-				cfg.FS = fault.NewMemFS()
-			}
-			store, err := New(db, map[string]int{"lineitem": hold}, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			appendAll := func(recs []delta.Record) {
-				t.Helper()
-				for _, r := range recs {
-					if _, err := store.AppendRecord(r); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			checkRows := func(stage string, tbl *relal.Table, rows int) {
-				t.Helper()
-				got := relal.RowsOf(tbl)
-				if len(got) != rows {
-					t.Fatalf("%s: rows = %d, want %d", stage, len(got), rows)
-				}
-				for i, r := range got {
-					if !reflect.DeepEqual(r, want[i]) {
-						t.Fatalf("%s: row %d = %v, want %v", stage, i, r, want[i])
-					}
-				}
-			}
-			held := store.HeldRecords()
-			appendAll(held[:converted])
-			if err := store.ConvertAll(); err != nil {
-				t.Fatal(err)
-			}
-			appendAll(held[converted : converted+tail])
-
-			src := db.Src("lineitem")
-			cols := []string{"l_orderkey", "l_shipdate", "l_quantity", "l_shipmode"}
-			pred := relal.ZonePredicate{{Col: "l_shipdate", Kind: relal.Str, HasLo: true, StrLo: "1995-01-01"}}
-			a, stats := src.ScanTable(cols, pred)
-			b, _ := src.ScanTable(cols, pred)
-			for c := range a.Cols {
-				if !sameBacking(a.Cols[c], b.Cols[c]) {
-					t.Errorf("two scans of one view copy column %s", cols[c])
-				}
-			}
-			var sum relal.ScanStats
-			for _, seg := range [][2]int{{0, n - hold}, {n - hold, n - hold + converted}, {n - hold + converted, n - hold + converted + tail}} {
-				segT := relal.NewTable("lineitem", orig.Schema, window(orig.Cols, seg[0], seg[1])...)
-				_, st := relal.NewTableSource(segT).ScanTable(cols, pred)
-				sum.Add(st)
-			}
-			if stats != sum {
-				t.Errorf("scan stats = %+v, want the segments' sum %+v", stats, sum)
-			}
-			rows := n - hold + converted + tail
-			full, _ := src.ScanTable(nil, nil)
-			checkRows("base+part+tail", full, rows)
-
-			// The last held row's ship mode leaves the base dictionary.
-			mode := orig.Schema.Col("l_shipmode")
-			last := held[hold-1]
-			odd := delta.Record{Table: last.Table, Pos: last.Pos, Cells: append([]delta.Value(nil), last.Cells...)}
-			odd.Cells[mode] = delta.StrVal("ZEPPELIN")
-			appendAll(held[converted+tail : hold-1])
-			appendAll([]delta.Record{odd})
-			if err := store.Quiesce(); err != nil {
-				t.Fatal(err)
-			}
-			if err := store.ConvertAll(); err != nil {
-				t.Fatal(err)
-			}
-			checkRows("earlier scan after appends", full, rows)
-			after, _ := src.ScanTable(nil, nil)
-			for c, v := range after.Cols {
-				if wantDict := orig.Cols[c].IsDict() && c != mode; v.IsDict() != wantDict {
-					t.Errorf("column %s dict = %v, want %v", orig.Schema[c].Name, v.IsDict(), wantDict)
-				}
-			}
-
-			ref := goldenDB()
-			refCols := slices.Clone(ref.Lineitem.Cols)
-			strs := slices.Clone(refCols[mode].DecodeStrs())
-			strs[n-1] = "ZEPPELIN"
-			refCols[mode] = relal.StrsV(strs)
-			ref.Lineitem = relal.NewTable("lineitem", orig.Schema, refCols...)
-			diffSnapshot(t, snapshotAnswers(db), snapshotAnswers(ref))
-		})
+		t.Run(fmt.Sprintf("rcfile=%v", rcf), func(t *testing.T) { checkReplicaViews(t, rcf) })
 	}
+}
+
+func checkReplicaViews(t *testing.T, rcf bool) {
+	const hold, converted, tail = 40, 20, 10
+	db := goldenDB()
+	orig := db.Table("lineitem")
+	want := relal.RowsOf(orig)
+	n := orig.NumRows()
+	store, err := New(db, map[string]int{"lineitem": hold}, Config{Window: -1, RCFile: rcf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll := func(recs []delta.Record) {
+		t.Helper()
+		for _, r := range recs {
+			if _, err := store.AppendRecord(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	checkRows := func(stage string, tbl *relal.Table, rows int) {
+		t.Helper()
+		got := relal.RowsOf(tbl)
+		if len(got) != rows {
+			t.Fatalf("%s: rows = %d, want %d", stage, len(got), rows)
+		}
+		for i, r := range got {
+			if !reflect.DeepEqual(r, want[i]) {
+				t.Fatalf("%s: row %d = %v, want %v", stage, i, r, want[i])
+			}
+		}
+	}
+	held := store.HeldRecords()
+	appendAll(held[:converted])
+	if err := store.ConvertAll(); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(held[converted : converted+tail])
+
+	src := db.Src("lineitem")
+	cols := []string{"l_orderkey", "l_shipdate", "l_quantity", "l_shipmode"}
+	pred := relal.ZonePredicate{{Col: "l_shipdate", Kind: relal.Str, HasLo: true, StrLo: "1995-01-01"}}
+	a, stats := src.ScanTable(cols, pred)
+	b, _ := src.ScanTable(cols, pred)
+	for c := range a.Cols {
+		if !sameBacking(a.Cols[c], b.Cols[c]) {
+			t.Errorf("two scans of one view copy column %s", cols[c])
+		}
+	}
+	var sum relal.ScanStats
+	for _, seg := range [][2]int{{0, n - hold}, {n - hold, n - hold + converted}, {n - hold + converted, n - hold + converted + tail}} {
+		segT := relal.NewTable("lineitem", orig.Schema, window(orig.Cols, seg[0], seg[1])...)
+		_, st := relal.NewTableSource(segT).ScanTable(cols, pred)
+		sum.Add(st)
+	}
+	if stats != sum {
+		t.Errorf("scan stats = %+v, want the segments' sum %+v", stats, sum)
+	}
+	rows := n - hold + converted + tail
+	full, _ := src.ScanTable(nil, nil)
+	checkRows("base+range+tail", full, rows)
+
+	// The last held row's ship mode leaves the base dictionary.
+	mode := orig.Schema.Col("l_shipmode")
+	last := held[hold-1]
+	odd := delta.Record{Table: last.Table, Pos: last.Pos, Cells: append([]delta.Value(nil), last.Cells...)}
+	odd.Cells[mode] = delta.StrVal("ZEPPELIN")
+	appendAll(held[converted+tail : hold-1])
+	appendAll([]delta.Record{odd})
+	if err := store.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.ConvertAll(); err != nil {
+		t.Fatal(err)
+	}
+	checkRows("earlier scan after appends", full, rows)
+	after, _ := src.ScanTable(nil, nil)
+	for c, v := range after.Cols {
+		if wantDict := orig.Cols[c].IsDict() && c != mode; v.IsDict() != wantDict {
+			t.Errorf("column %s dict = %v, want %v", orig.Schema[c].Name, v.IsDict(), wantDict)
+		}
+	}
+
+	ref := goldenDB()
+	refCols := slices.Clone(ref.Lineitem.Cols)
+	strs := slices.Clone(refCols[mode].DecodeStrs())
+	strs[n-1] = "ZEPPELIN"
+	refCols[mode] = relal.StrsV(strs)
+	ref.Lineitem = relal.NewTable("lineitem", orig.Schema, refCols...)
+	diffSnapshot(t, snapshotAnswers(db), snapshotAnswers(ref))
 }
 
 // sameBacking reports whether a's cells start at b's first backing

@@ -1,9 +1,8 @@
 // The scan side of the pipeline: a held table's relal.Source hands out
 // the current view's prefix of the replica — the base prefix followed
 // by every published record — projected to the requested columns. No
-// scan copies a cell or reads a part file: the replica is append-only
-// and a view's slices are capped at its length, so later commits write
-// only past it. Each scan loads the view pointer once, so it sees a
+// scan copies a cell: the replica is append-only and a view's slices
+// are capped at its length, so later commits write only past it. Each scan loads the view pointer once, so it sees a
 // consistent snapshot (never a row twice, never a gap); full
 // cross-table consistency holds once writes quiesce, which is when the
 // golden tests compare answers.

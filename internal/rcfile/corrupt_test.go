@@ -129,9 +129,8 @@ func TestCorruptEmptyGroupRejected(t *testing.T) {
 
 // TestCorruptRetiredMagic: a file the version 6 writer produced (every
 // chunk gzip'd, no 0x80 flag in its enc bytes) fails to parse on its
-// magic, before any of its checksums are consulted — so the htap store
-// quarantines an RCF6 part and rebuilds it from the delta log instead of
-// decoding gzip streams as stored payloads.
+// magic, before any of its checksums are consulted — so no reader
+// decodes its gzip streams as stored payloads.
 func TestCorruptRetiredMagic(t *testing.T) {
 	// k Int {1, 2, 3}, v Float {0.5, 1.25, 2}, s Str {AIR, SHIP, AIR}
 	// (dictionary-encoded), one row group.

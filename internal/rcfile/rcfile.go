@@ -47,11 +47,11 @@
 //
 // Version 5 adds a CRC32 per chunk (and per dictionary blob) to the
 // footer, verified before decompression. Corruption surfaces as a typed
-// ErrCorrupt from TryScan, so a durable store can detect a damaged part
-// and rebuild it instead of serving wrong rows. Version 6 closes the
-// gap that left: one more CRC32, in the trailer, covers the header
-// counts and the whole footer (group rows, chunk lengths, encodings,
-// stored CRCs, zone maps), so a flipped bit there is ErrCorrupt too.
+// ErrCorrupt from TryScan, so a reader detects a damaged file instead
+// of serving wrong rows. Version 6 closes the gap that left: one more
+// CRC32, in the trailer, covers the header counts and the whole footer
+// (group rows, chunk lengths, encodings, stored CRCs, zone maps), so a
+// flipped bit there is ErrCorrupt too.
 //
 // Version 7 gzips a chunk only where it pays: the writer deflates every
 // payload but keeps the gzip stream only when it is less than half the
@@ -60,8 +60,7 @@
 // file bytes, with no gzip stage at all. Float chunks whose values are
 // all whole numbers of 10^-e units (prices, discounts, quantities) gain
 // the decimal encoding, which packs those units like delta packs ints.
-// A version 6 file fails to parse (bad magic); the htap store
-// quarantines such a part and rebuilds it from its delta log.
+// A version 6 file fails to parse (bad magic).
 //
 // Since relal tables are themselves columnar, encoding and decoding
 // move cells straight between the typed column vectors and the on-disk
@@ -150,8 +149,7 @@ func NewWriter(groupRows int) *Writer {
 // verified before decompression or decoding, and the trailer CRC is
 // verified before any footer field is used — a flipped bit anywhere in
 // the file surfaces as ErrCorrupt (or a parse error) instead of garbage
-// rows, which htap.Open uses to quarantine and re-convert a part
-// checkpoint rather than adopt a damaged one.
+// rows.
 //
 // Chunk payloads:
 //
@@ -1241,7 +1239,6 @@ func (s *Source) SrcSchema() relal.Schema { return s.schema }
 func (s *Source) Bytes() int { return len(s.data) }
 
 // Data returns the encoded file bytes (read-only — shared, not copied).
-// The durable store persists exactly these bytes as a part file.
 func (s *Source) Data() []byte { return s.data }
 
 // EncodingStats returns the per-column encoding census of the encoded
