@@ -50,7 +50,7 @@ crash:
 # The distributed scatter/gather suites: golden answers at shard counts
 # {1,2,4} over the wire, shard-side filtering (a shard ships only the
 # rows that pass the pushed conditions and lie in any pushed key set,
-# the empty set included), fragment-vs-scan differential, injected
+# the empty set included), cut-vs-scan differential, injected
 # network faults (drop/truncate/duplicate/reset/delay), kill + restart
 # of shard OS processes mid-stream, typed ErrPartial on outage, kept
 # sessions (reuse, sequence echo, the redial after a shard restart,

@@ -79,9 +79,9 @@ type Options struct {
 	// Net injects network faults into every data-plane frame the
 	// coordinator sends or receives.
 	Net fault.NetSchedule
-	// NoFragments disables the fragment fast path, forcing every query
-	// through the scattered-scan path (differential testing).
-	NoFragments bool
+	// NoCuts sends every query through the scattered-scan path, cut
+	// queries included (differential testing).
+	NoCuts bool
 }
 
 func (o Options) withDefaults() Options {
@@ -205,9 +205,11 @@ func (c *Coordinator) Stats() map[string]int64 {
 
 // RunQuery executes TPC-H query id against the cluster and returns the
 // complete answer, or an error wrapping ErrPartial when some shard
-// stayed unreachable. Registered fragments scatter as shard-local
-// partial aggregates; everything else scatters the base-table scans and
-// runs the unmodified single-process plan on the reassembled rows.
+// stayed unreachable or answered out of contract. A query with a
+// registered cut (tpch.Cuts) runs its prefix on every shard, and its
+// suffix here over the shards' merged answers; every other query runs
+// its single-process plan here, with each scan of a partitioned table
+// scattered and its rows merged back into global order.
 func (c *Coordinator) RunQuery(id int) (t *relal.Table, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -215,26 +217,32 @@ func (c *Coordinator) RunQuery(id int) (t *relal.Table, err error) {
 			if !ok {
 				panic(r)
 			}
-			c.partials.Add(1)
 			t, err = nil, pe
 		}
+		if err != nil {
+			c.partials.Add(1)
+		}
 	}()
-	if frag, ok := tpch.Fragments[id]; ok && !c.opts.NoFragments {
-		return c.runFragment(frag)
+	if cut, ok := tpch.Cuts[id]; ok && !c.opts.NoCuts {
+		return c.runCut(id, cut)
 	}
 	out, _ := tpch.RunQuery(id, c.db)
 	return out, nil
 }
 
-// runFragment scatters a registered fragment and merges the partials.
-func (c *Coordinator) runFragment(frag tpch.Fragment) (*relal.Table, error) {
-	parts, _, err := c.scatter(Request{Op: OpFragment, FragID: frag.ID})
+// runCut scatters query id's prefix, merges the shards' answers into
+// the prefix's global row order and runs the suffix over them on the
+// coordinator's replicated tables.
+func (c *Coordinator) runCut(id int, cut tpch.Cut) (*relal.Table, error) {
+	parts, _, err := c.scatter(Request{Op: OpCut, Query: id})
 	if err != nil {
-		c.partials.Add(1)
 		return nil, err
 	}
-	e := &relal.Exec{Parallelism: tpch.DefaultWorkers}
-	return frag.Merge(e, parts), nil
+	t, err := mergeByPos(fmt.Sprintf("q%d_prefix", id), parts)
+	if err != nil {
+		return nil, err
+	}
+	return cut.Suffix(&relal.Exec{Parallelism: tpch.DefaultWorkers}, c.db, t), nil
 }
 
 // scatter fans req out to every shard concurrently and gathers the
@@ -300,21 +308,22 @@ func (c *Coordinator) call(i int, req Request) (*relal.Table, relal.ScanStats, e
 
 // tableOf turns a response to req into its table, or into the error
 // that fails the attempt: the shard's own, an encoding the decoder
-// rejects, or a scan answer the merge could not trust.
+// rejects, or a scan or cut answer the merge could not trust.
 func (c *Coordinator) tableOf(req Request, resp Response) (*relal.Table, error) {
 	if resp.Err != "" {
 		return nil, errors.New(resp.Err)
 	}
-	if req.Op != OpScan {
-		return decodeTable(resp, "partial")
-	}
-	want, err := scanSchema(c.db.Table(req.Table).Schema, req.Cols)
+	t, err := decodeTable(resp, req.Table)
 	if err != nil {
 		return nil, err
 	}
-	t, err := decodeTable(resp, req.Table)
-	if err == nil {
-		err = checkScanPart(t, want)
+	if req.Op == OpCut {
+		err = checkCutPart(t, tpch.Cuts[req.Query].Ship)
+	} else {
+		var want relal.Schema
+		if want, err = scanSchema(c.db.Table(req.Table).Schema, req.Cols); err == nil {
+			err = checkScanPart(t, want)
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -496,7 +505,7 @@ func (d *distSource) SrcSchema() relal.Schema { return d.schema }
 func (d *distSource) ScanTable(cols []string, pred relal.ZonePredicate) (*relal.Table, relal.ScanStats) {
 	reqCols := cols
 	if len(cols) > 0 {
-		reqCols = append(append(make([]string, 0, len(cols)+1), cols...), PosCol)
+		reqCols = append(append(make([]string, 0, len(cols)+1), cols...), tpch.PosCol)
 	}
 	parts, stats, err := d.c.scatter(Request{Op: OpScan, Table: d.table, Cols: reqCols, Pred: pred})
 	if err != nil {

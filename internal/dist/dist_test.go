@@ -151,25 +151,32 @@ func TestDistGoldenShards(t *testing.T) {
 	}
 }
 
-// TestDistFragmentsMatchScatterScan runs the fragment queries through
-// both distributed paths — shard-local partial aggregates and scattered
-// base-table scans — and requires both byte-identical to the golden.
-func TestDistFragmentsMatchScatterScan(t *testing.T) {
+// TestDistCutsMatchScatterScan runs every cut query through both
+// distributed paths — the prefix on the shards with the suffix on the
+// coordinator, and the whole plan on the coordinator over scattered
+// scans — at shard counts 1, 2 and 4, and requires both byte-identical
+// to the golden.
+func TestDistCutsMatchScatterScan(t *testing.T) {
 	want := readGolden(t)
-	addrs := startLocalShards(t, 2)
-	for _, noFrag := range []bool{false, true} {
-		c := NewCoordinatorDB(tpch.Generate(goldenGen()), addrs, Options{NoFragments: noFrag})
-		for id := range tpch.Fragments {
-			out, err := c.RunQuery(id)
-			if err != nil {
-				t.Fatalf("noFrag=%v Q%d: %v", noFrag, id, err)
+	for _, n := range []int{1, 2, 4} {
+		addrs := startLocalShards(t, n)
+		for _, noCuts := range []bool{false, true} {
+			c := NewCoordinatorDB(tpch.Generate(goldenGen()), addrs, Options{NoCuts: noCuts})
+			for id := range tpch.Cuts {
+				before := c.Stats()[cRequests]
+				out, err := c.RunQuery(id)
+				if err != nil {
+					t.Fatalf("shards=%d noCuts=%v Q%d: %v", n, noCuts, id, err)
+				}
+				if sent := c.Stats()[cRequests] - before; !noCuts && sent != int64(n) {
+					t.Fatalf("shards=%d Q%d sent %d requests, want one per shard", n, id, sent)
+				}
+				if got := tpch.FormatAnswer(id, out); got != goldenBlock(want, id) {
+					t.Fatalf("shards=%d noCuts=%v Q%d drifted:\n%s", n, noCuts, id, got)
+				}
 			}
-			got := tpch.FormatAnswer(id, out)
-			if got != goldenBlock(want, id) {
-				t.Fatalf("noFrag=%v Q%d drifted:\n%s", noFrag, id, got)
-			}
+			c.Close()
 		}
-		c.Close()
 	}
 }
 

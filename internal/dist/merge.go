@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"elephants/internal/relal"
+	"elephants/internal/tpch"
 )
 
 // scanSchema is the schema a shard's answer to a scan request must
@@ -14,7 +15,7 @@ import (
 // columns named = all of them). distSource requests the position column
 // last.
 func scanSchema(table relal.Schema, cols []string) (relal.Schema, error) {
-	full := append(slices.Clone(table), relal.Column{Name: PosCol, Type: relal.Int})
+	full := append(slices.Clone(table), relal.Column{Name: tpch.PosCol, Type: relal.Int})
 	if len(cols) == 0 {
 		return full, nil
 	}
@@ -38,10 +39,27 @@ func checkScanPart(t *relal.Table, want relal.Schema) error {
 	if !slices.Equal(t.Schema, want) {
 		return fmt.Errorf("dist: scan answered with columns %v, want %v", t.Schema.Names(), want.Names())
 	}
-	xs := t.Cols[len(want)-1].Ints
+	return checkPositions(t.Cols[len(want)-1].Ints, true)
+}
+
+// checkCutPart holds one shard's decoded answer to a cut to what the
+// merge relies on: the Ship columns, then an Int position column, and
+// positions non-decreasing (a cut prefix keeps its spine's row order,
+// but a join may emit one spine row more than once). Anything else is a
+// malformed response.
+func checkCutPart(t *relal.Table, ship []string) error {
+	names := t.Schema.Names()
+	if !slices.Equal(names, append(slices.Clip(ship), tpch.PosCol)) || t.Schema[len(ship)].Type != relal.Int {
+		return fmt.Errorf("dist: cut answered with columns %v, want %v and an Int %s", names, ship, tpch.PosCol)
+	}
+	return checkPositions(t.Cols[len(ship)].Ints, false)
+}
+
+// checkPositions requires xs ascending: strictly, or else non-decreasing.
+func checkPositions(xs []int64, strict bool) error {
 	for i := 1; i < len(xs); i++ {
-		if xs[i-1] >= xs[i] {
-			return fmt.Errorf("dist: scan positions not ascending at row %d", i)
+		if xs[i-1] > xs[i] || strict && xs[i-1] == xs[i] {
+			return fmt.Errorf("dist: positions not ascending at row %d", i)
 		}
 	}
 	return nil
@@ -51,13 +69,13 @@ func checkScanPart(t *relal.Table, want relal.Schema) error {
 // part, in that part's order.
 type seg struct{ part, n int32 }
 
-// mergeOrder k-way merges the parts' ascending position lists into the
-// segment list that interleaves them in global position order. Rows of
-// one order hash to one shard and sit next to each other, so segments
-// run several rows long and the per-column work below is mostly block
-// copies. The partitions are a disjoint cover, so a position held by
-// two parts can only mean a row answered twice: dup then names the
-// second holder (-1 when every position is unique).
+// mergeOrder k-way merges the parts' ascending (or non-decreasing)
+// position lists into the segment list that interleaves them in global
+// position order. Rows of one order hash to one shard and sit next to
+// each other, so segments run several rows long and the per-column work
+// below is mostly block copies. The partitions are a disjoint cover, so
+// a position held by two parts can only mean a row answered twice: dup
+// then names the second holder (-1 when no two parts share a position).
 func mergeOrder(pos [][]int64) (segs []seg, dup int) {
 	cur := make([]int, len(pos))
 	rows := 0
@@ -134,12 +152,18 @@ func mergeColumn(vecs []*relal.Vector, segs []seg, total int) *relal.Vector {
 	return relal.StrsV(mergeCells(vecs, (*relal.Vector).DecodeStrs, segs, total))
 }
 
-// mergeByPos splices the shards' scan answers — each checked by
-// checkScanPart — back into global row order and drops the position
-// column: the reassembled scan is cell for cell the single-process one.
-// The shards' streams are already sorted, so this is a merge, not a
-// sort: one pass over the positions, then one gather per column.
+// mergeByPos splices the shards' answers to a scan or a cut — each
+// checked by checkScanPart or checkCutPart — back into global row order
+// and drops the position column: the reassembled table is cell for cell
+// the single-process one. The shards' streams are already sorted, so
+// this is a merge, not a sort: one pass over the positions, then one
+// gather per column.
 func mergeByPos(name string, parts []*relal.Table) (*relal.Table, error) {
+	for i, p := range parts {
+		if !slices.Equal(p.Schema, parts[0].Schema) {
+			return nil, &PartialError{Shard: i, Err: fmt.Errorf("dist: answered with columns %v, shard 0 with %v", p.Schema, parts[0].Schema)}
+		}
+	}
 	schema := parts[0].Schema[:len(parts[0].Schema)-1]
 	var live []int // the shards that answered with rows
 	total := 0

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -146,17 +147,17 @@ func TestDistShardScanFilter(t *testing.T) {
 			// pred is sent; applied is the part of it the shard can test.
 			pred, applied relal.ZonePredicate
 		}{
-			{"int range", []string{"l_orderkey", "l_quantity", PosCol}, relal.ZonePredicate{keyRange}, relal.ZonePredicate{keyRange}},
-			{"open float bound", []string{"l_quantity", "l_extendedprice", PosCol}, relal.ZonePredicate{quantity}, relal.ZonePredicate{quantity}},
-			{"dict str", []string{"l_shipinstruct", "l_shipdate", PosCol}, relal.ZonePredicate{instruct, year}, relal.ZonePredicate{instruct, year}},
+			{"int range", []string{"l_orderkey", "l_quantity", tpch.PosCol}, relal.ZonePredicate{keyRange}, relal.ZonePredicate{keyRange}},
+			{"open float bound", []string{"l_quantity", "l_extendedprice", tpch.PosCol}, relal.ZonePredicate{quantity}, relal.ZonePredicate{quantity}},
+			{"dict str", []string{"l_shipinstruct", "l_shipdate", tpch.PosCol}, relal.ZonePredicate{instruct, year}, relal.ZonePredicate{instruct, year}},
 			{"all columns", nil, relal.ZonePredicate{year, quantity}, relal.ZonePredicate{year, quantity}},
-			{"unrequested column", []string{"l_orderkey", PosCol}, relal.ZonePredicate{quantity, keyRange}, relal.ZonePredicate{keyRange}},
-			{"mistyped", []string{"l_quantity", PosCol}, relal.ZonePredicate{mistyped}, nil},
-			{"matches nothing", []string{"l_quantity", PosCol}, relal.ZonePredicate{nothing}, relal.ZonePredicate{nothing}},
-			{"orderkey set", []string{"l_orderkey", "l_quantity", PosCol}, relal.ZonePredicate{orderSet, quantity}, relal.ZonePredicate{orderSet, quantity}},
-			{"partkey set", []string{"l_partkey", "l_orderkey", PosCol}, relal.ZonePredicate{partSet}, relal.ZonePredicate{partSet}},
-			{"empty set", []string{"l_partkey", PosCol}, relal.ZonePredicate{emptySet}, relal.ZonePredicate{emptySet}},
-			{"set on unrequested column", []string{"l_orderkey", PosCol}, relal.ZonePredicate{partSet}, nil},
+			{"unrequested column", []string{"l_orderkey", tpch.PosCol}, relal.ZonePredicate{quantity, keyRange}, relal.ZonePredicate{keyRange}},
+			{"mistyped", []string{"l_quantity", tpch.PosCol}, relal.ZonePredicate{mistyped}, nil},
+			{"matches nothing", []string{"l_quantity", tpch.PosCol}, relal.ZonePredicate{nothing}, relal.ZonePredicate{nothing}},
+			{"orderkey set", []string{"l_orderkey", "l_quantity", tpch.PosCol}, relal.ZonePredicate{orderSet, quantity}, relal.ZonePredicate{orderSet, quantity}},
+			{"partkey set", []string{"l_partkey", "l_orderkey", tpch.PosCol}, relal.ZonePredicate{partSet}, relal.ZonePredicate{partSet}},
+			{"empty set", []string{"l_partkey", tpch.PosCol}, relal.ZonePredicate{emptySet}, relal.ZonePredicate{emptySet}},
+			{"set on unrequested column", []string{"l_orderkey", tpch.PosCol}, relal.ZonePredicate{partSet}, nil},
 		}
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("shard=%d/%s", i, tc.name), func(t *testing.T) {
@@ -191,7 +192,7 @@ func TestDistShardScanFilter(t *testing.T) {
 // part i holds the given positions, k = 10×position, and s drawn from
 // dicts[i] (nil = raw strings) by position.
 func scanParts(dicts [][]string, positions ...[]int64) []*relal.Table {
-	schema := relal.Schema{{Name: "k", Type: relal.Int}, {Name: "s", Type: relal.Str}, {Name: PosCol, Type: relal.Int}}
+	schema := relal.Schema{{Name: "k", Type: relal.Int}, {Name: "s", Type: relal.Str}, {Name: tpch.PosCol, Type: relal.Int}}
 	parts := make([]*relal.Table, len(positions))
 	for i, pos := range positions {
 		ks := make([]int64, len(pos))
@@ -321,7 +322,7 @@ func scanAnswer(db *tpch.DB, req Request, pos ...int64) (Response, *relal.Table)
 	cols := make([]*relal.Vector, len(schema))
 	for i, c := range schema {
 		switch {
-		case c.Name == PosCol:
+		case c.Name == tpch.PosCol:
 			cols[i] = relal.IntsV(pos)
 		case c.Type == relal.Int:
 			cols[i] = relal.IntsV([]int64{1, 2})
@@ -334,16 +335,37 @@ func scanAnswer(db *tpch.DB, req Request, pos ...int64) (Response, *relal.Table)
 	return Response{Schema: schema, Rows: 2}, relal.NewTable(req.Table, schema, cols...)
 }
 
-// TestDistMalformedAnswers: a shard that answers a scan with bytes that
-// pass the frame checksum but break the table's invariants gets the
-// retry loop and then a typed partial error — never a panic, never
-// rows.
+// cutAnswer answers Q4's cut the way a shard could: the given columns
+// (o_orderpriority, all "1-URGENT", unless the test names others) over
+// rows at the given positions, which a column named tpch.PosCol holds.
+func cutAnswer(cols []string, pos ...int64) (Response, *relal.Table) {
+	schema := make(relal.Schema, len(cols))
+	vecs := make([]*relal.Vector, len(cols))
+	for i, name := range cols {
+		if name == tpch.PosCol {
+			schema[i], vecs[i] = relal.Column{Name: name, Type: relal.Int}, relal.IntsV(pos)
+		} else {
+			schema[i], vecs[i] = relal.Column{Name: name, Type: relal.Str}, relal.DictV(make([]uint32, len(pos)), []string{"1-URGENT"})
+		}
+	}
+	return Response{Schema: schema, Rows: len(pos)}, relal.NewTable("prefix", schema, vecs...)
+}
+
+// TestDistMalformedAnswers: a shard that answers a scan or a cut with
+// bytes that pass the frame checksum but break the table's invariants
+// gets the retry loop and then a typed partial error — never a panic,
+// never rows.
 func TestDistMalformedAnswers(t *testing.T) {
 	db := tpch.Generate(goldenGen())
 	wellFormed := func(req Request, pos ...int64) (Response, *relal.Table) { return scanAnswer(db, req, pos...) }
 	firstStr := func(tbl *relal.Table) int {
 		return slices.IndexFunc(tbl.Schema, func(c relal.Column) bool { return c.Type == relal.Str })
 	}
+	ship := []string{"o_orderpriority", tpch.PosCol}
+	cut := func(cols []string, pos ...int64) func(Request) (Response, *relal.Table) {
+		return func(Request) (Response, *relal.Table) { return cutAnswer(cols, pos...) }
+	}
+	// Q6 scatters a lineitem scan; Q4 is a cut.
 	cases := map[string][]func(Request) (Response, *relal.Table){
 		"positions out of order": {func(req Request) (Response, *relal.Table) { return wellFormed(req, 9, 4) }},
 		"positions repeat":       {func(req Request) (Response, *relal.Table) { return wellFormed(req, 4, 4) }},
@@ -366,6 +388,16 @@ func TestDistMalformedAnswers(t *testing.T) {
 			func(req Request) (Response, *relal.Table) { return wellFormed(req, 4, 9) },
 			func(req Request) (Response, *relal.Table) { return wellFormed(req, 5, 9) },
 		},
+		"cut positions descending":      {cut(ship, 4, 9, 7)},
+		"cut without positions":         {cut(ship[:1], 4, 9)},
+		"cut with an extra column":      {cut([]string{"o_orderpriority", "o_orderdate", tpch.PosCol}, 4, 9)},
+		"cut, two shards, one position": {cut(ship, 4, 9), cut(ship, 5, 9)},
+		"cut, two shards, two column types": {cut(ship, 4, 9), func(Request) (Response, *relal.Table) {
+			resp, tbl := cutAnswer(ship, 5, 8)
+			resp.Schema = slices.Clone(resp.Schema)
+			resp.Schema[0].Type, tbl.Schema, tbl.Cols[0] = relal.Int, resp.Schema, relal.IntsV([]int64{1, 2})
+			return resp, tbl
+		}},
 	}
 	for name, answers := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -373,9 +405,13 @@ func TestDistMalformedAnswers(t *testing.T) {
 			for i, answer := range answers {
 				addrs[i] = fakeShard(t, 1, answer)
 			}
-			c := NewCoordinatorDB(db, addrs, Options{MaxAttempts: 3, BackoffBase: time.Millisecond, ProbeEvery: -1, NoFragments: true})
+			c := NewCoordinatorDB(db, addrs, Options{MaxAttempts: 3, BackoffBase: time.Millisecond, ProbeEvery: -1})
 			defer c.Close()
-			out, err := c.RunQuery(6)
+			q := 6
+			if strings.HasPrefix(name, "cut") {
+				q = 4
+			}
+			out, err := c.RunQuery(q)
 			if !errors.Is(err, ErrPartial) || out != nil {
 				t.Fatalf("got table %v, err %v; want a partial error and no table", out != nil, err)
 			}
@@ -385,13 +421,24 @@ func TestDistMalformedAnswers(t *testing.T) {
 		})
 	}
 
-	// The same fake, answering within the rules, is believed: the cases
-	// above fail for the reason they name.
+	// The same fakes, answering within the rules, are believed: the
+	// cases above fail for the reason they name. A cut may repeat a
+	// position within one answer.
 	c := NewCoordinatorDB(db, []string{fakeShard(t, 1, func(req Request) (Response, *relal.Table) { return wellFormed(req, 4, 9) })},
-		Options{MaxAttempts: 1, ProbeEvery: -1, NoFragments: true})
+		Options{MaxAttempts: 1, ProbeEvery: -1})
 	defer c.Close()
 	if _, err := c.RunQuery(6); err != nil {
 		t.Fatalf("well-formed answer rejected: %v", err)
+	}
+	c2 := NewCoordinatorDB(db, []string{fakeShard(t, 1, cut(ship, 4, 9)), fakeShard(t, 1, cut(ship, 5, 5, 8))},
+		Options{MaxAttempts: 1, ProbeEvery: -1})
+	defer c2.Close()
+	out, err := c2.RunQuery(4)
+	if err != nil {
+		t.Fatalf("well-formed cut answers rejected: %v", err)
+	}
+	if got := tpch.FormatAnswer(4, out); !strings.HasSuffix(got, "\n1-URGENT|5\n") {
+		t.Fatalf("cut answers merged into:\n%s", got)
 	}
 }
 
@@ -412,7 +459,7 @@ func TestDistSequenceEcho(t *testing.T) {
 		return resp, tbl
 	}
 	scan := func(k int64) Request {
-		return Request{Op: OpScan, Table: "lineitem", Cols: []string{"l_orderkey", PosCol},
+		return Request{Op: OpScan, Table: "lineitem", Cols: []string{"l_orderkey", tpch.PosCol},
 			Pred: relal.ZonePredicate{relal.IntBetween("l_orderkey", k, k)}}
 	}
 	opts := Options{MaxAttempts: 3, BackoffBase: time.Millisecond, ProbeEvery: -1}

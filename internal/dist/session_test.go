@@ -56,7 +56,7 @@ func TestDistSessionReuse(t *testing.T) {
 	counted := &countingConn{Conn: conn}
 	s := newSession(counted)
 	defer conn.Close()
-	req := Request{Op: OpScan, Table: "orders", Cols: []string{"o_orderkey", PosCol},
+	req := Request{Op: OpScan, Table: "orders", Cols: []string{"o_orderkey", tpch.PosCol},
 		Pred: relal.ZonePredicate{relal.IntBetween("o_orderkey", 1, 100)}}
 	var sent [2]int
 	for k := range sent {

@@ -15,13 +15,6 @@ import (
 	"elephants/internal/tpch"
 )
 
-// PosCol is the hidden global-row-position column every partitioned
-// table carries: row i of the unpartitioned table keeps position i into
-// whichever shard it hashes to, so the coordinator can reassemble
-// scattered scan results in exactly the original row order and the
-// single-process plans replay byte-identically on top.
-const PosCol = "_pos"
-
 // PartitionedTables are the tables hash-partitioned by orderkey; their
 // scans scatter. Everything else is small enough to replicate onto the
 // coordinator and scan locally (the paper's PDW does the same with its
@@ -72,14 +65,16 @@ func shardOf(key int64, shards int) int {
 
 // BuildShardDB generates the full dataset and replaces the partitioned
 // tables with this shard's hash partition, each row tagged with its
-// global position. Every process computes identical placement, so the
-// shards form an exact disjoint cover of the original rows.
+// global position (tpch.PosCol), so the coordinator can reassemble
+// scattered answers in exactly the original row order. Every process
+// computes identical placement, so the shards form an exact disjoint
+// cover of the original rows.
 func BuildShardDB(cfg ShardConfig) *tpch.DB {
 	db := tpch.Generate(tpch.GenConfig{SF: cfg.SF, Seed: cfg.Seed, Random64: cfg.Random64})
 	e := &relal.Exec{Parallelism: 1}
 	for name, keyCol := range PartitionedTables {
 		full := db.Table(name)
-		withPos := e.ExtendInt(full, PosCol, func(i int) int64 { return int64(i) })
+		withPos := e.ExtendInt(full, tpch.PosCol, func(i int) int64 { return int64(i) })
 		key := withPos.IntCol(keyCol)
 		part := e.Filter(withPos, func(i int) bool {
 			return shardOf(key.Get(i), cfg.Shards) == cfg.Index
@@ -158,17 +153,10 @@ func StartShard(cfg ShardConfig) (*Shard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: open shard %d store: %w", cfg.Index, err)
 	}
-	// Re-append only the held rows the recovered log does not already
-	// cover — on a fresh boot that is all of them, after a crash only
-	// the unacked tail.
-	next := make(map[string]int64, len(hold))
-	for name := range hold {
-		next[name] = store.NextPos(name)
-	}
+	// Re-append the held rows. AppendRecord skips those the recovered
+	// log already covers, so on a fresh boot all of them are logged,
+	// after a crash only the unacked tail.
 	for _, r := range store.HeldRecords() {
-		if r.Pos < next[r.Table] {
-			continue
-		}
 		if _, err := store.AppendRecord(r); err != nil {
 			store.Close()
 			return nil, fmt.Errorf("dist: shard %d append %s@%d: %w", cfg.Index, r.Table, r.Pos, err)
@@ -325,8 +313,8 @@ func (s *Shard) handle(req Request) (resp Response, t *relal.Table) {
 	switch req.Op {
 	case OpScan:
 		return s.handleScan(req)
-	case OpFragment:
-		return s.handleFragment(req)
+	case OpCut:
+		return s.handleCut(req)
 	case OpHealth:
 		next := make(map[string]int64)
 		for name := range PartitionedTables {
@@ -356,14 +344,16 @@ func (s *Shard) handleScan(req Request) (Response, *relal.Table) {
 	return s.tableResponse(t, stats)
 }
 
-func (s *Shard) handleFragment(req Request) (Response, *relal.Table) {
-	frag, ok := tpch.Fragments[req.FragID]
+// handleCut runs a registered cut's prefix over the partition and ships
+// the columns the suffix reads, then the prefix's spine positions.
+func (s *Shard) handleCut(req Request) (Response, *relal.Table) {
+	cut, ok := tpch.Cuts[req.Query]
 	if !ok {
-		return Response{Shard: s.cfg.Index, Err: fmt.Sprintf("unknown fragment %d", req.FragID)}, nil
+		return Response{Shard: s.cfg.Index, Err: fmt.Sprintf("no cut for Q%d", req.Query)}, nil
 	}
 	e := &relal.Exec{Parallelism: tpch.DefaultWorkers}
-	part := frag.Partial(e, s.db)
-	return s.tableResponse(part, relal.ScanStats{})
+	t := e.Project(cut.Prefix(e, s.db), append(slices.Clip(cut.Ship), tpch.PosCol)...)
+	return s.tableResponse(t, relal.ScanStats{})
 }
 
 // tableResponse describes a result table and hands it on for encoding:

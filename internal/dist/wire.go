@@ -1,10 +1,14 @@
 // Package dist is the coordinator/shard execution layer: the paper's
 // 16-node PDW and sharded-Mongo clusters shrunk to localhost processes.
 // lineitem and orders are hash-partitioned by orderkey (shardOf) into
-// per-process shards, one internal/htap store each; the coordinator
-// scatters scans and query fragments over TCP and merges the partials
-// deterministically, so all 22 golden answers stay byte-identical at
-// any shard count.
+// per-process shards, one internal/htap store each. The coordinator
+// sends each query with a colocated prefix (tpch.Cuts) to every shard,
+// which runs the prefix over its partition and ships the columns the
+// rest of the plan reads; every other query scatters its scans of the
+// partitioned tables. Either way the shards' answers carry each row's
+// global position, the coordinator merges them back into global row
+// order and runs the rest of the single-process plan on top, so all 22
+// golden answers stay byte-identical at any shard count.
 //
 // Storage format and message format are separate decisions, as they are
 // in the paper's PDW: a shard serves its whole partition from its htap
@@ -22,7 +26,7 @@
 // echoes, so an answer left over on a reused connection is never read as
 // the answer to the next request.
 //
-// Robustness is the contract, not a bolt-on: every fragment carries a
+// Robustness is the contract, not a bolt-on: every request carries a
 // deadline in the wire protocol, every call retries with exponential
 // backoff and seeded jitter, per-shard circuit breakers fail fast while
 // health probes watch for recovery, and a query against a dead shard
@@ -51,9 +55,10 @@ const (
 	// that pass every pushed condition (key sets too) on a scanned column,
 	// restricted to the requested columns (plus the hidden _pos column).
 	OpScan = iota
-	// OpFragment runs a registered tpch.Fragment partial plan on the
-	// shard and returns the grouped partial aggregate.
-	OpFragment
+	// OpCut runs a registered tpch.Cut prefix over the shard's partition
+	// and returns its Ship columns, then the hidden _pos column of the
+	// prefix's leftmost scan.
+	OpCut
 	// OpHealth is the probe: cheap, no data plane, returns the shard's
 	// delta-log positions so callers can assert recovery completeness.
 	OpHealth
@@ -65,9 +70,9 @@ type Request struct {
 	Table string
 	Cols  []string
 	Pred  relal.ZonePredicate
-	// FragID selects the tpch.Fragments entry for OpFragment.
-	FragID int
-	// DeadlineMS is the fragment's remaining time budget in
+	// Query selects the tpch.Cuts entry for OpCut.
+	Query int
+	// DeadlineMS is the request's remaining time budget in
 	// milliseconds; the shard arms its connection deadline with it so a
 	// stalled peer can never wedge a shard goroutine past the budget.
 	DeadlineMS int64

@@ -233,9 +233,11 @@ func TestHtapRecoverFromTheLogAlone(t *testing.T) {
 }
 
 // TestHtapLagIgnoresDuplicates re-appends every held record after a
-// reopen that already replayed them all. Each re-append commits and is
-// dropped as a duplicate, so once every position is converted the lag
-// must read 0, not the number of duplicates.
+// reopen that already replayed them all. Each re-append is skipped as a
+// duplicate before it reaches the log, so once every position is
+// converted the lag must read 0, not the number of duplicates, the log
+// must still hold each position once, and the next Open must replay
+// that many frames, not twice as many.
 func TestHtapLagIgnoresDuplicates(t *testing.T) {
 	memfs := fault.NewMemFS()
 	cfg := durableConfig(memfs, delta.SyncGroup)
@@ -266,6 +268,20 @@ func TestHtapLagIgnoresDuplicates(t *testing.T) {
 	}
 	if st.LagRecords != 0 {
 		t.Errorf("lag = %d after re-appending %d duplicates and converting, want 0", st.LagRecords, len(held))
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if frames, _ := delta.Replay(store.Log().Data()); len(frames) != len(held) {
+		t.Errorf("delta.log holds %d frames after re-appending, want %d", len(frames), len(held))
+	}
+
+	store, err = Open(goldenDB(), testHold(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := store.StatsNow().FramesReplayed; got != int64(len(held)) {
+		t.Errorf("the next Open replayed %d frames, want %d", got, len(held))
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)

@@ -27,8 +27,8 @@
 // bytes through the same reorder buffer to rebuild the replica. The
 // log is the only copy on disk: nothing else is written, so nothing
 // else can be torn or corrupt. Records the log recovered but the
-// driver re-appends are deduplicated by per-table position, so replay
-// plus a resume-from-NextPos driver is idempotent.
+// driver re-appends are deduplicated by per-table position, before
+// they reach the log, so replay plus a re-appending driver is idempotent.
 package htap
 
 import (
@@ -205,9 +205,9 @@ type Store struct {
 	converted atomic.Int64 // records covered by converted ranges
 	converts  atomic.Int64 // converted ranges closed
 
-	// Recovery and dedup accounting; StatsNow reports each under the
-	// Stats field of the same name.
-	framesReplayed, truncatedBytes, duplicateRecords atomic.Int64
+	// Recovery and dedup accounting, which StatsNow reports; committed
+	// duplicates are dropped at apply, skipped ones before the log.
+	framesReplayed, truncatedBytes, committedDups, skippedDups atomic.Int64
 }
 
 // New builds an in-memory (or fresh durable) store over db, holding
@@ -415,7 +415,7 @@ func (s *Store) applyBatch(batch []delta.Record) {
 		}
 		s.applied.Add(published + dups)
 		if dups > 0 {
-			s.duplicateRecords.Add(dups)
+			s.committedDups.Add(dups)
 		}
 		st.mu.Unlock()
 		i = j
@@ -438,7 +438,8 @@ func (s *Store) NextPos(table string) int64 {
 
 // AppendRecord validates the record against its table's schema and
 // appends it to the delta log, blocking until committed. Returns the
-// commit sequence number.
+// commit sequence number, or 0 for a record skipped because its
+// position is already published.
 func (s *Store) AppendRecord(r delta.Record) (int64, error) {
 	st := s.tables[r.Table]
 	if st == nil {
@@ -451,6 +452,10 @@ func (s *Store) AppendRecord(r delta.Record) (int64, error) {
 		if want := kindOf(st.schema[i].Type); c.Kind != want {
 			return 0, fmt.Errorf("htap: %s.%s cell kind %d, want %d", r.Table, st.schema[i].Name, c.Kind, want)
 		}
+	}
+	if r.Pos < s.NextPos(r.Table) {
+		s.skippedDups.Add(1) // never logged, so no later Open replays it
+		return 0, nil
 	}
 	return s.log.Append(r)
 }
@@ -492,7 +497,7 @@ func (s *Store) DocOf(r delta.Record) (*docstore.Doc, error) {
 
 // AppendDoc maps a docstore document onto the table's schema (fields
 // looked up by column name, types checked) and appends the resulting
-// record. pos is the row's per-table position.
+// record as AppendRecord does. pos is the row's per-table position.
 func (s *Store) AppendDoc(table string, pos int64, doc *docstore.Doc) (int64, error) {
 	st := s.tables[table]
 	if st == nil {
@@ -525,7 +530,7 @@ func (s *Store) AppendDoc(table string, pos int64, doc *docstore.Doc) (int64, er
 			cells[i] = delta.StrVal(x)
 		}
 	}
-	return s.log.Append(delta.Record{Table: table, Pos: pos, Cells: cells})
+	return s.AppendRecord(delta.Record{Table: table, Pos: pos, Cells: cells})
 }
 
 // AppendBSON is the wire-shaped write path: a BSON document (the
@@ -601,9 +606,9 @@ type Stats struct {
 	Converts int64
 	// Flushes is the number of physical delta-log flushes.
 	Flushes int64
-	// LagRecords is CommittedRecords - DuplicateRecords -
-	// ConvertedRecords: the committed records, each position counted
-	// once, that no converted range covers yet.
+	// LagRecords is CommittedRecords, less the committed duplicates
+	// and ConvertedRecords: the committed records, each position
+	// counted once, that no converted range covers yet.
 	LagRecords int64
 
 	// Recovery accounting.
@@ -615,9 +620,8 @@ type Stats struct {
 	// PartsRecovered is always 0: the store writes no part file. It
 	// remains for the benchmark's htap.parts_recovered metric.
 	PartsRecovered int64
-	// DuplicateRecords counts committed records dropped by position
-	// dedup — a driver re-appending rows the recovered log already
-	// held.
+	// DuplicateRecords counts records dropped by position dedup: skipped
+	// before the log once published, or at apply if raced in flight.
 	DuplicateRecords int64
 }
 
@@ -625,7 +629,7 @@ type Stats struct {
 func (s *Store) StatsNow() Stats {
 	// Read the apply-side counters before the log's watermark, which
 	// they never run ahead of, so the lag never reads negative.
-	converted, dups := s.converted.Load(), s.duplicateRecords.Load()
+	converted, dups := s.converted.Load(), s.committedDups.Load()
 	committed, flushes := s.log.Stats()
 	return Stats{
 		CommittedRecords: committed,
@@ -636,6 +640,6 @@ func (s *Store) StatsNow() Stats {
 		LagRecords:       committed - dups - converted,
 		FramesReplayed:   s.framesReplayed.Load(),
 		TruncatedBytes:   s.truncatedBytes.Load(),
-		DuplicateRecords: dups,
+		DuplicateRecords: dups + s.skippedDups.Load(),
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"elephants/internal/relal"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/tpch_golden.txt and steplog_golden.txt from the current engine")
@@ -116,5 +118,22 @@ func TestGoldenAnswersParallel(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			diffGolden(t, got, string(want))
 		})
+	}
+}
+
+// TestDistCutShipList composes every registered cut the way a dist
+// coordinator does — the suffix over the prefix's Ship columns alone —
+// and requires each answer byte-identical to the golden snapshot, so a
+// Ship list that misses a column the suffix reads fails here, with no
+// network in the way.
+func TestDistCutShipList(t *testing.T) {
+	want := goldenSections(t)
+	db := Generate(GenConfig{SF: goldenSF, Seed: 1, Random64: true})
+	for id, cut := range Cuts {
+		e := &relal.Exec{}
+		got := FormatAnswer(id, cut.Suffix(e, db, e.Project(cut.Prefix(e, db), cut.Ship...)))
+		if got != want[id] {
+			t.Errorf("Q%d over its Ship columns %v drifts from the golden snapshot:\n%s", id, cut.Ship, got)
+		}
 	}
 }

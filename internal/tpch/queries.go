@@ -26,25 +26,25 @@ type Query struct {
 var Queries = []Query{
 	{1, "pricing summary report", q1},
 	{2, "minimum cost supplier", q2},
-	{3, "shipping priority", q3},
-	{4, "order priority checking", q4},
-	{5, "local supplier volume", q5},
+	{3, "shipping priority", Cuts[3].run},
+	{4, "order priority checking", Cuts[4].run},
+	{5, "local supplier volume", Cuts[5].run},
 	{6, "forecasting revenue change", q6},
-	{7, "volume shipping", q7},
+	{7, "volume shipping", Cuts[7].run},
 	{8, "national market share", q8},
-	{9, "product type profit", q9},
+	{9, "product type profit", Cuts[9].run},
 	{10, "returned item reporting", q10},
 	{11, "important stock identification", q11},
-	{12, "shipping modes and order priority", q12},
-	{13, "customer distribution", q13},
+	{12, "shipping modes and order priority", Cuts[12].run},
+	{13, "customer distribution", Cuts[13].run},
 	{14, "promotion effect", q14},
 	{15, "top supplier", q15},
 	{16, "parts/supplier relationship", q16},
 	{17, "small-quantity-order revenue", q17},
 	{18, "large volume customer", q18},
-	{19, "discounted revenue", q19},
+	{19, "discounted revenue", Cuts[19].run},
 	{20, "potential part promotion", q20},
-	{21, "suppliers who kept orders waiting", q21},
+	{21, "suppliers who kept orders waiting", Cuts[21].run},
 	{22, "global sales opportunity", q22},
 }
 
@@ -177,18 +177,21 @@ func q2(e *relal.Exec, db *DB) *relal.Table {
 }
 
 // q3: top unshipped orders for the BUILDING segment.
-func q3(e *relal.Exec, db *DB) *relal.Table {
+func q3Prefix(e *relal.Exec, db *DB) *relal.Table {
 	cust := scanWhere(e, db, "customer", []string{"c_custkey", "c_mktsegment"},
 		relal.StrEq("c_mktsegment", "BUILDING"))
 	ord := scanWhere(e, db, "orders",
 		[]string{"o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"},
 		relal.StrLess("o_orderdate", "1995-03-15"))
-	li := scanKeys(e, db, "lineitem",
-		[]string{"l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"}, relal.IntIn("l_orderkey", ord, "o_orderkey"),
+	li := scanWhere(e, db, "lineitem",
+		posCols(db, "lineitem", "l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"),
 		relal.StrGreater("l_shipdate", "1995-03-15"))
 	co := e.Join(ord, cust, "o_custkey", "c_custkey")
 	col := e.Join(li, co, "l_orderkey", "o_orderkey")
-	col = discPrice(e, col, "revenue_item")
+	return discPrice(e, col, "revenue_item")
+}
+
+func q3Suffix(e *relal.Exec, _ *DB, col *relal.Table) *relal.Table {
 	agg := e.Aggregate(col, []string{"l_orderkey", "o_orderdate", "o_shippriority"}, []relal.AggSpec{
 		{Fn: "sum", Col: "revenue_item", As: "revenue"},
 	})
@@ -198,43 +201,37 @@ func q3(e *relal.Exec, db *DB) *relal.Table {
 	)
 }
 
-// q4: order priority with existing late lineitem.
-func q4(e *relal.Exec, db *DB) *relal.Table {
-	return e.Sort(q4Partial(e, db), relal.OrderSpec{Col: "o_orderpriority"})
-}
-
-// q4Partial is Q4 up to (and including) the priority-count aggregate —
-// the shard-local fragment of the distributed plan. Every scan, filter,
-// and join keys on orderkey, so running it per hash partition and
-// summing the counts reproduces the single-process aggregate exactly
-// (counts are integers; no accumulation-order sensitivity).
-func q4Partial(e *relal.Exec, db *DB) *relal.Table {
+// q4: order priority with existing late lineitem. The prefix's
+// lineitem aggregate groups by orderkey, so it is colocated.
+func q4Prefix(e *relal.Exec, db *DB) *relal.Table {
 	ord := scanWhere(e, db, "orders",
-		[]string{"o_orderkey", "o_orderdate", "o_orderpriority"},
+		posCols(db, "orders", "o_orderkey", "o_orderdate", "o_orderpriority"),
 		relal.StrRange("o_orderdate", "1993-07-01", "1993-10-01"))
 	lt := scan(e, db, "lineitem",
 		[]string{"l_orderkey", "l_commitdate", "l_receiptdate"})
 	li := e.Where(lt, lt.StrCol("l_commitdate").Before(lt.StrCol("l_receiptdate")))
 	liKeys := e.Aggregate(li, []string{"l_orderkey"}, []relal.AggSpec{{Fn: "count", Col: "*", As: "n"}})
-	sj := e.SemiJoin(ord, liKeys, "o_orderkey", "l_orderkey")
-	return e.Aggregate(sj, []string{"o_orderpriority"}, []relal.AggSpec{
+	return e.SemiJoin(ord, liKeys, "o_orderkey", "l_orderkey")
+}
+
+func q4Suffix(e *relal.Exec, _ *DB, sj *relal.Table) *relal.Table {
+	agg := e.Aggregate(sj, []string{"o_orderpriority"}, []relal.AggSpec{
 		{Fn: "count", Col: "*", As: "order_count"},
 	})
+	return e.Sort(agg, relal.OrderSpec{Col: "o_orderpriority"})
 }
 
 // q5: local supplier volume in ASIA. Written order follows the HIVE-600
 // script the paper analyzes: nation⋈region, then supplier, then the big
 // lineitem common join, then orders, then customer.
-func q5(e *relal.Exec, db *DB) *relal.Table {
+func q5Prefix(e *relal.Exec, db *DB) *relal.Table {
 	region := scanWhere(e, db, "region", []string{"r_regionkey", "r_name"},
 		relal.StrEq("r_name", "ASIA"))
 	nr := e.Join(scan(e, db, "nation", []string{"n_nationkey", "n_name", "n_regionkey"}), region, "n_regionkey", "r_regionkey")
 	snr := e.Join(scan(e, db, "supplier", []string{"s_suppkey", "s_nationkey"}), nr, "s_nationkey", "n_nationkey")
-	lsnr := e.Join(scanKeys(e, db, "lineitem",
-		[]string{"l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"},
-		relal.IntIn("l_suppkey", snr, "s_suppkey")), snr, "l_suppkey", "s_suppkey")
-	ord := scanKeys(e, db, "orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
-		relal.IntIn("o_orderkey", lsnr, "l_orderkey"),
+	lsnr := e.Join(scan(e, db, "lineitem",
+		posCols(db, "lineitem", "l_orderkey", "l_suppkey", "l_extendedprice", "l_discount")), snr, "l_suppkey", "s_suppkey")
+	ord := scanWhere(e, db, "orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
 		relal.StrRange("o_orderdate", "1994-01-01", "1995-01-01"))
 	lo := e.Join(lsnr, ord, "l_orderkey", "o_orderkey")
 	// Customer must be in the same nation as the supplier.
@@ -242,7 +239,10 @@ func q5(e *relal.Exec, db *DB) *relal.Table {
 	ck := loc.IntCol("c_nationkey")
 	sk := loc.IntCol("s_nationkey")
 	same := e.Filter(loc, func(i int) bool { return ck.Get(i) == sk.Get(i) })
-	same = discPrice(e, same, "rev")
+	return discPrice(e, same, "rev")
+}
+
+func q5Suffix(e *relal.Exec, _ *DB, same *relal.Table) *relal.Table {
 	agg := e.Aggregate(same, []string{"n_name"}, []relal.AggSpec{
 		{Fn: "sum", Col: "rev", As: "revenue"},
 	})
@@ -267,9 +267,9 @@ func q6(e *relal.Exec, db *DB) *relal.Table {
 }
 
 // q7: shipping volume between FRANCE and GERMANY.
-func q7(e *relal.Exec, db *DB) *relal.Table {
+func q7Prefix(e *relal.Exec, db *DB) *relal.Table {
 	li := scanWhere(e, db, "lineitem",
-		[]string{"l_orderkey", "l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"},
+		posCols(db, "lineitem", "l_orderkey", "l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"),
 		relal.StrBetween("l_shipdate", "1995-01-01", "1996-12-31"))
 	ls := e.Join(li, scan(e, db, "supplier", []string{"s_suppkey", "s_nationkey"}), "l_suppkey", "s_suppkey")
 	lso := e.Join(ls, scan(e, db, "orders", []string{"o_orderkey", "o_custkey"}), "l_orderkey", "o_orderkey")
@@ -295,7 +295,10 @@ func q7(e *relal.Exec, db *DB) *relal.Table {
 	})
 	fsd := f.StrCol("l_shipdate")
 	f = e.ExtendStr(f, "l_year", func(i int) string { return fsd.Get(i)[:4] })
-	f = discPrice(e, f, "volume")
+	return discPrice(e, f, "volume")
+}
+
+func q7Suffix(e *relal.Exec, _ *DB, f *relal.Table) *relal.Table {
 	agg := e.Aggregate(f, []string{"supp_nation", "cust_nation", "l_year"}, []relal.AggSpec{
 		{Fn: "sum", Col: "volume", As: "revenue"},
 	})
@@ -361,21 +364,20 @@ func q8(e *relal.Exec, db *DB) *relal.Table {
 
 // q9: profit by nation and year for green parts. The paper notes this
 // query ran out of disk in Hive at 16 TB.
-func q9(e *relal.Exec, db *DB) *relal.Table {
+func q9Prefix(e *relal.Exec, db *DB) *relal.Table {
 	pt := scan(e, db, "part", []string{"p_partkey", "p_name"})
 	pname := pt.StrCol("p_name")
 	part := e.Filter(pt, func(i int) bool { return strings.Contains(pname.Get(i), "green") })
-	lp := e.Join(scanKeys(e, db, "lineitem",
-		[]string{"l_orderkey", "l_partkey", "l_suppkey", "l_quantity", "l_extendedprice", "l_discount"},
-		relal.IntIn("l_partkey", part, "p_partkey")), part, "l_partkey", "p_partkey")
+	lp := e.Join(scan(e, db, "lineitem",
+		posCols(db, "lineitem", "l_orderkey", "l_partkey", "l_suppkey", "l_quantity", "l_extendedprice", "l_discount")),
+		part, "l_partkey", "p_partkey")
 	lps := e.Join(lp, scan(e, db, "supplier", []string{"s_suppkey", "s_nationkey"}), "l_suppkey", "s_suppkey")
 	// partsupp join on (partkey, suppkey): join on partkey then filter.
 	lpsps := e.Join(lps, scan(e, db, "partsupp", []string{"ps_partkey", "ps_suppkey", "ps_supplycost"}), "l_partkey", "ps_partkey")
 	sk := lpsps.IntCol("l_suppkey")
 	pssk := lpsps.IntCol("ps_suppkey")
 	match := e.Filter(lpsps, func(i int) bool { return sk.Get(i) == pssk.Get(i) })
-	mo := e.Join(match, scanKeys(e, db, "orders", []string{"o_orderkey", "o_orderdate"},
-		relal.IntIn("o_orderkey", match, "l_orderkey")), "l_orderkey", "o_orderkey")
+	mo := e.Join(match, scan(e, db, "orders", []string{"o_orderkey", "o_orderdate"}), "l_orderkey", "o_orderkey")
 	mon := e.Join(mo, scan(e, db, "nation", []string{"n_nationkey", "n_name"}), "s_nationkey", "n_nationkey")
 	mod := mon.StrCol("o_orderdate")
 	mon = e.ExtendStr(mon, "o_year", func(i int) string { return mod.Get(i)[:4] })
@@ -383,9 +385,12 @@ func q9(e *relal.Exec, db *DB) *relal.Table {
 	dc := mon.FloatCol("l_discount")
 	sc := mon.FloatCol("ps_supplycost")
 	qty := mon.FloatCol("l_quantity")
-	mon = e.ExtendFloat(mon, "amount", func(i int) float64 {
+	return e.ExtendFloat(mon, "amount", func(i int) float64 {
 		return ep.Get(i)*(1-dc.Get(i)) - sc.Get(i)*qty.Get(i)
 	})
+}
+
+func q9Suffix(e *relal.Exec, _ *DB, mon *relal.Table) *relal.Table {
 	agg := e.Aggregate(mon, []string{"n_name", "o_year"}, []relal.AggSpec{
 		{Fn: "sum", Col: "amount", As: "sum_profit"},
 	})
@@ -440,19 +445,10 @@ func q11(e *relal.Exec, db *DB) *relal.Table {
 }
 
 // q12: shipping modes and order priority.
-func q12(e *relal.Exec, db *DB) *relal.Table {
-	return e.Sort(q12Partial(e, db), relal.OrderSpec{Col: "l_shipmode"})
-}
-
-// q12Partial is Q12 up to the per-shipmode sums — the shard-local
-// fragment. The lineitem–orders join is colocated under orderkey
-// hashing, and the summed columns hold only 0/1 integers, so per-shard
-// partial sums (exact in float64) add back to the global answer with no
-// rounding drift.
-func q12Partial(e *relal.Exec, db *DB) *relal.Table {
+func q12Prefix(e *relal.Exec, db *DB) *relal.Table {
 	received := relal.StrRange("l_receiptdate", "1994-01-01", "1995-01-01")
 	lt := scan(e, db, "lineitem",
-		[]string{"l_orderkey", "l_shipdate", "l_commitdate", "l_receiptdate", "l_shipmode"}, received)
+		posCols(db, "lineitem", "l_orderkey", "l_shipdate", "l_commitdate", "l_receiptdate", "l_shipmode"), received)
 	commit := lt.StrCol("l_commitdate")
 	receipt := lt.StrCol("l_receiptdate")
 	ship := lt.StrCol("l_shipdate")
@@ -471,27 +467,34 @@ func q12Partial(e *relal.Exec, db *DB) *relal.Table {
 		return 0
 	})
 	high := lo.IntCol("high_line")
-	lo = e.ExtendInt(lo, "low_line", func(i int) int64 {
+	return e.ExtendInt(lo, "low_line", func(i int) int64 {
 		if high.Get(i) == 1 {
 			return 0
 		}
 		return 1
 	})
-	return e.Aggregate(lo, []string{"l_shipmode"}, []relal.AggSpec{
+}
+
+func q12Suffix(e *relal.Exec, _ *DB, lo *relal.Table) *relal.Table {
+	agg := e.Aggregate(lo, []string{"l_shipmode"}, []relal.AggSpec{
 		{Fn: "sum", Col: "high_line", As: "high_line_count"},
 		{Fn: "sum", Col: "low_line", As: "low_line_count"},
 	})
+	return e.Sort(agg, relal.OrderSpec{Col: "l_shipmode"})
 }
 
 // q13: distribution of customers by order count.
-func q13(e *relal.Exec, db *DB) *relal.Table {
-	ot := scan(e, db, "orders", []string{"o_custkey", "o_comment"})
+func q13Prefix(e *relal.Exec, db *DB) *relal.Table {
+	ot := scan(e, db, "orders", posCols(db, "orders", "o_custkey", "o_comment"))
 	ocomment := ot.StrCol("o_comment")
-	ord := e.Filter(ot, func(i int) bool {
+	return e.Filter(ot, func(i int) bool {
 		c := ocomment.Get(i)
 		j := strings.Index(c, "special")
 		return j < 0 || !strings.Contains(c[j:], "requests")
 	})
+}
+
+func q13Suffix(e *relal.Exec, db *DB, ord *relal.Table) *relal.Table {
 	perCust := e.Aggregate(ord, []string{"o_custkey"}, []relal.AggSpec{
 		{Fn: "count", Col: "*", As: "c_count"},
 	})
@@ -654,11 +657,11 @@ func q18(e *relal.Exec, db *DB) *relal.Table {
 
 // q19: discounted revenue with the three-branch AND/OR predicate the
 // paper's §3.3.4.1 analysis discusses.
-func q19(e *relal.Exec, db *DB) *relal.Table {
+func q19Prefix(e *relal.Exec, db *DB) *relal.Table {
 	inPerson := relal.StrEq("l_shipinstruct", "DELIVER IN PERSON")
 	lp := e.Join(
 		scan(e, db, "lineitem",
-			[]string{"l_partkey", "l_quantity", "l_extendedprice", "l_discount", "l_shipinstruct", "l_shipmode"},
+			posCols(db, "lineitem", "l_partkey", "l_quantity", "l_extendedprice", "l_discount", "l_shipinstruct", "l_shipmode"),
 			inPerson),
 		scan(e, db, "part", []string{"p_partkey", "p_brand", "p_size", "p_container"}),
 		"l_partkey", "p_partkey")
@@ -687,7 +690,10 @@ func q19(e *relal.Exec, db *DB) *relal.Table {
 		}
 		return false
 	}))
-	f = discPrice(e, f, "rev")
+	return discPrice(e, f, "rev")
+}
+
+func q19Suffix(e *relal.Exec, _ *DB, f *relal.Table) *relal.Table {
 	return e.Aggregate(f, nil, []relal.AggSpec{{Fn: "sum", Col: "rev", As: "revenue"}})
 }
 
@@ -725,10 +731,11 @@ func q20(e *relal.Exec, db *DB) *relal.Table {
 	return e.Sort(proj, relal.OrderSpec{Col: "s_name"})
 }
 
-// q21: suppliers in SAUDI ARABIA who kept multi-supplier orders waiting.
-func q21(e *relal.Exec, db *DB) *relal.Table {
+// q21: suppliers in SAUDI ARABIA who kept multi-supplier orders
+// waiting. The per-order phases group by orderkey, so are colocated.
+func q21Prefix(e *relal.Exec, db *DB) *relal.Table {
 	li := scan(e, db, "lineitem",
-		[]string{"l_orderkey", "l_suppkey", "l_commitdate", "l_receiptdate"})
+		posCols(db, "lineitem", "l_orderkey", "l_suppkey", "l_commitdate", "l_receiptdate"))
 	// Suppliers per order, and late suppliers per order.
 	perOrder := e.Aggregate(
 		e.Aggregate(li, []string{"l_orderkey", "l_suppkey"}, []relal.AggSpec{{Fn: "count", Col: "*", As: "n"}}),
@@ -763,7 +770,10 @@ func q21(e *relal.Exec, db *DB) *relal.Table {
 		[]string{"s_suppkey", "s_name", "s_nationkey"}), "l_suppkey", "s_suppkey")
 	nation := scanWhere(e, db, "nation", []string{"n_nationkey", "n_name"},
 		relal.StrEq("n_name", "SAUDI ARABIA"))
-	lsn := e.Join(ls, nation, "s_nationkey", "n_nationkey")
+	return e.Join(ls, nation, "s_nationkey", "n_nationkey")
+}
+
+func q21Suffix(e *relal.Exec, _ *DB, lsn *relal.Table) *relal.Table {
 	// One row per (order, supplier) — dedup before counting.
 	dedup := e.Aggregate(lsn, []string{"s_name", "l_orderkey"}, []relal.AggSpec{
 		{Fn: "count", Col: "*", As: "n"},
