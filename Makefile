@@ -23,7 +23,7 @@ race:
 # shared-scheduler suites) + every join, sort/top-K and group-by suite
 # (each kernel against its naive oracle at every worker count, the key
 # table's structure in each representation, the Int-key rule) + dict,
-# predicate, range-condition and key-set soundness and chunk-encoding
+# predicate and range-condition soundness and chunk-encoding
 # differentials + the HTAP
 # delta-pipeline and wal/delta-log concurrency suites under the race
 # detector (CI's `streams` job).
@@ -49,8 +49,8 @@ crash:
 
 # The distributed scatter/gather suites: golden answers at shard counts
 # {1,2,4} over the wire, shard-side filtering (a shard ships only the
-# rows that pass the pushed conditions and lie in any pushed key set,
-# the empty set included), cut-vs-scan differential, injected
+# rows that pass the pushed conditions), every cut's merged shard
+# prefixes against the single-process prefix, injected
 # network faults (drop/truncate/duplicate/reset/delay), kill + restart
 # of shard OS processes mid-stream, typed ErrPartial on outage, kept
 # sessions (reuse, sequence echo, the redial after a shard restart,
@@ -64,17 +64,16 @@ dist:
 
 # Short fuzz runs over the join key table's three representations
 # (slot array, packed-key map, byte-key map), sort/top-K, group-by
-# key encodings and morsel merge, the range conditions and key sets
-# (ZoneCond.On over raw and dictionary columns against the naive
-# comparison or membership, against zone pruning and after a gob round
-# trip), RCF7 dict-chunk and gdict+rle/delta-chunk round-trips, every
-# chunk decoder behind re-stamped CRCs (stored and deflated, its own
-# allocation bounded), chunk-cache key/eviction paths, the delta-log
-# replay parser, the full crash-schedule → recover cycle of the
-# file-backed log, Q6 through the scattered, shard-filtered scan under
-# injected network faults, the dist table decoder, and the BSON decoder
-# of the HTAP write path (accepts exactly what Marshal produces) — every
-# fuzz target CI runs.
+# key encodings and morsel merge, the range conditions (ZoneCond.On
+# over raw and dictionary columns against the naive comparison, against
+# zone pruning and after a gob round trip), RCF7 dict-chunk and
+# gdict+rle/delta-chunk round-trips, every chunk decoder behind
+# re-stamped CRCs (stored and deflated, its own allocation bounded),
+# chunk-cache key/eviction paths, the delta-log replay parser, the full
+# crash-schedule → recover cycle of the file-backed log, Q6 through the
+# scattered, shard-filtered scan under injected network faults, the
+# dist table decoder, and the BSON decoder of the HTAP write path
+# (accepts exactly what Marshal produces) — every fuzz target CI runs.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzJoinKeys -fuzztime 15s ./internal/relal/
 	$(GO) test -run xxx -fuzz FuzzSortKeys -fuzztime 15s ./internal/relal/

@@ -79,9 +79,6 @@ type Options struct {
 	// Net injects network faults into every data-plane frame the
 	// coordinator sends or receives.
 	Net fault.NetSchedule
-	// NoCuts sends every query through the scattered-scan path, cut
-	// queries included (differential testing).
-	NoCuts bool
 }
 
 func (o Options) withDefaults() Options {
@@ -223,7 +220,7 @@ func (c *Coordinator) RunQuery(id int) (t *relal.Table, err error) {
 			c.partials.Add(1)
 		}
 	}()
-	if cut, ok := tpch.Cuts[id]; ok && !c.opts.NoCuts {
+	if cut, ok := tpch.Cuts[id]; ok {
 		return c.runCut(id, cut)
 	}
 	out, _ := tpch.RunQuery(id, c.db)
@@ -487,9 +484,9 @@ func (c *Coordinator) Health(i int) (map[string]int64, error) {
 // the coordinator: scatter the (column, predicate) request and merge
 // the shards' matching rows back into global row order on the hidden
 // position column. Each shard applies the pushed conditions row by row
-// before shipping (key sets too), and each plan applies them again (its
-// Where through relal.ZoneCond.On, a key set through its join), so the
-// reassembled scan is answer-equivalent to the local one.
+// before shipping, and each plan applies them again (its Where through
+// relal.ZoneCond.On), so the reassembled scan is answer-equivalent to
+// the local one.
 // relal.Source has no error channel — a failed gather panics a
 // *PartialError that Coordinator.RunQuery recovers into a typed error.
 type distSource struct {

@@ -151,32 +151,28 @@ func TestDistGoldenShards(t *testing.T) {
 	}
 }
 
-// TestDistCutsMatchScatterScan runs every cut query through both
-// distributed paths — the prefix on the shards with the suffix on the
-// coordinator, and the whole plan on the coordinator over scattered
-// scans — at shard counts 1, 2 and 4, and requires both byte-identical
-// to the golden.
-func TestDistCutsMatchScatterScan(t *testing.T) {
+// TestDistCutsGoldenOnePerShard runs every cut query — the prefix on
+// the shards, the suffix on the coordinator — at shard counts 1, 2 and
+// 4, and requires each answer byte-identical to the golden and sent as
+// exactly one request per shard.
+func TestDistCutsGoldenOnePerShard(t *testing.T) {
 	want := readGolden(t)
 	for _, n := range []int{1, 2, 4} {
-		addrs := startLocalShards(t, n)
-		for _, noCuts := range []bool{false, true} {
-			c := NewCoordinatorDB(tpch.Generate(goldenGen()), addrs, Options{NoCuts: noCuts})
-			for id := range tpch.Cuts {
-				before := c.Stats()[cRequests]
-				out, err := c.RunQuery(id)
-				if err != nil {
-					t.Fatalf("shards=%d noCuts=%v Q%d: %v", n, noCuts, id, err)
-				}
-				if sent := c.Stats()[cRequests] - before; !noCuts && sent != int64(n) {
-					t.Fatalf("shards=%d Q%d sent %d requests, want one per shard", n, id, sent)
-				}
-				if got := tpch.FormatAnswer(id, out); got != goldenBlock(want, id) {
-					t.Fatalf("shards=%d noCuts=%v Q%d drifted:\n%s", n, noCuts, id, got)
-				}
+		c := NewCoordinatorDB(tpch.Generate(goldenGen()), startLocalShards(t, n), Options{})
+		for id := range tpch.Cuts {
+			before := c.Stats()[cRequests]
+			out, err := c.RunQuery(id)
+			if err != nil {
+				t.Fatalf("shards=%d Q%d: %v", n, id, err)
 			}
-			c.Close()
+			if sent := c.Stats()[cRequests] - before; sent != int64(n) {
+				t.Fatalf("shards=%d Q%d sent %d requests, want one per shard", n, id, sent)
+			}
+			if got := tpch.FormatAnswer(id, out); got != goldenBlock(want, id) {
+				t.Fatalf("shards=%d Q%d drifted:\n%s", n, id, got)
+			}
 		}
+		c.Close()
 	}
 }
 

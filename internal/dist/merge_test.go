@@ -17,18 +17,16 @@ import (
 // TestDistScanMergeDifferential: at every shard count, a scan through
 // the coordinator's scattered source returns exactly the cells the same
 // scan of the in-memory table returns — all columns and a column subset
-// unfiltered, and under a zone predicate (key sets included) exactly the
-// rows that pass it, since the shards filter before they ship — and
+// unfiltered, and under a zone predicate exactly the rows that pass it, since the shards filter before they ship — and
 // dictionary columns arrive still dictionary-encoded.
 func TestDistScanMergeDifferential(t *testing.T) {
 	e := &relal.Exec{Parallelism: 1}
 	// Per table: a dictionary Str condition and an open Float bound to
-	// push beside the key range, and a column to take a key set on.
+	// push beside the key range.
 	extra := map[string][]relal.ZoneCond{
 		"lineitem": {relal.StrEq("l_shipinstruct", "DELIVER IN PERSON"), relal.FloatLess("l_quantity", 24)},
 		"orders":   {relal.StrRange("o_orderdate", "1993-01-01", "1997-01-01"), relal.FloatGreater("o_totalprice", 50000)},
 	}
-	setCol := map[string]string{"lineitem": "l_partkey", "orders": "o_custkey"}
 	for _, n := range []int{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			db := tpch.Generate(goldenGen())
@@ -62,14 +60,11 @@ func TestDistScanMergeDifferential(t *testing.T) {
 
 				// The table is clustered by its key, so a key range prunes
 				// groups on the shards; the shards then drop every row that
-				// fails a condition or lies outside the key set (the values
-				// of every third row), so the merged scan is exactly the
+				// fails a condition, so the merged scan is exactly the
 				// matching rows, in order.
 				keys := mem.IntCol(key)
 				lo, hi := keys.Get(mem.NumRows()/3), keys.Get(mem.NumRows()/2)
-				thirds := e.Filter(mem, func(i int) bool { return i%3 == 0 })
-				set := relal.IntIn(setCol[name], thirds, setCol[name])
-				pred := append(relal.ZonePredicate{relal.IntBetween(key, lo, hi), set}, extra[name]...)
+				pred := append(relal.ZonePredicate{relal.IntBetween(key, lo, hi)}, extra[name]...)
 				cols := slices.Clone(subset)
 				for _, c := range pred[1:] {
 					cols = append(cols, c.Col)
@@ -86,6 +81,68 @@ func TestDistScanMergeDifferential(t *testing.T) {
 				sameCells(t, got, want)
 			}
 		})
+	}
+}
+
+// spineAggPrefix is a cut prefix whose spine starts with an aggregate,
+// as Q18's does, with a threshold low enough to keep rows at the golden
+// scale (Q18's keeps none). It groups by (l_orderkey, l_returnflag),
+// whose groups interleave within an order, so a group that carried any
+// position but its first row's would break the order the merge rebuilds.
+func spineAggPrefix(e *relal.Exec, db *tpch.DB) *relal.Table {
+	cols := []string{"l_orderkey", "l_returnflag", "l_quantity"}
+	aggs := []relal.AggSpec{{Fn: "sum", Col: "l_quantity", As: "sum_qty"}}
+	if slices.ContainsFunc(db.Lineitem.Schema, func(c relal.Column) bool { return c.Name == tpch.PosCol }) {
+		cols = append(cols, tpch.PosCol)
+		aggs = append(aggs, relal.AggSpec{Fn: "first", Col: tpch.PosCol, As: tpch.PosCol})
+	}
+	li := e.Project(db.Lineitem, cols...)
+	agg := e.Aggregate(li, []string{"l_orderkey", "l_returnflag"}, aggs)
+	big := e.Where(agg, relal.FloatGreater("sum_qty", 100).On(agg))
+	return e.Join(big, e.Project(db.Orders, "o_orderkey", "o_orderdate"), "l_orderkey", "o_orderkey")
+}
+
+// TestDistCutPrefixMerge holds the merge below each cut's suffix to the
+// single-process prefix, in process and without a network: at 1, 2 and
+// 4 shards, each shard's Project(Prefix, Ship..., PosCol) over its
+// BuildShardDB partition must pass checkCutPart, and mergeByPos over
+// the shards' answers must equal Project(Prefix(db), Ship...) cell for
+// cell. spineAggPrefix stands beside the registered cuts.
+func TestDistCutPrefixMerge(t *testing.T) {
+	gen := goldenGen()
+	e := &relal.Exec{Parallelism: 1}
+	cuts := map[string]tpch.Cut{"spine aggregate": {Prefix: spineAggPrefix, Ship: []string{"l_orderkey", "l_returnflag", "o_orderdate", "sum_qty"}}}
+	for id, cut := range tpch.Cuts {
+		cuts[fmt.Sprintf("Q%d", id)] = cut
+	}
+	db := tpch.Generate(gen)
+	shards := map[int][]*tpch.DB{}
+	for _, n := range []int{1, 2, 4} {
+		for i := range n {
+			shards[n] = append(shards[n], BuildShardDB(ShardConfig{Shards: n, Index: i, SF: gen.SF, Seed: gen.Seed, Random64: gen.Random64}))
+		}
+	}
+	for name, cut := range cuts {
+		want := e.Project(cut.Prefix(e, db), cut.Ship...)
+		if name == "spine aggregate" && want.NumRows() == 0 {
+			t.Fatalf("%s: no prefix rows to merge", name)
+		}
+		for n, dbs := range shards {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, n), func(t *testing.T) {
+				parts := make([]*relal.Table, n)
+				for i, sdb := range dbs {
+					parts[i] = e.Project(cut.Prefix(e, sdb), append(slices.Clip(cut.Ship), tpch.PosCol)...).Compacted()
+					if err := checkCutPart(parts[i], cut.Ship); err != nil {
+						t.Fatalf("shard %d: %v", i, err)
+					}
+				}
+				got, err := mergeByPos(name, parts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameCells(t, got, want)
+			})
+		}
 	}
 }
 
@@ -111,11 +168,10 @@ func shardScan(t *testing.T, addr string, req Request) Response {
 
 // TestDistShardScanFilter: a shard answers a scan with exactly the rows
 // of its partition that pass every pushed condition it can test — Int,
-// open Float and dictionary Str bounds and key sets, over a column
-// subset or all columns. A condition on an unrequested column, or whose
-// type is not its column's, is left to pruning without an error, and a
-// predicate no row passes — the empty key set among them — ships schema
-// only.
+// open Float and dictionary Str bounds, over a column subset or all
+// columns. A condition on an unrequested column, or whose type is not
+// its column's, is left to pruning without an error, and a predicate no
+// row passes ships schema only.
 func TestDistShardScanFilter(t *testing.T) {
 	e := &relal.Exec{Parallelism: 1}
 	gen := goldenGen()
@@ -131,16 +187,6 @@ func TestDistShardScanFilter(t *testing.T) {
 		// Quantities are whole numbers, so no row group can rule this out
 		// and no row passes it.
 		nothing := relal.FloatBetween("l_quantity", 24.25, 24.75)
-		// Key sets: the order keys of every fifth row, the part keys of
-		// every ninth (their hull spans every group, so pruning keeps
-		// all of them), and the keys of an empty build.
-		every := func(n int) *relal.Table { return e.Filter(part, func(i int) bool { return i%n == 0 }) }
-		orderSet := relal.IntIn("l_orderkey", every(5), "l_orderkey")
-		partSet := relal.IntIn("l_partkey", every(9), "l_partkey")
-		emptySet := relal.IntIn("l_partkey", e.Filter(part, func(int) bool { return false }), "l_partkey")
-		if !emptySet.HasKeys || emptySet.HasLo || emptySet.HasHi {
-			t.Fatalf("an empty build gave %+v", emptySet)
-		}
 		cases := []struct {
 			name string
 			cols []string
@@ -154,10 +200,6 @@ func TestDistShardScanFilter(t *testing.T) {
 			{"unrequested column", []string{"l_orderkey", tpch.PosCol}, relal.ZonePredicate{quantity, keyRange}, relal.ZonePredicate{keyRange}},
 			{"mistyped", []string{"l_quantity", tpch.PosCol}, relal.ZonePredicate{mistyped}, nil},
 			{"matches nothing", []string{"l_quantity", tpch.PosCol}, relal.ZonePredicate{nothing}, relal.ZonePredicate{nothing}},
-			{"orderkey set", []string{"l_orderkey", "l_quantity", tpch.PosCol}, relal.ZonePredicate{orderSet, quantity}, relal.ZonePredicate{orderSet, quantity}},
-			{"partkey set", []string{"l_partkey", "l_orderkey", tpch.PosCol}, relal.ZonePredicate{partSet}, relal.ZonePredicate{partSet}},
-			{"empty set", []string{"l_partkey", tpch.PosCol}, relal.ZonePredicate{emptySet}, relal.ZonePredicate{emptySet}},
-			{"set on unrequested column", []string{"l_orderkey", tpch.PosCol}, relal.ZonePredicate{partSet}, nil},
 		}
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("shard=%d/%s", i, tc.name), func(t *testing.T) {
@@ -166,9 +208,6 @@ func TestDistShardScanFilter(t *testing.T) {
 					want = e.Project(want, tc.cols...)
 				}
 				resp := shardScan(t, addr, Request{Op: OpScan, Table: "lineitem", Cols: tc.cols, Pred: tc.pred})
-				if tc.pred[0].HasKeys && len(tc.pred[0].Keys) == 0 && resp.Stats.GroupsSkipped != 0 {
-					t.Fatalf("the empty key set pruned %d groups", resp.Stats.GroupsSkipped)
-				}
 				if want.NumRows() == 0 {
 					if resp.Rows != 0 || resp.Data != nil {
 						t.Fatalf("nothing matches, yet the shard shipped %d rows, %d bytes", resp.Rows, len(resp.Data))

@@ -52,12 +52,13 @@ import (
 // Wire ops.
 const (
 	// OpScan returns the rows of the shard's partition of a base table
-	// that pass every pushed condition (key sets too) on a scanned column,
-	// restricted to the requested columns (plus the hidden _pos column).
+	// that pass every pushed condition on a scanned column, restricted to
+	// the requested columns (plus the hidden _pos column).
 	OpScan = iota
 	// OpCut runs a registered tpch.Cut prefix over the shard's partition
 	// and returns its Ship columns, then the hidden _pos column of the
-	// prefix's leftmost scan.
+	// prefix's leftmost scan (a spine aggregate's groups carry their
+	// first row's).
 	OpCut
 	// OpHealth is the probe: cheap, no data plane, returns the shard's
 	// delta-log positions so callers can assert recovery completeness.

@@ -17,10 +17,11 @@ import (
 )
 
 // AggSpec is one aggregate: Fn over the expression column Col (or "*"
-// for COUNT(*)), output-named As. Every Fn but count needs an Int or
-// Float column.
+// for COUNT(*)), output-named As. Every Fn but count and first needs an
+// Int or Float column; first is the cell of the group's first row, of
+// any type and encoding.
 type AggSpec struct {
-	Fn  string // "sum", "avg", "count", "min", "max"
+	Fn  string // "sum", "avg", "count", "min", "max", "first"
 	Col string
 	As  string
 }
@@ -372,13 +373,24 @@ func foldNum[T int64 | float64](fn string, xs []T, sel, gid []int32, groups int)
 	return acc
 }
 
+// gatherAt returns in's cells at the logical rows rows, read through sel.
+func gatherAt(in *Vector, sel, rows []int32) *Vector {
+	if sel != nil {
+		rows = gatherSlice(sel, rows)
+	}
+	return in.gather(rows)
+}
+
 // fold computes one aggregate's output column from the input vector in,
 // read through sel (Aggregate has checked fn against the input's type).
-// counts is the shared per-group row count; every count column gets its
-// own copy.
-func fold(fn string, in *Vector, sel, gid []int32, counts []int64) *Vector {
-	if fn == "count" {
+// first is each group's first logical row; counts is the shared
+// per-group row count, and every count column gets its own copy.
+func fold(fn string, in *Vector, sel, gid, first []int32, counts []int64) *Vector {
+	switch fn {
+	case "count":
 		return IntsV(slices.Clone(counts))
+	case "first":
+		return gatherAt(in, sel, first)
 	}
 	var acc []float64
 	if in.Kind == Int {
@@ -420,6 +432,11 @@ func (e *Exec) Aggregate(t *Table, groupBy []string, aggs []AggSpec) *Table {
 		switch a.Fn {
 		case "count":
 			typ = Int
+		case "first":
+			if ins[i] == nil {
+				panic("relal: no first over *")
+			}
+			typ = ins[i].Kind
 		case "sum", "avg", "min", "max":
 			if in := ins[i]; in == nil || in.Kind == Str {
 				panic("relal: no " + a.Fn + " over column " + a.Col)
@@ -440,14 +457,10 @@ func (e *Exec) Aggregate(t *Table, groupBy []string, aggs []AggSpec) *Table {
 	}
 	cols := make([]*Vector, len(sch))
 	for k, gi := range gidx {
-		at := first
-		if s := t.sel(gi); s != nil {
-			at = gatherSlice(s, first)
-		}
-		cols[k] = t.Cols[gi].gather(at)
+		cols[k] = gatherAt(t.Cols[gi], t.sel(gi), first)
 	}
 	runItems(len(aggs), w, func(i int) {
-		cols[len(gidx)+i] = fold(aggs[i].Fn, ins[i], inSels[i], gid, counts)
+		cols[len(gidx)+i] = fold(aggs[i].Fn, ins[i], inSels[i], gid, first, counts)
 	})
 	out := &Table{Name: t.Name + "_agg", Schema: sch, Cols: cols}
 	e.Log.Add(Step{

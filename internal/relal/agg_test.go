@@ -13,10 +13,12 @@ import (
 // a time, a map keyed by the %q-quoted group cells, groups in first-seen
 // order, sums added in row order. It shares no code with the kernel in
 // agg.go. Float key cells are keyed by bit pattern with every NaN folded
-// to one; numeric min/max skip NaN cells and fall back to ±Inf.
+// to one; numeric min/max skip NaN cells and fall back to ±Inf; first
+// is the group's first row's cell.
 func oracleAggregate(sch Schema, rows []Row, groupBy []string, aggs []AggSpec) []Row {
 	type state struct {
 		key      Row
+		row      Row // the group's first row
 		count    int64
 		sum      []float64
 		min, max []float64
@@ -50,7 +52,7 @@ func oracleAggregate(sch Schema, rows []Row, groupBy []string, aggs []AggSpec) [
 		if st == nil {
 			st = &state{
 				sum: make([]float64, len(aggs)), min: make([]float64, len(aggs)), max: make([]float64, len(aggs)),
-				haveNum: make([]bool, len(aggs)),
+				haveNum: make([]bool, len(aggs)), row: r,
 			}
 			for _, g := range groupBy {
 				st.key = append(st.key, r[sch.Col(g)])
@@ -60,7 +62,7 @@ func oracleAggregate(sch Schema, rows []Row, groupBy []string, aggs []AggSpec) [
 		}
 		st.count++
 		for a, spec := range aggs {
-			if spec.Fn == "count" {
+			if spec.Fn == "count" || spec.Fn == "first" {
 				continue
 			}
 			v := num(r[sch.Col(spec.Col)])
@@ -85,6 +87,8 @@ func oracleAggregate(sch Schema, rows []Row, groupBy []string, aggs []AggSpec) [
 			switch {
 			case spec.Fn == "count":
 				r = append(r, st.count)
+			case spec.Fn == "first":
+				r = append(r, st.row[sch.Col(spec.Col)])
 			case spec.Fn == "sum":
 				r = append(r, st.sum[a])
 			case spec.Fn == "avg":
@@ -213,7 +217,9 @@ func aggDiffTables(rows int, seed int64) (raw, dict *Table) {
 // TestAggregateDifferential holds Exec.Aggregate to the naive oracle:
 // every key shape × raw/dict strings × dense table / filtered view /
 // sort-permuted view / two key-ordered views × workers {1, 2, 7}, over
-// more than three morsels, five aggregates at once. Group order, counts
+// more than three morsels, eight aggregates at once (first over a Float,
+// a dict and a raw Str column among them: each group's cell is its first
+// row's, whichever morsel first saw the group). Group order, counts
 // and the bits of every float must match, and the inputs must take the
 // ordered path and each of the three groupTable representations through
 // the multi-morsel merge.
@@ -239,6 +245,9 @@ func TestAggregateDifferential(t *testing.T) {
 		{Fn: "avg", Col: "vi", As: "avg_vi"},
 		{Fn: "min", Col: "v", As: "min_v"},
 		{Fn: "max", Col: "vi", As: "max_vi"},
+		{Fn: "first", Col: "v", As: "first_v"},
+		{Fn: "first", Col: "kd", As: "first_kd"},
+		{Fn: "first", Col: "ks", As: "first_ks"},
 	}
 	views := []struct {
 		name string

@@ -268,133 +268,3 @@ func TestPredCondSound(t *testing.T) {
 		checkPredCond(t, func() byte { return byte(rng.Intn(256)) })
 	}
 }
-
-// keyPool is what key sets and probe cells draw from: negatives, both
-// int64 extremes and their neighbours, and keys maxKeySpan−1 and
-// maxKeySpan from 0, so hulls fall below, at and past the cap.
-var keyPool = []int64{3, -1, 0, 40, 7, -7, 64, 63, -64, 129, maxKeySpan - 1, maxKeySpan, -maxKeySpan,
-	math.MaxInt64, math.MinInt64, math.MaxInt64 - 1, math.MinInt64 + 1}
-
-// checkKeySet builds IntIn over keys, read densely or through a
-// selection that hides a junk row after each key, and holds it to its
-// meaning over a probe column of cells, dense and as a view: On is
-// membership (the hull, once the hull passes maxKeySpan), also after a
-// gob round trip; the empty set matches nothing and prunes nothing; and
-// no 64-row group that mayMatch rules out holds a member.
-func checkKeySet(t *testing.T, keys []int64, viewBuild bool, cells []int64, junk func() int64) {
-	build := NewTable("b", Schema{{Name: "b", Type: Int}}, IntsV(keys))
-	if viewBuild {
-		padded := make([]int64, 0, 2*len(keys))
-		for _, k := range keys {
-			padded = append(padded, k, junk())
-		}
-		build = (&Exec{}).Filter(NewTable("b", Schema{{Name: "b", Type: Int}}, IntsV(padded)), func(i int) bool { return i%2 == 0 })
-	}
-	c := IntIn("i", build, "b")
-	member := map[int64]bool{}
-	for _, k := range keys {
-		member[k] = true
-	}
-	want := func(x int64) bool { return member[x] }
-	if len(keys) == 0 {
-		if !c.HasKeys || c.HasLo || c.HasHi || c.Keys != nil {
-			t.Fatalf("empty set: %+v", c)
-		}
-	} else if lo, hi := slices.Min(keys), slices.Max(keys); uint64(hi)-uint64(lo) < maxKeySpan {
-		if !c.HasKeys || c.Kind != Int || c.IntLo != lo || c.IntHi != hi || !c.HasLo || !c.HasHi ||
-			c.LoOpen || c.HiOpen || len(c.Keys) != int((uint64(hi)-uint64(lo))/64+1) {
-			t.Fatalf("keys %v: %+v", keys, c)
-		}
-	} else {
-		if c.HasKeys || c.Keys != nil || c.IntLo != lo || c.IntHi != hi || !c.HasLo || !c.HasHi {
-			t.Fatalf("keys spanning past the cap must push their hull alone: %+v", c)
-		}
-		want = func(x int64) bool { return x >= lo && x <= hi }
-	}
-	probe := NewTable("t", Schema{{Name: "i", Type: Int}}, IntsV(cells))
-	view := (&Exec{}).Filter(probe, func(i int) bool { return i%3 != 0 })
-	wire := viaGob(t, c)
-	for _, tb := range []*Table{probe, view} {
-		on, onWire, col := c.On(tb), wire.On(tb), tb.IntCol("i")
-		for r := range tb.NumRows() {
-			if x := col.Get(r); on.At(r) != want(x) || onWire.At(r) != want(x) {
-				t.Fatalf("keys %v, cell %d: On %v, after gob %v, want %v", keys, x, on.At(r), onWire.At(r), want(x))
-			}
-		}
-	}
-	for lo := 0; lo < len(cells); lo += 64 {
-		hi := min(lo+64, len(cells))
-		if c.mayMatch(ZoneOf(probe.Cols[0], lo, hi)) {
-			continue
-		}
-		if len(keys) == 0 {
-			t.Fatalf("the empty set pruned rows [%d, %d)", lo, hi)
-		}
-		for _, x := range cells[lo:hi] {
-			if want(x) {
-				t.Fatalf("keys %v: mayMatch rules out rows [%d, %d), but %d is a member", keys, lo, hi, x)
-			}
-		}
-	}
-}
-
-// keySetFrom draws checkKeySet's inputs from next: up to 39 keys from a
-// prefix of keyPool (so duplicates are common and the rest of the pool
-// are non-members), a dense or view build, and up to 200 probe cells,
-// each a pool key or its neighbour, sorted or not.
-func keySetFrom(t *testing.T, next func() byte) {
-	nk, pk := int(next())%40, 1+int(next())%len(keyPool)
-	keys := make([]int64, nk)
-	for i := range keys {
-		keys[i] = keyPool[int(next())%pk]
-	}
-	viewBuild := next()%2 == 0
-	cells := make([]int64, 1+int(next())%200)
-	for r := range cells {
-		cells[r] = keyPool[int(next())%len(keyPool)] + int64(next()%3) - 1
-	}
-	if next()%2 == 0 {
-		slices.Sort(cells)
-	}
-	checkKeySet(t, keys, viewBuild, cells, func() int64 { return keyPool[int(next())%len(keyPool)] })
-}
-
-// TestPredKeySetSound holds IntIn's key sets to membership and to zone
-// pruning (checkKeySet): named sets at the edges — duplicates,
-// negatives, one key, none, hulls at and past the cap, the int64
-// extremes — then random ones.
-func TestPredKeySetSound(t *testing.T) {
-	var cells []int64
-	for _, k := range keyPool {
-		cells = append(cells, k-1, k, k+1)
-	}
-	sorted := slices.Clone(cells)
-	slices.Sort(sorted)
-	junk := func() int64 { return 5 }
-	for _, tc := range []struct {
-		name string
-		keys []int64
-	}{
-		{"duplicates", []int64{3, 3, 3, -1, -1, 3}},
-		{"negative", []int64{-7, -64, -1}},
-		{"single", []int64{40}},
-		{"empty", nil},
-		{"at cap", []int64{0, maxKeySpan - 1, 63}},
-		{"past cap", []int64{0, maxKeySpan, 63}},
-		{"past cap, negative", []int64{-1, maxKeySpan - 1}},
-		{"int64 extremes", []int64{math.MinInt64, math.MaxInt64}},
-		{"top of int64", []int64{math.MaxInt64, math.MaxInt64 - 1, math.MaxInt64 - 64}},
-		{"bottom of int64", []int64{math.MinInt64, math.MinInt64 + 1, math.MinInt64 + 130}},
-	} {
-		for _, viewBuild := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/view=%v", tc.name, viewBuild), func(t *testing.T) {
-				checkKeySet(t, tc.keys, viewBuild, cells, junk)
-				checkKeySet(t, tc.keys, viewBuild, sorted, junk)
-			})
-		}
-	}
-	rng := rand.New(rand.NewSource(36))
-	for range 2000 {
-		keySetFrom(t, func() byte { return byte(rng.Intn(256)) })
-	}
-}

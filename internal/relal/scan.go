@@ -89,10 +89,6 @@ func ZoneOf(v *Vector, lo, hi int) ZoneMap {
 // row (On). A bound is inclusive unless its Open flag is set; pruning
 // tests the closed hull, which only ever keeps extra groups. A NaN cell
 // or bound matches nothing.
-// An Int key set (IntIn) has bit k−IntLo of Keys set for each member k:
-// On tests membership, pruning the hull [IntLo, IntHi]. HasKeys marks a
-// set even when empty, as gob drops an empty slice; the empty set has
-// no bounds, so it matches no row and prunes no group.
 type ZoneCond struct {
 	Col            string
 	Kind           Type
@@ -101,8 +97,6 @@ type ZoneCond struct {
 	IntLo, IntHi   int64
 	FloLo, FloHi   float64
 	StrLo, StrHi   string
-	HasKeys        bool
-	Keys           []uint64
 }
 
 // mayMatch reports whether a chunk with zone map z can contain a row
@@ -126,12 +120,6 @@ func (c ZoneCond) On(t *Table) Pred {
 	switch c.Kind {
 	case Int:
 		v := t.IntCol(c.Col)
-		if keys, base := c.Keys, uint64(c.IntLo); c.HasKeys {
-			return Pred{at: func(i int) bool {
-				d := uint64(v.Get(i)) - base
-				return d/64 < uint64(len(keys)) && keys[d/64]&(1<<(d%64)) != 0
-			}}
-		}
 		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
 		if c.HasLo {
 			if lo = c.IntLo; c.LoOpen {
@@ -195,31 +183,6 @@ func IntBetween(col string, lo, hi int64) ZoneCond {
 
 // IntEq matches col == v.
 func IntEq(col string, v int64) ZoneCond { return IntBetween(col, v, v) }
-
-// maxKeySpan caps a key set's hull at 2^20 keys, a 128 KiB bitmap.
-const maxKeySpan = 1 << 20
-
-// IntIn matches col ∈ build's buildCol values: one min/max pass, then
-// one pass setting bits over the hull, with no sort. A hull wider than
-// maxKeySpan pushes only itself (IntBetween), which is still sound.
-func IntIn(col string, build *Table, buildCol string) ZoneCond {
-	keys, n := build.IntCol(buildCol), build.NumRows()
-	if n == 0 {
-		return ZoneCond{Col: col, Kind: Int, HasKeys: true}
-	}
-	c := IntBetween(col, keys.Get(0), keys.Get(0))
-	for i := 1; i < n; i++ {
-		c.IntLo, c.IntHi = min(c.IntLo, keys.Get(i)), max(c.IntHi, keys.Get(i))
-	}
-	if span := uint64(c.IntHi) - uint64(c.IntLo); span < maxKeySpan {
-		c.HasKeys, c.Keys = true, make([]uint64, span/64+1)
-		for i := range n {
-			d := uint64(keys.Get(i)) - uint64(c.IntLo)
-			c.Keys[d/64] |= 1 << (d % 64)
-		}
-	}
-	return c
-}
 
 // FloatBetween matches lo <= col <= hi.
 func FloatBetween(col string, lo, hi float64) ZoneCond {
@@ -376,8 +339,7 @@ type Source interface {
 	// column), plus the scan's byte accounting. Its rows are any subset
 	// of the base rows, in base-row order, that keeps every row
 	// satisfying pred: whole pruned row groups and exactly filtered rows
-	// are both allowed, so a plan must apply every condition it pushes
-	// (a key set may be applied by the join on its column).
+	// are both allowed, so a plan must apply every condition it pushes.
 	// The returned table must be safe to wrap in zero-copy views.
 	ScanTable(cols []string, pred ZonePredicate) (*Table, ScanStats)
 }

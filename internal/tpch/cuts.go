@@ -15,8 +15,11 @@
 //     alone lists PosCol (through posCols, which adds it only where the
 //     table carries the column, so the single-process scan is unchanged).
 //  2. Every step on the left spine, from that scan to the prefix's
-//     output, keeps its left input's row order: Where, Filter, Join,
-//     SemiJoin/AntiJoin, Extend.
+//     output, keeps its left input's row order (Where, Filter, Join,
+//     SemiJoin/AntiJoin, Extend), or is an Aggregate whose group key
+//     includes orderkey and that carries each group's first PosCol
+//     (through posAggs, which adds it only where the input carries the
+//     column).
 //  3. Every other input is a replicated table, orders or lineitem joined
 //     on orderkey, or an aggregate whose group key includes orderkey.
 //
@@ -29,10 +32,10 @@
 // merging on PosCol rebuilds the single-process prefix row for row.
 // Positions within one answer are non-decreasing rather than ascending:
 // a join may emit one spine row more than once (Q9's partsupp join does).
-//
-// An aggregate on the spine breaks (2): Q18's prefix would start with
-// one, so Q18 is not cut. Q8, Q10 and Q17 qualify, but their cuts
-// measured no faster than their key-set scans, so they are not cut.
+// A spine aggregate keeps this too (Q18's prefix starts with one): each
+// group lives on one shard, and groups come out in first-seen order, so
+// on each shard the groups' first positions ascend, and merging on them
+// rebuilds the single-process group order.
 package tpch
 
 import (
@@ -63,9 +66,13 @@ var Cuts = map[int]Cut{
 	4:  {q4Prefix, []string{"o_orderpriority"}, q4Suffix},
 	5:  {q5Prefix, []string{"n_name", "rev"}, q5Suffix},
 	7:  {q7Prefix, []string{"supp_nation", "cust_nation", "l_year", "volume"}, q7Suffix},
+	8:  {q8Prefix, []string{"o_year", "brazil_volume", "volume"}, q8Suffix},
 	9:  {q9Prefix, []string{"n_name", "o_year", "amount"}, q9Suffix},
+	10: {q10Prefix, []string{"c_custkey", "c_name", "c_acctbal", "c_phone", "n_name", "c_address", "c_comment", "rev"}, q10Suffix},
 	12: {q12Prefix, []string{"l_shipmode", "high_line", "low_line"}, q12Suffix},
 	13: {q13Prefix, []string{"o_custkey"}, q13Suffix},
+	17: {q17Prefix, []string{"p_partkey", "l_partkey", "l_quantity", "l_extendedprice"}, q17Suffix},
+	18: {q18Prefix, []string{"c_name", "c_custkey", "o_orderkey", "o_orderdate", "o_totalprice", "sum_qty"}, q18Suffix},
 	19: {q19Prefix, []string{"rev"}, q19Suffix},
 	21: {q21Prefix, []string{"s_name", "l_orderkey"}, q21Suffix},
 }
@@ -75,11 +82,25 @@ func (c Cut) run(e *relal.Exec, db *DB) *relal.Table {
 	return c.Suffix(e, db, c.Prefix(e, db))
 }
 
+// hasPos reports whether s carries PosCol.
+func hasPos(s relal.Schema) bool {
+	return slices.ContainsFunc(s, func(c relal.Column) bool { return c.Name == PosCol })
+}
+
 // posCols returns the columns a cut's leftmost scan of table lists:
 // cols, with PosCol last where the table carries it.
 func posCols(db *DB, table string, cols ...string) []string {
-	if slices.ContainsFunc(db.Table(table).Schema, func(c relal.Column) bool { return c.Name == PosCol }) {
+	if hasPos(db.Table(table).Schema) {
 		return append(cols, PosCol)
 	}
 	return cols
+}
+
+// posAggs returns the aggregates of a spine aggregate over t: aggs,
+// with each group's first PosCol last where t carries the column.
+func posAggs(t *relal.Table, aggs ...relal.AggSpec) []relal.AggSpec {
+	if hasPos(t.Schema) {
+		return append(aggs, relal.AggSpec{Fn: "first", Col: PosCol, As: PosCol})
+	}
+	return aggs
 }

@@ -31,17 +31,17 @@ var Queries = []Query{
 	{5, "local supplier volume", Cuts[5].run},
 	{6, "forecasting revenue change", q6},
 	{7, "volume shipping", Cuts[7].run},
-	{8, "national market share", q8},
+	{8, "national market share", Cuts[8].run},
 	{9, "product type profit", Cuts[9].run},
-	{10, "returned item reporting", q10},
+	{10, "returned item reporting", Cuts[10].run},
 	{11, "important stock identification", q11},
 	{12, "shipping modes and order priority", Cuts[12].run},
 	{13, "customer distribution", Cuts[13].run},
 	{14, "promotion effect", q14},
 	{15, "top supplier", q15},
 	{16, "parts/supplier relationship", q16},
-	{17, "small-quantity-order revenue", q17},
-	{18, "large volume customer", q18},
+	{17, "small-quantity-order revenue", Cuts[17].run},
+	{18, "large volume customer", Cuts[18].run},
 	{19, "discounted revenue", Cuts[19].run},
 	{20, "potential part promotion", q20},
 	{21, "suppliers who kept orders waiting", Cuts[21].run},
@@ -59,8 +59,7 @@ var DefaultWorkers int
 // the chunks that can matter. Pruning is conservative — it keeps every
 // row group that may hold a matching row, and the plan applies the same
 // conditions row by row (scanWhere, or ZoneCond.On inside its own
-// Where; a key set through its join, scanKeys) — which is why the
-// answers match a full scan byte-for-byte.
+// Where) — which is why the answers match a full scan byte-for-byte.
 func scan(e *relal.Exec, db *DB, table string, cols []string, conds ...relal.ZoneCond) *relal.Table {
 	return e.ScanSource(db.Src(table), cols, relal.ZonePredicate(conds))
 }
@@ -69,18 +68,6 @@ func scan(e *relal.Exec, db *DB, table string, cols []string, conds ...relal.Zon
 // conditions to the rows.
 func scanWhere(e *relal.Exec, db *DB, table string, cols []string, conds ...relal.ZoneCond) *relal.Table {
 	t := scan(e, db, table, cols, conds...)
-	return e.Where(t, relal.ZonePredicate(conds).On(t)...)
-}
-
-// scanKeys is scanWhere with a join's key set (relal.IntIn) pushed
-// beside conds, so a dist shard ships only rows that can join. Its Where
-// applies conds alone: the join that follows applies the set, provided
-// its keys are a subset of the set's, so no logged step moves.
-func scanKeys(e *relal.Exec, db *DB, table string, cols []string, keys relal.ZoneCond, conds ...relal.ZoneCond) *relal.Table {
-	t := scan(e, db, table, cols, append([]relal.ZoneCond{keys}, conds...)...)
-	if len(conds) == 0 {
-		return t
-	}
 	return e.Where(t, relal.ZonePredicate(conds).On(t)...)
 }
 
@@ -310,15 +297,14 @@ func q7Suffix(e *relal.Exec, _ *DB, f *relal.Table) *relal.Table {
 }
 
 // q8: BRAZIL's market share in AMERICA for a part type.
-func q8(e *relal.Exec, db *DB) *relal.Table {
+func q8Prefix(e *relal.Exec, db *DB) *relal.Table {
 	part := scanWhere(e, db, "part", []string{"p_partkey", "p_type"},
 		relal.StrEq("p_type", "ECONOMY ANODIZED STEEL"))
-	lp := e.Join(scanKeys(e, db, "lineitem",
-		[]string{"l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"},
-		relal.IntIn("l_partkey", part, "p_partkey")), part, "l_partkey", "p_partkey")
+	lp := e.Join(scan(e, db, "lineitem",
+		posCols(db, "lineitem", "l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount")),
+		part, "l_partkey", "p_partkey")
 	lps := e.Join(lp, scan(e, db, "supplier", []string{"s_suppkey", "s_nationkey"}), "l_suppkey", "s_suppkey")
-	ord := scanKeys(e, db, "orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
-		relal.IntIn("o_orderkey", lps, "l_orderkey"),
+	ord := scanWhere(e, db, "orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
 		relal.StrBetween("o_orderdate", "1995-01-01", "1996-12-31"))
 	lpso := e.Join(lps, ord, "l_orderkey", "o_orderkey")
 	lpsoc := e.Join(lpso, scan(e, db, "customer", []string{"c_custkey", "c_nationkey"}), "o_custkey", "c_custkey")
@@ -339,12 +325,15 @@ func q8(e *relal.Exec, db *DB) *relal.Table {
 	all = discPrice(e, all, "volume")
 	isBrazil := relal.StrEq("supp_nation", "BRAZIL").On(all)
 	avol := all.FloatCol("volume")
-	all = e.ExtendFloat(all, "brazil_volume", func(i int) float64 {
+	return e.ExtendFloat(all, "brazil_volume", func(i int) float64 {
 		if isBrazil.At(i) {
 			return avol.Get(i)
 		}
 		return 0.0
 	})
+}
+
+func q8Suffix(e *relal.Exec, _ *DB, all *relal.Table) *relal.Table {
 	agg := e.Aggregate(all, []string{"o_year"}, []relal.AggSpec{
 		{Fn: "sum", Col: "brazil_volume", As: "brazil"},
 		{Fn: "sum", Col: "volume", As: "total"},
@@ -401,17 +390,20 @@ func q9Suffix(e *relal.Exec, _ *DB, mon *relal.Table) *relal.Table {
 }
 
 // q10: customers who returned items.
-func q10(e *relal.Exec, db *DB) *relal.Table {
+func q10Prefix(e *relal.Exec, db *DB) *relal.Table {
 	ord := scanWhere(e, db, "orders", []string{"o_orderkey", "o_custkey", "o_orderdate"},
 		relal.StrRange("o_orderdate", "1993-10-01", "1994-01-01"))
-	li := scanKeys(e, db, "lineitem",
-		[]string{"l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"}, relal.IntIn("l_orderkey", ord, "o_orderkey"),
+	li := scanWhere(e, db, "lineitem",
+		posCols(db, "lineitem", "l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"),
 		relal.StrEq("l_returnflag", "R"))
 	lo := e.Join(li, ord, "l_orderkey", "o_orderkey")
 	loc := e.Join(lo, scan(e, db, "customer",
 		[]string{"c_custkey", "c_name", "c_address", "c_nationkey", "c_phone", "c_acctbal", "c_comment"}), "o_custkey", "c_custkey")
 	locn := e.Join(loc, scan(e, db, "nation", []string{"n_nationkey", "n_name"}), "c_nationkey", "n_nationkey")
-	locn = discPrice(e, locn, "rev")
+	return discPrice(e, locn, "rev")
+}
+
+func q10Suffix(e *relal.Exec, _ *DB, locn *relal.Table) *relal.Table {
 	agg := e.Aggregate(locn, []string{"c_custkey", "c_name", "c_acctbal", "c_phone", "n_name", "c_address", "c_comment"}, []relal.AggSpec{
 		{Fn: "sum", Col: "rev", As: "revenue"},
 	})
@@ -607,13 +599,15 @@ func q16(e *relal.Exec, db *DB) *relal.Table {
 }
 
 // q17: small-quantity-order revenue for one brand/container.
-func q17(e *relal.Exec, db *DB) *relal.Table {
+func q17Prefix(e *relal.Exec, db *DB) *relal.Table {
 	part := scanWhere(e, db, "part", []string{"p_partkey", "p_brand", "p_container"},
 		relal.StrEq("p_brand", "Brand#23"),
 		relal.StrEq("p_container", "MED BOX"))
-	lp := e.Join(scanKeys(e, db, "lineitem",
-		[]string{"l_partkey", "l_quantity", "l_extendedprice"},
-		relal.IntIn("l_partkey", part, "p_partkey")), part, "l_partkey", "p_partkey")
+	return e.Join(scan(e, db, "lineitem", posCols(db, "lineitem", "l_partkey", "l_quantity", "l_extendedprice")),
+		part, "l_partkey", "p_partkey")
+}
+
+func q17Suffix(e *relal.Exec, _ *DB, lp *relal.Table) *relal.Table {
 	avgQty := e.Aggregate(lp, []string{"p_partkey"}, []relal.AggSpec{
 		{Fn: "avg", Col: "l_quantity", As: "avg_qty"},
 	})
@@ -637,17 +631,20 @@ func q17(e *relal.Exec, db *DB) *relal.Table {
 	})
 }
 
-// q18: large-volume customers (sum qty > 300).
-func q18(e *relal.Exec, db *DB) *relal.Table {
-	li := scan(e, db, "lineitem", []string{"l_orderkey", "l_quantity"})
-	perOrder := e.Aggregate(li, []string{"l_orderkey"}, []relal.AggSpec{
-		{Fn: "sum", Col: "l_quantity", As: "sum_qty"},
-	})
+// q18: large-volume customers (sum qty > 300). The prefix's spine
+// starts with an aggregate grouped by orderkey, which carries each
+// order's first position where lineitem has one (posAggs).
+func q18Prefix(e *relal.Exec, db *DB) *relal.Table {
+	li := scan(e, db, "lineitem", posCols(db, "lineitem", "l_orderkey", "l_quantity"))
+	perOrder := e.Aggregate(li, []string{"l_orderkey"}, posAggs(li,
+		relal.AggSpec{Fn: "sum", Col: "l_quantity", As: "sum_qty"}))
 	big := e.Where(perOrder, relal.FloatGreater("sum_qty", 300).On(perOrder))
-	bo := e.Join(big, scanKeys(e, db, "orders",
-		[]string{"o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"},
-		relal.IntIn("o_orderkey", big, "l_orderkey")), "l_orderkey", "o_orderkey")
-	boc := e.Join(bo, scan(e, db, "customer", []string{"c_custkey", "c_name"}), "o_custkey", "c_custkey")
+	bo := e.Join(big, scan(e, db, "orders",
+		[]string{"o_orderkey", "o_custkey", "o_totalprice", "o_orderdate"}), "l_orderkey", "o_orderkey")
+	return e.Join(bo, scan(e, db, "customer", []string{"c_custkey", "c_name"}), "o_custkey", "c_custkey")
+}
+
+func q18Suffix(e *relal.Exec, _ *DB, boc *relal.Table) *relal.Table {
 	proj := e.Project(boc, "c_name", "c_custkey", "o_orderkey", "o_orderdate", "o_totalprice", "sum_qty")
 	return e.TopK(proj, 100,
 		relal.OrderSpec{Col: "o_totalprice", Desc: true},
