@@ -47,15 +47,16 @@ crash:
 	$(GO) test -race -run 'Crash|Corrupt|Recover|Fault|Fsync|Torn|TryScan' \
 		./internal/fault/ ./internal/delta/ ./internal/rcfile/ ./internal/htap/
 
-# The distributed scatter/gather suites: golden answers at shard counts
-# {1,2,4} over the wire, shard-side filtering (a shard ships only the
-# rows that pass the pushed conditions), every cut's merged shard
-# prefixes against the single-process prefix, injected
-# network faults (drop/truncate/duplicate/reset/delay), kill + restart
+# The distributed cut suites: golden answers at shard counts {1,2,4}
+# over the wire (and every answer equal to the single-process one at a
+# scale where Q18 answers rows), only cut queries reading the
+# partitioned tables, every cut's merged shard prefixes against the
+# single-process prefix, injected network faults
+# (drop/truncate/duplicate/reset/delay), kill + restart
 # of shard OS processes mid-stream, typed ErrPartial on outage, kept
 # sessions (reuse, sequence echo, the redial after a shard restart,
-# Shard.Close with idle sessions), the wire codec's round-trip and
-# scan-merge differentials — under -race —
+# Shard.Close with idle sessions), the wire codec's round-trip
+# differential and merge — under -race —
 # plus the network-fault and wire-table fuzz smokes (CI's `dist` job).
 dist:
 	$(GO) test -race -run 'Dist|NetFault|WireTable' ./...
@@ -65,13 +66,13 @@ dist:
 # Short fuzz runs over the join key table's three representations
 # (slot array, packed-key map, byte-key map), sort/top-K, group-by
 # key encodings and morsel merge, the range conditions (ZoneCond.On
-# over raw and dictionary columns against the naive comparison, against
-# zone pruning and after a gob round trip), RCF7 dict-chunk and
+# over raw and dictionary columns against the naive comparison and
+# against zone pruning), RCF7 dict-chunk and
 # gdict+rle/delta-chunk round-trips, every chunk decoder behind
 # re-stamped CRCs (stored and deflated, its own allocation bounded),
 # chunk-cache key/eviction paths, the delta-log replay parser, the full
-# crash-schedule → recover cycle of the file-backed log, Q6 through the
-# scattered, shard-filtered scan under injected network faults, the
+# crash-schedule → recover cycle of the file-backed log, Q6's and Q12's
+# cuts under injected network faults, the
 # dist table decoder, and the BSON decoder of the HTAP write path
 # (accepts exactly what Marshal produces) — every fuzz target CI runs.
 fuzz-smoke:

@@ -110,10 +110,9 @@ type breakerState struct {
 	open  bool
 }
 
-// Coordinator owns the cluster-facing half: a local DB whose
-// partitioned tables scan through scatter/gather, plus the retry,
-// breaker, and probing machinery that keeps answers exact while shards
-// misbehave.
+// Coordinator owns the cluster-facing half: a local DB whose replicated
+// tables the cut suffixes read, plus the retry, breaker, and probing
+// machinery that keeps answers exact while shards misbehave.
 type Coordinator struct {
 	db       *tpch.DB
 	addrs    []string
@@ -138,11 +137,11 @@ type Coordinator struct {
 	closed bool
 }
 
-// NewCoordinatorDB wires db's partitioned tables to scattered scans
-// against addrs (one per shard, in shard order); db is the
-// coordinator's replicated copy, generated with the shards' parameters.
-// The DB's partitioned-table sources are re-pointed at this coordinator,
-// so only the newest coordinator built on a given DB may run queries.
+// NewCoordinatorDB builds a coordinator that sends cut prefixes to addrs
+// (one per shard, in shard order) and runs the rest of each query over
+// db, the coordinator's replicated copy, generated with the shards'
+// parameters. It leaves db as it is; its partitioned tables are never
+// scanned, since every query that reads them is a cut.
 func NewCoordinatorDB(db *tpch.DB, addrs []string, opts Options) *Coordinator {
 	opts = opts.withDefaults()
 	c := &Coordinator{
@@ -157,9 +156,6 @@ func NewCoordinatorDB(db *tpch.DB, addrs []string, opts Options) *Coordinator {
 	}
 	for i := range c.breakers {
 		c.breakers[i] = &breakerState{}
-	}
-	for name := range PartitionedTables {
-		c.db.SetSource(name, &distSource{c: c, table: name, schema: c.db.Table(name).Schema})
 	}
 	if opts.ProbeEvery > 0 {
 		c.probeWG.Add(1)
@@ -202,36 +198,30 @@ func (c *Coordinator) Stats() map[string]int64 {
 
 // RunQuery executes TPC-H query id against the cluster and returns the
 // complete answer, or an error wrapping ErrPartial when some shard
-// stayed unreachable or answered out of contract. A query with a
-// registered cut (tpch.Cuts) runs its prefix on every shard, and its
-// suffix here over the shards' merged answers; every other query runs
-// its single-process plan here, with each scan of a partitioned table
-// scattered and its rows merged back into global order.
-func (c *Coordinator) RunQuery(id int) (t *relal.Table, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			pe, ok := r.(*PartialError)
-			if !ok {
-				panic(r)
-			}
-			t, err = nil, pe
-		}
-		if err != nil {
-			c.partials.Add(1)
-		}
-	}()
-	if cut, ok := tpch.Cuts[id]; ok {
-		return c.runCut(id, cut)
+// stayed unreachable or answered out of contract. A query that reads a
+// partitioned table has a registered cut (tpch.Cuts): it runs its
+// prefix on every shard, and its suffix here over the shards' merged
+// answers. Every other query reads only replicated tables and runs its
+// single-process plan here.
+func (c *Coordinator) RunQuery(id int) (*relal.Table, error) {
+	cut, ok := tpch.Cuts[id]
+	if !ok {
+		out, _ := tpch.RunQuery(id, c.db)
+		return out, nil
 	}
-	out, _ := tpch.RunQuery(id, c.db)
-	return out, nil
+	t, err := c.runCut(id, cut)
+	if err != nil {
+		c.partials.Add(1)
+		return nil, err
+	}
+	return t, nil
 }
 
 // runCut scatters query id's prefix, merges the shards' answers into
 // the prefix's global row order and runs the suffix over them on the
 // coordinator's replicated tables.
 func (c *Coordinator) runCut(id int, cut tpch.Cut) (*relal.Table, error) {
-	parts, _, err := c.scatter(Request{Op: OpCut, Query: id})
+	parts, err := c.scatter(Request{Op: OpCut, Query: id})
 	if err != nil {
 		return nil, err
 	}
@@ -239,33 +229,30 @@ func (c *Coordinator) runCut(id int, cut tpch.Cut) (*relal.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cut.Suffix(&relal.Exec{Parallelism: tpch.DefaultWorkers}, c.db, t), nil
+	return cut.Suffix(&relal.Exec{Parallelism: tpch.DefaultWorkers}, c.db, func() *relal.Table { return t }), nil
 }
 
 // scatter fans req out to every shard concurrently and gathers the
-// decoded tables in shard order, with their scan accounting summed; the
-// first failed shard (lowest index) wins the error slot.
-func (c *Coordinator) scatter(req Request) ([]*relal.Table, relal.ScanStats, error) {
+// decoded tables in shard order; the first failed shard (lowest index)
+// wins the error slot.
+func (c *Coordinator) scatter(req Request) ([]*relal.Table, error) {
 	out := make([]*relal.Table, len(c.addrs))
-	stats := make([]relal.ScanStats, len(c.addrs))
 	errs := make([]error, len(c.addrs))
 	var wg sync.WaitGroup
 	for i := range c.addrs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out[i], stats[i], errs[i] = c.call(i, req)
+			out[i], errs[i] = c.call(i, req)
 		}(i)
 	}
 	wg.Wait()
-	var total relal.ScanStats
 	for i, err := range errs {
 		if err != nil {
-			return nil, total, &PartialError{Shard: i, Err: err}
+			return nil, &PartialError{Shard: i, Err: err}
 		}
-		total.Add(stats[i])
 	}
-	return out, total, nil
+	return out, nil
 }
 
 // call is one logical request: attempts with exponential backoff and
@@ -273,7 +260,7 @@ func (c *Coordinator) scatter(req Request) ([]*relal.Table, relal.ScanStats, err
 // breaker. An attempt succeeds only once its response has decoded into
 // a well-formed table, so a shard that answers with malformed bytes is
 // retried like one that did not answer.
-func (c *Coordinator) call(i int, req Request) (*relal.Table, relal.ScanStats, error) {
+func (c *Coordinator) call(i int, req Request) (*relal.Table, error) {
 	c.requests.Add(1)
 	backoff := c.opts.BackoffBase
 	var lastErr error
@@ -290,39 +277,31 @@ func (c *Coordinator) call(i int, req Request) (*relal.Table, relal.ScanStats, e
 			if lastErr == nil {
 				lastErr = errors.New("circuit open")
 			}
-			return nil, relal.ScanStats{}, fmt.Errorf("dist: shard %d circuit open: %w", i, lastErr)
+			return nil, fmt.Errorf("dist: shard %d circuit open: %w", i, lastErr)
 		}
-		t, stats, err := c.attempt(i, req)
+		t, err := c.attempt(i, req)
 		if err == nil {
 			c.noteSuccess(i)
-			return t, stats, nil
+			return t, nil
 		}
 		lastErr = err
 		c.noteFailure(i)
 	}
-	return nil, relal.ScanStats{}, fmt.Errorf("dist: shard %d: retry budget exhausted: %w", i, lastErr)
+	return nil, fmt.Errorf("dist: shard %d: retry budget exhausted: %w", i, lastErr)
 }
 
-// tableOf turns a response to req into its table, or into the error
-// that fails the attempt: the shard's own, an encoding the decoder
-// rejects, or a scan or cut answer the merge could not trust.
-func (c *Coordinator) tableOf(req Request, resp Response) (*relal.Table, error) {
+// tableOf turns a response to the cut request req into its table, or
+// into the error that fails the attempt: the shard's own, an encoding
+// the decoder rejects, or an answer the merge could not trust.
+func tableOf(req Request, resp Response) (*relal.Table, error) {
 	if resp.Err != "" {
 		return nil, errors.New(resp.Err)
 	}
-	t, err := decodeTable(resp, req.Table)
+	t, err := decodeTable(resp, "prefix")
 	if err != nil {
 		return nil, err
 	}
-	if req.Op == OpCut {
-		err = checkCutPart(t, tpch.Cuts[req.Query].Ship)
-	} else {
-		var want relal.Schema
-		if want, err = scanSchema(c.db.Table(req.Table).Schema, req.Cols); err == nil {
-			err = checkScanPart(t, want)
-		}
-	}
-	if err != nil {
+	if err := checkCutPart(t, tpch.Cuts[req.Query].Ship); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -339,14 +318,13 @@ func (c *Coordinator) jitter(b time.Duration) time.Duration {
 // deadline, with the network fault injector (if armed) deciding each
 // frame's fate. It succeeds only once the response has decoded into a
 // well-formed table.
-func (c *Coordinator) attempt(i int, req Request) (t *relal.Table, stats relal.ScanStats, err error) {
+func (c *Coordinator) attempt(i int, req Request) (t *relal.Table, err error) {
 	req.DeadlineMS = int64(c.opts.AttemptTimeout / time.Millisecond)
 	err = c.exchange(i, req, c.inj, func(resp Response) (err error) {
-		t, err = c.tableOf(req, resp)
-		stats = resp.Stats
+		t, err = tableOf(req, resp)
 		return err
 	})
-	return t, stats, err
+	return t, err
 }
 
 // exchange sends req to shard i and hands the answer to accept, all
@@ -478,39 +456,4 @@ func (c *Coordinator) Health(i int) (map[string]int64, error) {
 		return nil
 	})
 	return pos, err
-}
-
-// distSource is the relal.Source a partitioned table scans through on
-// the coordinator: scatter the (column, predicate) request and merge
-// the shards' matching rows back into global row order on the hidden
-// position column. Each shard applies the pushed conditions row by row
-// before shipping, and each plan applies them again (its Where through
-// relal.ZoneCond.On), so the reassembled scan is answer-equivalent to
-// the local one.
-// relal.Source has no error channel — a failed gather panics a
-// *PartialError that Coordinator.RunQuery recovers into a typed error.
-type distSource struct {
-	c      *Coordinator
-	table  string
-	schema relal.Schema
-}
-
-func (d *distSource) SrcName() string { return d.table }
-
-func (d *distSource) SrcSchema() relal.Schema { return d.schema }
-
-func (d *distSource) ScanTable(cols []string, pred relal.ZonePredicate) (*relal.Table, relal.ScanStats) {
-	reqCols := cols
-	if len(cols) > 0 {
-		reqCols = append(append(make([]string, 0, len(cols)+1), cols...), tpch.PosCol)
-	}
-	parts, stats, err := d.c.scatter(Request{Op: OpScan, Table: d.table, Cols: reqCols, Pred: pred})
-	if err != nil {
-		panic(err)
-	}
-	out, err := mergeByPos(d.table, parts)
-	if err != nil {
-		panic(err)
-	}
-	return out, stats
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"elephants/internal/fault"
+	"elephants/internal/relal"
 	"elephants/internal/tpch"
 )
 
@@ -57,11 +58,16 @@ func diffSnapshot(t *testing.T, got, want string) {
 	t.Fatalf("answer drift: got %d lines, want %d", len(gl), len(wl))
 }
 
-// startShards runs n in-memory shard servers inside this process (real
-// TCP, no child processes).
+// startShards runs n in-memory shard servers of the golden dataset
+// inside this process (real TCP, no child processes).
 func startShards(t *testing.T, n int) []*Shard {
 	t.Helper()
-	gen := goldenGen()
+	return startShardsOf(t, goldenGen(), n)
+}
+
+// startShardsOf is startShards over the dataset gen generates.
+func startShardsOf(t *testing.T, gen tpch.GenConfig, n int) []*Shard {
+	t.Helper()
 	shards := make([]*Shard, n)
 	for i := range shards {
 		s, err := StartShard(ShardConfig{
@@ -148,6 +154,54 @@ func TestDistGoldenShards(t *testing.T) {
 				t.Fatalf("no scatter requests recorded")
 			}
 		})
+	}
+}
+
+// TestDistOnlyCutsReadPartitionedTables holds the rule that lets
+// RunQuery keep no other path to the shards: a query without a cut
+// scans no partitioned table in its single-process plan, and every cut
+// scans one.
+func TestDistOnlyCutsReadPartitionedTables(t *testing.T) {
+	db := tpch.Generate(goldenGen())
+	for _, q := range tpch.Queries {
+		_, log := tpch.RunQuery(q.ID, db)
+		var partitioned []string
+		for _, s := range log.Steps {
+			if _, ok := PartitionedTables[s.Table]; ok && s.Kind == relal.StepScan {
+				partitioned = append(partitioned, s.Table)
+			}
+		}
+		if _, cut := tpch.Cuts[q.ID]; cut != (len(partitioned) > 0) {
+			t.Errorf("Q%d has a cut: %v, and scans %v", q.ID, cut, partitioned)
+		}
+	}
+}
+
+// TestDistAnswersWithRows runs all 22 queries through two shards at a
+// scale and seed where Q18 answers rows (it answers none at the golden
+// scale, so the golden tests pass whatever its cut does) and requires
+// each answer byte-identical to the single-process one.
+func TestDistAnswersWithRows(t *testing.T) {
+	gen := tpch.GenConfig{SF: 0.01, Seed: 4, Random64: true}
+	db := tpch.Generate(gen)
+	var addrs []string
+	for _, s := range startShardsOf(t, gen, 2) {
+		addrs = append(addrs, s.Addr())
+	}
+	c := NewCoordinatorDB(tpch.Generate(gen), addrs, Options{})
+	defer c.Close()
+	for _, q := range tpch.Queries {
+		got, err := c.RunQuery(q.ID)
+		if err != nil {
+			t.Fatalf("Q%d: %v", q.ID, err)
+		}
+		want, _ := tpch.RunQuery(q.ID, db)
+		if q.ID == 18 && want.NumRows() == 0 {
+			t.Fatalf("Q18 answers no rows at %+v", gen)
+		}
+		if g, w := tpch.FormatAnswer(q.ID, got), tpch.FormatAnswer(q.ID, want); g != w {
+			t.Errorf("Q%d over 2 shards:\n%s\nsingle process:\n%s", q.ID, g, w)
+		}
 	}
 }
 

@@ -9,39 +9,6 @@ import (
 	"elephants/internal/tpch"
 )
 
-// scanSchema is the schema a shard's answer to a scan request must
-// carry: the requested columns in request order, out of the table's
-// columns plus the hidden position column the shard's copy ends in (no
-// columns named = all of them). distSource requests the position column
-// last.
-func scanSchema(table relal.Schema, cols []string) (relal.Schema, error) {
-	full := append(slices.Clone(table), relal.Column{Name: tpch.PosCol, Type: relal.Int})
-	if len(cols) == 0 {
-		return full, nil
-	}
-	out := make(relal.Schema, len(cols))
-	for i, name := range cols {
-		k := slices.IndexFunc(full, func(c relal.Column) bool { return c.Name == name })
-		if k < 0 {
-			return nil, fmt.Errorf("dist: no column %q to scan", name)
-		}
-		out[i] = full[k]
-	}
-	return out, nil
-}
-
-// checkScanPart holds one shard's decoded scan answer to what the merge
-// relies on: exactly the requested schema, and positions strictly
-// ascending (a shard's partition keeps the original row order, and
-// pruning and filtering only drop rows). Anything else is a malformed
-// response.
-func checkScanPart(t *relal.Table, want relal.Schema) error {
-	if !slices.Equal(t.Schema, want) {
-		return fmt.Errorf("dist: scan answered with columns %v, want %v", t.Schema.Names(), want.Names())
-	}
-	return checkPositions(t.Cols[len(want)-1].Ints, true)
-}
-
 // checkCutPart holds one shard's decoded answer to a cut to what the
 // merge relies on: the Ship columns, then an Int position column, and
 // positions non-decreasing (a cut prefix keeps its spine's row order,
@@ -52,13 +19,8 @@ func checkCutPart(t *relal.Table, ship []string) error {
 	if !slices.Equal(names, append(slices.Clip(ship), tpch.PosCol)) || t.Schema[len(ship)].Type != relal.Int {
 		return fmt.Errorf("dist: cut answered with columns %v, want %v and an Int %s", names, ship, tpch.PosCol)
 	}
-	return checkPositions(t.Cols[len(ship)].Ints, false)
-}
-
-// checkPositions requires xs ascending: strictly, or else non-decreasing.
-func checkPositions(xs []int64, strict bool) error {
-	for i := 1; i < len(xs); i++ {
-		if xs[i-1] > xs[i] || strict && xs[i-1] == xs[i] {
+	for i, xs := 1, t.Cols[len(ship)].Ints; i < len(xs); i++ {
+		if xs[i-1] > xs[i] {
 			return fmt.Errorf("dist: positions not ascending at row %d", i)
 		}
 	}
@@ -69,11 +31,11 @@ func checkPositions(xs []int64, strict bool) error {
 // part, in that part's order.
 type seg struct{ part, n int32 }
 
-// mergeOrder k-way merges the parts' ascending (or non-decreasing)
-// position lists into the segment list that interleaves them in global
-// position order. Rows of one order hash to one shard and sit next to
-// each other, so segments run several rows long and the per-column work
-// below is mostly block copies. The partitions are a disjoint cover, so
+// mergeOrder k-way merges the parts' non-decreasing position lists into
+// the segment list that interleaves them in global position order. Rows
+// of one order hash to one shard and sit next to each other, so
+// segments run several rows long and the per-column work below is
+// mostly block copies. The partitions are a disjoint cover, so
 // a position held by two parts can only mean a row answered twice: dup
 // then names the second holder (-1 when no two parts share a position).
 func mergeOrder(pos [][]int64) (segs []seg, dup int) {
@@ -152,8 +114,8 @@ func mergeColumn(vecs []*relal.Vector, segs []seg, total int) *relal.Vector {
 	return relal.StrsV(mergeCells(vecs, (*relal.Vector).DecodeStrs, segs, total))
 }
 
-// mergeByPos splices the shards' answers to a scan or a cut — each
-// checked by checkScanPart or checkCutPart — back into global row order
+// mergeByPos splices the shards' answers to a cut — each checked by
+// checkCutPart — back into global row order
 // and drops the position column: the reassembled table is cell for cell
 // the single-process one. The shards' streams are already sorted, so
 // this is a merge, not a sort: one pass over the positions, then one
@@ -185,7 +147,7 @@ func mergeByPos(name string, parts []*relal.Table) (*relal.Table, error) {
 	}
 	segs, dup := mergeOrder(pos)
 	if dup >= 0 {
-		return nil, &PartialError{Shard: live[dup], Err: errors.New("dist: scan position already answered by another shard")}
+		return nil, &PartialError{Shard: live[dup], Err: errors.New("dist: row position already answered by another shard")}
 	}
 	cols := make([]*relal.Vector, len(schema))
 	vecs := make([]*relal.Vector, len(live))

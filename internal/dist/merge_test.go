@@ -14,76 +14,6 @@ import (
 	"elephants/internal/tpch"
 )
 
-// TestDistScanMergeDifferential: at every shard count, a scan through
-// the coordinator's scattered source returns exactly the cells the same
-// scan of the in-memory table returns — all columns and a column subset
-// unfiltered, and under a zone predicate exactly the rows that pass it, since the shards filter before they ship — and
-// dictionary columns arrive still dictionary-encoded.
-func TestDistScanMergeDifferential(t *testing.T) {
-	e := &relal.Exec{Parallelism: 1}
-	// Per table: a dictionary Str condition and an open Float bound to
-	// push beside the key range.
-	extra := map[string][]relal.ZoneCond{
-		"lineitem": {relal.StrEq("l_shipinstruct", "DELIVER IN PERSON"), relal.FloatLess("l_quantity", 24)},
-		"orders":   {relal.StrRange("o_orderdate", "1993-01-01", "1997-01-01"), relal.FloatGreater("o_totalprice", 50000)},
-	}
-	for _, n := range []int{1, 2, 3, 4} {
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			db := tpch.Generate(goldenGen())
-			c := NewCoordinatorDB(db, startLocalShards(t, n), Options{ProbeEvery: -1})
-			defer c.Close()
-			for _, name := range []string{"lineitem", "orders"} {
-				mem := db.Table(name)
-				dist := db.Src(name)
-				key := PartitionedTables[name]
-				subset := []string{mem.Schema[len(mem.Schema)-1].Name, key, mem.Schema[4].Name}
-				// The in-memory source hands back every row and every
-				// column; project to what was asked for.
-				local := func(cols []string, pred relal.ZonePredicate) *relal.Table {
-					tbl, _ := relal.NewTableSource(mem).ScanTable(cols, pred)
-					if cols != nil {
-						tbl = e.Project(tbl, cols...)
-					}
-					return tbl
-				}
-
-				for _, cols := range [][]string{nil, subset} {
-					want := local(cols, nil)
-					got, _ := dist.ScanTable(cols, nil)
-					sameCells(t, got, want)
-					for i, v := range want.Cols {
-						if v.IsDict() && !(got.Cols[i].IsDict() && slices.Equal(got.Cols[i].DictVals, v.DictVals)) {
-							t.Fatalf("%s.%s lost its dictionary in the merge", name, want.Schema[i].Name)
-						}
-					}
-				}
-
-				// The table is clustered by its key, so a key range prunes
-				// groups on the shards; the shards then drop every row that
-				// fails a condition, so the merged scan is exactly the
-				// matching rows, in order.
-				keys := mem.IntCol(key)
-				lo, hi := keys.Get(mem.NumRows()/3), keys.Get(mem.NumRows()/2)
-				pred := append(relal.ZonePredicate{relal.IntBetween(key, lo, hi)}, extra[name]...)
-				cols := slices.Clone(subset)
-				for _, c := range pred[1:] {
-					cols = append(cols, c.Col)
-				}
-				scanned := local(cols, pred)
-				want := e.Where(scanned, pred.On(scanned)...)
-				got, stats := dist.ScanTable(cols, pred)
-				if stats.GroupsSkipped == 0 {
-					t.Fatalf("%s: predicate pruned nothing on the shards: %+v", name, stats)
-				}
-				if want.NumRows() == 0 || want.NumRows() == e.Where(scanned, pred[:1].On(scanned)...).NumRows() {
-					t.Fatalf("%s: %d rows match; the extra conditions must keep some and drop some", name, want.NumRows())
-				}
-				sameCells(t, got, want)
-			}
-		})
-	}
-}
-
 // spineAggPrefix is a cut prefix whose spine starts with an aggregate,
 // as Q18's does, with a threshold low enough to keep rows at the golden
 // scale (Q18's keeps none). It groups by (l_orderkey, l_returnflag),
@@ -146,88 +76,7 @@ func TestDistCutPrefixMerge(t *testing.T) {
 	}
 }
 
-// shardScan sends one request straight to a shard over a session of its
-// own and returns its decoded response.
-func shardScan(t *testing.T, addr string, req Request) Response {
-	t.Helper()
-	deadline := time.Now().Add(time.Minute)
-	s, err := dialSession(addr, deadline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.conn.Close()
-	resp, _, err := s.roundTrip(0, req, deadline, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != "" {
-		t.Fatalf("shard error: %s", resp.Err)
-	}
-	return resp
-}
-
-// TestDistShardScanFilter: a shard answers a scan with exactly the rows
-// of its partition that pass every pushed condition it can test — Int,
-// open Float and dictionary Str bounds, over a column subset or all
-// columns. A condition on an unrequested column, or whose type is not
-// its column's, is left to pruning without an error, and a predicate no
-// row passes ships schema only.
-func TestDistShardScanFilter(t *testing.T) {
-	e := &relal.Exec{Parallelism: 1}
-	gen := goldenGen()
-	addrs := startLocalShards(t, 2)
-	quantity := relal.FloatLess("l_quantity", 24)
-	instruct := relal.StrEq("l_shipinstruct", "DELIVER IN PERSON")
-	year := relal.StrRange("l_shipdate", "1994-01-01", "1995-01-01")
-	mistyped := relal.ZoneCond{Col: "l_quantity", Kind: relal.Int, HasHi: true, IntHi: 10}
-	for i, addr := range addrs {
-		part := BuildShardDB(ShardConfig{Shards: 2, Index: i, SF: gen.SF, Seed: gen.Seed, Random64: gen.Random64}).Lineitem
-		keys := part.IntCol("l_orderkey")
-		keyRange := relal.IntBetween("l_orderkey", keys.Get(part.NumRows()/3), keys.Get(part.NumRows()/2))
-		// Quantities are whole numbers, so no row group can rule this out
-		// and no row passes it.
-		nothing := relal.FloatBetween("l_quantity", 24.25, 24.75)
-		cases := []struct {
-			name string
-			cols []string
-			// pred is sent; applied is the part of it the shard can test.
-			pred, applied relal.ZonePredicate
-		}{
-			{"int range", []string{"l_orderkey", "l_quantity", tpch.PosCol}, relal.ZonePredicate{keyRange}, relal.ZonePredicate{keyRange}},
-			{"open float bound", []string{"l_quantity", "l_extendedprice", tpch.PosCol}, relal.ZonePredicate{quantity}, relal.ZonePredicate{quantity}},
-			{"dict str", []string{"l_shipinstruct", "l_shipdate", tpch.PosCol}, relal.ZonePredicate{instruct, year}, relal.ZonePredicate{instruct, year}},
-			{"all columns", nil, relal.ZonePredicate{year, quantity}, relal.ZonePredicate{year, quantity}},
-			{"unrequested column", []string{"l_orderkey", tpch.PosCol}, relal.ZonePredicate{quantity, keyRange}, relal.ZonePredicate{keyRange}},
-			{"mistyped", []string{"l_quantity", tpch.PosCol}, relal.ZonePredicate{mistyped}, nil},
-			{"matches nothing", []string{"l_quantity", tpch.PosCol}, relal.ZonePredicate{nothing}, relal.ZonePredicate{nothing}},
-		}
-		for _, tc := range cases {
-			t.Run(fmt.Sprintf("shard=%d/%s", i, tc.name), func(t *testing.T) {
-				want := e.Where(part, tc.applied.On(part)...)
-				if tc.cols != nil {
-					want = e.Project(want, tc.cols...)
-				}
-				resp := shardScan(t, addr, Request{Op: OpScan, Table: "lineitem", Cols: tc.cols, Pred: tc.pred})
-				if want.NumRows() == 0 {
-					if resp.Rows != 0 || resp.Data != nil {
-						t.Fatalf("nothing matches, yet the shard shipped %d rows, %d bytes", resp.Rows, len(resp.Data))
-					}
-					return
-				}
-				got, err := decodeTable(resp, "lineitem")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n := e.Where(got, tc.applied.On(got)...).NumRows(); n != got.NumRows() {
-					t.Fatalf("%d of %d shipped rows fail the predicate", got.NumRows()-n, got.NumRows())
-				}
-				sameCells(t, got, want)
-			})
-		}
-	}
-}
-
-// scanParts builds per-shard scan answers over (k Int, s Str, _pos):
+// scanParts builds per-shard answers over (k Int, s Str, _pos):
 // part i holds the given positions, k = 10×position, and s drawn from
 // dicts[i] (nil = raw strings) by position.
 func scanParts(dicts [][]string, positions ...[]int64) []*relal.Table {
@@ -351,110 +200,85 @@ func fakeShard(t *testing.T, copies int, answer func(Request) (Response, *relal.
 	return ln.Addr().String()
 }
 
-// scanAnswer answers a scan request the way a shard could: two rows of
-// the requested schema, at the given positions.
-func scanAnswer(db *tpch.DB, req Request, pos ...int64) (Response, *relal.Table) {
-	schema, err := scanSchema(db.Table(req.Table).Schema, req.Cols)
-	if err != nil {
-		return Response{Err: err.Error()}, nil
-	}
-	cols := make([]*relal.Vector, len(schema))
-	for i, c := range schema {
-		switch {
-		case c.Name == tpch.PosCol:
-			cols[i] = relal.IntsV(pos)
-		case c.Type == relal.Int:
-			cols[i] = relal.IntsV([]int64{1, 2})
-		case c.Type == relal.Float:
-			cols[i] = relal.FloatsV([]float64{1, 2})
-		default:
-			cols[i] = relal.DictV([]uint32{0, 1}, []string{"1994-01-01", "1994-06-01"})
-		}
-	}
-	return Response{Schema: schema, Rows: 2}, relal.NewTable(req.Table, schema, cols...)
-}
-
-// cutAnswer answers Q4's cut the way a shard could: the given columns
-// (o_orderpriority, all "1-URGENT", unless the test names others) over
-// rows at the given positions, which a column named tpch.PosCol holds.
+// cutAnswer answers a cut the way a shard could: the given columns
+// over rows at the given positions, which a column named tpch.PosCol
+// holds. A column named rev is Float, all zero (Q6 ships it alone); any
+// other is a dictionary Str, all "1-URGENT" (Q4 ships o_orderpriority
+// alone).
 func cutAnswer(cols []string, pos ...int64) (Response, *relal.Table) {
 	schema := make(relal.Schema, len(cols))
 	vecs := make([]*relal.Vector, len(cols))
 	for i, name := range cols {
-		if name == tpch.PosCol {
+		switch name {
+		case tpch.PosCol:
 			schema[i], vecs[i] = relal.Column{Name: name, Type: relal.Int}, relal.IntsV(pos)
-		} else {
+		case "rev":
+			schema[i], vecs[i] = relal.Column{Name: name, Type: relal.Float}, relal.FloatsV(make([]float64, len(pos)))
+		default:
 			schema[i], vecs[i] = relal.Column{Name: name, Type: relal.Str}, relal.DictV(make([]uint32, len(pos)), []string{"1-URGENT"})
 		}
 	}
 	return Response{Schema: schema, Rows: len(pos)}, relal.NewTable("prefix", schema, vecs...)
 }
 
-// TestDistMalformedAnswers: a shard that answers a scan or a cut with
-// bytes that pass the frame checksum but break the table's invariants
-// gets the retry loop and then a typed partial error — never a panic,
-// never rows.
+// TestDistMalformedAnswers: a shard that answers a cut with bytes that
+// pass the frame checksum but break the table's invariants gets the
+// retry loop and then a typed partial error — never a panic, never
+// rows. The cases named "cut" answer Q4, the rest Q6 (or Q4, where the
+// damage needs a dictionary column).
 func TestDistMalformedAnswers(t *testing.T) {
 	db := tpch.Generate(goldenGen())
-	wellFormed := func(req Request, pos ...int64) (Response, *relal.Table) { return scanAnswer(db, req, pos...) }
-	firstStr := func(tbl *relal.Table) int {
-		return slices.IndexFunc(tbl.Schema, func(c relal.Column) bool { return c.Type == relal.Str })
-	}
+	rev := []string{"rev", tpch.PosCol}
 	ship := []string{"o_orderpriority", tpch.PosCol}
 	cut := func(cols []string, pos ...int64) func(Request) (Response, *relal.Table) {
 		return func(Request) (Response, *relal.Table) { return cutAnswer(cols, pos...) }
 	}
-	// Q6 scatters a lineitem scan; Q4 is a cut.
-	cases := map[string][]func(Request) (Response, *relal.Table){
-		"positions out of order": {func(req Request) (Response, *relal.Table) { return wellFormed(req, 9, 4) }},
-		"positions repeat":       {func(req Request) (Response, *relal.Table) { return wellFormed(req, 4, 4) }},
-		"code out of range": {func(req Request) (Response, *relal.Table) {
-			resp, tbl := wellFormed(req, 4, 9)
-			tbl.Cols[firstStr(tbl)].Dict[1] = 2
+	type answers = []func(Request) (Response, *relal.Table)
+	cases := map[string]struct {
+		q       int
+		answers answers
+	}{
+		"positions out of order": {6, answers{cut(rev, 9, 4)}},
+		"code out of range": {4, answers{func(Request) (Response, *relal.Table) {
+			resp, tbl := cutAnswer(ship, 4, 9)
+			tbl.Cols[0].Dict[1] = 1
 			return resp, tbl
-		}},
-		"fewer rows than claimed": {func(req Request) (Response, *relal.Table) {
-			resp, tbl := wellFormed(req, 4, 9)
+		}}},
+		"fewer rows than claimed": {6, answers{func(Request) (Response, *relal.Table) {
+			resp, tbl := cutAnswer(rev, 4, 9)
 			resp.Rows = 3
 			return resp, tbl
-		}},
-		"a column short": {func(req Request) (Response, *relal.Table) {
-			resp, tbl := wellFormed(req, 4, 9)
+		}}},
+		"a column short": {6, answers{func(Request) (Response, *relal.Table) {
+			resp, tbl := cutAnswer(rev, 4, 9)
 			resp.Schema = resp.Schema[1:]
 			return resp, relal.NewTable(tbl.Name, resp.Schema, tbl.Cols[1:]...)
-		}},
-		"two shards, one position": {
-			func(req Request) (Response, *relal.Table) { return wellFormed(req, 4, 9) },
-			func(req Request) (Response, *relal.Table) { return wellFormed(req, 5, 9) },
-		},
-		"cut positions descending":      {cut(ship, 4, 9, 7)},
-		"cut without positions":         {cut(ship[:1], 4, 9)},
-		"cut with an extra column":      {cut([]string{"o_orderpriority", "o_orderdate", tpch.PosCol}, 4, 9)},
-		"cut, two shards, one position": {cut(ship, 4, 9), cut(ship, 5, 9)},
-		"cut, two shards, two column types": {cut(ship, 4, 9), func(Request) (Response, *relal.Table) {
+		}}},
+		"two shards, one position":      {6, answers{cut(rev, 4, 9), cut(rev, 5, 9)}},
+		"cut positions descending":      {4, answers{cut(ship, 4, 9, 7)}},
+		"cut without positions":         {4, answers{cut(ship[:1], 4, 9)}},
+		"cut with an extra column":      {4, answers{cut([]string{"o_orderpriority", "o_orderdate", tpch.PosCol}, 4, 9)}},
+		"cut, two shards, one position": {4, answers{cut(ship, 4, 9), cut(ship, 5, 9)}},
+		"cut, two shards, two column types": {4, answers{cut(ship, 4, 9), func(Request) (Response, *relal.Table) {
 			resp, tbl := cutAnswer(ship, 5, 8)
 			resp.Schema = slices.Clone(resp.Schema)
 			resp.Schema[0].Type, tbl.Schema, tbl.Cols[0] = relal.Int, resp.Schema, relal.IntsV([]int64{1, 2})
 			return resp, tbl
-		}},
+		}}},
 	}
-	for name, answers := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			addrs := make([]string, len(answers))
-			for i, answer := range answers {
+			addrs := make([]string, len(tc.answers))
+			for i, answer := range tc.answers {
 				addrs[i] = fakeShard(t, 1, answer)
 			}
 			c := NewCoordinatorDB(db, addrs, Options{MaxAttempts: 3, BackoffBase: time.Millisecond, ProbeEvery: -1})
 			defer c.Close()
-			q := 6
-			if strings.HasPrefix(name, "cut") {
-				q = 4
-			}
-			out, err := c.RunQuery(q)
+			out, err := c.RunQuery(tc.q)
 			if !errors.Is(err, ErrPartial) || out != nil {
 				t.Fatalf("got table %v, err %v; want a partial error and no table", out != nil, err)
 			}
-			if len(answers) == 1 && c.Stats()[cRetries] == 0 {
+			if len(tc.answers) == 1 && c.Stats()[cRetries] == 0 {
 				t.Fatalf("the malformed answer was not retried: %v", c.Stats())
 			}
 		})
@@ -463,8 +287,7 @@ func TestDistMalformedAnswers(t *testing.T) {
 	// The same fakes, answering within the rules, are believed: the
 	// cases above fail for the reason they name. A cut may repeat a
 	// position within one answer.
-	c := NewCoordinatorDB(db, []string{fakeShard(t, 1, func(req Request) (Response, *relal.Table) { return wellFormed(req, 4, 9) })},
-		Options{MaxAttempts: 1, ProbeEvery: -1})
+	c := NewCoordinatorDB(db, []string{fakeShard(t, 1, cut(rev, 4, 9))}, Options{MaxAttempts: 1, ProbeEvery: -1})
 	defer c.Close()
 	if _, err := c.RunQuery(6); err != nil {
 		t.Fatalf("well-formed answer rejected: %v", err)
@@ -485,22 +308,19 @@ func TestDistMalformedAnswers(t *testing.T) {
 // sequence number fails the attempt like a malformed one — retried, in
 // the end a typed partial error, never rows. That covers a shard that
 // answers every request twice, whose spare copy waits on the kept
-// session for the next request: two scans of the same columns pass
-// every check but this one. The fake names each request in its answer
-// (the order keys are the pushed lower bound), so an answer read for
-// the wrong request would show.
+// session for the next request: Q6's and Q19's cuts both ship rev alone,
+// so an answer to one passes every check on a request for the other but
+// this one. The fake names each request in its answer (rev is the query
+// number), so an answer read for the wrong request would show.
 func TestDistSequenceEcho(t *testing.T) {
 	db := tpch.Generate(goldenGen())
 	keyed := func(req Request) (Response, *relal.Table) {
-		resp, tbl := scanAnswer(db, req, 4, 9)
-		k := req.Pred[0].IntLo
-		tbl.Cols[0] = relal.IntsV([]int64{k, k})
+		resp, tbl := cutAnswer([]string{"rev", tpch.PosCol}, 4, 9)
+		q := float64(req.Query)
+		tbl.Cols[0] = relal.FloatsV([]float64{q, q})
 		return resp, tbl
 	}
-	scan := func(k int64) Request {
-		return Request{Op: OpScan, Table: "lineitem", Cols: []string{"l_orderkey", tpch.PosCol},
-			Pred: relal.ZonePredicate{relal.IntBetween("l_orderkey", k, k)}}
-	}
+	cut := func(q int) Request { return Request{Op: OpCut, Query: q} }
 	opts := Options{MaxAttempts: 3, BackoffBase: time.Millisecond, ProbeEvery: -1}
 
 	t.Run("wrong sequence", func(t *testing.T) {
@@ -510,7 +330,7 @@ func TestDistSequenceEcho(t *testing.T) {
 			return resp, tbl
 		})}, opts)
 		defer c.Close()
-		parts, _, err := c.scatter(scan(1))
+		parts, err := c.scatter(cut(6))
 		if !errors.Is(err, ErrPartial) || parts != nil {
 			t.Fatalf("got parts %v, err %v; want a partial error and no parts", parts != nil, err)
 		}
@@ -523,27 +343,27 @@ func TestDistSequenceEcho(t *testing.T) {
 		addr := fakeShard(t, 2, keyed)
 		c := NewCoordinatorDB(db, []string{addr}, opts)
 		defer c.Close()
-		for k := int64(1); k <= 3; k++ {
-			parts, _, err := c.scatter(scan(k))
+		for k, q := range []int{6, 19, 6} {
+			parts, err := c.scatter(cut(q))
 			if err != nil {
-				t.Fatalf("scan %d: %v", k, err)
+				t.Fatalf("Q%d: %v", q, err)
 			}
-			if got := parts[0].IntCol("l_orderkey").Get(0); got != k {
-				t.Fatalf("scan %d read the answer to scan %d", k, got)
+			if got := parts[0].FloatCol("rev").Get(0); got != float64(q) {
+				t.Fatalf("Q%d read the answer to Q%v", q, got)
 			}
-			// Every scan after the first meets the spare copy first.
-			if got := c.Stats()[cRetries]; got != k-1 {
-				t.Fatalf("after scan %d: %d retries, want %d", k, got, k-1)
+			// Every request after the first meets the spare copy first.
+			if got := c.Stats()[cRetries]; got != int64(k) {
+				t.Fatalf("after request %d: %d retries, want %d", k+1, got, k)
 			}
 		}
 
 		// With no attempt to spare, the spare copy ends the call.
 		one := NewCoordinatorDB(db, []string{addr}, Options{MaxAttempts: 1, ProbeEvery: -1})
 		defer one.Close()
-		if _, _, err := one.scatter(scan(1)); err != nil {
+		if _, err := one.scatter(cut(6)); err != nil {
 			t.Fatal(err)
 		}
-		parts, _, err := one.scatter(scan(2))
+		parts, err := one.scatter(cut(19))
 		if !errors.Is(err, ErrPartial) || parts != nil {
 			t.Fatalf("got parts %v, err %v; want a partial error and no parts", parts != nil, err)
 		}

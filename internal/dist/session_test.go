@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"elephants/internal/relal"
 	"elephants/internal/tpch"
 )
 
@@ -31,7 +30,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // TestDistSessionReuse: a sequential round of all 22 queries over two
 // shards is answered golden on kept sessions — each shard accepts at
 // most two connections for the whole round, where a connection per
-// request made 54 — and on one session the second of two identical
+// request would make one per cut query — and on one session the second of two identical
 // requests is smaller on the wire than the first, because the gob type
 // descriptors crossed with the first.
 func TestDistSessionReuse(t *testing.T) {
@@ -56,8 +55,7 @@ func TestDistSessionReuse(t *testing.T) {
 	counted := &countingConn{Conn: conn}
 	s := newSession(counted)
 	defer conn.Close()
-	req := Request{Op: OpScan, Table: "orders", Cols: []string{"o_orderkey", tpch.PosCol},
-		Pred: relal.ZonePredicate{relal.IntBetween("o_orderkey", 1, 100)}}
+	req := Request{Op: OpCut, Query: 4}
 	var sent [2]int
 	for k := range sent {
 		before := counted.written

@@ -15,10 +15,10 @@ import (
 	"elephants/internal/tpch"
 )
 
-// PartitionedTables are the tables hash-partitioned by orderkey; their
-// scans scatter. Everything else is small enough to replicate onto the
-// coordinator and scan locally (the paper's PDW does the same with its
-// replicated dimension tables).
+// PartitionedTables are the tables hash-partitioned by orderkey; only
+// the shards scan them, inside cut prefixes. Everything else is small
+// enough to replicate onto the coordinator and every shard (the paper's
+// PDW does the same with its replicated dimension tables).
 var PartitionedTables = map[string]string{
 	"orders":   "o_orderkey",
 	"lineitem": "l_orderkey",
@@ -66,7 +66,7 @@ func shardOf(key int64, shards int) int {
 // BuildShardDB generates the full dataset and replaces the partitioned
 // tables with this shard's hash partition, each row tagged with its
 // global position (tpch.PosCol), so the coordinator can reassemble
-// scattered answers in exactly the original row order. Every process
+// the shards' answers in exactly the original row order. Every process
 // computes identical placement, so the shards form an exact disjoint
 // cover of the original rows.
 func BuildShardDB(cfg ShardConfig) *tpch.DB {
@@ -311,8 +311,6 @@ func (s *Shard) handle(req Request) (resp Response, t *relal.Table) {
 		}
 	}()
 	switch req.Op {
-	case OpScan:
-		return s.handleScan(req)
 	case OpCut:
 		return s.handleCut(req)
 	case OpHealth:
@@ -325,25 +323,6 @@ func (s *Shard) handle(req Request) (resp Response, t *relal.Table) {
 	return Response{Shard: s.cfg.Index, Err: fmt.Sprintf("unknown op %d", req.Op)}, nil
 }
 
-// handleScan scans the partition and applies the pushed conditions row
-// by row before anything is encoded, so only rows the plan keeps cross
-// the wire. A condition the scanned columns cannot test (its column was
-// not requested, or has another type) is left to group pruning, exactly
-// as MayMatch leaves it.
-func (s *Shard) handleScan(req Request) (Response, *relal.Table) {
-	t, stats := s.db.Src(req.Table).ScanTable(req.Cols, req.Pred)
-	var preds []relal.Pred
-	for _, c := range req.Pred {
-		if slices.Contains(t.Schema, relal.Column{Name: c.Col, Type: c.Kind}) {
-			preds = append(preds, c.On(t))
-		}
-	}
-	if len(preds) > 0 {
-		t = (&relal.Exec{Parallelism: tpch.DefaultWorkers}).Where(t, preds...)
-	}
-	return s.tableResponse(t, stats)
-}
-
 // handleCut runs a registered cut's prefix over the partition and ships
 // the columns the suffix reads, then the prefix's spine positions.
 func (s *Shard) handleCut(req Request) (Response, *relal.Table) {
@@ -353,15 +332,14 @@ func (s *Shard) handleCut(req Request) (Response, *relal.Table) {
 	}
 	e := &relal.Exec{Parallelism: tpch.DefaultWorkers}
 	t := e.Project(cut.Prefix(e, s.db), append(slices.Clip(cut.Ship), tpch.PosCol)...)
-	return s.tableResponse(t, relal.ScanStats{})
+	return s.tableResponse(t)
 }
 
 // tableResponse describes a result table and hands it on for encoding:
-// its vectors cross the wire in the shape the scan or plan produced
-// them (a view is made dense first). An empty table ships as schema
-// only.
-func (s *Shard) tableResponse(t *relal.Table, stats relal.ScanStats) (Response, *relal.Table) {
-	resp := Response{Shard: s.cfg.Index, Schema: t.Schema, Rows: t.NumRows(), Stats: stats}
+// its vectors cross the wire in the shape the plan produced them (a
+// view is made dense first). An empty table ships as schema only.
+func (s *Shard) tableResponse(t *relal.Table) (Response, *relal.Table) {
+	resp := Response{Shard: s.cfg.Index, Schema: t.Schema, Rows: t.NumRows()}
 	if resp.Rows == 0 {
 		return resp, nil
 	}

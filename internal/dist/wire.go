@@ -1,14 +1,14 @@
 // Package dist is the coordinator/shard execution layer: the paper's
 // 16-node PDW and sharded-Mongo clusters shrunk to localhost processes.
 // lineitem and orders are hash-partitioned by orderkey (shardOf) into
-// per-process shards, one internal/htap store each. The coordinator
-// sends each query with a colocated prefix (tpch.Cuts) to every shard,
-// which runs the prefix over its partition and ships the columns the
-// rest of the plan reads; every other query scatters its scans of the
-// partitioned tables. Either way the shards' answers carry each row's
-// global position, the coordinator merges them back into global row
-// order and runs the rest of the single-process plan on top, so all 22
-// golden answers stay byte-identical at any shard count.
+// per-process shards, one internal/htap store each. Every query that
+// reads a partitioned table is a cut (tpch.Cuts): the coordinator sends
+// it to every shard, which runs the cut's prefix over its partition and
+// ships the columns the rest of the plan reads, each row tagged with its
+// global position. The coordinator merges the answers back into global
+// row order and runs the cut's suffix over them; a query that reads only
+// replicated tables runs on the coordinator alone. So all 22 golden
+// answers stay byte-identical at any shard count.
 //
 // Storage format and message format are separate decisions, as they are
 // in the paper's PDW: a shard serves its whole partition from its htap
@@ -49,17 +49,13 @@ import (
 	"elephants/internal/relal"
 )
 
-// Wire ops.
+// Wire ops. Zero is no op, so a request that never set one is refused.
 const (
-	// OpScan returns the rows of the shard's partition of a base table
-	// that pass every pushed condition on a scanned column, restricted to
-	// the requested columns (plus the hidden _pos column).
-	OpScan = iota
 	// OpCut runs a registered tpch.Cut prefix over the shard's partition
 	// and returns its Ship columns, then the hidden _pos column of the
 	// prefix's leftmost scan (a spine aggregate's groups carry their
 	// first row's).
-	OpCut
+	OpCut = iota + 1
 	// OpHealth is the probe: cheap, no data plane, returns the shard's
 	// delta-log positions so callers can assert recovery completeness.
 	OpHealth
@@ -67,10 +63,7 @@ const (
 
 // Request is one coordinator→shard message.
 type Request struct {
-	Op    int
-	Table string
-	Cols  []string
-	Pred  relal.ZonePredicate
+	Op int
 	// Query selects the tpch.Cuts entry for OpCut.
 	Query int
 	// DeadlineMS is the request's remaining time budget in
@@ -98,16 +91,14 @@ type Response struct {
 	Schema relal.Schema
 	Rows   int
 	Data   []byte
-	// Stats is the shard-local scan accounting (OpScan only).
-	Stats relal.ScanStats
 	// NextPos maps held tables to their next delta-log position
 	// (OpHealth only) — the recovery-completeness witness.
 	NextPos map[string]int64
 }
 
 // maxFrame bounds a frame payload; anything larger is a protocol error,
-// not a real message (an uncompressed full scan of an SF-0.01 lineitem
-// partition is a few megabytes).
+// not a real message (Q1's prefix over an SF-0.01 lineitem partition,
+// uncompressed, is a few megabytes).
 const maxFrame = 1 << 28
 
 // WriteFrame writes one length-framed, CRC-trailed message:
@@ -172,7 +163,7 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 
 // frameReadStep is the first allocation of a frame read; every later
 // one is frameReadGrowth times the bytes received so far. The factor is
-// steep because a scan response is megabytes and each regrowth leaves
+// steep because a cut's response is megabytes and each regrowth leaves
 // the previous buffer behind as garbage: at 8 a response costs two
 // regrowths and, on average, about a third of its size in discarded
 // buffers (doubling costs five and all of it).
@@ -352,7 +343,7 @@ func DecodeResponse(data []byte) (Response, error) {
 }
 
 // Table wire encoding. A table crosses the wire as its column vectors,
-// in schema order, in whichever shape the shard's scan produced them —
+// in schema order, in whichever shape the shard's plan produced them —
 // flat or dictionary-encoded — so nothing is re-encoded on the way out
 // and dictionary columns stay code-comparable on the way in. All
 // integers little-endian:

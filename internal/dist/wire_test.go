@@ -76,9 +76,8 @@ func TestDistFrameReadGrows(t *testing.T) {
 // probe ships an RCFile this way).
 func TestDistResponseOpaqueData(t *testing.T) {
 	in := Response{
-		Shard: 3, Rows: 7, Data: []byte{0, 1, 2, 0xff, 0, 0, 0, 9},
+		Shard: 3, Seq: 11, Rows: 7, Data: []byte{0, 1, 2, 0xff, 0, 0, 0, 9},
 		Schema:  relal.Schema{{Name: "k", Type: relal.Int}},
-		Stats:   relal.ScanStats{BytesRead: 11, GroupsSkipped: 2},
 		NextPos: map[string]int64{"orders": 5},
 	}
 	payload, err := EncodeResponse(in)
@@ -89,7 +88,7 @@ func TestDistResponseOpaqueData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out.Data, in.Data) || out.Shard != 3 || out.Rows != 7 || out.Stats != in.Stats ||
+	if !bytes.Equal(out.Data, in.Data) || out.Shard != 3 || out.Seq != 11 || out.Rows != 7 ||
 		out.NextPos["orders"] != 5 || !slices.Equal(out.Schema, in.Schema) {
 		t.Fatalf("round trip changed the response: %+v", out)
 	}
@@ -105,7 +104,7 @@ func TestDistResponseOpaqueData(t *testing.T) {
 // response as decoded off the frame.
 func ship(t testing.TB, tbl *relal.Table) Response {
 	t.Helper()
-	resp, dense := (&Shard{}).tableResponse(tbl, relal.ScanStats{})
+	resp, dense := (&Shard{}).tableResponse(tbl)
 	var buf bytes.Buffer
 	if err := writeResponse(&buf, newGobOut(), resp, dense); err != nil {
 		t.Fatal(err)

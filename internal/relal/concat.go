@@ -2,8 +2,8 @@
 // schema (Q13's matched and unmatched customers, say) stitched together
 // in row order. A Str column stays dictionary-encoded when every part
 // carries the same dictionary — codes concatenate without decoding —
-// and decodes to raw strings otherwise: the rule dist's scan merge
-// applies across shards.
+// and decodes to raw strings otherwise: the rule dist's merge of the
+// shards' cut answers applies too.
 package relal
 
 // Concat returns a table with the given name and schema whose rows are

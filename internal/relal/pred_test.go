@@ -1,9 +1,7 @@
 package relal
 
 import (
-	"bytes"
 	"cmp"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -185,25 +183,11 @@ func naiveCond[T cmp.Ordered](c ZoneCond, x, lo, hi T) bool {
 	return x == x && above && below
 }
 
-// viaGob returns c after a gob round trip, the way a dist shard
-// receives it in Request.Pred.
-func viaGob(t *testing.T, c ZoneCond) ZoneCond {
-	var buf bytes.Buffer
-	var out ZoneCond
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 // checkPredCond builds an Int, a Float and a Str column from next's
 // bytes (sorted or not, so zone maps are narrow or wide), the Str
 // column raw and dictionary-encoded, and one condition per column with
 // open, closed or missing bounds. On must agree with naiveCond over both
-// encodings and after a gob round trip, and no 64-row group that
+// encodings, and no 64-row group that
 // mayMatch rules out may hold a row On accepts.
 func checkPredCond(t *testing.T, next func() byte) {
 	rows := 1 + int(next())%200
@@ -237,10 +221,10 @@ func checkPredCond(t *testing.T, next func() byte) {
 			}
 			return naiveCond(c, strs[r], c.StrLo, c.StrHi)
 		}
-		onRaw, onDict, onWire := c.On(raw), c.On(dict), viaGob(t, c).On(raw)
+		onRaw, onDict := c.On(raw), c.On(dict)
 		for r := range rows {
-			if w := want(r); onRaw.At(r) != w || onDict.At(r) != w || onWire.At(r) != w {
-				t.Fatalf("%+v at row %d: raw %v, dict %v, after gob %v, want %v", c, r, onRaw.At(r), onDict.At(r), onWire.At(r), w)
+			if w := want(r); onRaw.At(r) != w || onDict.At(r) != w {
+				t.Fatalf("%+v at row %d: raw %v, dict %v, want %v", c, r, onRaw.At(r), onDict.At(r), w)
 			}
 		}
 		for lo := 0; lo < rows; lo += 64 {

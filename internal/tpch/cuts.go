@@ -1,13 +1,19 @@
 // Colocated prefixes: where a query can be split so that each dist
-// shard runs the first part of the plan over its own partition.
+// shard runs the first part of the plan over its own partition. Every
+// query that reads orders or lineitem has one, so a dist coordinator
+// runs each such query as a cut and scans neither table itself.
 //
-// A cut splits query N into Prefix and Suffix with qN = Suffix(Prefix(db)).
-// The single-process plan is that composition, so its steps and their
-// order are exactly the plan's. A dist shard runs Prefix over its hash
-// partition of orders and lineitem (both on orderkey) and its full copy
-// of every other table, and ships the Ship columns plus PosCol; the
-// coordinator merges the shards' answers on PosCol and runs Suffix over
-// the result.
+// A cut splits query N into Prefix and Suffix. Suffix takes its prefix
+// as a thunk and calls it where the plan reads the prefix's rows: first
+// thing in most plans, but after some steps on replicated tables in
+// Q20's and Q22's, whose written order reads the partitioned table
+// mid-plan. The single-process plan passes a thunk that runs Prefix at
+// that point, so its steps and their order are exactly the plan's. A
+// dist shard runs Prefix over its hash partition of orders and lineitem
+// (both on orderkey) and its full copy of every other table, and ships
+// the Ship columns plus PosCol; the coordinator merges the shards'
+// answers on PosCol and runs Suffix with a thunk that returns the
+// merged table.
 //
 // A prefix may be cut only when all three of these hold:
 //
@@ -35,7 +41,9 @@
 // A spine aggregate keeps this too (Q18's prefix starts with one): each
 // group lives on one shard, and groups come out in first-seen order, so
 // on each shard the groups' first positions ascend, and merging on them
-// rebuilds the single-process group order.
+// rebuilds the single-process group order. Everything that folds rows
+// across orderkeys (Q1's, Q6's and Q14's totals, Q15's per-supplier
+// sums) stays in the suffix, where it meets the rows in global order.
 package tpch
 
 import (
@@ -55,31 +63,39 @@ type Cut struct {
 	Prefix func(e *relal.Exec, db *DB) *relal.Table
 	// Ship names the columns of Prefix's output that Suffix reads.
 	Ship []string
-	// Suffix runs the rest of the plan over Prefix's output, or over
-	// its Ship columns alone.
-	Suffix func(e *relal.Exec, db *DB, t *relal.Table) *relal.Table
+	// Suffix runs the rest of the plan. It calls prefix once, where the
+	// plan reads the prefix's output; prefix returns that output, or its
+	// Ship columns alone.
+	Suffix func(e *relal.Exec, db *DB, prefix func() *relal.Table) *relal.Table
 }
 
 // Cuts registers the queries with a colocated prefix, by query number.
 var Cuts = map[int]Cut{
+	1:  {q1Prefix, []string{"l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "disc_price", "charge"}, q1Suffix},
 	3:  {q3Prefix, []string{"l_orderkey", "o_orderdate", "o_shippriority", "revenue_item"}, q3Suffix},
 	4:  {q4Prefix, []string{"o_orderpriority"}, q4Suffix},
 	5:  {q5Prefix, []string{"n_name", "rev"}, q5Suffix},
+	6:  {q6Prefix, []string{"rev"}, q6Suffix},
 	7:  {q7Prefix, []string{"supp_nation", "cust_nation", "l_year", "volume"}, q7Suffix},
 	8:  {q8Prefix, []string{"o_year", "brazil_volume", "volume"}, q8Suffix},
 	9:  {q9Prefix, []string{"n_name", "o_year", "amount"}, q9Suffix},
 	10: {q10Prefix, []string{"c_custkey", "c_name", "c_acctbal", "c_phone", "n_name", "c_address", "c_comment", "rev"}, q10Suffix},
 	12: {q12Prefix, []string{"l_shipmode", "high_line", "low_line"}, q12Suffix},
 	13: {q13Prefix, []string{"o_custkey"}, q13Suffix},
+	14: {q14Prefix, []string{"rev", "promo_rev"}, q14Suffix},
+	15: {q15Prefix, []string{"l_suppkey", "rev"}, q15Suffix},
 	17: {q17Prefix, []string{"p_partkey", "l_partkey", "l_quantity", "l_extendedprice"}, q17Suffix},
 	18: {q18Prefix, []string{"c_name", "c_custkey", "o_orderkey", "o_orderdate", "o_totalprice", "sum_qty"}, q18Suffix},
 	19: {q19Prefix, []string{"rev"}, q19Suffix},
+	20: {q20Prefix, []string{"l_partkey", "l_suppkey", "l_quantity"}, q20Suffix},
 	21: {q21Prefix, []string{"s_name", "l_orderkey"}, q21Suffix},
+	22: {q22Prefix, []string{"o_custkey"}, q22Suffix},
 }
 
-// run is the single-process plan: the suffix over the whole prefix.
+// run is the single-process plan: the suffix over the whole prefix,
+// run where the suffix reads it.
 func (c Cut) run(e *relal.Exec, db *DB) *relal.Table {
-	return c.Suffix(e, db, c.Prefix(e, db))
+	return c.Suffix(e, db, func() *relal.Table { return c.Prefix(e, db) })
 }
 
 // hasPos reports whether s carries PosCol.

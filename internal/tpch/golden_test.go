@@ -131,7 +131,7 @@ func TestDistCutShipList(t *testing.T) {
 	db := Generate(GenConfig{SF: goldenSF, Seed: 1, Random64: true})
 	for id, cut := range Cuts {
 		e := &relal.Exec{}
-		got := FormatAnswer(id, cut.Suffix(e, db, e.Project(cut.Prefix(e, db), cut.Ship...)))
+		got := FormatAnswer(id, cut.Suffix(e, db, func() *relal.Table { return e.Project(cut.Prefix(e, db), cut.Ship...) }))
 		if got != want[id] {
 			t.Errorf("Q%d over its Ship columns %v drifts from the golden snapshot:\n%s", id, cut.Ship, got)
 		}
