@@ -188,7 +188,7 @@ func TestDistAnswersWithRows(t *testing.T) {
 	for _, s := range startShardsOf(t, gen, 2) {
 		addrs = append(addrs, s.Addr())
 	}
-	c := NewCoordinatorDB(tpch.Generate(gen), addrs, Options{})
+	c := NewCoordinatorDB(db, addrs, Options{})
 	defer c.Close()
 	for _, q := range tpch.Queries {
 		got, err := c.RunQuery(q.ID)

@@ -10,14 +10,13 @@ import (
 )
 
 // checkCutPart holds one shard's decoded answer to a cut to what the
-// merge relies on: the Ship columns, then an Int position column, and
-// positions non-decreasing (a cut prefix keeps its spine's row order,
-// but a join may emit one spine row more than once). Anything else is a
-// malformed response.
-func checkCutPart(t *relal.Table, ship []string) error {
-	names := t.Schema.Names()
-	if !slices.Equal(names, append(slices.Clip(ship), tpch.PosCol)) || t.Schema[len(ship)].Type != relal.Int {
-		return fmt.Errorf("dist: cut answered with columns %v, want %v and an Int %s", names, ship, tpch.PosCol)
+// merge and the suffix rely on: the Ship columns with their types, then
+// an Int position column, and positions non-decreasing (a cut prefix
+// keeps its spine's row order, but a join may emit one spine row more
+// than once). Anything else is a malformed response.
+func checkCutPart(t *relal.Table, ship relal.Schema) error {
+	if want := append(slices.Clip(ship), relal.Column{Name: tpch.PosCol, Type: relal.Int}); !slices.Equal(t.Schema, want) {
+		return fmt.Errorf("dist: cut answered with columns %v, want %v", t.Schema, want)
 	}
 	for i, xs := 1, t.Cols[len(ship)].Ints; i < len(xs); i++ {
 		if xs[i-1] > xs[i] {
@@ -115,17 +114,12 @@ func mergeColumn(vecs []*relal.Vector, segs []seg, total int) *relal.Vector {
 }
 
 // mergeByPos splices the shards' answers to a cut — each checked by
-// checkCutPart — back into global row order
-// and drops the position column: the reassembled table is cell for cell
-// the single-process one. The shards' streams are already sorted, so
-// this is a merge, not a sort: one pass over the positions, then one
-// gather per column.
+// checkCutPart against the cut's Ship schema, so all share one schema —
+// back into global row order and drops the position column: the
+// reassembled table is cell for cell the single-process one. The
+// shards' streams are already sorted, so this is a merge, not a sort:
+// one pass over the positions, then one gather per column.
 func mergeByPos(name string, parts []*relal.Table) (*relal.Table, error) {
-	for i, p := range parts {
-		if !slices.Equal(p.Schema, parts[0].Schema) {
-			return nil, &PartialError{Shard: i, Err: fmt.Errorf("dist: answered with columns %v, shard 0 with %v", p.Schema, parts[0].Schema)}
-		}
-	}
 	schema := parts[0].Schema[:len(parts[0].Schema)-1]
 	var live []int // the shards that answered with rows
 	total := 0

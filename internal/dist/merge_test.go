@@ -41,7 +41,9 @@ func spineAggPrefix(e *relal.Exec, db *tpch.DB) *relal.Table {
 func TestDistCutPrefixMerge(t *testing.T) {
 	gen := goldenGen()
 	e := &relal.Exec{Parallelism: 1}
-	cuts := map[string]tpch.Cut{"spine aggregate": {Prefix: spineAggPrefix, Ship: []string{"l_orderkey", "l_returnflag", "o_orderdate", "sum_qty"}}}
+	cuts := map[string]tpch.Cut{"spine aggregate": {Prefix: spineAggPrefix, Ship: relal.Schema{
+		{Name: "l_orderkey", Type: relal.Int}, {Name: "l_returnflag", Type: relal.Str},
+		{Name: "o_orderdate", Type: relal.Str}, {Name: "sum_qty", Type: relal.Float}}}}
 	for id, cut := range tpch.Cuts {
 		cuts[fmt.Sprintf("Q%d", id)] = cut
 	}
@@ -53,7 +55,7 @@ func TestDistCutPrefixMerge(t *testing.T) {
 		}
 	}
 	for name, cut := range cuts {
-		want := e.Project(cut.Prefix(e, db), cut.Ship...)
+		want := e.Project(cut.Prefix(e, db), cut.Ship.Names()...)
 		if name == "spine aggregate" && want.NumRows() == 0 {
 			t.Fatalf("%s: no prefix rows to merge", name)
 		}
@@ -61,7 +63,7 @@ func TestDistCutPrefixMerge(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/shards=%d", name, n), func(t *testing.T) {
 				parts := make([]*relal.Table, n)
 				for i, sdb := range dbs {
-					parts[i] = e.Project(cut.Prefix(e, sdb), append(slices.Clip(cut.Ship), tpch.PosCol)...).Compacted()
+					parts[i] = e.Project(cut.Prefix(e, sdb), append(cut.Ship.Names(), tpch.PosCol)...).Compacted()
 					if err := checkCutPart(parts[i], cut.Ship); err != nil {
 						t.Fatalf("shard %d: %v", i, err)
 					}
@@ -233,6 +235,20 @@ func TestDistMalformedAnswers(t *testing.T) {
 	cut := func(cols []string, pos ...int64) func(Request) (Response, *relal.Table) {
 		return func(Request) (Response, *relal.Table) { return cutAnswer(cols, pos...) }
 	}
+	// retyped answers like answer, with its first column retyped Int
+	// or Str.
+	retyped := func(answer func(Request) (Response, *relal.Table), typ relal.Type) func(Request) (Response, *relal.Table) {
+		return func(req Request) (Response, *relal.Table) {
+			resp, tbl := answer(req)
+			resp.Schema = slices.Clone(resp.Schema)
+			resp.Schema[0].Type, tbl.Schema = typ, resp.Schema
+			tbl.Cols[0] = relal.IntsV(make([]int64, tbl.NumRows()))
+			if typ == relal.Str {
+				tbl.Cols[0] = relal.StrsV(make([]string, tbl.NumRows()))
+			}
+			return resp, tbl
+		}
+	}
 	type answers = []func(Request) (Response, *relal.Table)
 	cases := map[string]struct {
 		q       int
@@ -254,17 +270,14 @@ func TestDistMalformedAnswers(t *testing.T) {
 			resp.Schema = resp.Schema[1:]
 			return resp, relal.NewTable(tbl.Name, resp.Schema, tbl.Cols[1:]...)
 		}}},
-		"two shards, one position":      {6, answers{cut(rev, 4, 9), cut(rev, 5, 9)}},
-		"cut positions descending":      {4, answers{cut(ship, 4, 9, 7)}},
-		"cut without positions":         {4, answers{cut(ship[:1], 4, 9)}},
-		"cut with an extra column":      {4, answers{cut([]string{"o_orderpriority", "o_orderdate", tpch.PosCol}, 4, 9)}},
-		"cut, two shards, one position": {4, answers{cut(ship, 4, 9), cut(ship, 5, 9)}},
-		"cut, two shards, two column types": {4, answers{cut(ship, 4, 9), func(Request) (Response, *relal.Table) {
-			resp, tbl := cutAnswer(ship, 5, 8)
-			resp.Schema = slices.Clone(resp.Schema)
-			resp.Schema[0].Type, tbl.Schema, tbl.Cols[0] = relal.Int, resp.Schema, relal.IntsV([]int64{1, 2})
-			return resp, tbl
-		}}},
+		"two shards, one position":          {6, answers{cut(rev, 4, 9), cut(rev, 5, 9)}},
+		"cut positions descending":          {4, answers{cut(ship, 4, 9, 7)}},
+		"cut without positions":             {4, answers{cut(ship[:1], 4, 9)}},
+		"cut with an extra column":          {4, answers{cut([]string{"o_orderpriority", "o_orderdate", tpch.PosCol}, 4, 9)}},
+		"cut, two shards, one position":     {4, answers{cut(ship, 4, 9), cut(ship, 5, 9)}},
+		"cut, two shards, two column types": {4, answers{cut(ship, 4, 9), retyped(cut(ship, 5, 8), relal.Int)}},
+		"cut with a mistyped column":        {4, answers{retyped(cut(ship, 4, 9), relal.Int)}},
+		"mistyped column":                   {6, answers{retyped(cut(rev, 4, 9), relal.Str)}},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
@@ -331,7 +330,7 @@ func (s *Shard) handleCut(req Request) (Response, *relal.Table) {
 		return Response{Shard: s.cfg.Index, Err: fmt.Sprintf("no cut for Q%d", req.Query)}, nil
 	}
 	e := &relal.Exec{Parallelism: tpch.DefaultWorkers}
-	t := e.Project(cut.Prefix(e, s.db), append(slices.Clip(cut.Ship), tpch.PosCol)...)
+	t := e.Project(cut.Prefix(e, s.db), append(cut.Ship.Names(), tpch.PosCol)...)
 	return s.tableResponse(t)
 }
 

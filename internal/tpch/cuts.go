@@ -61,8 +61,10 @@ const PosCol = "_pos"
 type Cut struct {
 	// Prefix runs the plan up to the cut.
 	Prefix func(e *relal.Exec, db *DB) *relal.Table
-	// Ship names the columns of Prefix's output that Suffix reads.
-	Ship []string
+	// Ship is the schema of the columns of Prefix's output that Suffix
+	// reads: a dist coordinator holds each shard's answer to it, names
+	// and types.
+	Ship relal.Schema
 	// Suffix runs the rest of the plan. It calls prefix once, where the
 	// plan reads the prefix's output; prefix returns that output, or its
 	// Ship columns alone.
@@ -71,26 +73,43 @@ type Cut struct {
 
 // Cuts registers the queries with a colocated prefix, by query number.
 var Cuts = map[int]Cut{
-	1:  {q1Prefix, []string{"l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "disc_price", "charge"}, q1Suffix},
-	3:  {q3Prefix, []string{"l_orderkey", "o_orderdate", "o_shippriority", "revenue_item"}, q3Suffix},
-	4:  {q4Prefix, []string{"o_orderpriority"}, q4Suffix},
-	5:  {q5Prefix, []string{"n_name", "rev"}, q5Suffix},
-	6:  {q6Prefix, []string{"rev"}, q6Suffix},
-	7:  {q7Prefix, []string{"supp_nation", "cust_nation", "l_year", "volume"}, q7Suffix},
-	8:  {q8Prefix, []string{"o_year", "brazil_volume", "volume"}, q8Suffix},
-	9:  {q9Prefix, []string{"n_name", "o_year", "amount"}, q9Suffix},
-	10: {q10Prefix, []string{"c_custkey", "c_name", "c_acctbal", "c_phone", "n_name", "c_address", "c_comment", "rev"}, q10Suffix},
-	12: {q12Prefix, []string{"l_shipmode", "high_line", "low_line"}, q12Suffix},
-	13: {q13Prefix, []string{"o_custkey"}, q13Suffix},
-	14: {q14Prefix, []string{"rev", "promo_rev"}, q14Suffix},
-	15: {q15Prefix, []string{"l_suppkey", "rev"}, q15Suffix},
-	17: {q17Prefix, []string{"p_partkey", "l_partkey", "l_quantity", "l_extendedprice"}, q17Suffix},
-	18: {q18Prefix, []string{"c_name", "c_custkey", "o_orderkey", "o_orderdate", "o_totalprice", "sum_qty"}, q18Suffix},
-	19: {q19Prefix, []string{"rev"}, q19Suffix},
-	20: {q20Prefix, []string{"l_partkey", "l_suppkey", "l_quantity"}, q20Suffix},
-	21: {q21Prefix, []string{"s_name", "l_orderkey"}, q21Suffix},
-	22: {q22Prefix, []string{"o_custkey"}, q22Suffix},
+	1: {q1Prefix, relal.Schema{
+		strCol("l_returnflag"), strCol("l_linestatus"), floatCol("l_quantity"),
+		floatCol("l_extendedprice"), floatCol("l_discount"), floatCol("l_tax")}, q1Suffix},
+	3: {q3Prefix, relal.Schema{
+		intCol("l_orderkey"), strCol("o_orderdate"),
+		intCol("o_shippriority"), floatCol("revenue_item")}, q3Suffix},
+	4: {q4Prefix, relal.Schema{strCol("o_orderpriority")}, q4Suffix},
+	5: {q5Prefix, relal.Schema{strCol("n_name"), floatCol("rev")}, q5Suffix},
+	6: {q6Prefix, relal.Schema{floatCol("rev")}, q6Suffix},
+	7: {q7Prefix, relal.Schema{
+		strCol("supp_nation"), strCol("cust_nation"),
+		strCol("l_year"), floatCol("volume")}, q7Suffix},
+	8: {q8Prefix, relal.Schema{strCol("o_year"), floatCol("brazil_volume"), floatCol("volume")}, q8Suffix},
+	9: {q9Prefix, relal.Schema{strCol("n_name"), strCol("o_year"), floatCol("amount")}, q9Suffix},
+	10: {q10Prefix, relal.Schema{
+		intCol("c_custkey"), strCol("c_name"), floatCol("c_acctbal"), strCol("c_phone"),
+		strCol("n_name"), strCol("c_address"), strCol("c_comment"), floatCol("rev")}, q10Suffix},
+	12: {q12Prefix, relal.Schema{strCol("l_shipmode"), intCol("high_line"), intCol("low_line")}, q12Suffix},
+	13: {q13Prefix, relal.Schema{intCol("o_custkey")}, q13Suffix},
+	14: {q14Prefix, relal.Schema{floatCol("rev"), floatCol("promo_rev")}, q14Suffix},
+	15: {q15Prefix, relal.Schema{intCol("l_suppkey"), floatCol("rev")}, q15Suffix},
+	17: {q17Prefix, relal.Schema{
+		intCol("p_partkey"), intCol("l_partkey"),
+		floatCol("l_quantity"), floatCol("l_extendedprice")}, q17Suffix},
+	18: {q18Prefix, relal.Schema{
+		strCol("c_name"), intCol("c_custkey"), intCol("o_orderkey"),
+		strCol("o_orderdate"), floatCol("o_totalprice"), floatCol("sum_qty")}, q18Suffix},
+	19: {q19Prefix, relal.Schema{floatCol("rev")}, q19Suffix},
+	20: {q20Prefix, relal.Schema{intCol("l_partkey"), intCol("l_suppkey"), floatCol("l_quantity")}, q20Suffix},
+	21: {q21Prefix, relal.Schema{strCol("s_name"), intCol("l_orderkey")}, q21Suffix},
+	22: {q22Prefix, relal.Schema{intCol("o_custkey")}, q22Suffix},
 }
+
+// intCol, floatCol and strCol spell the Ship schemas above.
+func intCol(name string) relal.Column   { return relal.Column{Name: name, Type: relal.Int} }
+func floatCol(name string) relal.Column { return relal.Column{Name: name, Type: relal.Float} }
+func strCol(name string) relal.Column   { return relal.Column{Name: name, Type: relal.Str} }
 
 // run is the single-process plan: the suffix over the whole prefix,
 // run where the suffix reads it.

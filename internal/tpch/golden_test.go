@@ -125,15 +125,20 @@ func TestGoldenAnswersParallel(t *testing.T) {
 // coordinator does — the suffix over the prefix's Ship columns alone —
 // and requires each answer byte-identical to the golden snapshot, so a
 // Ship list that misses a column the suffix reads fails here, with no
-// network in the way.
+// network in the way. It also requires the Ship types to be the
+// prefix's, since a coordinator refuses a shard's answer of any other.
 func TestDistCutShipList(t *testing.T) {
 	want := goldenSections(t)
 	db := Generate(GenConfig{SF: goldenSF, Seed: 1, Random64: true})
 	for id, cut := range Cuts {
 		e := &relal.Exec{}
-		got := FormatAnswer(id, cut.Suffix(e, db, func() *relal.Table { return e.Project(cut.Prefix(e, db), cut.Ship...) }))
+		shipped := e.Project(cut.Prefix(e, db), cut.Ship.Names()...)
+		if !slices.Equal(shipped.Schema, cut.Ship) {
+			t.Errorf("Q%d's prefix outputs %v, its Ship schema says %v", id, shipped.Schema, cut.Ship)
+		}
+		got := FormatAnswer(id, cut.Suffix(e, db, func() *relal.Table { return shipped }))
 		if got != want[id] {
-			t.Errorf("Q%d over its Ship columns %v drifts from the golden snapshot:\n%s", id, cut.Ship, got)
+			t.Errorf("Q%d over its Ship columns %v drifts from the golden snapshot:\n%s", id, cut.Ship.Names(), got)
 		}
 	}
 }

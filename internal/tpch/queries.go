@@ -102,19 +102,18 @@ func discPrice(e *relal.Exec, t *relal.Table, name string) *relal.Table {
 // a uint32 code against a threshold, and the (l_returnflag,
 // l_linestatus) group keys aggregate as codes.
 func q1Prefix(e *relal.Exec, db *DB) *relal.Table {
-	f := scanWhere(e, db, "lineitem",
+	return scanWhere(e, db, "lineitem",
 		posCols(db, "lineitem", "l_shipdate", "l_quantity", "l_extendedprice", "l_discount", "l_tax", "l_returnflag", "l_linestatus"),
 		relal.StrAtMost("l_shipdate", "1998-09-02"))
-	f = discPrice(e, f, "disc_price")
-	dp := f.FloatCol("disc_price")
-	tax := f.FloatCol("l_tax")
-	return e.ExtendFloat(f, "charge", func(i int) float64 {
-		return dp.Get(i) * (1 + tax.Get(i))
-	})
 }
 
 func q1Suffix(e *relal.Exec, _ *DB, prefix func() *relal.Table) *relal.Table {
-	f := prefix()
+	f := discPrice(e, prefix(), "disc_price")
+	dp := f.FloatCol("disc_price")
+	tax := f.FloatCol("l_tax")
+	f = e.ExtendFloat(f, "charge", func(i int) float64 {
+		return dp.Get(i) * (1 + tax.Get(i))
+	})
 	agg := e.Aggregate(f, []string{"l_returnflag", "l_linestatus"}, []relal.AggSpec{
 		{Fn: "sum", Col: "l_quantity", As: "sum_qty"},
 		{Fn: "sum", Col: "l_extendedprice", As: "sum_base_price"},
