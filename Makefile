@@ -41,8 +41,10 @@ htap:
 
 # The crash matrix and corruption suites: injected faults on the delta
 # log (torn appends, failed fsyncs, full disk, bit flips), kill + reopen
-# + replay from the log alone, recovered answers pinned to the golden
-# snapshot, and RCF7 chunk/footer corruption detection, under -race.
+# + replay from the log alone, a writer process SIGKILLed mid-stream and
+# reopened over its real directory, recovered answers pinned to the
+# golden snapshot, and RCF7 chunk/footer corruption detection, under
+# -race.
 crash:
 	$(GO) test -race -run 'Crash|Corrupt|Recover|Fault|Fsync|Torn|TryScan' \
 		./internal/fault/ ./internal/delta/ ./internal/rcfile/ ./internal/htap/
@@ -53,7 +55,8 @@ crash:
 # partitioned tables, every cut's merged shard prefixes against the
 # single-process prefix, injected network faults
 # (drop/truncate/duplicate/reset/delay), kill + restart
-# of shard OS processes mid-stream, typed ErrPartial on outage, kept
+# of shard OS processes mid-stream (the restarted shard regenerates its
+# partition), typed ErrPartial on outage, kept
 # sessions (reuse, sequence echo, the redial after a shard restart,
 # Shard.Close with idle sessions), the wire codec's round-trip
 # differential and merge — under -race —

@@ -209,19 +209,6 @@ const (
 	SyncNone
 )
 
-// ParseSyncPolicy maps the flag spellings "group", "always", "none".
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "group", "":
-		return SyncGroup, nil
-	case "always":
-		return SyncAlways, nil
-	case "none":
-		return SyncNone, nil
-	}
-	return SyncGroup, fmt.Errorf("delta: unknown sync policy %q (want group, always, or none)", s)
-}
-
 func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -136,6 +137,29 @@ func TestDistShardPlacement(t *testing.T) {
 		if got := shardOf(math.MaxInt64, tc.shards); got != tc.max {
 			t.Errorf("shards=%d: MaxInt64 on shard %d, want %d", tc.shards, got, tc.max)
 		}
+	}
+}
+
+// TestDistPartitionScanProjects: a scan of a shard's partition returns
+// exactly the columns it asks for, under the table's name, sharing the
+// partition's vectors. A source that returned the whole table would
+// keep every answer but make each cut prefix carry all its columns.
+func TestDistPartitionScanProjects(t *testing.T) {
+	gen := goldenGen()
+	db := BuildShardDB(ShardConfig{Shards: 2, Index: 1, SF: gen.SF, Seed: gen.Seed, Random64: gen.Random64})
+	cols := []string{"l_orderkey", tpch.PosCol}
+	got, _ := db.Src("lineitem").ScanTable(cols, nil)
+	if got.Name != "lineitem" || !slices.Equal(got.Schema.Names(), cols) {
+		t.Fatalf("scan of %v returned %s with columns %v", cols, got.Name, got.Schema.Names())
+	}
+	part := db.Lineitem
+	for i, c := range cols {
+		if got.Cols[i] != part.Cols[part.Schema.Col(c)] {
+			t.Errorf("column %s is a copy, not the partition's vector", c)
+		}
+	}
+	if got.NumRows() != part.NumRows() {
+		t.Errorf("scan returned %d rows, the partition holds %d", got.NumRows(), part.NumRows())
 	}
 }
 
@@ -447,19 +471,33 @@ func TestDistWireFrames(t *testing.T) {
 	}
 }
 
-// TestDistHealthPositions checks the probe op reports the delta-log
-// positions recovery completeness is asserted with.
-func TestDistHealthPositions(t *testing.T) {
-	addrs := startLocalShards(t, 1)
-	c := NewCoordinatorDB(tpch.Generate(goldenGen()), addrs, Options{ProbeEvery: -1})
+// TestDistHealthRoundTrip: the breaker's probe answers nil against a
+// live shard and an error once the shard is gone.
+func TestDistHealthRoundTrip(t *testing.T) {
+	shards := startShards(t, 1)
+	c := NewCoordinatorDB(tpch.Generate(goldenGen()), []string{shards[0].Addr()}, Options{ProbeEvery: -1})
 	defer c.Close()
-	pos, err := c.Health(0)
-	if err != nil {
+	if err := c.Health(0); err != nil {
 		t.Fatal(err)
 	}
-	for _, table := range []string{"orders", "lineitem"} {
-		if pos[table] == 0 {
-			t.Fatalf("shard reports no appended rows for %s: %v", table, pos)
+	shards[0].Close()
+	if err := c.Health(0); err == nil {
+		t.Fatal("health probe of a closed shard succeeded")
+	}
+}
+
+// TestDistRunQueryUnknownID: an id outside 1..22 is a plain error, not
+// a panic and not a partial answer, and it counts no partial.
+func TestDistRunQueryUnknownID(t *testing.T) {
+	c := NewCoordinatorDB(tpch.Generate(goldenGen()), startLocalShards(t, 1), Options{ProbeEvery: -1})
+	defer c.Close()
+	for _, id := range []int{0, 23} {
+		out, err := c.RunQuery(id)
+		if err == nil || errors.Is(err, ErrPartial) {
+			t.Fatalf("Q%d: table=%v err=%v, want a plain error", id, out != nil, err)
 		}
+	}
+	if n := c.Stats()[cPartials]; n != 0 {
+		t.Fatalf("unknown ids counted %d partials", n)
 	}
 }

@@ -77,7 +77,7 @@ func TestDistShardCloseWithIdleSession(t *testing.T) {
 	shards := startShards(t, 1)
 	c := NewCoordinatorDB(tpch.Generate(goldenGen()), []string{shards[0].Addr()}, Options{ProbeEvery: -1})
 	defer c.Close()
-	if _, err := c.Health(0); err != nil {
+	if err := c.Health(0); err != nil {
 		t.Fatal(err)
 	}
 	if n := idleSessions(c, 0); n != 1 {

@@ -7,9 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"elephants/internal/delta"
-	"elephants/internal/fault"
-	"elephants/internal/htap"
 	"elephants/internal/relal"
 	"elephants/internal/tpch"
 )
@@ -37,17 +34,10 @@ type ShardConfig struct {
 	// Port pins the listen port (0 = ephemeral). A restarting shard is
 	// given its old port so retrying coordinators reconnect unchanged.
 	Port int
-	// DataDir, when set, holds the shard's durable delta log
-	// (delta.log, its only file); a restart replays it via htap.Open.
-	// Empty runs the store in memory and persists nothing.
+	// DataDir selects nothing: a shard writes no file, and a restart
+	// regenerates its partition. It remains so that the benchmark's
+	// configuration still compiles.
 	DataDir string
-	// Hold is the per-table count of trailing partition rows routed
-	// through the delta log instead of the base part (nil = defaults),
-	// so every shard exercises the log/replay path it recovers with.
-	Hold map[string]int
-	// Sync is the delta-log fsync policy ("" = always: each acked row
-	// is durable, so a kill at any instant loses nothing acked).
-	Sync string
 }
 
 // shardOf is the orderkey router: FNV-1a over the key's 8 little-endian
@@ -67,7 +57,8 @@ func shardOf(key int64, shards int) int {
 // global position (tpch.PosCol), so the coordinator can reassemble
 // the shards' answers in exactly the original row order. Every process
 // computes identical placement, so the shards form an exact disjoint
-// cover of the original rows.
+// cover of the original rows. Scans of a partition return only the
+// columns they ask for (partSource).
 func BuildShardDB(cfg ShardConfig) *tpch.DB {
 	db := tpch.Generate(tpch.GenConfig{SF: cfg.SF, Seed: cfg.Seed, Random64: cfg.Random64})
 	e := &relal.Exec{Parallelism: 1}
@@ -85,32 +76,36 @@ func BuildShardDB(cfg ShardConfig) *tpch.DB {
 		case "lineitem":
 			db.Lineitem = part
 		}
+		db.SetSource(name, partSource{relal.NewTableSource(part)})
 	}
 	return db
 }
 
-// defaultHold routes a few hundred trailing rows of each partition
-// through the delta log, clamped so small partitions stay legal.
-func defaultHold(db *tpch.DB) map[string]int {
-	hold := make(map[string]int)
-	for name, want := range map[string]int{"orders": 150, "lineitem": 300} {
-		if n := db.Table(name).NumRows(); n/2 < want {
-			want = n / 2
-		}
-		if want > 0 {
-			hold[name] = want
-		}
+// partSource serves a partition: its scans return the requested
+// columns only (nil = every column), sharing the partition's vectors,
+// under the table's own name. A cut prefix reads a few of a
+// partition's columns; handed the whole table, every later step would
+// carry, and measure the width of, columns the plan never reads.
+type partSource struct{ *relal.TableSource }
+
+// ScanTable implements relal.Source.
+func (s partSource) ScanTable(cols []string, pred relal.ZonePredicate) (*relal.Table, relal.ScanStats) {
+	t, stats := s.TableSource.ScanTable(cols, pred)
+	if len(cols) == 0 {
+		return t, stats
 	}
-	return hold
+	var e relal.Exec
+	p := e.Project(t, cols...)
+	p.Name = t.Name
+	return p, stats
 }
 
 // Shard is one running shard server (in-process or the body of a shard
 // OS process).
 type Shard struct {
-	cfg   ShardConfig
-	db    *tpch.DB
-	store *htap.Store
-	ln    net.Listener
+	cfg ShardConfig
+	db  *tpch.DB
+	ln  net.Listener
 
 	mu     sync.Mutex
 	closed bool
@@ -121,79 +116,32 @@ type Shard struct {
 	wg       sync.WaitGroup
 }
 
-// StartShard builds the shard's partition, opens (and if needed
-// recovers) its htap store, replays/append-fills the held rows, and
-// starts serving. The returned shard is fully caught up: every query
-// it answers sees the complete partition.
+// StartShard builds the shard's partition (BuildShardDB) and starts
+// serving it from memory. Nothing writes to a shard, so it keeps no
+// file: a restarted shard regenerates the same partition.
 func StartShard(cfg ShardConfig) (*Shard, error) {
 	if cfg.Shards < 1 || cfg.Index < 0 || cfg.Index >= cfg.Shards {
 		return nil, fmt.Errorf("dist: bad shard placement %d/%d", cfg.Index, cfg.Shards)
 	}
 	db := BuildShardDB(cfg)
-	hold := cfg.Hold
-	if hold == nil {
-		hold = defaultHold(db)
-	}
-	pol, err := delta.ParseSyncPolicy(syncOrDefault(cfg.Sync))
-	if err != nil {
-		return nil, err
-	}
-	// Scans serve the store's in-memory replica of the partition; with
-	// a DataDir, the delta log that a restart replays is durable.
-	hcfg := htap.Config{Window: -1, Sync: pol}
-	if cfg.DataDir != "" {
-		fs, err := fault.NewDirFS(cfg.DataDir)
-		if err != nil {
-			return nil, err
-		}
-		hcfg.FS = fs
-	}
-	store, err := htap.Open(db, hold, hcfg)
-	if err != nil {
-		return nil, fmt.Errorf("dist: open shard %d store: %w", cfg.Index, err)
-	}
-	// Re-append the held rows. AppendRecord skips those the recovered
-	// log already covers, so on a fresh boot all of them are logged,
-	// after a crash only the unacked tail.
-	for _, r := range store.HeldRecords() {
-		if _, err := store.AppendRecord(r); err != nil {
-			store.Close()
-			return nil, fmt.Errorf("dist: shard %d append %s@%d: %w", cfg.Index, r.Table, r.Pos, err)
-		}
-	}
-	if err := store.Quiesce(); err != nil {
-		store.Close()
-		return nil, err
-	}
-	if err := store.ConvertAll(); err != nil {
-		store.Close()
-		return nil, err
-	}
 	// A restarting shard re-binds its pinned port; give the kernel a
 	// moment to release the dead incarnation's socket.
 	var ln net.Listener
+	var err error
 	for attempt := 0; ; attempt++ {
 		ln, err = net.Listen("tcp", fmt.Sprintf("127.0.0.1:%d", cfg.Port))
 		if err == nil {
 			break
 		}
 		if cfg.Port == 0 || attempt >= 40 {
-			store.Close()
 			return nil, err
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	s := &Shard{cfg: cfg, db: db, store: store, ln: ln, conns: make(map[net.Conn]struct{})}
+	s := &Shard{cfg: cfg, db: db, ln: ln, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
-}
-
-func syncOrDefault(s string) string {
-	if s == "" {
-		return "always"
-	}
-	return s
 }
 
 // Addr returns the shard's listen address.
@@ -202,8 +150,8 @@ func (s *Shard) Addr() string { return s.ln.Addr().String() }
 // Port returns the shard's listen port.
 func (s *Shard) Port() int { return s.ln.Addr().(*net.TCPAddr).Port }
 
-// Close stops serving, closes every session (idle ones included, so it
-// never waits for a coordinator to hang up) and closes the store.
+// Close stops serving and closes every session (idle ones included, so
+// it never waits for a coordinator to hang up).
 func (s *Shard) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -217,7 +165,7 @@ func (s *Shard) Close() error {
 	s.mu.Unlock()
 	s.ln.Close()
 	s.wg.Wait()
-	return s.store.Close()
+	return nil
 }
 
 func (s *Shard) acceptLoop() {
@@ -313,11 +261,7 @@ func (s *Shard) handle(req Request) (resp Response, t *relal.Table) {
 	case OpCut:
 		return s.handleCut(req)
 	case OpHealth:
-		next := make(map[string]int64)
-		for name := range PartitionedTables {
-			next[name] = s.store.NextPos(name)
-		}
-		return Response{Shard: s.cfg.Index, NextPos: next}, nil
+		return Response{Shard: s.cfg.Index}, nil
 	}
 	return Response{Shard: s.cfg.Index, Err: fmt.Sprintf("unknown op %d", req.Op)}, nil
 }

@@ -1,22 +1,23 @@
 // Package dist is the coordinator/shard execution layer: the paper's
 // 16-node PDW and sharded-Mongo clusters shrunk to localhost processes.
 // lineitem and orders are hash-partitioned by orderkey (shardOf) into
-// per-process shards, one internal/htap store each. Every query that
-// reads a partitioned table is a cut (tpch.Cuts): the coordinator sends
-// it to every shard, which runs the cut's prefix over its partition and
-// ships the columns the rest of the plan reads, each row tagged with its
-// global position. The coordinator merges the answers back into global
-// row order and runs the cut's suffix over them; a query that reads only
-// replicated tables runs on the coordinator alone. So all 22 golden
-// answers stay byte-identical at any shard count.
+// per-process shards, each serving its partition from memory. Every
+// query that reads a partitioned table is a cut (tpch.Cuts): the
+// coordinator sends it to every shard, which runs the cut's prefix over
+// its partition and ships the columns the rest of the plan reads, each
+// row tagged with its global position. The coordinator merges the
+// answers back into global row order and runs the cut's suffix over
+// them; a query that reads only replicated tables runs on the
+// coordinator alone. So all 22 golden answers stay byte-identical at
+// any shard count.
 //
 // Storage format and message format are separate decisions, as they are
-// in the paper's PDW: a shard serves its whole partition from its htap
-// store's in-memory replica (with a DataDir, its delta log is the one
-// durable copy of the held rows), and what crosses the wire is the
-// result's column vectors laid out flat (see the table encoding below)
-// — no compression and no per-chunk encoding choice on the data path;
-// the frame checksum covers every byte.
+// in the paper's PDW: a shard serves the partition it generated, which
+// nothing writes to, so it keeps no file and a restart regenerates it;
+// what crosses the wire is the result's column vectors laid out flat
+// (see the table encoding below) — no compression and no per-chunk
+// encoding choice on the data path; the frame checksum covers every
+// byte.
 //
 // The coordinator keeps one session per concurrent request to each
 // shard: a TCP connection that outlives its request, buffered both ways,
@@ -30,9 +31,9 @@
 // deadline in the wire protocol, every call retries with exponential
 // backoff and seeded jitter, per-shard circuit breakers fail fast while
 // health probes watch for recovery, and a query against a dead shard
-// either retries to success after the shard restarts (replaying its
-// delta log via htap.Open) or returns a typed ErrPartial — never a
-// silently wrong answer.
+// either retries to success after the shard restarts (regenerating its
+// partition) or returns a typed ErrPartial — never a silently wrong
+// answer.
 package dist
 
 import (
@@ -56,8 +57,8 @@ const (
 	// prefix's leftmost scan (a spine aggregate's groups carry their
 	// first row's).
 	OpCut = iota + 1
-	// OpHealth is the probe: cheap, no data plane, returns the shard's
-	// delta-log positions so callers can assert recovery completeness.
+	// OpHealth is the probe: cheap, no data plane; an answer without an
+	// error means the shard is serving.
 	OpHealth
 )
 
@@ -91,9 +92,6 @@ type Response struct {
 	Schema relal.Schema
 	Rows   int
 	Data   []byte
-	// NextPos maps held tables to their next delta-log position
-	// (OpHealth only) — the recovery-completeness witness.
-	NextPos map[string]int64
 }
 
 // maxFrame bounds a frame payload; anything larger is a protocol error,

@@ -1,6 +1,11 @@
 package htap
 
 import (
+	"bufio"
+	"fmt"
+	"io"
+	"os"
+	"os/exec"
 	"reflect"
 	"strconv"
 	"sync"
@@ -230,6 +235,120 @@ func TestHtapRecoverFromTheLogAlone(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// writerEnv turns this test binary into a writer process: when set, it
+// names the directory the writer's store lives in.
+const writerEnv = "HTAP_WRITER_DIR"
+
+// TestMain lets this test binary double as the writer process
+// TestHtapRecoverDirFSAfterKill kills.
+func TestMain(m *testing.M) {
+	if dir := os.Getenv(writerEnv); dir != "" {
+		if err := writerMain(dir); err != nil {
+			fmt.Fprintf(os.Stderr, "htap writer: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// writerMain opens a durable store over dir with SyncAlways, appends
+// the held records one at a time and prints "table pos" once each is
+// acknowledged. Then it waits, without closing the store, until it is
+// killed or its stdin closes (so a failed test leaves no process
+// behind).
+func writerMain(dir string) error {
+	fs, err := fault.NewDirFS(dir)
+	if err != nil {
+		return err
+	}
+	store, err := Open(goldenDB(), testHold(), durableConfig(fs, delta.SyncAlways))
+	if err != nil {
+		return err
+	}
+	for _, r := range store.HeldRecords() {
+		if _, err := store.AppendRecord(r); err != nil {
+			return err
+		}
+		fmt.Printf("%s %d\n", r.Table, r.Pos)
+	}
+	_, err = io.Copy(io.Discard, os.Stdin)
+	return err
+}
+
+// TestHtapRecoverDirFSAfterKill is the crash test over a real
+// directory: a writer process appends through a fault.DirFS with
+// SyncAlways and is SIGKILLed halfway through its acknowledgements, so
+// its store is never closed. Open over the same directory must replay
+// every position the writer acknowledged, and once the rest is
+// re-appended the quiesced answers must be golden.
+func TestHtapRecoverDirFSAfterKill(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a writer process")
+	}
+	want := readGolden(t)
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), writerEnv+"="+dir)
+	cmd.Stderr = os.Stderr
+	stdin, err := cmd.StdinPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stdin.Close()
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, n := range testHold() {
+		total += n
+	}
+	killAt := total / 2
+	// next[table] is one past the highest position acknowledged.
+	next := make(map[string]int64)
+	acked := 0
+	sc := bufio.NewScanner(stdout)
+	for sc.Scan() {
+		var table string
+		var pos int64
+		if _, err := fmt.Sscanf(sc.Text(), "%s %d", &table, &pos); err != nil {
+			cmd.Process.Kill()
+			t.Fatalf("writer line %q: %v", sc.Text(), err)
+		}
+		next[table] = max(next[table], pos+1)
+		if acked++; acked == killAt {
+			cmd.Process.Kill()
+		}
+	}
+	cmd.Wait()
+	if acked < killAt {
+		t.Fatalf("writer exited after %d acknowledgements, before the kill at %d", acked, killAt)
+	}
+	t.Logf("%d of %d records acknowledged before the kill took effect", acked, total)
+
+	fs, err := fault.NewDirFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := Open(goldenDB(), testHold(), durableConfig(fs, delta.SyncAlways))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	for table, n := range next {
+		if got := store.NextPos(table); got < n {
+			t.Errorf("%s: positions below %d acknowledged, only %d recovered", table, n, got)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recoverAndPin(t, fs, delta.SyncAlways, want)
 }
 
 // TestHtapLagIgnoresDuplicates re-appends every held record after a
