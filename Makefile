@@ -24,11 +24,12 @@ race:
 # (each kernel against its naive oracle at every worker count, the key
 # table's structure in each representation, the Int-key rule) + dict,
 # predicate and range-condition soundness and chunk-encoding
-# differentials + the HTAP
-# delta-pipeline and wal/delta-log concurrency suites under the race
-# detector (CI's `streams` job).
+# differentials + the step-log suites (widths read after the query, from
+# tables pool helpers built; the serial/pooled step-log golden) + the
+# HTAP delta-pipeline and wal/delta-log concurrency suites under the
+# race detector (CI's `streams` job).
 streams:
-	$(GO) test -race -run 'Stream|Join|Sort|Aggregate|TopK|Dict|Pred|Cache|Sched|Encoding|Htap|Delta|Wal' ./...
+	$(GO) test -race -run 'Stream|Join|Sort|Aggregate|TopK|Dict|Pred|Cache|Sched|Encoding|Htap|Delta|Wal|StepLog' ./...
 
 # The HTAP suites under -race: the golden matrix (held rows replayed
 # through the delta log, quiesced answers pinned to the golden snapshot,

@@ -91,13 +91,7 @@ type partSource struct{ *relal.TableSource }
 // ScanTable implements relal.Source.
 func (s partSource) ScanTable(cols []string, pred relal.ZonePredicate) (*relal.Table, relal.ScanStats) {
 	t, stats := s.TableSource.ScanTable(cols, pred)
-	if len(cols) == 0 {
-		return t, stats
-	}
-	var e relal.Exec
-	p := e.Project(t, cols...)
-	p.Name = t.Name
-	return p, stats
+	return t.Columns(cols), stats
 }
 
 // Shard is one running shard server (in-process or the body of a shard

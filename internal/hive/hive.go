@@ -294,7 +294,7 @@ func (w *Warehouse) RunQuery(p *sim.Proc, id int) QueryStats {
 		report(name, strategy, w.jt.Run(p, job))
 	}
 
-	for _, step := range log.Steps {
+	for _, step := range log.Widths() {
 		switch step.Kind {
 		case relal.StepFilter:
 			// Normally folded into the consuming job's table scan, but

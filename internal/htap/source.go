@@ -35,7 +35,7 @@ func (st *tableState) ScanTable(cols []string, pred relal.ZonePredicate) (*relal
 		_, s := v.tailSource().ScanTable(cols, pred)
 		stats.Add(s)
 	}
-	return project(v.t, cols), stats
+	return v.t.Columns(cols), stats
 }
 
 // tailSource returns the view's memoized tail segment, building it on
@@ -49,21 +49,6 @@ func (v *tableView) tailSource() *relal.TableSource {
 	src := relal.NewTableSource(relal.NewTable(v.t.Name, v.t.Schema, window(v.t.Cols, n-v.tail, n)...))
 	v.tailSrc.CompareAndSwap(nil, src)
 	return v.tailSrc.Load()
-}
-
-// project returns t's columns named by cols (nil = every column),
-// sharing t's vectors.
-func project(t *relal.Table, cols []string) *relal.Table {
-	if len(cols) == 0 {
-		return t
-	}
-	schema := make(relal.Schema, len(cols))
-	vecs := make([]*relal.Vector, len(cols))
-	for i, c := range cols {
-		ci := t.Schema.Col(c)
-		schema[i], vecs[i] = t.Schema[ci], t.Cols[ci]
-	}
-	return relal.NewTable(t.Name, schema, vecs...)
 }
 
 // window returns zero-copy vectors over rows [lo, hi) of the dense

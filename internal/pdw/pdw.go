@@ -292,7 +292,7 @@ func (w *PDW) RunQuery(p *sim.Proc, id int) QueryStats {
 
 	scannedBase := map[string]bool{}
 
-	for _, step := range log.Steps {
+	for _, step := range log.Widths() {
 		switch step.Kind {
 		case relal.StepScan:
 			continue // charged by the consuming operator

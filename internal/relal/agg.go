@@ -463,11 +463,10 @@ func (e *Exec) Aggregate(t *Table, groupBy []string, aggs []AggSpec) *Table {
 		cols[len(gidx)+i] = fold(aggs[i].Fn, ins[i], inSels[i], gid, first, counts)
 	})
 	out := &Table{Name: t.Name + "_agg", Schema: sch, Cols: cols}
-	e.Log.Add(Step{
+	e.Log.add(Step{
 		Kind: StepAgg, Table: t.Name,
-		LeftRows: t.NumRows(), LeftWidth: t.AvgRowBytes(),
-		OutRows: out.NumRows(), OutWidth: out.AvgRowBytes(),
+		LeftRows: t.NumRows(), OutRows: out.NumRows(),
 		LeftBase: t.Base,
-	})
+	}, t, nil, out)
 	return out
 }

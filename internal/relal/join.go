@@ -1,17 +1,18 @@
-// Hash joins. Join, SemiJoin and AntiJoin share one key table over the
-// build (right) side, built once and then read-only:
+// Hash joins. Join, SemiJoin and AntiJoin build one read-only key table
+// over the build (right) side:
 //
 //  1. Build: the group-by's groupTable numbers the build keys in
 //     first-seen order — a slot array when the key span is dense, a map
-//     otherwise (see groupKeys.table) — and one serial pass from the last
-//     build row to the first chains each row onto its key's id: head[id]
-//     leads to the key's first row, next[j] to the row after j. Chains
-//     therefore run in build-row order.
+//     otherwise (see groupKeys.table). Join then chains each row onto its
+//     key's id in one serial pass from the last build row to the first:
+//     head[id] leads to the key's first row, next[j] to the row after j.
+//     Chains therefore run in build-row order. SemiJoin/AntiJoin need
+//     only membership, so they build the groupTable alone.
 //  2. Probe: the probe (left) side splits into morsels, each filling its
 //     own index buffers; the buffers concatenate in morsel order, which
 //     is probe-row order. Join walks each hit's chain (left-major match
-//     order); SemiJoin/AntiJoin only ask whether a chain exists, through
-//     the row-selection loop Filter uses.
+//     order); SemiJoin/AntiJoin only ask whether the key is in the
+//     table, through the row-selection loop Filter uses.
 //  3. Compose: Join moves no cell. Its output holds both inputs' own
 //     vectors, each read through its input's selection composed with the
 //     matching index vector — one int32 pass per distinct input
@@ -78,12 +79,11 @@ func (kt *keyTable) first(k int64) int32 {
 	return -1
 }
 
-// joinSides returns left's key column and the key table over right's: the
+// joinSides returns left's key column and the index of right's: the
 // probe side's key is checked first.
-func joinSides(left, right *Table, leftKey, rightKey string) (IntVec, *keyTable) {
+func joinSides(left, right *Table, leftKey, rightKey string) (IntVec, int) {
 	lc := joinKey(left, leftKey)
-	kt := buildKeyTable(right, joinKey(right, rightKey))
-	return IntVec{data: left.Cols[lc].Ints, sel: left.sel(lc)}, kt
+	return IntVec{data: left.Cols[lc].Ints, sel: left.sel(lc)}, joinKey(right, rightKey)
 }
 
 // Join hash-joins left and right on leftKey = rightKey (inner join),
@@ -93,7 +93,8 @@ func joinSides(left, right *Table, leftKey, rightKey string) (IntVec, *keyTable)
 // inputs' vectors (no cell is copied) and is byte-identical at every
 // pool size.
 func (e *Exec) Join(left, right *Table, leftKey, rightKey string) *Table {
-	lKeys, kt := joinSides(left, right, leftKey, rightKey)
+	lKeys, rc := joinSides(left, right, leftKey, rightKey)
+	kt := buildKeyTable(right, rc)
 	ln := left.NumRows()
 	ls := make([][]int32, (ln+joinMorselRows-1)/joinMorselRows)
 	rs := make([][]int32, len(ls))
@@ -123,11 +124,18 @@ func (e *Exec) Join(left, right *Table, leftKey, rightKey string) *Table {
 
 // semiAnti implements SemiJoin (keep=true) and AntiJoin (keep=false) as
 // zero-copy views over left: a row is selected when its key's presence
-// in the join's key table equals keep.
+// among right's keys equals keep. An empty right side holds no key.
 func (e *Exec) semiAnti(left, right *Table, leftKey, rightKey, suffix string, keep bool) *Table {
-	lKeys, kt := joinSides(left, right, leftKey, rightKey)
+	lKeys, rc := joinSides(left, right, leftKey, rightKey)
+	var keys *groupTable // right's keys; nil when right is empty
+	if n := right.NumRows(); n > 0 {
+		keys = newGroupKeys(right, []int{rc}).table(n)
+		for j := range n {
+			keys.id(j)
+		}
+	}
 	sel := selectRows(left.NumRows(), joinMorselRows, e.workers(), func(i int) bool {
-		return (kt.first(lKeys.Get(i)) >= 0) == keep
+		return (keys != nil && keys.find(lKeys.Get(i)) >= 0) == keep
 	})
 	out := view(left, left.Name+suffix, sel)
 	e.logJoin(left, right, out, leftKey)
@@ -136,14 +144,12 @@ func (e *Exec) semiAnti(left, right *Table, leftKey, rightKey, suffix string, ke
 
 // logJoin logs the join step of left and right that produced out.
 func (e *Exec) logJoin(left, right, out *Table, key string) {
-	e.Log.Add(Step{
+	e.Log.add(Step{
 		Kind: StepJoin, Table: out.Name,
-		LeftRows: left.NumRows(), LeftWidth: left.AvgRowBytes(),
-		RightRows: right.NumRows(), RightWidth: right.AvgRowBytes(),
-		OutRows: out.NumRows(), OutWidth: out.AvgRowBytes(),
+		LeftRows: left.NumRows(), RightRows: right.NumRows(), OutRows: out.NumRows(),
 		JoinKey:  key,
 		LeftBase: left.Base, RightBase: right.Base,
-	})
+	}, left, right, out)
 }
 
 // SemiJoin returns left rows whose key appears in right (IN subquery).

@@ -221,11 +221,11 @@ func TestJoinParallelStepLog(t *testing.T) {
 	left, right := c.tables(11)
 	serial := &Exec{Parallelism: 1}
 	serial.Join(left, right, "lk", "rk")
-	want := serial.Log.Steps[0]
+	want := serial.Log.Widths()[0]
 	for _, workers := range diffWorkers() {
 		e := &Exec{Parallelism: workers}
 		e.Join(left, right, "lk", "rk")
-		if got := e.Log.Steps[0]; got != want {
+		if got := e.Log.Widths()[0]; got != want {
 			t.Fatalf("workers=%d join step drifts:\n got %+v\nwant %+v", workers, got, want)
 		}
 	}

@@ -184,7 +184,7 @@ func runLateChain(ops []lateOp, in *Table, workers int, eager bool) (out *Table,
 		out = fix(op.run(e, out, fix))
 		maxSels = max(maxSels, len(out.sels))
 	}
-	return out, e.Log.Steps, maxSels
+	return out, e.Log.Widths(), maxSels
 }
 
 // TestJoinLateColumnsDifferential runs random chains of at least three

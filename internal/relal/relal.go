@@ -142,8 +142,11 @@ func (v *Vector) Len() int {
 // operation writes a built table's vectors or selections, so views,
 // projections and extensions alias them freely, and concurrent query
 // streams execute over one shared table without synchronization. The
-// one cache, the memoized AvgRowBytes, is atomic. Updates reach the
-// analytical copy through the delta log, never in place.
+// one cache, the memoized AvgRowBytes, is atomic. Immutability is also
+// what lets a StepLog hold a table and measure its width later: the
+// width computed on demand is the width it had when it was logged.
+// Updates reach the analytical copy through the delta log, never in
+// place.
 type Table struct {
 	Name   string
 	Schema Schema
@@ -270,6 +273,7 @@ func (t *Table) Compacted() *Table {
 // same way it shows up on disk: a dict column is a few bytes per row,
 // not the string's. A raw-string column is walked through its own
 // selection, so a view reports exactly the width of its compacted form.
+// No operator calls it: StepLog.Widths does, when a cost model asks.
 func (t *Table) AvgRowBytes() int {
 	n := t.NumRows()
 	if n == 0 {
@@ -464,7 +468,8 @@ func (k StepKind) String() string {
 }
 
 // Step records one operator execution: cardinalities and byte widths
-// that the engines' cost models consume.
+// that the engines' cost models consume. An operator logs the
+// cardinalities; the widths stay 0 until StepLog.Widths fills them.
 type Step struct {
 	Kind StepKind
 	// Table is the base-table name for scans; for joins, the two input
@@ -473,7 +478,8 @@ type Step struct {
 	// LeftRows/RightRows are input cardinalities (RightRows 0 except
 	// joins).
 	LeftRows, RightRows int
-	// LeftBytes/RightBytes are input widths in bytes per row.
+	// LeftWidth/RightWidth are input widths in bytes per row (filled by
+	// StepLog.Widths).
 	LeftWidth, RightWidth int
 	// OutRows/OutWidth describe the output.
 	OutRows, OutWidth int
@@ -504,7 +510,10 @@ type Step struct {
 	ScanCorruptChunks int
 }
 
-// StepLog accumulates steps in execution order.
+// StepLog accumulates steps in execution order. Each step's widths are
+// computed only when a reader asks for them through Widths: until then
+// the log holds the tables they are measured on, so a query whose log
+// nobody costs never walks its strings.
 type StepLog struct {
 	Steps []Step
 	// SortNanos is host wall time spent inside the Sort/TopK kernels
@@ -512,10 +521,38 @@ type StepLog struct {
 	// harnesses report each query's sort share without touching the
 	// cost-model-facing Step fields.
 	SortNanos int64
+
+	pending []stepTables
 }
 
-// Add appends a step.
-func (l *StepLog) Add(s Step) { l.Steps = append(l.Steps, s) }
+// stepTables are the tables whose widths Steps[i] reports; right is nil
+// outside joins.
+type stepTables struct {
+	i                int
+	left, right, out *Table
+}
+
+// add appends s, whose widths are left's, right's and out's.
+func (l *StepLog) add(s Step, left, right, out *Table) {
+	l.pending = append(l.pending, stepTables{len(l.Steps), left, right, out})
+	l.Steps = append(l.Steps, s)
+}
+
+// Widths fills every step's LeftWidth, RightWidth and OutWidth with the
+// exact AvgRowBytes of the tables it read and produced (memoized on each
+// table), lets go of those tables, and returns the steps. Calling it
+// again returns the same steps.
+func (l *StepLog) Widths() []Step {
+	for _, p := range l.pending {
+		s := &l.Steps[p.i]
+		s.LeftWidth, s.OutWidth = p.left.AvgRowBytes(), p.out.AvgRowBytes()
+		if p.right != nil {
+			s.RightWidth = p.right.AvgRowBytes()
+		}
+	}
+	l.pending = nil
+	return l.Steps
+}
 
 // Exec is the execution context threading the log through operators.
 type Exec struct {
@@ -537,12 +574,11 @@ type Exec struct {
 // keeps t's base annotation (filtering preserves partitioning).
 func (e *Exec) Filter(t *Table, pred func(i int) bool) *Table {
 	out := view(t, t.Name+"_f", selectRows(t.NumRows(), MorselRows, e.workers(), pred))
-	e.Log.Add(Step{
+	e.Log.add(Step{
 		Kind: StepFilter, Table: t.Name,
-		LeftRows: t.NumRows(), LeftWidth: t.AvgRowBytes(),
-		OutRows: out.NumRows(), OutWidth: out.AvgRowBytes(),
+		LeftRows: t.NumRows(), OutRows: out.NumRows(),
 		LeftBase: t.Base,
-	})
+	}, t, nil, out)
 	return out
 }
 
@@ -551,7 +587,23 @@ func (e *Exec) Filter(t *Table, pred func(i int) bool) *Table {
 // (zero-copy). Projection is logged as part of downstream steps, not
 // separately (it is free in both engines' models).
 func (e *Exec) Project(t *Table, cols ...string) *Table {
-	out := &Table{Name: t.Name + "_p", Schema: make(Schema, len(cols)), Cols: make([]*Vector, len(cols)), Base: t.Base, sels: t.sels}
+	return t.project(t.Name+"_p", cols)
+}
+
+// Columns returns t's named columns (nil = every column, t itself) under
+// t's own name and base, sharing t's vectors and selections: the scan of
+// a Source that projects to the requested columns. The name stays t's
+// because the step log records it.
+func (t *Table) Columns(cols []string) *Table {
+	if len(cols) == 0 {
+		return t
+	}
+	return t.project(t.Name, cols)
+}
+
+// project returns t's named columns, zero-copy, under the given name.
+func (t *Table) project(name string, cols []string) *Table {
+	out := &Table{Name: name, Schema: make(Schema, len(cols)), Cols: make([]*Vector, len(cols)), Base: t.Base, sels: t.sels}
 	if t.colSel != nil {
 		out.colSel = make([]int, len(cols))
 	}
@@ -589,12 +641,11 @@ func (e *Exec) Limit(t *Table, n int) *Table {
 		idx[i] = int32(i)
 	}
 	out := view(t, t.Name, idx)
-	e.Log.Add(Step{
+	e.Log.add(Step{
 		Kind: StepLimit, Table: t.Name,
-		LeftRows: t.NumRows(), LeftWidth: t.AvgRowBytes(),
-		OutRows: out.NumRows(), OutWidth: out.AvgRowBytes(),
+		LeftRows: t.NumRows(), OutRows: out.NumRows(),
 		LeftBase: t.Base,
-	})
+	}, t, nil, out)
 	return out
 }
 

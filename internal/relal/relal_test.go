@@ -2,7 +2,9 @@ package relal
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -328,6 +330,79 @@ func TestAvgRowBytesExactOnView(t *testing.T) {
 	}
 	if got := t1.AvgRowBytes(); got != 6 {
 		t.Errorf("dense width = %d, want 6 ((2+10)/2)", got)
+	}
+}
+
+// columnsSource serves its table projected to the scanned columns.
+type columnsSource struct{ *TableSource }
+
+func (s columnsSource) ScanTable(cols []string, pred ZonePredicate) (*Table, ScanStats) {
+	t, stats := s.TableSource.ScanTable(cols, pred)
+	return t.Columns(cols), stats
+}
+
+// TestStepLogWidthsOnDemand: no operator measures a width. Until
+// StepLog.Widths runs, no table the log holds has its width memoized;
+// after it runs, every step carries the exact AvgRowBytes of the tables
+// it read and produced, and the log holds no table.
+func TestStepLogWidthsOnDemand(t *testing.T) {
+	shrinkJoinMorsels(t, 16)
+	shrinkSortMorsels(t, 16)
+	for _, workers := range []int{1, 2, 7} {
+		const n = 600
+		ks, fs, ss := make([]int64, n), make([]float64, n), make([]string, n)
+		for i := range ks {
+			ks[i], fs[i], ss[i] = int64(i%97), float64(i%13), strings.Repeat("x", i%29)
+		}
+		raw := NewTable("base", Schema{{Name: "k", Type: Int}, {Name: "f", Type: Float}, {Name: "s", Type: Str}},
+			IntsV(ks), FloatsV(fs), StrsV(ss))
+		base := (&Exec{}).Filter(raw, func(i int) bool { return i%5 != 0 }) // s under a selection
+		dim := NewTable("dim", Schema{{Name: "dk", Type: Int}, {Name: "ds", Type: Str}},
+			IntsV([]int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89}),
+			StrsV([]string{"a", "bb", "ccc", "dddd", "e", "ff", "g", "hhhhhhh", "i", "jj"}))
+
+		e := &Exec{Parallelism: workers}
+		scan := e.ScanSource(columnsSource{NewTableSource(base)}, []string{"s", "k"}, nil)
+		sv := scan.StrCol("s")
+		short := e.Filter(scan, func(i int) bool { return len(sv.Get(i))%3 != 0 })
+		kept := e.Where(short, IntBetween("k", 0, 60).On(short))
+		joined := e.Join(kept, dim, "k", "dk")
+		semi := e.SemiJoin(kept, dim, "k", "dk")
+		anti := e.AntiJoin(kept, dim, "k", "dk")
+		e.Aggregate(joined, []string{"ds"}, []AggSpec{{Fn: "count", Col: "*", As: "n"}})
+		e.Sort(semi, OrderSpec{Col: "s"})
+		e.TopK(anti, 7, OrderSpec{Col: "s", Desc: true})
+
+		for _, p := range e.Log.pending {
+			for _, tb := range []*Table{p.left, p.right, p.out} {
+				if tb != nil && tb.avgBytes.Load() != 0 {
+					t.Fatalf("workers=%d: step %d (%v) measured %q before Widths", workers, p.i, e.Log.Steps[p.i].Kind, tb.Name)
+				}
+			}
+		}
+		type want struct{ left, right, out int }
+		wants := make([]want, len(e.Log.Steps))
+		for _, p := range e.Log.pending {
+			wants[p.i] = want{p.left.AvgRowBytes(), 0, p.out.AvgRowBytes()}
+			if p.right != nil {
+				wants[p.i].right = p.right.AvgRowBytes()
+			}
+		}
+		if len(e.Log.pending) != len(e.Log.Steps) || len(e.Log.Steps) != 10 {
+			t.Fatalf("workers=%d: %d steps, %d pending, want 10 of each", workers, len(e.Log.Steps), len(e.Log.pending))
+		}
+		steps := e.Log.Widths()
+		for i, s := range steps {
+			if got := (want{s.LeftWidth, s.RightWidth, s.OutWidth}); got != wants[i] || got.left == 0 {
+				t.Errorf("workers=%d: step %d (%v) widths %+v, want %+v", workers, i, s.Kind, got, wants[i])
+			}
+		}
+		if e.Log.pending != nil {
+			t.Errorf("workers=%d: the log still holds %d steps' tables", workers, len(e.Log.pending))
+		}
+		if again := e.Log.Widths(); !slices.Equal(again, steps) {
+			t.Errorf("workers=%d: a second Widths call changed the steps", workers)
+		}
 	}
 }
 

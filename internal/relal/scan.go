@@ -643,26 +643,25 @@ func (s *TableSource) ScanTable(cols []string, pred ZonePredicate) (*Table, Scan
 // hand back a table shared by every concurrent scan (TableSource returns
 // its backing table whole), so the base annotation goes on a fresh
 // zero-copy wrapper instead of mutating the shared struct. That makes a
-// scan safe to run from many query streams at once.
+// scan safe to run from many query streams at once. The step's width is
+// measured on the source's table, not the wrapper, so a shared table's
+// memo serves every scan of it.
 func (e *Exec) ScanSource(src Source, cols []string, pred ZonePredicate) *Table {
-	t, stats := src.ScanTable(cols, pred)
+	scanned, stats := src.ScanTable(cols, pred)
 	name := src.SrcName()
-	width := t.AvgRowBytes()
+	t := scanned
 	if t.Base != name {
-		w := &Table{Name: t.Name, Schema: t.Schema, Cols: t.Cols, sels: t.sels, colSel: t.colSel, Base: name}
-		w.avgBytes.Store(int64(width))
-		t = w
+		t = &Table{Name: t.Name, Schema: t.Schema, Cols: t.Cols, sels: t.sels, colSel: t.colSel, Base: name}
 	}
-	e.Log.Add(Step{
+	e.Log.add(Step{
 		Kind: StepScan, Table: name,
-		LeftRows: t.NumRows(), LeftWidth: width,
-		OutRows: t.NumRows(), OutWidth: width,
+		LeftRows: t.NumRows(), OutRows: t.NumRows(),
 		LeftBase:      name,
 		ScanBytesRead: stats.BytesRead, ScanBytesSkipped: stats.BytesSkipped,
 		ScanGroupsRead: stats.GroupsRead, ScanGroupsSkipped: stats.GroupsSkipped,
 		ScanBytesFromCache: stats.BytesFromCache,
 		ScanCacheHits:      stats.CacheHits, ScanCacheMisses: stats.CacheMisses,
 		ScanCorruptChunks: stats.CorruptChunks,
-	})
+	}, scanned, nil, scanned)
 	return t
 }

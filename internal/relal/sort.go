@@ -99,12 +99,11 @@ func (e *Exec) Sort(t *Table, keys ...OrderSpec) *Table {
 	idx := sortIndex(t, sortCmps(t, keys))
 	e.Log.SortNanos += time.Since(start).Nanoseconds()
 	out := view(t, t.Name+"_s", idx)
-	e.Log.Add(Step{
+	e.Log.add(Step{
 		Kind: StepSort, Table: t.Name,
-		LeftRows: t.NumRows(), LeftWidth: t.AvgRowBytes(),
-		OutRows: out.NumRows(), OutWidth: out.AvgRowBytes(),
+		LeftRows: t.NumRows(), OutRows: out.NumRows(),
 		LeftBase: t.Base,
-	})
+	}, t, nil, out)
 	return out
 }
 
@@ -197,19 +196,16 @@ func (e *Exec) TopK(t *Table, k int, keys ...OrderSpec) *Table {
 		sel = topKIndex(t, cmps, k, e.workers())
 	}
 	e.Log.SortNanos += time.Since(start).Nanoseconds()
-	width := t.AvgRowBytes()
-	e.Log.Add(Step{
+	e.Log.add(Step{
 		Kind: StepSort, Table: t.Name,
-		LeftRows: n, LeftWidth: width,
-		OutRows: n, OutWidth: width,
+		LeftRows: n, OutRows: n,
 		LeftBase: t.Base,
-	})
+	}, t, nil, t)
 	out := view(t, t.Name+"_s", sel)
-	e.Log.Add(Step{
+	e.Log.add(Step{
 		Kind: StepLimit, Table: out.Name,
-		LeftRows: n, LeftWidth: width,
-		OutRows: out.NumRows(), OutWidth: out.AvgRowBytes(),
+		LeftRows: n, OutRows: out.NumRows(),
 		LeftBase: t.Base,
-	})
+	}, t, nil, out)
 	return out
 }

@@ -260,11 +260,11 @@ func TestTopKStepLogMatchesSortLimit(t *testing.T) {
 	for _, k := range []int{0, 10, 400, 500} {
 		serial := &Exec{Parallelism: 1}
 		serial.Limit(serial.Sort(in, keys...), k)
-		want := serial.Log.Steps
+		want := serial.Log.Widths()
 		for _, workers := range diffWorkers() {
 			e := &Exec{Parallelism: workers}
 			e.TopK(in, k, keys...)
-			got := e.Log.Steps
+			got := e.Log.Widths()
 			if len(got) != len(want) {
 				t.Fatalf("k=%d workers=%d: %d steps, want %d", k, workers, len(got), len(want))
 			}
@@ -290,7 +290,8 @@ func TestLimitLogsTruncatedWidth(t *testing.T) {
 	if out.NumRows() != 1 {
 		t.Fatalf("rows = %d", out.NumRows())
 	}
-	st := e.Log.Steps[len(e.Log.Steps)-1]
+	steps := e.Log.Widths()
+	st := steps[len(steps)-1]
 	if st.Kind != StepLimit {
 		t.Fatalf("last step = %v, want limit", st.Kind)
 	}
